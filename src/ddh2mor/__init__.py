@@ -13,9 +13,9 @@ from .dataio import (AssumptionReport, DataEnsemble, NoiseSpec, Trajectory,
                      numerical_rank, save_ensemble)
 from .ddgrad import (DualData, GramianSet, data_gradients,
                      data_gradients_B_known, data_gradients_from_ensemble,
-                     objective_f, pencil_conditions, reconstruct_dual,
-                     reconstruct_dual_known_input, rom_gramians, solve_R,
-                     solve_S, solve_SB)
+                     objective_f, reconstruct_dual,
+                     reconstruct_dual_known_input, rom_gramians,
+                     solve_gramians, solve_R, solve_S, solve_SB)
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
                      InsufficientData, NoUniqueSolution, NotStable,
                      RankDeficientData, ReductionError, SingularAhat,
@@ -26,8 +26,9 @@ from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       load_frequency_samples, load_impulse_data, make_stable,
                       sample_frequency_data, save_frequency_samples,
                       save_impulse_data)
-from .matequ import (PencilReport, pencil_diagnostics, pseudoinverse,
-                     solve_discrete_sylvester, solve_stein, spectral_radius)
+from .matequ import (PencilReport, SchurFactor, pencil_diagnostics,
+                     pseudoinverse, solve_discrete_sylvester, solve_stein,
+                     spectral_radius)
 from .optim import (IterRecord, OptimParams, OptimResult, StopReason, run,
                     stack_direction)
 from .sysmodel import (ErrorGramians, GradientTriple, H2ErrorEvaluator,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, ddgrad, initmor, optim, sysmodel
+from . import dataio, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
@@ -128,41 +128,20 @@ class ConvergenceLog:
         return cls(rows)
 
 
-def _write_matrix(path: Path, M: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(M), delimiter=",", fmt=_FLOAT_FMT)
-
-
-def _read_matrix(path: Path) -> np.ndarray:
-    try:
-        M = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if M.size == 0:
-        raise FormatError(f"{path}: empty matrix file")
-    return M
-
-
 def save_system(sys: sysmodel.LtiSystem, out: Path, *, h: float, seed: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out / "A.csv", sys.A)
-    _write_matrix(out / "B.csv", sys.B)
+    dataio.write_matrix(out / "A.csv", sys.A)
+    dataio.write_matrix(out / "B.csv", sys.B)
     manifest = {"n": sys.n, "m": sys.m, "h": h, "seed": seed,
                 "a": "A.csv", "b": "B.csv", "c": "identity"}
     (out / "system.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_system(path) -> sysmodel.LtiSystem:
-    p = Path(path)
-    manifest_path = p / "system.json" if p.is_dir() else p
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest, manifest_path = dataio.read_manifest(path, "system.json", ("n", "m"))
     root = manifest_path.parent
-    A = _read_matrix(root / manifest.get("a", "A.csv"))
-    B = _read_matrix(root / manifest.get("b", "B.csv"))
+    A = dataio.read_matrix(root / manifest.get("a", "A.csv"))
+    B = dataio.read_matrix(root / manifest.get("b", "B.csv"))
     if A.shape != (manifest["n"], manifest["n"]) or B.shape != (manifest["n"], manifest["m"]):
         raise FormatError(f"{manifest_path}: matrix shapes disagree with manifest")
     return sysmodel.LtiSystem.with_identity_output(A, B)
@@ -170,16 +149,16 @@ def load_system(path) -> sysmodel.LtiSystem:
 
 def save_rom(rom: sysmodel.Rom, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_matrix(out / "rom_A.csv", rom.Ahat)
-    _write_matrix(out / "rom_B.csv", rom.Bhat)
-    _write_matrix(out / "rom_C.csv", rom.Chat)
+    dataio.write_matrix(out / "rom_A.csv", rom.Ahat)
+    dataio.write_matrix(out / "rom_B.csv", rom.Bhat)
+    dataio.write_matrix(out / "rom_C.csv", rom.Chat)
 
 
 def load_rom(path) -> sysmodel.Rom:
     root = Path(path)
-    return sysmodel.Rom(_read_matrix(root / "rom_A.csv"),
-                        _read_matrix(root / "rom_B.csv"),
-                        _read_matrix(root / "rom_C.csv"))
+    return sysmodel.Rom(dataio.read_matrix(root / "rom_A.csv"),
+                        dataio.read_matrix(root / "rom_B.csv"),
+                        dataio.read_matrix(root / "rom_C.csv"))
 
 
 def _report_dict(report: dataio.AssumptionReport) -> dict:
@@ -195,16 +174,7 @@ def _print_json(payload: dict) -> None:
 # --- flag/config resolution -------------------------------------------------
 
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{p}: config must be a JSON object")
-    return payload
+    return {} if path is None else dataio.read_json_object(path)
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
@@ -318,6 +288,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     args = _resolve(args, _REDUCE_DEFAULTS)
     if args.ensemble is None:
         raise ValueError("--ensemble is required")
+    if int(args.r) < 1:
+        raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
     report = dataio.check_assumptions(ens)
     if not report.all_hold:
@@ -382,7 +354,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("--system and --rom are required")
     sys_ = load_system(args.system)
     rom = load_rom(args.rom)
-    eigs = np.linalg.eigvals(rom.Ahat)
+    eigs = rom.schur.eigvals
     mods = np.abs(eigs)
     norm = sysmodel.h2_norm(sys_)
     err = sysmodel.h2_error(sys_, rom)

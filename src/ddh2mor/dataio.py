@@ -9,13 +9,12 @@ never the latent recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
-from .matequ import PencilReport
 from .sysmodel import LtiSystem, simulate
 
 __all__ = [
@@ -30,7 +29,11 @@ __all__ = [
     "generate_trajectories",
     "load_ensemble",
     "numerical_rank",
+    "read_json_object",
+    "read_manifest",
+    "read_matrix",
     "save_ensemble",
+    "write_matrix",
 ]
 
 # relative singular-value threshold for every rank decision on snapshots
@@ -152,8 +155,6 @@ class AssumptionReport:
     """Numerical ranks of the snapshot blocks and which conditions hold.
 
     b1: rank [X1 U1] = n + m, b2: rank X1 = n, b3: rank U1 = m.
-    ``pencil_reports`` carries the spectral-separation diagnostics when a
-    reduced model is available to evaluate them against.
     """
 
     rank_X1U1: int
@@ -162,7 +163,6 @@ class AssumptionReport:
     b1_holds: bool
     b2_holds: bool
     b3_holds: bool
-    pencil_reports: tuple[PencilReport, ...] = field(default=())
 
     @property
     def all_hold(self) -> bool:
@@ -244,11 +244,13 @@ def check_assumptions(ens: DataEnsemble, n: int | None = None,
     )
 
 
-def _write_matrix(path: Path, M: np.ndarray) -> None:
+def write_matrix(path: Path, M: np.ndarray) -> None:
+    """Write a 2-D array as comma-separated rows, full double precision."""
     np.savetxt(path, M, delimiter=",", fmt=_CSV_FMT)
 
 
-def _read_matrix(path: Path) -> np.ndarray:
+def read_matrix(path: Path) -> np.ndarray:
+    """Read a file written by ``write_matrix``; malformed content is a FormatError."""
     try:
         M = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
@@ -258,14 +260,40 @@ def _read_matrix(path: Path) -> np.ndarray:
     return M
 
 
+def read_json_object(path) -> dict:
+    """Parse a JSON file that must hold an object; anything else is a FormatError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return payload
+
+
+def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
+    """Load a JSON manifest given its path or its containing directory.
+
+    Returns the manifest and its path; a missing ``required`` key raises
+    FormatError.
+    """
+    p = Path(path)
+    manifest_path = p / default_name if p.is_dir() else p
+    manifest = read_json_object(manifest_path)
+    missing = set(required) - manifest.keys()
+    if missing:
+        raise FormatError(f"{manifest_path}: manifest lacks keys {sorted(missing)}")
+    return manifest, manifest_path
+
+
 def save_ensemble(ens: DataEnsemble, path) -> Path:
     """Write x1/u1/x2 CSV files plus an ensemble.json manifest into a directory."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     files = {"x1": "x1.csv", "u1": "u1.csv", "x2": "x2.csv"}
-    _write_matrix(root / files["x1"], ens.X1)
-    _write_matrix(root / files["u1"], ens.U1)
-    _write_matrix(root / files["x2"], ens.X2)
+    write_matrix(root / files["x1"], ens.X1)
+    write_matrix(root / files["u1"], ens.U1)
+    write_matrix(root / files["x2"], ens.X2)
     manifest = {"n": ens.n, "m": ens.m, "N": ens.N,
                 "alpha": ens.alpha, "seed": ens.seed, **files}
     (root / "ensemble.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -274,19 +302,12 @@ def save_ensemble(ens: DataEnsemble, path) -> Path:
 
 def load_ensemble(path) -> DataEnsemble:
     """Load an ensemble from a manifest path or its containing directory."""
-    p = Path(path)
-    manifest_path = p / "ensemble.json" if p.is_dir() else p
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    missing = {"n", "m", "N", "x1", "u1", "x2"} - manifest.keys()
-    if missing:
-        raise FormatError(f"{manifest_path}: manifest lacks keys {sorted(missing)}")
+    manifest, manifest_path = read_manifest(path, "ensemble.json",
+                                            ("n", "m", "N", "x1", "u1", "x2"))
     root = manifest_path.parent
-    X1 = _read_matrix(root / manifest["x1"])
-    U1 = _read_matrix(root / manifest["u1"])
-    X2 = _read_matrix(root / manifest["x2"])
+    X1 = read_matrix(root / manifest["x1"])
+    U1 = read_matrix(root / manifest["u1"])
+    X2 = read_matrix(root / manifest["x2"])
     N, n, m = manifest["N"], manifest["n"], manifest["m"]
     if X1.shape != (N, n) or U1.shape != (N, m) or X2.shape != (N, n):
         raise FormatError(

@@ -10,15 +10,14 @@ model-based gradients of :mod:`.sysmodel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataio import DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
-from .matequ import (PencilReport, pencil_diagnostics, pseudoinverse,
-                     solve_discrete_sylvester, solve_stein, spectral_separation)
+from .matequ import (SchurFactor, pseudoinverse, solve_discrete_sylvester,
+                     solve_stein, spectral_separation)
 from .sysmodel import GradientTriple, Rom
 
 __all__ = [
@@ -29,10 +28,10 @@ __all__ = [
     "data_gradients_B_known",
     "data_gradients_from_ensemble",
     "objective_f",
-    "pencil_conditions",
     "reconstruct_dual",
     "reconstruct_dual_known_input",
     "rom_gramians",
+    "solve_gramians",
     "solve_R",
     "solve_S",
     "solve_SB",
@@ -40,7 +39,7 @@ __all__ = [
 
 # pseudoinverses in the reconstruction share the snapshot rank threshold
 _RCOND = 1e-10
-# minimum distance between data-pencil spectra and reciprocal rom poles
+# minimum distance between data-coefficient spectra and reciprocal rom poles
 SEPARATION_TOL = 1e-10
 
 
@@ -48,15 +47,17 @@ SEPARATION_TOL = 1e-10
 class DualData:
     """Reconstructed dual quantities and cached solve coefficients.
 
-    Z2   (N, n)  second dual snapshot block
-    ZB1  (m, N)  B^T applied to the first dual snapshots
-    UB1  (N, n)  U1 B^T, the input block mapped through B
-    MR   (n, n)  pinv(X1) @ Z2, coefficient of the R equation
-    MS   (n, n)  pinv(X1) @ (X2 - UB1), coefficient of the S equation
-    GB   (n, m)  pinv(X1) @ ZB1^T, input coefficient of the R equation
+    Z2      (N, n)  second dual snapshot block
+    ZB1     (m, N)  B^T applied to the first dual snapshots
+    UB1     (N, n)  U1 B^T, the input block mapped through B
+    MR      (n, n)  pinv(X1) @ Z2, coefficient of the R equation
+    MS      (n, n)  pinv(X1) @ (X2 - UB1), coefficient of the S equation
+    GB      (n, m)  pinv(X1) @ ZB1^T, input coefficient of the R equation
+    sb_map  (m, n)  map from S to SB: B^T when B is known, else
+                    pinv(U1) @ UB1; None when rank U1 < m
 
-    The Schur factorizations and pencil spectra of MR and MS are cached
-    because every gradient step reuses them.
+    The Schur factors of MR and MS are computed once here, because every
+    gradient step reuses them.
     """
 
     Z2: np.ndarray
@@ -65,10 +66,13 @@ class DualData:
     MR: np.ndarray
     MS: np.ndarray
     GB: np.ndarray
-    mr_schur: tuple = None
-    ms_schur: tuple = None
-    mr_pencil: PencilReport = None
-    ms_pencil: PencilReport = None
+    sb_map: np.ndarray | None
+    mr_schur: SchurFactor = field(init=False, repr=False)
+    ms_schur: SchurFactor = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mr_schur", SchurFactor.of(self.MR))
+        object.__setattr__(self, "ms_schur", SchurFactor.of(self.MS))
 
     @property
     def n(self) -> int:
@@ -90,18 +94,6 @@ class GramianSet:
     SB: np.ndarray
 
 
-def _finish_dual(Z2, ZB1, UB1, MR, MS, GB) -> DualData:
-    n = MR.shape[0]
-    eye = np.eye(n)
-    return DualData(
-        Z2=Z2, ZB1=ZB1, UB1=UB1, MR=MR, MS=MS, GB=GB,
-        mr_schur=scipy.linalg.schur(MR, output="real"),
-        ms_schur=scipy.linalg.schur(MS, output="real"),
-        mr_pencil=pencil_diagnostics(MR, eye),
-        ms_pencil=pencil_diagnostics(MS, eye),
-    )
-
-
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     """Recover the dual snapshots from data with unknown system matrices.
 
@@ -115,7 +107,7 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
         raise RankDeficientData(
             f"need rank [X1 U1] = {ens.n + ens.m} and rank X1 = {ens.n}, got "
             f"{report.rank_X1U1} and {report.rank_X1}")
-    N, n = ens.N, ens.n
+    n = ens.n
     stacked = pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=_RCOND) @ (ens.X2 @ ens.X1.T)
     Z2 = stacked[:n].T
     ZB1 = stacked[n:]
@@ -124,7 +116,8 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     MR = x1_pinv @ Z2
     MS = x1_pinv @ (ens.X2 - UB1)
     GB = x1_pinv @ ZB1.T
-    return _finish_dual(Z2, ZB1, UB1, MR, MS, GB)
+    sb_map = pseudoinverse(ens.U1, rcond=_RCOND) @ UB1 if report.b3_holds else None
+    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map)
 
 
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
@@ -146,65 +139,60 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     MS = x1_pinv @ (ens.X2 - UB1)
     MR = MS.T
     Z2 = ens.X1 @ MS
-    return _finish_dual(Z2, ZB1, UB1, MR, MS, B.copy())
+    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy())
 
 
-def pencil_conditions(dual: DualData, rom: Rom) -> tuple[PencilReport, PencilReport]:
-    """Separation of the MR/MS pencil spectra from the reciprocal rom poles."""
-    eye_r = np.eye(rom.r)
-    recip = pencil_diagnostics(eye_r, rom.Ahat).spectra
-    reports = []
-    for base in (dual.mr_pencil, dual.ms_pencil):
-        if base is None:
-            raise ValueError("dual data lacks cached pencil diagnostics")
-        sep = spectral_separation(base.spectra, recip)
-        reports.append(PencilReport(base.is_regular, base.spectra, sep))
-    return tuple(reports)
+def _require_separation(coef: SchurFactor, rom: Rom, label: str) -> None:
+    """Require eig(coef) * eig(Ahat) != 1, the condition for a unique R or S.
 
-
-def _require_separation(report: PencilReport, label: str,
-                        separation_tol: float) -> None:
-    if not report.is_regular:
-        raise AssumptionViolated(f"{label} pencil is numerically singular")
-    if report.min_separation < separation_tol:
+    Measured as the distance between the coefficient spectrum and the
+    reciprocal rom poles (zero poles have none).
+    """
+    lam = rom.schur.eigvals
+    sep = spectral_separation(coef.eigvals, 1.0 / lam[lam != 0.0])
+    if sep < SEPARATION_TOL:
         raise AssumptionViolated(
-            f"{label} pencil spectrum within {report.min_separation:.3e} "
-            f"of a reciprocal rom pole (tolerance {separation_tol:g})")
+            f"{label} spectrum within {sep:.3e} of a reciprocal rom pole "
+            f"(tolerance {SEPARATION_TOL:g})")
 
 
-def solve_R(dual: DualData, rom: Rom, *,
-            separation_tol: float = SEPARATION_TOL) -> np.ndarray:
+def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    report, _ = pencil_conditions(dual, rom)
-    _require_separation(report, "MR", separation_tol)
+    _require_separation(dual.mr_schur, rom, "MR")
     return solve_discrete_sylvester(dual.MR, rom.Ahat.T, dual.GB @ rom.Bhat.T,
-                                    m_schur=dual.mr_schur)
+                                    m_schur=dual.mr_schur,
+                                    n_schur=rom.schur.transposed())
 
 
-def solve_S(dual: DualData, rom: Rom, *,
-            separation_tol: float = SEPARATION_TOL) -> np.ndarray:
+def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term S from data: ``MS S Ahat - Chat = S``."""
-    _, report = pencil_conditions(dual, rom)
-    _require_separation(report, "MS", separation_tol)
+    _require_separation(dual.ms_schur, rom, "MS")
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
     return solve_discrete_sylvester(dual.MS, rom.Ahat, -rom.Chat,
-                                    m_schur=dual.ms_schur)
+                                    m_schur=dual.ms_schur, n_schur=rom.schur)
 
 
-def solve_SB(ens: DataEnsemble, dual: DualData, S: np.ndarray) -> np.ndarray:
-    """Input-side contraction SB from ``U1 SB = UB1 S`` by least squares."""
-    report = check_assumptions(ens)
-    if not report.b3_holds:
-        raise RankDeficientData(f"need rank U1 = {ens.m}, got {report.rank_U1}")
-    return pseudoinverse(ens.U1, rcond=_RCOND) @ (dual.UB1 @ S)
+def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
+    """Input-side contraction SB, the least-squares solution of ``U1 SB = UB1 S``."""
+    if dual.sb_map is None:
+        raise RankDeficientData("need full column rank U1 to recover SB")
+    return dual.sb_map @ S
 
 
 def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     """Reduced controllability and observability gramians (P, Q)."""
-    P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T)
-    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat)
+    P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T, a_schur=rom.schur)
+    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat, a_schur=rom.schur.transposed())
     return P, Q
+
+
+def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
+    """Every solve one data-driven gradient evaluation needs."""
+    P, Q = rom_gramians(rom)
+    R = solve_R(dual, rom)
+    S = solve_S(dual, rom)
+    return GramianSet(P, Q, R, S, solve_SB(dual, S))
 
 
 def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
@@ -223,8 +211,7 @@ def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:
     ``(S^T R - SB^T Bhat^T) Ahat^{-T}``, which requires Ahat to be
     invertible.
     """
-    mods = np.abs(np.linalg.eigvals(rom.Ahat))
-    if mods.min(initial=np.inf) < 1e-12:
+    if np.abs(rom.schur.eigvals).min(initial=np.inf) < 1e-12:
         raise SingularAhat("Ahat has an eigenvalue with modulus below 1e-12")
     P, Q, R, S, SB = grams.P, grams.Q, grams.R, grams.S, grams.SB
     cross = S.T @ R - SB.T @ rom.Bhat.T
@@ -236,23 +223,11 @@ def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:
     return GradientTriple(gA, gB, gC)
 
 
-def _gradients(ens: DataEnsemble, dual: DualData, rom: Rom,
-               known_input=None) -> GradientTriple:
-    P, Q = rom_gramians(rom)
-    R = solve_R(dual, rom)
-    S = solve_S(dual, rom)
-    if known_input is not None:
-        SB = np.asarray(known_input, dtype=float).T @ S
-    else:
-        SB = solve_SB(ens, dual, S)
-    return data_gradients(rom, GramianSet(P, Q, R, S, SB))
-
-
 def data_gradients_from_ensemble(ens: DataEnsemble, rom: Rom, *,
                                  force: bool = False) -> GradientTriple:
     """Full data-driven gradient pipeline with unknown system matrices."""
     dual = reconstruct_dual(ens, force=force)
-    return _gradients(ens, dual, rom)
+    return data_gradients(rom, solve_gramians(dual, rom))
 
 
 def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
@@ -263,6 +238,5 @@ def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
     otherwise the pipeline is identical to the unknown-B route and agrees
     with it whenever both are applicable.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
     dual = reconstruct_dual_known_input(ens, B, force=force)
-    return _gradients(ens, dual, rom, known_input=B)
+    return data_gradients(rom, solve_gramians(dual, rom))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import TrajectorySet, numerical_rank
+from .dataio import TrajectorySet, numerical_rank, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
 from .sysmodel import Rom, markov_parameters, transfer_eval
@@ -349,10 +349,7 @@ def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
     ...], "right": [...]}.
     """
     p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+    payload = read_json_object(p)
 
     def decode(side: str) -> list[FreqSample]:
         entries = payload.get(side)
@@ -379,10 +376,7 @@ def save_impulse_data(imp: ImpulseData, path) -> None:
 def load_impulse_data(path) -> ImpulseData:
     """Read Markov parameters from JSON: {"markov": [[[number | {re, im}]]]}."""
     p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+    payload = read_json_object(p)
     mats = payload.get("markov")
     if not isinstance(mats, list) or not mats:
         raise FormatError(f"{p}: missing or empty 'markov' list")

@@ -10,7 +10,7 @@ cubic in the matrix sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,7 @@ from .errors import NotStable, NoUniqueSolution, SingularSystem
 
 __all__ = [
     "PencilReport",
+    "SchurFactor",
     "pencil_diagnostics",
     "pseudoinverse",
     "solve_discrete_sylvester",
@@ -28,6 +29,8 @@ __all__ = [
 
 # pivot magnitudes below this abort the back-substitution
 _PIVOT_TOL = 1e-14
+# Stein coefficients need a spectral radius below 1 - _STABILITY_TOL
+_STABILITY_TOL = 1e-12
 # fixed fourth probe shift for pencil regularity, kept constant so that
 # repeated runs on identical inputs give identical diagnostics
 _PROBE_SHIFT = 0.7390851332151607
@@ -111,11 +114,47 @@ def spectral_separation(spectrum, other) -> float:
     return float(np.min(np.abs(spectrum[:, None] - other[None, :])))
 
 
-def _transposed_schur(T: np.ndarray, Z: np.ndarray):
-    """Real Schur factors of M^T from the factors (T, Z) of M."""
-    # flipping rows and columns turns the lower quasi-triangular T^T back
-    # into an upper quasi-triangular matrix with the same diagonal blocks
-    return np.ascontiguousarray(T.T[::-1, ::-1]), np.ascontiguousarray(Z[:, ::-1])
+def schur_eigvals(T) -> np.ndarray:
+    """Eigenvalues of a real quasi-upper-triangular matrix.
+
+    They are read off its diagonal: a 1x1 block is a real eigenvalue and
+    a 2x2 block (flagged by a nonzero subdiagonal entry) a pair.
+    """
+    T = np.asarray(T, dtype=float)
+    lam = np.diagonal(T).astype(complex)
+    j = np.flatnonzero(np.diagonal(T, -1))
+    a, b, c, d = T[j, j], T[j, j + 1], T[j + 1, j], T[j + 1, j + 1]
+    mean = 0.5 * (a + d)
+    root = np.sqrt((0.5 * (a - d)) ** 2 + b * c + 0j)
+    lam[j], lam[j + 1] = mean + root, mean - root
+    return lam
+
+
+@dataclass(frozen=True)
+class SchurFactor:
+    """Real Schur form ``M = Z T Z^T`` and the eigenvalues of M.
+
+    Factor a matrix once with ``SchurFactor.of(M)`` and pass the result to
+    every solve and spectral check that uses M.
+    """
+
+    T: np.ndarray
+    Z: np.ndarray
+    eigvals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigvals", schur_eigvals(self.T))
+
+    @classmethod
+    def of(cls, M) -> "SchurFactor":
+        return cls(*scipy.linalg.schur(_as_square(M, "M"), output="real"))
+
+    def transposed(self) -> "SchurFactor":
+        """The factor of M^T, without a new factorization."""
+        # flipping rows and columns turns the lower quasi-triangular T^T back
+        # into an upper quasi-triangular matrix with the same diagonal blocks
+        return SchurFactor(np.ascontiguousarray(self.T.T[::-1, ::-1]),
+                           np.ascontiguousarray(self.Z[:, ::-1]))
 
 
 def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
@@ -130,11 +169,10 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
     unique_tol : float
         A unique solution requires eig(M) * eig(N) != 1; products within
         this tolerance of 1 raise ``NoUniqueSolution``.
-    m_schur, n_schur : optional (T, Z) pairs
-        Precomputed real Schur factorizations of M and N, as returned by
-        ``scipy.linalg.schur(..., output="real")``.  Passing them skips the
-        reduction step, which pays off when the same coefficient is used
-        across many solves.
+    m_schur, n_schur : optional SchurFactor
+        Precomputed factors of M and N.  Passing them skips the reduction
+        step and the eigenvalue computation, which pays off when the same
+        coefficient is used across many solves.
 
     Returns
     -------
@@ -147,15 +185,13 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
     if W.shape != (k, r):
         raise ValueError(f"W must have shape {(k, r)}, got {W.shape}")
 
-    TM, ZM = m_schur if m_schur is not None else scipy.linalg.schur(M, output="real")
-    TN, ZN = n_schur if n_schur is not None else scipy.linalg.schur(N, output="real")
-
-    lam_m = np.linalg.eigvals(TM)
-    lam_n = np.linalg.eigvals(TN)
-    if k and r and np.min(np.abs(np.outer(lam_m, lam_n) - 1.0)) < unique_tol:
+    fm = m_schur if m_schur is not None else SchurFactor.of(M)
+    fn = n_schur if n_schur is not None else SchurFactor.of(N)
+    if k and r and np.min(np.abs(np.outer(fm.eigvals, fn.eigvals) - 1.0)) < unique_tol:
         raise NoUniqueSolution(
             "eigenvalue product of the coefficients is numerically 1")
 
+    TM, ZM, TN, ZN = fm.T, fm.Z, fn.T, fn.Z
     Wt = ZM.T @ W @ ZN
     Y = np.zeros((k, r))
     j = 0
@@ -177,12 +213,12 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
     return ZM @ Y @ ZN.T
 
 
-def solve_stein(A, W, *, stability_tol: float = 1e-12, a_schur=None) -> np.ndarray:
+def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:
     """Solve the Stein equation ``A X A^T + W = X`` for symmetric W.
 
     Requires the spectral radius of A to be strictly below one; the output
     is symmetrized to remove roundoff skew.  ``a_schur`` optionally passes
-    a precomputed real Schur factorization of A.
+    a precomputed factor of A.
     """
     A = _as_square(A, "A")
     W = _as_square(W, "W")
@@ -191,11 +227,10 @@ def solve_stein(A, W, *, stability_tol: float = 1e-12, a_schur=None) -> np.ndarr
     if not np.allclose(W, W.T, rtol=1e-8, atol=1e-8 * max(1.0, np.abs(W).max(initial=0.0))):
         raise ValueError("W must be symmetric")
 
-    if spectral_radius(A) >= 1.0 - stability_tol:
+    fa = a_schur if a_schur is not None else SchurFactor.of(A)
+    if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - _STABILITY_TOL:
         raise NotStable("spectral radius is not strictly below one")
 
-    TA, ZA = a_schur if a_schur is not None else scipy.linalg.schur(A, output="real")
     X = solve_discrete_sylvester(A, A.T, 0.5 * (W + W.T),
-                                 m_schur=(TA, ZA),
-                                 n_schur=_transposed_schur(TA, ZA))
+                                 m_schur=fa, n_schur=fa.transposed())
     return 0.5 * (X + X.T)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import DataEnsemble
-from .ddgrad import (DualData, GramianSet, data_gradients, objective_f,
-                     reconstruct_dual, reconstruct_dual_known_input,
-                     rom_gramians, solve_R, solve_S, solve_SB)
+from .ddgrad import (DualData, data_gradients, objective_f, reconstruct_dual,
+                     reconstruct_dual_known_input, solve_gramians, solve_R)
 from .errors import (AssumptionViolated, NotStable, NoUniqueSolution,
                      SingularSystem)
 from .matequ import solve_stein
@@ -120,11 +119,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     ens : snapshot ensemble driving the gradients
     init : starting reduced model; must lie inside the stability annulus
     known_input : optional (n, m) input matrix; when given, the dual
-        reconstruction and SB use it directly and only X1 needs full rank
+        reconstruction uses it directly and only X1 needs full rank
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
     sink : optional callable receiving each IterRecord as it is produced
-    dual : optionally inject an already reconstructed DualData
+    dual : optionally inject an already reconstructed DualData; the
+        reconstruction, known_input and force are then skipped
     force : proceed past failed rank checks in the reconstruction
 
     Returns
@@ -136,13 +136,9 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
-    if known_input is not None:
-        known_input = np.atleast_2d(np.asarray(known_input, dtype=float))
     if dual is None:
-        if known_input is not None:
-            dual = reconstruct_dual_known_input(ens, known_input, force=force)
-        else:
-            dual = reconstruct_dual(ens, force=force)
+        dual = (reconstruct_dual(ens, force=force) if known_input is None
+                else reconstruct_dual_known_input(ens, known_input, force=force))
 
     evaluator = H2ErrorEvaluator(oracle) if oracle is not None else None
 
@@ -157,21 +153,15 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
     for it in range(1, params.max_iters + 1):
         try:
-            P, Q = rom_gramians(rom)
-            R = solve_R(dual, rom)
-            S = solve_S(dual, rom)
-            if known_input is not None:
-                SB = known_input.T @ S
-            else:
-                SB = solve_SB(ens, dual, S)
-            g = data_gradients(rom, GramianSet(P, Q, R, S, SB))
+            grams = solve_gramians(dual, rom)
+            g = data_gradients(rom, grams)
         except AssumptionViolated:
             stop = StopReason.ASSUMPTION_VIOLATED
             break
 
         d = stack_direction(g)
         D = float(np.sum(d * d))
-        f_curr = objective_f(rom, P, R)
+        f_curr = objective_f(rom, grams.P, grams.R)
         if it == 1:
             initial_f = f_curr
             initial_rel = rel_error(rom)
@@ -191,7 +181,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             cand = rom.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
-                    Pc = solve_stein(cand.Ahat, cand.Bhat @ cand.Bhat.T)
+                    Pc = solve_stein(cand.Ahat, cand.Bhat @ cand.Bhat.T,
+                                     a_schur=cand.schur)
                     Rc = solve_R(dual, cand)
                     fc = objective_f(cand, Pc, Rc)
                     if np.isfinite(fc) and fc <= f_curr - params.c * alpha * D:

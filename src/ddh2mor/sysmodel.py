@@ -9,12 +9,14 @@ implementation against which the data-driven path is verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import GenerationFailed, SingularShift
-from .matequ import solve_discrete_sylvester, solve_stein, spectral_radius
+from .matequ import (SchurFactor, solve_discrete_sylvester, solve_stein,
+                     spectral_radius)
 
 __all__ = [
     "ErrorGramians",
@@ -95,7 +97,11 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class Rom:
-    """Reduced-order model (Ahat, Bhat, Chat)."""
+    """Reduced-order model (Ahat, Bhat, Chat).
+
+    ``schur`` factors Ahat on first use; every solve and spectral check on
+    this rom reuses that one factor.
+    """
 
     Ahat: np.ndarray
     Bhat: np.ndarray
@@ -128,13 +134,17 @@ class Rom:
     def p(self) -> int:
         return self.Chat.shape[0]
 
-    def eig_moduli(self) -> np.ndarray:
-        return np.abs(np.linalg.eigvals(self.Ahat))
+    @cached_property
+    def schur(self) -> SchurFactor:
+        return SchurFactor.of(self.Ahat)
 
-    def satisfies_spectral_bounds(self, lower: float = _EIG_FLOOR) -> bool:
+    def eig_moduli(self) -> np.ndarray:
+        return np.abs(self.schur.eigvals)
+
+    def satisfies_spectral_bounds(self) -> bool:
         """All eigenvalue moduli strictly inside the stability annulus."""
         mods = self.eig_moduli()
-        return bool(np.all(mods > lower) and np.all(mods < 1.0 - _EIG_CEIL_MARGIN))
+        return bool(np.all(mods > _EIG_FLOOR) and np.all(mods < 1.0 - _EIG_CEIL_MARGIN))
 
     def as_system(self) -> LtiSystem:
         return LtiSystem(self.Ahat, self.Bhat, self.Chat)
@@ -267,7 +277,7 @@ class H2ErrorEvaluator:
 
     def __init__(self, sys: LtiSystem):
         self._sys = sys
-        self._a_schur = scipy.linalg.schur(sys.A, output="real")
+        self._a_schur = SchurFactor.of(sys.A)
         sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=self._a_schur)
         self._trace_full = float(np.trace(sys.C @ sigma_c @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
@@ -282,9 +292,10 @@ class H2ErrorEvaluator:
 
     def error(self, rom: Rom) -> float:
         sys = self._sys
-        P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T)
+        P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T, a_schur=rom.schur)
         R = solve_discrete_sylvester(sys.A, rom.Ahat.T, sys.B @ rom.Bhat.T,
-                                     m_schur=self._a_schur)
+                                     m_schur=self._a_schur,
+                                     n_schur=rom.schur.transposed())
         CR = sys.C @ R
         val = (self._trace_full + np.sum((rom.Chat @ P) * rom.Chat)
                - 2.0 * np.sum(CR * rom.Chat))

@@ -8,6 +8,7 @@ central finite differences of a scalar objective.
 """
 
 import numpy as np
+import scipy.linalg
 
 from ddh2mor import GradientTriple, LtiSystem, Rom
 
@@ -116,3 +117,16 @@ def random_rom(rng, r, m, p, radius=0.7, min_modulus=1e-3):
         if np.min(moduli) > min_modulus:
             return Rom(Ahat, rng.standard_normal((r, m)), rng.standard_normal((p, r)))
     raise RuntimeError("could not draw a reduced model inside the annulus")
+
+
+def count_schur_calls(monkeypatch):
+    """Record the shape of every matrix passed to scipy.linalg.schur."""
+    shapes = []
+    schur = scipy.linalg.schur
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return shapes

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,49 @@ def test_evaluate_missing_rom_exits_1(workspace, tmp_path, capsys):
     rc = main(["evaluate", "--system", str(workspace["system"]),
                "--rom", str(tmp_path / "nowhere")])
     assert rc == 1
+
+
+def copy_with_manifest(src, dst, name, edit):
+    """Copy a data directory and rewrite its JSON manifest with ``edit``."""
+    shutil.copytree(src, dst)
+    manifest = dst / name
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    return dst
+
+
+def assert_one_line_error(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert text in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {k: v for k, v in m.items() if k != "n"}, "lacks keys ['n']"),
+    (lambda m: [m], "expected a JSON object"),
+], ids=["without-n", "list"])
+def test_evaluate_bad_system_manifest_exits_1(workspace, tmp_path, capsys, edit, message):
+    sysdir = copy_with_manifest(workspace["system"], tmp_path / "sys", "system.json", edit)
+    romdir = tmp_path / "rom"
+    save_rom(Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((12, 2))), romdir)
+    assert main(["evaluate", "--system", str(sysdir), "--rom", str(romdir)]) == 1
+    assert_one_line_error(capsys, message)
+
+
+def test_reduce_ensemble_manifest_list_exits_1(workspace, tmp_path, capsys):
+    ensdir = copy_with_manifest(workspace["ensemble"], tmp_path / "ens",
+                                "ensemble.json", lambda m: [m])
+    rc = main(["reduce", "--ensemble", str(ensdir), "--r", "3", "--init", "databt",
+               "--oracle", str(workspace["system"]), "--out", str(tmp_path / "red")])
+    assert rc == 1
+    assert_one_line_error(capsys, "expected a JSON object")
+
+
+def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):
+    rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "0",
+               "--init", "databt", "--oracle", str(workspace["system"]),
+               "--out", str(tmp_path / "red")])
+    assert rc == 1
+    assert_one_line_error(capsys, "r must be at least 1")
 
 
 # ----------------------------------------------------------- history format

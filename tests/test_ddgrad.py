@@ -18,15 +18,17 @@ from ddh2mor import (
     h2_norm,
     model_based_gradients,
     objective_f,
-    pencil_conditions,
     reconstruct_dual,
     reconstruct_dual_known_input,
     rom_gramians,
+    solve_gramians,
     solve_R,
     solve_S,
     solve_SB,
 )
-from helpers import fd_gradients, random_rom, random_system, rel_max_err
+from ddh2mor.ddgrad import SEPARATION_TOL
+from helpers import (count_schur_calls, fd_gradients, random_rom, random_system,
+                     rel_max_err)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -63,9 +65,8 @@ def test_dual_reconstruction_recovers_system_quantities():
 def test_dual_caches_are_populated():
     _, ens, _ = make_instance(seed=1)
     dual = reconstruct_dual(ens)
-    assert dual.mr_schur is not None and dual.ms_schur is not None
-    assert dual.mr_pencil.is_regular and dual.ms_pencil.is_regular
-    assert len(dual.mr_pencil.spectra) == ens.n
+    assert len(dual.mr_schur.eigvals) == ens.n and len(dual.ms_schur.eigvals) == ens.n
+    assert dual.sb_map.shape == (ens.m, ens.n)
     assert dual.n == ens.n
 
 
@@ -112,7 +113,7 @@ def test_cross_equation_residuals_vanish():
     dual = reconstruct_dual(ens)
     R = solve_R(dual, rom)
     S = solve_S(dual, rom)
-    SB = solve_SB(ens, dual, S)
+    SB = solve_SB(dual, S)
     res_r = dual.MR @ R @ rom.Ahat.T + dual.GB @ rom.Bhat.T - R
     res_s = dual.MS @ S @ rom.Ahat - rom.Chat - S
     res_sb = ens.U1 @ SB - dual.UB1 @ S
@@ -135,7 +136,7 @@ def test_sb_equals_input_matrix_contraction_of_s():
     sys, ens, rom = make_instance(seed=10)
     dual = reconstruct_dual(ens)
     S = solve_S(dual, rom)
-    SB = solve_SB(ens, dual, S)
+    SB = solve_SB(dual, S)
     assert rel_max_err(SB, sys.B.T @ S) < 1e-8
 
 
@@ -153,20 +154,30 @@ def test_solve_sb_needs_input_rank():
     ens_zero_u = __import__("ddh2mor").DataEnsemble(
         X1, np.zeros((8, 2)), rng.standard_normal((8, 3)))
     dual = reconstruct_dual(ens_zero_u, force=True)
+    assert dual.sb_map is None
     with pytest.raises(RankDeficientData):
-        solve_SB(ens_zero_u, dual, np.zeros((3, 2)))
+        solve_SB(dual, np.zeros((3, 2)))
 
 
-def test_pencil_conditions_report_reciprocal_separation():
+def test_separation_check_measures_distance_to_reciprocal_poles():
     A = np.diag([0.5, 0.25])
     sys = LtiSystem.with_identity_output(A, np.array([[1.0], [2.0]]))
     ens = generate_ensemble(sys, 8, NoiseSpec(seed=13))
     dual = reconstruct_dual(ens)
-    rom = Rom(np.array([[0.8]]), np.array([[1.0]]), np.ones((2, 1)))
-    rep_r, rep_s = pencil_conditions(dual, rom)
-    # reciprocal rom pole is 1.25; closest data eigenvalue is 0.5
-    assert rep_r.min_separation == pytest.approx(0.75, rel=1e-6)
-    assert rep_s.min_separation == pytest.approx(0.75, rel=1e-6)
+
+    def rom_with_reciprocal_pole(z):
+        return Rom(np.array([[1.0 / z]]), np.array([[1.0]]), np.ones((2, 1)))
+
+    # the distance from the data eigenvalue 0.5 decides, not the product
+    for gap in (0.75, 2.0 * SEPARATION_TOL):
+        rom = rom_with_reciprocal_pole(0.5 + gap)
+        solve_R(dual, rom)
+        solve_S(dual, rom)
+    rom = rom_with_reciprocal_pole(0.5 + 0.5 * SEPARATION_TOL)
+    with pytest.raises(AssumptionViolated):
+        solve_R(dual, rom)
+    with pytest.raises(AssumptionViolated):
+        solve_S(dual, rom)
 
 
 def test_reciprocal_pole_collision_raises():
@@ -269,6 +280,21 @@ def test_gradients_invariant_under_joint_data_scaling():
     assert triple_err(b, a) < 1e-9
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st_seed, log_scale=st.floats(-3.0, 3.0))
+def test_gradients_invariant_under_row_order_and_joint_scaling(seed, log_scale):
+    from ddh2mor import DataEnsemble
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, 5, 2)
+    ens = generate_ensemble(sys, 10, NoiseSpec(seed=seed))
+    rom = random_rom(rng, 2, 2, 5)
+    rows, s = rng.permutation(ens.N), 10.0 ** log_scale
+    moved = DataEnsemble(s * ens.X1[rows], s * ens.U1[rows], s * ens.X2[rows])
+    a = data_gradients_from_ensemble(ens, rom)
+    b = data_gradients_from_ensemble(moved, rom)
+    assert triple_err(b, a) < 1e-9
+
+
 def test_state_only_scaling_rescales_input_quantities():
     from ddh2mor import DataEnsemble
     sys, ens, _ = make_instance(seed=25)
@@ -289,6 +315,14 @@ def test_stationary_rom_has_zero_gradients():
     np.testing.assert_array_equal(g.gA, np.zeros((2, 2)))
     np.testing.assert_array_equal(g.gB, np.zeros((2, 2)))
     np.testing.assert_array_equal(g.gC, np.zeros((10, 2)))
+
+
+def test_gradient_evaluation_factors_the_rom_once(monkeypatch):
+    _, ens, rom = make_instance(seed=29)
+    dual = reconstruct_dual(ens)
+    shapes = count_schur_calls(monkeypatch)
+    data_gradients(rom, solve_gramians(dual, rom))
+    assert shapes == [(rom.r, rom.r)]
 
 
 def test_singular_ahat_rejected():

@@ -260,6 +260,9 @@ def test_frequency_loader_rejects_bad_payloads(tmp_path):
     path.write_text("{broken")
     with pytest.raises(FormatError):
         load_frequency_samples(path)
+    path.write_text(json.dumps([{"left": []}]))
+    with pytest.raises(FormatError):
+        load_frequency_samples(path)
     path.write_text(json.dumps({"left": []}))
     with pytest.raises(FormatError):
         load_frequency_samples(path)
@@ -276,6 +279,9 @@ def test_frequency_loader_rejects_bad_payloads(tmp_path):
 def test_impulse_loader_rejects_bad_payloads(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
+    with pytest.raises(FormatError):
+        load_impulse_data(path)
+    path.write_text(json.dumps([[[[1.0]]]]))
     with pytest.raises(FormatError):
         load_impulse_data(path)
     path.write_text(json.dumps({}))

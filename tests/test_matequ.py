@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ddh2mor import (
     NoUniqueSolution,
     NotStable,
+    SchurFactor,
     SingularSystem,
     pencil_diagnostics,
     pseudoinverse,
@@ -13,7 +15,7 @@ from ddh2mor import (
     solve_stein,
     spectral_radius,
 )
-from ddh2mor.matequ import _transposed_schur, spectral_separation
+from ddh2mor.matequ import spectral_separation
 from helpers import kron_solve_stein, kron_solve_sylvester, random_stable, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -96,7 +98,7 @@ def test_stein_accepts_precomputed_schur():
     A = random_stable(rng, 8, radius=0.7)
     G = rng.standard_normal((8, 8))
     W = G + G.T
-    fac = scipy.linalg.schur(A, output="real")
+    fac = SchurFactor.of(A)
     np.testing.assert_allclose(solve_stein(A, W, a_schur=fac), solve_stein(A, W),
                                atol=1e-12)
 
@@ -190,20 +192,38 @@ def test_sylvester_precomputed_schur_matches():
     W = rng.standard_normal((7, 5))
     ref = solve_discrete_sylvester(M, N, W)
     got = solve_discrete_sylvester(M, N, W,
-                                   m_schur=scipy.linalg.schur(M, output="real"),
-                                   n_schur=scipy.linalg.schur(N, output="real"))
+                                   m_schur=SchurFactor.of(M),
+                                   n_schur=SchurFactor.of(N))
     np.testing.assert_allclose(got, ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
 def test_transposed_schur_factors():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((6, 6))
-    T, Z = scipy.linalg.schur(A, output="real")
-    Tt, Zt = _transposed_schur(T, Z)
+    fac = SchurFactor.of(A).transposed()
+    Tt, Zt = fac.T, fac.Z
     # valid real Schur factorization of A^T
     np.testing.assert_allclose(Zt @ Tt @ Zt.T, A.T, atol=1e-12)
     np.testing.assert_allclose(Zt.T @ Zt, np.eye(6), atol=1e-12)
     assert np.max(np.abs(np.tril(Tt, -2))) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st_seed, k=st.integers(0, 10))
+@example(seed=0, k=0)
+@example(seed=0, k=1)
+@example(seed=0, k=2)  # a complex pair
+def test_schur_factor_eigvals_match_numpy(seed, k):
+    M = np.random.default_rng(seed).standard_normal((k, k))
+    ref = np.linalg.eigvals(M)
+    tol = 1e-12 * max(1.0, np.abs(ref).max(initial=0.0))
+    fac = SchurFactor.of(M)
+    for got in (fac.eigvals, fac.transposed().eigvals):
+        assert got.shape == ref.shape
+        # multiset match: pair each eigenvalue with a distinct reference one
+        dist = np.abs(got[:, None] - ref[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max(initial=0.0) <= tol
 
 
 def test_spectral_radius_values():

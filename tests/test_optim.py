@@ -16,7 +16,8 @@ from ddh2mor import (
     run,
     stack_direction,
 )
-from helpers import random_rom, random_system
+import ddh2mor
+from helpers import count_schur_calls, random_rom, random_system
 
 
 def make_problem(seed=0, n=12, m=2, r=3, N=16):
@@ -112,11 +113,30 @@ def test_sink_streams_every_record():
     assert tuple(seen) == res.history
 
 
-def test_injected_dual_matches_internal_reconstruction():
+def test_injected_dual_matches_internal_reconstruction(monkeypatch):
     sys, ens, init = make_problem(seed=10)
     res1 = run(ens, init, OptimParams(max_iters=20))
-    res2 = run(ens, init, OptimParams(max_iters=20), dual=reconstruct_dual(ens))
+    dual = reconstruct_dual(ens)
+
+    def no_rank_check(*args, **kwargs):
+        raise AssertionError("run re-checked the data ranks")
+
+    # with the dual given, the data ranks were checked once already
+    for module in (ddh2mor.dataio, ddh2mor.ddgrad):
+        monkeypatch.setattr(module, "check_assumptions", no_rank_check)
+    res2 = run(ens, init, OptimParams(max_iters=20), dual=dual)
     assert res1.history == res2.history
+
+
+def test_each_line_search_trial_factors_one_rom(monkeypatch):
+    sys, ens, init = make_problem(seed=13)
+    dual = reconstruct_dual(ens)
+    shapes = count_schur_calls(monkeypatch)
+    res = run(ens, init, OptimParams(alpha0=1e3, max_iters=1, tol=1e-15), dual=dual)
+    (rec,) = res.history
+    assert rec.step > 0 and rec.backtracks > 0
+    # the start is factored once, then each trial step once
+    assert shapes == [(init.r, init.r)] * (1 + rec.backtracks + 1)
 
 
 def test_backtrack_exhaustion_reported():
