@@ -27,6 +27,7 @@ from pathlib import Path
 
 import ddh2mor as dd
 from ddh2mor.cli import ConvergenceLog, ExperimentConfig, save_rom, save_system
+from ddh2mor.dataio import read_json_object
 
 
 def build_initializer(cfg: ExperimentConfig, sys_, kind: str):
@@ -47,7 +48,7 @@ def build_initializer(cfg: ExperimentConfig, sys_, kind: str):
     raise ValueError(f"unknown initializer {kind!r}")
 
 
-def run_one(cfg: ExperimentConfig, sys_, ens, kind: str, out: Path) -> dict:
+def run_one(cfg: ExperimentConfig, sys_, ens, dual, kind: str, out: Path) -> dict:
     init = dd.make_stable(build_initializer(cfg, sys_, kind))
     out.mkdir(parents=True, exist_ok=True)
     log = ConvergenceLog()
@@ -59,7 +60,8 @@ def run_one(cfg: ExperimentConfig, sys_, ens, kind: str, out: Path) -> dict:
             log.append(rec)
             fh.write(log.format_row(rec) + "\n")
 
-        result = dd.run(ens, init, cfg.optim_params(), oracle=sys_, sink=sink)
+        result = dd.run(ens, init, cfg.optim_params(), oracle=sys_, sink=sink,
+                        dual=dual)
     elapsed = time.perf_counter() - started
 
     save_rom(result.rom, out)
@@ -99,18 +101,28 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    payload = {}
-    if args.config:
-        payload = json.loads(Path(args.config).read_text())
+def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, bool]:
+    """The config file overridden by flags, and whether to run every initializer."""
+    payload = read_json_object(args.config) if args.config else {}
+    unknown = set(payload) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     run_all = (args.initializer or payload.get("initializer", "all")) == "all"
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("config", "out") and v is not None}
     if run_all:
         overrides.pop("initializer", None)
         payload.pop("initializer", None)
-    cfg = ExperimentConfig(**{**payload, **overrides})
+    return ExperimentConfig(**{**payload, **overrides}), run_all
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    try:
+        cfg, run_all = resolve_config(args)
+    except (dd.FormatError, ValueError, TypeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -123,7 +135,10 @@ def main(argv=None) -> int:
                                dd.NoiseSpec(alpha=cfg.noise_alpha,
                                             seed=cfg.seed + 100))
     dd.save_ensemble(ens, out / "ensemble")
-    report = dd.check_assumptions(ens)
+    # one reconstruction and one rank check for every initializer; the gate
+    # below is stricter than the reconstruction's own, hence force=True
+    dual = dd.reconstruct_dual(ens, force=True)
+    report = dual.report
     print(f"system: n={cfg.n} m={cfg.m} rho={sys_.spectral_radius():.4f}")
     print(f"data: N={cfg.N} alpha={cfg.noise_alpha} "
           f"ranks=({report.rank_X1U1}, {report.rank_X1}, {report.rank_U1})")
@@ -132,7 +147,7 @@ def main(argv=None) -> int:
         return 2
 
     kinds = ("dmdc", "loewner", "databt") if run_all else (cfg.initializer,)
-    summaries = [run_one(cfg, sys_, ens, kind, out / kind) for kind in kinds]
+    summaries = [run_one(cfg, sys_, ens, dual, kind, out / kind) for kind in kinds]
 
     width = max(len(s["initializer"]) for s in summaries)
     for s in summaries:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, initmor, optim, sysmodel
+from . import dataio, ddgrad, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
@@ -291,7 +291,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if int(args.r) < 1:
         raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
-    report = dataio.check_assumptions(ens)
+    # the reconstruction runs the one rank check of the reduction; the gate
+    # below applies its report and is stricter than the reconstruction's own
+    # condition (it also needs rank U1 = m), hence force=True here
+    dual = ddgrad.reconstruct_dual(ens, force=True)
+    report = dual.report
     if not report.all_hold:
         _print_json({"assumptions": _report_dict(report)})
         if not args.force:
@@ -319,7 +323,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             fh.write(log.format_row(rec) + "\n")
 
         result = optim.run(ens, init, params, oracle=oracle, sink=sink,
-                           force=bool(args.force))
+                           dual=dual)
     elapsed = time.perf_counter() - started
 
     save_rom(result.rom, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DataEnsemble, check_assumptions
+from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
 from .matequ import (SchurFactor, pseudoinverse, solve_discrete_sylvester,
                      solve_stein, spectral_separation)
@@ -55,6 +55,7 @@ class DualData:
     GB      (n, m)  pinv(X1) @ ZB1^T, input coefficient of the R equation
     sb_map  (m, n)  map from S to SB: B^T when B is known, else
                     pinv(U1) @ UB1; None when rank U1 < m
+    report          the rank check of the ensemble the reconstruction ran
 
     The Schur factors of MR and MS are computed once here, because every
     gradient step reuses them.
@@ -67,6 +68,7 @@ class DualData:
     MS: np.ndarray
     GB: np.ndarray
     sb_map: np.ndarray | None
+    report: AssumptionReport
     mr_schur: SchurFactor = field(init=False, repr=False)
     ms_schur: SchurFactor = field(init=False, repr=False)
 
@@ -100,7 +102,8 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     Solves the joint least-squares system
     ``[X1 U1] [Z2^T; ZB1] = X2 X1^T`` and then
     ``X1 UB1^T = X1 X2^T - Z2 X1^T``.  Requires the stacked block
-    [X1 U1] and X1 themselves to have full column rank.
+    [X1 U1] and X1 themselves to have full column rank.  Every product is
+    taken with the pseudoinverse first, so no N x N matrix is formed.
     """
     report = check_assumptions(ens)
     if not (report.b1_holds and report.b2_holds) and not force:
@@ -108,16 +111,16 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
             f"need rank [X1 U1] = {ens.n + ens.m} and rank X1 = {ens.n}, got "
             f"{report.rank_X1U1} and {report.rank_X1}")
     n = ens.n
-    stacked = pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=_RCOND) @ (ens.X2 @ ens.X1.T)
+    stacked = (pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=_RCOND) @ ens.X2) @ ens.X1.T
     Z2 = stacked[:n].T
     ZB1 = stacked[n:]
     x1_pinv = pseudoinverse(ens.X1, rcond=_RCOND)
-    UB1 = (x1_pinv @ (ens.X1 @ ens.X2.T - Z2 @ ens.X1.T)).T
     MR = x1_pinv @ Z2
+    UB1 = ((x1_pinv @ ens.X1) @ ens.X2.T - MR @ ens.X1.T).T
     MS = x1_pinv @ (ens.X2 - UB1)
     GB = x1_pinv @ ZB1.T
     sb_map = pseudoinverse(ens.U1, rcond=_RCOND) @ UB1 if report.b3_holds else None
-    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map)
+    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report)
 
 
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
@@ -139,7 +142,7 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     MS = x1_pinv @ (ens.X2 - UB1)
     MR = MS.T
     Z2 = ens.X1 @ MS
-    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy())
+    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy(), report)
 
 
 def _require_separation(coef: SchurFactor, rom: Rom, label: str) -> None:

@@ -1,11 +1,14 @@
 """Dense solvers for the matrix equations used throughout the package.
 
 Both the Stein equation ``A X A^T + W = X`` and the discrete Sylvester
-equation ``M X N + W = X`` are solved by the Bartels-Stewart approach:
-reduce the coefficients to real Schur form and back-substitute over the
-quasi-triangular block structure.  Small Kronecker systems (at most
-``2 k x 2 k``) appear only per diagonal block, so the overall cost stays
-cubic in the matrix sizes.
+equation ``M X N + W = X`` are solved by the Bartels-Stewart approach
+(Bartels & Stewart 1972; Gardiner, Laub, Amato & Moler 1992): reduce both
+coefficients to complex Schur form, then sweep the columns of N's
+triangle, solving one shifted triangular system with M's triangle per
+column.  Once the coefficients are factored, a solve with M of size k and
+N of size r costs O(k^2 r + k r^2); a full-order Stein equation of size n
+costs O(n^3).  Factoring is O(k^3) and is done once per matrix
+(``SchurFactor``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ __all__ = [
 
 # pivot magnitudes below this abort the back-substitution
 _PIVOT_TOL = 1e-14
+# BLAS triangular solve for one complex right-hand side
+_ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
 # Stein coefficients need a spectral radius below 1 - _STABILITY_TOL
 _STABILITY_TOL = 1e-12
 # fixed fourth probe shift for pencil regularity, kept constant so that
@@ -114,47 +119,71 @@ def spectral_separation(spectrum, other) -> float:
     return float(np.min(np.abs(spectrum[:, None] - other[None, :])))
 
 
-def schur_eigvals(T) -> np.ndarray:
-    """Eigenvalues of a real quasi-upper-triangular matrix.
+def _complex_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z) of a real matrix, from its real Schur form.
 
-    They are read off its diagonal: a 1x1 block is a real eigenvalue and
-    a 2x2 block (flagged by a nonzero subdiagonal entry) a pair.
+    LAPACK returns each complex pair as a standardized 2x2 diagonal block
+    ``[[a, b], [c, a]]`` with ``b c < 0``, eigenvalues ``a +- i w`` for
+    ``w = sqrt(-b c)``.  The unitary rotation ``G = [[p, i q], [i q, p]]``
+    with ``(p, q) = (b, w) / |(b, w)|`` makes it upper triangular.  The
+    blocks are disjoint, so all rotations apply at once, at O(k^2) cost on
+    top of the real factorization; a complex factorization of M costs more.
+    The eigenvalues come out exact: real ones stay real and pairs are exact
+    conjugates.
     """
-    T = np.asarray(T, dtype=float)
-    lam = np.diagonal(T).astype(complex)
+    T, Z = scipy.linalg.schur(M, output="real")
+    k = T.shape[0]
+    TZ = np.concatenate((T, Z)).astype(complex)
     j = np.flatnonzero(np.diagonal(T, -1))
-    a, b, c, d = T[j, j], T[j, j + 1], T[j + 1, j], T[j + 1, j + 1]
-    mean = 0.5 * (a + d)
-    root = np.sqrt((0.5 * (a - d)) ** 2 + b * c + 0j)
-    lam[j], lam[j + 1] = mean + root, mean - root
-    return lam
+    if j.size:
+        i = j + 1
+        b, c = T[j, i], T[i, j]
+        w = np.sqrt(-b * c)
+        rho = np.hypot(b, w)
+        p, iq = b / rho, 1j * (w / rho)
+        # columns (j, i) of T and Z times G, then rows (j, i) of T times G^H
+        xj, xi = TZ[:, j], TZ[:, i]
+        TZ[:, j] = xj * p + xi * iq
+        TZ[:, i] = xj * iq + xi * p
+        Tc = TZ[:k]
+        p, iq = p[:, None], iq[:, None]
+        tj, ti = Tc[j], Tc[i]
+        Tc[j] = tj * p - ti * iq
+        Tc[i] = ti * p - tj * iq
+        lam = T[j, j] + 1j * w
+        Tc[i, j] = 0.0
+        Tc[j, j], Tc[i, i] = lam, lam.conj()
+    return TZ[:k], TZ[k:]
 
 
 @dataclass(frozen=True)
 class SchurFactor:
-    """Real Schur form ``M = Z T Z^T`` and the eigenvalues of M.
+    """Complex Schur form ``M = Z T Z^H`` of a real matrix M.
 
-    Factor a matrix once with ``SchurFactor.of(M)`` and pass the result to
-    every solve and spectral check that uses M.
+    T is upper triangular, ``eigvals`` is its diagonal and ``ZH`` caches
+    ``Z^H``.  Factor a matrix once with ``SchurFactor.of(M)`` and pass the
+    result to every solve and spectral check that uses M.
     """
 
     T: np.ndarray
     Z: np.ndarray
+    ZH: np.ndarray = field(init=False, repr=False)
     eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eigvals", schur_eigvals(self.T))
+        object.__setattr__(self, "ZH", np.ascontiguousarray(self.Z.conj().T))
+        object.__setattr__(self, "eigvals", np.diagonal(self.T).copy())
 
     @classmethod
     def of(cls, M) -> "SchurFactor":
-        return cls(*scipy.linalg.schur(_as_square(M, "M"), output="real"))
+        return cls(*_complex_schur(_as_square(M, "M")))
 
     def transposed(self) -> "SchurFactor":
         """The factor of M^T, without a new factorization."""
-        # flipping rows and columns turns the lower quasi-triangular T^T back
-        # into an upper quasi-triangular matrix with the same diagonal blocks
+        # M^T = conj(Z) T^T Z^T; reversing the order of rows and columns turns
+        # the lower triangular T^T back into an upper triangular matrix
         return SchurFactor(np.ascontiguousarray(self.T.T[::-1, ::-1]),
-                           np.ascontiguousarray(self.Z[:, ::-1]))
+                           np.ascontiguousarray(self.Z.conj()[:, ::-1]))
 
 
 def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
@@ -171,12 +200,12 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
         this tolerance of 1 raise ``NoUniqueSolution``.
     m_schur, n_schur : optional SchurFactor
         Precomputed factors of M and N.  Passing them skips the reduction
-        step and the eigenvalue computation, which pays off when the same
-        coefficient is used across many solves.
+        step, which pays off when the same coefficient is used across many
+        solves.
 
     Returns
     -------
-    (k, r) array
+    (k, r) real array
     """
     M = _as_square(M, "M")
     N = _as_square(N, "N")
@@ -184,33 +213,36 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
     k, r = M.shape[0], N.shape[0]
     if W.shape != (k, r):
         raise ValueError(f"W must have shape {(k, r)}, got {W.shape}")
+    if not (k and r):
+        return np.zeros((k, r))
 
     fm = m_schur if m_schur is not None else SchurFactor.of(M)
     fn = n_schur if n_schur is not None else SchurFactor.of(N)
-    if k and r and np.min(np.abs(np.outer(fm.eigvals, fn.eigvals) - 1.0)) < unique_tol:
+    # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle below
+    gap = np.abs(1.0 - np.outer(fm.eigvals, fn.eigvals)).min()
+    if gap < unique_tol:
         raise NoUniqueSolution(
             "eigenvalue product of the coefficients is numerically 1")
+    if gap < _PIVOT_TOL:
+        raise SingularSystem(
+            f"pivot below {_PIVOT_TOL:g} in Schur back-substitution")
 
-    TM, ZM, TN, ZN = fm.T, fm.Z, fn.T, fn.Z
-    Wt = ZM.T @ W @ ZN
-    Y = np.zeros((k, r))
-    j = 0
-    while j < r:
-        bs = 2 if (j + 1 < r and TN[j + 1, j] != 0.0) else 1
-        cols = slice(j, j + bs)
-        rhs = Wt[:, cols]
+    # Y = Zm^H X Zn solves TM Y TN + Zm^H W Zn = Y; TN is upper triangular,
+    # so column j needs only the columns before it:
+    #   (I - TN[j, j] TM) y_j = w_j + TM (Y[:, :j] TN[:j, j])
+    # Yt holds Y transposed, so that each column is a contiguous row.
+    TM, TN = fm.T, fn.T
+    Yt = (fm.ZH @ W @ fn.Z).T.copy()
+    shifted = np.empty((k, k), dtype=complex)
+    pivots = shifted.reshape(-1)[:: k + 1]
+    for j in range(r):
         if j:
-            rhs = rhs + TM @ (Y[:, :j] @ TN[:j, cols])
-        F = np.eye(k * bs) - np.kron(TN[cols, cols].T, TM)
-        lu, piv = scipy.linalg.lu_factor(F, check_finite=False)
-        if np.min(np.abs(np.diag(lu))) < _PIVOT_TOL:
-            raise SingularSystem(
-                f"pivot below {_PIVOT_TOL:g} in Schur back-substitution")
-        y = scipy.linalg.lu_solve((lu, piv), rhs.reshape(-1, order="F"),
-                                  check_finite=False)
-        Y[:, cols] = y.reshape((k, bs), order="F")
-        j += bs
-    return ZM @ Y @ ZN.T
+            Yt[j] += TM @ (TN[:j, j] @ Yt[:j])
+        np.multiply(TM, -TN[j, j], out=shifted)
+        pivots += 1.0
+        # shifted.T is the Fortran-ordered view BLAS reads without a copy
+        Yt[j] = _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
+    return np.ascontiguousarray((fm.Z @ Yt.T @ fn.ZH).real)
 
 
 def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:

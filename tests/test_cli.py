@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ddh2mor
 from ddh2mor import IterRecord, Rom, FormatError
 from ddh2mor.cli import ConvergenceLog, main, save_rom
 from ddh2mor import impulse_from_system, save_impulse_data
@@ -33,6 +35,30 @@ def reduce_args(ws, out, *extra):
     return ["reduce", "--ensemble", str(ws["ensemble"]), "--r", "3",
             "--init", "databt", "--oracle", str(ws["system"]),
             "--tol", "1e-4", "--max-iters", "40", "--out", str(out), *extra]
+
+
+def count_rank_checks(monkeypatch):
+    """Count calls of check_assumptions through every namespace that binds it."""
+    calls = []
+    check = ddh2mor.dataio.check_assumptions
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    for module in (ddh2mor, ddh2mor.dataio, ddh2mor.ddgrad):
+        monkeypatch.setattr(module, "check_assumptions", counting)
+    return calls
+
+
+EXPERIMENT_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+
+
+def load_experiment_script():
+    spec = importlib.util.spec_from_file_location("run_experiment", EXPERIMENT_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_gen_system_outputs(workspace, capsys):
@@ -94,6 +120,12 @@ def test_reduce_reruns_are_byte_identical(workspace, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_reduce_checks_ranks_once(workspace, tmp_path, monkeypatch):
+    calls = count_rank_checks(monkeypatch)
+    assert main(reduce_args(workspace, tmp_path / "red")) == 0
+    assert len(calls) == 1
+
+
 def test_reduce_rank_failure_exits_2(workspace, tmp_path, capsys):
     out = tmp_path / "red"
     rc = main(["reduce", "--ensemble", str(workspace["thin"]), "--r", "3",
@@ -101,6 +133,8 @@ def test_reduce_rank_failure_exits_2(workspace, tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert not (out / "summary.json").exists()
+    report = json.loads(capsys.readouterr().out)["assumptions"]
+    assert report["rank_X1U1"] == 10 and not report["b1_holds"]
 
 
 def test_reduce_force_proceeds_past_rank_failure(workspace, tmp_path):
@@ -202,6 +236,25 @@ def test_evaluate_report(workspace, tmp_path, capsys):
         payload["h2_error_rel"] * payload["h2_norm_system"])
     assert len(payload["rom_eigenvalues"]) == 3
     assert payload["rom_spectral_radius"] < 1.0
+
+
+def test_evaluate_reports_exact_real_and_conjugate_eigenvalues(workspace, tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    D = np.diag([0.5, -0.3, 0.2, 0.0, 0.0])
+    D[3:, 3:] = [[0.4, -0.5], [0.5, 0.4]]
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    romdir = tmp_path / "rom"
+    save_rom(Rom(Q @ D @ Q.T, rng.standard_normal((5, 2)),
+                 rng.standard_normal((12, 5))), romdir)
+    rc = main(["evaluate", "--system", str(workspace["system"]), "--rom", str(romdir)])
+    assert rc == 0
+    eigs = [complex(e["re"], e["im"]) for e in json.loads(capsys.readouterr().out)
+            ["rom_eigenvalues"]]
+    real = sorted(e.real for e in eigs if e.imag == 0.0)
+    pair = [e for e in eigs if e.imag != 0.0]
+    np.testing.assert_allclose(real, [-0.3, 0.2, 0.5], atol=1e-12)
+    assert len(pair) == 2 and pair[0] == pair[1].conjugate()
+    assert any(abs(e - complex(0.4, 0.5)) < 1e-12 for e in pair)
 
 
 def test_evaluate_unstable_rom_exits_3(workspace, tmp_path, capsys):
@@ -325,3 +378,30 @@ def test_experiment_script_produces_artifact_tree(tmp_path):
     assert len(history.rows) == summary["iterations"]
     rom_A = np.loadtxt(run_dir / "rom_A.csv", delimiter=",", ndmin=2)
     assert rom_A.shape == (2, 2)
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[1,2", "invalid JSON"),
+    (json.dumps({"order": 3}), "unknown config keys"),
+    (json.dumps({"n": "ten"}), "error:"),
+], ids=["malformed", "unknown-key", "wrong-type"])
+def test_experiment_script_bad_config_exits_1(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    rc = load_experiment_script().main(["--config", str(config),
+                                        "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "exp").exists()
+
+
+def test_experiment_script_checks_ranks_once(tmp_path, monkeypatch, capsys):
+    calls = count_rank_checks(monkeypatch)
+    rc = load_experiment_script().main(["--n", "8", "--r", "2", "--N", "10",
+                                        "--seed", "1", "--max-iters", "3",
+                                        "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    for kind in ("dmdc", "loewner", "databt"):
+        assert (tmp_path / "exp" / kind / "summary.json").exists()
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from ddh2mor import (
     RankDeficientData,
     Rom,
     SingularAhat,
+    check_assumptions,
     data_gradients,
     data_gradients_B_known,
     data_gradients_from_ensemble,
@@ -68,6 +71,33 @@ def test_dual_caches_are_populated():
     assert len(dual.mr_schur.eigvals) == ens.n and len(dual.ms_schur.eigvals) == ens.n
     assert dual.sb_map.shape == (ens.m, ens.n)
     assert dual.n == ens.n
+    assert dual.report == check_assumptions(ens)
+
+
+def test_reconstruction_matches_square_association_reference():
+    # the reference forms the N x N products X2 X1^T, X1 X2^T and Z2 X1^T
+    _, ens, _ = make_instance(seed=4, n=20, N=200, alpha=1e-3)
+    X1, U1, X2, n = ens.X1, ens.U1, ens.X2, ens.n
+    stacked = np.linalg.pinv(np.hstack([X1, U1]), rcond=1e-10) @ (X2 @ X1.T)
+    Z2, ZB1 = stacked[:n].T, stacked[n:]
+    x1_pinv = np.linalg.pinv(X1, rcond=1e-10)
+    UB1 = (x1_pinv @ (X1 @ X2.T - Z2 @ X1.T)).T
+    ref = {"Z2": Z2, "ZB1": ZB1, "UB1": UB1, "MR": x1_pinv @ Z2,
+           "MS": x1_pinv @ (X2 - UB1), "GB": x1_pinv @ ZB1.T}
+    dual = reconstruct_dual(ens)
+    for name, value in ref.items():
+        assert rel_max_err(getattr(dual, name), value) <= 1e-12, name
+
+
+def test_reconstruction_forms_no_sample_by_sample_matrix():
+    _, ens, _ = make_instance(seed=5, n=20, N=2000)
+    tracemalloc.start()
+    try:
+        reconstruct_dual(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ens.N * ens.N * np.dtype(float).itemsize
 
 
 def test_known_input_reconstruction_matches_unknown():

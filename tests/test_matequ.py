@@ -172,9 +172,8 @@ def test_sylvester_near_product_one_within_tolerance():
                                  np.array([[1.0]]))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_sylvester_pivot_breakdown_raises():
-    # with the eigenvalue screen disabled the LU pivot check must catch it
+    # with the eigenvalue screen disabled the pivot check must catch it
     with pytest.raises(SingularSystem):
         solve_discrete_sylvester(np.array([[1.0]]), np.array([[1.0]]),
                                  np.array([[1.0]]), unique_tol=0.0)
@@ -197,15 +196,58 @@ def test_sylvester_precomputed_schur_matches():
     np.testing.assert_allclose(got, ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
+def mixed_spectrum(rng, k, radius=0.9):
+    """Random real k x k matrix with one complex pair (k >= 2), the rest real."""
+    t = rng.uniform(0.3, 2.8)
+    pair = radius * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    D = np.diag(rng.uniform(-radius, radius, k)).astype(float)
+    if k >= 2:
+        D[:2, :2] = pair
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return Q @ D @ Q.T
+
+
+@pytest.mark.parametrize("k, r", [(0, 3), (3, 0), (1, 1), (7, 5), (40, 6)])
+def test_sylvester_sweep_matches_kronecker_on_pipeline_shapes(k, r):
+    rng = np.random.default_rng(100 * k + r)
+    M = mixed_spectrum(rng, k)
+    A = mixed_spectrum(rng, r)
+    W = rng.standard_normal((k, r))
+    # N = A^T enters through the transposed factor of A, as Ahat^T does in solve_R
+    X = solve_discrete_sylvester(M, A.T, W, m_schur=SchurFactor.of(M),
+                                 n_schur=SchurFactor.of(A).transposed())
+    assert X.dtype == np.float64 and X.shape == (k, r)
+    if X.size:
+        assert rel_max_err(X, kron_solve_sylvester(M, A.T, W)) < 1e-10
+
+
+def test_sylvester_sweep_forms_no_kronecker_system(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep must not form or factor a Kronecker system")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
+    rng = np.random.default_rng(41)
+    M = mixed_spectrum(rng, 40)
+    N = mixed_spectrum(rng, 6)
+    W = rng.standard_normal((40, 6))
+    X = solve_discrete_sylvester(M, N, W)
+    assert np.max(np.abs(M @ X @ N + W - X)) < 1e-10 * max(1.0, np.abs(X).max())
+
+
 def test_transposed_schur_factors():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((6, 6))
-    fac = SchurFactor.of(A).transposed()
-    Tt, Zt = fac.T, fac.Z
-    # valid real Schur factorization of A^T
-    np.testing.assert_allclose(Zt @ Tt @ Zt.T, A.T, atol=1e-12)
-    np.testing.assert_allclose(Zt.T @ Zt, np.eye(6), atol=1e-12)
-    assert np.max(np.abs(np.tril(Tt, -2))) == 0.0
+    fac = SchurFactor.of(A)
+    assert np.any(fac.eigvals.imag != 0.0)  # the draw has a complex pair
+    for f, target in ((fac, A), (fac.transposed(), A.T)):
+        T, Z = f.T, f.Z
+        # valid complex Schur factorization: unitary Z, upper triangular T
+        np.testing.assert_allclose(Z @ T @ Z.conj().T, target, atol=1e-12)
+        np.testing.assert_allclose(Z.conj().T @ Z, np.eye(6), atol=1e-12)
+        assert np.max(np.abs(np.tril(T, -1))) == 0.0
+        assert np.array_equal(f.ZH, Z.conj().T)
+        assert np.array_equal(f.eigvals, np.diagonal(T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,6 +266,9 @@ def test_schur_factor_eigvals_match_numpy(seed, k):
         dist = np.abs(got[:, None] - ref[None, :])
         rows, cols = linear_sum_assignment(dist)
         assert dist[rows, cols].max(initial=0.0) <= tol
+        # exactly closed under conjugation: real eigenvalues carry no
+        # imaginary roundoff and pairs are exact conjugates
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
 
 
 def test_spectral_radius_values():
