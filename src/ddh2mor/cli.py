@@ -264,6 +264,9 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
         return initmor.init_data_bt(imp, r)
 
     if kind == "dmdc":
+        if args.init_data is not None:
+            raise ValueError("--init dmdc reads no --init-data; it simulates "
+                             "trajectories from --oracle")
         if oracle is None:
             raise ValueError("--init dmdc needs --oracle to generate trajectories")
         seed = _init_seed(args, ens)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .sysmodel import LtiSystem, simulate
+from .sysmodel import LtiSystem
 
 __all__ = [
     "AssumptionReport",
@@ -205,15 +205,23 @@ def generate_trajectories(sys: LtiSystem, N: int, L: int,
         raise ValueError("N must be positive")
     if L < 2:
         raise ValueError("L must be at least 2")
+    n, m = sys.n, sys.m
     rng = np.random.default_rng(noise.seed)
-    out = []
-    for _ in range(N):
-        x0 = rng.standard_normal(sys.n)
-        inputs = rng.standard_normal((L - 1, sys.m))
-        latent = simulate(sys, x0, inputs)
-        observed = latent + noise.alpha * rng.standard_normal(latent.shape)
-        out.append(Trajectory(observed, inputs))
-    return TrajectorySet(tuple(out))
+    # row i holds trajectory i's initial state, inputs and observation noise,
+    # the order in which a trajectory-by-trajectory draw takes them
+    draw = rng.standard_normal((N, n + (L - 1) * m + L * n))
+    inputs = draw[:, n:n + (L - 1) * m].reshape(N, L - 1, m)
+    states = np.empty((N, L, n))
+    states[:, 0] = draw[:, :n]
+    for k in range(L - 1):
+        # stacked matrix-vector products repeat A @ x + B @ u bit for bit;
+        # one matrix-matrix product over all trajectories would not
+        states[:, k + 1] = ((sys.A @ states[:, k, :, None])[..., 0]
+                            + (sys.B @ inputs[:, k, :, None])[..., 0])
+    noise_part = draw[:, n + (L - 1) * m:].reshape(N, L, n)
+    noise_part *= noise.alpha
+    states += noise_part
+    return TrajectorySet(tuple(Trajectory(x, u) for x, u in zip(states, inputs)))
 
 
 def first_transitions(trajs: TrajectorySet) -> DataEnsemble:

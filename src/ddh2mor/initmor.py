@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
-from .dataio import TrajectorySet, numerical_rank, read_json_object
+from .dataio import TrajectorySet, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
 from .sysmodel import Rom, markov_parameters, transfer_eval
@@ -114,24 +115,46 @@ def make_stable(rom: Rom, *, max_rounds: int = 5) -> Rom:
 
 def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     """DMDc initializer: identify [A B] by least squares, then project
-    onto the dominant left singular vectors of the successor snapshots."""
-    X = np.hstack([t.states[:-1].T for t in trajs])
-    Xp = np.hstack([t.states[1:].T for t in trajs])
-    U = np.hstack([t.inputs.T for t in trajs])
-    n = X.shape[0]
-    if Xp.shape[1] < r or numerical_rank(Xp, _RANK_TOL) < r:
+    onto the dominant left singular vectors of the successor snapshots.
+
+    The snapshots (states X, inputs U, successor states Xp; one column per
+    transition) fill the rows of ``S = [X; U; Xp]^T``, which is reduced in
+    place to the triangle R of ``S = Q R``.  With ``Rz`` and ``Rp`` the
+    columns of R that belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T``
+    and ``Xp = Rp^T Q^T``, so every SVD the method needs is one of R's
+    blocks: Z and ``Rz^T`` share singular values and left vectors, the least
+    squares solve becomes ``Rp^T W_k s_k^{-1} U_k^T``, and Xp and ``Rp^T``
+    share singular values and left vectors.  No intermediate is larger
+    than the data.
+    """
+    first = trajs.trajectories[0]
+    n, m = first.states.shape[1], first.inputs.shape[1]
+    steps = trajs.length - 1
+    if len(trajs) * steps < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
-    Z = np.vstack([X, U])
-    Uz, sz, Vzt = np.linalg.svd(Z, full_matrices=False)
+    S = np.empty((len(trajs) * steps, 2 * n + m), order="F")
+    for i, t in enumerate(trajs):
+        rows = slice(i * steps, (i + 1) * steps)
+        S[rows, :n] = t.states[:-1]
+        S[rows, n:n + m] = t.inputs
+        S[rows, n + m:] = t.states[1:]
+    R = scipy.linalg.qr(S, mode="raw", overwrite_a=True, check_finite=False)[1]
+    Rz, Rp = R[:, :n + m], R[:, n + m:]
+
+    Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
+    if np.count_nonzero(sx > _RANK_TOL * sx[0]) < r:
+        raise InsufficientData(
+            f"successor snapshots have rank below the target order {r}")
+
+    Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
     keep = max(r, int(np.count_nonzero(sz > _RANK_TOL * sz[0])))
     keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
     if keep == 0:
         raise InsufficientData("identification snapshots are numerically zero")
-    AB = Xp @ (Vzt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
+    AB = Rp.T @ (Wt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
 
-    Ux = np.linalg.svd(Xp, full_matrices=False)[0]
     basis = Ux[:, :r]
     return make_stable(Rom(basis.T @ AB[:, :n] @ basis,
                            basis.T @ AB[:, n:],
@@ -208,35 +231,42 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     ro = [right[i] for g in rg for i in g]
 
     q, k = len(lo), len(ro)
-    L = np.empty((q * p, k * m), dtype=complex)
-    Ls = np.empty_like(L)
-    for i, si in enumerate(lo):
-        for j, sj in enumerate(ro):
-            denom = si.z - sj.z
-            if abs(denom) < 1e-12 * max(1.0, abs(si.z)):
-                raise ValueError("left and right sample points must be disjoint")
-            block = (si.value - sj.value) / denom
-            L[i * p:(i + 1) * p, j * m:(j + 1) * m] = block
-            Ls[i * p:(i + 1) * p, j * m:(j + 1) * m] = \
-                (si.z * si.value - sj.z * sj.value) / denom
-    V = np.vstack([s.value for s in lo])
-    W = np.hstack([s.value for s in ro])
+    zl = np.array([s.z for s in lo])
+    zr = np.array([s.z for s in ro])
+    denom = zl[:, None] - zr
+    if (np.abs(denom) < 1e-12 * np.maximum(1.0, np.abs(zl))[:, None]).any():
+        raise ValueError("left and right sample points must be disjoint")
+    VL = np.stack([s.value for s in lo])
+    VR = np.stack([s.value for s in ro], axis=1)
 
-    JL = np.kron(_real_transform(lg), np.eye(p))
-    JR = np.kron(_real_transform(rg), np.eye(m))
-    Lr = _take_real(JL.conj().T @ L @ JR, "Loewner matrix")
-    Lsr = _take_real(JL.conj().T @ Ls @ JR, "shifted Loewner matrix")
-    Vr = _take_real(JL.conj().T @ V, "left data")
-    Wr = _take_real(W @ JR, "right data")
+    # kron(JL, I_p)^H mixes the q row blocks and kron(JR, I_m) the k column
+    # blocks, so each is one product with a q x q (k x k) matrix
+    JLh = _real_transform(lg).conj().T
+    JRt = _real_transform(rg).T
 
-    row_cat = np.hstack([Lr, Lsr])
-    col_cat = np.vstack([Lr, Lsr])
-    Uc, sc, _ = np.linalg.svd(row_cat, full_matrices=False)
-    _, sr, Vrt = np.linalg.svd(col_cat, full_matrices=False)
+    def real_loewner(vl, vr, label):
+        # block (i, j) is (vl[i] - vr[:, j]) / (zl[i] - zr[j])
+        M = vl[:, :, None, :] - vr
+        M /= denom[:, None, :, None]
+        M = JLh @ M.reshape(q, -1)
+        M = JRt @ M.reshape(q * p, k, m)
+        return _take_real(M.reshape(q * p, k * m), label)
+
+    Lr = real_loewner(VL, VR, "Loewner matrix")
+    Lsr = real_loewner(zl[:, None, None] * VL, zr[:, None] * VR,
+                       "shifted Loewner matrix")
+    Vr = _take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
+    Wr = _take_real((JRt @ VR).reshape(p, k * m), "right data")
+
+    # one concatenation at a time, and only r of its left singular vectors
+    # kept, so at most three Loewner-sized arrays are alive at once
+    Uc, sc, _ = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)
+    Y = Uc[:, :r].copy()
+    del Uc
+    sr, Vrt = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[1:]
     if (np.count_nonzero(sc > _RANK_TOL * sc[0]) < r
             or np.count_nonzero(sr > _RANK_TOL * sr[0]) < r):
         raise SingularE(f"Loewner matrices have rank below the target order {r}")
-    Y = Uc[:, :r]
     X = Vrt[:r].T
 
     E = -Y.T @ Lr @ X

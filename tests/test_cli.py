@@ -314,6 +314,15 @@ def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):
     assert_one_line_error(capsys, "r must be at least 1")
 
 
+def test_reduce_dmdc_rejects_init_data(workspace, tmp_path, capsys):
+    rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+               "--init", "dmdc", "--oracle", str(workspace["system"]),
+               "--init-data", str(workspace["root"]), "--out", str(tmp_path / "red")])
+    assert rc == 1
+    assert_one_line_error(capsys, "--init dmdc reads no --init-data")
+    assert not (tmp_path / "red").exists()
+
+
 # ----------------------------------------------------------- history format
 
 

@@ -17,6 +17,7 @@ from ddh2mor import (
     load_ensemble,
     numerical_rank,
     save_ensemble,
+    simulate,
 )
 from helpers import random_system
 
@@ -130,6 +131,33 @@ def test_trajectories_shapes_and_recursion():
         for k in range(6):
             np.testing.assert_array_equal(
                 t.states[k + 1], sys.A @ t.states[k] + sys.B @ t.inputs[k])
+
+
+def loop_trajectories(sys, N, L, noise):
+    """One trajectory at a time, each drawing its initial state, inputs and
+    noise in turn: the reference the batched generator must reproduce."""
+    rng = np.random.default_rng(noise.seed)
+    out = []
+    for _ in range(N):
+        x0 = rng.standard_normal(sys.n)
+        inputs = rng.standard_normal((L - 1, sys.m))
+        latent = simulate(sys, x0, inputs)
+        observed = latent + noise.alpha * rng.standard_normal(latent.shape)
+        out.append(Trajectory(observed, inputs))
+    return TrajectorySet(tuple(out))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+@pytest.mark.parametrize("n, m, N, L", [(4, 2, 5, 7), (20, 3, 12, 6), (3, 1, 2, 2)])
+def test_trajectories_match_per_trajectory_loop(n, m, N, L, alpha):
+    sys = random_system(np.random.default_rng(n), n, m)
+    noise = NoiseSpec(alpha=alpha, seed=17)
+    got = generate_trajectories(sys, N, L, noise)
+    ref = loop_trajectories(sys, N, L, noise)
+    assert len(got) == len(ref) == N
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.inputs, b.inputs)
 
 
 def test_trajectory_validation():

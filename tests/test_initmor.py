@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ddh2mor import (
     FormatError,
@@ -25,11 +27,22 @@ from ddh2mor import (
     sample_frequency_data,
     save_frequency_samples,
     save_impulse_data,
+    simulate,
     transfer_eval,
 )
+from ddh2mor import initmor
+from ddh2mor.dataio import numerical_rank
 from helpers import random_rom, random_system, rel_max_err
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
+
+
+def assert_same_rom(got, ref, tol=1e-12):
+    """Entrywise agreement up to the signs of the reduced state coordinates."""
+    d = np.where(np.sum(got.Chat * ref.Chat, axis=0) < 0.0, -1.0, 1.0)
+    assert rel_max_err(d[:, None] * got.Ahat * d, ref.Ahat) < tol
+    assert rel_max_err(d[:, None] * got.Bhat, ref.Bhat) < tol
+    assert rel_max_err(got.Chat * d, ref.Chat) < tol
 
 
 def transfer_mismatch(a, b, points=UNIT_CIRCLE_PROBES):
@@ -97,10 +110,89 @@ def test_dmdc_reduced_order_shapes_and_annulus():
     assert rom.satisfies_spectral_bounds()
 
 
+def svd_route_dmdc(trajs, r):
+    """DMDc through SVDs of the full snapshot matrices: the reference for
+    the triangle-based init_dmdc."""
+    X = np.hstack([t.states[:-1].T for t in trajs])
+    Xp = np.hstack([t.states[1:].T for t in trajs])
+    U = np.hstack([t.inputs.T for t in trajs])
+    n = X.shape[0]
+    if Xp.shape[1] < r or numerical_rank(Xp, 1e-10) < r:
+        raise InsufficientData(
+            f"successor snapshots have rank below the target order {r}")
+    Uz, sz, Vzt = np.linalg.svd(np.vstack([X, U]), full_matrices=False)
+    keep = max(r, int(np.count_nonzero(sz > 1e-10 * sz[0])))
+    keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
+    if keep == 0:
+        raise InsufficientData("identification snapshots are numerically zero")
+    AB = Xp @ (Vzt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
+    basis = np.linalg.svd(Xp, full_matrices=False)[0][:, :r]
+    return make_stable(Rom(basis.T @ AB[:, :n] @ basis, basis.T @ AB[:, n:], basis))
+
+
+def repeated_input_trajectories(sys, N, L, seed):
+    """Trajectories whose input columns are equal, so rank [X; U] = n + m - 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(N):
+        inputs = np.repeat(rng.standard_normal((L - 1, 1)), sys.m, axis=1)
+        out.append(Trajectory(simulate(sys, rng.standard_normal(sys.n), inputs), inputs))
+    return TrajectorySet(tuple(out))
+
+
+@pytest.mark.parametrize("n, m, r, alpha", [(8, 2, 3, 0.0), (8, 2, 3, 1e-3), (6, 2, 6, 0.0),
+                                            (6, 2, 6, 1e-3), (12, 3, 4, 1e-3)])
+def test_dmdc_matches_svd_route(n, m, r, alpha):
+    sys = random_system(np.random.default_rng(30 + n), n, m)
+    trajs = generate_trajectories(sys, 30, 8, NoiseSpec(alpha=alpha, seed=31))
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
+    n, m, r = 6, 2, 3
+    trajs = repeated_input_trajectories(random_system(np.random.default_rng(32), n, m),
+                                        20, 8, 33)
+    Z = np.hstack([np.hstack([t.states[:-1], t.inputs]).T for t in trajs])
+    sz = np.linalg.svd(Z, compute_uv=False)
+    # keep = n + m - 1 < n + m: one direction of [X; U] is dropped
+    assert np.count_nonzero(sz > 1e-14 * sz[0]) == n + m - 1
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
 def test_dmdc_rejects_rank_deficient_snapshots():
     zero = Trajectory(np.zeros((4, 3)), np.zeros((3, 1)))
     with pytest.raises(InsufficientData):
         init_dmdc(TrajectorySet((zero,)), 1)
+
+
+@pytest.mark.parametrize("route", [init_dmdc, svd_route_dmdc])
+@pytest.mark.parametrize("states, inputs, r, message", [
+    (np.zeros((4, 3)), np.zeros((3, 1)), 1, "successor snapshots"),
+    (np.ones((3, 3)), np.ones((2, 1)), 3, "successor snapshots"),
+    # the successor state is nonzero, but the state and input it follows are not
+    ([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], np.zeros((1, 1)), 1, "numerically zero"),
+], ids=["zero", "too-few-columns", "zero-identification"])
+def test_dmdc_insufficient_data_matches_svd_route(route, states, inputs, r, message):
+    with pytest.raises(InsufficientData, match=message):
+        route(TrajectorySet((Trajectory(states, inputs),)), r)
+
+
+def test_dmdc_svds_stay_within_the_triangle(monkeypatch):
+    shapes = []
+
+    def recording(svd):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    n, m = 8, 2
+    sys = random_system(np.random.default_rng(34), n, m)
+    trajs = generate_trajectories(sys, 30, 8, NoiseSpec(alpha=1e-3, seed=35))
+    init_dmdc(trajs, 3)
+    assert shapes and max(max(s) for s in shapes) <= 2 * n + m
 
 
 # ------------------------------------------------------------------ Loewner
@@ -160,6 +252,74 @@ def test_loewner_order_beyond_data_rank():
 def test_loewner_empty_side_rejected():
     with pytest.raises(ValueError):
         init_loewner([], [], 1)
+
+
+def kron_route_loewner(left, right, r):
+    """Loewner initializer with the real transforms formed as dense Kronecker
+    products: the reference for the blockwise transforms of init_loewner."""
+    lg = initmor._conjugate_groups(left)
+    rg = initmor._conjugate_groups(right)
+    lo = [left[i] for g in lg for i in g]
+    ro = [right[i] for g in rg for i in g]
+    p, m = lo[0].value.shape
+    L = np.block([[(si.value - sj.value) / (si.z - sj.z) for sj in ro] for si in lo])
+    Ls = np.block([[(si.z * si.value - sj.z * sj.value) / (si.z - sj.z) for sj in ro]
+                   for si in lo])
+    JL = np.kron(initmor._real_transform(lg), np.eye(p))
+    JR = np.kron(initmor._real_transform(rg), np.eye(m))
+    Lr = initmor._take_real(JL.conj().T @ L @ JR, "Loewner matrix")
+    Lsr = initmor._take_real(JL.conj().T @ Ls @ JR, "shifted Loewner matrix")
+    Vr = initmor._take_real(JL.conj().T @ np.vstack([s.value for s in lo]), "left data")
+    Wr = initmor._take_real(np.hstack([s.value for s in ro]) @ JR, "right data")
+    Y = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)[0][:, :r]
+    X = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[2][:r].T
+    E = -Y.T @ Lr @ X
+    return make_stable(Rom(np.linalg.solve(E, -Y.T @ Lsr @ X),
+                           np.linalg.solve(E, Y.T @ Vr), Wr @ X))
+
+
+def mixed_samples(rom, points, side):
+    return [FreqSample(z, transfer_eval(rom, z), side) for z in points]
+
+
+@pytest.mark.parametrize("r, m, p, n_left, n_right", [(3, 2, 2, 8, 8), (4, 2, 3, 6, 10),
+                                                      (5, 3, 1, 12, 8)])
+def test_loewner_matches_kron_route(r, m, p, n_left, n_right):
+    true = random_rom(np.random.default_rng(40 + r), r, m, p)
+    left, right = sample_frequency_data(true, n_left, n_right, seed=41)
+    assert_same_rom(init_loewner(left, right, r), kron_route_loewner(left, right, r))
+
+
+def test_loewner_matches_kron_route_with_real_and_paired_points():
+    true = random_rom(np.random.default_rng(42), 3, 2, 2)
+    w = np.exp(0.7j)
+    left = mixed_samples(true, [1.2, w, w.conjugate(), -1.3], "left")
+    right = mixed_samples(true, [np.exp(2.1j), 1.5, np.exp(-2.1j)], "right")
+    assert_same_rom(init_loewner(left, right, 3), kron_route_loewner(left, right, 3))
+
+
+def test_loewner_forms_no_kronecker_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the real transforms must not be formed as Kronecker products")
+
+    true = random_rom(np.random.default_rng(43), 3, 2, 2)
+    left, right = sample_frequency_data(true, 8, 8, seed=44)
+    monkeypatch.setattr(np, "kron", forbidden)
+    assert init_loewner(left, right, 3).satisfies_spectral_bounds()
+
+
+def test_loewner_memory_stays_within_a_few_loewner_matrices():
+    # accept-n100 sizes: p = 100 outputs, m = 2 inputs, 30 + 30 samples
+    sys = random_system(np.random.default_rng(45), 100, 2)
+    left, right = sample_frequency_data(sys, 30, 30, seed=46)
+    loewner_bytes = (30 * 100) * (30 * 2) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        init_loewner(left, right, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * loewner_bytes
 
 
 # ---------------------------------------------------------- Hankel realizer

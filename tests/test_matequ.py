@@ -93,6 +93,22 @@ def test_stein_rejects_asymmetric_rhs():
         solve_stein(np.diag([0.5, 0.4]), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("skew, accepted", [(1.9e-8, True), (2.1e-8, False)])
+def test_stein_symmetry_tolerance_boundary(skew, accepted):
+    # |W - W^T| <= 1e-8 max(1, max|W|) + 1e-8 |W^T| allows a skew of about
+    # 2e-8 between the unit off-diagonal entries, as np.allclose did
+    W = np.array([[1.0, 1.0], [1.0 + skew, 1.0]])
+    tol = 1e-8 * max(1.0, np.abs(W).max())
+    assert np.allclose(W, W.T, rtol=1e-8, atol=tol) == accepted
+    A = np.diag([0.5, 0.4])
+    if accepted:
+        X = solve_stein(A, W)
+        np.testing.assert_allclose(A @ X @ A.T + 0.5 * (W + W.T), X, atol=1e-14)
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_stein(A, W)
+
+
 def test_stein_accepts_precomputed_schur():
     rng = np.random.default_rng(11)
     A = random_stable(rng, 8, radius=0.7)
