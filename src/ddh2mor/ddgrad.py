@@ -16,14 +16,15 @@ import numpy as np
 
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
-from .matequ import (SchurFactor, pseudoinverse, solve_discrete_sylvester,
-                     solve_stein, spectral_separation)
+from .matequ import (SchurFactor, from_schur, pseudoinverse, solve_discrete_sylvester,
+                     solve_schur, solve_stein, spectral_separation, stein_schur)
 from .sysmodel import GradientTriple, Rom
 
 __all__ = [
     "DualData",
     "GramianSet",
     "GradientTriple",
+    "TrialObjective",
     "data_gradients",
     "data_gradients_B_known",
     "data_gradients_from_ensemble",
@@ -58,7 +59,9 @@ class DualData:
     report          the rank check of the ensemble the reconstruction ran
 
     The Schur factors of MR and MS are computed once here, because every
-    gradient step reuses them.
+    gradient step reuses them, and so is ``gb_schur = ZM^H GB`` (n, m), GB
+    in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which every
+    right-hand side of the R equation follows at O(n m r) cost.
     """
 
     Z2: np.ndarray
@@ -71,10 +74,12 @@ class DualData:
     report: AssumptionReport
     mr_schur: SchurFactor = field(init=False, repr=False)
     ms_schur: SchurFactor = field(init=False, repr=False)
+    gb_schur: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mr_schur", SchurFactor.of(self.MR))
         object.__setattr__(self, "ms_schur", SchurFactor.of(self.MS))
+        object.__setattr__(self, "gb_schur", self.mr_schur.ZH @ self.GB)
 
     @property
     def n(self) -> int:
@@ -159,12 +164,20 @@ def _require_separation(coef: SchurFactor, rom: Rom, label: str) -> None:
             f"(tolerance {SEPARATION_TOL:g})")
 
 
+def _solve_R_schur(dual: DualData, rom: Rom, fn: SchurFactor) -> np.ndarray:
+    """R in Schur coordinates, ``Y^T`` for ``Y = ZM^H R Zn``.
+
+    ``fn`` is the factor of Ahat^T; the right-hand side
+    ``ZM^H GB Bhat^T Zn`` comes from the cached ``gb_schur``.
+    """
+    _require_separation(dual.mr_schur, rom, "MR")
+    return solve_schur(dual.mr_schur, fn, (fn.Z.T @ rom.Bhat) @ dual.gb_schur.T)
+
+
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    _require_separation(dual.mr_schur, rom, "MR")
-    return solve_discrete_sylvester(dual.MR, rom.Ahat.T, dual.GB @ rom.Bhat.T,
-                                    m_schur=dual.mr_schur,
-                                    n_schur=rom.schur.transposed())
+    fn = rom.schur.transposed()
+    return from_schur(dual.mr_schur, fn, _solve_R_schur(dual, rom, fn))
 
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
@@ -205,6 +218,44 @@ def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
     the quantity the descent monitors; it may be negative.
     """
     return float(np.sum((rom.Chat @ P) * rom.Chat) - 2.0 * np.sum(R * rom.Chat))
+
+
+class TrialObjective:
+    """``objective_f`` at the trial models ``rom.stepped(g, alpha)`` of one iterate.
+
+    A trial never forms P or R.  With ``Ahat = Za Ta Za^H`` and
+    ``Zn = conj(Za)`` reversed (the factor of Ahat^T), both equations are
+    solved in Schur coordinates, ``Yp = Za^H P Zn`` and ``Yr = ZM^H R Zn``,
+    and the objective is read off them:
+
+        tr(Chat P Chat^T) = Re <Yp, Za^H Chat^T Chat Zn>
+        tr(R Chat^T)      = Re <Yr, ZM^H Chat Zn>
+
+    ``ZM^H Chat`` is linear in the step, so ``ZM^H Chat`` and ``ZM^H gC`` of
+    the iterate are formed once here; a trial then costs the two sweeps
+    plus O(n r^2).  The guards are those of ``solve_stein`` and
+    ``solve_R``: stability, the separation of MR from the reciprocal poles,
+    the uniqueness gap and the pivot check, raising the same errors.
+    """
+
+    def __init__(self, dual: DualData, rom: Rom, g: GradientTriple):
+        ZHt = dual.mr_schur.ZH.T
+        self._dual = dual
+        # (ZM^H Chat)^T and (ZM^H gC)^T, in the (r, n) layout of the sweep
+        self._chat = rom.Chat.T @ ZHt
+        self._gc = g.gC.T @ ZHt
+
+    def __call__(self, cand: Rom, alpha: float) -> float:
+        """f at ``cand``, which must be ``rom.stepped(g, alpha)``."""
+        fa = cand.schur
+        fn = fa.transposed()
+        B, C = cand.Bhat, cand.Chat
+        # Ahat P Ahat^T + Bhat Bhat^T = P
+        Yp = stein_schur(fa, fn, (fn.Z.T @ B) @ (fa.ZH @ B).T)
+        Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
+        Yr = _solve_R_schur(self._dual, cand, fn)
+        Kr = fn.Z.T @ (self._chat - alpha * self._gc)
+        return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real)
 
 
 def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:

@@ -5,14 +5,24 @@ equation ``M X N + W = X`` are solved by the Bartels-Stewart approach
 (Bartels & Stewart 1972; Gardiner, Laub, Amato & Moler 1992): reduce both
 coefficients to complex Schur form, then sweep the columns of N's
 triangle, solving one shifted triangular system with M's triangle per
-column.  Once the coefficients are factored, a solve with M of size k and
-N of size r costs O(k^2 r + k r^2); a full-order Stein equation of size n
-costs O(n^3).  Factoring is O(k^3) and is done once per matrix
-(``SchurFactor``).
+column.  The sweep solves ``(I - mu TM) y = b`` as
+``(I/mu - TM) y = b/mu``: it negates TM once per solve and rewrites only
+the diagonal per column, so a column costs one matrix-vector product and
+one triangular solve.  Once the coefficients are factored, a solve with M
+of size k and N of size r costs O(k^2 r + k r^2); a full-order Stein
+equation of size n costs O(n^3).  Factoring is O(k^3) and is done once per
+matrix (``SchurFactor``).
+
+``solve_schur`` and ``stein_schur`` solve in Schur coordinates
+``Y = Zm^H X Zn`` and leave the back-transform to the caller, which may
+need only inner products of the solution (``to_schur``/``from_schur``
+convert).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,19 +33,29 @@ from .errors import NotStable, NoUniqueSolution, SingularSystem
 __all__ = [
     "PencilReport",
     "SchurFactor",
+    "from_schur",
     "pencil_diagnostics",
     "pseudoinverse",
     "solve_discrete_sylvester",
+    "solve_schur",
     "solve_stein",
     "spectral_radius",
+    "stein_schur",
+    "to_schur",
 ]
 
 # pivot magnitudes below this abort the back-substitution
 _PIVOT_TOL = 1e-14
 # BLAS triangular solve for one complex right-hand side
 _ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
+# LAPACK plane rotation with a real cosine and a complex sine, in place
+_ZROT = scipy.linalg.get_lapack_funcs("rot", dtype=complex)
 # Stein coefficients need a spectral radius below 1 - _STABILITY_TOL
 _STABILITY_TOL = 1e-12
+# a column shift mu below this in modulus is the identity solve y = b: the
+# neglected mu TM y is below rounding unless |TM| exceeds 1e138, and above
+# it b / mu overflows only for |b| beyond 1e154
+_SHIFT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # fixed fourth probe shift for pencil regularity, kept constant so that
 # repeated runs on identical inputs give identical diagnostics
 _PROBE_SHIFT = 0.7390851332151607
@@ -119,6 +139,19 @@ def spectral_separation(spectrum, other) -> float:
     return float(np.min(np.abs(spectrum[:, None] - other[None, :])))
 
 
+@functools.lru_cache(maxsize=None)
+def _schur_lwork(k: int) -> int:
+    """LAPACK's optimal real Schur workspace for order k.
+
+    The size depends on k alone, so it is queried once per order (the cache
+    holds one integer per order seen) instead of once per factorization.
+    """
+    gees = scipy.linalg.get_lapack_funcs("gees", dtype=float)
+    # LAPACK rejects a query of order 0; scipy needs no workspace there
+    work = gees(lambda re, im: None, np.zeros((max(k, 1),) * 2), lwork=-1)[-2]
+    return int(work[0].real)
+
+
 def _complex_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form (T, Z) of a real matrix, from its real Schur form.
 
@@ -126,33 +159,33 @@ def _complex_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``[[a, b], [c, a]]`` with ``b c < 0``, eigenvalues ``a +- i w`` for
     ``w = sqrt(-b c)``.  The unitary rotation ``G = [[p, i q], [i q, p]]``
     with ``(p, q) = (b, w) / |(b, w)|`` makes it upper triangular.  The
-    blocks are disjoint, so all rotations apply at once, at O(k^2) cost on
-    top of the real factorization; a complex factorization of M costs more.
+    blocks are disjoint, so each rotation is two in-place plane rotations,
+    of two columns of T and Z and of two rows of T, at O(k^2) cost on top
+    of the real factorization; a complex factorization of M costs more.
     The eigenvalues come out exact: real ones stay real and pairs are exact
-    conjugates.
+    conjugates.  T and Z are C-contiguous.
     """
-    T, Z = scipy.linalg.schur(M, output="real")
-    k = T.shape[0]
-    TZ = np.concatenate((T, Z)).astype(complex)
-    j = np.flatnonzero(np.diagonal(T, -1))
-    if j.size:
+    k = M.shape[0]
+    T, Z = scipy.linalg.schur(M, output="real", lwork=_schur_lwork(k))
+    TZ = np.empty((2 * k, k), dtype=complex)
+    TZ[:k], TZ[k:] = T, Z
+    # zrot sets x <- c x + s y, y <- c y - conj(s) x; x and y are two
+    # disjoint columns (stride k) or rows of one flat view of TZ
+    flat = TZ.reshape(-1)
+    for j in np.flatnonzero(np.diagonal(T, -1)).tolist():
         i = j + 1
-        b, c = T[j, i], T[i, j]
-        w = np.sqrt(-b * c)
-        rho = np.hypot(b, w)
+        b = float(T[j, i])
+        w = math.sqrt(-b * float(T[i, j]))
+        rho = math.hypot(b, w)
         p, iq = b / rho, 1j * (w / rho)
         # columns (j, i) of T and Z times G, then rows (j, i) of T times G^H
-        xj, xi = TZ[:, j], TZ[:, i]
-        TZ[:, j] = xj * p + xi * iq
-        TZ[:, i] = xj * iq + xi * p
-        Tc = TZ[:k]
-        p, iq = p[:, None], iq[:, None]
-        tj, ti = Tc[j], Tc[i]
-        Tc[j] = tj * p - ti * iq
-        Tc[i] = ti * p - tj * iq
-        lam = T[j, j] + 1j * w
-        Tc[i, j] = 0.0
-        Tc[j, j], Tc[i, i] = lam, lam.conj()
+        _ZROT(flat, flat, p, iq, n=2 * k, offx=j, incx=k, offy=i, incy=k,
+              overwrite_x=1, overwrite_y=1)
+        _ZROT(flat, flat, p, -iq, n=k, offx=j * k, offy=i * k,
+              overwrite_x=1, overwrite_y=1)
+        lam = complex(T[j, j], w)
+        TZ[i, j] = 0.0
+        TZ[j, j], TZ[i, i] = lam, lam.conjugate()
     return TZ[:k], TZ[k:]
 
 
@@ -161,8 +194,9 @@ class SchurFactor:
     """Complex Schur form ``M = Z T Z^H`` of a real matrix M.
 
     T is upper triangular, ``eigvals`` is its diagonal and ``ZH`` caches
-    ``Z^H``.  Factor a matrix once with ``SchurFactor.of(M)`` and pass the
-    result to every solve and spectral check that uses M.
+    ``Z^H``; T, Z and ZH are C-contiguous.  Factor a matrix once with
+    ``SchurFactor.of(M)`` and pass the result to every solve and spectral
+    check that uses M.
     """
 
     T: np.ndarray
@@ -171,6 +205,8 @@ class SchurFactor:
     eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "T", np.ascontiguousarray(self.T))
+        object.__setattr__(self, "Z", np.ascontiguousarray(self.Z))
         object.__setattr__(self, "ZH", np.ascontiguousarray(self.Z.conj().T))
         object.__setattr__(self, "eigvals", np.diagonal(self.T).copy())
 
@@ -182,8 +218,82 @@ class SchurFactor:
         """The factor of M^T, without a new factorization."""
         # M^T = conj(Z) T^T Z^T; reversing the order of rows and columns turns
         # the lower triangular T^T back into an upper triangular matrix
-        return SchurFactor(np.ascontiguousarray(self.T.T[::-1, ::-1]),
-                           np.ascontiguousarray(self.Z.conj()[:, ::-1]))
+        return SchurFactor(self.T.T[::-1, ::-1], self.Z.conj()[:, ::-1])
+
+
+def to_schur(fm: SchurFactor, fn: SchurFactor, W: np.ndarray) -> np.ndarray:
+    """``(Zm^H W Zn)^T``: W in the Schur coordinates of (M, N), transposed.
+
+    The (r, k) layout is the one ``solve_schur`` sweeps, one column of the
+    solution per contiguous row.
+    """
+    return (fn.Z.T @ W.T) @ fm.ZH.T
+
+
+def from_schur(fm: SchurFactor, fn: SchurFactor, Yt: np.ndarray) -> np.ndarray:
+    """The real (k, r) matrix ``Zm Y Zn^H`` from ``Yt = Y^T``."""
+    return np.ascontiguousarray((fm.Z @ Yt.T @ fn.ZH).real)
+
+
+def _sweep(TM: np.ndarray, TN: np.ndarray, Yt: np.ndarray) -> np.ndarray:
+    """Overwrite ``Yt = C^T`` with ``Y^T``, where ``TM Y TN + C = Y``.
+
+    TN is upper triangular, so column j needs only the columns before it:
+      (I - mu TM) y_j = c_j + TM (Y[:, :j] TN[:j, j]),   mu = TN[j, j],
+    solved as ``(I/mu - TM) y_j = (...)/mu`` on one negated copy of TM whose
+    diagonal is rewritten per column.  The 1/mu scaling of each right-hand
+    side is applied up front, to C's rows and to TN's columns.
+    """
+    k = TM.shape[0]
+    shifted = TM * -1.0  # np.negative is several times slower on complex
+    diag = shifted.reshape(-1)[:: k + 1]
+    lam = np.diagonal(TM)
+    mus = np.diagonal(TN).tolist()
+    # shifts below the floor (mu = 0 included) are the identity solve y = b
+    inv = [1.0 / mu if abs(mu) >= _SHIFT_FLOOR else None for mu in mus]
+    scale = np.array([1.0 if s is None else s for s in inv])
+    Yt *= scale[:, None]
+    TN = TN * scale
+    for j, s in enumerate(inv):
+        if j:
+            Yt[j] += TM @ (TN[:j, j] @ Yt[:j])
+        if s is not None:
+            np.subtract(s, lam, out=diag)
+            # shifted.T is the Fortran-ordered view BLAS reads without a copy
+            Yt[j] = _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
+    return Yt
+
+
+def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray, *,
+                unique_tol: float = 1e-12) -> np.ndarray:
+    """Solve ``TM Y TN + C = Y``, the Sylvester equation in Schur coordinates.
+
+    ``Ct`` is ``C^T``, an (r, k) complex C-contiguous array (``to_schur``
+    gives it); it is overwritten with, and returned as, ``Y^T``.  Raises
+    ``NoUniqueSolution`` when an eigenvalue product ``eig(M) eig(N)`` lies
+    within ``unique_tol`` of 1, and ``SingularSystem`` when a pivot
+    ``1 - lam_i mu_j`` falls below the pivot tolerance.
+    """
+    # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle
+    gap = np.abs(1.0 - fm.eigvals[:, None] * fn.eigvals).min(initial=np.inf)
+    if gap < unique_tol:
+        raise NoUniqueSolution(
+            "eigenvalue product of the coefficients is numerically 1")
+    if gap < _PIVOT_TOL:
+        raise SingularSystem(
+            f"pivot below {_PIVOT_TOL:g} in Schur back-substitution")
+    return _sweep(fm.T, fn.T, Ct)
+
+
+def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray:
+    """``solve_schur`` for the Stein equation ``A X A^T + W = X``.
+
+    ``fat`` is ``fa.transposed()``, the factor of A^T.  Requires the
+    spectral radius of A to be strictly below one.
+    """
+    if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - _STABILITY_TOL:
+        raise NotStable("spectral radius is not strictly below one")
+    return solve_schur(fa, fat, Ct)
 
 
 def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
@@ -218,31 +328,8 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
 
     fm = m_schur if m_schur is not None else SchurFactor.of(M)
     fn = n_schur if n_schur is not None else SchurFactor.of(N)
-    # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle below
-    gap = np.abs(1.0 - np.outer(fm.eigvals, fn.eigvals)).min()
-    if gap < unique_tol:
-        raise NoUniqueSolution(
-            "eigenvalue product of the coefficients is numerically 1")
-    if gap < _PIVOT_TOL:
-        raise SingularSystem(
-            f"pivot below {_PIVOT_TOL:g} in Schur back-substitution")
-
-    # Y = Zm^H X Zn solves TM Y TN + Zm^H W Zn = Y; TN is upper triangular,
-    # so column j needs only the columns before it:
-    #   (I - TN[j, j] TM) y_j = w_j + TM (Y[:, :j] TN[:j, j])
-    # Yt holds Y transposed, so that each column is a contiguous row.
-    TM, TN = fm.T, fn.T
-    Yt = (fm.ZH @ W @ fn.Z).T.copy()
-    shifted = np.empty((k, k), dtype=complex)
-    pivots = shifted.reshape(-1)[:: k + 1]
-    for j in range(r):
-        if j:
-            Yt[j] += TM @ (TN[:j, j] @ Yt[:j])
-        np.multiply(TM, -TN[j, j], out=shifted)
-        pivots += 1.0
-        # shifted.T is the Fortran-ordered view BLAS reads without a copy
-        Yt[j] = _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
-    return np.ascontiguousarray((fm.Z @ Yt.T @ fn.ZH).real)
+    Yt = solve_schur(fm, fn, to_schur(fm, fn, W), unique_tol=unique_tol)
+    return from_schur(fm, fn, Yt)
 
 
 def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:
@@ -262,9 +349,6 @@ def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:
         raise ValueError("W must be symmetric")
 
     fa = a_schur if a_schur is not None else SchurFactor.of(A)
-    if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - _STABILITY_TOL:
-        raise NotStable("spectral radius is not strictly below one")
-
-    X = solve_discrete_sylvester(A, A.T, 0.5 * (W + W.T),
-                                 m_schur=fa, n_schur=fa.transposed())
+    fat = fa.transposed()
+    X = from_schur(fa, fat, stein_schur(fa, fat, to_schur(fa, fat, 0.5 * (W + W.T))))
     return 0.5 * (X + X.T)

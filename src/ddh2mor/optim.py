@@ -3,9 +3,13 @@
 Each iteration assembles the data-driven gradients, stacks them into one
 descent direction, and backtracks the step until the objective decreases
 by the Armijo margin while the candidate stays inside the stability
-annulus.  Only the two solves the objective needs (P and R) are repeated
-per trial step; the remaining quantities are refreshed once per accepted
-iterate.
+annulus.  A trial step factors its Ahat once (the spectral bounds read the
+eigenvalues off that factor) and evaluates the objective with
+``TrialObjective``: the P and R equations are solved in Schur coordinates
+and the objective is read off the solutions as inner products, so a trial
+forms neither P nor R.  The gradient solves are made once per accepted
+iterate, and the accepted trial's objective value is carried forward as
+the next iterate's, so every iterate has one value of f.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DataEnsemble
-from .ddgrad import (DualData, data_gradients, objective_f, reconstruct_dual,
-                     reconstruct_dual_known_input, solve_gramians, solve_R)
+from .ddgrad import (DualData, TrialObjective, data_gradients, objective_f,
+                     reconstruct_dual, reconstruct_dual_known_input,
+                     solve_gramians)
 from .errors import (AssumptionViolated, NotStable, NoUniqueSolution,
                      SingularSystem)
-from .matequ import solve_stein
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
@@ -161,9 +165,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
         d = stack_direction(g)
         D = float(np.sum(d * d))
-        f_curr = objective_f(rom, grams.P, grams.R)
         if it == 1:
-            initial_f = f_curr
+            f_curr = initial_f = objective_f(rom, grams.P, grams.R)
             initial_rel = rel_error(rom)
         logger.debug("iter %d: f=%.6e D=%.3e |rom|=%.3e", it, f_curr, D,
                      float(np.sqrt(np.sum(rom.Ahat**2) + np.sum(rom.Bhat**2)
@@ -177,14 +180,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
         accepted = None
         alpha = params.alpha0
+        trial_f = TrialObjective(dual, rom, g)
         for bt in range(params.max_backtracks):
             cand = rom.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
-                    Pc = solve_stein(cand.Ahat, cand.Bhat @ cand.Bhat.T,
-                                     a_schur=cand.schur)
-                    Rc = solve_R(dual, cand)
-                    fc = objective_f(cand, Pc, Rc)
+                    fc = trial_f(cand, alpha)
                     if np.isfinite(fc) and fc <= f_curr - params.c * alpha * D:
                         accepted = (cand, fc, alpha, bt)
                         break
@@ -195,8 +196,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
 
-        rom, f_new, alpha, bt = accepted
-        _record(history, sink, IterRecord(it, f_new, D, alpha, bt,
+        rom, f_curr, alpha, bt = accepted
+        _record(history, sink, IterRecord(it, f_curr, D, alpha, bt,
                                           rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,

@@ -7,18 +7,27 @@ from hypothesis import given, settings, strategies as st
 from ddh2mor import (
     AssumptionViolated,
     GramianSet,
+    GradientTriple,
     LtiSystem,
     NoiseSpec,
+    NotStable,
     RankDeficientData,
     Rom,
     SingularAhat,
+    SyntheticSpec,
     check_assumptions,
     data_gradients,
     data_gradients_B_known,
     data_gradients_from_ensemble,
     generate_ensemble,
+    generate_synthetic,
+    generate_trajectories,
     h2_error,
     h2_norm,
+    impulse_from_system,
+    init_data_bt,
+    init_dmdc,
+    make_stable,
     model_based_gradients,
     objective_f,
     reconstruct_dual,
@@ -28,8 +37,9 @@ from ddh2mor import (
     solve_R,
     solve_S,
     solve_SB,
+    solve_stein,
 )
-from ddh2mor.ddgrad import SEPARATION_TOL
+from ddh2mor.ddgrad import SEPARATION_TOL, TrialObjective
 from helpers import (count_schur_calls, fd_gradients, random_rom, random_system,
                      rel_max_err)
 
@@ -248,6 +258,55 @@ def test_objective_can_be_negative():
 
 
 # ------------------------------------------------------------------ gradients
+
+
+@pytest.fixture(scope="module")
+def acceptance_problem():
+    """The acceptance configuration (n=100, m=2, N=102) with two starts."""
+    sys = generate_synthetic(SyntheticSpec(n=100, m=2, h=0.1, seed=7))
+    ens = generate_ensemble(sys, 102, NoiseSpec(alpha=0.0, seed=107))
+    trajs = generate_trajectories(sys, 102, 10, NoiseSpec(alpha=0.0, seed=207))
+    starts = [make_stable(init_dmdc(trajs, 6)),
+              make_stable(init_data_bt(impulse_from_system(sys, 10), 6))]
+    return sys, ens, starts
+
+
+@pytest.mark.parametrize("route", ["unknown-input", "known-input"])
+def test_trial_objective_matches_reference_objective(acceptance_problem, route):
+    sys, ens, starts = acceptance_problem
+    dual = (reconstruct_dual(ens) if route == "unknown-input"
+            else reconstruct_dual_known_input(ens, sys.B))
+    np.testing.assert_allclose(dual.gb_schur, dual.mr_schur.ZH @ dual.GB, rtol=0,
+                               atol=1e-14 * np.abs(dual.GB).max())
+    compared = 0
+    for rom in starts:
+        g = data_gradients(rom, solve_gramians(dual, rom))
+        trial_f = TrialObjective(dual, rom, g)
+        for alpha in (1.0, 1e-2, 1e-4):
+            cand = rom.stepped(g, alpha)
+            try:
+                P = solve_stein(cand.Ahat, cand.Bhat @ cand.Bhat.T, a_schur=cand.schur)
+            except NotStable:
+                # the full step leaves the unit disc: the same guard rejects it
+                with pytest.raises(NotStable):
+                    trial_f(cand, alpha)
+                continue
+            ref = objective_f(cand, P, solve_R(dual, cand))
+            assert trial_f(cand, alpha) == pytest.approx(ref, rel=1e-12, abs=0)
+            compared += 1
+    assert compared >= 5
+
+
+def test_trial_objective_keeps_the_separation_guard():
+    # data eigenvalue 2.5 against the reciprocal 1 / 0.4 of a stable rom pole
+    sys = LtiSystem.with_identity_output(np.diag([2.5, 0.3]), np.array([[1.0], [2.0]]))
+    dual = reconstruct_dual(generate_ensemble(sys, 8, NoiseSpec(seed=16)))
+    rom = Rom(np.array([[0.4]]), np.array([[1.0]]), np.ones((2, 1)))
+    zero = GradientTriple(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((2, 1)))
+    with pytest.raises(AssumptionViolated):
+        solve_R(dual, rom)
+    with pytest.raises(AssumptionViolated):
+        TrialObjective(dual, rom, zero)(rom.stepped(zero, 0.0), 0.0)
 
 
 def test_data_gradients_match_model_based():

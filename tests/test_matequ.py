@@ -15,7 +15,8 @@ from ddh2mor import (
     solve_stein,
     spectral_radius,
 )
-from ddh2mor.matequ import spectral_separation
+from ddh2mor.matequ import (from_schur, solve_schur, spectral_separation,
+                            to_schur)
 from helpers import kron_solve_stein, kron_solve_sylvester, random_stable, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -223,7 +224,7 @@ def mixed_spectrum(rng, k, radius=0.9):
     return Q @ D @ Q.T
 
 
-@pytest.mark.parametrize("k, r", [(0, 3), (3, 0), (1, 1), (7, 5), (40, 6)])
+@pytest.mark.parametrize("k, r", [(0, 3), (3, 0), (1, 1), (7, 5), (40, 6), (100, 6)])
 def test_sylvester_sweep_matches_kronecker_on_pipeline_shapes(k, r):
     rng = np.random.default_rng(100 * k + r)
     M = mixed_spectrum(rng, k)
@@ -344,3 +345,73 @@ def test_spectral_separation_basic():
     assert spectral_separation([1.0, 2.0], [2.5]) == pytest.approx(0.5)
     assert spectral_separation([], [1.0]) == float("inf")
     assert spectral_separation([1j, -1j], [0.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 100])
+def test_schur_factors_are_c_contiguous(k):
+    M = mixed_spectrum(np.random.default_rng(k), k)
+    fac = SchurFactor.of(M)
+    for f in (fac, fac.transposed()):
+        for name in ("T", "Z", "ZH"):
+            assert getattr(f, name).flags.c_contiguous, name
+
+
+def triangular_with_shifts(rng, mus):
+    """Upper triangular N with the given diagonal and random coupling above it.
+
+    LAPACK's Schur form of a triangular matrix keeps its diagonal entries
+    exactly, so the sweep sees exactly these column shifts.
+    """
+    r = len(mus)
+    return np.triu(rng.standard_normal((r, r)), 1) + np.diag(mus)
+
+
+@pytest.mark.parametrize("mus", [
+    [0.0, 0.0, 0.0],                    # nilpotent N: every column is y = b
+    [0.5, 0.0, -0.3, 0.0, 0.8, 0.0],    # zero shifts between ordinary ones
+    [1e-12, -0.6, 1e-12, 0.4],          # the rom annulus floor
+    [5e-320, 0.7, -5e-320, 0.2],        # subnormal: 1 / mu overflows
+    [1e-305, -0.5, 1e-305],             # 1 / mu finite, but b / mu overflows
+], ids=["nilpotent", "zero-shifts", "annulus-floor", "subnormal", "tiny-normal"])
+def test_sylvester_sweep_handles_tiny_and_zero_shifts(mus):
+    rng = np.random.default_rng(len(mus))
+    M = mixed_spectrum(rng, 40)
+    N = triangular_with_shifts(rng, mus)
+    fn = SchurFactor.of(N)
+    assert np.array_equal(np.sort_complex(fn.eigvals), np.sort_complex(np.array(mus, complex)))
+    # a large right-hand side: b / mu must not overflow for shifts above the floor
+    W = 1e6 * rng.standard_normal((40, len(mus)))
+    X = solve_discrete_sylvester(M, N, W)
+    assert np.isfinite(X).all()
+    assert rel_max_err(X, kron_solve_sylvester(M, N, W)) < 1e-10
+    XT = solve_discrete_sylvester(N.T, M.T, W.T)  # the shifts on the M side
+    assert np.isfinite(XT).all()
+    assert rel_max_err(XT, kron_solve_sylvester(N.T, M.T, W.T)) < 1e-10
+
+
+def test_sylvester_tiny_shift_still_checks_uniqueness():
+    # a shift at the annulus floor against an eigenvalue of 1e12: the product
+    # is 1, and the rescaled sweep must still refuse it
+    M = np.array([[1e12]])
+    with pytest.raises(NoUniqueSolution):
+        solve_discrete_sylvester(M, np.array([[1e-12]]), np.array([[1.0]]))
+    with pytest.raises(SingularSystem):
+        solve_discrete_sylvester(M, np.array([[1e-12]]), np.array([[1.0]]),
+                                 unique_tol=0.0)
+
+
+def test_schur_coordinate_solve_matches_back_transformed_result():
+    rng = np.random.default_rng(17)
+    M = mixed_spectrum(rng, 30)
+    N = mixed_spectrum(rng, 5)
+    W = rng.standard_normal((30, 5))
+    fm, fn = SchurFactor.of(M), SchurFactor.of(N)
+    Ct = to_schur(fm, fn, W)
+    assert Ct.shape == (5, 30) and Ct.flags.c_contiguous
+    Yt = solve_schur(fm, fn, Ct)
+    assert Yt is Ct  # solved in place
+    np.testing.assert_allclose(from_schur(fm, fn, Yt),
+                               solve_discrete_sylvester(M, N, W), rtol=0, atol=1e-13)
+    # Y = Zm^H X Zn solves the triangular equation
+    Y = Yt.T
+    np.testing.assert_allclose(fm.T @ Y @ fn.T + to_schur(fm, fn, W).T, Y, atol=1e-12)

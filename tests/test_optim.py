@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddh2mor import (
     AssumptionViolated,
+    DataEnsemble,
     GradientTriple,
     H2ErrorEvaluator,
     NoiseSpec,
@@ -12,12 +14,15 @@ from ddh2mor import (
     generate_ensemble,
     init_data_bt,
     impulse_from_system,
+    objective_f,
     reconstruct_dual,
     run,
+    solve_R,
+    solve_stein,
     stack_direction,
 )
 import ddh2mor
-from helpers import count_schur_calls, random_rom, random_system
+from helpers import count_schur_calls, random_rom, random_system, rel_max_err
 
 
 def make_problem(seed=0, n=12, m=2, r=3, N=16):
@@ -137,6 +142,52 @@ def test_each_line_search_trial_factors_one_rom(monkeypatch):
     assert rec.step > 0 and rec.backtracks > 0
     # the start is factored once, then each trial step once
     assert shapes == [(init.r, init.r)] * (1 + rec.backtracks + 1)
+
+
+def test_accepted_rows_record_the_objective_of_their_rom():
+    # each accepted row's f is the accepted trial's value, computed in Schur
+    # coordinates; it agrees with the reference formula on the row's rom
+    sys, ens, init = make_problem(seed=14)
+    dual = reconstruct_dual(ens)
+    for k in range(1, 5):
+        res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
+        rom = res.rom
+        assert len(res.history) == k and res.history[-1].step > 0
+        ref = objective_f(rom, solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T),
+                          solve_R(dual, rom))
+        assert res.history[-1].f == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_converged_row_repeats_the_last_accepted_objective():
+    # f is evaluated once per iterate: the converged row carries the value
+    # its iterate was accepted with, so the history never rises by rounding
+    sys, ens, init = make_problem(seed=3)
+    res = run(ens, init, OptimParams(tol=1e-3, max_iters=200))
+    assert res.stop_reason is StopReason.CONVERGED
+    *_, prev, last = res.history
+    assert prev.step > 0 and last.step == 0.0
+    assert last.f == prev.f
+    fs = [res.initial_f] + [rec.f for rec in res.history]
+    assert all(b < a for a, b in zip(fs, fs[1:-1]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(log_scale=st.floats(-3.0, 3.0), row_seed=st.integers(0, 2**32 - 1))
+def test_descent_invariant_under_joint_scaling_and_row_order(log_scale, row_seed):
+    # scaling (X1, U1, X2) jointly or permuting the snapshots leaves the
+    # dual coefficients, and so the whole descent, unchanged
+    sys, ens, init = make_problem(seed=15, n=10, N=14)
+    params = OptimParams(max_iters=6, tol=1e-15)
+    ref = run(ens, init, params)
+    rows, s = np.random.default_rng(row_seed).permutation(ens.N), 10.0 ** log_scale
+    moved = run(DataEnsemble(s * ens.X1[rows], s * ens.U1[rows], s * ens.X2[rows]),
+                init, params)
+    assert moved.stop_reason is ref.stop_reason
+    assert ([(h.step, h.backtracks) for h in moved.history]
+            == [(h.step, h.backtracks) for h in ref.history])
+    for got, want in ((moved.rom.Ahat, ref.rom.Ahat), (moved.rom.Bhat, ref.rom.Bhat),
+                      (moved.rom.Chat, ref.rom.Chat)):
+        assert rel_max_err(got, want) < 1e-9
 
 
 def test_backtrack_exhaustion_reported():
