@@ -20,14 +20,58 @@ Examples:
 
 import argparse
 import dataclasses
-import json
 import sys
-import time
 from pathlib import Path
 
 import ddh2mor as dd
-from ddh2mor.cli import ConvergenceLog, ExperimentConfig, save_rom, save_system
-from ddh2mor.dataio import read_json_object
+from ddh2mor.cli import reduce_into
+from ddh2mor.dataio import check_json_type, read_json_object, save_system, write_json
+
+INT_FIELDS = ("n", "m", "r", "N", "seed", "max_iters", "max_backtracks",
+              "init_traj_count", "init_traj_length", "init_left", "init_right",
+              "init_impulse_count")
+FLOAT_FIELDS = ("h", "noise_alpha", "alpha0", "c", "rho", "tol")
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentConfig:
+    """One full benchmark run: system, data, reduction, evaluation."""
+
+    n: int = 100
+    m: int = 2
+    r: int = 6
+    N: int = 102
+    h: float = 0.1
+    noise_alpha: float = 0.0
+    seed: int = 0
+    initializer: str = "dmdc"
+    init_traj_count: int | None = None
+    init_traj_length: int = 10
+    init_left: int = 30
+    init_right: int = 30
+    init_impulse_count: int = 10
+    alpha0: float = 1.0
+    c: float = 1e-4
+    rho: float = 0.5
+    tol: float = 1e-3
+    max_iters: int = 500
+    max_backtracks: int = 60
+    output_dir: str = "experiment"
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1 or self.N < 1:
+            raise ValueError("n, m and N must be positive")
+        if not 0 < self.r < self.n:
+            raise ValueError("need 0 < r < n")
+        if self.noise_alpha < 0:
+            raise ValueError("noise_alpha must be nonnegative")
+        if self.initializer not in ("dmdc", "loewner", "databt"):
+            raise ValueError(f"unknown initializer {self.initializer!r}")
+
+    def optim_params(self) -> dd.OptimParams:
+        return dd.OptimParams(alpha0=self.alpha0, c=self.c, rho=self.rho,
+                              tol=self.tol, max_iters=self.max_iters,
+                              max_backtracks=self.max_backtracks)
 
 
 def build_initializer(cfg: ExperimentConfig, sys_, kind: str):
@@ -48,40 +92,6 @@ def build_initializer(cfg: ExperimentConfig, sys_, kind: str):
     raise ValueError(f"unknown initializer {kind!r}")
 
 
-def run_one(cfg: ExperimentConfig, sys_, ens, dual, kind: str, out: Path) -> dict:
-    init = dd.make_stable(build_initializer(cfg, sys_, kind))
-    out.mkdir(parents=True, exist_ok=True)
-    log = ConvergenceLog()
-    started = time.perf_counter()
-    with open(out / "history.csv", "w") as fh:
-        fh.write(log.header() + "\n")
-
-        def sink(rec):
-            log.append(rec)
-            fh.write(log.format_row(rec) + "\n")
-
-        result = dd.run(ens, init, cfg.optim_params(), oracle=sys_, sink=sink,
-                        dual=dual)
-    elapsed = time.perf_counter() - started
-
-    save_rom(result.rom, out)
-    final = result.history[-1] if result.history else None
-    summary = {
-        "initializer": kind,
-        "stop_reason": result.stop_reason.value,
-        "iterations": len(result.history),
-        "initial_f": result.initial_f,
-        "final_f": final.f if final else result.initial_f,
-        "initial_rel_h2_error": result.initial_rel_h2_error,
-        "final_rel_h2_error": (final.rel_h2_error if final
-                               else result.initial_rel_h2_error),
-        "wall_time_s": elapsed,
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2,
-                                                 sort_keys=True) + "\n")
-    return summary
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     ap = argparse.ArgumentParser(
@@ -90,11 +100,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--out", help="output directory (default: config output_dir)")
     ap.add_argument("--initializer", choices=("dmdc", "loewner", "databt", "all"),
                     help="which starting rom to descend from (default all)")
-    for name in ("n", "m", "r", "N", "seed", "max_iters", "max_backtracks",
-                 "init_traj_count", "init_traj_length", "init_left",
-                 "init_right", "init_impulse_count"):
+    for name in INT_FIELDS:
         ap.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
-    for name in ("h", "noise_alpha", "alpha0", "c", "rho", "tol"):
+    for name in FLOAT_FIELDS:
         ap.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
     args = ap.parse_args(argv)
     assert set(vars(args)) - {"config", "out", "initializer"} <= set(fields)
@@ -107,6 +115,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, bool]:
     unknown = set(payload) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        kind = int if key in INT_FIELDS else float if key in FLOAT_FIELDS else str
+        check_json_type(args.config, key, value, kind,
+                        nullable=key == "init_traj_count")
     run_all = (args.initializer or payload.get("initializer", "all")) == "all"
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("config", "out") and v is not None}
@@ -125,8 +137,7 @@ def main(argv=None) -> int:
         return 1
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+    write_json(out / "config.json", dataclasses.asdict(cfg))
 
     sys_ = dd.generate_synthetic(dd.SyntheticSpec(n=cfg.n, m=cfg.m,
                                                   h=cfg.h, seed=cfg.seed))
@@ -147,11 +158,13 @@ def main(argv=None) -> int:
         return 2
 
     kinds = ("dmdc", "loewner", "databt") if run_all else (cfg.initializer,)
-    summaries = [run_one(cfg, sys_, ens, dual, kind, out / kind) for kind in kinds]
+    summaries = [reduce_into(out / kind, ens, build_initializer(cfg, sys_, kind),
+                             cfg.optim_params(), init_label=kind, oracle=sys_, dual=dual)
+                 for kind in kinds]
 
-    width = max(len(s["initializer"]) for s in summaries)
+    width = max(len(s["init"]) for s in summaries)
     for s in summaries:
-        print(f"{s['initializer']:>{width}}: {s['stop_reason']:<12} "
+        print(f"{s['init']:>{width}}: {s['stop_reason']:<12} "
               f"iters={s['iterations']:<4d} "
               f"rel {s['initial_rel_h2_error']:.6f} -> {s['final_rel_h2_error']:.6f} "
               f"({s['wall_time_s']:.1f} s)")

@@ -7,7 +7,7 @@ stability-safeguarded Armijo line search.  DMDc, Loewner, and Hankel-based
 initializers plus a model-based oracle round out the pipeline.
 """
 
-from .dataio import (AssumptionReport, DataEnsemble, NoiseSpec, Trajectory,
+from .dataio import (AssumptionReport, DataEnsemble, IterRecord, NoiseSpec,
                      TrajectorySet, check_assumptions, first_transitions,
                      generate_ensemble, generate_trajectories, load_ensemble,
                      numerical_rank, save_ensemble)
@@ -19,8 +19,7 @@ from .ddgrad import (DualData, GramianSet, data_gradients,
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
                      InsufficientData, NoUniqueSolution, NotStable,
                      RankDeficientData, ReductionError, SingularAhat,
-                     SingularE, SingularShift, SingularSystem,
-                     StabilizationFailed)
+                     SingularE, SingularShift, StabilizationFailed)
 from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       init_data_bt, init_dmdc, init_loewner,
                       load_frequency_samples, load_impulse_data, make_stable,
@@ -29,7 +28,7 @@ from .initmor import (FreqSample, ImpulseData, impulse_from_system,
 from .matequ import (PencilReport, SchurFactor, pencil_diagnostics,
                      pseudoinverse, solve_discrete_sylvester, solve_stein,
                      spectral_radius)
-from .optim import (IterRecord, OptimParams, OptimResult, StopReason, run,
+from .optim import (OptimParams, OptimResult, StopReason, run,
                     stack_direction)
 from .sysmodel import (ErrorGramians, GradientTriple, H2ErrorEvaluator,
                        LtiSystem, Rom, SyntheticSpec, error_gramians,

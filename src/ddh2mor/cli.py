@@ -8,11 +8,11 @@ through a JSON file via --config; explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,150 +21,45 @@ from . import dataio, ddgrad, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
-__all__ = ["ConvergenceLog", "ExperimentConfig", "main"]
+__all__ = ["main", "reduce_into"]
 
 logger = logging.getLogger(__name__)
 
-_FLOAT_FMT = "%.17e"
 
-HISTORY_COLUMNS = ("iter", "f", "D", "step", "backtracks", "rel_h2_error", "stable")
+def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
+                params: optim.OptimParams, *, init_label: str,
+                oracle: sysmodel.LtiSystem | None = None,
+                dual: ddgrad.DualData | None = None) -> dict:
+    """Descend from ``init`` and write the reduction into directory ``out``.
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One full benchmark run: system, data, reduction, evaluation."""
-
-    n: int = 100
-    m: int = 2
-    r: int = 6
-    N: int = 102
-    h: float = 0.1
-    noise_alpha: float = 0.0
-    seed: int = 0
-    initializer: str = "dmdc"
-    init_traj_count: int | None = None
-    init_traj_length: int = 10
-    init_left: int = 30
-    init_right: int = 30
-    init_impulse_count: int = 10
-    alpha0: float = 1.0
-    c: float = 1e-4
-    rho: float = 0.5
-    tol: float = 1e-3
-    max_iters: int = 500
-    max_backtracks: int = 60
-    output_dir: str = "experiment"
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.N < 1:
-            raise ValueError("n, m and N must be positive")
-        if not 0 < self.r < self.n:
-            raise ValueError("need 0 < r < n")
-        if self.noise_alpha < 0:
-            raise ValueError("noise_alpha must be nonnegative")
-        if self.initializer not in ("dmdc", "loewner", "databt"):
-            raise ValueError(f"unknown initializer {self.initializer!r}")
-
-    def optim_params(self) -> optim.OptimParams:
-        return optim.OptimParams(alpha0=self.alpha0, c=self.c, rho=self.rho,
-                                 tol=self.tol, max_iters=self.max_iters,
-                                 max_backtracks=self.max_backtracks)
-
-
-@dataclass
-class ConvergenceLog:
-    """Serialized iteration history, one CSV row per IterRecord."""
-
-    rows: list = field(default_factory=list)
-
-    @staticmethod
-    def header() -> str:
-        return ",".join(HISTORY_COLUMNS)
-
-    @staticmethod
-    def format_row(rec: optim.IterRecord) -> str:
-        rel = "" if rec.rel_h2_error is None else _FLOAT_FMT % rec.rel_h2_error
-        return ",".join([
-            str(rec.iter),
-            _FLOAT_FMT % rec.f,
-            _FLOAT_FMT % rec.D,
-            _FLOAT_FMT % rec.step,
-            str(rec.backtracks),
-            rel,
-            "true" if rec.stable else "false",
-        ])
-
-    def append(self, rec: optim.IterRecord) -> None:
-        self.rows.append(rec)
-
-    def validate(self) -> None:
-        iters = [r.iter for r in self.rows]
-        if any(b <= a for a, b in zip(iters, iters[1:])):
-            raise ValueError("iteration indices must strictly increase")
-        fs = [r.f for r in self.rows]
-        if any(b > a for a, b in zip(fs, fs[1:])):
-            raise ValueError("objective column must be non-increasing")
-
-    def write(self, path) -> None:
-        self.validate()
-        lines = [self.header()] + [self.format_row(r) for r in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def read(cls, path) -> "ConvergenceLog":
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines or lines[0] != cls.header():
-            raise FormatError(f"{path}: unexpected history header")
-        rows = []
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) != len(HISTORY_COLUMNS):
-                raise FormatError(f"{path}: malformed row {line!r}")
-            rows.append(optim.IterRecord(
-                iter=int(parts[0]), f=float(parts[1]), D=float(parts[2]),
-                step=float(parts[3]), backtracks=int(parts[4]),
-                rel_h2_error=float(parts[5]) if parts[5] else None,
-                stable=parts[6] == "true"))
-        return cls(rows)
-
-
-def save_system(sys: sysmodel.LtiSystem, out: Path, *, h: float, seed: int) -> None:
+    Streams ``history.csv`` row by row as the descent runs, then writes
+    ``rom_{A,B,C}.csv`` and ``summary.json``, and returns the summary.
+    ``wall_time_s`` times the descent alone.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_matrix(out / "A.csv", sys.A)
-    dataio.write_matrix(out / "B.csv", sys.B)
-    manifest = {"n": sys.n, "m": sys.m, "h": h, "seed": seed,
-                "a": "A.csv", "b": "B.csv", "c": "identity"}
-    (out / "system.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    started = time.perf_counter()
+    with open(out / "history.csv", "w") as fh:
+        fh.write(dataio.HISTORY_HEADER + "\n")
+        result = optim.run(ens, init, params, oracle=oracle, dual=dual,
+                           sink=lambda rec: fh.write(dataio.history_row(rec) + "\n"))
+    elapsed = time.perf_counter() - started
 
-
-def load_system(path) -> sysmodel.LtiSystem:
-    manifest, manifest_path = dataio.read_manifest(path, "system.json", ("n", "m"))
-    root = manifest_path.parent
-    A = dataio.read_matrix(root / manifest.get("a", "A.csv"))
-    B = dataio.read_matrix(root / manifest.get("b", "B.csv"))
-    if A.shape != (manifest["n"], manifest["n"]) or B.shape != (manifest["n"], manifest["m"]):
-        raise FormatError(f"{manifest_path}: matrix shapes disagree with manifest")
-    return sysmodel.LtiSystem.with_identity_output(A, B)
-
-
-def save_rom(rom: sysmodel.Rom, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_matrix(out / "rom_A.csv", rom.Ahat)
-    dataio.write_matrix(out / "rom_B.csv", rom.Bhat)
-    dataio.write_matrix(out / "rom_C.csv", rom.Chat)
-
-
-def load_rom(path) -> sysmodel.Rom:
-    root = Path(path)
-    return sysmodel.Rom(dataio.read_matrix(root / "rom_A.csv"),
-                        dataio.read_matrix(root / "rom_B.csv"),
-                        dataio.read_matrix(root / "rom_C.csv"))
-
-
-def _report_dict(report: dataio.AssumptionReport) -> dict:
-    return {"rank_X1U1": report.rank_X1U1, "rank_X1": report.rank_X1,
-            "rank_U1": report.rank_U1, "b1_holds": report.b1_holds,
-            "b2_holds": report.b2_holds, "b3_holds": report.b3_holds}
+    dataio.save_rom(result.rom, out)
+    final = result.history[-1] if result.history else None
+    summary = {
+        "stop_reason": result.stop_reason.value,
+        "iterations": len(result.history),
+        "initial_f": result.initial_f,
+        "final_f": final.f if final else result.initial_f,
+        "initial_rel_h2_error": result.initial_rel_h2_error,
+        "final_rel_h2_error": final.rel_h2_error if final else result.initial_rel_h2_error,
+        "wall_time_s": elapsed,
+        "r": init.r,
+        "init": init_label,
+        "params": dataclasses.asdict(params),
+    }
+    dataio.write_json(out / "summary.json", summary)
+    return summary
 
 
 def _print_json(payload: dict) -> None:
@@ -173,18 +68,21 @@ def _print_json(payload: dict) -> None:
 
 # --- flag/config resolution -------------------------------------------------
 
-def _load_config(path) -> dict:
-    return {} if path is None else dataio.read_json_object(path)
-
-
 def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Apply flag-over-file-over-default precedence for every option."""
-    config = _load_config(getattr(args, "config", None))
+    """Apply flag-over-file-over-default precedence for every option.
+
+    A config value must have the JSON type of its flag; null stands in only
+    for a flag whose default is unset.
+    """
+    config = {} if args.config is None else dataio.read_json_object(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
+            if key in config:
+                dataio.check_json_type(args.config, key, config[key],
+                                       args.flag_types[key], nullable=fallback is None)
             setattr(args, key, config.get(key, fallback))
     return args
 
@@ -200,7 +98,7 @@ def cmd_gen_system(args: argparse.Namespace) -> int:
                                   h=float(args.h), seed=int(args.seed))
     sys_ = sysmodel.generate_synthetic(spec)
     out = Path(args.out)
-    save_system(sys_, out, h=spec.h, seed=spec.seed)
+    dataio.save_system(sys_, out, h=spec.h, seed=spec.seed)
     _print_json({"out": str(out), "n": sys_.n, "m": sys_.m,
                  "spectral_radius": sys_.spectral_radius()})
     return 0
@@ -214,13 +112,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     args = _resolve(args, _GEN_DATA_DEFAULTS)
     if args.system is None:
         raise ValueError("--system is required")
-    sys_ = load_system(args.system)
+    sys_ = dataio.load_system(args.system)
     noise = dataio.NoiseSpec(alpha=float(args.alpha), seed=int(args.seed))
     ens = dataio.generate_ensemble(sys_, int(args.N), noise)
     dataio.save_ensemble(ens, Path(args.out))
     report = dataio.check_assumptions(ens)
     _print_json({"out": str(args.out), "N": ens.N, "alpha": ens.alpha,
-                 "assumptions": _report_dict(report)})
+                 "assumptions": dataclasses.asdict(report)})
     return 0
 
 
@@ -241,7 +139,7 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
     if kind == "file":
         if args.init_data is None:
             raise ValueError("--init file requires --init-data DIR")
-        return load_rom(args.init_data)
+        return dataio.load_rom(args.init_data)
 
     if kind == "loewner":
         if args.init_data is not None:
@@ -300,56 +198,26 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     dual = ddgrad.reconstruct_dual(ens, force=True)
     report = dual.report
     if not report.all_hold:
-        _print_json({"assumptions": _report_dict(report)})
+        _print_json({"assumptions": dataclasses.asdict(report)})
         if not args.force:
             print("rank checks failed; re-run with --force to proceed",
                   file=sys.stderr)
             return 2
         logger.warning("rank checks failed, continuing because --force is set")
 
-    oracle = load_system(args.oracle) if args.oracle is not None else None
+    oracle = dataio.load_system(args.oracle) if args.oracle is not None else None
     init = _build_initializer(args, ens, oracle)
     params = optim.OptimParams(
         alpha0=float(args.alpha0), c=float(args.c), rho=float(args.rho),
         tol=float(args.tol), max_iters=int(args.max_iters),
         max_backtracks=int(args.max_backtracks))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log = ConvergenceLog()
-    started = time.perf_counter()
-    with open(out / "history.csv", "w") as fh:
-        fh.write(log.header() + "\n")
-
-        def sink(rec: optim.IterRecord) -> None:
-            log.append(rec)
-            fh.write(log.format_row(rec) + "\n")
-
-        result = optim.run(ens, init, params, oracle=oracle, sink=sink,
-                           dual=dual)
-    elapsed = time.perf_counter() - started
-
-    save_rom(result.rom, out)
-    final = result.history[-1] if result.history else None
-    summary = {
-        "stop_reason": result.stop_reason.value,
-        "iterations": len(result.history),
-        "initial_f": result.initial_f,
-        "final_f": final.f if final else result.initial_f,
-        "initial_rel_h2_error": result.initial_rel_h2_error,
-        "final_rel_h2_error": final.rel_h2_error if final else result.initial_rel_h2_error,
-        "wall_time_s": elapsed,
-        "r": int(args.r),
-        "init": args.init,
-        "params": {"alpha0": params.alpha0, "c": params.c, "rho": params.rho,
-                   "tol": params.tol, "max_iters": params.max_iters,
-                   "max_backtracks": params.max_backtracks},
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary = reduce_into(Path(args.out), ens, init, params, init_label=args.init,
+                          oracle=oracle, dual=dual)
     _print_json(summary)
-
-    ok = result.stop_reason in (optim.StopReason.CONVERGED, optim.StopReason.MAX_ITERS)
-    return 0 if ok and result.rom.satisfies_spectral_bounds() else 3
+    # run accepts only iterates inside the stability annulus, so the stop
+    # reason alone tells a usable result
+    ok = (optim.StopReason.CONVERGED.value, optim.StopReason.MAX_ITERS.value)
+    return 0 if summary["stop_reason"] in ok else 3
 
 
 _EVALUATE_DEFAULTS = {"system": None, "rom": None}
@@ -359,8 +227,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     args = _resolve(args, _EVALUATE_DEFAULTS)
     if args.system is None or args.rom is None:
         raise ValueError("--system and --rom are required")
-    sys_ = load_system(args.system)
-    rom = load_rom(args.rom)
+    sys_ = dataio.load_system(args.system)
+    rom = dataio.load_rom(args.rom)
     eigs = rom.schur.eigvals
     mods = np.abs(eigs)
     norm = sysmodel.h2_norm(sys_)
@@ -439,6 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--rom", help="directory with rom_{A,B,C}.csv")
     ev.set_defaults(func=cmd_evaluate)
 
+    for sp in (gs, gd, rd, ev):
+        # the type each flag parses to, which a --config value must match
+        sp.set_defaults(flag_types={a.dest: bool if a.const is True else a.type or str
+                                    for a in sp._actions})
     return parser
 
 

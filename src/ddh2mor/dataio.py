@@ -1,9 +1,13 @@
-"""Snapshot ensembles: generation, rank checks, and CSV/JSON persistence.
+"""Snapshot data and every file the package reads or writes.
 
 An ensemble stacks N independent one-step transitions row-wise: X1 holds
 the starting states, U1 the applied inputs, and X2 the successor states.
 Observation noise with coefficient alpha perturbs both state snapshots,
 never the latent recursion.
+
+Each file format has one writer and one reader here: the system, ensemble
+and rom directories (CSV matrices plus a JSON manifest for the first two)
+and the ``history.csv`` iteration log.
 """
 
 from __future__ import annotations
@@ -15,24 +19,33 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .sysmodel import LtiSystem
+from .sysmodel import LtiSystem, Rom
 
 __all__ = [
+    "HISTORY_HEADER",
     "AssumptionReport",
     "DataEnsemble",
+    "IterRecord",
     "NoiseSpec",
-    "Trajectory",
     "TrajectorySet",
     "check_assumptions",
+    "check_json_type",
     "first_transitions",
     "generate_ensemble",
     "generate_trajectories",
+    "history_row",
     "load_ensemble",
+    "load_rom",
+    "load_system",
     "numerical_rank",
+    "read_history",
     "read_json_object",
     "read_manifest",
     "read_matrix",
     "save_ensemble",
+    "save_rom",
+    "save_system",
+    "write_json",
     "write_matrix",
 ]
 
@@ -40,6 +53,18 @@ __all__ = [
 RANK_TOL = 1e-10
 
 _CSV_FMT = "%.17e"
+
+HISTORY_HEADER = "iter,f,D,step,backtracks,rel_h2_error,stable"
+
+# the Python types a JSON value may load as, by the type it stands for: a
+# JSON integer is a valid float, a JSON boolean is no number
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+               str: ("a string", (str,)), bool: ("a boolean", (bool,))}
+# the JSON type each manifest entry must have where it is present
+_MANIFEST_TYPES = {"n": int, "m": int, "N": int, "alpha": float, "seed": int,
+                   "a": str, "b": str, "x1": str, "u1": str, "x2": str}
+# manifest entries that may be null (unknown provenance)
+_MANIFEST_NULLABLE = ("alpha", "seed")
 
 
 @dataclass(frozen=True)
@@ -105,8 +130,12 @@ class DataEnsemble:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """States (L, n) and the inputs ((L - 1), m) that produced them."""
+class TrajectorySet:
+    """N equally long trajectories, stored as two read-only arrays.
+
+    states : (N, L, n) states of each trajectory, L >= 2
+    inputs : (N, L - 1, m) the inputs that produced them
+    """
 
     states: np.ndarray
     inputs: np.ndarray
@@ -114,40 +143,17 @@ class Trajectory:
     def __post_init__(self):
         states = _snapshot(self.states, "states")
         inputs = _snapshot(self.inputs, "inputs")
-        if states.shape[0] != inputs.shape[0] + 1:
-            raise ValueError("need exactly one more state than inputs")
+        if states.ndim != 3 or inputs.ndim != 3:
+            raise ValueError("states and inputs must be (trajectory, step, entry) arrays")
+        N, L = states.shape[:2]
+        if N < 1:
+            raise ValueError("at least one trajectory is required")
+        if L < 2:
+            raise ValueError("trajectories need at least two states")
+        if inputs.shape[:2] != (N, L - 1):
+            raise ValueError("need N trajectories with exactly one more state than inputs")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)
-
-    @property
-    def length(self) -> int:
-        return self.states.shape[0]
-
-
-@dataclass(frozen=True)
-class TrajectorySet:
-    """A batch of equally long trajectories."""
-
-    trajectories: tuple[Trajectory, ...]
-
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        if not trajs:
-            raise ValueError("at least one trajectory is required")
-        L = trajs[0].length
-        if any(t.length != L for t in trajs):
-            raise ValueError("trajectories must share the same length")
-        object.__setattr__(self, "trajectories", trajs)
-
-    @property
-    def length(self) -> int:
-        return self.trajectories[0].length
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def __iter__(self):
-        return iter(self.trajectories)
 
 
 @dataclass(frozen=True)
@@ -221,15 +227,12 @@ def generate_trajectories(sys: LtiSystem, N: int, L: int,
     noise_part = draw[:, n + (L - 1) * m:].reshape(N, L, n)
     noise_part *= noise.alpha
     states += noise_part
-    return TrajectorySet(tuple(Trajectory(x, u) for x, u in zip(states, inputs)))
+    return TrajectorySet(states, inputs)
 
 
 def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
     """Reduce a trajectory set to the ensemble of its first transitions."""
-    X1 = np.vstack([t.states[0] for t in trajs])
-    U1 = np.vstack([t.inputs[0] for t in trajs])
-    X2 = np.vstack([t.states[1] for t in trajs])
-    return DataEnsemble(X1, U1, X2)
+    return DataEnsemble(trajs.states[:, 0], trajs.inputs[:, 0], trajs.states[:, 1])
 
 
 def check_assumptions(ens: DataEnsemble, n: int | None = None,
@@ -279,11 +282,26 @@ def read_json_object(path) -> dict:
     return payload
 
 
+def check_json_type(where, key: str, value, kind: type, *,
+                    nullable: bool = False) -> None:
+    """Raise FormatError unless ``value``, as loaded from JSON, is a ``kind``.
+
+    ``kind`` is int, float, str or bool.  A JSON integer is a valid float,
+    a boolean is no number, and null passes only when ``nullable``.
+    """
+    if value is None and nullable:
+        return
+    name, types = _JSON_TYPES[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise FormatError(f"{where}: {key!r} must be {name}"
+                          f"{' or null' if nullable else ''}, got {json.dumps(value)}")
+
+
 def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
     """Load a JSON manifest given its path or its containing directory.
 
-    Returns the manifest and its path; a missing ``required`` key raises
-    FormatError.
+    Returns the manifest and its path; a missing ``required`` key or an
+    entry of the wrong JSON type raises FormatError.
     """
     p = Path(path)
     manifest_path = p / default_name if p.is_dir() else p
@@ -291,7 +309,16 @@ def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
     missing = set(required) - manifest.keys()
     if missing:
         raise FormatError(f"{manifest_path}: manifest lacks keys {sorted(missing)}")
+    for key, kind in _MANIFEST_TYPES.items():
+        if key in manifest:
+            check_json_type(manifest_path, key, manifest[key], kind,
+                            nullable=key in _MANIFEST_NULLABLE)
     return manifest, manifest_path
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write a JSON object with sorted keys and two-space indents."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_ensemble(ens: DataEnsemble, path) -> Path:
@@ -304,7 +331,7 @@ def save_ensemble(ens: DataEnsemble, path) -> Path:
     write_matrix(root / files["x2"], ens.X2)
     manifest = {"n": ens.n, "m": ens.m, "N": ens.N,
                 "alpha": ens.alpha, "seed": ens.seed, **files}
-    (root / "ensemble.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(root / "ensemble.json", manifest)
     return root / "ensemble.json"
 
 
@@ -323,3 +350,92 @@ def load_ensemble(path) -> DataEnsemble:
             f"do not match manifest (N={N}, n={n}, m={m})")
     return DataEnsemble(X1, U1, X2,
                         alpha=manifest.get("alpha"), seed=manifest.get("seed"))
+
+
+def save_system(sys: LtiSystem, out: Path, *, h: float, seed: int) -> None:
+    """Write A.csv, B.csv and a system.json manifest into a directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out / "A.csv", sys.A)
+    write_matrix(out / "B.csv", sys.B)
+    write_json(out / "system.json", {"n": sys.n, "m": sys.m, "h": h, "seed": seed,
+                                      "a": "A.csv", "b": "B.csv", "c": "identity"})
+
+
+def load_system(path) -> LtiSystem:
+    """Load a system (identity output) from a manifest path or its directory."""
+    manifest, manifest_path = read_manifest(path, "system.json", ("n", "m"))
+    root = manifest_path.parent
+    A = read_matrix(root / manifest.get("a", "A.csv"))
+    B = read_matrix(root / manifest.get("b", "B.csv"))
+    if A.shape != (manifest["n"], manifest["n"]) or B.shape != (manifest["n"], manifest["m"]):
+        raise FormatError(f"{manifest_path}: matrix shapes disagree with manifest")
+    return LtiSystem.with_identity_output(A, B)
+
+
+def save_rom(rom: Rom, out: Path) -> None:
+    """Write rom_A.csv, rom_B.csv and rom_C.csv into a directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out / "rom_A.csv", rom.Ahat)
+    write_matrix(out / "rom_B.csv", rom.Bhat)
+    write_matrix(out / "rom_C.csv", rom.Chat)
+
+
+def load_rom(path) -> Rom:
+    """Load a rom from a directory written by ``save_rom``."""
+    root = Path(path)
+    return Rom(read_matrix(root / "rom_A.csv"), read_matrix(root / "rom_B.csv"),
+               read_matrix(root / "rom_C.csv"))
+
+
+@dataclass(frozen=True)
+class IterRecord:
+    """One history row; ``rel_h2_error`` is None without an oracle system."""
+
+    iter: int
+    f: float
+    D: float
+    step: float
+    backtracks: int
+    rel_h2_error: float | None
+    stable: bool
+
+
+def history_row(rec: IterRecord) -> str:
+    """The ``history.csv`` line of one record, without its newline.
+
+    A history file is ``HISTORY_HEADER`` and then one such line per record,
+    written as the descent produces them.
+    """
+    rel = "" if rec.rel_h2_error is None else _CSV_FMT % rec.rel_h2_error
+    return ",".join([str(rec.iter), _CSV_FMT % rec.f, _CSV_FMT % rec.D,
+                     _CSV_FMT % rec.step, str(rec.backtracks), rel,
+                     "true" if rec.stable else "false"])
+
+
+def read_history(path) -> list[IterRecord]:
+    """Read a history.csv file back into records.
+
+    A wrong header, a malformed row, an iteration index that does not
+    strictly increase and an objective that increases are FormatErrors.
+    """
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != HISTORY_HEADER:
+        raise FormatError(f"{path}: unexpected history header")
+    rows: list[IterRecord] = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        try:
+            if len(parts) != HISTORY_HEADER.count(",") + 1:
+                raise ValueError("wrong column count")
+            rec = IterRecord(iter=int(parts[0]), f=float(parts[1]), D=float(parts[2]),
+                             step=float(parts[3]), backtracks=int(parts[4]),
+                             rel_h2_error=float(parts[5]) if parts[5] else None,
+                             stable=parts[6] == "true")
+        except ValueError:
+            raise FormatError(f"{path}: malformed row {line!r}") from None
+        if rows and rec.iter <= rows[-1].iter:
+            raise FormatError(f"{path}: iteration indices must strictly increase")
+        if rows and rec.f > rows[-1].f:
+            raise FormatError(f"{path}: objective column must be non-increasing")
+        rows.append(rec)
+    return rows

@@ -9,10 +9,6 @@ class NotStable(ReductionError):
     """A state matrix has spectral radius at (or numerically beyond) one."""
 
 
-class SingularSystem(ReductionError):
-    """Back-substitution hit a pivot too small to trust."""
-
-
 class NoUniqueSolution(ReductionError):
     """Coefficient spectra collide, so the matrix equation has no unique solution."""
 

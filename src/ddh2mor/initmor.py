@@ -127,19 +127,17 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     share singular values and left vectors.  No intermediate is larger
     than the data.
     """
-    first = trajs.trajectories[0]
-    n, m = first.states.shape[1], first.inputs.shape[1]
-    steps = trajs.length - 1
-    if len(trajs) * steps < r:
+    N, L, n = trajs.states.shape
+    m = trajs.inputs.shape[2]
+    if N * (L - 1) < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
-    S = np.empty((len(trajs) * steps, 2 * n + m), order="F")
-    for i, t in enumerate(trajs):
-        rows = slice(i * steps, (i + 1) * steps)
-        S[rows, :n] = t.states[:-1]
-        S[rows, n:n + m] = t.inputs
-        S[rows, n + m:] = t.states[1:]
+    # one row per transition, trajectory by trajectory
+    S = np.empty((N * (L - 1), 2 * n + m), order="F")
+    S[:, :n] = trajs.states[:, :-1].reshape(-1, n)
+    S[:, n:n + m] = trajs.inputs.reshape(-1, m)
+    S[:, n + m:] = trajs.states[:, 1:].reshape(-1, n)
     R = scipy.linalg.qr(S, mode="raw", overwrite_a=True, check_finite=False)[1]
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 

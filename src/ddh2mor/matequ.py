@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import NotStable, NoUniqueSolution, SingularSystem
+from .errors import NotStable, NoUniqueSolution
 
 __all__ = [
     "PencilReport",
@@ -44,8 +44,8 @@ __all__ = [
     "to_schur",
 ]
 
-# pivot magnitudes below this abort the back-substitution
-_PIVOT_TOL = 1e-14
+# eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
+_UNIQUE_TOL = 1e-12
 # BLAS triangular solve for one complex right-hand side
 _ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
 # LAPACK plane rotation with a real cosine and a complex sine, in place
@@ -264,24 +264,19 @@ def _sweep(TM: np.ndarray, TN: np.ndarray, Yt: np.ndarray) -> np.ndarray:
     return Yt
 
 
-def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray, *,
-                unique_tol: float = 1e-12) -> np.ndarray:
+def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
     """Solve ``TM Y TN + C = Y``, the Sylvester equation in Schur coordinates.
 
     ``Ct`` is ``C^T``, an (r, k) complex C-contiguous array (``to_schur``
     gives it); it is overwritten with, and returned as, ``Y^T``.  Raises
     ``NoUniqueSolution`` when an eigenvalue product ``eig(M) eig(N)`` lies
-    within ``unique_tol`` of 1, and ``SingularSystem`` when a pivot
-    ``1 - lam_i mu_j`` falls below the pivot tolerance.
+    within 1e-12 of 1.
     """
     # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle
     gap = np.abs(1.0 - fm.eigvals[:, None] * fn.eigvals).min(initial=np.inf)
-    if gap < unique_tol:
+    if gap < _UNIQUE_TOL:
         raise NoUniqueSolution(
             "eigenvalue product of the coefficients is numerically 1")
-    if gap < _PIVOT_TOL:
-        raise SingularSystem(
-            f"pivot below {_PIVOT_TOL:g} in Schur back-substitution")
     return _sweep(fm.T, fn.T, Ct)
 
 
@@ -296,8 +291,7 @@ def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray
     return solve_schur(fa, fat, Ct)
 
 
-def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
-                             m_schur=None, n_schur=None) -> np.ndarray:
+def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarray:
     """Solve ``M X N + W = X`` for X.
 
     Parameters
@@ -305,9 +299,6 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
     M : (k, k) array
     N : (r, r) array
     W : (k, r) array
-    unique_tol : float
-        A unique solution requires eig(M) * eig(N) != 1; products within
-        this tolerance of 1 raise ``NoUniqueSolution``.
     m_schur, n_schur : optional SchurFactor
         Precomputed factors of M and N.  Passing them skips the reduction
         step, which pays off when the same coefficient is used across many
@@ -315,7 +306,8 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
 
     Returns
     -------
-    (k, r) real array
+    (k, r) real array; ``NoUniqueSolution`` is raised when an eigenvalue
+    product eig(M) * eig(N) lies within 1e-12 of 1
     """
     M = _as_square(M, "M")
     N = _as_square(N, "N")
@@ -328,7 +320,7 @@ def solve_discrete_sylvester(M, N, W, *, unique_tol: float = 1e-12,
 
     fm = m_schur if m_schur is not None else SchurFactor.of(M)
     fn = n_schur if n_schur is not None else SchurFactor.of(N)
-    Yt = solve_schur(fm, fn, to_schur(fm, fn, W), unique_tol=unique_tol)
+    Yt = solve_schur(fm, fn, to_schur(fm, fn, W))
     return from_schur(fm, fn, Yt)
 
 

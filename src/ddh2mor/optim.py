@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataEnsemble
+from .dataio import DataEnsemble, IterRecord
 from .ddgrad import (DualData, TrialObjective, data_gradients, objective_f,
-                     reconstruct_dual, reconstruct_dual_known_input,
-                     solve_gramians)
-from .errors import (AssumptionViolated, NotStable, NoUniqueSolution,
-                     SingularSystem)
+                     reconstruct_dual, solve_gramians)
+from .errors import AssumptionViolated, NotStable, NoUniqueSolution
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
-    "IterRecord",
     "OptimParams",
     "OptimResult",
     "StopReason",
@@ -40,7 +37,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # errors that merely disqualify a trial step during backtracking
-_CANDIDATE_ERRORS = (AssumptionViolated, NotStable, NoUniqueSolution, SingularSystem)
+_CANDIDATE_ERRORS = (AssumptionViolated, NotStable, NoUniqueSolution)
 
 
 class StopReason(enum.Enum):
@@ -75,19 +72,6 @@ class OptimParams:
 
 
 @dataclass(frozen=True)
-class IterRecord:
-    """One history row; ``rel_h2_error`` is None without an oracle system."""
-
-    iter: int
-    f: float
-    D: float
-    step: float
-    backtracks: int
-    rel_h2_error: float | None
-    stable: bool
-
-
-@dataclass(frozen=True)
 class OptimResult:
     rom: Rom
     history: tuple[IterRecord, ...]
@@ -114,22 +98,20 @@ def _record(history, sink, rec: IterRecord) -> None:
 
 
 def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
-        known_input=None, oracle: LtiSystem | None = None, sink=None,
-        dual: DualData | None = None, force: bool = False) -> OptimResult:
+        oracle: LtiSystem | None = None, sink=None,
+        dual: DualData | None = None) -> OptimResult:
     """Descend the data-driven h2 objective starting from ``init``.
 
     Parameters
     ----------
     ens : snapshot ensemble driving the gradients
     init : starting reduced model; must lie inside the stability annulus
-    known_input : optional (n, m) input matrix; when given, the dual
-        reconstruction uses it directly and only X1 needs full rank
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
     sink : optional callable receiving each IterRecord as it is produced
-    dual : optionally inject an already reconstructed DualData; the
-        reconstruction, known_input and force are then skipped
-    force : proceed past failed rank checks in the reconstruction
+    dual : an already reconstructed DualData, for instance
+        ``reconstruct_dual_known_input(ens, B)`` when the input matrix B is
+        known; by default ``reconstruct_dual(ens)`` is used
 
     Returns
     -------
@@ -141,8 +123,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         raise AssumptionViolated(
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
     if dual is None:
-        dual = (reconstruct_dual(ens, force=force) if known_input is None
-                else reconstruct_dual_known_input(ens, known_input, force=force))
+        dual = reconstruct_dual(ens)
 
     evaluator = H2ErrorEvaluator(oracle) if oracle is not None else None
 

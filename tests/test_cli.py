@@ -3,16 +3,19 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ddh2mor
 from ddh2mor import IterRecord, Rom, FormatError
-from ddh2mor.cli import ConvergenceLog, main, save_rom
+from ddh2mor.cli import build_parser, main
 from ddh2mor import impulse_from_system, save_impulse_data
-from ddh2mor.cli import load_system
+from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
+                            save_rom)
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +102,9 @@ def test_reduce_end_to_end(workspace, tmp_path, capsys):
     assert summary["r"] == 3 and summary["init"] == "databt"
     assert summary["params"]["tol"] == 1e-4
 
-    log = ConvergenceLog.read(out / "history.csv")
-    assert len(log.rows) == summary["iterations"]
-    log.validate()
-    fs = [r.f for r in log.rows]
-    assert all(b <= a for a, b in zip(fs, fs[1:]))
-    assert all(r.stable for r in log.rows)
+    rows = read_history(out / "history.csv")  # checks that f never increases
+    assert len(rows) == summary["iterations"]
+    assert all(r.stable for r in rows)
 
     rom_a = np.loadtxt(out / "rom_A.csv", delimiter=",", ndmin=2)
     assert rom_a.shape == (3, 3)
@@ -170,8 +170,7 @@ def test_reduce_with_impulse_file_needs_no_oracle(workspace, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     # no oracle, so relative errors stay blank
     assert summary["initial_rel_h2_error"] is None
-    log = ConvergenceLog.read(out / "history.csv")
-    assert all(r.rel_h2_error is None for r in log.rows)
+    assert all(r.rel_h2_error is None for r in read_history(out / "history.csv"))
 
 
 def test_reduce_from_saved_rom_file(workspace, tmp_path):
@@ -187,7 +186,8 @@ def test_reduce_from_saved_rom_file(workspace, tmp_path):
 
 def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"r": 2, "max_iters": 5, "init": "databt",
+    # alpha0 is a float flag, which a JSON integer may set
+    config.write_text(json.dumps({"r": 2, "max_iters": 5, "init": "databt", "alpha0": 1,
                                   "ensemble": str(workspace["ensemble"]),
                                   "oracle": str(workspace["system"]),
                                   "out": str(tmp_path / "from_config")}))
@@ -199,6 +199,22 @@ def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys
                  "--out", str(tmp_path / "flag_wins")]) == 0
     summary = json.loads((tmp_path / "flag_wins" / "summary.json").read_text())
     assert summary["r"] == 3
+
+    # a value whose JSON type differs from its flag's is refused
+    for argv, bad, message in [
+        (["reduce"], {"r": [3]}, "'r' must be an integer"),
+        (["reduce"], {"r": None}, "'r' must be an integer, got null"),
+        (["reduce"], {"force": 1}, "'force' must be a boolean"),
+        (["gen-data", "--system", str(workspace["system"])], {"N": 3.5},
+         "'N' must be an integer, got 3.5"),
+        (["gen-system"], {"h": "0.1"}, "'h' must be a number"),
+    ]:
+        capsys.readouterr()
+        config.write_text(json.dumps(bad))
+        assert main([*argv, "--config", str(config),
+                     "--out", str(tmp_path / "refused")]) == 1
+        assert_one_line_error(capsys, message)
+    assert not (tmp_path / "refused").exists()
 
 
 def test_unknown_config_key_exits_1(workspace, tmp_path, capsys):
@@ -288,7 +304,9 @@ def assert_one_line_error(capsys, text):
 @pytest.mark.parametrize("edit, message", [
     (lambda m: {k: v for k, v in m.items() if k != "n"}, "lacks keys ['n']"),
     (lambda m: [m], "expected a JSON object"),
-], ids=["without-n", "list"])
+    (lambda m: {**m, "a": 5}, "'a' must be a string, got 5"),
+    (lambda m: {**m, "n": True}, "'n' must be an integer, got true"),
+], ids=["without-n", "list", "a-int", "n-bool"])
 def test_evaluate_bad_system_manifest_exits_1(workspace, tmp_path, capsys, edit, message):
     sysdir = copy_with_manifest(workspace["system"], tmp_path / "sys", "system.json", edit)
     romdir = tmp_path / "rom"
@@ -298,12 +316,72 @@ def test_evaluate_bad_system_manifest_exits_1(workspace, tmp_path, capsys, edit,
 
 
 def test_reduce_ensemble_manifest_list_exits_1(workspace, tmp_path, capsys):
-    ensdir = copy_with_manifest(workspace["ensemble"], tmp_path / "ens",
-                                "ensemble.json", lambda m: [m])
-    rc = main(["reduce", "--ensemble", str(ensdir), "--r", "3", "--init", "databt",
-               "--oracle", str(workspace["system"]), "--out", str(tmp_path / "red")])
-    assert rc == 1
-    assert_one_line_error(capsys, "expected a JSON object")
+    for i, (edit, init, message) in enumerate([
+        (lambda m: [m], "databt", "expected a JSON object"),
+        (lambda m: {**m, "x1": None}, "databt", "'x1' must be a string, got null"),
+        (lambda m: {**m, "alpha": "x"}, "dmdc", "'alpha' must be a number or null"),
+        (lambda m: {**m, "N": 16.0}, "databt", "'N' must be an integer, got 16.0"),
+    ]):
+        ensdir = copy_with_manifest(workspace["ensemble"], tmp_path / f"ens{i}",
+                                    "ensemble.json", edit)
+        rc = main(["reduce", "--ensemble", str(ensdir), "--r", "3", "--init", init,
+                   "--oracle", str(workspace["system"]), "--out", str(tmp_path / "red")])
+        assert rc == 1
+        assert_one_line_error(capsys, message)
+    assert not (tmp_path / "red").exists()
+
+
+# JSON values of every kind, nested a little
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=3)
+# values of every JSON type but the one a flag of each type takes
+WRONG_JSON = {
+    int: st.floats() | st.text(max_size=4) | st.booleans() | st.lists(st.integers(), max_size=2),
+    float: st.text(max_size=4) | st.booleans() | st.lists(st.floats(), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    str: st.integers() | st.floats() | st.booleans() | st.lists(st.text(max_size=2), max_size=2),
+    bool: st.integers() | st.floats() | st.text(max_size=4) | st.lists(st.booleans(), max_size=2),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_manifests_and_configs_never_traceback(workspace, tmp_path, capsys, data):
+    """Any value in a manifest ends in an exit code, and a config value of
+    the wrong JSON type in a one-line error with exit 1."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    romdir = root / "rom"
+    save_rom(Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((12, 2))), romdir)
+    target = data.draw(st.sampled_from(["system", "ensemble", "config"]))
+    capsys.readouterr()
+    if target == "config":
+        command = data.draw(st.sampled_from(["gen-system", "gen-data", "reduce", "evaluate"]))
+        types = build_parser().parse_args([command]).flag_types
+        key = data.draw(st.sampled_from(sorted(set(types) - {"config", "help"})))
+        config = root / "config.json"
+        config.write_text(json.dumps({key: data.draw(WRONG_JSON[types[key]])}))
+        assert main([command, "--config", str(config)]) == 1
+        assert_one_line_error(capsys, f"{config}: {key!r} must be ")
+        return
+    name = f"{target}.json"
+    key = data.draw(st.sampled_from(sorted(json.loads((workspace[target] / name).read_text()))))
+    value = data.draw(JSON_VALUES)
+    copy_with_manifest(workspace[target], root / target, name, lambda m: {**m, key: value})
+    if target == "system":
+        argv = ["evaluate", "--system", str(root / "system"), "--rom", str(romdir)]
+    else:
+        argv = ["reduce", "--ensemble", str(root / "ensemble"), "--r", "3", "--init", "dmdc",
+                "--oracle", str(workspace["system"]), "--max-iters", "2",
+                "--out", str(root / "red")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 1:
+        assert err.strip().splitlines()[-1].startswith("error: ")
 
 
 def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):
@@ -331,40 +409,46 @@ def sample_records():
             IterRecord(2, 1.5, 0.8, 0.25, 0, None, True)]
 
 
+def write_history(path, records):
+    path.write_text("".join(line + "\n" for line in
+                            [HISTORY_HEADER, *map(history_row, records)]))
+
+
 def test_history_roundtrip(tmp_path):
-    log = ConvergenceLog()
-    for rec in sample_records():
-        log.append(rec)
     path = tmp_path / "history.csv"
-    log.write(path)
+    write_history(path, sample_records())
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,f,D,step,backtracks,rel_h2_error,stable"
     assert lines[1].endswith(",true")
     assert ",," in lines[2]  # blank rel_h2_error column
-    again = ConvergenceLog.read(path)
-    assert again.rows == sample_records()
+    assert read_history(path) == sample_records()
 
 
 def test_history_validation_rejects_increasing_objective(tmp_path):
-    log = ConvergenceLog()
-    log.append(IterRecord(1, 1.0, 1.0, 0.5, 0, None, True))
-    log.append(IterRecord(2, 2.0, 1.0, 0.5, 0, None, True))
-    with pytest.raises(ValueError):
-        log.write(tmp_path / "history.csv")
+    path = tmp_path / "history.csv"
+    write_history(path, [IterRecord(1, 1.0, 1.0, 0.5, 0, None, True),
+                         IterRecord(2, 2.0, 1.0, 0.5, 0, None, True)])
+    with pytest.raises(FormatError, match="non-increasing"):
+        read_history(path)
+    write_history(path, [IterRecord(2, 1.0, 1.0, 0.5, 0, None, True),
+                         IterRecord(2, 0.5, 1.0, 0.5, 0, None, True)])
+    with pytest.raises(FormatError, match="strictly increase"):
+        read_history(path)
 
 
 def test_history_read_rejects_bad_header(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(FormatError):
-        ConvergenceLog.read(path)
+        read_history(path)
 
 
 def test_history_read_rejects_short_rows(tmp_path):
     path = tmp_path / "history.csv"
-    path.write_text(ConvergenceLog.header() + "\n1,2.0,3.0\n")
-    with pytest.raises(FormatError):
-        ConvergenceLog.read(path)
+    for row in ("1,2.0,3.0", "1,2.0,3.0,0.5,x,,true"):
+        path.write_text(f"{HISTORY_HEADER}\n{row}\n")
+        with pytest.raises(FormatError, match="malformed row"):
+            read_history(path)
 
 
 def test_experiment_script_produces_artifact_tree(tmp_path):
@@ -381,10 +465,10 @@ def test_experiment_script_produces_artifact_tree(tmp_path):
     assert (out / "ensemble" / "ensemble.json").exists()
     run_dir = out / "databt"
     summary = json.loads((run_dir / "summary.json").read_text())
-    assert summary["initializer"] == "databt"
+    assert summary["init"] == "databt" and summary["r"] == 2
+    assert summary["params"]["max_iters"] == 10
     assert summary["stop_reason"] in ("converged", "max_iters")
-    history = ConvergenceLog.read(run_dir / "history.csv")
-    assert len(history.rows) == summary["iterations"]
+    assert len(read_history(run_dir / "history.csv")) == summary["iterations"]
     rom_A = np.loadtxt(run_dir / "rom_A.csv", delimiter=",", ndmin=2)
     assert rom_A.shape == (2, 2)
 
@@ -393,7 +477,8 @@ def test_experiment_script_produces_artifact_tree(tmp_path):
     ("[1,2", "invalid JSON"),
     (json.dumps({"order": 3}), "unknown config keys"),
     (json.dumps({"n": "ten"}), "error:"),
-], ids=["malformed", "unknown-key", "wrong-type"])
+    (json.dumps({"N": 3.5}), "'N' must be an integer, got 3.5"),
+], ids=["malformed", "unknown-key", "wrong-type", "float-for-int"])
 def test_experiment_script_bad_config_exits_1(tmp_path, capsys, content, message):
     config = tmp_path / "config.json"
     config.write_text(content)

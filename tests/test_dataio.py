@@ -8,7 +8,6 @@ from ddh2mor import (
     DataEnsemble,
     FormatError,
     NoiseSpec,
-    Trajectory,
     TrajectorySet,
     check_assumptions,
     first_transitions,
@@ -125,26 +124,25 @@ def test_numerical_rank_monotone_in_rows(seed, rows):
 def test_trajectories_shapes_and_recursion():
     sys = random_system(np.random.default_rng(8), 4, 2)
     trajs = generate_trajectories(sys, 5, 7, NoiseSpec(alpha=0.0, seed=9))
-    assert len(trajs) == 5 and trajs.length == 7
-    for t in trajs:
-        assert t.states.shape == (7, 4) and t.inputs.shape == (6, 2)
+    assert trajs.states.shape == (5, 7, 4) and trajs.inputs.shape == (5, 6, 2)
+    assert not (trajs.states.flags.writeable or trajs.inputs.flags.writeable)
+    for x, u in zip(trajs.states, trajs.inputs):
         for k in range(6):
-            np.testing.assert_array_equal(
-                t.states[k + 1], sys.A @ t.states[k] + sys.B @ t.inputs[k])
+            np.testing.assert_array_equal(x[k + 1], sys.A @ x[k] + sys.B @ u[k])
 
 
 def loop_trajectories(sys, N, L, noise):
     """One trajectory at a time, each drawing its initial state, inputs and
     noise in turn: the reference the batched generator must reproduce."""
     rng = np.random.default_rng(noise.seed)
-    out = []
+    states, inputs = [], []
     for _ in range(N):
         x0 = rng.standard_normal(sys.n)
-        inputs = rng.standard_normal((L - 1, sys.m))
-        latent = simulate(sys, x0, inputs)
-        observed = latent + noise.alpha * rng.standard_normal(latent.shape)
-        out.append(Trajectory(observed, inputs))
-    return TrajectorySet(tuple(out))
+        u = rng.standard_normal((L - 1, sys.m))
+        latent = simulate(sys, x0, u)
+        states.append(latent + noise.alpha * rng.standard_normal(latent.shape))
+        inputs.append(u)
+    return np.stack(states), np.stack(inputs)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3])
@@ -153,21 +151,23 @@ def test_trajectories_match_per_trajectory_loop(n, m, N, L, alpha):
     sys = random_system(np.random.default_rng(n), n, m)
     noise = NoiseSpec(alpha=alpha, seed=17)
     got = generate_trajectories(sys, N, L, noise)
-    ref = loop_trajectories(sys, N, L, noise)
-    assert len(got) == len(ref) == N
-    for a, b in zip(got, ref):
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
+    states, inputs = loop_trajectories(sys, N, L, noise)
+    assert got.states.shape == (N, L, n) and got.inputs.shape == (N, L - 1, m)
+    np.testing.assert_array_equal(got.states, states)
+    np.testing.assert_array_equal(got.inputs, inputs)
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        TrajectorySet(())
-    with pytest.raises(ValueError):
-        TrajectorySet((Trajectory(np.zeros((3, 2)), np.zeros((2, 1))),
-                       Trajectory(np.zeros((4, 2)), np.zeros((3, 1)))))
+    for states, inputs in [
+        (np.zeros((1, 3, 2)), np.zeros((1, 3, 1))),  # as many inputs as states
+        (np.zeros((0, 3, 2)), np.zeros((0, 2, 1))),  # no trajectory
+        (np.zeros((2, 3, 2)), np.zeros((1, 2, 1))),  # trajectory counts differ
+        (np.zeros((1, 1, 2)), np.zeros((1, 0, 1))),  # a single state
+        (np.zeros((3, 2)), np.zeros((2, 1))),  # no trajectory axis
+        (np.full((1, 3, 2), np.nan), np.zeros((1, 2, 1))),
+    ]:
+        with pytest.raises(ValueError):
+            TrajectorySet(states, inputs)
     with pytest.raises(ValueError):
         generate_trajectories(random_system(np.random.default_rng(0), 2, 1), 3, 1)
 
@@ -177,10 +177,10 @@ def test_first_transitions_picks_trajectory_heads():
     trajs = generate_trajectories(sys, 6, 4, NoiseSpec(seed=11))
     ens = first_transitions(trajs)
     assert (ens.N, ens.n, ens.m) == (6, 3, 2)
-    for i, t in enumerate(trajs):
-        np.testing.assert_array_equal(ens.X1[i], t.states[0])
-        np.testing.assert_array_equal(ens.U1[i], t.inputs[0])
-        np.testing.assert_array_equal(ens.X2[i], t.states[1])
+    for i, (x, u) in enumerate(zip(trajs.states, trajs.inputs)):
+        np.testing.assert_array_equal(ens.X1[i], x[0])
+        np.testing.assert_array_equal(ens.U1[i], u[0])
+        np.testing.assert_array_equal(ens.X2[i], x[1])
 
 
 # ---------------------------------------------------------------- round trip

@@ -13,7 +13,6 @@ from ddh2mor import (
     NoiseSpec,
     Rom,
     SingularE,
-    Trajectory,
     TrajectorySet,
     generate_trajectories,
     impulse_from_system,
@@ -113,9 +112,9 @@ def test_dmdc_reduced_order_shapes_and_annulus():
 def svd_route_dmdc(trajs, r):
     """DMDc through SVDs of the full snapshot matrices: the reference for
     the triangle-based init_dmdc."""
-    X = np.hstack([t.states[:-1].T for t in trajs])
-    Xp = np.hstack([t.states[1:].T for t in trajs])
-    U = np.hstack([t.inputs.T for t in trajs])
+    X = np.hstack([x[:-1].T for x in trajs.states])
+    Xp = np.hstack([x[1:].T for x in trajs.states])
+    U = np.hstack([u.T for u in trajs.inputs])
     n = X.shape[0]
     if Xp.shape[1] < r or numerical_rank(Xp, 1e-10) < r:
         raise InsufficientData(
@@ -133,11 +132,11 @@ def svd_route_dmdc(trajs, r):
 def repeated_input_trajectories(sys, N, L, seed):
     """Trajectories whose input columns are equal, so rank [X; U] = n + m - 1."""
     rng = np.random.default_rng(seed)
-    out = []
+    states, inputs = [], []
     for _ in range(N):
-        inputs = np.repeat(rng.standard_normal((L - 1, 1)), sys.m, axis=1)
-        out.append(Trajectory(simulate(sys, rng.standard_normal(sys.n), inputs), inputs))
-    return TrajectorySet(tuple(out))
+        inputs.append(np.repeat(rng.standard_normal((L - 1, 1)), sys.m, axis=1))
+        states.append(simulate(sys, rng.standard_normal(sys.n), inputs[-1]))
+    return TrajectorySet(np.stack(states), np.stack(inputs))
 
 
 @pytest.mark.parametrize("n, m, r, alpha", [(8, 2, 3, 0.0), (8, 2, 3, 1e-3), (6, 2, 6, 0.0),
@@ -152,7 +151,7 @@ def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
     n, m, r = 6, 2, 3
     trajs = repeated_input_trajectories(random_system(np.random.default_rng(32), n, m),
                                         20, 8, 33)
-    Z = np.hstack([np.hstack([t.states[:-1], t.inputs]).T for t in trajs])
+    Z = np.hstack([np.hstack([x[:-1], u]).T for x, u in zip(trajs.states, trajs.inputs)])
     sz = np.linalg.svd(Z, compute_uv=False)
     # keep = n + m - 1 < n + m: one direction of [X; U] is dropped
     assert np.count_nonzero(sz > 1e-14 * sz[0]) == n + m - 1
@@ -160,9 +159,8 @@ def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
 
 
 def test_dmdc_rejects_rank_deficient_snapshots():
-    zero = Trajectory(np.zeros((4, 3)), np.zeros((3, 1)))
     with pytest.raises(InsufficientData):
-        init_dmdc(TrajectorySet((zero,)), 1)
+        init_dmdc(TrajectorySet(np.zeros((1, 4, 3)), np.zeros((1, 3, 1))), 1)
 
 
 @pytest.mark.parametrize("route", [init_dmdc, svd_route_dmdc])
@@ -174,7 +172,7 @@ def test_dmdc_rejects_rank_deficient_snapshots():
 ], ids=["zero", "too-few-columns", "zero-identification"])
 def test_dmdc_insufficient_data_matches_svd_route(route, states, inputs, r, message):
     with pytest.raises(InsufficientData, match=message):
-        route(TrajectorySet((Trajectory(states, inputs),)), r)
+        route(TrajectorySet(np.asarray(states)[None], np.asarray(inputs)[None]), r)
 
 
 def test_dmdc_svds_stay_within_the_triangle(monkeypatch):

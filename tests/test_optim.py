@@ -11,12 +11,15 @@ from ddh2mor import (
     OptimParams,
     Rom,
     StopReason,
+    data_gradients,
     generate_ensemble,
     init_data_bt,
     impulse_from_system,
     objective_f,
     reconstruct_dual,
+    reconstruct_dual_known_input,
     run,
+    solve_gramians,
     solve_R,
     solve_stein,
     stack_direction,
@@ -105,10 +108,34 @@ def test_known_input_route_runs_on_minimal_data():
     sys = random_system(rng, 8, 2)
     ens = generate_ensemble(sys, 8, NoiseSpec(seed=8))  # N = n < n + m
     init = init_data_bt(impulse_from_system(sys, 10), 2)
-    res = run(ens, init, OptimParams(max_iters=50), known_input=sys.B, oracle=sys)
+    res = run(ens, init, OptimParams(max_iters=50), oracle=sys,
+              dual=reconstruct_dual_known_input(ens, sys.B))
     assert res.stop_reason in (StopReason.CONVERGED, StopReason.MAX_ITERS)
     fs = [rec.f for rec in res.history]
     assert all(b <= a for a, b in zip(fs, fs[1:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(2, 9), m=st.integers(1, 3), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_known_and_unknown_input_routes_agree(data, n, m, extra, seed):
+    # N >= n + m noiseless snapshots: both reconstructions apply and recover
+    # the same dual data, so the descents see the same objective and gradient
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, m)
+    ens = generate_ensemble(sys, n + m + extra, NoiseSpec(seed=seed))
+    rom = random_rom(rng, data.draw(st.integers(1, n - 1)), m, n)
+    duals = (reconstruct_dual(ens), reconstruct_dual_known_input(ens, sys.B))
+    unknown, known = (data_gradients(rom, solve_gramians(dual, rom)) for dual in duals)
+    for block in ("gA", "gB", "gC"):
+        assert rel_max_err(getattr(known, block), getattr(unknown, block)) < 1e-7
+    params = OptimParams(max_iters=3, tol=1e-15)
+    unknown, known = (run(ens, rom, params, dual=dual) for dual in duals)
+    assert known.initial_f == pytest.approx(unknown.initial_f, rel=1e-7)
+    assert known.history[0].D == pytest.approx(unknown.history[0].D, rel=1e-7)
+    assert [r.step for r in known.history] == [r.step for r in unknown.history]
+    np.testing.assert_allclose([r.f for r in known.history],
+                               [r.f for r in unknown.history], rtol=1e-7)
 
 
 def test_sink_streams_every_record():
