@@ -72,12 +72,15 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Apply flag-over-file-over-default precedence for every option.
 
     A config value must have the JSON type of its flag; null stands in only
-    for a flag whose default is unset.
+    for a flag whose default is unset.  ``args.given`` names the options set
+    by a flag or the config.
     """
     config = {} if args.config is None else dataio.read_json_object(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    args.given = {key for key in defaults
+                  if getattr(args, key, None) is not None or key in config}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             if key in config:
@@ -139,7 +142,12 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
     if kind == "file":
         if args.init_data is None:
             raise ValueError("--init file requires --init-data DIR")
-        return dataio.load_rom(args.init_data)
+        # a loaded rom keeps its order; a given r must agree with it
+        rom = dataio.load_rom(args.init_data)
+        if "r" in args.given and r != rom.r:
+            raise ValueError(f"r = {r} does not match the order {rom.r} of the "
+                             f"rom in {args.init_data}")
+        return rom
 
     if kind == "loewner":
         if args.init_data is not None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
-from .matequ import (SchurFactor, from_schur, pseudoinverse, solve_discrete_sylvester,
-                     solve_schur, solve_stein, spectral_separation, stein_schur)
+from .matequ import (UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse, solve_schur,
+                     solve_stein, stein_schur, to_schur)
 from .sysmodel import GradientTriple, Rom
 
 __all__ = [
@@ -150,15 +150,22 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy(), report)
 
 
-def _require_separation(coef: SchurFactor, rom: Rom, label: str) -> None:
+def _require_separation(coef: SchurFactor, lam: np.ndarray, label: str) -> None:
     """Require eig(coef) * eig(Ahat) != 1, the condition for a unique R or S.
 
-    Measured as the distance between the coefficient spectrum and the
-    reciprocal rom poles (zero poles have none).
+    One product ``mu lam`` over the coefficient spectrum ``mu`` and the rom
+    poles ``lam`` gives the moduli ``|1 - mu lam|``, which are the pivots of
+    the sweep.  Each must be at least ``SEPARATION_TOL |lam|``, that is,
+    ``mu`` lies that far from the reciprocal pole ``1 / lam`` (a zero pole
+    has none), and at least ``UNIQUE_TOL``, the uniqueness floor of
+    ``solve_discrete_sylvester``.  The sweeps of R and S check nothing
+    further.
     """
-    lam = rom.schur.eigvals
-    sep = spectral_separation(coef.eigvals, 1.0 / lam[lam != 0.0])
-    if sep < SEPARATION_TOL:
+    gaps = np.abs(1.0 - coef.eigvals[:, None] * lam)
+    mods = np.abs(lam)
+    if (gaps < np.maximum(SEPARATION_TOL * mods, UNIQUE_TOL)).any():
+        nonzero = mods > 0.0
+        sep = (gaps[:, nonzero] / mods[nonzero]).min(initial=np.inf)
         raise AssumptionViolated(
             f"{label} spectrum within {sep:.3e} of a reciprocal rom pole "
             f"(tolerance {SEPARATION_TOL:g})")
@@ -170,8 +177,19 @@ def _solve_R_schur(dual: DualData, rom: Rom, fn: SchurFactor) -> np.ndarray:
     ``fn`` is the factor of Ahat^T; the right-hand side
     ``ZM^H GB Bhat^T Zn`` comes from the cached ``gb_schur``.
     """
-    _require_separation(dual.mr_schur, rom, "MR")
+    _require_separation(dual.mr_schur, fn.eigvals, "MR")
     return solve_schur(dual.mr_schur, fn, (fn.Z.T @ rom.Bhat) @ dual.gb_schur.T)
+
+
+def _solve_PR_schur(dual: DualData, rom: Rom, fn: SchurFactor):
+    """P and R of ``rom`` in Schur coordinates, ``(Yp^T, Yr^T)``.
+
+    ``Yp = Za^H P Zn`` solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and
+    ``Yr = ZM^H R Zn`` the R equation; ``fn`` is the factor of Ahat^T.
+    """
+    fa, B = rom.schur, rom.Bhat
+    Yp = stein_schur(fa, fn, (fn.Z.T @ B) @ (fa.ZH @ B).T)
+    return Yp, _solve_R_schur(dual, rom, fn)
 
 
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
@@ -182,11 +200,11 @@ def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term S from data: ``MS S Ahat - Chat = S``."""
-    _require_separation(dual.ms_schur, rom, "MS")
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
-    return solve_discrete_sylvester(dual.MS, rom.Ahat, -rom.Chat,
-                                    m_schur=dual.ms_schur, n_schur=rom.schur)
+    fm, fa = dual.ms_schur, rom.schur
+    _require_separation(fm, fa.eigvals, "MS")
+    return from_schur(fm, fa, solve_schur(fm, fa, to_schur(fm, fa, -rom.Chat)))
 
 
 def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
@@ -203,12 +221,25 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
+def _gramians(dual: DualData, rom: Rom, fn: SchurFactor, Yp: np.ndarray,
+              Yr: np.ndarray) -> GramianSet:
+    """The GramianSet of ``rom`` from its P and R in Schur coordinates.
+
+    ``(Yp, Yr)`` is what ``_solve_PR_schur(dual, rom, fn)`` returns; P and R
+    are back-transformed, P symmetrized as ``solve_stein`` does, and Q and
+    S are solved here.
+    """
+    P = from_schur(rom.schur, fn, Yp)
+    R = from_schur(dual.mr_schur, fn, Yr)
+    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat, a_schur=fn)
+    S = solve_S(dual, rom)
+    return GramianSet(0.5 * (P + P.T), Q, R, S, solve_SB(dual, S))
+
+
 def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
     """Every solve one data-driven gradient evaluation needs."""
-    P, Q = rom_gramians(rom)
-    R = solve_R(dual, rom)
-    S = solve_S(dual, rom)
-    return GramianSet(P, Q, R, S, solve_SB(dual, S))
+    fn = rom.schur.transposed()
+    return _gramians(dual, rom, fn, *_solve_PR_schur(dual, rom, fn))
 
 
 def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
@@ -234,8 +265,12 @@ class TrialObjective:
     ``ZM^H Chat`` is linear in the step, so ``ZM^H Chat`` and ``ZM^H gC`` of
     the iterate are formed once here; a trial then costs the two sweeps
     plus O(n r^2).  The guards are those of ``solve_stein`` and
-    ``solve_R``: stability, the separation of MR from the reciprocal poles,
-    the uniqueness gap and the pivot check, raising the same errors.
+    ``solve_R``: stability and the separation of MR from the reciprocal
+    poles, raising the same errors.
+
+    The solutions of the last trial are kept: once the line search accepts
+    a trial, ``gramians()`` turns them into the accepted model's
+    GramianSet, and only Q and S are solved for its gradient.
     """
 
     def __init__(self, dual: DualData, rom: Rom, g: GradientTriple):
@@ -244,18 +279,22 @@ class TrialObjective:
         # (ZM^H Chat)^T and (ZM^H gC)^T, in the (r, n) layout of the sweep
         self._chat = rom.Chat.T @ ZHt
         self._gc = g.gC.T @ ZHt
+        self._last = None
 
     def __call__(self, cand: Rom, alpha: float) -> float:
         """f at ``cand``, which must be ``rom.stepped(g, alpha)``."""
         fa = cand.schur
         fn = fa.transposed()
-        B, C = cand.Bhat, cand.Chat
-        # Ahat P Ahat^T + Bhat Bhat^T = P
-        Yp = stein_schur(fa, fn, (fn.Z.T @ B) @ (fa.ZH @ B).T)
+        C = cand.Chat
+        Yp, Yr = _solve_PR_schur(self._dual, cand, fn)
+        self._last = (cand, fn, Yp, Yr)
         Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
-        Yr = _solve_R_schur(self._dual, cand, fn)
         Kr = fn.Z.T @ (self._chat - alpha * self._gc)
         return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real)
+
+    def gramians(self) -> GramianSet:
+        """``solve_gramians`` at the last trial model, reusing its P and R."""
+        return _gramians(self._dual, *self._last)
 
 
 def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:

@@ -8,6 +8,7 @@ Frequency and impulse data can either be sampled from a known system
 
 from __future__ import annotations
 
+import cmath
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dataio import TrajectorySet, read_json_object
+from .dataio import TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
 from .sysmodel import Rom, markov_parameters, transfer_eval
@@ -338,22 +339,30 @@ def impulse_from_system(sys_like, count: int = 10) -> ImpulseData:
 
 
 def _parse_scalar(value, where: str) -> complex:
+    """A finite JSON number or {re, im} object of numbers, as a complex."""
     if isinstance(value, dict):
-        try:
-            return complex(float(value["re"]), float(value.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{where}: bad complex entry {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return complex(value)
-    raise FormatError(f"{where}: expected a number or {{re, im}} object")
+        parts = {"re": value.get("re"), "im": value.get("im", 0.0)}
+    else:
+        parts = {"entry": value}
+    for key, part in parts.items():
+        check_json_type(where, key, part, float)
+    try:
+        z = complex(*map(float, parts.values()))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FormatError(f"{where}: entry beyond the float range") from exc
+    if not cmath.isfinite(z):
+        raise FormatError(f"{where}: non-finite entry {value!r}")
+    return z
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
-    try:
-        return np.array([[_parse_scalar(v, where) for v in row] for row in rows],
-                        dtype=complex)
-    except TypeError as exc:
-        raise FormatError(f"{where}: expected a nested array of entries") from exc
+    """A non-empty nested list of equally long rows of entries."""
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)
+            and rows[0] and len({len(row) for row in rows}) == 1):
+        raise FormatError(f"{where}: expected a non-empty nested array of equally "
+                          "long rows")
+    return np.array([[_parse_scalar(v, where) for v in row] for row in rows],
+                    dtype=complex)
 
 
 def _encode_scalar(v: complex):
@@ -392,7 +401,10 @@ def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
                                   _parse_matrix(entry["value"], where), side))
         return out
 
-    return decode("left"), decode("right")
+    left, right = decode("left"), decode("right")
+    if len({s.value.shape for s in left + right}) > 1:
+        raise FormatError(f"{p}: sample values differ in shape")
+    return left, right
 
 
 def save_impulse_data(imp: ImpulseData, path) -> None:
@@ -409,6 +421,8 @@ def load_impulse_data(path) -> ImpulseData:
     if not isinstance(mats, list) or not mats:
         raise FormatError(f"{p}: missing or empty 'markov' list")
     parsed = [_parse_matrix(mat, f"{p}:markov[{i}]") for i, mat in enumerate(mats)]
+    if len({mat.shape for mat in parsed}) > 1:
+        raise FormatError(f"{p}: Markov parameters differ in shape")
     stacked = np.array(parsed)
     if np.abs(stacked.imag).max(initial=0.0) > 0.0:
         raise FormatError(f"{p}: Markov parameters must be real")

@@ -16,7 +16,10 @@ matrix (``SchurFactor``).
 ``solve_schur`` and ``stein_schur`` solve in Schur coordinates
 ``Y = Zm^H X Zn`` and leave the back-transform to the caller, which may
 need only inner products of the solution (``to_schur``/``from_schur``
-convert).
+convert).  ``solve_schur`` checks nothing: each caller establishes the
+uniqueness of its solution once, from the eigenvalue products
+``eig(M) eig(N)`` (``solve_discrete_sylvester``) or from a stronger
+condition that implies it (the stability check of ``stein_schur``).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 # eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
-_UNIQUE_TOL = 1e-12
+UNIQUE_TOL = 1e-12
 # BLAS triangular solve for one complex right-hand side
 _ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
 # LAPACK plane rotation with a real cosine and a complex sine, in place
@@ -268,15 +271,10 @@ def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
     """Solve ``TM Y TN + C = Y``, the Sylvester equation in Schur coordinates.
 
     ``Ct`` is ``C^T``, an (r, k) complex C-contiguous array (``to_schur``
-    gives it); it is overwritten with, and returned as, ``Y^T``.  Raises
-    ``NoUniqueSolution`` when an eigenvalue product ``eig(M) eig(N)`` lies
-    within 1e-12 of 1.
+    gives it); it is overwritten with, and returned as, ``Y^T``.  The
+    pivots of the sweep are ``1 - eig(M) eig(N)``; the caller makes sure
+    that none of them is numerically zero.
     """
-    # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle
-    gap = np.abs(1.0 - fm.eigvals[:, None] * fn.eigvals).min(initial=np.inf)
-    if gap < _UNIQUE_TOL:
-        raise NoUniqueSolution(
-            "eigenvalue product of the coefficients is numerically 1")
     return _sweep(fm.T, fn.T, Ct)
 
 
@@ -284,7 +282,8 @@ def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray
     """``solve_schur`` for the Stein equation ``A X A^T + W = X``.
 
     ``fat`` is ``fa.transposed()``, the factor of A^T.  Requires the
-    spectral radius of A to be strictly below one.
+    spectral radius of A to be strictly below one, which keeps every
+    eigenvalue product more than ``UNIQUE_TOL`` away from 1.
     """
     if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - _STABILITY_TOL:
         raise NotStable("spectral radius is not strictly below one")
@@ -320,6 +319,10 @@ def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarr
 
     fm = m_schur if m_schur is not None else SchurFactor.of(M)
     fn = n_schur if n_schur is not None else SchurFactor.of(N)
+    # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle
+    if np.abs(1.0 - fm.eigvals[:, None] * fn.eigvals).min() < UNIQUE_TOL:
+        raise NoUniqueSolution(
+            "eigenvalue product of the coefficients is numerically 1")
     Yt = solve_schur(fm, fn, to_schur(fm, fn, W))
     return from_schur(fm, fn, Yt)
 

@@ -3,13 +3,21 @@
 Each iteration assembles the data-driven gradients, stacks them into one
 descent direction, and backtracks the step until the objective decreases
 by the Armijo margin while the candidate stays inside the stability
-annulus.  A trial step factors its Ahat once (the spectral bounds read the
+annulus.  The first trial step of the first iteration is ``alpha0``; every
+later iteration starts from ``min(alpha0, alpha_prev / rho)``, one
+expansion of the step it accepted last (the "previous step" initial step
+of Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.5).  A
+descent whose steps settle well below ``alpha0`` then skips the
+rejections on the way down.
+
+A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates the objective with
 ``TrialObjective``: the P and R equations are solved in Schur coordinates
-and the objective is read off the solutions as inner products, so a trial
-forms neither P nor R.  The gradient solves are made once per accepted
-iterate, and the accepted trial's objective value is carried forward as
-the next iterate's, so every iterate has one value of f.
+and the objective is read off the solutions as inner products.  The
+accepted trial's solutions are carried forward: the next gradient
+back-transforms its P and R and solves only Q and S, and its objective
+value becomes the next iterate's, so every iterate has one value of f and
+one solve of each equation.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import (DualData, TrialObjective, data_gradients, objective_f,
                      reconstruct_dual, solve_gramians)
-from .errors import AssumptionViolated, NotStable, NoUniqueSolution
+from .errors import AssumptionViolated, NotStable
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
@@ -37,7 +45,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # errors that merely disqualify a trial step during backtracking
-_CANDIDATE_ERRORS = (AssumptionViolated, NotStable, NoUniqueSolution)
+_CANDIDATE_ERRORS = (AssumptionViolated, NotStable)
 
 
 class StopReason(enum.Enum):
@@ -51,7 +59,8 @@ class StopReason(enum.Enum):
 class OptimParams:
     """Line-search and termination parameters.
 
-    alpha0 : initial step size
+    alpha0 : first trial step of the first iteration; caps each later
+             iteration's first trial, ``min(alpha0, alpha_prev / rho)``
     c      : Armijo decrease coefficient
     rho    : backtracking shrink factor
     tol    : stop once the squared direction norm D falls below this
@@ -136,9 +145,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     initial_rel = None
     stop = StopReason.MAX_ITERS
 
+    trial_f = None
     for it in range(1, params.max_iters + 1):
         try:
-            grams = solve_gramians(dual, rom)
+            # the start solves P and R itself; every later iterate has them
+            # from the trial that accepted it
+            grams = solve_gramians(dual, rom) if trial_f is None else trial_f.gramians()
             g = data_gradients(rom, grams)
         except AssumptionViolated:
             stop = StopReason.ASSUMPTION_VIOLATED
@@ -160,7 +172,10 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             break
 
         accepted = None
-        alpha = params.alpha0
+        # alpha still holds the step accepted last; one expansion of it opens
+        # the search, so the step can grow back towards alpha0
+        alpha = params.alpha0 if trial_f is None else min(params.alpha0,
+                                                          alpha / params.rho)
         trial_f = TrialObjective(dual, rom, g)
         for bt in range(params.max_backtracks):
             cand = rom.stepped(g, alpha)

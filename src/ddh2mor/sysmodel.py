@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GenerationFailed, SingularShift
-from .matequ import (SchurFactor, solve_discrete_sylvester, solve_stein,
-                     spectral_radius)
+from .matequ import (SchurFactor, solve_discrete_sylvester, solve_schur,
+                     solve_stein, spectral_radius, stein_schur)
 
 __all__ = [
     "ErrorGramians",
@@ -271,16 +271,28 @@ def model_based_gradients(sys: LtiSystem, rom: Rom) -> GradientTriple:
 class H2ErrorEvaluator:
     """Repeated h2-error evaluations against one fixed full-order system.
 
-    Caches the Schur factorization of A and the full-order gramian term so
-    each call only solves the small reduced and cross equations.
+    Caches the Schur factorization ``A = Z T Z^H``, the full-order gramian
+    term, and B and C in A's Schur coordinates, so each call only solves
+    the reduced and cross equations, in Schur coordinates, and reads the
+    error off the solutions as inner products:
+
+        tr(Chat P Chat^T)  = Re <Yp, Zr^H Chat^T Chat Zn>
+        tr(C R Chat^T)     = Re <Yr, Zn^T Chat^T C conj(Z)>
+
+    with ``Ahat = Zr Tr Zr^H``, ``Zn`` the Schur vectors of Ahat^T,
+    ``Yp = Zr^H P Zn`` and ``Yr = Z^H R Zn``.  No n x r matrix is
+    back-transformed.
     """
 
     def __init__(self, sys: LtiSystem):
         self._sys = sys
-        self._a_schur = SchurFactor.of(sys.A)
-        sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=self._a_schur)
+        fa = self._a_schur = SchurFactor.of(sys.A)
+        sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=fa)
         self._trace_full = float(np.trace(sys.C @ sigma_c @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
+        # Z^H B (n, m) and C conj(Z) (p, n)
+        self._zb = fa.ZH @ sys.B
+        self._cz = sys.C @ fa.Z.conj()
 
     @property
     def system(self) -> LtiSystem:
@@ -291,14 +303,17 @@ class H2ErrorEvaluator:
         return self._h2
 
     def error(self, rom: Rom) -> float:
-        sys = self._sys
-        P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T, a_schur=rom.schur)
-        R = solve_discrete_sylvester(sys.A, rom.Ahat.T, sys.B @ rom.Bhat.T,
-                                     m_schur=self._a_schur,
-                                     n_schur=rom.schur.transposed())
-        CR = sys.C @ R
-        val = (self._trace_full + np.sum((rom.Chat @ P) * rom.Chat)
-               - 2.0 * np.sum(CR * rom.Chat))
+        fr = rom.schur
+        fn = fr.transposed()
+        B, C = rom.Bhat, rom.Chat
+        # Ahat P Ahat^T + Bhat Bhat^T = P and A R Ahat^T + B Bhat^T = R; A and
+        # Ahat are both stable, so stein_schur's check covers both equations
+        Bn = fn.Z.T @ B
+        Yp = stein_schur(fr, fn, Bn @ (fr.ZH @ B).T)
+        Yr = solve_schur(self._a_schur, fn, Bn @ self._zb.T)
+        Kp = (fn.Z.T @ (C.T @ C)) @ fr.ZH.T
+        Kr = fn.Z.T @ (C.T @ self._cz)
+        val = self._trace_full + np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real
         return float(np.sqrt(max(val, 0.0)))
 
     def relative_error(self, rom: Rom) -> float:

@@ -184,6 +184,24 @@ def test_reduce_from_saved_rom_file(workspace, tmp_path):
     assert rc == 0
 
 
+def test_reduce_from_rom_file_keeps_its_order(workspace, tmp_path, capsys):
+    initdir = tmp_path / "init"
+    save_rom(Rom(np.diag([0.5, 0.4, 0.3]), np.ones((3, 2)), np.ones((12, 3))), initdir)
+    base = ["reduce", "--ensemble", str(workspace["ensemble"]), "--init", "file",
+            "--init-data", str(initdir), "--max-iters", "3"]
+    # no r given: the rom's order stands
+    assert main([*base, "--out", str(tmp_path / "kept")]) == 0
+    assert json.loads((tmp_path / "kept" / "summary.json").read_text())["r"] == 3
+    # an r that differs from it, by flag or by config, is refused
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"r": 4}))
+    for extra in (["--r", "6"], ["--config", str(config)]):
+        capsys.readouterr()
+        assert main([*base, *extra, "--out", str(tmp_path / "refused")]) == 1
+        assert_one_line_error(capsys, "does not match the order 3 of the rom")
+    assert not (tmp_path / "refused").exists()
+
+
 def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys):
     config = tmp_path / "config.json"
     # alpha0 is a float flag, which a JSON integer may set

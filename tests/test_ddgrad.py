@@ -232,6 +232,24 @@ def test_reciprocal_pole_collision_raises():
         solve_S(dual, rom)
 
 
+def test_separation_check_keeps_the_sweep_pivots_off_zero():
+    # a small rom pole against a large data eigenvalue: mu = 1000 lies
+    # 5e-10 from the reciprocal pole, outside SEPARATION_TOL, but the sweep's
+    # pivot 1 - mu lam is then 5e-13, below the uniqueness floor, and the one
+    # check of the R and S solves refuses it
+    sys = LtiSystem.with_identity_output(np.diag([1000.0, 0.5]), np.array([[1.0], [2.0]]))
+    dual = reconstruct_dual(generate_ensemble(sys, 8, NoiseSpec(seed=18)))
+    for gap, unique in ((5e-9, True), (5e-10, False)):
+        assert gap > SEPARATION_TOL
+        rom = Rom(np.array([[1.0 / (1000.0 + gap)]]), np.array([[1.0]]), np.ones((2, 1)))
+        for solve in (solve_R, solve_S):
+            if unique:
+                assert np.isfinite(solve(dual, rom)).all()
+            else:
+                with pytest.raises(AssumptionViolated):
+                    solve(dual, rom)
+
+
 # ------------------------------------------------------------------ objective
 
 

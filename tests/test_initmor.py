@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ddh2mor import (
     FormatError,
@@ -449,6 +450,87 @@ def test_impulse_loader_rejects_bad_payloads(tmp_path):
         {"markov": [[[{"re": 1.0, "im": 0.5}]]]}))
     with pytest.raises(FormatError):
         load_impulse_data(path)
+
+
+@pytest.mark.parametrize("entry", [True, False, {"re": True}, {"re": 1.0, "im": False},
+                                   {"re": "1.0"}, float("nan"), {"re": float("inf")}, 10**400],
+                         ids=["true", "false", "re-bool", "im-bool", "re-string", "nan",
+                              "re-inf", "huge-int"])
+def test_loaders_take_only_finite_numbers(tmp_path, entry):
+    # a JSON boolean loads as a Python int; it is no number here, and neither
+    # is a string, a non-finite value or an integer beyond the float range
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"markov": [[[1.0, entry]]]}))
+    with pytest.raises(FormatError):
+        load_impulse_data(path)
+    good = {"z": {"re": 1.0}, "value": [[1.0]]}
+    for bad in ({"z": entry, "value": [[1.0]]}, {"z": {"re": 1.0}, "value": [[entry]]}):
+        path.write_text(json.dumps({"left": [good], "right": [good, bad]}))
+        with pytest.raises(FormatError):
+            load_frequency_samples(path)
+
+
+def test_loaders_reject_ragged_blocks(tmp_path):
+    path = tmp_path / "bad.json"
+    for markov in ([[[1.0, 2.0], [3.0]]], [[[1.0]], [[1.0, 2.0]]], [[]], [[[]]]):
+        path.write_text(json.dumps({"markov": markov}))
+        with pytest.raises(FormatError):
+            load_impulse_data(path)
+    one, two = ({"z": {"re": 1.0}, "value": v} for v in ([[1.0]], [[1.0, 2.0]]))
+    path.write_text(json.dumps({"left": [one], "right": [two]}))
+    with pytest.raises(FormatError):
+        load_frequency_samples(path)
+
+
+def json_paths(node, path=()):
+    """Every position in a JSON tree, as the keys and indices leading to it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(node, path, value):
+    if not path:
+        return value
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[path[0]] = replaced(node[path[0]], path[1:], value)
+    return out
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=3) | st.just(10**400))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES | st.fixed_dictionaries({"re": JSON_LEAVES}, optional={"im": JSON_LEAVES}),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def loader_payloads(tmp_path_factory):
+    sys = random_system(np.random.default_rng(25), 3, 2)
+    root = tmp_path_factory.mktemp("payloads")
+    save_frequency_samples(*sample_frequency_data(sys, 2, 2, seed=26), root / "freq.json")
+    save_impulse_data(impulse_from_system(sys, 3), root / "imp.json")
+    return {load_frequency_samples: json.loads((root / "freq.json").read_text()),
+            load_impulse_data: json.loads((root / "imp.json").read_text())}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_init_data_loads_or_raises_format_error(loader_payloads, tmp_path, data):
+    load = data.draw(st.sampled_from(sorted(loader_payloads, key=lambda f: f.__name__)))
+    payload = loader_payloads[load]
+    path = data.draw(st.sampled_from(list(json_paths(payload))))
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(replaced(payload, path, data.draw(JSON_VALUES))))
+    try:
+        load(target)
+    except FormatError:
+        pass
 
 
 def test_freq_sample_validation():

@@ -261,3 +261,94 @@ def test_params_validation():
         OptimParams(tol=0.0)
     with pytest.raises(ValueError):
         OptimParams(max_iters=0)
+
+
+def record_stepped(monkeypatch):
+    """Record the step of every trial model ``Rom.stepped`` builds."""
+    alphas = []
+    original = Rom.stepped
+
+    def stepped(self, g, alpha):
+        alphas.append(alpha)
+        return original(self, g, alpha)
+
+    monkeypatch.setattr(Rom, "stepped", stepped)
+    return alphas
+
+
+def test_first_trial_is_warm_started_from_the_last_accepted_step(monkeypatch):
+    sys, ens, init = make_problem(seed=0)
+    params = OptimParams(tol=1e-6, max_iters=60)
+    alphas = record_stepped(monkeypatch)
+    res = run(ens, init, params)
+    rows = [rec for rec in res.history if rec.step > 0]
+    assert len(rows) > 10
+    assert len(alphas) == sum(rec.backtracks + 1 for rec in rows)
+    first = params.alpha0
+    for rec in rows:
+        trials, alphas = alphas[:rec.backtracks + 1], alphas[rec.backtracks + 1:]
+        assert trials[0] == first
+        for a, b in zip(trials, trials[1:]):
+            assert b == a * params.rho
+        assert trials[-1] == rec.step
+        first = min(params.alpha0, rec.step / params.rho)
+    # the warm start matters here: some iteration starts below alpha0
+    assert min(rec.step for rec in rows) / params.rho < params.alpha0
+
+
+@pytest.mark.parametrize("route", ["unknown-input", "known-input"])
+def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
+    # later iterates take P and R from their accepted trial; the gradient is
+    # the one a fresh solve of every equation at that iterate gives
+    sys, ens, init = make_problem(seed=16)
+    dual = (reconstruct_dual(ens) if route == "unknown-input"
+            else reconstruct_dual_known_input(ens, sys.B))
+    seen = []
+
+    def recording(rom, grams):
+        g = data_gradients(rom, grams)
+        seen.append((rom, grams, g))
+        return g
+
+    monkeypatch.setattr(ddh2mor.optim, "data_gradients", recording)
+    res = run(ens, init, OptimParams(max_iters=12, tol=1e-15), dual=dual)
+    assert len(seen) == len(res.history) == 12
+    for rom, grams, g in seen:
+        fresh = solve_gramians(dual, rom)
+        ref = data_gradients(rom, fresh)
+        for block in ("gA", "gB", "gC"):
+            assert rel_max_err(getattr(g, block), getattr(ref, block)) < 1e-12
+        for name in ("P", "Q", "R", "S", "SB"):
+            assert rel_max_err(getattr(grams, name), getattr(fresh, name)) < 1e-12
+        # P as the general Stein solver gives it, and symmetric as it does
+        P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T)
+        assert rel_max_err(grams.P, P) < 1e-10
+        np.testing.assert_array_equal(grams.P, grams.P.T)
+
+
+def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
+    sys, ens, init = make_problem(seed=17)
+    dual = reconstruct_dual(ens)
+    calls = {"P": 0, "R": 0, "Q": 0, "S": 0, "trials": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # the P sweep and the Q solve are the only Stein solves of a descent
+    counted(ddh2mor.ddgrad, "stein_schur", "P")
+    counted(ddh2mor.ddgrad, "_solve_R_schur", "R")
+    counted(ddh2mor.ddgrad, "solve_stein", "Q")
+    counted(ddh2mor.ddgrad, "solve_S", "S")
+    counted(ddh2mor.ddgrad.TrialObjective, "__call__", "trials")
+    k = 8
+    res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
+    assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
+    assert calls["Q"] == calls["S"] == k
+    assert calls["trials"] >= k
+    assert calls["P"] == calls["R"] == 1 + calls["trials"]

@@ -268,6 +268,24 @@ def test_evaluator_matches_direct_error():
     assert ev.system is sys
 
 
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_evaluator_matches_quadrature_for_any_output_map(p):
+    # the error is read off Schur-coordinate solutions; an independent
+    # quadrature of the error system's transfer function checks it, also
+    # for output maps other than the identity and with complex rom poles
+    rng = np.random.default_rng(30 + p)
+    base = random_system(rng, 8, 2)
+    sys = LtiSystem(base.A, base.B, rng.standard_normal((p, 8)))
+    ev = H2ErrorEvaluator(sys)
+    for _ in range(3):
+        rom = random_rom(rng, 4, 2, p)
+        A = np.block([[sys.A, np.zeros((8, 4))], [np.zeros((4, 8)), rom.Ahat]])
+        ref = quad_h2_norm(A, np.vstack([sys.B, rom.Bhat]), np.hstack([sys.C, -rom.Chat]))
+        assert ev.error(rom) == pytest.approx(ref, rel=1e-9)
+        assert ev.relative_error(rom) == pytest.approx(ref / quad_h2_norm(sys.A, sys.B, sys.C),
+                                                       rel=1e-9)
+
+
 # ---------------------------------------------------------------- synthetic
 
 

@@ -1,11 +1,13 @@
-"""The package's export lists and the traced benchmark harness keep
-working against the package's API.
+"""The package's export lists and the benchmark harness keep working
+against the package's API.
 
 ``benchmarks/tracing.py`` wraps package functions by name when a tracer is
 entered.  A renamed or removed function makes entering fail, so this test
 catches it before a traced benchmark run does.  A name deleted from a
 module but left in its ``__all__`` or in the package's imports is caught
-the same way.
+the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
+its history; the count must stay the number of trial models the descent
+built.
 """
 
 import ast
@@ -16,14 +18,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ddh2mor
+from helpers import random_system
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def load_benchmark_module(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their defining module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
@@ -32,7 +37,7 @@ def load_tracing(monkeypatch):
 
 
 def test_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_benchmark_module(monkeypatch, "tracing")
     original = ddh2mor.solve_stein
     with tracing.Tracer() as tracer:
         assert ddh2mor.solve_stein is not original
@@ -58,3 +63,28 @@ def test_export_lists_name_what_exists():
                              [n for n in vars(module) if not n.startswith("_")])
             unlisted = [a.name for a in node.names if a.name not in public]
             assert not unlisted, f"ddh2mor imports {unlisted} outside ddh2mor.{node.module}.__all__"
+
+
+@pytest.mark.parametrize("params, stop", [
+    (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED),
+    # the Armijo margin c = 0.3 soon defeats two backtracks
+    (ddh2mor.OptimParams(alpha0=0.0625, c=0.3, max_backtracks=2, tol=1e-6),
+     ddh2mor.StopReason.BACKTRACK_EXHAUSTED),
+], ids=["converged", "backtrack-exhausted"])
+def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, stop):
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    rng = np.random.default_rng(1)
+    sys_ = random_system(rng, 12, 2)
+    ens = ddh2mor.generate_ensemble(sys_, 16, ddh2mor.NoiseSpec(seed=2))
+    init = ddh2mor.init_data_bt(ddh2mor.impulse_from_system(sys_, 10), 3)
+    built = []
+    stepped = ddh2mor.Rom.stepped
+    monkeypatch.setattr(ddh2mor.Rom, "stepped",
+                        lambda rom, g, alpha: built.append(alpha) or stepped(rom, g, alpha))
+    res = ddh2mor.run(ens, init, params)
+    assert res.stop_reason is stop and len(res.history) > 10
+    accepted, trials = workloads.count_steps(
+        [(h.step, h.backtracks) for h in res.history], res.stop_reason.value,
+        params.max_backtracks)
+    assert accepted == sum(h.step > 0 for h in res.history)
+    assert trials == len(built)
