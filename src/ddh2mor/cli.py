@@ -21,7 +21,8 @@ from . import dataio, ddgrad, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
-__all__ = ["main", "reduce_into"]
+__all__ = ["OPTIM_DEFAULTS", "ORACLE_START_DEFAULTS", "flag_types", "main",
+           "optim_params", "oracle_start", "reduce_into", "resolve_options"]
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +67,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-# --- flag/config resolution -------------------------------------------------
+# --- options, shared with scripts/run_experiment.py --------------------------
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
+def resolve_options(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Apply flag-over-file-over-default precedence for every option.
 
-    A config value must have the JSON type of its flag; null stands in only
-    for a flag whose default is unset.  ``args.given`` names the options set
-    by a flag or the config.
+    A config value must have the JSON type of its flag (``args.flag_types``,
+    see ``flag_types``); null stands in only for a flag whose default is
+    unset.  ``args.given`` names the options set by a flag or the config.
     """
     config = {} if args.config is None else dataio.read_json_object(args.config)
     unknown = set(config) - set(defaults)
@@ -90,13 +91,60 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     return args
 
 
+def flag_types(parser: argparse.ArgumentParser) -> dict:
+    """The type each flag of ``parser`` parses to, which a config value must match."""
+    return {a.dest: bool if a.const is True else a.type or str for a in parser._actions}
+
+
+# the descent's options and defaults are OptimParams' own
+OPTIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(optim.OptimParams)}
+
+# how much data an oracle start synthesizes; a null trajectory count means
+# one trajectory per ensemble sample
+ORACLE_START_DEFAULTS = {"init_traj_count": None, "init_traj_length": 10,
+                         "init_left": 30, "init_right": 30, "init_impulse_count": 10}
+
+
+def optim_params(args: argparse.Namespace) -> optim.OptimParams:
+    """OptimParams from resolved options, each coerced to its default's type."""
+    return optim.OptimParams(**{key: type(default)(getattr(args, key))
+                                for key, default in OPTIM_DEFAULTS.items()})
+
+
+def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
+                 oracle: sysmodel.LtiSystem, seed: int) -> sysmodel.Rom:
+    """The ``kind`` start of order ``args.r`` from data synthesized from ``oracle``.
+
+    dmdc simulates ``init_traj_count`` trajectories of ``init_traj_length``
+    states under the ensemble's noise level, loewner samples ``init_left``
+    and ``init_right`` transfer-function values, and databt takes
+    ``init_impulse_count`` Markov parameters.  ``seed`` seeds the random
+    draws.
+    """
+    r = int(args.r)
+    if kind == "dmdc":
+        count = ens.N if args.init_traj_count is None else int(args.init_traj_count)
+        noise = dataio.NoiseSpec(alpha=ens.alpha or 0.0, seed=seed)
+        trajs = dataio.generate_trajectories(oracle, count,
+                                             int(args.init_traj_length), noise)
+        return initmor.init_dmdc(trajs, r)
+    if kind == "loewner":
+        left, right = initmor.sample_frequency_data(
+            oracle, int(args.init_left), int(args.init_right), seed)
+        return initmor.init_loewner(left, right, r)
+    if kind == "databt":
+        imp = initmor.impulse_from_system(oracle, int(args.init_impulse_count))
+        return initmor.init_data_bt(imp, r)
+    raise ValueError(f"unknown initializer {kind!r}")
+
+
 # --- subcommands ------------------------------------------------------------
 
 _GEN_SYSTEM_DEFAULTS = {"n": 100, "m": 2, "h": 0.1, "seed": 0, "out": "system"}
 
 
 def cmd_gen_system(args: argparse.Namespace) -> int:
-    args = _resolve(args, _GEN_SYSTEM_DEFAULTS)
+    args = resolve_options(args, _GEN_SYSTEM_DEFAULTS)
     spec = sysmodel.SyntheticSpec(n=int(args.n), m=int(args.m),
                                   h=float(args.h), seed=int(args.seed))
     sys_ = sysmodel.generate_synthetic(spec)
@@ -112,7 +160,7 @@ _GEN_DATA_DEFAULTS = {"system": None, "N": 102, "alpha": 0.0, "seed": 0,
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    args = _resolve(args, _GEN_DATA_DEFAULTS)
+    args = resolve_options(args, _GEN_DATA_DEFAULTS)
     if args.system is None:
         raise ValueError("--system is required")
     sys_ = dataio.load_system(args.system)
@@ -127,11 +175,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 _REDUCE_DEFAULTS = {
     "ensemble": None, "r": 6, "init": "dmdc", "oracle": None,
-    "init_data": None, "init_seed": None, "init_traj_count": None,
-    "init_traj_length": 10, "init_left": 30, "init_right": 30,
-    "init_impulse_count": 10, "alpha0": 1.0, "c": 1e-4, "rho": 0.5,
-    "tol": 1e-3, "max_iters": 500, "max_backtracks": 60,
-    "force": False, "out": "reduction",
+    "init_data": None, "init_seed": None, **ORACLE_START_DEFAULTS,
+    **OPTIM_DEFAULTS, "force": False, "out": "reduction",
 }
 
 
@@ -148,41 +193,20 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
             raise ValueError(f"r = {r} does not match the order {rom.r} of the "
                              f"rom in {args.init_data}")
         return rom
-
-    if kind == "loewner":
-        if args.init_data is not None:
-            left, right = initmor.load_frequency_samples(args.init_data)
-        elif oracle is not None:
-            seed = _init_seed(args, ens)
-            left, right = initmor.sample_frequency_data(
-                oracle, int(args.init_left), int(args.init_right), seed)
-        else:
-            raise ValueError("--init loewner needs --oracle or --init-data")
-        return initmor.init_loewner(left, right, r)
-
-    if kind == "databt":
-        if args.init_data is not None:
-            imp = initmor.load_impulse_data(args.init_data)
-        elif oracle is not None:
-            imp = initmor.impulse_from_system(oracle, int(args.init_impulse_count))
-        else:
-            raise ValueError("--init databt needs --oracle or --init-data")
-        return initmor.init_data_bt(imp, r)
-
-    if kind == "dmdc":
-        if args.init_data is not None:
+    if args.init_data is not None:
+        if kind == "dmdc":
             raise ValueError("--init dmdc reads no --init-data; it simulates "
                              "trajectories from --oracle")
-        if oracle is None:
-            raise ValueError("--init dmdc needs --oracle to generate trajectories")
-        seed = _init_seed(args, ens)
-        count = args.init_traj_count
-        count = ens.N if count is None else int(count)
-        noise = dataio.NoiseSpec(alpha=ens.alpha or 0.0, seed=seed)
-        trajs = dataio.generate_trajectories(oracle, count,
-                                             int(args.init_traj_length), noise)
-        return initmor.init_dmdc(trajs, r)
-
+        if kind == "loewner":
+            return initmor.init_loewner(*initmor.load_frequency_samples(args.init_data), r)
+        if kind == "databt":
+            return initmor.init_data_bt(initmor.load_impulse_data(args.init_data), r)
+    elif oracle is not None:
+        return oracle_start(kind, args, ens, oracle, _init_seed(args, ens))
+    elif kind == "dmdc":
+        raise ValueError("--init dmdc needs --oracle to generate trajectories")
+    elif kind in ("loewner", "databt"):
+        raise ValueError(f"--init {kind} needs --oracle or --init-data")
     raise ValueError(f"unknown initializer {kind!r}")
 
 
@@ -194,7 +218,7 @@ def _init_seed(args, ens: dataio.DataEnsemble) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    args = _resolve(args, _REDUCE_DEFAULTS)
+    args = resolve_options(args, _REDUCE_DEFAULTS)
     if args.ensemble is None:
         raise ValueError("--ensemble is required")
     if int(args.r) < 1:
@@ -215,11 +239,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     oracle = dataio.load_system(args.oracle) if args.oracle is not None else None
     init = _build_initializer(args, ens, oracle)
-    params = optim.OptimParams(
-        alpha0=float(args.alpha0), c=float(args.c), rho=float(args.rho),
-        tol=float(args.tol), max_iters=int(args.max_iters),
-        max_backtracks=int(args.max_backtracks))
-    summary = reduce_into(Path(args.out), ens, init, params, init_label=args.init,
+    summary = reduce_into(Path(args.out), ens, init, optim_params(args), init_label=args.init,
                           oracle=oracle, dual=dual)
     _print_json(summary)
     # run accepts only iterates inside the stability annulus, so the stop
@@ -232,19 +252,20 @@ _EVALUATE_DEFAULTS = {"system": None, "rom": None}
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    args = _resolve(args, _EVALUATE_DEFAULTS)
+    args = resolve_options(args, _EVALUATE_DEFAULTS)
     if args.system is None or args.rom is None:
         raise ValueError("--system and --rom are required")
     sys_ = dataio.load_system(args.system)
     rom = dataio.load_rom(args.rom)
     eigs = rom.schur.eigvals
     mods = np.abs(eigs)
-    norm = sysmodel.h2_norm(sys_)
-    err = sysmodel.h2_error(sys_, rom)
+    # the evaluator reduce's oracle uses, so both report the same error
+    evaluator = sysmodel.H2ErrorEvaluator(sys_)
+    err = evaluator.error(rom)
     _print_json({
-        "h2_norm_system": norm,
+        "h2_norm_system": evaluator.h2_norm,
         "h2_error_abs": err,
-        "h2_error_rel": err / norm,
+        "h2_error_rel": err / evaluator.h2_norm,
         "rom_order": rom.r,
         "rom_eigenvalues": [{"re": float(e.real), "im": float(e.imag)} for e in eigs],
         "rom_spectral_radius": float(mods.max()),
@@ -316,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     for sp in (gs, gd, rd, ev):
-        # the type each flag parses to, which a --config value must match
-        sp.set_defaults(flag_types={a.dest: bool if a.const is True else a.type or str
-                                    for a in sp._actions})
+        sp.set_defaults(flag_types=flag_types(sp))
     return parser
 
 

@@ -226,14 +226,17 @@ def _gramians(dual: DualData, rom: Rom, fn: SchurFactor, Yp: np.ndarray,
     """The GramianSet of ``rom`` from its P and R in Schur coordinates.
 
     ``(Yp, Yr)`` is what ``_solve_PR_schur(dual, rom, fn)`` returns; P and R
-    are back-transformed, P symmetrized as ``solve_stein`` does, and Q and
-    S are solved here.
+    are back-transformed, and Q and S are solved here.  Q solves the Stein
+    equation of Ahat^T, whose factor is ``fn`` and whose transposed factor
+    is ``rom.schur``.  P and Q are symmetrized as ``solve_stein`` does.
     """
-    P = from_schur(rom.schur, fn, Yp)
+    fa = rom.schur
+    C = rom.Chat
+    P = from_schur(fa, fn, Yp)
     R = from_schur(dual.mr_schur, fn, Yr)
-    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat, a_schur=fn)
+    Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
     S = solve_S(dual, rom)
-    return GramianSet(0.5 * (P + P.T), Q, R, S, solve_SB(dual, S))
+    return GramianSet(0.5 * (P + P.T), 0.5 * (Q + Q.T), R, S, solve_SB(dual, S))
 
 
 def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:

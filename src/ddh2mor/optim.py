@@ -161,9 +161,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         if it == 1:
             f_curr = initial_f = objective_f(rom, grams.P, grams.R)
             initial_rel = rel_error(rom)
-        logger.debug("iter %d: f=%.6e D=%.3e |rom|=%.3e", it, f_curr, D,
-                     float(np.sqrt(np.sum(rom.Ahat**2) + np.sum(rom.Bhat**2)
-                                   + np.sum(rom.Chat**2))))
+        logger.debug("iter %d: f=%.6e D=%.3e", it, f_curr, D)
 
         if D < params.tol:
             _record(history, sink, IterRecord(it, f_curr, D, 0.0, 0,

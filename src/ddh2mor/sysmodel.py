@@ -303,6 +303,8 @@ class H2ErrorEvaluator:
         return self._h2
 
     def error(self, rom: Rom) -> float:
+        if rom.p != self._sys.p or rom.m != self._sys.m:
+            raise ValueError("system and rom must share input/output dimensions")
         fr = rom.schur
         fn = fr.transposed()
         B, C = rom.Bhat, rom.Chat

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import shutil
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ddh2mor
-from ddh2mor import IterRecord, Rom, FormatError
+from ddh2mor import IterRecord, OptimParams, Rom, FormatError
 from ddh2mor.cli import build_parser, main
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
@@ -212,6 +213,7 @@ def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys
     assert main(["reduce", "--config", str(config)]) == 0
     summary = json.loads((tmp_path / "from_config" / "summary.json").read_text())
     assert summary["r"] == 2 and summary["params"]["max_iters"] == 5
+    assert isinstance(summary["params"]["alpha0"], float)
 
     assert main(["reduce", "--config", str(config), "--r", "3",
                  "--out", str(tmp_path / "flag_wins")]) == 0
@@ -272,6 +274,25 @@ def test_evaluate_report(workspace, tmp_path, capsys):
     assert payload["rom_spectral_radius"] < 1.0
 
 
+def test_reduce_defaults_are_optim_params(workspace, tmp_path):
+    out = tmp_path / "red"
+    assert main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+                 "--init", "databt", "--oracle", str(workspace["system"]),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"] == dataclasses.asdict(OptimParams())
+
+
+def test_evaluate_error_is_the_error_reduce_ends_on(workspace, tmp_path, capsys):
+    out = tmp_path / "red"
+    assert main(reduce_args(workspace, out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["evaluate", "--system", str(workspace["system"]), "--rom", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["h2_error_rel"] == summary["final_rel_h2_error"]
+
+
 def test_evaluate_reports_exact_real_and_conjugate_eigenvalues(workspace, tmp_path, capsys):
     rng = np.random.default_rng(3)
     D = np.diag([0.5, -0.3, 0.2, 0.0, 0.0])
@@ -297,6 +318,14 @@ def test_evaluate_unstable_rom_exits_3(workspace, tmp_path, capsys):
     rc = main(["evaluate", "--system", str(workspace["system"]),
                "--rom", str(romdir)])
     assert rc == 3
+
+
+def test_evaluate_rom_of_other_output_size_exits_1(workspace, tmp_path, capsys):
+    romdir = tmp_path / "rom"
+    save_rom(Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((5, 2))), romdir)
+    rc = main(["evaluate", "--system", str(workspace["system"]), "--rom", str(romdir)])
+    assert rc == 1
+    assert_one_line_error(capsys, "must share input/output dimensions")
 
 
 def test_evaluate_missing_rom_exits_1(workspace, tmp_path, capsys):
@@ -517,3 +546,36 @@ def test_experiment_script_checks_ranks_once(tmp_path, monkeypatch, capsys):
     for kind in ("dmdc", "loewner", "databt"):
         assert (tmp_path / "exp" / kind / "summary.json").exists()
     assert len(calls) == 1
+
+
+def test_experiment_script_reruns_from_its_own_config(tmp_path, capsys):
+    script = load_experiment_script()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert script.main(["--n", "8", "--r", "2", "--N", "10", "--seed", "1",
+                        "--out", str(first)]) == 0
+    config = json.loads((first / "config.json").read_text())
+    assert config["initializer"] == "all" and config["output_dir"] == str(first)
+    optim_keys = [f.name for f in dataclasses.fields(OptimParams)]
+    assert {key: config[key] for key in optim_keys} == dataclasses.asdict(OptimParams())
+
+    assert script.main(["--config", str(first / "config.json"),
+                        "--out", str(second)]) == 0
+    for kind in ("dmdc", "loewner", "databt"):
+        for name in ("history.csv", "rom_A.csv", "rom_B.csv", "rom_C.csv"):
+            assert (second / kind / name).read_bytes() == (first / kind / name).read_bytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"rho": 2}, "rho in (0, 1)"),
+    ({"initializer": "newton"}, "unknown initializer 'newton'"),
+    ({"n": 8, "r": 8}, "0 < r < n"),
+], ids=["optim-range", "initializer", "order"])
+def test_experiment_script_out_of_range_config_exits_1(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    rc = load_experiment_script().main(["--config", str(config),
+                                        "--out", str(tmp_path / "exp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "exp").exists()

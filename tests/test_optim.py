@@ -329,7 +329,7 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
 def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
     sys, ens, init = make_problem(seed=17)
     dual = reconstruct_dual(ens)
-    calls = {"P": 0, "R": 0, "Q": 0, "S": 0, "trials": 0}
+    calls = {"stein": 0, "R": 0, "S": 0, "solve_stein": 0, "trials": 0}
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -340,15 +340,18 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # the P sweep and the Q solve are the only Stein solves of a descent
-    counted(ddh2mor.ddgrad, "stein_schur", "P")
+    # the P sweeps and the Q sweeps are the only Stein solves of a descent
+    counted(ddh2mor.ddgrad, "stein_schur", "stein")
     counted(ddh2mor.ddgrad, "_solve_R_schur", "R")
-    counted(ddh2mor.ddgrad, "solve_stein", "Q")
     counted(ddh2mor.ddgrad, "solve_S", "S")
+    counted(ddh2mor.ddgrad, "solve_stein", "solve_stein")
     counted(ddh2mor.ddgrad.TrialObjective, "__call__", "trials")
     k = 8
     res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
     assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
-    assert calls["Q"] == calls["S"] == k
     assert calls["trials"] >= k
-    assert calls["P"] == calls["R"] == 1 + calls["trials"]
+    # P at the start and in every trial, Q once per gradient
+    assert calls["stein"] == 1 + calls["trials"] + k
+    assert calls["R"] == 1 + calls["trials"]
+    assert calls["S"] == k
+    assert calls["solve_stein"] == 0

@@ -7,7 +7,7 @@ catches it before a traced benchmark run does.  A name deleted from a
 module but left in its ``__all__`` or in the package's imports is caught
 the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
 its history; the count must stay the number of trial models the descent
-built.
+built.  Its annulus check repeats the package's eigenvalue bounds.
 """
 
 import ast
@@ -88,3 +88,9 @@ def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, 
         params.max_backtracks)
     assert accepted == sum(h.step > 0 for h in res.history)
     assert trials == len(built)
+
+
+def test_harness_annulus_bounds_are_the_package_bounds(monkeypatch):
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    assert workloads.EIG_FLOOR == ddh2mor.sysmodel._EIG_FLOOR
+    assert workloads.EIG_CEIL_MARGIN == ddh2mor.sysmodel._EIG_CEIL_MARGIN
