@@ -25,12 +25,17 @@ import sys
 from pathlib import Path
 
 import ddh2mor as dd
-from ddh2mor.cli import (OPTIM_DEFAULTS, ORACLE_START_DEFAULTS, flag_types, optim_params,
+from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, OPTIM_DEFAULTS,
+                         ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, flag_types, optim_params,
                          oracle_start, reduce_into, resolve_options)
 from ddh2mor.dataio import save_system, write_json
 
 KINDS = ("dmdc", "loewner", "databt")
-DEFAULTS = {"n": 100, "m": 2, "r": 6, "N": 102, "h": 0.1, "noise_alpha": 0.0,
+# the problem sizes and noise level are the defaults of gen-system, gen-data
+# and reduce
+DEFAULTS = {"n": GEN_SYSTEM_DEFAULTS["n"], "m": GEN_SYSTEM_DEFAULTS["m"],
+            "r": REDUCE_DEFAULTS["r"], "N": GEN_DATA_DEFAULTS["N"],
+            "h": GEN_SYSTEM_DEFAULTS["h"], "noise_alpha": GEN_DATA_DEFAULTS["alpha"],
             "seed": 0, "initializer": "all", **ORACLE_START_DEFAULTS,
             **OPTIM_DEFAULTS, "output_dir": "experiment"}
 

@@ -21,7 +21,8 @@ from . import dataio, ddgrad, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
-__all__ = ["OPTIM_DEFAULTS", "ORACLE_START_DEFAULTS", "flag_types", "main",
+__all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
+           "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "flag_types", "main",
            "optim_params", "oracle_start", "reduce_into", "resolve_options"]
 
 logger = logging.getLogger(__name__)
@@ -140,11 +141,11 @@ def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
 
 # --- subcommands ------------------------------------------------------------
 
-_GEN_SYSTEM_DEFAULTS = {"n": 100, "m": 2, "h": 0.1, "seed": 0, "out": "system"}
+GEN_SYSTEM_DEFAULTS = {"n": 100, "m": 2, "h": 0.1, "seed": 0, "out": "system"}
 
 
 def cmd_gen_system(args: argparse.Namespace) -> int:
-    args = resolve_options(args, _GEN_SYSTEM_DEFAULTS)
+    args = resolve_options(args, GEN_SYSTEM_DEFAULTS)
     spec = sysmodel.SyntheticSpec(n=int(args.n), m=int(args.m),
                                   h=float(args.h), seed=int(args.seed))
     sys_ = sysmodel.generate_synthetic(spec)
@@ -155,12 +156,12 @@ def cmd_gen_system(args: argparse.Namespace) -> int:
     return 0
 
 
-_GEN_DATA_DEFAULTS = {"system": None, "N": 102, "alpha": 0.0, "seed": 0,
-                      "out": "ensemble"}
+GEN_DATA_DEFAULTS = {"system": None, "N": 102, "alpha": 0.0, "seed": 0,
+                     "out": "ensemble"}
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    args = resolve_options(args, _GEN_DATA_DEFAULTS)
+    args = resolve_options(args, GEN_DATA_DEFAULTS)
     if args.system is None:
         raise ValueError("--system is required")
     sys_ = dataio.load_system(args.system)
@@ -173,7 +174,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-_REDUCE_DEFAULTS = {
+REDUCE_DEFAULTS = {
     "ensemble": None, "r": 6, "init": "dmdc", "oracle": None,
     "init_data": None, "init_seed": None, **ORACLE_START_DEFAULTS,
     **OPTIM_DEFAULTS, "force": False, "out": "reduction",
@@ -218,7 +219,7 @@ def _init_seed(args, ens: dataio.DataEnsemble) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    args = resolve_options(args, _REDUCE_DEFAULTS)
+    args = resolve_options(args, REDUCE_DEFAULTS)
     if args.ensemble is None:
         raise ValueError("--ensemble is required")
     if int(args.r) < 1:
@@ -261,18 +262,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mods = np.abs(eigs)
     # the evaluator reduce's oracle uses, so both report the same error
     evaluator = sysmodel.H2ErrorEvaluator(sys_)
-    err = evaluator.error(rom)
+    sysmodel.require_shared_io(sys_, rom)
+    # outside the stability annulus the report says so, with no error
+    stable = rom.satisfies_spectral_bounds()
+    err = evaluator.error(rom) if stable else None
     _print_json({
         "h2_norm_system": evaluator.h2_norm,
         "h2_error_abs": err,
-        "h2_error_rel": err / evaluator.h2_norm,
+        "h2_error_rel": err / evaluator.h2_norm if stable else None,
         "rom_order": rom.r,
         "rom_eigenvalues": [{"re": float(e.real), "im": float(e.imag)} for e in eigs],
         "rom_spectral_radius": float(mods.max()),
         "rom_min_eig_modulus": float(mods.min()),
-        "stable": bool(rom.satisfies_spectral_bounds()),
+        "stable": stable,
     })
-    return 0
+    return 0 if stable else 3
 
 
 # --- parser -----------------------------------------------------------------

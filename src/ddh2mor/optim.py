@@ -4,11 +4,14 @@ Each iteration assembles the data-driven gradients, stacks them into one
 descent direction, and backtracks the step until the objective decreases
 by the Armijo margin while the candidate stays inside the stability
 annulus.  The first trial step of the first iteration is ``alpha0``; every
-later iteration starts from ``min(alpha0, alpha_prev / rho)``, one
-expansion of the step it accepted last (the "previous step" initial step
-of Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.5).  A
-descent whose steps settle well below ``alpha0`` then skips the
-rejections on the way down.
+later iteration opens at the short Barzilai-Borwein step
+``<s, y> / <y, y>`` (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988)
+141-148), where ``s`` is the last accepted move and ``y`` the change of the
+stacked direction over it.  The step fits the curvature along the last
+move, so most iterations accept their first trial; it is not capped at
+``alpha0``.  Where ``<s, y> <= 0`` there is no curvature to fit, and the
+search opens at ``min(alpha0, alpha_prev / rho)``, one expansion of the
+step accepted last.  Backtracking stays monotone, so ``f`` never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates the objective with
@@ -59,8 +62,9 @@ class StopReason(enum.Enum):
 class OptimParams:
     """Line-search and termination parameters.
 
-    alpha0 : first trial step of the first iteration; caps each later
-             iteration's first trial, ``min(alpha0, alpha_prev / rho)``
+    alpha0 : first trial step of the first iteration; caps the fallback
+             first trial ``min(alpha0, alpha_prev / rho)`` of a later
+             iteration whose last move showed no positive curvature
     c      : Armijo decrease coefficient
     rho    : backtracking shrink factor
     tol    : stop once the squared direction norm D falls below this
@@ -170,10 +174,17 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             break
 
         accepted = None
-        # alpha still holds the step accepted last; one expansion of it opens
-        # the search, so the step can grow back towards alpha0
-        alpha = params.alpha0 if trial_f is None else min(params.alpha0,
-                                                          alpha / params.rho)
+        if trial_f is None:
+            alpha = params.alpha0
+        else:
+            # alpha and d_prev still hold the last accepted step and its
+            # direction: s = alpha d_prev moved the model, y = d_prev - d is
+            # the change of the gradient over that move
+            y = d_prev - d
+            sy = alpha * float(np.sum(d_prev * y))
+            alpha = sy / float(np.sum(y * y)) if sy > 0 else min(
+                params.alpha0, alpha / params.rho)
+        d_prev = d
         trial_f = TrialObjective(dual, rom, g)
         for bt in range(params.max_backtracks):
             cand = rom.stepped(g, alpha)

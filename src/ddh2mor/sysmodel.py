@@ -31,6 +31,7 @@ __all__ = [
     "h2_norm",
     "markov_parameters",
     "model_based_gradients",
+    "require_shared_io",
     "simulate",
     "transfer_eval",
 ]
@@ -230,10 +231,15 @@ def h2_norm(sys_like) -> float:
     return float(np.sqrt(max(np.trace(C @ sigma_c @ C.T), 0.0)))
 
 
-def h2_error(sys: LtiSystem, rom: Rom) -> float:
-    """h2 norm of the difference system, via its controllability gramian."""
+def require_shared_io(sys: LtiSystem, rom: Rom) -> None:
+    """Raise ValueError unless ``rom`` has the inputs and outputs of ``sys``."""
     if rom.p != sys.p or rom.m != sys.m:
         raise ValueError("system and rom must share input/output dimensions")
+
+
+def h2_error(sys: LtiSystem, rom: Rom) -> float:
+    """h2 norm of the difference system, via its controllability gramian."""
+    require_shared_io(sys, rom)
     Ae = scipy.linalg.block_diag(sys.A, rom.Ahat)
     Be = np.vstack([sys.B, rom.Bhat])
     Ce = np.hstack([sys.C, -rom.Chat])
@@ -303,8 +309,7 @@ class H2ErrorEvaluator:
         return self._h2
 
     def error(self, rom: Rom) -> float:
-        if rom.p != self._sys.p or rom.m != self._sys.m:
-            raise ValueError("system and rom must share input/output dimensions")
+        require_shared_io(self._sys, rom)
         fr = rom.schur
         fn = fr.transposed()
         B, C = rom.Bhat, rom.Chat

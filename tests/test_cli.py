@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ddh2mor
 from ddh2mor import IterRecord, OptimParams, Rom, FormatError
-from ddh2mor.cli import build_parser, main
+from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS,
+                         build_parser, main)
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
                             save_rom)
@@ -318,14 +319,21 @@ def test_evaluate_unstable_rom_exits_3(workspace, tmp_path, capsys):
     rc = main(["evaluate", "--system", str(workspace["system"]),
                "--rom", str(romdir)])
     assert rc == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stable"] is False
+    assert payload["h2_error_abs"] is None and payload["h2_error_rel"] is None
+    assert payload["rom_spectral_radius"] == pytest.approx(1.5)
 
 
 def test_evaluate_rom_of_other_output_size_exits_1(workspace, tmp_path, capsys):
-    romdir = tmp_path / "rom"
-    save_rom(Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((5, 2))), romdir)
-    rc = main(["evaluate", "--system", str(workspace["system"]), "--rom", str(romdir)])
-    assert rc == 1
-    assert_one_line_error(capsys, "must share input/output dimensions")
+    # the sizes are checked before stability: an unstable rom of the wrong
+    # size is a file error too
+    for radius in (0.5, 1.5):
+        romdir = tmp_path / f"rom{radius}"
+        save_rom(Rom(np.diag([radius, 0.4]), np.ones((2, 2)), np.ones((5, 2))), romdir)
+        rc = main(["evaluate", "--system", str(workspace["system"]), "--rom", str(romdir)])
+        assert rc == 1
+        assert_one_line_error(capsys, "must share input/output dimensions")
 
 
 def test_evaluate_missing_rom_exits_1(workspace, tmp_path, capsys):
@@ -518,6 +526,15 @@ def test_experiment_script_produces_artifact_tree(tmp_path):
     assert len(read_history(run_dir / "history.csv")) == summary["iterations"]
     rom_A = np.loadtxt(run_dir / "rom_A.csv", delimiter=",", ndmin=2)
     assert rom_A.shape == (2, 2)
+
+
+def test_experiment_script_sizes_are_the_cli_defaults():
+    # one definition of the problem sizes serves the CLI and the driver
+    defaults = load_experiment_script().DEFAULTS
+    cli = {**GEN_SYSTEM_DEFAULTS, **GEN_DATA_DEFAULTS, "r": REDUCE_DEFAULTS["r"]}
+    for key in ("n", "m", "h", "N", "r"):
+        assert defaults[key] == cli[key]
+    assert defaults["noise_alpha"] == cli["alpha"]
 
 
 @pytest.mark.parametrize("content, message", [

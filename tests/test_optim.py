@@ -133,9 +133,12 @@ def test_known_and_unknown_input_routes_agree(data, n, m, extra, seed):
     unknown, known = (run(ens, rom, params, dual=dual) for dual in duals)
     assert known.initial_f == pytest.approx(unknown.initial_f, rel=1e-7)
     assert known.history[0].D == pytest.approx(unknown.history[0].D, rel=1e-7)
-    assert [r.step for r in known.history] == [r.step for r in unknown.history]
-    np.testing.assert_allclose([r.f for r in known.history],
-                               [r.f for r in unknown.history], rtol=1e-7)
+    assert ([r.backtracks for r in known.history]
+            == [r.backtracks for r in unknown.history])
+    for column in ("step", "f"):
+        np.testing.assert_allclose([getattr(r, column) for r in known.history],
+                                   [getattr(r, column) for r in unknown.history],
+                                   rtol=1e-7)
 
 
 def test_sink_streams_every_record():
@@ -210,8 +213,9 @@ def test_descent_invariant_under_joint_scaling_and_row_order(log_scale, row_seed
     moved = run(DataEnsemble(s * ens.X1[rows], s * ens.U1[rows], s * ens.X2[rows]),
                 init, params)
     assert moved.stop_reason is ref.stop_reason
-    assert ([(h.step, h.backtracks) for h in moved.history]
-            == [(h.step, h.backtracks) for h in ref.history])
+    assert [h.backtracks for h in moved.history] == [h.backtracks for h in ref.history]
+    np.testing.assert_allclose([h.step for h in moved.history],
+                               [h.step for h in ref.history], rtol=1e-9)
     for got, want in ((moved.rom.Ahat, ref.rom.Ahat), (moved.rom.Bhat, ref.rom.Bhat),
                       (moved.rom.Chat, ref.rom.Chat)):
         assert rel_max_err(got, want) < 1e-9
@@ -264,36 +268,86 @@ def test_params_validation():
 
 
 def record_stepped(monkeypatch):
-    """Record the step of every trial model ``Rom.stepped`` builds."""
-    alphas = []
+    """Record (gradients, step) of every trial model ``Rom.stepped`` builds."""
+    trials = []
     original = Rom.stepped
 
     def stepped(self, g, alpha):
-        alphas.append(alpha)
+        trials.append((g, alpha))
         return original(self, g, alpha)
 
     monkeypatch.setattr(Rom, "stepped", stepped)
-    return alphas
+    return trials
 
 
-def test_first_trial_is_warm_started_from_the_last_accepted_step(monkeypatch):
+def split_by_iteration(trials, rows):
+    """Each accepted row's (direction, trial steps), from the recorded trials."""
+    assert len(trials) == sum(rec.backtracks + 1 for rec in rows)
+    out = []
+    for rec in rows:
+        mine, trials = trials[:rec.backtracks + 1], trials[rec.backtracks + 1:]
+        assert all(g is mine[0][0] for g, _ in mine)
+        out.append((stack_direction(mine[0][0]), [alpha for _, alpha in mine]))
+    return out
+
+
+def test_first_trial_is_the_short_barzilai_borwein_step(monkeypatch):
     sys, ens, init = make_problem(seed=0)
     params = OptimParams(tol=1e-6, max_iters=60)
-    alphas = record_stepped(monkeypatch)
+    trials = record_stepped(monkeypatch)
     res = run(ens, init, params)
     rows = [rec for rec in res.history if rec.step > 0]
     assert len(rows) > 10
-    assert len(alphas) == sum(rec.backtracks + 1 for rec in rows)
-    first = params.alpha0
-    for rec in rows:
-        trials, alphas = alphas[:rec.backtracks + 1], alphas[rec.backtracks + 1:]
-        assert trials[0] == first
-        for a, b in zip(trials, trials[1:]):
+    iterations = split_by_iteration(trials, rows)
+    assert iterations[0][1][0] == params.alpha0
+    bb = 0
+    for (d_prev, _), prev, (d, alphas), rec in zip(iterations, rows, iterations[1:],
+                                                    rows[1:]):
+        s, y = prev.step * d_prev, d_prev - d
+        if np.sum(s * y) > 0:
+            assert alphas[0] == pytest.approx(np.sum(s * y) / np.sum(y * y), rel=1e-12)
+            bb += 1
+        else:
+            assert alphas[0] == min(params.alpha0, prev.step / params.rho)
+        for a, b in zip(alphas, alphas[1:]):
             assert b == a * params.rho
-        assert trials[-1] == rec.step
-        first = min(params.alpha0, rec.step / params.rho)
-    # the warm start matters here: some iteration starts below alpha0
-    assert min(rec.step for rec in rows) / params.rho < params.alpha0
+        assert alphas[-1] == rec.step
+    assert bb > len(rows) // 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0], ids=["s.y=0", "s.y<0"])
+def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
+    # the second gradient is the first one times ``scale``, so y = (1 - scale)
+    # d_prev and <s, y> <= 0: the search opens at min(alpha0, alpha_prev / rho)
+    sys, ens, init = make_problem(seed=0)
+    params = OptimParams(max_iters=2, tol=1e-15)
+    seen = []
+
+    def stale(rom, grams):
+        g = data_gradients(rom, grams) if not seen else GradientTriple(
+            *(scale * block for block in (seen[0].gA, seen[0].gB, seen[0].gC)))
+        seen.append(g)
+        return g
+
+    monkeypatch.setattr(ddh2mor.optim, "data_gradients", stale)
+    trials = record_stepped(monkeypatch)
+    res = run(ens, init, params)
+    assert len(res.history) == 2 and all(rec.step > 0 for rec in res.history)
+    (_, first), (_, second) = split_by_iteration(trials, res.history)
+    assert first[0] == params.alpha0
+    assert second[0] == min(params.alpha0, res.history[0].step / params.rho)
+
+
+def test_dmdc_start_at_acceptance_scale_converges_in_few_steps():
+    # acceptance configuration (n=100, m=2, r=6, N=102, default parameters)
+    sys = ddh2mor.generate_synthetic(ddh2mor.SyntheticSpec(n=100, m=2, h=0.1, seed=7))
+    ens = generate_ensemble(sys, 102, NoiseSpec(alpha=0.0, seed=107))
+    trajs = ddh2mor.generate_trajectories(sys, 102, 10, NoiseSpec(alpha=0.0, seed=207))
+    res = run(ens, ddh2mor.init_dmdc(trajs, 6))
+    assert res.stop_reason is StopReason.CONVERGED
+    assert sum(rec.step > 0 for rec in res.history) <= 60
+    # the first trial is not capped at alpha0, and here some step exceeds it
+    assert max(rec.step for rec in res.history) > OptimParams().alpha0
 
 
 @pytest.mark.parametrize("route", ["unknown-input", "known-input"])
