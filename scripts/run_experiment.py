@@ -27,7 +27,7 @@ from pathlib import Path
 import ddh2mor as dd
 from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, OPTIM_DEFAULTS,
                          ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, flag_types, optim_params,
-                         oracle_start, reduce_into, resolve_options)
+                         oracle_start, reduce_into, report_error, resolve_options)
 from ddh2mor.dataio import save_system, write_json
 
 KINDS = ("dmdc", "loewner", "databt")
@@ -69,8 +69,7 @@ def main(argv=None) -> int:
         if args.initializer not in (*KINDS, "all"):
             raise ValueError(f"unknown initializer {args.initializer!r}")
     except (dd.FormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return report_error(exc, 1)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", {key: getattr(args, key) for key in DEFAULTS})

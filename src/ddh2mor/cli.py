@@ -23,7 +23,8 @@ from .errors import (FormatError, InsufficientData, RankDeficientData,
 
 __all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
            "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "flag_types", "main",
-           "optim_params", "oracle_start", "reduce_into", "resolve_options"]
+           "optim_params", "oracle_start", "reduce_into", "report_error",
+           "resolve_options"]
 
 logger = logging.getLogger(__name__)
 
@@ -345,6 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def report_error(exc: Exception, code: int) -> int:
+    """Print ``exc`` as one ``error:`` line on stderr and return ``code``.
+
+    Characters that are not printable, such as a line break inside a file
+    name taken from a manifest, are escaped, so the message stays one line.
+    """
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+    print(f"error: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -356,14 +368,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RankDeficientData, InsufficientData) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return report_error(exc, 2)
     except (FormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return report_error(exc, 1)
     except ReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return report_error(exc, 3)
 
 
 if __name__ == "__main__":

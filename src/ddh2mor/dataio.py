@@ -49,7 +49,8 @@ __all__ = [
     "write_matrix",
 ]
 
-# relative singular-value threshold for every rank decision on snapshots
+# relative singular-value threshold for every rank decision: snapshot ranks,
+# the pseudoinverses of the dual reconstruction and the initializers' checks
 RANK_TOL = 1e-10
 
 _CSV_FMT = "%.17e"
@@ -235,13 +236,9 @@ def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
     return DataEnsemble(trajs.states[:, 0], trajs.inputs[:, 0], trajs.states[:, 1])
 
 
-def check_assumptions(ens: DataEnsemble, n: int | None = None,
-                      m: int | None = None) -> AssumptionReport:
+def check_assumptions(ens: DataEnsemble) -> AssumptionReport:
     """Rank-check the snapshot blocks against the required full ranks."""
-    n = ens.n if n is None else n
-    m = ens.m if m is None else m
-    if (n, m) != (ens.n, ens.m):
-        raise ValueError(f"ensemble carries (n, m) = {(ens.n, ens.m)}, expected {(n, m)}")
+    n, m = ens.n, ens.m
     rank_joint = numerical_rank(np.hstack([ens.X1, ens.U1]))
     rank_x1 = numerical_rank(ens.X1)
     rank_u1 = numerical_rank(ens.U1)
@@ -352,8 +349,9 @@ def load_ensemble(path) -> DataEnsemble:
                         alpha=manifest.get("alpha"), seed=manifest.get("seed"))
 
 
-def save_system(sys: LtiSystem, out: Path, *, h: float, seed: int) -> None:
+def save_system(sys: LtiSystem, out, *, h: float, seed: int) -> None:
     """Write A.csv, B.csv and a system.json manifest into a directory."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "A.csv", sys.A)
     write_matrix(out / "B.csv", sys.B)
@@ -372,8 +370,9 @@ def load_system(path) -> LtiSystem:
     return LtiSystem.with_identity_output(A, B)
 
 
-def save_rom(rom: Rom, out: Path) -> None:
+def save_rom(rom: Rom, out) -> None:
     """Write rom_A.csv, rom_B.csv and rom_C.csv into a directory."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix(out / "rom_A.csv", rom.Ahat)
     write_matrix(out / "rom_B.csv", rom.Bhat)

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import AssumptionReport, DataEnsemble, check_assumptions
+from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
 from .matequ import (UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse, solve_schur,
                      solve_stein, stein_schur, to_schur)
-from .sysmodel import GradientTriple, Rom
+from .sysmodel import GradientTriple, Rom, schur_objective
 
 __all__ = [
     "DualData",
+    "Evaluation",
     "GramianSet",
     "GradientTriple",
-    "TrialObjective",
     "data_gradients",
     "data_gradients_B_known",
     "data_gradients_from_ensemble",
@@ -38,8 +38,6 @@ __all__ = [
     "solve_SB",
 ]
 
-# pseudoinverses in the reconstruction share the snapshot rank threshold
-_RCOND = 1e-10
 # minimum distance between data-coefficient spectra and reciprocal rom poles
 SEPARATION_TOL = 1e-10
 
@@ -60,8 +58,9 @@ class DualData:
 
     The Schur factors of MR and MS are computed once here, because every
     gradient step reuses them, and so is ``gb_schur = ZM^H GB`` (n, m), GB
-    in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which every
-    right-hand side of the R equation follows at O(n m r) cost.
+    in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
+    right-hand side of the R sweep of every ``Evaluation`` follows at
+    O(n m r) cost.
     """
 
     Z2: np.ndarray
@@ -116,15 +115,15 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
             f"need rank [X1 U1] = {ens.n + ens.m} and rank X1 = {ens.n}, got "
             f"{report.rank_X1U1} and {report.rank_X1}")
     n = ens.n
-    stacked = (pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=_RCOND) @ ens.X2) @ ens.X1.T
+    stacked = (pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=RANK_TOL) @ ens.X2) @ ens.X1.T
     Z2 = stacked[:n].T
     ZB1 = stacked[n:]
-    x1_pinv = pseudoinverse(ens.X1, rcond=_RCOND)
+    x1_pinv = pseudoinverse(ens.X1, rcond=RANK_TOL)
     MR = x1_pinv @ Z2
     UB1 = ((x1_pinv @ ens.X1) @ ens.X2.T - MR @ ens.X1.T).T
     MS = x1_pinv @ (ens.X2 - UB1)
     GB = x1_pinv @ ZB1.T
-    sb_map = pseudoinverse(ens.U1, rcond=_RCOND) @ UB1 if report.b3_holds else None
+    sb_map = pseudoinverse(ens.U1, rcond=RANK_TOL) @ UB1 if report.b3_holds else None
     return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report)
 
 
@@ -143,7 +142,7 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
             f"need rank X1 = {ens.n}, got {report.rank_X1}")
     UB1 = ens.U1 @ B.T
     ZB1 = B.T @ ens.X1.T
-    x1_pinv = pseudoinverse(ens.X1, rcond=_RCOND)
+    x1_pinv = pseudoinverse(ens.X1, rcond=RANK_TOL)
     MS = x1_pinv @ (ens.X2 - UB1)
     MR = MS.T
     Z2 = ens.X1 @ MS
@@ -171,31 +170,11 @@ def _require_separation(coef: SchurFactor, lam: np.ndarray, label: str) -> None:
             f"(tolerance {SEPARATION_TOL:g})")
 
 
-def _solve_R_schur(dual: DualData, rom: Rom, fn: SchurFactor) -> np.ndarray:
-    """R in Schur coordinates, ``Y^T`` for ``Y = ZM^H R Zn``.
-
-    ``fn`` is the factor of Ahat^T; the right-hand side
-    ``ZM^H GB Bhat^T Zn`` comes from the cached ``gb_schur``.
-    """
-    _require_separation(dual.mr_schur, fn.eigvals, "MR")
-    return solve_schur(dual.mr_schur, fn, (fn.Z.T @ rom.Bhat) @ dual.gb_schur.T)
-
-
-def _solve_PR_schur(dual: DualData, rom: Rom, fn: SchurFactor):
-    """P and R of ``rom`` in Schur coordinates, ``(Yp^T, Yr^T)``.
-
-    ``Yp = Za^H P Zn`` solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and
-    ``Yr = ZM^H R Zn`` the R equation; ``fn`` is the factor of Ahat^T.
-    """
-    fa, B = rom.schur, rom.Bhat
-    Yp = stein_schur(fa, fn, (fn.Z.T @ B) @ (fa.ZH @ B).T)
-    return Yp, _solve_R_schur(dual, rom, fn)
-
-
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    fn = rom.schur.transposed()
-    return from_schur(dual.mr_schur, fn, _solve_R_schur(dual, rom, fn))
+    fm, fn = dual.mr_schur, rom.schur.transposed()
+    _require_separation(fm, fn.eigvals, "MR")
+    return from_schur(fm, fn, solve_schur(fm, fn, to_schur(fm, fn, dual.GB @ rom.Bhat.T)))
 
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
@@ -221,30 +200,6 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
-def _gramians(dual: DualData, rom: Rom, fn: SchurFactor, Yp: np.ndarray,
-              Yr: np.ndarray) -> GramianSet:
-    """The GramianSet of ``rom`` from its P and R in Schur coordinates.
-
-    ``(Yp, Yr)`` is what ``_solve_PR_schur(dual, rom, fn)`` returns; P and R
-    are back-transformed, and Q and S are solved here.  Q solves the Stein
-    equation of Ahat^T, whose factor is ``fn`` and whose transposed factor
-    is ``rom.schur``.  P and Q are symmetrized as ``solve_stein`` does.
-    """
-    fa = rom.schur
-    C = rom.Chat
-    P = from_schur(fa, fn, Yp)
-    R = from_schur(dual.mr_schur, fn, Yr)
-    Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
-    S = solve_S(dual, rom)
-    return GramianSet(0.5 * (P + P.T), 0.5 * (Q + Q.T), R, S, solve_SB(dual, S))
-
-
-def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
-    """Every solve one data-driven gradient evaluation needs."""
-    fn = rom.schur.transposed()
-    return _gramians(dual, rom, fn, *_solve_PR_schur(dual, rom, fn))
-
-
 def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
     """Reduced part of the squared h2 error: tr(Chat P Chat^T) - 2 tr(R Chat^T).
 
@@ -254,50 +209,49 @@ def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
     return float(np.sum((rom.Chat @ P) * rom.Chat) - 2.0 * np.sum(R * rom.Chat))
 
 
-class TrialObjective:
-    """``objective_f`` at the trial models ``rom.stepped(g, alpha)`` of one iterate.
+class Evaluation:
+    """The data-driven objective at one rom, and the solves of its gradient.
 
-    A trial never forms P or R.  With ``Ahat = Za Ta Za^H`` and
-    ``Zn = conj(Za)`` reversed (the factor of Ahat^T), both equations are
-    solved in Schur coordinates, ``Yp = Za^H P Zn`` and ``Yr = ZM^H R Zn``,
-    and the objective is read off them:
+    ``f`` is ``objective_f`` at ``rom``, read off the Schur coordinates of
+    P and R by ``schur_objective``: on the data route the full-order model
+    is (MR, GB, I), so its coefficient factor is ``mr_schur``,
+    ``Zm^H B`` is ``gb_schur`` and ``C conj(Zm)`` is ``conj(ZM)``, the view
+    ``ZH.T``.  The guards are those of ``solve_stein`` and ``solve_R``:
+    stability (``NotStable``) and the separation of MR from the reciprocal
+    poles (``AssumptionViolated``).
 
-        tr(Chat P Chat^T) = Re <Yp, Za^H Chat^T Chat Zn>
-        tr(R Chat^T)      = Re <Yr, ZM^H Chat Zn>
-
-    ``ZM^H Chat`` is linear in the step, so ``ZM^H Chat`` and ``ZM^H gC`` of
-    the iterate are formed once here; a trial then costs the two sweeps
-    plus O(n r^2).  The guards are those of ``solve_stein`` and
-    ``solve_R``: stability and the separation of MR from the reciprocal
-    poles, raising the same errors.
-
-    The solutions of the last trial are kept: once the line search accepts
-    a trial, ``gramians()`` turns them into the accepted model's
-    GramianSet, and only Q and S are solved for its gradient.
+    The Schur coordinates are kept, so ``gramians()`` back-transforms P and
+    R and solves only Q and S.
     """
 
-    def __init__(self, dual: DualData, rom: Rom, g: GradientTriple):
-        ZHt = dual.mr_schur.ZH.T
+    def __init__(self, dual: DualData, rom: Rom):
+        fm, fn = dual.mr_schur, rom.schur.transposed()
+        _require_separation(fm, fn.eigvals, "MR")
+        self.f, self._Yp, self._Yr = schur_objective(rom, fn, fm, dual.gb_schur, fm.ZH.T)
+        self.rom = rom
         self._dual = dual
-        # (ZM^H Chat)^T and (ZM^H gC)^T, in the (r, n) layout of the sweep
-        self._chat = rom.Chat.T @ ZHt
-        self._gc = g.gC.T @ ZHt
-        self._last = None
-
-    def __call__(self, cand: Rom, alpha: float) -> float:
-        """f at ``cand``, which must be ``rom.stepped(g, alpha)``."""
-        fa = cand.schur
-        fn = fa.transposed()
-        C = cand.Chat
-        Yp, Yr = _solve_PR_schur(self._dual, cand, fn)
-        self._last = (cand, fn, Yp, Yr)
-        Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
-        Kr = fn.Z.T @ (self._chat - alpha * self._gc)
-        return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real)
+        self._fn = fn
 
     def gramians(self) -> GramianSet:
-        """``solve_gramians`` at the last trial model, reusing its P and R."""
-        return _gramians(self._dual, *self._last)
+        """Every solve one data-driven gradient evaluation at ``rom`` needs.
+
+        Q solves the Stein equation of Ahat^T, whose factor is ``fn`` and
+        whose transposed factor is ``rom.schur``.  P and Q are symmetrized
+        as ``solve_stein`` does.
+        """
+        dual, rom, fn = self._dual, self.rom, self._fn
+        fa = rom.schur
+        C = rom.Chat
+        P = from_schur(fa, fn, self._Yp)
+        R = from_schur(dual.mr_schur, fn, self._Yr)
+        Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
+        S = solve_S(dual, rom)
+        return GramianSet(0.5 * (P + P.T), 0.5 * (Q + Q.T), R, S, solve_SB(dual, S))
+
+
+def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
+    """Every solve one data-driven gradient evaluation needs."""
+    return Evaluation(dual, rom).gramians()
 
 
 def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:

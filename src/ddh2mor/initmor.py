@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dataio import TrajectorySet, check_json_type, read_json_object
+from .dataio import RANK_TOL, TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .sysmodel import Rom, markov_parameters, transfer_eval
+from .sysmodel import _EIG_CEIL_MARGIN, _EIG_FLOOR, Rom, markov_parameters, transfer_eval
 
 __all__ = [
     "FreqSample",
@@ -40,7 +40,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_RANK_TOL = 1e-10
+# adjustment rounds of make_stable before it gives up
+_STABILIZE_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -79,39 +80,33 @@ class ImpulseData:
         return self.markov.shape[0]
 
 
-def make_stable(rom: Rom, *, max_rounds: int = 5) -> Rom:
-    """Push all eigenvalue moduli of Ahat strictly inside (0, 1).
+def make_stable(rom: Rom) -> Rom:
+    """Push all eigenvalue moduli of Ahat into the stability annulus.
 
-    Spectral radii at or beyond one are removed by rescaling Ahat to
-    radius 0.99; moduli at or below 1e-10 by adding 1e-6 times the
-    identity.  Both adjustments are logged.  The input is returned
-    unchanged when it already qualifies.
+    A rom passes exactly when ``Rom.satisfies_spectral_bounds`` holds, and
+    is then returned unchanged.  Otherwise a spectral radius at or beyond
+    the annulus ceiling is removed by rescaling Ahat to radius 0.99, and a
+    modulus at or below its floor by adding 1e-6 times the identity; both
+    adjustments are logged.  The eigenvalues are read off ``Rom.schur``.
     """
-    A = np.array(rom.Ahat)
-    changed = False
-    for _ in range(max_rounds):
-        mods = np.abs(np.linalg.eigvals(A))
-        rho, floor = mods.max(), mods.min()
-        if rho < 1.0 - 1e-12 and floor > 1e-10:
-            if not changed:
-                return rom
-            return Rom(A, rom.Bhat, rom.Chat)
-        if rho >= 1.0 - 1e-12:
+    out = rom
+    for _ in range(_STABILIZE_ROUNDS):
+        if out.satisfies_spectral_bounds():
+            return out
+        rho = out.eig_moduli().max()
+        if rho >= 1.0 - _EIG_CEIL_MARGIN:
             logger.info("rescaling Ahat: spectral radius %.6f -> 0.99", rho)
-            A = A * (0.99 / rho)
-            changed = True
-            mods = np.abs(np.linalg.eigvals(A))
-            floor = mods.min()
-        if floor <= 1e-10:
+            out = Rom(out.Ahat * (0.99 / rho), rom.Bhat, rom.Chat)
+        floor = out.eig_moduli().min()
+        if floor <= _EIG_FLOOR:
             logger.info("shifting Ahat: smallest eigenvalue modulus %.3e", floor)
-            A = A + 1e-6 * np.eye(A.shape[0])
-            changed = True
-    mods = np.abs(np.linalg.eigvals(A))
-    if mods.max() < 1.0 - 1e-12 and mods.min() > 1e-10:
-        return Rom(A, rom.Bhat, rom.Chat)
+            out = Rom(out.Ahat + 1e-6 * np.eye(out.r), rom.Bhat, rom.Chat)
+    if out.satisfies_spectral_bounds():
+        return out
+    mods = out.eig_moduli()
     raise StabilizationFailed(
         f"eigenvalue moduli still span [{mods.min():.3e}, {mods.max():.6f}] "
-        f"after {max_rounds} adjustment rounds")
+        f"after {_STABILIZE_ROUNDS} adjustment rounds")
 
 
 def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
@@ -143,12 +138,12 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 
     Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
-    if np.count_nonzero(sx > _RANK_TOL * sx[0]) < r:
+    if np.count_nonzero(sx > RANK_TOL * sx[0]) < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
     Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
-    keep = max(r, int(np.count_nonzero(sz > _RANK_TOL * sz[0])))
+    keep = max(r, int(np.count_nonzero(sz > RANK_TOL * sz[0])))
     keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
     if keep == 0:
         raise InsufficientData("identification snapshots are numerically zero")
@@ -263,8 +258,8 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     Y = Uc[:, :r].copy()
     del Uc
     sr, Vrt = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[1:]
-    if (np.count_nonzero(sc > _RANK_TOL * sc[0]) < r
-            or np.count_nonzero(sr > _RANK_TOL * sr[0]) < r):
+    if (np.count_nonzero(sc > RANK_TOL * sc[0]) < r
+            or np.count_nonzero(sr > RANK_TOL * sr[0]) < r):
         raise SingularE(f"Loewner matrices have rank below the target order {r}")
     X = Vrt[:r].T
 
@@ -294,7 +289,7 @@ def init_data_bt(imp: ImpulseData, r: int) -> Rom:
     Hup = np.block([[h[i + j + 1] for j in range(s)] for i in range(q)])
 
     U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    if np.count_nonzero(sv > _RANK_TOL * sv[0]) < r:
+    if np.count_nonzero(sv > RANK_TOL * sv[0]) < r:
         raise InsufficientData(
             f"block Hankel matrix has rank below the target order {r}")
     root = np.sqrt(sv[:r])

@@ -15,12 +15,12 @@ step accepted last.  Backtracking stays monotone, so ``f`` never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates the objective with
-``TrialObjective``: the P and R equations are solved in Schur coordinates
-and the objective is read off the solutions as inner products.  The
-accepted trial's solutions are carried forward: the next gradient
-back-transforms its P and R and solves only Q and S, and its objective
-value becomes the next iterate's, so every iterate has one value of f and
-one solve of each equation.
+``Evaluation``: the P and R equations are solved in Schur coordinates and
+the objective is read off the solutions as inner products.  The start is
+evaluated as a trial is, and the accepted trial's ``Evaluation`` becomes
+the next iterate: its gradient back-transforms the kept P and R and solves
+only Q and S, so every iterate has one value of f and one solve of each
+equation.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DataEnsemble, IterRecord
-from .ddgrad import (DualData, TrialObjective, data_gradients, objective_f,
-                     reconstruct_dual, solve_gramians)
+from .ddgrad import DualData, Evaluation, data_gradients, reconstruct_dual
 from .errors import AssumptionViolated, NotStable
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
@@ -149,13 +148,13 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     initial_rel = None
     stop = StopReason.MAX_ITERS
 
-    trial_f = None
     for it in range(1, params.max_iters + 1):
         try:
-            # the start solves P and R itself; every later iterate has them
-            # from the trial that accepted it
-            grams = solve_gramians(dual, rom) if trial_f is None else trial_f.gramians()
-            g = data_gradients(rom, grams)
+            if it == 1:
+                # the start is evaluated as a trial is; every later iterate
+                # is the trial that accepted it
+                current = Evaluation(dual, rom)
+            g = data_gradients(rom, current.gramians())
         except AssumptionViolated:
             stop = StopReason.ASSUMPTION_VIOLATED
             break
@@ -163,18 +162,18 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         d = stack_direction(g)
         D = float(np.sum(d * d))
         if it == 1:
-            f_curr = initial_f = objective_f(rom, grams.P, grams.R)
+            initial_f = current.f
             initial_rel = rel_error(rom)
-        logger.debug("iter %d: f=%.6e D=%.3e", it, f_curr, D)
+        logger.debug("iter %d: f=%.6e D=%.3e", it, current.f, D)
 
         if D < params.tol:
-            _record(history, sink, IterRecord(it, f_curr, D, 0.0, 0,
+            _record(history, sink, IterRecord(it, current.f, D, 0.0, 0,
                                               rel_error(rom), True))
             stop = StopReason.CONVERGED
             break
 
         accepted = None
-        if trial_f is None:
+        if it == 1:
             alpha = params.alpha0
         else:
             # alpha and d_prev still hold the last accepted step and its
@@ -185,14 +184,13 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             alpha = sy / float(np.sum(y * y)) if sy > 0 else min(
                 params.alpha0, alpha / params.rho)
         d_prev = d
-        trial_f = TrialObjective(dual, rom, g)
         for bt in range(params.max_backtracks):
             cand = rom.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
-                    fc = trial_f(cand, alpha)
-                    if np.isfinite(fc) and fc <= f_curr - params.c * alpha * D:
-                        accepted = (cand, fc, alpha, bt)
+                    trial = Evaluation(dual, cand)
+                    if np.isfinite(trial.f) and trial.f <= current.f - params.c * alpha * D:
+                        accepted = (trial, alpha, bt)
                         break
                 except _CANDIDATE_ERRORS:
                     pass
@@ -201,8 +199,9 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
 
-        rom, f_curr, alpha, bt = accepted
-        _record(history, sink, IterRecord(it, f_curr, D, alpha, bt,
+        current, alpha, bt = accepted
+        rom = current.rom
+        _record(history, sink, IterRecord(it, current.f, D, alpha, bt,
                                           rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,

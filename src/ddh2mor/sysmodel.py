@@ -32,6 +32,7 @@ __all__ = [
     "markov_parameters",
     "model_based_gradients",
     "require_shared_io",
+    "schur_objective",
     "simulate",
     "transfer_eval",
 ]
@@ -274,20 +275,43 @@ def model_based_gradients(sys: LtiSystem, rom: Rom) -> GradientTriple:
     return GradientTriple(gA, gB, gC)
 
 
+def schur_objective(rom: Rom, fn: SchurFactor, coef: SchurFactor, zb: np.ndarray,
+                    cz: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reduced part of the squared h2 error of ``rom``, read off Schur coordinates.
+
+    Against a model (M, B, C) the squared error is
+    ``tr(C Sigma_c C^T) + tr(Chat P Chat^T) - 2 tr(C R Chat^T)``, where P
+    solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and R solves
+    ``M R Ahat^T + B Bhat^T = R``.  ``coef`` factors ``M = Zm Tm Zm^H``,
+    ``fn`` is the factor of Ahat^T (``rom.schur.transposed()``, Schur
+    vectors Zn), ``zb = Zm^H B`` and ``cz = C conj(Zm)``.  Both equations
+    are swept in Schur coordinates, ``Yp = Za^H P Zn`` and
+    ``Yr = Zm^H R Zn`` with ``Ahat = Za Ta Za^H``, and the two traces are
+    inner products with them:
+
+        tr(Chat P Chat^T) = Re <Yp, Za^H Chat^T Chat Zn>
+        tr(C R Chat^T)    = Re <Yr, Zm^H C^T Chat Zn>
+
+    Returns ``(f, Yp^T, Yr^T)`` with f the last two terms.  The P sweep
+    raises ``NotStable`` unless Ahat is stable; the R sweep checks nothing,
+    so the caller makes sure that no product eig(M) eig(Ahat) is near 1.
+    """
+    fa, B, C = rom.schur, rom.Bhat, rom.Chat
+    Bn = fn.Z.T @ B
+    Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ B).T)
+    Yr = solve_schur(coef, fn, Bn @ zb.T)
+    Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
+    Kr = fn.Z.T @ (C.T @ cz)
+    return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real), Yp, Yr
+
+
 class H2ErrorEvaluator:
     """Repeated h2-error evaluations against one fixed full-order system.
 
     Caches the Schur factorization ``A = Z T Z^H``, the full-order gramian
-    term, and B and C in A's Schur coordinates, so each call only solves
-    the reduced and cross equations, in Schur coordinates, and reads the
-    error off the solutions as inner products:
-
-        tr(Chat P Chat^T)  = Re <Yp, Zr^H Chat^T Chat Zn>
-        tr(C R Chat^T)     = Re <Yr, Zn^T Chat^T C conj(Z)>
-
-    with ``Ahat = Zr Tr Zr^H``, ``Zn`` the Schur vectors of Ahat^T,
-    ``Yp = Zr^H P Zn`` and ``Yr = Z^H R Zn``.  No n x r matrix is
-    back-transformed.
+    term, ``Z^H B`` and ``C conj(Z)``, so each call only adds the reduced
+    and cross terms that ``schur_objective`` reads off the Schur
+    coordinates of P and R; no n x r matrix is back-transformed.
     """
 
     def __init__(self, sys: LtiSystem):
@@ -296,7 +320,6 @@ class H2ErrorEvaluator:
         sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=fa)
         self._trace_full = float(np.trace(sys.C @ sigma_c @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
-        # Z^H B (n, m) and C conj(Z) (p, n)
         self._zb = fa.ZH @ sys.B
         self._cz = sys.C @ fa.Z.conj()
 
@@ -310,18 +333,11 @@ class H2ErrorEvaluator:
 
     def error(self, rom: Rom) -> float:
         require_shared_io(self._sys, rom)
-        fr = rom.schur
-        fn = fr.transposed()
-        B, C = rom.Bhat, rom.Chat
-        # Ahat P Ahat^T + Bhat Bhat^T = P and A R Ahat^T + B Bhat^T = R; A and
-        # Ahat are both stable, so stein_schur's check covers both equations
-        Bn = fn.Z.T @ B
-        Yp = stein_schur(fr, fn, Bn @ (fr.ZH @ B).T)
-        Yr = solve_schur(self._a_schur, fn, Bn @ self._zb.T)
-        Kp = (fn.Z.T @ (C.T @ C)) @ fr.ZH.T
-        Kr = fn.Z.T @ (C.T @ self._cz)
-        val = self._trace_full + np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real
-        return float(np.sqrt(max(val, 0.0)))
+        # A is stable (its gramian exists) and the P sweep requires a stable
+        # Ahat, so no product eig(A) eig(Ahat) is near 1 in the R sweep
+        f = schur_objective(rom, rom.schur.transposed(), self._a_schur, self._zb,
+                            self._cz)[0]
+        return float(np.sqrt(max(self._trace_full + f, 0.0)))
 
     def relative_error(self, rom: Rom) -> float:
         return self.error(rom) / self._h2

@@ -356,6 +356,16 @@ def assert_one_line_error(capsys, text):
     assert text in err
 
 
+def test_line_breaks_in_a_manifest_file_name_stay_on_one_error_line(workspace, tmp_path,
+                                                                    capsys):
+    ens = copy_with_manifest(workspace["ensemble"], tmp_path / "ensemble", "ensemble.json",
+                             lambda m: {**m, "u1": "u\r1\n.csv"})
+    capsys.readouterr()
+    assert main(["reduce", "--ensemble", str(ens), "--r", "3", "--init", "dmdc",
+                 "--oracle", str(workspace["system"]), "--out", str(tmp_path / "red")]) == 1
+    assert_one_line_error(capsys, "u\\r1\\n.csv")
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda m: {k: v for k, v in m.items() if k != "n"}, "lacks keys ['n']"),
     (lambda m: [m], "expected a JSON object"),

@@ -8,6 +8,7 @@ from ddh2mor import (
     DataEnsemble,
     FormatError,
     NoiseSpec,
+    Rom,
     TrajectorySet,
     check_assumptions,
     first_transitions,
@@ -18,6 +19,7 @@ from ddh2mor import (
     save_ensemble,
     simulate,
 )
+from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
 from helpers import random_system
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -93,12 +95,6 @@ def test_check_assumptions_zero_inputs():
     rep = check_assumptions(ens)
     assert rep.rank_U1 == 0
     assert rep.b2_holds and not rep.b3_holds and not rep.b1_holds
-
-
-def test_check_assumptions_dimension_override_mismatch():
-    ens = generate_ensemble(random_system(np.random.default_rng(7), 3, 1), 8)
-    with pytest.raises(ValueError):
-        check_assumptions(ens, n=4, m=1)
 
 
 def test_numerical_rank_thresholding():
@@ -198,6 +194,19 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
     # loading by directory works too
     third = load_ensemble(tmp_path / "data")
     np.testing.assert_array_equal(third.X2, ens.X2)
+
+
+def test_system_and_rom_writers_take_a_string_path(tmp_path):
+    sys = random_system(np.random.default_rng(14), 4, 2)
+    rom = Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((4, 2)))
+    save_system(sys, str(tmp_path / "system"), h=0.1, seed=3)
+    save_rom(rom, str(tmp_path / "rom"))
+    again = load_system(str(tmp_path / "system"))
+    np.testing.assert_array_equal(again.A, sys.A)
+    np.testing.assert_array_equal(again.B, sys.B)
+    back = load_rom(str(tmp_path / "rom"))
+    for name in ("Ahat", "Bhat", "Chat"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(rom, name))
 
 
 def test_load_rejects_bad_json(tmp_path):

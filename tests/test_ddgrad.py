@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ddh2mor import (
     AssumptionViolated,
     GramianSet,
-    GradientTriple,
+    H2ErrorEvaluator,
     LtiSystem,
     NoiseSpec,
     NotStable,
@@ -39,7 +39,7 @@ from ddh2mor import (
     solve_SB,
     solve_stein,
 )
-from ddh2mor.ddgrad import SEPARATION_TOL, TrialObjective
+from ddh2mor.ddgrad import SEPARATION_TOL, Evaluation
 from helpers import (count_schur_calls, fd_gradients, random_rom, random_system,
                      rel_max_err)
 
@@ -263,6 +263,20 @@ def test_objective_matches_squared_error_decomposition():
     assert abs(f - ref) < 1e-9 * max(1.0, abs(ref))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st_seed, n=st.integers(3, 8), r=st.integers(1, 2))
+def test_data_objective_plus_squared_norm_is_the_oracle_squared_error(seed, n, r):
+    # the data route and the oracle read f off the same Schur-coordinate
+    # kernel, from the data coefficients and from (A, B, C) respectively
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, 2)
+    ens = generate_ensemble(sys, n + 4, NoiseSpec(seed=seed % 1000))
+    rom = random_rom(rng, r, 2, n)
+    oracle = H2ErrorEvaluator(sys)
+    f = Evaluation(reconstruct_dual(ens), rom).f
+    assert f + oracle.h2_norm ** 2 == pytest.approx(oracle.error(rom) ** 2, rel=1e-12, abs=0)
+
+
 def test_objective_can_be_negative():
     # a rom close to the truth drives the cross term past the reduced term
     rng = np.random.default_rng(16)
@@ -299,7 +313,6 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
     compared = 0
     for rom in starts:
         g = data_gradients(rom, solve_gramians(dual, rom))
-        trial_f = TrialObjective(dual, rom, g)
         for alpha in (1.0, 1e-2, 1e-4):
             cand = rom.stepped(g, alpha)
             try:
@@ -307,10 +320,10 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
             except NotStable:
                 # the full step leaves the unit disc: the same guard rejects it
                 with pytest.raises(NotStable):
-                    trial_f(cand, alpha)
+                    Evaluation(dual, cand)
                 continue
             ref = objective_f(cand, P, solve_R(dual, cand))
-            assert trial_f(cand, alpha) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert Evaluation(dual, cand).f == pytest.approx(ref, rel=1e-12, abs=0)
             compared += 1
     assert compared >= 5
 
@@ -320,11 +333,10 @@ def test_trial_objective_keeps_the_separation_guard():
     sys = LtiSystem.with_identity_output(np.diag([2.5, 0.3]), np.array([[1.0], [2.0]]))
     dual = reconstruct_dual(generate_ensemble(sys, 8, NoiseSpec(seed=16)))
     rom = Rom(np.array([[0.4]]), np.array([[1.0]]), np.ones((2, 1)))
-    zero = GradientTriple(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((2, 1)))
     with pytest.raises(AssumptionViolated):
         solve_R(dual, rom)
     with pytest.raises(AssumptionViolated):
-        TrialObjective(dual, rom, zero)(rom.stepped(zero, 0.0), 0.0)
+        Evaluation(dual, rom)
 
 
 def test_data_gradients_match_model_based():

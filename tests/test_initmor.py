@@ -92,6 +92,17 @@ def test_make_stable_boundary_radius_counts_as_unstable():
     assert out.Ahat[0, 0] == pytest.approx(0.99)
 
 
+def test_make_stable_accepts_exactly_the_annulus():
+    # 1e-11 is above the annulus floor 1e-12, so the rom already qualifies
+    rom = Rom(np.diag([0.5, 1e-11]), np.ones((2, 1)), np.ones((1, 2)))
+    assert rom.satisfies_spectral_bounds()
+    assert make_stable(rom) is rom
+    rom = Rom(np.diag([0.5, 1e-13]), np.ones((2, 1)), np.ones((1, 2)))
+    out = make_stable(rom)
+    np.testing.assert_allclose(out.Ahat, rom.Ahat + 1e-6 * np.eye(2), rtol=0, atol=1e-18)
+    assert out.satisfies_spectral_bounds()
+
+
 # --------------------------------------------------------------------- DMDc
 
 

@@ -170,8 +170,9 @@ def test_each_line_search_trial_factors_one_rom(monkeypatch):
     res = run(ens, init, OptimParams(alpha0=1e3, max_iters=1, tol=1e-15), dual=dual)
     (rec,) = res.history
     assert rec.step > 0 and rec.backtracks > 0
-    # the start is factored once, then each trial step once
-    assert shapes == [(init.r, init.r)] * (1 + rec.backtracks + 1)
+    # make_stable factored the start, and run reuses that factor; each
+    # trial step is factored once
+    assert shapes == [(init.r, init.r)] * (rec.backtracks + 1)
 
 
 def test_accepted_rows_record_the_objective_of_their_rom():
@@ -383,7 +384,7 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
 def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
     sys, ens, init = make_problem(seed=17)
     dual = reconstruct_dual(ens)
-    calls = {"stein": 0, "R": 0, "S": 0, "solve_stein": 0, "trials": 0}
+    calls = {"PR": 0, "Q": 0, "S": 0, "solve_stein": 0, "evaluations": 0}
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -394,18 +395,17 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # the P sweeps and the Q sweeps are the only Stein solves of a descent
-    counted(ddh2mor.ddgrad, "stein_schur", "stein")
-    counted(ddh2mor.ddgrad, "_solve_R_schur", "R")
+    # the kernel sweeps P and R; ddgrad's own Stein sweeps solve Q
+    counted(ddh2mor.ddgrad, "schur_objective", "PR")
+    counted(ddh2mor.ddgrad, "stein_schur", "Q")
     counted(ddh2mor.ddgrad, "solve_S", "S")
     counted(ddh2mor.ddgrad, "solve_stein", "solve_stein")
-    counted(ddh2mor.ddgrad.TrialObjective, "__call__", "trials")
+    counted(ddh2mor.ddgrad.Evaluation, "__init__", "evaluations")
     k = 8
     res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
     assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
-    assert calls["trials"] >= k
-    # P at the start and in every trial, Q once per gradient
-    assert calls["stein"] == 1 + calls["trials"] + k
-    assert calls["R"] == 1 + calls["trials"]
+    # the start and every trial, P and R once each; Q and S once per gradient
+    assert calls["PR"] == calls["evaluations"] >= 1 + k
+    assert calls["Q"] == k
     assert calls["S"] == k
     assert calls["solve_stein"] == 0
