@@ -2,8 +2,9 @@
 
 Given one-step state/input snapshots of an unknown stable system, the
 package reconstructs the dual (adjoint) data, evaluates the exact h2
-objective gradients without the system matrices, and descends them with a
-stability-safeguarded Armijo line search.  DMDc, Loewner, and Hankel-based
+objective gradients without the system matrices, and descends them over
+(Ahat, Bhat) with a stability-safeguarded Armijo line search, solving for
+the best Chat in closed form.  DMDc, Loewner, and Hankel-based
 initializers plus a model-based oracle round out the pipeline.
 """
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
-from .matequ import (UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse, solve_schur,
-                     solve_stein, stein_schur, to_schur)
-from .sysmodel import GradientTriple, Rom, schur_objective
+from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse,
+                     solve_schur, solve_stein, stein_schur, to_schur)
+from .sysmodel import GradientTriple, Rom, schur_sweeps
 
 __all__ = [
     "DualData",
@@ -203,50 +203,78 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
 def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
     """Reduced part of the squared h2 error: tr(Chat P Chat^T) - 2 tr(R Chat^T).
 
-    The omitted full-order gramian term is constant in the rom, so this is
-    the quantity the descent monitors; it may be negative.
+    The omitted full-order gramian term is constant in the rom, so this,
+    at the closed-form Chat of ``Evaluation``, is the quantity the descent
+    monitors; it may be negative.
     """
     return float(np.sum((rom.Chat @ P) * rom.Chat) - 2.0 * np.sum(R * rom.Chat))
 
 
+def _psd_pinv(P: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a symmetric positive semidefinite P through ``eigh``.
+
+    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero,
+    so ``P = 0`` gives ``P^+ = 0``.
+    """
+    w, V = np.linalg.eigh(P)
+    keep = w > RANK_TOL * np.abs(w).max(initial=0.0)
+    Vk = V[:, keep]
+    return (Vk / w[keep]) @ Vk.T
+
+
 class Evaluation:
-    """The data-driven objective at one rom, and the solves of its gradient.
+    """The data-driven objective at one rom and at its projection.
 
-    ``f`` is ``objective_f`` at ``rom``, read off the Schur coordinates of
-    P and R by ``schur_objective``: on the data route the full-order model
-    is (MR, GB, I), so its coefficient factor is ``mr_schur``,
-    ``Zm^H B`` is ``gb_schur`` and ``C conj(Zm)`` is ``conj(ZM)``, the view
-    ``ZH.T``.  The guards are those of ``solve_stein`` and ``solve_R``:
-    stability (``NotStable``) and the separation of MR from the reciprocal
-    poles (``AssumptionViolated``).
+    P and R depend on (Ahat, Bhat) alone, so one sweep of each serves both
+    the rom as given and the projected rom ``(Ahat, Bhat, chat_star)``.
+    The objective ``f = tr(Chat P Chat^T) - 2 tr(R Chat^T)`` is a convex
+    quadratic in Chat, minimized by ``chat_star = R P^+``, where the
+    gradient block ``gC = 2 (Chat P - R)`` vanishes; there it takes the
+    value ``phi = -tr(R P^+ R^T) = -<chat_star, R>``, the objective the
+    descent minimizes over (Ahat, Bhat) (variable projection, Golub &
+    Pereyra, SIAM J. Numer. Anal. 10 (1973) 413-432).  ``P^+`` is the
+    min-norm inverse of ``_psd_pinv``, so ``Bhat = 0`` gives
+    ``chat_star = 0``.
 
-    The Schur coordinates are kept, so ``gramians()`` back-transforms P and
-    R and solves only Q and S.
+    Each evaluation back-transforms P and R (O(n^2 r), as the R sweep) and
+    sets ``chat_star``, ``f`` (``objective_f`` at the rom as given) and
+    ``phi`` at O(n r^2).  ``phi`` is ``objective_f`` at ``projected`` rather
+    than its shortcut ``-<chat_star, R>``, so a rom whose Chat already is
+    its ``chat_star`` has ``f == phi`` to the bit.  ``projected`` reuses
+    the factor of Ahat.  The guards are those of
+    ``solve_stein`` and ``solve_R``: stability (``NotStable``) and the
+    separation of MR from the reciprocal poles (``AssumptionViolated``).
     """
 
     def __init__(self, dual: DualData, rom: Rom):
         fm, fn = dual.mr_schur, rom.schur.transposed()
         _require_separation(fm, fn.eigvals, "MR")
-        self.f, self._Yp, self._Yr = schur_objective(rom, fn, fm, dual.gb_schur, fm.ZH.T)
+        Yp, Yr = schur_sweeps(rom, fn, fm, dual.gb_schur)
+        P = from_schur(rom.schur, fn, Yp)
+        self.P = 0.5 * (P + P.T)
+        self.R = from_schur(fm, fn, Yr)
+        self.chat_star = self.R @ _psd_pinv(self.P)
+        self.projected = rom.with_output(self.chat_star)
+        self.phi = objective_f(self.projected, self.P, self.R)
+        self.f = objective_f(rom, self.P, self.R)
         self.rom = rom
         self._dual = dual
-        self._fn = fn
 
-    def gramians(self) -> GramianSet:
-        """Every solve one data-driven gradient evaluation at ``rom`` needs.
+    def gramians(self, *, projected: bool = False) -> GramianSet:
+        """Every solve one data-driven gradient evaluation needs.
 
-        Q solves the Stein equation of Ahat^T, whose factor is ``fn`` and
-        whose transposed factor is ``rom.schur``.  P and Q are symmetrized
-        as ``solve_stein`` does.
+        At the rom as given, or at ``projected``; P and R are this
+        evaluation's, and only Q and S are solved.  Q solves the Stein
+        equation of Ahat^T, whose factor is ``fn`` and whose transposed
+        factor is ``rom.schur``; it is symmetrized as ``solve_stein`` does.
         """
-        dual, rom, fn = self._dual, self.rom, self._fn
+        rom = self.projected if projected else self.rom
         fa = rom.schur
+        fn = fa.transposed()
         C = rom.Chat
-        P = from_schur(fa, fn, self._Yp)
-        R = from_schur(dual.mr_schur, fn, self._Yr)
         Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
-        S = solve_S(dual, rom)
-        return GramianSet(0.5 * (P + P.T), 0.5 * (Q + Q.T), R, S, solve_SB(dual, S))
+        S = solve_S(self._dual, rom)
+        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, S, solve_SB(self._dual, S))
 
 
 def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
@@ -261,8 +289,8 @@ def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:
     ``(S^T R - SB^T Bhat^T) Ahat^{-T}``, which requires Ahat to be
     invertible.
     """
-    if np.abs(rom.schur.eigvals).min(initial=np.inf) < 1e-12:
-        raise SingularAhat("Ahat has an eigenvalue with modulus below 1e-12")
+    if np.abs(rom.schur.eigvals).min(initial=np.inf) < EIG_FLOOR:
+        raise SingularAhat(f"Ahat has an eigenvalue with modulus below {EIG_FLOOR:g}")
     P, Q, R, S, SB = grams.P, grams.Q, grams.R, grams.S, grams.SB
     cross = S.T @ R - SB.T @ rom.Bhat.T
     # cross @ inv(Ahat).T without forming the inverse

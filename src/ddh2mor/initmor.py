@@ -21,7 +21,8 @@ import scipy.linalg
 from .dataio import RANK_TOL, TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .sysmodel import _EIG_CEIL_MARGIN, _EIG_FLOOR, Rom, markov_parameters, transfer_eval
+from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR
+from .sysmodel import Rom, markov_parameters, transfer_eval
 
 __all__ = [
     "FreqSample",
@@ -94,11 +95,11 @@ def make_stable(rom: Rom) -> Rom:
         if out.satisfies_spectral_bounds():
             return out
         rho = out.eig_moduli().max()
-        if rho >= 1.0 - _EIG_CEIL_MARGIN:
+        if rho >= 1.0 - EIG_CEIL_MARGIN:
             logger.info("rescaling Ahat: spectral radius %.6f -> 0.99", rho)
             out = Rom(out.Ahat * (0.99 / rho), rom.Bhat, rom.Chat)
         floor = out.eig_moduli().min()
-        if floor <= _EIG_FLOOR:
+        if floor <= EIG_FLOOR:
             logger.info("shifting Ahat: smallest eigenvalue modulus %.3e", floor)
             out = Rom(out.Ahat + 1e-6 * np.eye(out.r), rom.Bhat, rom.Chat)
     if out.satisfies_spectral_bounds():

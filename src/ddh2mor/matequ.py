@@ -49,12 +49,15 @@ __all__ = [
 
 # eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
 UNIQUE_TOL = 1e-12
+# the stability annulus: every eigenvalue modulus of a reduced model stays in
+# (EIG_FLOOR, 1 - EIG_CEIL_MARGIN) for every solve of the pipeline to be well
+# posed in floating point; a Stein coefficient needs the ceiling alone
+EIG_FLOOR = 1e-12
+EIG_CEIL_MARGIN = 1e-12
 # BLAS triangular solve for one complex right-hand side
 _ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
 # LAPACK plane rotation with a real cosine and a complex sine, in place
 _ZROT = scipy.linalg.get_lapack_funcs("rot", dtype=complex)
-# Stein coefficients need a spectral radius below 1 - _STABILITY_TOL
-_STABILITY_TOL = 1e-12
 # a column shift mu below this in modulus is the identity solve y = b: the
 # neglected mu TM y is below rounding unless |TM| exceeds 1e138, and above
 # it b / mu overflows only for |b| beyond 1e154
@@ -285,7 +288,7 @@ def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray
     spectral radius of A to be strictly below one, which keeps every
     eigenvalue product more than ``UNIQUE_TOL`` away from 1.
     """
-    if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - _STABILITY_TOL:
+    if np.abs(fa.eigvals).max(initial=0.0) >= 1.0 - EIG_CEIL_MARGIN:
         raise NotStable("spectral radius is not strictly below one")
     return solve_schur(fa, fat, Ct)
 

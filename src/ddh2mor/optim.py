@@ -1,26 +1,36 @@
-"""Gradient descent on the data-driven h2 objective.
+"""Gradient descent on the data-driven h2 objective, over (Ahat, Bhat).
 
-Each iteration assembles the data-driven gradients, stacks them into one
-descent direction, and backtracks the step until the objective decreases
-by the Armijo margin while the candidate stays inside the stability
-annulus.  The first trial step of the first iteration is ``alpha0``; every
-later iteration opens at the short Barzilai-Borwein step
-``<s, y> / <y, y>`` (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988)
-141-148), where ``s`` is the last accepted move and ``y`` the change of the
-stacked direction over it.  The step fits the curvature along the last
-move, so most iterations accept their first trial; it is not capped at
-``alpha0``.  Where ``<s, y> <= 0`` there is no curvature to fit, and the
-search opens at ``min(alpha0, alpha_prev / rho)``, one expansion of the
-step accepted last.  Backtracking stays monotone, so ``f`` never rises.
+The objective ``f = tr(Chat P Chat^T) - 2 tr(R Chat^T)`` is a convex
+quadratic in Chat, and neither P nor R depends on Chat, so for given
+(Ahat, Bhat) its minimizer ``Chat* = R P^+`` is solved in closed form and
+the descent runs on the projected objective ``phi(Ahat, Bhat) = f`` at
+Chat* (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10
+(1973) 413-432).  By the envelope theorem the gradient of phi is the
+paper's ``(gA, gB)`` at Chat*, whose ``gC`` vanishes to rounding, so each
+iterate is the projected rom (Ahat, Bhat, Chat*) and the stacked direction
+moves only Ahat and Bhat.
+
+Each iteration assembles the data-driven gradients there, stacks them into
+one descent direction, and backtracks the step until phi decreases by the
+Armijo margin while the candidate stays inside the stability annulus.  The
+first trial step of the first iteration is ``alpha0``; every later
+iteration opens at the short Barzilai-Borwein step ``<s, y> / <y, y>``
+(Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141-148), where ``s`` is
+the last accepted move and ``y`` the change of the stacked direction over
+it.  The step fits the curvature along the last move, so most iterations
+accept their first trial; it is not capped at ``alpha0``.  Where
+``<s, y> <= 0`` there is no curvature to fit, and the search opens at
+``min(alpha0, alpha_prev / rho)``, one expansion of the step accepted
+last.  Backtracking stays monotone, so phi never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
-eigenvalues off that factor) and evaluates the objective with
-``Evaluation``: the P and R equations are solved in Schur coordinates and
-the objective is read off the solutions as inner products.  The start is
-evaluated as a trial is, and the accepted trial's ``Evaluation`` becomes
-the next iterate: its gradient back-transforms the kept P and R and solves
-only Q and S, so every iterate has one value of f and one solve of each
-equation.
+eigenvalues off that factor) and evaluates phi with ``Evaluation``: the P
+and R equations are solved in Schur coordinates and back-transformed, and
+phi is f at ``Chat* = R P^+``.  The start is evaluated as a trial is; its
+``f`` as given is ``initial_f``.  The accepted trial's ``Evaluation``
+becomes the next iterate: its gradient reuses P and R and solves only Q
+and S at the projected rom, so every iterate has one value of phi and one
+solve of each equation.
 """
 
 from __future__ import annotations
@@ -66,7 +76,9 @@ class OptimParams:
              iteration whose last move showed no positive curvature
     c      : Armijo decrease coefficient
     rho    : backtracking shrink factor
-    tol    : stop once the squared direction norm D falls below this
+    tol    : stop once D, the squared norm of the gradient ``(gA, gB)`` of
+             the projected objective (the stacked direction at Chat*, whose
+             Chat block vanishes to rounding), falls below this
     """
 
     alpha0: float = 1.0
@@ -112,7 +124,7 @@ def _record(history, sink, rec: IterRecord) -> None:
 def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         oracle: LtiSystem | None = None, sink=None,
         dual: DualData | None = None) -> OptimResult:
-    """Descend the data-driven h2 objective starting from ``init``.
+    """Descend the projected data-driven h2 objective starting from ``init``.
 
     Parameters
     ----------
@@ -127,9 +139,13 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
     Returns
     -------
-    OptimResult with the last accepted rom, the iteration history, and
-    the stop reason.  Accepted iterates always satisfy the stability
-    annulus; the objective column of the history is non-increasing.
+    OptimResult with the last recorded rom (``init`` when no row was
+    recorded), the iteration history, and the stop reason.  Recorded roms
+    are projected: their Chat is the closed-form Chat* of their (Ahat,
+    Bhat).  The objective column of the history is phi, non-increasing;
+    ``initial_f`` and ``initial_rel_h2_error`` are those of ``init`` as
+    given, before its Chat is projected.  Recorded iterates always satisfy
+    the stability annulus.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
@@ -153,21 +169,21 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             if it == 1:
                 # the start is evaluated as a trial is; every later iterate
                 # is the trial that accepted it
-                current = Evaluation(dual, rom)
-            g = data_gradients(rom, current.gramians())
+                current = Evaluation(dual, init)
+                initial_f, initial_rel = current.f, rel_error(init)
+            iterate = current.projected
+            g = data_gradients(iterate, current.gramians(projected=True))
         except AssumptionViolated:
             stop = StopReason.ASSUMPTION_VIOLATED
             break
 
         d = stack_direction(g)
         D = float(np.sum(d * d))
-        if it == 1:
-            initial_f = current.f
-            initial_rel = rel_error(rom)
-        logger.debug("iter %d: f=%.6e D=%.3e", it, current.f, D)
+        logger.debug("iter %d: f=%.6e D=%.3e", it, current.phi, D)
 
         if D < params.tol:
-            _record(history, sink, IterRecord(it, current.f, D, 0.0, 0,
+            rom = iterate
+            _record(history, sink, IterRecord(it, current.phi, D, 0.0, 0,
                                               rel_error(rom), True))
             stop = StopReason.CONVERGED
             break
@@ -185,11 +201,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
                 params.alpha0, alpha / params.rho)
         d_prev = d
         for bt in range(params.max_backtracks):
-            cand = rom.stepped(g, alpha)
+            cand = iterate.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
                     trial = Evaluation(dual, cand)
-                    if np.isfinite(trial.f) and trial.f <= current.f - params.c * alpha * D:
+                    if (np.isfinite(trial.phi)
+                            and trial.phi <= current.phi - params.c * alpha * D):
                         accepted = (trial, alpha, bt)
                         break
                 except _CANDIDATE_ERRORS:
@@ -200,8 +217,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             break
 
         current, alpha, bt = accepted
-        rom = current.rom
-        _record(history, sink, IterRecord(it, current.f, D, alpha, bt,
+        rom = current.projected
+        _record(history, sink, IterRecord(it, current.phi, D, alpha, bt,
                                           rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,

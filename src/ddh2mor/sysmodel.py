@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GenerationFailed, SingularShift
-from .matequ import (SchurFactor, solve_discrete_sylvester, solve_schur,
-                     solve_stein, spectral_radius, stein_schur)
+from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, SchurFactor, solve_discrete_sylvester,
+                     solve_schur, solve_stein, spectral_radius, stein_schur)
 
 __all__ = [
     "ErrorGramians",
@@ -33,14 +33,10 @@ __all__ = [
     "model_based_gradients",
     "require_shared_io",
     "schur_objective",
+    "schur_sweeps",
     "simulate",
     "transfer_eval",
 ]
-
-# eigenvalue moduli must stay inside (_EIG_FLOOR, 1 - _EIG_CEIL_MARGIN)
-# for every solve in the pipeline to be well posed in floating point
-_EIG_FLOOR = 1e-12
-_EIG_CEIL_MARGIN = 1e-12
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -94,7 +90,7 @@ class LtiSystem:
         return spectral_radius(self.A)
 
     def is_stable(self) -> bool:
-        return self.spectral_radius() < 1.0 - _EIG_CEIL_MARGIN
+        return self.spectral_radius() < 1.0 - EIG_CEIL_MARGIN
 
 
 @dataclass(frozen=True)
@@ -146,10 +142,17 @@ class Rom:
     def satisfies_spectral_bounds(self) -> bool:
         """All eigenvalue moduli strictly inside the stability annulus."""
         mods = self.eig_moduli()
-        return bool(np.all(mods > _EIG_FLOOR) and np.all(mods < 1.0 - _EIG_CEIL_MARGIN))
+        return bool(np.all(mods > EIG_FLOOR) and np.all(mods < 1.0 - EIG_CEIL_MARGIN))
 
     def as_system(self) -> LtiSystem:
         return LtiSystem(self.Ahat, self.Bhat, self.Chat)
+
+    def with_output(self, Chat) -> "Rom":
+        """This rom with the output map ``Chat``, sharing the factor of Ahat."""
+        out = Rom(self.Ahat, self.Bhat, Chat)
+        # a cached_property lives in the instance dict, frozen or not
+        vars(out)["schur"] = self.schur
+        return out
 
     def stepped(self, gradients: "GradientTriple", step: float) -> "Rom":
         """Gradient-descent update with the given step size."""
@@ -275,34 +278,42 @@ def model_based_gradients(sys: LtiSystem, rom: Rom) -> GradientTriple:
     return GradientTriple(gA, gB, gC)
 
 
+def schur_sweeps(rom: Rom, fn: SchurFactor, coef: SchurFactor,
+                 zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and R of ``rom`` against a model (M, B, C), in Schur coordinates.
+
+    P solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and R solves
+    ``M R Ahat^T + B Bhat^T = R``; neither depends on Chat.  ``coef``
+    factors ``M = Zm Tm Zm^H``, ``fn`` is the factor of Ahat^T
+    (``rom.schur.transposed()``, Schur vectors Zn) and ``zb = Zm^H B``.
+    With ``Ahat = Za Ta Za^H``, returns ``(Yp^T, Yr^T)`` for
+    ``Yp = Za^H P Zn`` and ``Yr = Zm^H R Zn``.  The P sweep raises
+    ``NotStable`` unless Ahat is stable; the R sweep checks nothing, so the
+    caller makes sure that no product eig(M) eig(Ahat) is near 1.
+    """
+    fa, B = rom.schur, rom.Bhat
+    Bn = fn.Z.T @ B
+    return stein_schur(fa, fn, Bn @ (fa.ZH @ B).T), solve_schur(coef, fn, Bn @ zb.T)
+
+
 def schur_objective(rom: Rom, fn: SchurFactor, coef: SchurFactor, zb: np.ndarray,
-                    cz: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                    cz: np.ndarray) -> float:
     """Reduced part of the squared h2 error of ``rom``, read off Schur coordinates.
 
     Against a model (M, B, C) the squared error is
-    ``tr(C Sigma_c C^T) + tr(Chat P Chat^T) - 2 tr(C R Chat^T)``, where P
-    solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and R solves
-    ``M R Ahat^T + B Bhat^T = R``.  ``coef`` factors ``M = Zm Tm Zm^H``,
-    ``fn`` is the factor of Ahat^T (``rom.schur.transposed()``, Schur
-    vectors Zn), ``zb = Zm^H B`` and ``cz = C conj(Zm)``.  Both equations
-    are swept in Schur coordinates, ``Yp = Za^H P Zn`` and
-    ``Yr = Zm^H R Zn`` with ``Ahat = Za Ta Za^H``, and the two traces are
-    inner products with them:
+    ``tr(C Sigma_c C^T) + tr(Chat P Chat^T) - 2 tr(C R Chat^T)``; this is
+    the last two terms.  The arguments are those of ``schur_sweeps``, and
+    ``cz = C conj(Zm)``.  The two traces are inner products with the swept
+    solutions, so neither is back-transformed:
 
         tr(Chat P Chat^T) = Re <Yp, Za^H Chat^T Chat Zn>
         tr(C R Chat^T)    = Re <Yr, Zm^H C^T Chat Zn>
-
-    Returns ``(f, Yp^T, Yr^T)`` with f the last two terms.  The P sweep
-    raises ``NotStable`` unless Ahat is stable; the R sweep checks nothing,
-    so the caller makes sure that no product eig(M) eig(Ahat) is near 1.
     """
-    fa, B, C = rom.schur, rom.Bhat, rom.Chat
-    Bn = fn.Z.T @ B
-    Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ B).T)
-    Yr = solve_schur(coef, fn, Bn @ zb.T)
+    fa, C = rom.schur, rom.Chat
+    Yp, Yr = schur_sweeps(rom, fn, coef, zb)
     Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
     Kr = fn.Z.T @ (C.T @ cz)
-    return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real), Yp, Yr
+    return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real)
 
 
 class H2ErrorEvaluator:
@@ -336,7 +347,7 @@ class H2ErrorEvaluator:
         # A is stable (its gramian exists) and the P sweep requires a stable
         # Ahat, so no product eig(A) eig(Ahat) is near 1 in the R sweep
         f = schur_objective(rom, rom.schur.transposed(), self._a_schur, self._zb,
-                            self._cz)[0]
+                            self._cz)
         return float(np.sqrt(max(self._trace_full + f, 0.0)))
 
     def relative_error(self, rom: Rom) -> float:

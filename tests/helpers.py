@@ -119,6 +119,16 @@ def random_rom(rng, r, m, p, radius=0.7, min_modulus=1e-3):
     raise RuntimeError("could not draw a reduced model inside the annulus")
 
 
+def input_normal(rom):
+    """The same transfer function in the coordinates where the gramian P is I.
+
+    With P = L L^T, the similarity x -> L^{-1} x gives (L^{-1} Ahat L,
+    L^{-1} Bhat, Chat L).  It needs (Ahat, Bhat) controllable.
+    """
+    L = np.linalg.cholesky(kron_solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T))
+    return Rom(np.linalg.solve(L, rom.Ahat @ L), np.linalg.solve(L, rom.Bhat), rom.Chat @ L)
+
+
 def count_schur_calls(monkeypatch):
     """Record the shape of every matrix passed to scipy.linalg.schur."""
     shapes = []

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ddh2mor import (
     AssumptionViolated,
@@ -287,6 +287,77 @@ def test_objective_can_be_negative():
     P, _ = rom_gramians(rom)
     f = objective_f(rom, P, solve_R(dual, rom))
     assert f < 0.0
+
+
+# ----------------------------------------------------------------- projection
+
+
+def projection_instance(seed, n, m, r):
+    """Noiseless data of a random order-n system and a random order-r rom."""
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, m)
+    ens = generate_ensemble(sys, n + m + 2, NoiseSpec(seed=seed % 1000))
+    return rng, reconstruct_dual(ens), random_rom(rng, r, m, n)
+
+
+st_shape = dict(seed=st_seed, n=st.integers(3, 8), m=st.integers(1, 2),
+                r=st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**st_shape)
+def test_projection_never_raises_the_objective(seed, n, m, r):
+    # phi is f at chat_star, the minimizer of the convex quadratic f(Chat)
+    _, dual, rom = projection_instance(seed, n, m, r)
+    ev = Evaluation(dual, rom)
+    scale = max(abs(ev.f), abs(ev.phi))
+    assert ev.phi <= ev.f + 1e-12 * scale
+    assert objective_f(ev.projected, ev.P, ev.R) == pytest.approx(ev.phi, rel=1e-10,
+                                                                abs=1e-14 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**st_shape)
+def test_output_gradient_vanishes_at_the_projection(seed, n, m, r):
+    _, dual, rom = projection_instance(seed, n, m, r)
+    ev = Evaluation(dual, rom)
+    g = data_gradients(ev.projected, ev.gramians(projected=True))
+    assert np.abs(g.gC).max() <= 1e-10 * np.abs(ev.R).max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(**st_shape)
+def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n, m, r):
+    # the envelope theorem: gC vanishes at chat_star, so phi's derivatives
+    # in (Ahat, Bhat) are f's there, and phi does not depend on Chat
+    _, dual, rom = projection_instance(seed, n, m, r)
+    ev = Evaluation(dual, rom)
+    # phi = -tr(R P^-1 R^T) carries the rounding of P times its condition
+    # number, which the differences divide by the step
+    assume(np.linalg.cond(ev.P) < 1e4)
+    g = data_gradients(ev.projected, ev.gramians(projected=True))
+    fd = fd_gradients(lambda q: Evaluation(dual, q).phi, rom, step=1e-5)
+    # phi is invariant under similarity, so a block may vanish (r = m = 1
+    # leaves phi independent of Bhat); the scale is that of both blocks
+    scale = max(np.abs(g.gA).max(), np.abs(g.gB).max())
+    assert np.abs(fd.gA - g.gA).max() <= 1e-6 * scale
+    assert np.abs(fd.gB - g.gB).max() <= 1e-6 * scale
+    assert np.abs(fd.gC).max() == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(**st_shape)
+def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
+    # (T Ahat T^-1, T Bhat) has the transfer function of (Ahat, Bhat) for
+    # every output map: phi stays and chat_star becomes chat_star T^-1
+    rng, dual, rom = projection_instance(seed, n, m, r)
+    Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    T = Q * np.exp(rng.uniform(-1.0, 1.0, r))
+    Tinv = np.linalg.inv(T)
+    ev = Evaluation(dual, rom)
+    moved = Evaluation(dual, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
+    assert moved.phi == pytest.approx(ev.phi, rel=1e-9)
+    assert rel_max_err(moved.chat_star, ev.chat_star @ Tinv) <= 1e-9
 
 
 # ------------------------------------------------------------------ gradients

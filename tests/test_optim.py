@@ -25,7 +25,7 @@ from ddh2mor import (
     stack_direction,
 )
 import ddh2mor
-from helpers import count_schur_calls, random_rom, random_system, rel_max_err
+from helpers import count_schur_calls, input_normal, random_rom, random_system, rel_max_err
 
 
 def make_problem(seed=0, n=12, m=2, r=3, N=16):
@@ -129,8 +129,13 @@ def test_known_and_unknown_input_routes_agree(data, n, m, extra, seed):
     unknown, known = (data_gradients(rom, solve_gramians(dual, rom)) for dual in duals)
     for block in ("gA", "gB", "gC"):
         assert rel_max_err(getattr(known, block), getattr(unknown, block)) < 1e-7
+    # the descent's gradient is taken at Chat* = R P^+, which scales the
+    # rounding between the two duals by up to cond(P), 1e7 and more for a
+    # random single-input rom; it starts from the same transfer function
+    # in input-normal coordinates (P = I), where that factor is 1
     params = OptimParams(max_iters=3, tol=1e-15)
-    unknown, known = (run(ens, rom, params, dual=dual) for dual in duals)
+    start = input_normal(rom)
+    unknown, known = (run(ens, start, params, dual=dual) for dual in duals)
     assert known.initial_f == pytest.approx(unknown.initial_f, rel=1e-7)
     assert known.history[0].D == pytest.approx(unknown.history[0].D, rel=1e-7)
     assert ([r.backtracks for r in known.history]
@@ -339,16 +344,48 @@ def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
     assert second[0] == min(params.alpha0, res.history[0].step / params.rho)
 
 
-def test_dmdc_start_at_acceptance_scale_converges_in_few_steps():
-    # acceptance configuration (n=100, m=2, r=6, N=102, default parameters)
+@pytest.fixture(scope="module")
+def acceptance_problem():
+    """The acceptance configuration (n=100, m=2, r=6, N=102) and its three starts."""
     sys = ddh2mor.generate_synthetic(ddh2mor.SyntheticSpec(n=100, m=2, h=0.1, seed=7))
     ens = generate_ensemble(sys, 102, NoiseSpec(alpha=0.0, seed=107))
     trajs = ddh2mor.generate_trajectories(sys, 102, 10, NoiseSpec(alpha=0.0, seed=207))
-    res = run(ens, ddh2mor.init_dmdc(trajs, 6))
+    left, right = ddh2mor.sample_frequency_data(sys, 30, 30, seed=307)
+    starts = {
+        "dmdc": ddh2mor.init_dmdc(trajs, 6),
+        "loewner": ddh2mor.init_loewner(left, right, 6),
+        "databt": init_data_bt(impulse_from_system(sys, 10), 6),
+    }
+    return sys, ens, starts
+
+
+def test_dmdc_start_at_acceptance_scale_converges_in_few_steps(acceptance_problem):
+    # acceptance configuration (n=100, m=2, r=6, N=102, default parameters)
+    _, ens, starts = acceptance_problem
+    res = run(ens, starts["dmdc"])
     assert res.stop_reason is StopReason.CONVERGED
     assert sum(rec.step > 0 for rec in res.history) <= 60
+    # at the default tol the projected start is two short steps from
+    # converged, so the long steps show on the way to a tighter tol
+    res = run(ens, starts["dmdc"], OptimParams(tol=1e-5))
     # the first trial is not capped at alpha0, and here some step exceeds it
     assert max(rec.step for rec in res.history) > OptimParams().alpha0
+
+
+def test_projection_keeps_the_acceptance_descent_short_and_its_errors_low(
+        acceptance_problem):
+    # with chat solved in closed form the three starts take 2, 0 and 0 steps
+    # and end at true errors 0.0572, 0.0229 and 0.0244; descending chat as
+    # well took 34 steps and ended at 0.0798, 0.0282 and 0.0301
+    sys, ens, starts = acceptance_problem
+    ceilings = {"dmdc": 0.065, "loewner": 0.025, "databt": 0.027}
+    steps = 0
+    for name, init in starts.items():
+        res = run(ens, init, oracle=sys)
+        assert res.stop_reason is StopReason.CONVERGED
+        steps += sum(rec.step > 0 for rec in res.history)
+        assert res.history[-1].rel_h2_error <= ceilings[name], name
+    assert steps <= 10
 
 
 @pytest.mark.parametrize("route", ["unknown-input", "known-input"])
@@ -396,7 +433,7 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     # the kernel sweeps P and R; ddgrad's own Stein sweeps solve Q
-    counted(ddh2mor.ddgrad, "schur_objective", "PR")
+    counted(ddh2mor.ddgrad, "schur_sweeps", "PR")
     counted(ddh2mor.ddgrad, "stein_schur", "Q")
     counted(ddh2mor.ddgrad, "solve_S", "S")
     counted(ddh2mor.ddgrad, "solve_stein", "solve_stein")

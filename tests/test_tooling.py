@@ -67,8 +67,9 @@ def test_export_lists_name_what_exists():
 
 @pytest.mark.parametrize("params, stop", [
     (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED),
-    # the Armijo margin c = 0.3 soon defeats two backtracks
-    (ddh2mor.OptimParams(alpha0=0.0625, c=0.3, max_backtracks=2, tol=1e-6),
+    # the Armijo margin c = 0.3 defeats two backtracks in the thirteenth
+    # iteration, before D falls below tol
+    (ddh2mor.OptimParams(alpha0=0.016, c=0.3, max_backtracks=2, tol=1e-8),
      ddh2mor.StopReason.BACKTRACK_EXHAUSTED),
 ], ids=["converged", "backtrack-exhausted"])
 def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, stop):
@@ -92,5 +93,5 @@ def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, 
 
 def test_harness_annulus_bounds_are_the_package_bounds(monkeypatch):
     workloads = load_benchmark_module(monkeypatch, "workloads")
-    assert workloads.EIG_FLOOR == ddh2mor.sysmodel._EIG_FLOOR
-    assert workloads.EIG_CEIL_MARGIN == ddh2mor.sysmodel._EIG_CEIL_MARGIN
+    assert workloads.EIG_FLOOR == ddh2mor.matequ.EIG_FLOOR
+    assert workloads.EIG_CEIL_MARGIN == ddh2mor.matequ.EIG_CEIL_MARGIN
