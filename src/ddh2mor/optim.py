@@ -27,10 +27,13 @@ A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates phi with ``Evaluation``: the P
 and R equations are solved in Schur coordinates and back-transformed, and
 phi is f at ``Chat* = R P^+``.  The start is evaluated as a trial is; its
-``f`` as given is ``initial_f``.  The accepted trial's ``Evaluation``
-becomes the next iterate: its gradient reuses P and R and solves only Q
-and S at the projected rom, so every iterate has one value of phi and one
-solve of each equation.
+``f`` as given is ``initial_f``.  The descent then starts from the same
+transfer function in input-normal coordinates, where P is the identity, so
+that ``Chat*`` and the gradient at it do not scale rounding in R by
+cond(P), which reaches 1e7 for random single-input roms.  The accepted
+trial's ``Evaluation`` becomes the next iterate: its gradient reuses P and
+R and solves only Q and S at the projected rom, so every iterate has one
+value of phi and one solve of each equation.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import DualData, Evaluation, data_gradients, reconstruct_dual
@@ -121,6 +125,24 @@ def _record(history, sink, rec: IterRecord) -> None:
         sink(rec)
 
 
+def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
+    """``rom`` in the coordinates where its gramian P is the identity.
+
+    With ``P = L L^T`` the similarity ``x -> L^{-1} x`` gives ``(L^{-1}
+    Ahat L, L^{-1} Bhat, Chat L)``, the same transfer function, so f, phi
+    and the h2 error keep their values.  ``Chat* = R P^+`` is then ``R``,
+    and rounding in R reaches the gradient of phi unscaled by cond(P).
+    Where P is not numerically positive definite (``Bhat = 0``, say) there
+    are no such coordinates, and ``rom`` itself is returned.
+    """
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return rom
+    return Rom(solve_triangular(L, rom.Ahat @ L, lower=True),
+               solve_triangular(L, rom.Bhat, lower=True), rom.Chat @ L)
+
+
 def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         oracle: LtiSystem | None = None, sink=None,
         dual: DualData | None = None) -> OptimResult:
@@ -142,9 +164,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     OptimResult with the last recorded rom (``init`` when no row was
     recorded), the iteration history, and the stop reason.  Recorded roms
     are projected: their Chat is the closed-form Chat* of their (Ahat,
-    Bhat).  The objective column of the history is phi, non-increasing;
-    ``initial_f`` and ``initial_rel_h2_error`` are those of ``init`` as
-    given, before its Chat is projected.  Recorded iterates always satisfy
+    Bhat).  They are in the coordinates the descent ran in, which begin
+    as the input-normal coordinates of ``init`` (its own where its
+    gramian P is not positive definite).  The objective column of the
+    history is phi, non-increasing; ``initial_f`` and
+    ``initial_rel_h2_error`` are those of ``init`` as given, before its
+    Chat is projected.  Recorded iterates always satisfy
     the stability annulus.
     """
     if not init.satisfies_spectral_bounds():
@@ -167,10 +192,18 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     for it in range(1, params.max_iters + 1):
         try:
             if it == 1:
-                # the start is evaluated as a trial is; every later iterate
-                # is the trial that accepted it
+                # the start is evaluated as a trial is, then put in
+                # input-normal coordinates; every later iterate is the trial
+                # that accepted it.  phi, the same there but for rounding,
+                # keeps its value at init, which is f's where init is
+                # projected already, so the objective never rises from
+                # initial_f
                 current = Evaluation(dual, init)
                 initial_f, initial_rel = current.f, rel_error(init)
+                phi = current.phi
+                start = _input_normal(init, current.P)
+                if start is not init:
+                    current = Evaluation(dual, start)
             iterate = current.projected
             g = data_gradients(iterate, current.gramians(projected=True))
         except AssumptionViolated:
@@ -179,11 +212,11 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
         d = stack_direction(g)
         D = float(np.sum(d * d))
-        logger.debug("iter %d: f=%.6e D=%.3e", it, current.phi, D)
+        logger.debug("iter %d: f=%.6e D=%.3e", it, phi, D)
 
         if D < params.tol:
             rom = iterate
-            _record(history, sink, IterRecord(it, current.phi, D, 0.0, 0,
+            _record(history, sink, IterRecord(it, phi, D, 0.0, 0,
                                               rel_error(rom), True))
             stop = StopReason.CONVERGED
             break
@@ -206,7 +239,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
                 try:
                     trial = Evaluation(dual, cand)
                     if (np.isfinite(trial.phi)
-                            and trial.phi <= current.phi - params.c * alpha * D):
+                            and trial.phi <= phi - params.c * alpha * D):
                         accepted = (trial, alpha, bt)
                         break
                 except _CANDIDATE_ERRORS:
@@ -217,8 +250,9 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             break
 
         current, alpha, bt = accepted
+        phi = current.phi
         rom = current.projected
-        _record(history, sink, IterRecord(it, current.phi, D, alpha, bt,
+        _record(history, sink, IterRecord(it, phi, D, alpha, bt,
                                           rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,

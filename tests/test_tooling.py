@@ -67,9 +67,9 @@ def test_export_lists_name_what_exists():
 
 @pytest.mark.parametrize("params, stop", [
     (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED),
-    # the Armijo margin c = 0.3 defeats two backtracks in the thirteenth
+    # the Armijo margin c = 0.5 defeats two backtracks in the fifteenth
     # iteration, before D falls below tol
-    (ddh2mor.OptimParams(alpha0=0.016, c=0.3, max_backtracks=2, tol=1e-8),
+    (ddh2mor.OptimParams(alpha0=0.016, c=0.5, max_backtracks=2, tol=1e-8),
      ddh2mor.StopReason.BACKTRACK_EXHAUSTED),
 ], ids=["converged", "backtrack-exhausted"])
 def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, stop):
