@@ -6,13 +6,19 @@ Observation noise with coefficient alpha perturbs both state snapshots,
 never the latent recursion.
 
 Each file format has one writer and one reader here: the system, ensemble
-and rom directories (CSV matrices plus a JSON manifest for the first two)
-and the ``history.csv`` iteration log.
+and rom directories (JSON manifests for the first two), the ``history.csv``
+iteration log, and the two matrix formats.  The ensemble blocks are NumPy
+``.npy`` files (NEP 1), binary and exact; the system and rom matrices stay
+comma-separated text, since they are small and people read them.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +60,12 @@ __all__ = [
 RANK_TOL = 1e-10
 
 _CSV_FMT = "%.17e"
+
+# an .npy header longer than numpy's own limit of 10000 characters is
+# refused, so this many leading bytes hold every header the reader accepts
+_NPY_HEAD_BYTES = 1 << 14
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
 
 HISTORY_HEADER = "iter,f,D,step,backtracks,rel_h2_error,stable"
 
@@ -176,15 +188,19 @@ class AssumptionReport:
         return self.b1_holds and self.b2_holds and self.b3_holds
 
 
+def _rank(sv: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Count of the descending singular values ``sv`` above ``tol`` times the first."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > tol * sv[0]))
+
+
 def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
     """Count of singular values above ``tol`` times the largest one."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return _rank(np.linalg.svd(M, compute_uv=False), tol)
 
 
 def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) -> DataEnsemble:
@@ -236,12 +252,18 @@ def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
     return DataEnsemble(trajs.states[:, 0], trajs.inputs[:, 0], trajs.states[:, 1])
 
 
-def check_assumptions(ens: DataEnsemble) -> AssumptionReport:
-    """Rank-check the snapshot blocks against the required full ranks."""
+def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:
+    """Rank-check the snapshot blocks against the required full ranks.
+
+    A caller that has decomposed the blocks already passes their singular
+    values as ``singular_values``: those of [X1 U1], X1 and U1, in order.
+    """
     n, m = ens.n, ens.m
-    rank_joint = numerical_rank(np.hstack([ens.X1, ens.U1]))
-    rank_x1 = numerical_rank(ens.X1)
-    rank_u1 = numerical_rank(ens.U1)
+    if singular_values is None:
+        ranks = [numerical_rank(M) for M in (np.hstack([ens.X1, ens.U1]), ens.X1, ens.U1)]
+    else:
+        ranks = [_rank(sv) for sv in singular_values]
+    rank_joint, rank_x1, rank_u1 = ranks
     return AssumptionReport(
         rank_X1U1=rank_joint,
         rank_X1=rank_x1,
@@ -265,6 +287,46 @@ def read_matrix(path: Path) -> np.ndarray:
         raise FormatError(f"{path}: {exc}") from exc
     if M.size == 0:
         raise FormatError(f"{path}: empty matrix file")
+    return M
+
+
+def _read_block(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """Read an ensemble block of ``shape`` from a ``.npy`` file (NEP 1).
+
+    The header is checked before any data is read, so a file whose header
+    claims more data than it holds is refused without allocating for it.
+    A FormatError is raised for a file that is not a version 1 or 2 ``.npy``
+    file, for data other than float64 of ``shape`` (C or Fortran order),
+    for a size other than the header promises and for non-finite entries.
+    """
+    with open(path, "rb") as fh:
+        head = io.BytesIO(fh.read(_NPY_HEAD_BYTES))
+        try:
+            version = np.lib.format.read_magic(head)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported format version {version}")
+            # a header numpy reads with a warning is judged here all the same
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                stored, _, dtype = _NPY_HEADER_READERS[version](head)
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+            raise FormatError(f"{path}: not a .npy array file ({exc})") from None
+        if dtype.kind != "f" or dtype.itemsize != 8:
+            raise FormatError(f"{path}: expected float64 entries, got {dtype}")
+        if len(stored) != 2:
+            raise FormatError(f"{path}: expected a 2-D array, got shape {stored}")
+        if stored != shape:
+            raise FormatError(f"{path}: array of shape {stored}, the manifest "
+                              f"expects {shape}")
+        expected = shape[0] * shape[1] * dtype.itemsize
+        held = os.fstat(fh.fileno()).st_size - head.tell()
+        if held != expected:
+            raise FormatError(f"{path}: header promises {expected} data bytes, "
+                              f"the file holds {held}")
+        fh.seek(0)
+        M = np.load(fh, allow_pickle=False)
+    if not np.isfinite(M).all():
+        raise FormatError(f"{path}: non-finite entries")
     return M
 
 
@@ -319,13 +381,16 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def save_ensemble(ens: DataEnsemble, path) -> Path:
-    """Write x1/u1/x2 CSV files plus an ensemble.json manifest into a directory."""
+    """Write x1/u1/x2 ``.npy`` files plus an ensemble.json manifest into a directory.
+
+    The blocks are NumPy's binary ``.npy`` files, bit-exact and written the
+    same way on every run; returns the manifest's path.
+    """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    files = {"x1": "x1.csv", "u1": "u1.csv", "x2": "x2.csv"}
-    write_matrix(root / files["x1"], ens.X1)
-    write_matrix(root / files["u1"], ens.U1)
-    write_matrix(root / files["x2"], ens.X2)
+    files = {"x1": "x1.npy", "u1": "u1.npy", "x2": "x2.npy"}
+    for key, M in (("x1", ens.X1), ("u1", ens.U1), ("x2", ens.X2)):
+        np.save(root / files[key], M, allow_pickle=False)
     manifest = {"n": ens.n, "m": ens.m, "N": ens.N,
                 "alpha": ens.alpha, "seed": ens.seed, **files}
     write_json(root / "ensemble.json", manifest)
@@ -333,18 +398,20 @@ def save_ensemble(ens: DataEnsemble, path) -> Path:
 
 
 def load_ensemble(path) -> DataEnsemble:
-    """Load an ensemble from a manifest path or its containing directory."""
+    """Load an ensemble from a manifest path or its containing directory.
+
+    Each block file must hold the shape the manifest's N, n and m give it.
+    """
     manifest, manifest_path = read_manifest(path, "ensemble.json",
                                             ("n", "m", "N", "x1", "u1", "x2"))
     root = manifest_path.parent
-    X1 = read_matrix(root / manifest["x1"])
-    U1 = read_matrix(root / manifest["u1"])
-    X2 = read_matrix(root / manifest["x2"])
     N, n, m = manifest["N"], manifest["n"], manifest["m"]
-    if X1.shape != (N, n) or U1.shape != (N, m) or X2.shape != (N, n):
-        raise FormatError(
-            f"{manifest_path}: matrix shapes {X1.shape}/{U1.shape}/{X2.shape} "
-            f"do not match manifest (N={N}, n={n}, m={m})")
+    if min(N, n, m) < 1:
+        raise FormatError(f"{manifest_path}: sizes must be positive, got "
+                          f"N={N}, n={n}, m={m}")
+    X1 = _read_block(root / manifest["x1"], (N, n))
+    U1 = _read_block(root / manifest["u1"], (N, m))
+    X2 = _read_block(root / manifest["x2"], (N, n))
     return DataEnsemble(X1, U1, X2,
                         alpha=manifest.get("alpha"), seed=manifest.get("seed"))
 

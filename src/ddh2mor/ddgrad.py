@@ -17,7 +17,7 @@ import numpy as np
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
 from .errors import AssumptionViolated, RankDeficientData, SingularAhat
 from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse,
-                     solve_schur, solve_stein, stein_schur, to_schur)
+                     pseudoinverse_svd, solve_schur, solve_stein, stein_schur, to_schur)
 from .sysmodel import GradientTriple, Rom, schur_sweeps
 
 __all__ = [
@@ -108,22 +108,26 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     ``X1 UB1^T = X1 X2^T - Z2 X1^T``.  Requires the stacked block
     [X1 U1] and X1 themselves to have full column rank.  Every product is
     taken with the pseudoinverse first, so no N x N matrix is formed.
+    One SVD per block yields both its pseudoinverse and its rank.
     """
-    report = check_assumptions(ens)
+    joint_pinv, sv_joint = pseudoinverse_svd(np.hstack([ens.X1, ens.U1]), RANK_TOL)
+    stacked = (joint_pinv @ ens.X2) @ ens.X1.T
+    del joint_pinv  # (n + m) x N; freed here, the next SVD does not raise the peak
+    x1_pinv, sv_x1 = pseudoinverse_svd(ens.X1, RANK_TOL)
+    u1_pinv, sv_u1 = pseudoinverse_svd(ens.U1, RANK_TOL)
+    report = check_assumptions(ens, (sv_joint, sv_x1, sv_u1))
     if not (report.b1_holds and report.b2_holds) and not force:
         raise RankDeficientData(
             f"need rank [X1 U1] = {ens.n + ens.m} and rank X1 = {ens.n}, got "
             f"{report.rank_X1U1} and {report.rank_X1}")
     n = ens.n
-    stacked = (pseudoinverse(np.hstack([ens.X1, ens.U1]), rcond=RANK_TOL) @ ens.X2) @ ens.X1.T
     Z2 = stacked[:n].T
     ZB1 = stacked[n:]
-    x1_pinv = pseudoinverse(ens.X1, rcond=RANK_TOL)
     MR = x1_pinv @ Z2
     UB1 = ((x1_pinv @ ens.X1) @ ens.X2.T - MR @ ens.X1.T).T
     MS = x1_pinv @ (ens.X2 - UB1)
     GB = x1_pinv @ ZB1.T
-    sb_map = pseudoinverse(ens.U1, rcond=RANK_TOL) @ UB1 if report.b3_holds else None
+    sb_map = u1_pinv @ UB1 if report.b3_holds else None
     return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report)
 
 

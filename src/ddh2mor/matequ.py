@@ -39,6 +39,7 @@ __all__ = [
     "from_schur",
     "pencil_diagnostics",
     "pseudoinverse",
+    "pseudoinverse_svd",
     "solve_discrete_sylvester",
     "solve_schur",
     "solve_stein",
@@ -88,8 +89,23 @@ def pseudoinverse(A, rcond: float = 1e-12) -> np.ndarray:
     Singular values below ``rcond`` times the largest one are treated as
     zero, which makes the result well defined for rank-deficient input.
     """
+    return pseudoinverse_svd(A, rcond)[0]
+
+
+def pseudoinverse_svd(A, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudoinverse of A and A's singular values, from one SVD.
+
+    The arithmetic is ``np.linalg.pinv``'s, step for step, so the
+    pseudoinverse is bit-identical to it; a caller that also needs A's rank
+    reads it off the singular values without a second decomposition.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return np.linalg.pinv(A, rcond=rcond)
+    if A.size == 0:
+        return np.empty(A.shape[::-1]), np.empty(0)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    large = s > rcond * s.max()
+    inverse = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    return vt.T @ (inverse[:, None] * u.T), s
 
 
 @dataclass(frozen=True)

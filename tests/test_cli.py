@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import io
 import json
 import shutil
 import subprocess
@@ -82,6 +83,15 @@ def test_gen_system_is_reproducible(workspace, tmp_path):
                  "--out", str(again)]) == 0
     assert (again / "A.csv").read_bytes() == (workspace["system"] / "A.csv").read_bytes()
     assert (again / "B.csv").read_bytes() == (workspace["system"] / "B.csv").read_bytes()
+
+
+def test_gen_data_is_reproducible(workspace, tmp_path):
+    # workspace["ensemble"] came from the same command
+    again = tmp_path / "ens2"
+    assert main(["gen-data", "--system", str(workspace["system"]), "--N", "16",
+                 "--seed", "6", "--out", str(again)]) == 0
+    for name in ("x1.npy", "u1.npy", "x2.npy", "ensemble.json"):
+        assert (again / name).read_bytes() == (workspace["ensemble"] / name).read_bytes()
 
 
 def test_gen_data_reports_assumptions(workspace, tmp_path, capsys):
@@ -447,6 +457,62 @@ def test_mutated_manifests_and_configs_never_traceback(workspace, tmp_path, caps
     assert rc in (0, 1, 2, 3) and "Traceback" not in err
     if rc == 1:
         assert err.strip().splitlines()[-1].startswith("error: ")
+
+
+def test_reduce_csv_ensemble_exits_1(workspace, tmp_path, capsys):
+    ensdir = copy_with_manifest(workspace["ensemble"], tmp_path / "ens", "ensemble.json",
+                                lambda m: {**m, "x1": "x1.csv"})
+    np.savetxt(ensdir / "x1.csv", np.load(ensdir / "x1.npy"), delimiter=",")
+    capsys.readouterr()
+    rc = main(["reduce", "--ensemble", str(ensdir), "--r", "3", "--init", "databt",
+               "--oracle", str(workspace["system"]), "--out", str(tmp_path / "red")])
+    assert rc == 1
+    assert_one_line_error(capsys, "x1.csv: not a .npy array file")
+
+
+# values for a rewritten .npy header of an ensemble block, valid ones among them
+NPY_DESCRS = st.sampled_from(["<f8", ">f8", "<f4", "<i8", "<c16", "|O", "|V8", "<U2"]) \
+    | st.text(st.characters(max_codepoint=255), max_size=4)
+NPY_SHAPES = st.lists(st.integers(-2, 20) | st.sampled_from([10**12, 2**63]),
+                      max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_npy_blocks_never_traceback(workspace, tmp_path, capsys, data):
+    """Any truncation, byte flip or header rewrite of an ensemble block ends
+    in an exit code, and a truncation in a one-line error with exit 1."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    ensdir = root / "ensemble"
+    shutil.copytree(workspace["ensemble"], ensdir)
+    block = ensdir / data.draw(st.sampled_from(["x1.npy", "u1.npy", "x2.npy"]))
+    content = bytearray(block.read_bytes())
+    data_start = len(content) - np.load(block).nbytes
+    mutation = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if mutation == "truncate":
+        content = content[:data.draw(st.integers(0, len(content) - 1))]
+    elif mutation == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            content[data.draw(st.integers(0, len(content) - 1))] ^= data.draw(
+                st.integers(1, 255))
+    else:
+        fields = {"descr": data.draw(NPY_DESCRS), "fortran_order": data.draw(st.booleans()),
+                  "shape": data.draw(NPY_SHAPES)}
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, fields)
+        content = header.getvalue() + content[data_start:]
+    block.write_bytes(bytes(content))
+    capsys.readouterr()
+    rc = main(["reduce", "--ensemble", str(ensdir), "--r", "3", "--init", "databt",
+               "--oracle", str(workspace["system"]), "--max-iters", "2",
+               "--out", str(root / "red")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 1:
+        assert err.strip().splitlines()[-1].startswith("error: ")
+    if mutation == "truncate":
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):

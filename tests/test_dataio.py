@@ -1,4 +1,6 @@
+import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -235,6 +237,111 @@ def test_load_rejects_shape_mismatch(tmp_path):
 def test_load_rejects_corrupt_matrix(tmp_path):
     ens = generate_ensemble(random_system(np.random.default_rng(15), 3, 1), 6)
     save_ensemble(ens, tmp_path)
-    (tmp_path / "x1.csv").write_text("1.0,oops\n")
+    (tmp_path / "x1.npy").write_text("1.0,oops\n")
     with pytest.raises(FormatError):
         load_ensemble(tmp_path)
+
+
+def npy(M, *, allow_pickle=False, **header) -> bytes:
+    """The ``.npy`` bytes of M, with header entries replaced by ``header``."""
+    buf = io.BytesIO()
+    if not header:
+        np.save(buf, M, allow_pickle=allow_pickle)
+        return buf.getvalue()
+    fields = {**np.lib.format.header_data_from_array_1_0(M), **header}
+    np.lib.format.write_array_header_1_0(buf, fields)
+    return buf.getvalue() + np.ascontiguousarray(M).tobytes()
+
+
+def with_entry(M, value):
+    M = M.copy()
+    M[2, 1] = value
+    return M
+
+
+def npz(M) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, x1=M)
+    return buf.getvalue()
+
+
+# each a malformed x1.npy in place of the (6, 3) float64 block
+MALFORMED_X1 = {
+    "truncated": lambda M: npy(M)[:-8],
+    "header-only": lambda M: npy(M)[:128],
+    "trailing-bytes": lambda M: npy(M) + bytes(8),
+    "empty": lambda M: b"",
+    "pickled": pickle.dumps,
+    "object-dtype": lambda M: npy(M.astype(object), allow_pickle=True),
+    "npz-archive": npz,
+    "float32": lambda M: npy(M.astype(np.float32)),
+    "int64": lambda M: npy(M.astype(np.int64)),
+    "complex128": lambda M: npy(M.astype(complex)),
+    "one-dimensional": lambda M: npy(M.ravel()),
+    "three-dimensional": lambda M: npy(M[None]),
+    "wrong-shape": lambda M: npy(M[:5]),
+    "nan": lambda M: npy(with_entry(M, np.nan)),
+    "inf": lambda M: npy(with_entry(M, -np.inf)),
+    "version-3": lambda M: npy(M)[:6] + b"\x03" + npy(M)[7:],
+    "garbled-header": lambda M: npy(M).replace(b"'descr'", b"'descX'"),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_X1.values(), ids=list(MALFORMED_X1))
+def test_load_rejects_malformed_npy(tmp_path, content):
+    ens = generate_ensemble(random_system(np.random.default_rng(16), 3, 1), 6)
+    save_ensemble(ens, tmp_path)
+    (tmp_path / "x1.npy").write_bytes(content(np.array(ens.X1)))
+    with pytest.raises(FormatError, match="x1.npy: "):
+        load_ensemble(tmp_path)
+
+
+def test_load_refuses_a_huge_header_before_allocating(tmp_path):
+    # a header that claims 7.28 TiB is refused on the file's size alone,
+    # and so is one that disagrees with the manifest
+    ens = generate_ensemble(random_system(np.random.default_rng(17), 3, 1), 6)
+    manifest = save_ensemble(ens, tmp_path)
+    meta = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**meta, "N": 10**12, "n": 1000}))
+    x1 = tmp_path / "x1.npy"
+    x1.write_bytes(npy(np.array(ens.X1), shape=(10**12, 1000)))
+    with pytest.raises(FormatError, match="header promises 8000000000000000 data bytes"):
+        load_ensemble(tmp_path)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=r"shape \(1000000000000, 1000\)"):
+        load_ensemble(tmp_path)
+
+
+def test_load_rejects_nonpositive_manifest_sizes(tmp_path):
+    ens = generate_ensemble(random_system(np.random.default_rng(18), 3, 1), 6)
+    manifest = save_ensemble(ens, tmp_path)
+    meta = json.loads(manifest.read_text())
+    for key in ("N", "n", "m"):
+        manifest.write_text(json.dumps({**meta, key: 0}))
+        with pytest.raises(FormatError, match="sizes must be positive"):
+            load_ensemble(tmp_path)
+
+
+def test_csv_block_is_refused_and_converts_in_one_line(tmp_path):
+    ens = generate_ensemble(random_system(np.random.default_rng(19), 3, 1), 6)
+    manifest = save_ensemble(ens, tmp_path)
+    np.savetxt(tmp_path / "x1.csv", ens.X1, delimiter=",", fmt="%.17e")
+    meta = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**meta, "x1": "x1.csv"}))
+    with pytest.raises(FormatError, match="x1.csv: not a .npy array file"):
+        load_ensemble(tmp_path)
+    # the conversion README gives for measured CSV data
+    np.save(tmp_path / "x1.npy", np.loadtxt(tmp_path / "x1.csv", delimiter=",", ndmin=2))
+    manifest.write_text(json.dumps(meta))
+    np.testing.assert_array_equal(load_ensemble(tmp_path).X1, ens.X1)
+
+
+def test_load_accepts_fortran_order_and_either_byte_order(tmp_path):
+    ens = generate_ensemble(random_system(np.random.default_rng(20), 3, 1), 6)
+    save_ensemble(ens, tmp_path)
+    np.save(tmp_path / "x1.npy", np.asfortranarray(ens.X1))
+    np.save(tmp_path / "x2.npy", ens.X2.astype(">f8"))
+    again = load_ensemble(tmp_path)
+    np.testing.assert_array_equal(again.X1, ens.X1)
+    np.testing.assert_array_equal(again.X2, ens.X2)
+    assert again.X1.flags.c_contiguous

@@ -99,6 +99,34 @@ def test_reconstruction_matches_square_association_reference():
         assert rel_max_err(getattr(dual, name), value) <= 1e-12, name
 
 
+@pytest.mark.parametrize("n, m, N, alpha", [(12, 2, 16, 0.0), (20, 3, 400, 1e-3),
+                                         (12, 2, 10, 0.0)])
+def test_reconstruction_is_bit_identical_to_three_pinv_formulas(n, m, N, alpha):
+    # one SVD per block gives the ranks and the pseudoinverses that
+    # np.linalg.pinv gave, to the last bit, rank-deficient data included
+    sys = generate_synthetic(SyntheticSpec(n=n, m=m, seed=7))
+    ens = generate_ensemble(sys, N, NoiseSpec(alpha=alpha, seed=3))
+    X1, U1, X2 = ens.X1, ens.U1, ens.X2
+    report = check_assumptions(ens)
+    stacked = (np.linalg.pinv(np.hstack([X1, U1]), rcond=1e-10) @ X2) @ X1.T
+    Z2, ZB1 = stacked[:n].T, stacked[n:]
+    x1_pinv = np.linalg.pinv(X1, rcond=1e-10)
+    MR = x1_pinv @ Z2
+    UB1 = ((x1_pinv @ X1) @ X2.T - MR @ X1.T).T
+    ref = {"Z2": Z2, "ZB1": ZB1, "UB1": UB1, "MR": MR, "MS": x1_pinv @ (X2 - UB1),
+           "GB": x1_pinv @ ZB1.T,
+           "sb_map": np.linalg.pinv(U1, rcond=1e-10) @ UB1 if report.b3_holds else None}
+    dual = reconstruct_dual(ens, force=True)
+    assert dual.report == report
+    for name, value in ref.items():
+        np.testing.assert_array_equal(getattr(dual, name), value, err_msg=name)
+    known = reconstruct_dual_known_input(ens, sys.B, force=True)
+    MS = x1_pinv @ (X2 - U1 @ sys.B.T)
+    assert known.report == report
+    np.testing.assert_array_equal(known.MS, MS)
+    np.testing.assert_array_equal(known.Z2, X1 @ MS)
+
+
 def test_reconstruction_forms_no_sample_by_sample_matrix():
     _, ens, _ = make_instance(seed=5, n=20, N=2000)
     tracemalloc.start()

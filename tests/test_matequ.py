@@ -14,8 +14,8 @@ from ddh2mor import (
     solve_stein,
     spectral_radius,
 )
-from ddh2mor.matequ import (from_schur, solve_schur, spectral_separation,
-                            to_schur)
+from ddh2mor.matequ import (from_schur, pseudoinverse_svd, solve_schur,
+                            spectral_separation, to_schur)
 from helpers import kron_solve_stein, kron_solve_sylvester, random_stable, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -315,6 +315,19 @@ def test_pseudoinverse_rcond_truncates_small_singular_values():
     A = np.diag([1.0, 1e-15])
     P = pseudoinverse(A, rcond=1e-12)
     np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st_seed, k=st.integers(1, 40), r=st.integers(1, 12),
+       deficiency=st.integers(0, 3), order=st.sampled_from("CF"))
+def test_pseudoinverse_svd_is_numpy_pinv_bit_for_bit(seed, k, r, deficiency, order):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, r))
+    A[:, :min(deficiency, r - 1)] = 0.0
+    A = np.asarray(A, order=order)
+    P, sv = pseudoinverse_svd(A, 1e-10)
+    np.testing.assert_array_equal(P, np.linalg.pinv(A, rcond=1e-10))
+    np.testing.assert_array_equal(sv, np.linalg.svd(A, full_matrices=False)[1])
 
 
 def test_pencil_identity_pair():

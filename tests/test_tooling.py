@@ -1,5 +1,5 @@
 """The package's export lists and the benchmark harness keep working
-against the package's API.
+against the package's API and file formats.
 
 ``benchmarks/tracing.py`` wraps package functions by name when a tracer is
 entered.  A renamed or removed function makes entering fail, so this test
@@ -7,7 +7,9 @@ catches it before a traced benchmark run does.  A name deleted from a
 module but left in its ``__all__`` or in the package's imports is caught
 the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
 its history; the count must stay the number of trial models the descent
-built.  Its annulus check repeats the package's eigenvalue bounds.
+built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
+workload reads the files the command line writes without the package, so
+one small round of it runs here.
 """
 
 import ast
@@ -95,3 +97,11 @@ def test_harness_annulus_bounds_are_the_package_bounds(monkeypatch):
     workloads = load_benchmark_module(monkeypatch, "workloads")
     assert workloads.EIG_FLOOR == ddh2mor.matequ.EIG_FLOOR
     assert workloads.EIG_CEIL_MARGIN == ddh2mor.matequ.EIG_CEIL_MARGIN
+
+
+def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
+    # gen-system, gen-data, reduce and evaluate at n=10, checked from the
+    # files they wrote, so a change of file format cannot break it unseen
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    outcomes = workloads.make("cli-noisy-tall", 0, tmp_path, tiny=True).round()
+    assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
