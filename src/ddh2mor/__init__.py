@@ -19,8 +19,9 @@ from .ddgrad import (DualData, GramianSet, data_gradients,
                      solve_gramians, solve_R, solve_S, solve_SB)
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
                      InsufficientData, NoUniqueSolution, NotStable,
-                     RankDeficientData, ReductionError, SingularAhat,
-                     SingularE, SingularShift, StabilizationFailed)
+                     NumericalOverflow, RankDeficientData, ReductionError,
+                     SingularAhat, SingularE, SingularShift,
+                     StabilizationFailed)
 from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       init_data_bt, init_dmdc, init_loewner,
                       load_frequency_samples, load_impulse_data, make_stable,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
-from .errors import AssumptionViolated, RankDeficientData, SingularAhat
+from .errors import (AssumptionViolated, NumericalOverflow, RankDeficientData,
+                     SingularAhat)
 from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse,
                      pseudoinverse_svd, solve_schur, solve_stein, stein_schur, to_schur)
 from .sysmodel import GradientTriple, Rom, schur_sweeps
@@ -76,13 +77,30 @@ class DualData:
     gb_schur: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # finite snapshots of too wide a range overflow in the products of
+        # the reconstruction or in the factorizations of MR and MS
+        _require_finite("the dual reconstruction", self.Z2, self.ZB1, self.UB1,
+                        self.MR, self.MS, self.GB)
         object.__setattr__(self, "mr_schur", SchurFactor.of(self.MR))
         object.__setattr__(self, "ms_schur", SchurFactor.of(self.MS))
+        _require_finite("the Schur factors of MR and MS", self.mr_schur.T,
+                        self.mr_schur.Z, self.ms_schur.T, self.ms_schur.Z)
         object.__setattr__(self, "gb_schur", self.mr_schur.ZH @ self.GB)
 
     @property
     def n(self) -> int:
         return self.MR.shape[0]
+
+
+def _require_finite(label: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalOverflow(f"{label} overflowed: the snapshot data span "
+                                "beyond the floating-point range")
+
+
+# an overflow in the reconstruction is reported by DualData's finiteness
+# check as NumericalOverflow, not as a floating-point warning
+_OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,7 @@ class GramianSet:
     SB: np.ndarray
 
 
+@_OVERFLOW_CHECKED
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     """Recover the dual snapshots from data with unknown system matrices.
 
@@ -109,6 +128,8 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     [X1 U1] and X1 themselves to have full column rank.  Every product is
     taken with the pseudoinverse first, so no N x N matrix is formed.
     One SVD per block yields both its pseudoinverse and its rank.
+    Finite snapshots whose range overflows the products or the Schur
+    factors of MR and MS raise ``NumericalOverflow``.
     """
     joint_pinv, sv_joint = pseudoinverse_svd(np.hstack([ens.X1, ens.U1]), RANK_TOL)
     stacked = (joint_pinv @ ens.X2) @ ens.X1.T
@@ -131,6 +152,7 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report)
 
 
+@_OVERFLOW_CHECKED
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
     """Dual reconstruction when the input matrix B is known.
 

@@ -45,5 +45,9 @@ class StabilizationFailed(ReductionError):
     """Eigenvalue adjustments did not reach the stability annulus."""
 
 
+class NumericalOverflow(ReductionError):
+    """Finite data led to a non-finite intermediate: it spans beyond the float range."""
+
+
 class FormatError(ReductionError):
     """On-disk matrix data is malformed or inconsistent with its manifest."""

@@ -44,6 +44,10 @@ logger = logging.getLogger(__name__)
 # adjustment rounds of make_stable before it gives up
 _STABILIZE_ROUNDS = 5
 
+_DGEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=float)
+# block size of _triangle's dgeqrt; 32 and 64 run at the same speed
+_QR_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class FreqSample:
@@ -110,16 +114,32 @@ def make_stable(rom: Rom) -> Rom:
         f"after {_STABILIZE_ROUNDS} adjustment rounds")
 
 
+def _triangle(S: np.ndarray) -> np.ndarray:
+    """The triangle R of ``S = Q R``, overwriting the Fortran-ordered S.
+
+    LAPACK ``dgeqrt`` factors each panel recursively (Elmroth & Gustavson,
+    IBM J. Res. Dev. 44 (2000)), so a tall S is reduced at matrix-product
+    speed where ``dgeqrf``'s panels are matrix-vector work.  R is
+    ``min(S.shape)`` by ``S.shape[1]``, with ``dgeqrf``'s diagonal signs.
+    """
+    k = min(S.shape)
+    qr = _DGEQRT(min(_QR_BLOCK, k), S, overwrite_a=1)[0]
+    return np.triu(qr[:k])
+
+
 def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     """DMDc initializer: identify [A B] by least squares, then project
     onto the dominant left singular vectors of the successor snapshots.
 
     The snapshots (states X, inputs U, successor states Xp; one column per
-    transition) fill the rows of ``S = [X; U; Xp]^T``, which is reduced in
-    place to the triangle R of ``S = Q R``.  With ``Rz`` and ``Rp`` the
-    columns of R that belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T``
-    and ``Xp = Rp^T Q^T``, so every SVD the method needs is one of R's
-    blocks: Z and ``Rz^T`` share singular values and left vectors, the least
+    transition) fill the rows of ``S = [X; U; Xp]^T``.  Each column block
+    of S is written through an (N, L - 1, width) view of itself, so the
+    trajectories are copied once, into S, and nowhere else.  S is then
+    reduced in place to the triangle R of ``S = Q R`` by ``_triangle``
+    (LAPACK ``dgeqrt``).  With ``Rz`` and ``Rp`` the columns of R that
+    belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T`` and
+    ``Xp = Rp^T Q^T``, so every SVD the method needs is one of R's blocks:
+    Z and ``Rz^T`` share singular values and left vectors, the least
     squares solve becomes ``Rp^T W_k s_k^{-1} U_k^T``, and Xp and ``Rp^T``
     share singular values and left vectors.  No intermediate is larger
     than the data.
@@ -130,12 +150,13 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
-    # one row per transition, trajectory by trajectory
+    # one row per transition, trajectory by trajectory; splitting the rows
+    # of a column block into (N, L - 1) is a view, so each block is one copy
     S = np.empty((N * (L - 1), 2 * n + m), order="F")
-    S[:, :n] = trajs.states[:, :-1].reshape(-1, n)
-    S[:, n:n + m] = trajs.inputs.reshape(-1, m)
-    S[:, n + m:] = trajs.states[:, 1:].reshape(-1, n)
-    R = scipy.linalg.qr(S, mode="raw", overwrite_a=True, check_finite=False)[1]
+    S[:, :n].reshape(N, L - 1, n)[...] = trajs.states[:, :-1]
+    S[:, n:n + m].reshape(N, L - 1, m)[...] = trajs.inputs
+    S[:, n + m:].reshape(N, L - 1, n)[...] = trajs.states[:, 1:]
+    R = _triangle(S)
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 
     Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
@@ -258,7 +279,11 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     Uc, sc, _ = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)
     Y = Uc[:, :r].copy()
     del Uc
-    sr, Vrt = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[1:]
+    # [Lr; Lsr] and the triangle of its QR share singular values and right
+    # vectors, so only the small triangle is decomposed
+    stacked = np.empty((2 * q * p, k * m), order="F")
+    stacked[:q * p], stacked[q * p:] = Lr, Lsr
+    sr, Vrt = np.linalg.svd(_triangle(stacked), full_matrices=False)[1:]
     if (np.count_nonzero(sc > RANK_TOL * sc[0]) < r
             or np.count_nonzero(sr > RANK_TOL * sr[0]) < r):
         raise SingularE(f"Loewner matrices have rank below the target order {r}")

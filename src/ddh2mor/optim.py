@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from scipy.linalg import solve_triangular
 
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import DualData, Evaluation, data_gradients, reconstruct_dual
-from .errors import AssumptionViolated, NotStable
+from .errors import AssumptionViolated, NotStable, NumericalOverflow
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
@@ -143,6 +144,9 @@ def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
                solve_triangular(L, rom.Bhat, lower=True), rom.Chat @ L)
 
 
+# a trial that overflows is rejected by its non-finite phi, an iterate by
+# its non-finite D, so an overflow is a decision here, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         oracle: LtiSystem | None = None, sink=None,
         dual: DualData | None = None) -> OptimResult:
@@ -170,7 +174,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     history is phi, non-increasing; ``initial_f`` and
     ``initial_rel_h2_error`` are those of ``init`` as given, before its
     Chat is projected.  Recorded iterates always satisfy
-    the stability annulus.
+    the stability annulus.  A descent direction whose squared norm
+    overflows raises ``NumericalOverflow``.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
@@ -212,6 +217,13 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
         d = stack_direction(g)
         D = float(np.sum(d * d))
+        # a non-finite D would fail every Armijo test; it is a failure of
+        # the data's range, not of the step
+        if not math.isfinite(D):
+            raise NumericalOverflow(
+                f"iteration {it}: the squared norm of the descent direction "
+                f"(largest entry {np.abs(d).max():.3e}) overflowed: the snapshot "
+                "data span beyond the floating-point range")
         logger.debug("iter %d: f=%.6e D=%.3e", it, phi, D)
 
         if D < params.tol:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,26 @@ def test_mutated_npy_blocks_never_traceback(workspace, tmp_path, capsys, data):
         assert err.strip().splitlines()[-1].startswith("error: ")
     if mutation == "truncate":
         assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("magnitude, message", [
+    (1e100, "squared norm of the descent direction"),
+    (1e200, "Schur factors of MR and MS overflowed"),
+], ids=["1e100", "1e200"])
+def test_reduce_on_finite_but_extreme_data_exits_3_without_warnings(
+        workspace, tmp_path, capsys, magnitude, message):
+    ensdir = tmp_path / "ens"
+    shutil.copytree(workspace["ensemble"], ensdir)
+    x2 = np.load(ensdir / "x2.npy")
+    x2[3, 5] = magnitude
+    np.save(ensdir / "x2.npy", x2)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(reduce_args({**workspace, "ensemble": ensdir}, tmp_path / "red"))
+    assert rc == 3
+    assert_one_line_error(capsys, message)
+    assert not caught
 
 
 def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):

@@ -151,12 +151,50 @@ def repeated_input_trajectories(sys, N, L, seed):
     return TrajectorySet(np.stack(states), np.stack(inputs))
 
 
+# 2n + m = 32 is one dgeqrt block of the snapshot matrix; 43 is one block
+# and a partial one
 @pytest.mark.parametrize("n, m, r, alpha", [(8, 2, 3, 0.0), (8, 2, 3, 1e-3), (6, 2, 6, 0.0),
-                                            (6, 2, 6, 1e-3), (12, 3, 4, 1e-3)])
+                                            (6, 2, 6, 1e-3), (12, 3, 4, 1e-3),
+                                            (15, 2, 4, 1e-3), (20, 3, 5, 0.0),
+                                            (20, 3, 5, 1e-3)])
 def test_dmdc_matches_svd_route(n, m, r, alpha):
     sys = random_system(np.random.default_rng(30 + n), n, m)
     trajs = generate_trajectories(sys, 30, 8, NoiseSpec(alpha=alpha, seed=31))
     assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def test_dmdc_matches_svd_route_on_a_wide_snapshot_matrix():
+    # 2 trajectories of 7 transitions: S is 14 x 43, wider than tall
+    n, m, r = 20, 3, 4
+    sys = random_system(np.random.default_rng(36), n, m)
+    trajs = generate_trajectories(sys, 2, 8, NoiseSpec(alpha=1e-3, seed=37))
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+@pytest.mark.parametrize("shape", [(200, 7), (200, 32), (200, 43), (90, 75), (14, 43), (1, 5)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_triangle_is_the_r_of_householder_qr(shape):
+    S = np.random.default_rng(sum(shape)).standard_normal(shape)
+    ref = scipy.linalg.qr(S, mode="r")[0][:min(shape)]
+    R = initmor._triangle(np.asfortranarray(S))
+    assert R.shape == ref.shape
+    assert np.array_equal(R, np.triu(R))
+    np.testing.assert_array_equal(np.sign(np.diagonal(R)), np.sign(np.diagonal(ref)))
+    assert rel_max_err(R, ref) < 1e-13
+
+
+def test_dmdc_memory_stays_near_the_snapshot_matrix():
+    n, m, N, L = 30, 2, 400, 10
+    sys = random_system(np.random.default_rng(38), n, m)
+    trajs = generate_trajectories(sys, N, L, NoiseSpec(alpha=1e-3, seed=39))
+    snapshot_bytes = N * (L - 1) * (2 * n + m) * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        init_dmdc(trajs, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * snapshot_bytes
 
 
 def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
@@ -316,6 +354,30 @@ def test_loewner_forms_no_kronecker_transform(monkeypatch):
     left, right = sample_frequency_data(true, 8, 8, seed=44)
     monkeypatch.setattr(np, "kron", forbidden)
     assert init_loewner(left, right, 3).satisfies_spectral_bounds()
+
+
+def test_loewner_svds_stay_within_the_triangle(monkeypatch):
+    shapes = []
+
+    def recording(svd):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    # q = k = 8 samples a side, p = 5 outputs, m = 2 inputs
+    true = random_rom(np.random.default_rng(47), 3, 2, 5)
+    left, right = sample_frequency_data(true, 8, 8, seed=48)
+    init_loewner(left, right, 3)
+    q, k, p, m = 8, 8, 5, 2
+    # one SVD of [Lr Lsr] for the left subspace; every other one, the right
+    # subspace's included, is at most (k m) x (k m)
+    column_concatenation = (q * p, 2 * k * m)
+    assert shapes.count(column_concatenation) == 1
+    assert all(max(s) <= k * m for s in shapes if s != column_concatenation)
+    assert (k * m, k * m) in shapes
 
 
 def test_loewner_memory_stays_within_a_few_loewner_matrices():
