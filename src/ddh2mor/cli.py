@@ -31,13 +31,15 @@ logger = logging.getLogger(__name__)
 
 def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
                 params: optim.OptimParams, *, init_label: str,
-                oracle: sysmodel.LtiSystem | None = None,
-                dual: ddgrad.DualData | None = None) -> dict:
-    """Descend from ``init`` and write the reduction into directory ``out``.
+                dual: ddgrad.DualData,
+                oracle: sysmodel.LtiSystem | None = None) -> dict:
+    """Descend from ``init`` on the reconstruction ``dual`` of ``ens`` and
+    write the reduction into directory ``out``.
 
     Streams ``history.csv`` row by row as the descent runs, then writes
     ``rom_{A,B,C}.csv`` and ``summary.json``, and returns the summary.
-    ``wall_time_s`` times the descent alone.
+    ``wall_time_s`` times the descent alone; ``data_residual`` reports how
+    far the snapshots are from one linear model (``DualData.data_residual``).
     """
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -57,6 +59,7 @@ def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
         "initial_rel_h2_error": result.initial_rel_h2_error,
         "final_rel_h2_error": final.rel_h2_error if final else result.initial_rel_h2_error,
         "wall_time_s": elapsed,
+        "data_residual": dual.data_residual,
         "r": init.r,
         "init": init_label,
         "params": dataclasses.asdict(params),

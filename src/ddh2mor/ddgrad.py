@@ -10,9 +10,11 @@ model-based gradients of :mod:`.sysmodel`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
 from .errors import (AssumptionViolated, NumericalOverflow, RankDeficientData,
@@ -56,12 +58,17 @@ class DualData:
     sb_map  (m, n)  map from S to SB: B^T when B is known, else
                     pinv(U1) @ UB1; None when rank U1 < m
     report          the rank check of the ensemble the reconstruction ran
+    data_residual   relative least-squares residual of the one-step model
+                    the reconstruction fits, ``||X2 - fit||_F / ||X2||_F``:
+                    near 0 on exact data, it grows with noise and with
+                    entries that no linear model explains
 
     The Schur factors of MR and MS are computed once here, because every
     gradient step reuses them, and so is ``gb_schur = ZM^H GB`` (n, m), GB
     in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
     right-hand side of the R sweep of every ``Evaluation`` follows at
-    O(n m r) cost.
+    O(n m r) cost.  When MS is exactly MR^T, as when B is known, the factor
+    of MR, transposed, is that of MS, and MS is not factored again.
     """
 
     Z2: np.ndarray
@@ -72,6 +79,7 @@ class DualData:
     GB: np.ndarray
     sb_map: np.ndarray | None
     report: AssumptionReport
+    data_residual: float
     mr_schur: SchurFactor = field(init=False, repr=False)
     ms_schur: SchurFactor = field(init=False, repr=False)
     gb_schur: np.ndarray = field(init=False, repr=False)
@@ -81,8 +89,12 @@ class DualData:
         # the reconstruction or in the factorizations of MR and MS
         _require_finite("the dual reconstruction", self.Z2, self.ZB1, self.UB1,
                         self.MR, self.MS, self.GB)
-        object.__setattr__(self, "mr_schur", SchurFactor.of(self.MR))
-        object.__setattr__(self, "ms_schur", SchurFactor.of(self.MS))
+        mr_schur = SchurFactor.of(self.MR)
+        # MS is exactly MR^T when B is known, and then needs no factorization
+        ms_schur = (mr_schur.transposed() if np.array_equal(self.MS, self.MR.T)
+                    else SchurFactor.of(self.MS))
+        object.__setattr__(self, "mr_schur", mr_schur)
+        object.__setattr__(self, "ms_schur", ms_schur)
         _require_finite("the Schur factors of MR and MS", self.mr_schur.T,
                         self.mr_schur.Z, self.ms_schur.T, self.ms_schur.Z)
         object.__setattr__(self, "gb_schur", self.mr_schur.ZH @ self.GB)
@@ -90,6 +102,15 @@ class DualData:
     @property
     def n(self) -> int:
         return self.MR.shape[0]
+
+
+def _relative_residual(X2: np.ndarray, fit: np.ndarray) -> float:
+    """``||X2 - fit||_F / ||X2||_F``; 0 for an exact fit, inf for a nonzero
+    fit of X2 = 0.  BLAS ``nrm2`` scales its sum of squares, so no finite
+    snapshot overflows it."""
+    resid, scale = (float(scipy.linalg.norm(M.ravel(), check_finite=False))
+                    for M in (X2 - fit, X2))
+    return resid / scale if scale else (math.inf if resid else 0.0)
 
 
 def _require_finite(label: str, *arrays: np.ndarray) -> None:
@@ -128,12 +149,15 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     [X1 U1] and X1 themselves to have full column rank.  Every product is
     taken with the pseudoinverse first, so no N x N matrix is formed.
     One SVD per block yields both its pseudoinverse and its rank.
+    ``Theta = pinv([X1 U1]) X2`` is the least-squares fit of
+    ``X2 ~ [X1 U1] Theta`` whose relative residual is ``data_residual``.
     Finite snapshots whose range overflows the products or the Schur
     factors of MR and MS raise ``NumericalOverflow``.
     """
     joint_pinv, sv_joint = pseudoinverse_svd(np.hstack([ens.X1, ens.U1]), RANK_TOL)
-    stacked = (joint_pinv @ ens.X2) @ ens.X1.T
+    theta = joint_pinv @ ens.X2
     del joint_pinv  # (n + m) x N; freed here, the next SVD does not raise the peak
+    stacked = theta @ ens.X1.T
     x1_pinv, sv_x1 = pseudoinverse_svd(ens.X1, RANK_TOL)
     u1_pinv, sv_u1 = pseudoinverse_svd(ens.U1, RANK_TOL)
     report = check_assumptions(ens, (sv_joint, sv_x1, sv_u1))
@@ -149,7 +173,8 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     MS = x1_pinv @ (ens.X2 - UB1)
     GB = x1_pinv @ ZB1.T
     sb_map = u1_pinv @ UB1 if report.b3_holds else None
-    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report)
+    residual = _relative_residual(ens.X2, ens.X1 @ theta[:n] + ens.U1 @ theta[n:])
+    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report, residual)
 
 
 @_OVERFLOW_CHECKED
@@ -158,6 +183,7 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
 
     ``UB1 = U1 B^T`` is then available directly, which drops the joint
     rank requirement down to full column rank of X1 alone (N >= n).
+    ``data_residual`` is that of the fit ``X2 ~ X1 MS + UB1``.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):
@@ -172,7 +198,8 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     MS = x1_pinv @ (ens.X2 - UB1)
     MR = MS.T
     Z2 = ens.X1 @ MS
-    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy(), report)
+    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy(), report,
+                    _relative_residual(ens.X2, Z2 + UB1))
 
 
 def _require_separation(coef: SchurFactor, lam: np.ndarray, label: str) -> None:

@@ -220,11 +220,12 @@ def _real_transform(groups) -> np.ndarray:
 
 
 def _take_real(M: np.ndarray, label: str) -> np.ndarray:
+    """The real part of M, as a view, once its imaginary part is negligible."""
     scale = max(1.0, np.abs(M).max(initial=0.0))
     if np.abs(M.imag).max(initial=0.0) > 1e-8 * scale:
         raise ValueError(f"{label} kept a significant imaginary part; "
                          "check conjugate closure of the samples")
-    return np.ascontiguousarray(M.real)
+    return M.real
 
 
 def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom:
@@ -234,6 +235,20 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     differences of the left/right sample values, maps conjugate pairs to
     real arithmetic, projects onto the dominant rank-r subspaces, and
     converts the resulting descriptor realization to standard form.
+
+    Each Loewner matrix is formed with its right samples on the last axis,
+    so the real transform of the left samples is one product from the left
+    and that of the right samples one product from the right.  The real
+    ``[Lr Lsr Vr]`` (q p rows) is written straight into one Fortran-ordered
+    buffer and reduced in place by ``_triangle``: ``[Lr Lsr Vr] = Q R``.
+    Every quantity the projection needs is then read off R.  The leading
+    block ``[Ra Rs]`` of R is the triangle of ``[Lr Lsr]``, whose left
+    singular vectors are ``Y = Q U`` with U those of ``[Ra Rs]``; so
+    ``Y^T Lr = U^T Ra``, ``Y^T Lsr = U^T Rs`` and ``Y^T Vr = U^T (Q^T Vr)``,
+    with ``Q^T Vr`` the trailing columns of R.  ``[Lr; Lsr]`` is
+    ``diag(Q, Q) [Ra; Rs]``, so its singular values and right vectors are
+    those of the (k m) x (k m) triangle of ``[Ra; Rs]``.  No SVD is taken
+    of a matrix with q p rows, and Q is never formed.
     """
     if not left or not right:
         raise ValueError("both left and right sample lists must be nonempty")
@@ -253,49 +268,53 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     if (np.abs(denom) < 1e-12 * np.maximum(1.0, np.abs(zl))[:, None]).any():
         raise ValueError("left and right sample points must be disjoint")
     VL = np.stack([s.value for s in lo])
-    VR = np.stack([s.value for s in ro], axis=1)
+    VR = np.stack([s.value for s in ro], axis=-1)
 
-    # kron(JL, I_p)^H mixes the q row blocks and kron(JR, I_m) the k column
-    # blocks, so each is one product with a q x q (k x k) matrix
     JLh = _real_transform(lg).conj().T
-    JRt = _real_transform(rg).T
+    JR = _real_transform(rg)
+    km = k * m
+    # the rows of the C-ordered buf are the columns of [Lr Lsr Vr], so buf.T
+    # is the Fortran-ordered matrix _triangle reduces, and each column block
+    # is filled through a (k, m, q, p) or (m, q, p) view of its rows
+    buf = np.empty((2 * km + m, q * p))
+    # one complex work array serves both Loewner matrices
+    M = np.empty((q, p * m, k), dtype=complex)
+    inv = (1.0 / denom)[:, None, :]
 
-    def real_loewner(vl, vr, label):
-        # block (i, j) is (vl[i] - vr[:, j]) / (zl[i] - zr[j])
-        M = vl[:, :, None, :] - vr
-        M /= denom[:, None, :, None]
-        M = JLh @ M.reshape(q, -1)
-        M = JRt @ M.reshape(q * p, k, m)
-        return _take_real(M.reshape(q * p, k * m), label)
+    def fill(rows, vl, vr, label):
+        # entry (i, a, b, j) is (vl[i, a, b] - vr[a, b, j]) / (zl[i] - zr[j])
+        np.subtract(vl.reshape(q, -1, 1), vr.reshape(-1, k), out=M)
+        np.multiply(M, inv, out=M)
+        np.matmul((JLh @ M.reshape(q, -1)).reshape(-1, k), JR, out=M.reshape(-1, k))
+        rows.reshape(k, m, q, p)[...] = _take_real(M, label).reshape(
+            q, p, m, k).transpose(3, 2, 0, 1)
 
-    Lr = real_loewner(VL, VR, "Loewner matrix")
-    Lsr = real_loewner(zl[:, None, None] * VL, zr[:, None] * VR,
-                       "shifted Loewner matrix")
-    Vr = _take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
-    Wr = _take_real((JRt @ VR).reshape(p, k * m), "right data")
+    fill(buf[:km], VL, VR, "Loewner matrix")
+    fill(buf[km:2 * km], zl[:, None, None] * VL, VR * zr, "shifted Loewner matrix")
+    buf[2 * km:].reshape(m, q, p)[...] = _take_real(
+        JLh @ VL.reshape(q, -1), "left data").reshape(q, p, m).transpose(2, 0, 1)
+    Wr = _take_real(VR.reshape(-1, k) @ JR, "right data").reshape(
+        p, m, k).transpose(0, 2, 1).reshape(p, km)
 
-    # one concatenation at a time, and only r of its left singular vectors
-    # kept, so at most three Loewner-sized arrays are alive at once
-    Uc, sc, _ = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)
-    Y = Uc[:, :r].copy()
-    del Uc
-    # [Lr; Lsr] and the triangle of its QR share singular values and right
-    # vectors, so only the small triangle is decomposed
-    stacked = np.empty((2 * q * p, k * m), order="F")
-    stacked[:q * p], stacked[q * p:] = Lr, Lsr
+    R = _triangle(buf.T)
+    t = min(q * p, 2 * km)
+    Ra, Rs, QtVr = R[:t, :km], R[:t, km:2 * km], R[:t, 2 * km:]
+    U, sc, _ = np.linalg.svd(R[:t, :2 * km], full_matrices=False)
+    stacked = np.empty((2 * t, km), order="F")
+    stacked[:t], stacked[t:] = Ra, Rs
     sr, Vrt = np.linalg.svd(_triangle(stacked), full_matrices=False)[1:]
     if (np.count_nonzero(sc > RANK_TOL * sc[0]) < r
             or np.count_nonzero(sr > RANK_TOL * sr[0]) < r):
         raise SingularE(f"Loewner matrices have rank below the target order {r}")
-    X = Vrt[:r].T
+    Ut, X = U[:, :r].T, Vrt[:r].T
 
-    E = -Y.T @ Lr @ X
+    E = -Ut @ Ra @ X
     se = np.linalg.svd(E, compute_uv=False)
     if se[-1] < 1e-12 * se[0]:
         raise SingularE("descriptor matrix is numerically singular at this order")
-    Ad = -Y.T @ Lsr @ X
+    Ad = -Ut @ Rs @ X
     return make_stable(Rom(np.linalg.solve(E, Ad),
-                           np.linalg.solve(E, Y.T @ Vr),
+                           np.linalg.solve(E, Ut @ QtVr),
                            Wr @ X))
 
 

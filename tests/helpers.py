@@ -10,7 +10,7 @@ central finite differences of a scalar objective.
 import numpy as np
 import scipy.linalg
 
-from ddh2mor import GradientTriple, LtiSystem, Rom
+from ddh2mor import GradientTriple, LtiSystem, Rom, initmor, make_stable
 
 
 def rel_max_err(a, b):
@@ -140,3 +140,39 @@ def count_schur_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", counting)
     return shapes
+
+
+def blockwise_loewner(left, right, r):
+    """The Loewner initializer by its earlier formulas: the left real transform
+    as one product, the right one as a stacked product per row block, and the
+    projection from the SVDs of the full ``[Lr Lsr]`` and ``[Lr; Lsr]``."""
+    lg = initmor._conjugate_groups(left)
+    rg = initmor._conjugate_groups(right)
+    lo = [left[i] for g in lg for i in g]
+    ro = [right[i] for g in rg for i in g]
+    q, k = len(lo), len(ro)
+    p, m = lo[0].value.shape
+    zl = np.array([s.z for s in lo])
+    zr = np.array([s.z for s in ro])
+    denom = zl[:, None] - zr
+    VL = np.stack([s.value for s in lo])
+    VR = np.stack([s.value for s in ro], axis=1)
+    JLh = initmor._real_transform(lg).conj().T
+    JRt = initmor._real_transform(rg).T
+
+    def real_loewner(vl, vr, label):
+        M = vl[:, :, None, :] - vr
+        M /= denom[:, None, :, None]
+        M = JLh @ M.reshape(q, -1)
+        M = JRt @ M.reshape(q * p, k, m)
+        return initmor._take_real(M.reshape(q * p, k * m), label)
+
+    Lr = real_loewner(VL, VR, "Loewner matrix")
+    Lsr = real_loewner(zl[:, None, None] * VL, zr[:, None] * VR, "shifted Loewner matrix")
+    Vr = initmor._take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
+    Wr = initmor._take_real((JRt @ VR).reshape(p, k * m), "right data")
+    Y = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)[0][:, :r]
+    X = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[2][:r].T
+    E = -Y.T @ Lr @ X
+    return make_stable(Rom(np.linalg.solve(E, -Y.T @ Lsr @ X),
+                           np.linalg.solve(E, Y.T @ Vr), Wr @ X))

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -536,6 +537,22 @@ def test_reduce_on_finite_but_extreme_data_exits_3_without_warnings(
     assert not caught
 
 
+def test_reduce_reports_the_data_residual_of_a_corrupt_entry(workspace, tmp_path):
+    # one entry of x2 at 1e50 still ends with exit 0; only data_residual,
+    # near zero on the exact data, shows that no linear model fits them
+    assert main(reduce_args(workspace, tmp_path / "clean")) == 0
+    clean = json.loads((tmp_path / "clean" / "summary.json").read_text())
+    ensdir = tmp_path / "ens"
+    shutil.copytree(workspace["ensemble"], ensdir)
+    x2 = np.load(ensdir / "x2.npy")
+    x2[0, 0] = 1e50
+    np.save(ensdir / "x2.npy", x2)
+    assert main(reduce_args({**workspace, "ensemble": ensdir}, tmp_path / "red")) == 0
+    corrupt = json.loads((tmp_path / "red" / "summary.json").read_text())
+    assert clean["data_residual"] <= 1e-12
+    assert corrupt["data_residual"] > 1e-2
+
+
 def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):
     rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "0",
                "--init", "databt", "--oracle", str(workspace["system"]),
@@ -604,13 +621,15 @@ def test_history_read_rejects_short_rows(tmp_path):
 
 
 def test_experiment_script_produces_artifact_tree(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    root = Path(__file__).resolve().parents[1]
     out = tmp_path / "exp"
+    # the script imports the package of this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script), "--n", "8", "--r", "2", "--N", "10",
-         "--seed", "1", "--initializer", "databt", "--max-iters", "10",
+        [sys.executable, str(root / "scripts" / "run_experiment.py"), "--n", "8", "--r", "2",
+         "--N", "10", "--seed", "1", "--initializer", "databt", "--max-iters", "10",
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (out / "config.json").exists()
     assert (out / "system" / "system.json").exists()

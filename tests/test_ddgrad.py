@@ -148,6 +148,32 @@ def test_known_input_reconstruction_matches_unknown():
     np.testing.assert_array_equal(b.GB, sys.B)
 
 
+def test_known_input_reconstruction_factors_mr_once(monkeypatch):
+    sys, ens, _ = make_instance(seed=30)
+    shapes = count_schur_calls(monkeypatch)
+    known = reconstruct_dual_known_input(ens, sys.B)
+    # MS = MR^T exactly, so the transposed factor of MR is the factor of MS
+    assert shapes == [(ens.n, ens.n)]
+    fs = known.ms_schur
+    assert np.array_equal(fs.T, np.triu(fs.T))
+    assert np.abs(fs.Z @ fs.T @ fs.ZH - known.MS).max() < 1e-12 * np.abs(known.MS).max()
+    reconstruct_dual(ens)
+    assert shapes == [(ens.n, ens.n)] * 3
+
+
+@pytest.mark.parametrize("route", ["unknown-input", "known-input"])
+def test_data_residual_vanishes_on_exact_data_and_grows_with_noise(route):
+    sys = random_system(np.random.default_rng(31), 10, 2)
+    residuals = []
+    for alpha in (0.0, 1e-4, 1e-3, 1e-2):
+        ens = generate_ensemble(sys, 40, NoiseSpec(alpha=alpha, seed=32))
+        dual = (reconstruct_dual(ens) if route == "unknown-input"
+                else reconstruct_dual_known_input(ens, sys.B))
+        residuals.append(dual.data_residual)
+    assert residuals[0] <= 1e-12
+    assert all(a < b for a, b in zip(residuals, residuals[1:]))
+
+
 def test_reconstruction_requires_joint_rank():
     sys, _, _ = make_instance(seed=3)
     thin = generate_ensemble(sys, sys.n + sys.m - 1, NoiseSpec(seed=4))

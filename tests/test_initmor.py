@@ -14,7 +14,9 @@ from ddh2mor import (
     NoiseSpec,
     Rom,
     SingularE,
+    SyntheticSpec,
     TrajectorySet,
+    generate_synthetic,
     generate_trajectories,
     impulse_from_system,
     init_data_bt,
@@ -32,7 +34,7 @@ from ddh2mor import (
 )
 from ddh2mor import initmor
 from ddh2mor.dataio import numerical_rank
-from helpers import random_rom, random_system, rel_max_err
+from helpers import blockwise_loewner, random_rom, random_system, rel_max_err
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
 
@@ -372,12 +374,20 @@ def test_loewner_svds_stay_within_the_triangle(monkeypatch):
     left, right = sample_frequency_data(true, 8, 8, seed=48)
     init_loewner(left, right, 3)
     q, k, p, m = 8, 8, 5, 2
-    # one SVD of [Lr Lsr] for the left subspace; every other one, the right
-    # subspace's included, is at most (k m) x (k m)
-    column_concatenation = (q * p, 2 * k * m)
-    assert shapes.count(column_concatenation) == 1
-    assert all(max(s) <= k * m for s in shapes if s != column_concatenation)
-    assert (k * m, k * m) in shapes
+    assert q * p > 2 * k * m
+    # the left subspace comes from the (2 k m) x (2 k m) triangle of [Lr Lsr],
+    # the right one from the (k m) x (k m) triangle of [Lr; Lsr]; no SVD is
+    # taken of a matrix with q p rows
+    assert max(max(s) for s in shapes) <= 2 * k * m
+    assert (2 * k * m, 2 * k * m) in shapes and (k * m, k * m) in shapes
+
+
+def test_loewner_matches_blockwise_formulas_at_acceptance_size():
+    # the Loewner start of the acceptance configuration: p = 100 outputs,
+    # m = 2 inputs, 30 + 30 samples, r = 6
+    sys = generate_synthetic(SyntheticSpec(n=100, m=2, h=0.1, seed=7))
+    left, right = sample_frequency_data(sys, 30, 30, seed=307)
+    assert_same_rom(init_loewner(left, right, 6), blockwise_loewner(left, right, 6))
 
 
 def test_loewner_memory_stays_within_a_few_loewner_matrices():
