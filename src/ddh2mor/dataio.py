@@ -255,15 +255,15 @@ def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
 def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:
     """Rank-check the snapshot blocks against the required full ranks.
 
-    A caller that has decomposed the blocks already passes their singular
-    values as ``singular_values``: those of [X1 U1], X1 and U1, in order.
+    A caller that has decomposed blocks already passes their singular
+    values as ``singular_values``: those of [X1 U1], X1 and U1, in order,
+    None for a block it has not decomposed.
     """
     n, m = ens.n, ens.m
-    if singular_values is None:
-        ranks = [numerical_rank(M) for M in (np.hstack([ens.X1, ens.U1]), ens.X1, ens.U1)]
-    else:
-        ranks = [_rank(sv) for sv in singular_values]
-    rank_joint, rank_x1, rank_u1 = ranks
+    blocks = (lambda: np.hstack([ens.X1, ens.U1]), lambda: ens.X1, lambda: ens.U1)
+    rank_joint, rank_x1, rank_u1 = (
+        numerical_rank(block()) if sv is None else _rank(sv)
+        for block, sv in zip(blocks, singular_values or (None,) * 3))
     return AssumptionReport(
         rank_X1U1=rank_joint,
         rank_X1=rank_x1,

@@ -19,8 +19,8 @@ import scipy.linalg
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
 from .errors import (AssumptionViolated, NumericalOverflow, RankDeficientData,
                      SingularAhat)
-from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse,
-                     pseudoinverse_svd, solve_schur, solve_stein, stein_schur, to_schur)
+from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse_svd,
+                     solve_schur, solve_stein, stein_schur, to_schur)
 from .sysmodel import GradientTriple, Rom, schur_sweeps
 
 __all__ = [
@@ -67,8 +67,14 @@ class DualData:
     gradient step reuses them, and so is ``gb_schur = ZM^H GB`` (n, m), GB
     in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
     right-hand side of the R sweep of every ``Evaluation`` follows at
-    O(n m r) cost.  When MS is exactly MR^T, as when B is known, the factor
-    of MR, transposed, is that of MS, and MS is not factored again.
+    O(n m r) cost.  MS is MR^T whenever rank X1 = n: with
+    ``Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]`` and ``pinv(X1) X1 = I``,
+    ``MR = pinv(X1) X1 Theta_x^T = Theta_x^T`` and
+    ``UB1 = X2 - X1 Theta_x``, so ``MS = Theta_x``, to rounding, at any noise
+    level; the known-input route sets ``MR = MS^T`` outright.  The factor
+    of MR, transposed, then serves the S equation, and MS is factored on
+    its own only for a forced reconstruction from rank-deficient X1, where
+    ``MS = pinv(X1) X1 Theta_x`` and ``MR^T = Theta_x pinv(X1) X1`` differ.
     """
 
     Z2: np.ndarray
@@ -90,9 +96,9 @@ class DualData:
         _require_finite("the dual reconstruction", self.Z2, self.ZB1, self.UB1,
                         self.MR, self.MS, self.GB)
         mr_schur = SchurFactor.of(self.MR)
-        # MS is exactly MR^T when B is known, and then needs no factorization
-        ms_schur = (mr_schur.transposed() if np.array_equal(self.MS, self.MR.T)
-                    else SchurFactor.of(self.MS))
+        # MS is MR^T on full-rank X1, and exactly so when B is known
+        ms_is_mr_t = self.report.b2_holds or np.array_equal(self.MS, self.MR.T)
+        ms_schur = mr_schur.transposed() if ms_is_mr_t else SchurFactor.of(self.MS)
         object.__setattr__(self, "mr_schur", mr_schur)
         object.__setattr__(self, "ms_schur", ms_schur)
         _require_finite("the Schur factors of MR and MS", self.mr_schur.T,
@@ -183,18 +189,19 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
 
     ``UB1 = U1 B^T`` is then available directly, which drops the joint
     rank requirement down to full column rank of X1 alone (N >= n).
-    ``data_residual`` is that of the fit ``X2 ~ X1 MS + UB1``.
+    ``data_residual`` is that of the fit ``X2 ~ X1 MS + UB1``.  One SVD of
+    X1 yields both its pseudoinverse and its rank.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):
         raise ValueError(f"B must have shape {(ens.n, ens.m)}, got {B.shape}")
-    report = check_assumptions(ens)
+    x1_pinv, sv_x1 = pseudoinverse_svd(ens.X1, RANK_TOL)
+    report = check_assumptions(ens, (None, sv_x1, None))
     if not report.b2_holds and not force:
         raise RankDeficientData(
             f"need rank X1 = {ens.n}, got {report.rank_X1}")
     UB1 = ens.U1 @ B.T
     ZB1 = B.T @ ens.X1.T
-    x1_pinv = pseudoinverse(ens.X1, rcond=RANK_TOL)
     MS = x1_pinv @ (ens.X2 - UB1)
     MR = MS.T
     Z2 = ens.X1 @ MS
@@ -263,16 +270,19 @@ def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
     return float(np.sum((rom.Chat @ P) * rom.Chat) - 2.0 * np.sum(R * rom.Chat))
 
 
-def _psd_pinv(P: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of a symmetric positive semidefinite P through ``eigh``.
+def _times_psd_pinv(R: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``R P^+`` for a symmetric positive semidefinite P, through ``eigh``.
 
     Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero,
-    so ``P = 0`` gives ``P^+ = 0``.
+    so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
+    before the division, so ``1 / w_min`` scales R's component along its
+    eigenvector alone; a formed ``P^+`` would spread that entry's rounding
+    into every direction.
     """
     w, V = np.linalg.eigh(P)
     keep = w > RANK_TOL * np.abs(w).max(initial=0.0)
     Vk = V[:, keep]
-    return (Vk / w[keep]) @ Vk.T
+    return ((R @ Vk) / w[keep]) @ Vk.T
 
 
 class Evaluation:
@@ -286,7 +296,7 @@ class Evaluation:
     value ``phi = -tr(R P^+ R^T) = -<chat_star, R>``, the objective the
     descent minimizes over (Ahat, Bhat) (variable projection, Golub &
     Pereyra, SIAM J. Numer. Anal. 10 (1973) 413-432).  ``P^+`` is the
-    min-norm inverse of ``_psd_pinv``, so ``Bhat = 0`` gives
+    min-norm inverse of ``_times_psd_pinv``, so ``Bhat = 0`` gives
     ``chat_star = 0``.
 
     Each evaluation back-transforms P and R (O(n^2 r), as the R sweep) and
@@ -306,7 +316,7 @@ class Evaluation:
         P = from_schur(rom.schur, fn, Yp)
         self.P = 0.5 * (P + P.T)
         self.R = from_schur(fm, fn, Yr)
-        self.chat_star = self.R @ _psd_pinv(self.P)
+        self.chat_star = _times_psd_pinv(self.R, self.P)
         self.projected = rom.with_output(self.chat_star)
         self.phi = objective_f(self.projected, self.P, self.R)
         self.f = objective_f(rom, self.P, self.R)

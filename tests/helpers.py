@@ -94,6 +94,18 @@ def fd_gradients(phi, rom, step=1e-6):
     return GradientTriple(gA, gB, gC)
 
 
+def richardson_gradients(phi, rom, step):
+    """Central differences at ``step`` and ``step / 2``, Richardson-extrapolated.
+
+    ``(4 D(h/2) - D(h)) / 3`` cancels the h^2 truncation term of the
+    central difference D(h), which dominates near a multiple rom pole.
+    """
+    coarse = fd_gradients(phi, rom, step=step)
+    fine = fd_gradients(phi, rom, step=0.5 * step)
+    return GradientTriple(*((4.0 * getattr(fine, k) - getattr(coarse, k)) / 3.0
+                            for k in ("gA", "gB", "gC")))
+
+
 def random_stable(rng, k, radius=0.8):
     """Gaussian matrix rescaled to the requested spectral radius."""
     A = rng.standard_normal((k, k))
