@@ -79,7 +79,8 @@ def main(argv=None) -> int:
     ens = dd.generate_ensemble(sys_, args.N, noise)
     dd.save_ensemble(ens, out / "ensemble")
     # one reconstruction and one rank check for every initializer; the gate
-    # below is stricter than the reconstruction's own, hence force=True
+    # below is the reconstruction's own condition, applied here so that it
+    # can print the ranks, hence force=True
     dual = dd.reconstruct_dual(ens, force=True)
     report = dual.report
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")

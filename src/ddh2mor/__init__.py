@@ -20,8 +20,7 @@ from .ddgrad import (DualData, GramianSet, data_gradients,
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
                      InsufficientData, NoUniqueSolution, NotStable,
                      NumericalOverflow, RankDeficientData, ReductionError,
-                     SingularAhat, SingularE, SingularShift,
-                     StabilizationFailed)
+                     SingularE, SingularShift, StabilizationFailed)
 from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       init_data_bt, init_dmdc, init_loewner,
                       load_frequency_samples, load_impulse_data, make_stable,

@@ -230,8 +230,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
     # the reconstruction runs the one rank check of the reduction; the gate
-    # below applies its report and is stricter than the reconstruction's own
-    # condition (it also needs rank U1 = m), hence force=True here
+    # below applies its report, which is the reconstruction's own condition
+    # (rank [X1 U1] = n + m gives the ranks of X1 and U1), but prints the
+    # report and honours --force, hence force=True here
     dual = ddgrad.reconstruct_dual(ens, force=True)
     report = dual.report
     if not report.all_hold:

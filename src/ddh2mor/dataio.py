@@ -56,7 +56,8 @@ __all__ = [
 ]
 
 # relative singular-value threshold for every rank decision: snapshot ranks,
-# the pseudoinverses of the dual reconstruction and the initializers' checks
+# the least-squares cutoff of the dual reconstruction and the initializers'
+# checks
 RANK_TOL = 1e-10
 
 _CSV_FMT = "%.17e"
@@ -255,15 +256,14 @@ def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
 def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:
     """Rank-check the snapshot blocks against the required full ranks.
 
-    A caller that has decomposed blocks already passes their singular
-    values as ``singular_values``: those of [X1 U1], X1 and U1, in order,
-    None for a block it has not decomposed.
+    A caller that has the singular values of [X1 U1], X1 and U1 already
+    passes them, in that order, as ``singular_values``.
     """
     n, m = ens.n, ens.m
-    blocks = (lambda: np.hstack([ens.X1, ens.U1]), lambda: ens.X1, lambda: ens.U1)
-    rank_joint, rank_x1, rank_u1 = (
-        numerical_rank(block()) if sv is None else _rank(sv)
-        for block, sv in zip(blocks, singular_values or (None,) * 3))
+    if singular_values is None:
+        singular_values = [np.linalg.svd(M, compute_uv=False)
+                           for M in (np.hstack([ens.X1, ens.U1]), ens.X1, ens.U1)]
+    rank_joint, rank_x1, rank_u1 = map(_rank, singular_values)
     return AssumptionReport(
         rank_X1U1=rank_joint,
         rank_X1=rank_x1,

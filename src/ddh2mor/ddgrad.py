@@ -1,11 +1,13 @@
 """Data-driven h2 objective and gradients from one-step snapshot data.
 
-The adjoint (dual) state sequence initialized at the sampled states can be
-reconstructed from the snapshots alone by one joint least-squares solve.
-The cross-gramian equations then close over data-computable coefficients,
-which makes the exact objective gradients available without access to the
-system matrices.  On exact full-rank data the result coincides with the
-model-based gradients of :mod:`.sysmodel`.
+The paper closes the cross-gramian equations over coefficients computed
+from dual (adjoint) snapshots reconstructed from the data.  With
+``Theta = [X1 U1]^+ X2 = [Theta_x; Theta_u]`` and [X1 U1] of full column
+rank, they are the least-squares model ``MR = Theta_x^T = A_ls`` (the S
+equation's coefficient is its transpose) and ``GB = Theta_u^T = B_ls``,
+the fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
+Dyn. Syst. 15 (2016)).  The objective and gradient are the model-based
+ones of (A_ls, B_ls, I), and on exact full-rank data those of the system.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
-from .errors import (AssumptionViolated, NumericalOverflow, RankDeficientData,
-                     SingularAhat)
-from .matequ import (EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur, pseudoinverse_svd,
-                     solve_schur, solve_stein, stein_schur, to_schur)
-from .sysmodel import GradientTriple, Rom, schur_sweeps
+from .errors import AssumptionViolated, NumericalOverflow, RankDeficientData
+from .matequ import (UNIQUE_TOL, SchurFactor, _triangle, from_schur, solve_schur,
+                     solve_stein, stein_schur, to_schur)
+from .sysmodel import GradientTriple, Rom, assemble_gradients, schur_sweeps
 
 __all__ = [
     "DualData",
@@ -47,76 +48,47 @@ SEPARATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DualData:
-    """Reconstructed dual quantities and cached solve coefficients.
+    """The least-squares model the dual reconstruction identifies.
 
-    Z2      (N, n)  second dual snapshot block
-    ZB1     (m, N)  B^T applied to the first dual snapshots
-    UB1     (N, n)  U1 B^T, the input block mapped through B
-    MR      (n, n)  pinv(X1) @ Z2, coefficient of the R equation
-    MS      (n, n)  pinv(X1) @ (X2 - UB1), coefficient of the S equation
-    GB      (n, m)  pinv(X1) @ ZB1^T, input coefficient of the R equation
-    sb_map  (m, n)  map from S to SB: B^T when B is known, else
-                    pinv(U1) @ UB1; None when rank U1 < m
+    MR      (n, n)  A_ls; coefficient of the R equation, and transposed of
+                    the S equation
+    GB      (n, m)  B_ls; ``GB^T S`` is the input-side term SB
     report          the rank check of the ensemble the reconstruction ran
-    data_residual   relative least-squares residual of the one-step model
-                    the reconstruction fits, ``||X2 - fit||_F / ||X2||_F``:
-                    near 0 on exact data, it grows with noise and with
-                    entries that no linear model explains
+    data_residual   relative least-squares residual of the one-step model,
+                    ``||X2 - fit||_F / ||X2||_F``: near 0 on exact data, it
+                    grows with noise and with entries that no linear model
+                    explains
 
-    The Schur factors of MR and MS are computed once here, because every
-    gradient step reuses them, and so is ``gb_schur = ZM^H GB`` (n, m), GB
-    in the Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
+    The Schur factor of MR is computed once here, because every gradient
+    step reuses it, and so is ``gb_schur = ZM^H GB`` (n, m), GB in the
+    Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
     right-hand side of the R sweep of every ``Evaluation`` follows at
-    O(n m r) cost.  MS is MR^T whenever rank X1 = n: with
-    ``Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]`` and ``pinv(X1) X1 = I``,
-    ``MR = pinv(X1) X1 Theta_x^T = Theta_x^T`` and
-    ``UB1 = X2 - X1 Theta_x``, so ``MS = Theta_x``, to rounding, at any noise
-    level; the known-input route sets ``MR = MS^T`` outright.  The factor
-    of MR, transposed, then serves the S equation, and MS is factored on
-    its own only for a forced reconstruction from rank-deficient X1, where
-    ``MS = pinv(X1) X1 Theta_x`` and ``MR^T = Theta_x pinv(X1) X1`` differ.
+    O(n m r) cost.
     """
 
-    Z2: np.ndarray
-    ZB1: np.ndarray
-    UB1: np.ndarray
     MR: np.ndarray
-    MS: np.ndarray
     GB: np.ndarray
-    sb_map: np.ndarray | None
     report: AssumptionReport
     data_residual: float
     mr_schur: SchurFactor = field(init=False, repr=False)
-    ms_schur: SchurFactor = field(init=False, repr=False)
     gb_schur: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # finite snapshots of too wide a range overflow in the products of
-        # the reconstruction or in the factorizations of MR and MS
-        _require_finite("the dual reconstruction", self.Z2, self.ZB1, self.UB1,
-                        self.MR, self.MS, self.GB)
+        _require_finite("the dual reconstruction", self.MR, self.GB)
         mr_schur = SchurFactor.of(self.MR)
-        # MS is MR^T on full-rank X1, and exactly so when B is known
-        ms_is_mr_t = self.report.b2_holds or np.array_equal(self.MS, self.MR.T)
-        ms_schur = mr_schur.transposed() if ms_is_mr_t else SchurFactor.of(self.MS)
+        _require_finite("the Schur factor of MR", mr_schur.T, mr_schur.Z)
         object.__setattr__(self, "mr_schur", mr_schur)
-        object.__setattr__(self, "ms_schur", ms_schur)
-        _require_finite("the Schur factors of MR and MS", self.mr_schur.T,
-                        self.mr_schur.Z, self.ms_schur.T, self.ms_schur.Z)
-        object.__setattr__(self, "gb_schur", self.mr_schur.ZH @ self.GB)
+        object.__setattr__(self, "gb_schur", mr_schur.ZH @ self.GB)
 
     @property
     def n(self) -> int:
         return self.MR.shape[0]
 
 
-def _relative_residual(X2: np.ndarray, fit: np.ndarray) -> float:
-    """``||X2 - fit||_F / ||X2||_F``; 0 for an exact fit, inf for a nonzero
-    fit of X2 = 0.  BLAS ``nrm2`` scales its sum of squares, so no finite
-    snapshot overflows it."""
-    resid, scale = (float(scipy.linalg.norm(M.ravel(), check_finite=False))
-                    for M in (X2 - fit, X2))
-    return resid / scale if scale else (math.inf if resid else 0.0)
+def _norm(M: np.ndarray) -> float:
+    """Frobenius norm through BLAS ``nrm2``, which scales its sum of squares,
+    so no finite snapshot overflows it."""
+    return float(scipy.linalg.norm(M.ravel(), check_finite=False))
 
 
 def _require_finite(label: str, *arrays: np.ndarray) -> None:
@@ -125,8 +97,8 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
                                 "beyond the floating-point range")
 
 
-# an overflow in the reconstruction is reported by DualData's finiteness
-# check as NumericalOverflow, not as a floating-point warning
+# an overflow in the reconstruction is reported by its finiteness checks as
+# NumericalOverflow, not as a floating-point warning
 _OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -134,79 +106,77 @@ _OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
 class GramianSet:
     """Per-iterate solutions feeding the gradient assembly.
 
-    P, Q are the reduced gramians; R, S the data-driven cross terms;
-    SB the input-side contraction of S.
+    P, Q are the reduced gramians; R, S the data-driven cross terms.
     """
 
     P: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     S: np.ndarray
-    SB: np.ndarray
+
+
+def _least_squares(ens: DataEnsemble, Y: np.ndarray,
+                   k: int) -> tuple[np.ndarray, AssumptionReport, float]:
+    """The min-norm fit ``Y ~ [X1 U1][:, :k] Theta``, from the triangle R
+    of ``[X1 U1 Y] = Q R``.
+
+    Theta is solved on the SVD of ``R[:k, :k]``, cut at ``RANK_TOL``; the
+    residual is Y's part along the cut directions and in R's rows below k,
+    relative to ``||X2||_F``.  The singular values of [X1 U1], X1 and U1
+    are those of ``R[:n+m, :n+m]``, ``R[:n, :n]`` and ``R[:n+m, n:n+m]``.
+    No SVD is taken of a matrix with N rows.  Returns
+    ``(Theta, report, data_residual)``.
+    """
+    n, m = ens.n, ens.m
+    S = np.empty((ens.N, 2 * n + m), order="F")
+    S[:, :n], S[:, n:n + m], S[:, n + m:] = ens.X1, ens.U1, Y
+    R = _triangle(S)
+    _require_finite("the triangle of the snapshot data", R)
+    U, s, Vt = np.linalg.svd(R[:k, :k], full_matrices=False)
+    keep = s > RANK_TOL * s[0]
+    Ry = R[:k, n + m:]
+    theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
+    resid = math.hypot(_norm(U[:, ~keep].T @ Ry), _norm(R[k:, n + m:]))
+    scale = _norm(ens.X2)
+    sv = [s if (j0, j1) == (0, k) else np.linalg.svd(R[:j1, j0:j1], compute_uv=False)
+          for j0, j1 in ((0, n + m), (0, n), (n, n + m))]
+    return (theta, check_assumptions(ens, sv),
+            resid / scale if scale else (math.inf if resid else 0.0))
 
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
-    """Recover the dual snapshots from data with unknown system matrices.
+    """The paper's dual coefficients from data with unknown system matrices:
+    ``MR = Theta_x^T`` and ``GB = Theta_u^T`` of the fit of X2 on [X1 U1].
 
-    Solves the joint least-squares system
-    ``[X1 U1] [Z2^T; ZB1] = X2 X1^T`` and then
-    ``X1 UB1^T = X1 X2^T - Z2 X1^T``.  Requires the stacked block
-    [X1 U1] and X1 themselves to have full column rank.  Every product is
-    taken with the pseudoinverse first, so no N x N matrix is formed.
-    One SVD per block yields both its pseudoinverse and its rank.
-    ``Theta = pinv([X1 U1]) X2`` is the least-squares fit of
-    ``X2 ~ [X1 U1] Theta`` whose relative residual is ``data_residual``.
-    Finite snapshots whose range overflows the products or the Schur
-    factors of MR and MS raise ``NumericalOverflow``.
+    Requires rank [X1 U1] = n + m, which gives rank X1 = n and rank U1 = m
+    at the same relative tolerance (a column block's singular values
+    interlace the whole's); forced, rank-deficient data give the min-norm
+    model.  Snapshots whose range overflows the triangle, the fit or the
+    Schur factor of MR raise ``NumericalOverflow``.
     """
-    joint_pinv, sv_joint = pseudoinverse_svd(np.hstack([ens.X1, ens.U1]), RANK_TOL)
-    theta = joint_pinv @ ens.X2
-    del joint_pinv  # (n + m) x N; freed here, the next SVD does not raise the peak
-    stacked = theta @ ens.X1.T
-    x1_pinv, sv_x1 = pseudoinverse_svd(ens.X1, RANK_TOL)
-    u1_pinv, sv_u1 = pseudoinverse_svd(ens.U1, RANK_TOL)
-    report = check_assumptions(ens, (sv_joint, sv_x1, sv_u1))
-    if not (report.b1_holds and report.b2_holds) and not force:
-        raise RankDeficientData(
-            f"need rank [X1 U1] = {ens.n + ens.m} and rank X1 = {ens.n}, got "
-            f"{report.rank_X1U1} and {report.rank_X1}")
     n = ens.n
-    Z2 = stacked[:n].T
-    ZB1 = stacked[n:]
-    MR = x1_pinv @ Z2
-    UB1 = ((x1_pinv @ ens.X1) @ ens.X2.T - MR @ ens.X1.T).T
-    MS = x1_pinv @ (ens.X2 - UB1)
-    GB = x1_pinv @ ZB1.T
-    sb_map = u1_pinv @ UB1 if report.b3_holds else None
-    residual = _relative_residual(ens.X2, ens.X1 @ theta[:n] + ens.U1 @ theta[n:])
-    return DualData(Z2, ZB1, UB1, MR, MS, GB, sb_map, report, residual)
+    theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
+    if not report.b1_holds and not force:
+        raise RankDeficientData(
+            f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
+    return DualData(theta[:n].T, theta[n:].T, report, residual)
 
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
-    """Dual reconstruction when the input matrix B is known.
-
-    ``UB1 = U1 B^T`` is then available directly, which drops the joint
-    rank requirement down to full column rank of X1 alone (N >= n).
-    ``data_residual`` is that of the fit ``X2 ~ X1 MS + UB1``.  One SVD of
-    X1 yields both its pseudoinverse and its rank.
+    """Dual reconstruction when the input matrix B is known: the fit of
+    ``X2 - U1 B^T`` on X1 alone, ``MR = Theta_x^T`` and ``GB = B``, which
+    needs only rank X1 = n (N >= n).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):
         raise ValueError(f"B must have shape {(ens.n, ens.m)}, got {B.shape}")
-    x1_pinv, sv_x1 = pseudoinverse_svd(ens.X1, RANK_TOL)
-    report = check_assumptions(ens, (None, sv_x1, None))
+    theta, report, residual = _least_squares(ens, ens.X2 - ens.U1 @ B.T, ens.n)
     if not report.b2_holds and not force:
         raise RankDeficientData(
             f"need rank X1 = {ens.n}, got {report.rank_X1}")
-    UB1 = ens.U1 @ B.T
-    ZB1 = B.T @ ens.X1.T
-    MS = x1_pinv @ (ens.X2 - UB1)
-    MR = MS.T
-    Z2 = ens.X1 @ MS
-    return DualData(Z2, ZB1, UB1, MR, MS, B.copy(), B.T.copy(), report,
-                    _relative_residual(ens.X2, Z2 + UB1))
+    return DualData(theta.T, B.copy(), report, residual)
 
 
 def _require_separation(coef: SchurFactor, lam: np.ndarray, label: str) -> None:
@@ -238,19 +208,17 @@ def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
 
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
-    """Cross term S from data: ``MS S Ahat - Chat = S``."""
+    """Cross term S from data: ``MR^T S Ahat - Chat = S``."""
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
-    fm, fa = dual.ms_schur, rom.schur
-    _require_separation(fm, fa.eigvals, "MS")
+    fm, fa = dual.mr_schur.transposed(), rom.schur
+    _require_separation(fm, fa.eigvals, "MR")
     return from_schur(fm, fa, solve_schur(fm, fa, to_schur(fm, fa, -rom.Chat)))
 
 
 def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
-    """Input-side contraction SB, the least-squares solution of ``U1 SB = UB1 S``."""
-    if dual.sb_map is None:
-        raise RankDeficientData("need full column rank U1 to recover SB")
-    return dual.sb_map @ S
+    """Input-side contraction ``SB = GB^T S``, the paper's ``B^T S``."""
+    return dual.GB.T @ S
 
 
 def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +304,7 @@ class Evaluation:
         fn = fa.transposed()
         C = rom.Chat
         Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
-        S = solve_S(self._dual, rom)
-        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, S, solve_SB(self._dual, S))
+        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, solve_S(self._dual, rom))
 
 
 def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
@@ -345,39 +312,26 @@ def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
     return Evaluation(dual, rom).gramians()
 
 
-def data_gradients(rom: Rom, grams: GramianSet) -> GradientTriple:
-    """Gradient triple assembled from data-driven gramian solutions.
-
-    The full-order product S^T A R is replaced by the data-computable
-    ``(S^T R - SB^T Bhat^T) Ahat^{-T}``, which requires Ahat to be
-    invertible.
-    """
-    if np.abs(rom.schur.eigvals).min(initial=np.inf) < EIG_FLOOR:
-        raise SingularAhat(f"Ahat has an eigenvalue with modulus below {EIG_FLOOR:g}")
-    P, Q, R, S, SB = grams.P, grams.Q, grams.R, grams.S, grams.SB
-    cross = S.T @ R - SB.T @ rom.Bhat.T
-    # cross @ inv(Ahat).T without forming the inverse
-    cross = np.linalg.solve(rom.Ahat, cross.T).T
-    gA = 2.0 * (Q @ rom.Ahat @ P + cross)
-    gB = 2.0 * (SB.T + Q @ rom.Bhat)
-    gC = 2.0 * (rom.Chat @ P - R)
-    return GradientTriple(gA, gB, gC)
+def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTriple:
+    """Gradient triple assembled from data-driven gramian solutions: the
+    model-based assembly against the identified model (MR, GB, I)."""
+    return assemble_gradients(rom, dual.MR, dual.GB, np.eye(dual.n), grams)
 
 
 def data_gradients_from_ensemble(ens: DataEnsemble, rom: Rom, *,
                                  force: bool = False) -> GradientTriple:
     """Full data-driven gradient pipeline with unknown system matrices."""
     dual = reconstruct_dual(ens, force=force)
-    return data_gradients(rom, solve_gramians(dual, rom))
+    return data_gradients(dual, rom, solve_gramians(dual, rom))
 
 
 def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
                            force: bool = False) -> GradientTriple:
     """Gradient pipeline for known input matrix B.
 
-    UB1 and SB come directly from B, so only X1 needs full column rank;
-    otherwise the pipeline is identical to the unknown-B route and agrees
-    with it whenever both are applicable.
+    GB is B itself, so only X1 needs full column rank; otherwise the
+    pipeline is identical to the unknown-B route and agrees with it
+    whenever both are applicable.
     """
     dual = reconstruct_dual_known_input(ens, B, force=force)
-    return data_gradients(rom, solve_gramians(dual, rom))
+    return data_gradients(dual, rom, solve_gramians(dual, rom))

@@ -29,10 +29,6 @@ class AssumptionViolated(ReductionError):
     """Spectral separation required by the data-driven solves does not hold."""
 
 
-class SingularAhat(ReductionError):
-    """Reduced state matrix has a numerically zero eigenvalue."""
-
-
 class InsufficientData(ReductionError):
     """Initializer data has lower numerical rank than the target order."""
 

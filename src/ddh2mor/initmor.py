@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .dataio import RANK_TOL, TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR
+from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, _triangle
 from .sysmodel import Rom, markov_parameters, transfer_eval
 
 __all__ = [
@@ -43,10 +42,6 @@ logger = logging.getLogger(__name__)
 
 # adjustment rounds of make_stable before it gives up
 _STABILIZE_ROUNDS = 5
-
-_DGEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=float)
-# block size of _triangle's dgeqrt; 32 and 64 run at the same speed
-_QR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -112,19 +107,6 @@ def make_stable(rom: Rom) -> Rom:
     raise StabilizationFailed(
         f"eigenvalue moduli still span [{mods.min():.3e}, {mods.max():.6f}] "
         f"after {_STABILIZE_ROUNDS} adjustment rounds")
-
-
-def _triangle(S: np.ndarray) -> np.ndarray:
-    """The triangle R of ``S = Q R``, overwriting the Fortran-ordered S.
-
-    LAPACK ``dgeqrt`` factors each panel recursively (Elmroth & Gustavson,
-    IBM J. Res. Dev. 44 (2000)), so a tall S is reduced at matrix-product
-    speed where ``dgeqrf``'s panels are matrix-vector work.  R is
-    ``min(S.shape)`` by ``S.shape[1]``, with ``dgeqrf``'s diagonal signs.
-    """
-    k = min(S.shape)
-    qr = _DGEQRT(min(_QR_BLOCK, k), S, overwrite_a=1)[0]
-    return np.triu(qr[:k])
 
 
 def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:

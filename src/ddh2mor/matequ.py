@@ -63,6 +63,10 @@ _ZROT = scipy.linalg.get_lapack_funcs("rot", dtype=complex)
 # neglected mu TM y is below rounding unless |TM| exceeds 1e138, and above
 # it b / mu overflows only for |b| beyond 1e154
 _SHIFT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+# LAPACK compact-WY QR, and the block size of _triangle's calls of it; 32
+# and 64 run at the same speed
+_DGEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=float)
+_QR_BLOCK = 32
 # fixed fourth probe shift for pencil regularity, kept constant so that
 # repeated runs on identical inputs give identical diagnostics
 _PROBE_SHIFT = 0.7390851332151607
@@ -106,6 +110,21 @@ def pseudoinverse_svd(A, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     large = s > rcond * s.max()
     inverse = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     return vt.T @ (inverse[:, None] * u.T), s
+
+
+def _triangle(S: np.ndarray) -> np.ndarray:
+    """The triangle R of ``S = Q R``, overwriting the Fortran-ordered S.
+
+    LAPACK ``dgeqrt`` factors each panel recursively (Elmroth & Gustavson,
+    IBM J. Res. Dev. 44 (2000)), so a tall S is reduced at matrix-product
+    speed where ``dgeqrf``'s panels are matrix-vector work.  R is
+    ``min(S.shape)`` by ``S.shape[1]``, with ``dgeqrf``'s diagonal signs.
+    The initializers and the dual reconstruction reduce their snapshot
+    matrices with it.
+    """
+    k = min(S.shape)
+    qr = _DGEQRT(min(_QR_BLOCK, k), S, overwrite_a=1)[0]
+    return np.triu(qr[:k])
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from scipy.linalg import solve_triangular
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import DualData, Evaluation, data_gradients, reconstruct_dual
 from .errors import AssumptionViolated, NotStable, NumericalOverflow
+from .matequ import EIG_CEIL_MARGIN
 from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
@@ -175,13 +176,20 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     ``initial_rel_h2_error`` are those of ``init`` as given, before its
     Chat is projected.  Recorded iterates always satisfy
     the stability annulus.  A descent direction whose squared norm
-    overflows raises ``NumericalOverflow``.
+    overflows raises ``NumericalOverflow``, and data whose identified
+    model ``dual.MR`` (A_ls) has spectral radius at or beyond the annulus
+    ceiling raise ``NotStable`` before the start is evaluated.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
     if dual is None:
         dual = reconstruct_dual(ens)
+    # f is the h2 error against (A_ls, B_ls, I), which an unstable A_ls lacks
+    rho = np.abs(dual.mr_schur.eigvals).max(initial=0.0)
+    if rho >= 1.0 - EIG_CEIL_MARGIN:
+        raise NotStable(f"the identified model A_ls has spectral radius {rho:.4g} "
+                        f"(data residual {dual.data_residual:.3g})")
 
     evaluator = H2ErrorEvaluator(oracle) if oracle is not None else None
 
@@ -210,7 +218,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
                 if start is not init:
                     current = Evaluation(dual, start)
             iterate = current.projected
-            g = data_gradients(iterate, current.gramians(projected=True))
+            g = data_gradients(dual, iterate, current.gramians(projected=True))
         except AssumptionViolated:
             stop = StopReason.ASSUMPTION_VIOLATED
             break

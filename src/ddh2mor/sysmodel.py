@@ -25,6 +25,7 @@ __all__ = [
     "LtiSystem",
     "Rom",
     "SyntheticSpec",
+    "assemble_gradients",
     "error_gramians",
     "generate_synthetic",
     "h2_error",
@@ -265,17 +266,24 @@ def error_gramians(sys: LtiSystem, rom: Rom) -> ErrorGramians:
     )
 
 
+def assemble_gradients(rom: Rom, A: np.ndarray, B: np.ndarray, C: np.ndarray,
+                       g) -> GradientTriple:
+    """Gradients of the squared h2 error of ``rom`` against a model (A, B, C),
+    from the gramians P, Q and cross terms R, S in ``g``; the model-based
+    and the data-driven gradients are both this assembly."""
+    gA = 2.0 * (g.Q @ rom.Ahat @ g.P + g.S.T @ A @ g.R)
+    gB = 2.0 * (g.S.T @ B + g.Q @ rom.Bhat)
+    gC = 2.0 * (rom.Chat @ g.P - C @ g.R)
+    return GradientTriple(gA, gB, gC)
+
+
 def model_based_gradients(sys: LtiSystem, rom: Rom) -> GradientTriple:
     """Objective gradients computed from the full-order model.
 
     Uses the gramian blocks P, Q and the cross terms R, S; this is the
     reference the data-driven route must reproduce on exact data.
     """
-    g = error_gramians(sys, rom)
-    gA = 2.0 * (g.Q @ rom.Ahat @ g.P + g.S.T @ sys.A @ g.R)
-    gB = 2.0 * (g.S.T @ sys.B + g.Q @ rom.Bhat)
-    gC = 2.0 * (rom.Chat @ g.P - sys.C @ g.R)
-    return GradientTriple(gA, gB, gC)
+    return assemble_gradients(rom, sys.A, sys.B, sys.C, error_gramians(sys, rom))
 
 
 def schur_sweeps(rom: Rom, fn: SchurFactor, coef: SchurFactor,

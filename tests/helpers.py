@@ -7,10 +7,13 @@ quadrature of the transfer function on the unit circle, and gradients by
 central finite differences of a scalar objective.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 
 from ddh2mor import GradientTriple, LtiSystem, Rom, initmor, make_stable
+from ddh2mor.dataio import RANK_TOL
 
 
 def rel_max_err(a, b):
@@ -139,6 +142,26 @@ def input_normal(rom):
     """
     L = np.linalg.cholesky(kron_solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T))
     return Rom(np.linalg.solve(L, rom.Ahat @ L), np.linalg.solve(L, rom.Bhat), rom.Chat @ L)
+
+
+def paper_dual(ens):
+    """The paper's dual reconstruction by its three pseudoinverse formulas.
+
+    ``[Z2^T; ZB1] = pinv([X1 U1]) X2 X1^T``, ``MR = pinv(X1) Z2``,
+    ``UB1 = (pinv(X1) (X1 X2^T - Z2 X1^T))^T``, ``MS = pinv(X1) (X2 - UB1)``,
+    ``GB = pinv(X1) ZB1^T`` and ``sb_map = pinv(U1) UB1``, each pseudoinverse
+    by ``np.linalg.pinv`` at ``RANK_TOL``; products are taken with the
+    pseudoinverse first, so no N x N matrix is formed.
+    """
+    X1, U1, X2, n = ens.X1, ens.U1, ens.X2, ens.n
+    stacked = (np.linalg.pinv(np.hstack([X1, U1]), rcond=RANK_TOL) @ X2) @ X1.T
+    Z2, ZB1 = stacked[:n].T, stacked[n:]
+    x1_pinv = np.linalg.pinv(X1, rcond=RANK_TOL)
+    MR = x1_pinv @ Z2
+    UB1 = ((x1_pinv @ X1) @ X2.T - MR @ X1.T).T
+    return SimpleNamespace(Z2=Z2, ZB1=ZB1, UB1=UB1, MR=MR, MS=x1_pinv @ (X2 - UB1),
+                           GB=x1_pinv @ ZB1.T,
+                           sb_map=np.linalg.pinv(U1, rcond=RANK_TOL) @ UB1)
 
 
 def count_schur_calls(monkeypatch):

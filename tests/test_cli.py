@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -518,8 +519,8 @@ def test_mutated_npy_blocks_never_traceback(workspace, tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("magnitude, message", [
-    (1e100, "squared norm of the descent direction"),
-    (1e200, "Schur factors of MR and MS overflowed"),
+    (1e100, "the identified model A_ls has spectral radius"),
+    (1e200, "the identified model A_ls has spectral radius"),
 ], ids=["1e100", "1e200"])
 def test_reduce_on_finite_but_extreme_data_exits_3_without_warnings(
         workspace, tmp_path, capsys, magnitude, message):
@@ -537,20 +538,26 @@ def test_reduce_on_finite_but_extreme_data_exits_3_without_warnings(
     assert not caught
 
 
-def test_reduce_reports_the_data_residual_of_a_corrupt_entry(workspace, tmp_path):
-    # one entry of x2 at 1e50 still ends with exit 0; only data_residual,
-    # near zero on the exact data, shows that no linear model fits them
+def test_reduce_reports_the_data_residual_of_a_corrupt_entry(workspace, tmp_path, capsys):
+    # data_residual is near zero on the exact data; one entry of x2 at 1e50
+    # makes the identified model unstable, and reduce refuses it with exit 3,
+    # naming its spectral radius and the residual no linear model explains
     assert main(reduce_args(workspace, tmp_path / "clean")) == 0
     clean = json.loads((tmp_path / "clean" / "summary.json").read_text())
+    assert clean["data_residual"] <= 1e-12
     ensdir = tmp_path / "ens"
     shutil.copytree(workspace["ensemble"], ensdir)
     x2 = np.load(ensdir / "x2.npy")
     x2[0, 0] = 1e50
     np.save(ensdir / "x2.npy", x2)
-    assert main(reduce_args({**workspace, "ensemble": ensdir}, tmp_path / "red")) == 0
-    corrupt = json.loads((tmp_path / "red" / "summary.json").read_text())
-    assert clean["data_residual"] <= 1e-12
-    assert corrupt["data_residual"] > 1e-2
+    capsys.readouterr()
+    assert main(reduce_args({**workspace, "ensemble": ensdir}, tmp_path / "red")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    rho, residual = map(float, re.search(
+        r"spectral radius (\S+) \(data residual (\S+)\)", err).groups())
+    assert rho >= 1.0 and residual > 1e-2
+    assert not (tmp_path / "red" / "summary.json").exists()
 
 
 def test_reduce_order_zero_exits_1(workspace, tmp_path, capsys):

@@ -1,22 +1,20 @@
-import copy
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ddh2mor import (
     AssumptionViolated,
     DataEnsemble,
-    GramianSet,
+    GradientTriple,
     H2ErrorEvaluator,
     LtiSystem,
     NoiseSpec,
     NotStable,
     RankDeficientData,
     Rom,
-    SchurFactor,
-    SingularAhat,
     SyntheticSpec,
     check_assumptions,
     data_gradients,
@@ -40,11 +38,13 @@ from ddh2mor import (
     solve_R,
     solve_S,
     solve_SB,
+    solve_discrete_sylvester,
     solve_stein,
 )
+from ddh2mor.dataio import RANK_TOL
 from ddh2mor.ddgrad import SEPARATION_TOL, Evaluation
-from helpers import (count_schur_calls, fd_gradients, random_rom, random_system,
-                     rel_max_err, richardson_gradients)
+from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
+                     random_system, rel_max_err, richardson_gradients)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -71,18 +71,14 @@ def test_dual_reconstruction_recovers_system_quantities():
     sys, ens, _ = make_instance(seed=0)
     dual = reconstruct_dual(ens)
     assert rel_max_err(dual.MR, sys.A) < 1e-9
-    assert rel_max_err(dual.MS, sys.A.T) < 1e-9
     assert rel_max_err(dual.GB, sys.B) < 1e-9
-    assert rel_max_err(dual.UB1, ens.U1 @ sys.B.T) < 1e-9
-    assert rel_max_err(dual.Z2, ens.X1 @ sys.A) < 1e-9
-    assert rel_max_err(dual.ZB1, sys.B.T @ ens.X1.T) < 1e-9
 
 
 def test_dual_caches_are_populated():
     _, ens, _ = make_instance(seed=1)
     dual = reconstruct_dual(ens)
-    assert len(dual.mr_schur.eigvals) == ens.n and len(dual.ms_schur.eigvals) == ens.n
-    assert dual.sb_map.shape == (ens.m, ens.n)
+    assert len(dual.mr_schur.eigvals) == ens.n
+    assert dual.gb_schur.shape == (ens.n, ens.m)
     assert dual.n == ens.n
     assert dual.report == check_assumptions(ens)
 
@@ -94,40 +90,33 @@ def test_reconstruction_matches_square_association_reference():
     stacked = np.linalg.pinv(np.hstack([X1, U1]), rcond=1e-10) @ (X2 @ X1.T)
     Z2, ZB1 = stacked[:n].T, stacked[n:]
     x1_pinv = np.linalg.pinv(X1, rcond=1e-10)
-    UB1 = (x1_pinv @ (X1 @ X2.T - Z2 @ X1.T)).T
-    ref = {"Z2": Z2, "ZB1": ZB1, "UB1": UB1, "MR": x1_pinv @ Z2,
-           "MS": x1_pinv @ (X2 - UB1), "GB": x1_pinv @ ZB1.T}
+    ref = {"MR": x1_pinv @ Z2, "GB": x1_pinv @ ZB1.T}
     dual = reconstruct_dual(ens)
     for name, value in ref.items():
         assert rel_max_err(getattr(dual, name), value) <= 1e-12, name
 
 
-@pytest.mark.parametrize("n, m, N, alpha", [(12, 2, 16, 0.0), (20, 3, 400, 1e-3),
-                                         (12, 2, 10, 0.0)])
-def test_reconstruction_is_bit_identical_to_three_pinv_formulas(n, m, N, alpha):
-    # one SVD per block gives the ranks and the pseudoinverses that
-    # np.linalg.pinv gave, to the last bit, rank-deficient data included
-    sys = generate_synthetic(SyntheticSpec(n=n, m=m, seed=7))
-    ens = generate_ensemble(sys, N, NoiseSpec(alpha=alpha, seed=3))
-    X1, U1, X2 = ens.X1, ens.U1, ens.X2
-    report = check_assumptions(ens)
-    stacked = (np.linalg.pinv(np.hstack([X1, U1]), rcond=1e-10) @ X2) @ X1.T
-    Z2, ZB1 = stacked[:n].T, stacked[n:]
-    x1_pinv = np.linalg.pinv(X1, rcond=1e-10)
-    MR = x1_pinv @ Z2
-    UB1 = ((x1_pinv @ X1) @ X2.T - MR @ X1.T).T
-    ref = {"Z2": Z2, "ZB1": ZB1, "UB1": UB1, "MR": MR, "MS": x1_pinv @ (X2 - UB1),
-           "GB": x1_pinv @ ZB1.T,
-           "sb_map": np.linalg.pinv(U1, rcond=1e-10) @ UB1 if report.b3_holds else None}
+@settings(max_examples=60, deadline=None)
+@given(seed=st_seed, n=st.integers(2, 8), m=st.integers(1, 2),
+       alpha=st.sampled_from([0.0, 1e-3, 1e-1]), tall=st.floats(0.0, 1.0),
+       spread=st.floats(0.0, 3.5))
+def test_reconstruction_is_the_paper_formulas_to_rounding(seed, n, m, alpha, tall, spread):
+    # Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]: on full column rank the
+    # paper's MR and MS^T are Theta_x^T and its GB and sb_map^T are
+    # Theta_u^T, at any noise level, so the fit from the triangle matches
+    # all four to the rounding of length-N products times cond([X1 U1])
+    rng = np.random.default_rng(seed)
+    N = n + m + round(tall * 19 * (n + m))
+    ens = generate_ensemble(random_system(rng, n, m), N, NoiseSpec(alpha=alpha, seed=seed))
+    scales = 10.0 ** rng.uniform(-spread, spread, n + m)
+    ens = DataEnsemble(ens.X1 * scales[:n], ens.U1 * scales[n:], ens.X2)
     dual = reconstruct_dual(ens, force=True)
-    assert dual.report == report
-    for name, value in ref.items():
-        np.testing.assert_array_equal(getattr(dual, name), value, err_msg=name)
-    known = reconstruct_dual_known_input(ens, sys.B, force=True)
-    MS = x1_pinv @ (X2 - U1 @ sys.B.T)
-    assert known.report == report
-    np.testing.assert_array_equal(known.MS, MS)
-    np.testing.assert_array_equal(known.Z2, X1 @ MS)
+    assume(dual.report.b1_holds)
+    ref = paper_dual(ens)
+    bound = 10.0 * N * np.finfo(float).eps * np.linalg.cond(np.hstack([ens.X1, ens.U1]))
+    for got, want in ((dual.MR, ref.MR), (dual.MR.T, ref.MS), (dual.GB, ref.GB),
+                      (dual.GB.T, ref.sb_map)):
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
 
 def test_reconstruction_forms_no_sample_by_sample_matrix():
@@ -146,87 +135,89 @@ def test_known_input_reconstruction_matches_unknown():
     a = reconstruct_dual(ens)
     b = reconstruct_dual_known_input(ens, sys.B)
     assert rel_max_err(b.MR, a.MR) < 1e-9
-    assert rel_max_err(b.MS, a.MS) < 1e-9
-    assert rel_max_err(b.UB1, a.UB1) < 1e-9
+    assert rel_max_err(a.GB, b.GB) < 1e-9
     np.testing.assert_array_equal(b.GB, sys.B)
+    assert b.report == a.report == check_assumptions(ens)
 
 
 def test_known_input_reconstruction_factors_mr_once(monkeypatch):
     sys, ens, _ = make_instance(seed=30)
     shapes = count_schur_calls(monkeypatch)
     known = reconstruct_dual_known_input(ens, sys.B)
-    # MS = MR^T exactly, so the transposed factor of MR is the factor of MS
+    # the S equation's coefficient MR^T takes the transposed factor of MR
     assert shapes == [(ens.n, ens.n)]
-    fs = known.ms_schur
+    fs = known.mr_schur.transposed()
     assert np.array_equal(fs.T, np.triu(fs.T))
-    assert np.abs(fs.Z @ fs.T @ fs.ZH - known.MS).max() < 1e-12 * np.abs(known.MS).max()
+    assert np.abs(fs.Z @ fs.T @ fs.ZH - known.MR.T).max() < 1e-12 * np.abs(known.MR).max()
     reconstruct_dual(ens)
     assert shapes == [(ens.n, ens.n)] * 2
 
 
-def test_known_input_reconstruction_decomposes_x1_once(monkeypatch):
-    # one SVD of X1 gives both its pseudoinverse and its rank
-    sys, ens, _ = make_instance(seed=36)
+def test_reconstructions_take_no_svd_of_a_matrix_with_n_rows(monkeypatch):
+    # both routes decompose blocks of the triangle of [X1 U1 Y] alone, the
+    # rank report's blocks included
+    sys, ens, _ = make_instance(seed=36, N=40)
     shapes = []
-    svd = np.linalg.svd
+    for owner in (np.linalg, scipy.linalg):
+        def recording(a, *args, _svd=owner.svd, **kwargs):
+            shapes.append(np.shape(a))
+            return _svd(a, *args, **kwargs)
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(owner, "svd", recording)
+    reconstruct_dual(ens)
     reconstruct_dual_known_input(ens, sys.B)
-    assert shapes.count(ens.X1.shape) == 1
+    assert shapes and max(shape[0] for shape in shapes) <= ens.n + ens.m
 
 
-def test_forced_reconstruction_from_rank_deficient_x1_factors_ms_apart(monkeypatch):
-    # rank X1 < n: MS = pinv(X1) X1 Theta_x and MR^T = Theta_x pinv(X1) X1
-    # differ, so the unknown-input route factors MS on its own; the
-    # known-input route has MR = MS^T still and factors once
-    sys, _, _ = make_instance(seed=33)
-    thin = generate_ensemble(sys, sys.n - 1, NoiseSpec(seed=34))
+@pytest.mark.parametrize("case", ["thin", "zero-input"])
+def test_forced_reconstruction_is_the_min_norm_least_squares_model(monkeypatch, case):
+    # rank [X1 U1] < n + m, from N = n + m - 1 rows or from U1 = 0: the forced
+    # reconstruction is the min-norm fit pinv([X1 U1]) X2 at RANK_TOL, and
+    # MR is factored once
+    sys, ens, _ = make_instance(seed=33)
+    n = ens.n
+    if case == "thin":
+        ens = generate_ensemble(sys, n + ens.m - 1, NoiseSpec(seed=34))
+    else:
+        ens = DataEnsemble(ens.X1, np.zeros_like(ens.U1), ens.X2)
     shapes = count_schur_calls(monkeypatch)
-    dual = reconstruct_dual(thin, force=True)
-    assert not dual.report.b2_holds
-    assert shapes == [(sys.n, sys.n)] * 2
-    assert np.linalg.norm(dual.MS - dual.MR.T) > 1e-3 * np.linalg.norm(dual.MS)
-    fs = dual.ms_schur
-    assert np.abs(fs.Z @ fs.T @ fs.ZH - dual.MS).max() < 1e-12 * np.abs(dual.MS).max()
-    shapes.clear()
-    reconstruct_dual_known_input(thin, sys.B, force=True)
-    assert shapes == [(sys.n, sys.n)]
+    dual = reconstruct_dual(ens, force=True)
+    assert not dual.report.b1_holds
+    assert shapes == [(n, n)]
+    X1U1 = np.hstack([ens.X1, ens.U1])
+    theta = np.linalg.pinv(X1U1, rcond=RANK_TOL) @ ens.X2
+    atol = 1e-12 * np.abs(theta).max()
+    np.testing.assert_allclose(dual.MR, theta[:n].T, rtol=0, atol=atol)
+    np.testing.assert_allclose(dual.GB, theta[n:].T, rtol=0, atol=atol)
+    residual = np.linalg.norm(ens.X2 - X1U1 @ theta) / np.linalg.norm(ens.X2)
+    assert dual.data_residual == pytest.approx(residual, rel=0, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st_seed, n=st.integers(2, 8), m=st.integers(1, 2),
-       alpha=st.sampled_from([0.0, 1e-3, 1e-1]), tall=st.floats(0.0, 1.0),
-       spread=st.floats(0.0, 3.5))
-def test_ms_is_mr_transposed_on_full_rank_x1(seed, n, m, alpha, tall, spread):
-    # Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]: once pinv(X1) X1 = I,
-    # MR = Theta_x^T and MS = Theta_x at any noise level, to the rounding
-    # of length-N products times cond(X1); the transposed factor of MR
-    # then serves MS
+@settings(max_examples=60, deadline=None)
+@given(seed=st_seed, n=st.integers(1, 8), m=st.integers(1, 3), rows=st.integers(1, 14),
+       spread=st.floats(0.0, 3.5), zeros=st.integers(0, 2))
+def test_joint_rank_implies_the_block_ranks(seed, n, m, rows, spread, zeros):
+    # the singular values of a column block interlace those of [X1 U1], so
+    # rank [X1 U1] = n + m at a relative tolerance gives rank X1 = n and
+    # rank U1 = m at the same tolerance, in the reconstruction's report as
+    # in check_assumptions'
     rng = np.random.default_rng(seed)
-    N = n + m + round(tall * 19 * (n + m))
-    ens = generate_ensemble(random_system(rng, n, m), N, NoiseSpec(alpha=alpha, seed=seed))
-    X1 = ens.X1 * 10.0 ** rng.uniform(-spread, spread, n)
-    dual = reconstruct_dual(DataEnsemble(X1, ens.U1, ens.X2), force=True)
-    assume(dual.report.b2_holds)
-    bound = 10.0 * N * np.finfo(float).eps * np.linalg.cond(X1) * np.linalg.norm(dual.MS)
-    assert np.linalg.norm(dual.MS - dual.MR.T) <= bound
-    fs = dual.ms_schur
-    assert np.linalg.norm(fs.Z @ fs.T @ fs.ZH - dual.MS) <= bound
+    X1U1 = rng.standard_normal((rows, n + m)) * 10.0 ** rng.uniform(-spread, spread, n + m)
+    X1U1[:, rng.choice(n + m, size=min(zeros, n + m), replace=False)] = 0.0
+    ens = DataEnsemble(X1U1[:, :n], X1U1[:, n:], rng.standard_normal((rows, n)))
+    for report in (reconstruct_dual(ens, force=True).report, check_assumptions(ens)):
+        assert not report.b1_holds or (report.b2_holds and report.b3_holds)
 
 
 def test_solve_S_on_the_factor_of_mr_matches_a_factor_of_ms_at_acceptance_size():
+    # MS = MR^T: the transposed factor of MR serves the S equation as a
+    # factorization of MR^T itself does
     sys = generate_synthetic(SyntheticSpec(n=100, m=2, h=0.1, seed=7))
     ens = generate_ensemble(sys, 102, NoiseSpec(alpha=0.0, seed=107))
     dual = reconstruct_dual(ens)
-    ref = copy.copy(dual)
-    object.__setattr__(ref, "ms_schur", SchurFactor.of(dual.MS))
     rom = random_rom(np.random.default_rng(35), 6, 2, 100)
-    S = solve_S(dual, rom)
-    assert rel_max_err(S, solve_S(ref, rom)) <= 1e-12
+    ref = solve_discrete_sylvester(dual.MR.T, rom.Ahat, -rom.Chat)
+    assert rel_max_err(solve_S(dual, rom), ref) <= 1e-12
 
 
 @pytest.mark.parametrize("route", ["unknown-input", "known-input"])
@@ -258,7 +249,7 @@ def test_known_input_reconstruction_needs_only_state_rank():
     with pytest.raises(RankDeficientData):
         reconstruct_dual(ens)
     dual = reconstruct_dual_known_input(ens, sys.B)
-    assert rel_max_err(dual.MS, sys.A.T) < 1e-8
+    assert rel_max_err(dual.MR, sys.A) < 1e-8
 
 
 def test_known_input_shape_check():
@@ -276,12 +267,15 @@ def test_cross_equation_residuals_vanish():
     R = solve_R(dual, rom)
     S = solve_S(dual, rom)
     SB = solve_SB(dual, S)
+    # the paper's equations, with UB1 = X2 - X1 MR^T the input block of
+    # the one-step model
+    UB1 = ens.X2 - ens.X1 @ dual.MR.T
     res_r = dual.MR @ R @ rom.Ahat.T + dual.GB @ rom.Bhat.T - R
-    res_s = dual.MS @ S @ rom.Ahat - rom.Chat - S
-    res_sb = ens.U1 @ SB - dual.UB1 @ S
+    res_s = dual.MR.T @ S @ rom.Ahat - rom.Chat - S
+    res_sb = ens.U1 @ SB - UB1 @ S
     assert np.abs(res_r).max() < 1e-9 * max(1.0, np.abs(R).max())
     assert np.abs(res_s).max() < 1e-9 * max(1.0, np.abs(S).max())
-    assert np.abs(res_sb).max() < 1e-9 * max(1.0, np.abs(dual.UB1 @ S).max())
+    assert np.abs(res_sb).max() < 1e-9 * max(1.0, np.abs(UB1 @ S).max())
     assert SB.shape == (ens.m, rom.r)
 
 
@@ -308,17 +302,6 @@ def test_solve_s_rejects_partial_output_rom():
     bad = random_rom(np.random.default_rng(0), 3, 2, ens.n - 1)
     with pytest.raises(ValueError):
         solve_S(dual, bad)
-
-
-def test_solve_sb_needs_input_rank():
-    rng = np.random.default_rng(12)
-    X1 = rng.standard_normal((8, 3))
-    ens_zero_u = __import__("ddh2mor").DataEnsemble(
-        X1, np.zeros((8, 2)), rng.standard_normal((8, 3)))
-    dual = reconstruct_dual(ens_zero_u, force=True)
-    assert dual.sb_map is None
-    with pytest.raises(RankDeficientData):
-        solve_SB(dual, np.zeros((3, 2)))
 
 
 def test_separation_check_measures_distance_to_reciprocal_poles():
@@ -444,7 +427,7 @@ def test_projection_never_raises_the_objective(seed, n, m, r):
 def test_output_gradient_vanishes_at_the_projection(seed, n, m, r):
     _, dual, rom = projection_instance(seed, n, m, r)
     ev = Evaluation(dual, rom)
-    g = data_gradients(ev.projected, ev.gramians(projected=True))
+    g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     assert np.abs(g.gC).max() <= 1e-10 * np.abs(ev.R).max()
 
 
@@ -459,7 +442,7 @@ def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n,
     # phi = -tr(R P^-1 R^T) carries the rounding of P times its condition
     # number, which the differences divide by the step
     assume(np.linalg.cond(ev.P) < 1e4)
-    g = data_gradients(ev.projected, ev.gramians(projected=True))
+    g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     # the extrapolation cancels the h^2 truncation of the differences,
     # which near a multiple rom pole exceeds the bound at this step
     fd = richardson_gradients(lambda q: Evaluation(dual, q).phi, rom, step=1e-5)
@@ -509,7 +492,7 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
                                atol=1e-14 * np.abs(dual.GB).max())
     compared = 0
     for rom in starts:
-        g = data_gradients(rom, solve_gramians(dual, rom))
+        g = data_gradients(dual, rom, solve_gramians(dual, rom))
         for alpha in (1.0, 1e-2, 1e-4):
             cand = rom.stepped(g, alpha)
             try:
@@ -621,7 +604,6 @@ def test_state_only_scaling_rescales_input_quantities():
     # states scaled alone describe the pair (A, gamma B)
     assert rel_max_err(dual1.MR, dual0.MR) < 1e-8
     assert rel_max_err(dual1.GB, gamma * sys.B) < 1e-8
-    assert rel_max_err(dual1.UB1, gamma * dual0.UB1) < 1e-8
 
 
 def test_stationary_rom_has_zero_gradients():
@@ -637,16 +619,45 @@ def test_gradient_evaluation_factors_the_rom_once(monkeypatch):
     _, ens, rom = make_instance(seed=29)
     dual = reconstruct_dual(ens)
     shapes = count_schur_calls(monkeypatch)
-    data_gradients(rom, solve_gramians(dual, rom))
+    data_gradients(dual, rom, solve_gramians(dual, rom))
     assert shapes == [(rom.r, rom.r)]
 
 
-def test_singular_ahat_rejected():
-    rom = Rom(np.diag([0.5, 0.0]), np.ones((2, 1)), np.ones((3, 2)))
-    grams = GramianSet(np.zeros((2, 2)), np.zeros((2, 2)),
-                       np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((1, 2)))
-    with pytest.raises(SingularAhat):
-        data_gradients(rom, grams)
+def test_data_gradients_at_a_singular_ahat_match_model_based():
+    # S^T MR R takes the place of the paper's cross term through Ahat^{-1},
+    # so a rom pole at zero has its gradient too
+    sys, ens, rom = make_instance(seed=37, r=2)
+    rom = Rom(np.diag([0.5, 0.0]), rom.Bhat, rom.Chat)
+    got = data_gradients_from_ensemble(ens, rom)
+    assert np.isfinite(got.gA).all()
+    assert triple_err(got, model_based_gradients(sys, rom)) < 1e-8
+
+
+def paper_gradients(paper, rom):
+    """The paper's gradient assembly from its dual coefficients: R and S
+    from MR and MS, ``SB = sb_map S`` and the cross term
+    ``(S^T R - SB^T Bhat^T) Ahat^{-T}``."""
+    P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T)
+    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat)
+    R = solve_discrete_sylvester(paper.MR, rom.Ahat.T, paper.GB @ rom.Bhat.T)
+    S = solve_discrete_sylvester(paper.MS, rom.Ahat, -rom.Chat)
+    SB = paper.sb_map @ S
+    cross = np.linalg.solve(rom.Ahat, (S.T @ R - SB.T @ rom.Bhat.T).T).T
+    return GradientTriple(2.0 * (Q @ rom.Ahat @ P + cross),
+                          2.0 * (SB.T + Q @ rom.Bhat),
+                          2.0 * (rom.Chat @ P - R))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_data_gradients_are_the_paper_assembly_to_rounding(alpha):
+    # on full-rank data S^T MR R = (S^T R - SB^T Bhat^T) Ahat^{-T}: the
+    # S equation times MR R, less the R equation times S^T, leaves it.  The
+    # paper's inverse scales rounding by cond(Ahat), 570 here
+    _, ens, rom = make_instance(seed=38, N=40, alpha=alpha)
+    dual = reconstruct_dual(ens)
+    got = data_gradients(dual, rom, solve_gramians(dual, rom))
+    bound = 100.0 * np.finfo(float).eps * np.linalg.cond(rom.Ahat)
+    assert triple_err(got, paper_gradients(paper_dual(ens), rom)) <= bound
 
 
 def test_noisy_data_perturbs_gradients_mildly():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ddh2mor import (
     AssumptionViolated,
     DataEnsemble,
+    DualData,
     GradientTriple,
     H2ErrorEvaluator,
+    LtiSystem,
     NoiseSpec,
+    NotStable,
+    NumericalOverflow,
     OptimParams,
     Rom,
     StopReason,
@@ -115,6 +121,34 @@ def test_known_input_route_runs_on_minimal_data():
     assert all(b <= a for a, b in zip(fs, fs[1:]))
 
 
+def test_unstable_identified_model_is_refused_before_the_start_is_evaluated(monkeypatch):
+    # the objective is the h2 error against (A_ls, B_ls, I), which has none
+    # for an unstable A_ls
+    rng = np.random.default_rng(11)
+    sys = LtiSystem.with_identity_output(np.diag([1.2, 0.5, 0.3]), rng.standard_normal((3, 1)))
+    ens = generate_ensemble(sys, 8, NoiseSpec(seed=12))
+    init = Rom(np.array([[0.5]]), np.ones((1, 1)), np.ones((3, 1)))
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("run evaluated the start")
+
+    monkeypatch.setattr(ddh2mor.optim, "Evaluation", no_evaluation)
+    with pytest.raises(NotStable, match=r"spectral radius 1\.2 \(data residual"):
+        run(ens, init)
+
+
+def test_overflowing_descent_direction_raises_without_warnings():
+    # B_ls at 1e160 with a stable A_ls: phi and the direction overflow, and
+    # run stops on the squared norm of the direction
+    sys, ens, init = make_problem(seed=14)
+    dual = reconstruct_dual(ens)
+    huge = DualData(dual.MR, 1e160 * dual.GB, dual.report, dual.data_residual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match="squared norm of the descent direction"):
+            run(ens, init, dual=huge)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.integers(2, 9), m=st.integers(1, 3), extra=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
@@ -126,7 +160,7 @@ def test_known_and_unknown_input_routes_agree(data, n, m, extra, seed):
     ens = generate_ensemble(sys, n + m + extra, NoiseSpec(seed=seed))
     rom = random_rom(rng, data.draw(st.integers(1, n - 1)), m, n)
     duals = (reconstruct_dual(ens), reconstruct_dual_known_input(ens, sys.B))
-    unknown, known = (data_gradients(rom, solve_gramians(dual, rom)) for dual in duals)
+    unknown, known = (data_gradients(dual, rom, solve_gramians(dual, rom)) for dual in duals)
     for block in ("gA", "gB", "gC"):
         assert rel_max_err(getattr(known, block), getattr(unknown, block)) < 1e-7
     params = OptimParams(max_iters=3, tol=1e-15)
@@ -363,8 +397,8 @@ def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
     params = OptimParams(max_iters=2, tol=1e-15)
     seen = []
 
-    def stale(rom, grams):
-        g = data_gradients(rom, grams) if not seen else GradientTriple(
+    def stale(dual, rom, grams):
+        g = data_gradients(dual, rom, grams) if not seen else GradientTriple(
             *(scale * block for block in (seen[0].gA, seen[0].gB, seen[0].gC)))
         seen.append(g)
         return g
@@ -431,8 +465,8 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
             else reconstruct_dual_known_input(ens, sys.B))
     seen = []
 
-    def recording(rom, grams):
-        g = data_gradients(rom, grams)
+    def recording(dual, rom, grams):
+        g = data_gradients(dual, rom, grams)
         seen.append((rom, grams, g))
         return g
 
@@ -441,10 +475,10 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
     assert len(seen) == len(res.history) == 12
     for rom, grams, g in seen:
         fresh = solve_gramians(dual, rom)
-        ref = data_gradients(rom, fresh)
+        ref = data_gradients(dual, rom, fresh)
         for block in ("gA", "gB", "gC"):
             assert rel_max_err(getattr(g, block), getattr(ref, block)) < 1e-12
-        for name in ("P", "Q", "R", "S", "SB"):
+        for name in ("P", "Q", "R", "S"):
             assert rel_max_err(getattr(grams, name), getattr(fresh, name)) < 1e-12
         # P as the general Stein solver gives it, and symmetric as it does
         P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T)

@@ -67,6 +67,25 @@ def test_export_lists_name_what_exists():
             assert not unlisted, f"ddh2mor imports {unlisted} outside ddh2mor.{node.module}.__all__"
 
 
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is a failure mode the package no
+    # longer has; it goes, with its export
+    src = Path(ddh2mor.__file__).resolve().parent
+    raised = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = importlib.import_module("ddh2mor.errors")
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.ReductionError)
+               and value is not errors.ReductionError}
+    assert len(classes) >= 11
+    assert not classes - raised, f"never raised: {sorted(classes - raised)}"
+
+
 @pytest.mark.parametrize("params, stop", [
     (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED),
     # the Armijo margin c = 0.5 defeats two backtracks in the fifteenth
