@@ -96,6 +96,33 @@ def test_reconstruction_matches_square_association_reference():
         assert rel_max_err(getattr(dual, name), value) <= 1e-12, name
 
 
+@pytest.mark.parametrize("n, m, N, alpha", [(12, 2, 16, 0.0), (20, 3, 400, 1e-3),
+                                         (12, 2, 10, 0.0)])
+def test_reconstruction_is_bit_identical_to_three_pinv_formulas(n, m, N, alpha):
+    # the rank report is bit for bit the one check_assumptions gives, and the
+    # known-input GB is B itself; the values match the three pinv formulas
+    # to rounding: with P = pinv(X1) X1, the paper's MR and GB are P MR and
+    # P GB of the fit, rank-deficient data included (N = 10 < n + m), and
+    # on joint rank its MS and sb_map are MR^T and GB^T
+    sys = generate_synthetic(SyntheticSpec(n=n, m=m, seed=7))
+    ens = generate_ensemble(sys, N, NoiseSpec(alpha=alpha, seed=3))
+    report = check_assumptions(ens)
+    ref = paper_dual(ens)
+    x1_pinv = np.linalg.pinv(ens.X1, rcond=RANK_TOL)
+    P = x1_pinv @ ens.X1
+    dual = reconstruct_dual(ens, force=True)
+    assert dual.report == report
+    pairs = {"MR": (P @ dual.MR, ref.MR), "GB": (P @ dual.GB, ref.GB)}
+    if report.b1_holds:
+        pairs.update(MS=(dual.MR.T, ref.MS), sb_map=(dual.GB.T, ref.sb_map))
+    for name, (got, want) in pairs.items():
+        assert rel_max_err(got, want) <= 1e-12, name
+    known = reconstruct_dual_known_input(ens, sys.B, force=True)
+    assert known.report == report
+    np.testing.assert_array_equal(known.GB, sys.B)
+    assert rel_max_err(known.MR.T, x1_pinv @ (ens.X2 - ens.U1 @ sys.B.T)) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st_seed, n=st.integers(2, 8), m=st.integers(1, 2),
        alpha=st.sampled_from([0.0, 1e-3, 1e-1]), tall=st.floats(0.0, 1.0),
@@ -191,6 +218,32 @@ def test_forced_reconstruction_is_the_min_norm_least_squares_model(monkeypatch, 
     np.testing.assert_allclose(dual.GB, theta[n:].T, rtol=0, atol=atol)
     residual = np.linalg.norm(ens.X2 - X1U1 @ theta) / np.linalg.norm(ens.X2)
     assert dual.data_residual == pytest.approx(residual, rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st_seed, n=st.integers(2, 8), m=st.integers(1, 2),
+       alpha=st.sampled_from([0.0, 1e-3, 1e-1]), tall=st.floats(0.0, 1.0),
+       spread=st.floats(0.0, 3.5))
+def test_ms_is_mr_transposed_on_full_rank_x1(seed, n, m, alpha, tall, spread):
+    # Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]: once pinv(X1) X1 = I,
+    # the paper's MR = Theta_x^T and MS = pinv(X1) (X2 - UB1) = Theta_x at
+    # any noise level, to the rounding of length-N products times cond(X1),
+    # so one matrix serves both: the fit's MR^T is MS to the rounding of the
+    # fit, cond([X1 U1]), and the transposed factor of MR is a factor of MR^T
+    rng = np.random.default_rng(seed)
+    N = n + m + round(tall * 19 * (n + m))
+    ens = generate_ensemble(random_system(rng, n, m), N, NoiseSpec(alpha=alpha, seed=seed))
+    ens = DataEnsemble(ens.X1 * 10.0 ** rng.uniform(-spread, spread, n), ens.U1, ens.X2)
+    dual = reconstruct_dual(ens, force=True)
+    assume(dual.report.b2_holds)
+    ref = paper_dual(ens)
+    rounding = 10.0 * N * np.finfo(float).eps * np.linalg.norm(ref.MS)
+    bound = rounding * np.linalg.cond(ens.X1)
+    assert np.linalg.norm(ref.MS - ref.MR.T) <= bound
+    assert (np.linalg.norm(ref.MS - dual.MR.T)
+            <= rounding * np.linalg.cond(np.hstack([ens.X1, ens.U1])))
+    fs = dual.mr_schur.transposed()
+    assert np.linalg.norm(fs.Z @ fs.T @ fs.ZH - dual.MR.T) <= bound
 
 
 @settings(max_examples=60, deadline=None)
