@@ -9,9 +9,9 @@ initializers plus a model-based oracle round out the pipeline.
 """
 
 from .dataio import (AssumptionReport, DataEnsemble, IterRecord, NoiseSpec,
-                     TrajectorySet, check_assumptions, first_transitions,
-                     generate_ensemble, generate_trajectories, load_ensemble,
-                     numerical_rank, save_ensemble)
+                     TrajectorySet, check_assumptions, generate_ensemble,
+                     generate_trajectories, load_ensemble, numerical_rank,
+                     save_ensemble)
 from .ddgrad import (DualData, GramianSet, data_gradients,
                      data_gradients_B_known, data_gradients_from_ensemble,
                      objective_f, reconstruct_dual,
@@ -27,8 +27,7 @@ from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       sample_frequency_data, save_frequency_samples,
                       save_impulse_data)
 from .matequ import (PencilReport, SchurFactor, pencil_diagnostics,
-                     pseudoinverse, solve_discrete_sylvester, solve_stein,
-                     spectral_radius)
+                     pseudoinverse, solve_discrete_sylvester, solve_stein)
 from .optim import (OptimParams, OptimResult, StopReason, run,
                     stack_direction)
 from .sysmodel import (ErrorGramians, GradientTriple, H2ErrorEvaluator,

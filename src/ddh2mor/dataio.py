@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .matequ import RANK_TOL
 from .sysmodel import LtiSystem, Rom
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "TrajectorySet",
     "check_assumptions",
     "check_json_type",
-    "first_transitions",
     "generate_ensemble",
     "generate_trajectories",
     "history_row",
@@ -54,11 +54,6 @@ __all__ = [
     "write_json",
     "write_matrix",
 ]
-
-# relative singular-value threshold for every rank decision: snapshot ranks,
-# the least-squares cutoff of the dual reconstruction and the initializers'
-# checks
-RANK_TOL = 1e-10
 
 _CSV_FMT = "%.17e"
 
@@ -246,11 +241,6 @@ def generate_trajectories(sys: LtiSystem, N: int, L: int,
     noise_part *= noise.alpha
     states += noise_part
     return TrajectorySet(states, inputs)
-
-
-def first_transitions(trajs: TrajectorySet) -> DataEnsemble:
-    """Reduce a trajectory set to the ensemble of its first transitions."""
-    return DataEnsemble(trajs.states[:, 0], trajs.inputs[:, 0], trajs.states[:, 1])
 
 
 def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:

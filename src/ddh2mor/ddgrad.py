@@ -6,8 +6,10 @@ from dual (adjoint) snapshots reconstructed from the data.  With
 rank, they are the least-squares model ``MR = Theta_x^T = A_ls`` (the S
 equation's coefficient is its transpose) and ``GB = Theta_u^T = B_ls``,
 the fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
-Dyn. Syst. 15 (2016)).  The objective and gradient are the model-based
-ones of (A_ls, B_ls, I), and on exact full-rank data those of the system.
+Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
+``LtiSystem``, and the objective and gradient are the model-based ones
+against it (``sysmodel.Evaluation``, re-exported here), on exact full-rank
+data those of the system.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dataio import RANK_TOL, AssumptionReport, DataEnsemble, check_assumptions
-from .errors import AssumptionViolated, NumericalOverflow, RankDeficientData
-from .matequ import (UNIQUE_TOL, SchurFactor, _triangle, from_schur, solve_schur,
-                     solve_stein, stein_schur, to_schur)
-from .sysmodel import GradientTriple, Rom, assemble_gradients, schur_sweeps
+from .dataio import AssumptionReport, DataEnsemble, check_assumptions
+from .errors import NumericalOverflow, RankDeficientData
+from .matequ import RANK_TOL, _triangle, from_schur, solve_schur, solve_stein, to_schur
+from .sysmodel import (Evaluation, GramianSet, GradientTriple, LtiSystem, Rom,
+                       assemble_gradients, objective_f, require_separation)
 
 __all__ = [
     "DualData",
@@ -42,9 +44,6 @@ __all__ = [
     "solve_SB",
 ]
 
-# minimum distance between data-coefficient spectra and reciprocal rom poles
-SEPARATION_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DualData:
@@ -58,27 +57,21 @@ class DualData:
                     ``||X2 - fit||_F / ||X2||_F``: near 0 on exact data, it
                     grows with noise and with entries that no linear model
                     explains
-
-    The Schur factor of MR is computed once here, because every gradient
-    step reuses it, and so is ``gb_schur = ZM^H GB`` (n, m), GB in the
-    Schur coordinates of MR (``MR = ZM TM ZM^H``), from which the
-    right-hand side of the R sweep of every ``Evaluation`` follows at
-    O(n m r) cost.
+    system          the identified model ``(MR, GB, I)``, factored here
+                    once, because every gradient step reuses the factor
     """
 
     MR: np.ndarray
     GB: np.ndarray
     report: AssumptionReport
     data_residual: float
-    mr_schur: SchurFactor = field(init=False, repr=False)
-    gb_schur: np.ndarray = field(init=False, repr=False)
+    system: LtiSystem = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_finite("the dual reconstruction", self.MR, self.GB)
-        mr_schur = SchurFactor.of(self.MR)
-        _require_finite("the Schur factor of MR", mr_schur.T, mr_schur.Z)
-        object.__setattr__(self, "mr_schur", mr_schur)
-        object.__setattr__(self, "gb_schur", mr_schur.ZH @ self.GB)
+        system = LtiSystem.with_identity_output(self.MR, self.GB)
+        _require_finite("the Schur factor of MR", system.schur.T, system.schur.Z)
+        object.__setattr__(self, "system", system)
 
     @property
     def n(self) -> int:
@@ -100,19 +93,6 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
 # an overflow in the reconstruction is reported by its finiteness checks as
 # NumericalOverflow, not as a floating-point warning
 _OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
-
-
-@dataclass(frozen=True)
-class GramianSet:
-    """Per-iterate solutions feeding the gradient assembly.
-
-    P, Q are the reduced gramians; R, S the data-driven cross terms.
-    """
-
-    P: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
 
 
 def _least_squares(ens: DataEnsemble, Y: np.ndarray,
@@ -179,31 +159,10 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     return DualData(theta.T, B.copy(), report, residual)
 
 
-def _require_separation(coef: SchurFactor, lam: np.ndarray, label: str) -> None:
-    """Require eig(coef) * eig(Ahat) != 1, the condition for a unique R or S.
-
-    One product ``mu lam`` over the coefficient spectrum ``mu`` and the rom
-    poles ``lam`` gives the moduli ``|1 - mu lam|``, which are the pivots of
-    the sweep.  Each must be at least ``SEPARATION_TOL |lam|``, that is,
-    ``mu`` lies that far from the reciprocal pole ``1 / lam`` (a zero pole
-    has none), and at least ``UNIQUE_TOL``, the uniqueness floor of
-    ``solve_discrete_sylvester``.  The sweeps of R and S check nothing
-    further.
-    """
-    gaps = np.abs(1.0 - coef.eigvals[:, None] * lam)
-    mods = np.abs(lam)
-    if (gaps < np.maximum(SEPARATION_TOL * mods, UNIQUE_TOL)).any():
-        nonzero = mods > 0.0
-        sep = (gaps[:, nonzero] / mods[nonzero]).min(initial=np.inf)
-        raise AssumptionViolated(
-            f"{label} spectrum within {sep:.3e} of a reciprocal rom pole "
-            f"(tolerance {SEPARATION_TOL:g})")
-
-
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    fm, fn = dual.mr_schur, rom.schur.transposed()
-    _require_separation(fm, fn.eigvals, "MR")
+    fm, fn = dual.system.schur, rom.schur.transposed()
+    require_separation(fm, fn.eigvals)
     return from_schur(fm, fn, solve_schur(fm, fn, to_schur(fm, fn, dual.GB @ rom.Bhat.T)))
 
 
@@ -211,8 +170,8 @@ def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term S from data: ``MR^T S Ahat - Chat = S``."""
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
-    fm, fa = dual.mr_schur.transposed(), rom.schur
-    _require_separation(fm, fa.eigvals, "MR")
+    fm, fa = dual.system.schur.transposed(), rom.schur
+    require_separation(fm, fa.eigvals)
     return from_schur(fm, fa, solve_schur(fm, fa, to_schur(fm, fa, -rom.Chat)))
 
 
@@ -228,94 +187,15 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
-def objective_f(rom: Rom, P: np.ndarray, R: np.ndarray) -> float:
-    """Reduced part of the squared h2 error: tr(Chat P Chat^T) - 2 tr(R Chat^T).
-
-    The omitted full-order gramian term is constant in the rom, so this,
-    at the closed-form Chat of ``Evaluation``, is the quantity the descent
-    monitors; it may be negative.
-    """
-    return float(np.sum((rom.Chat @ P) * rom.Chat) - 2.0 * np.sum(R * rom.Chat))
-
-
-def _times_psd_pinv(R: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``R P^+`` for a symmetric positive semidefinite P, through ``eigh``.
-
-    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero,
-    so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
-    before the division, so ``1 / w_min`` scales R's component along its
-    eigenvector alone; a formed ``P^+`` would spread that entry's rounding
-    into every direction.
-    """
-    w, V = np.linalg.eigh(P)
-    keep = w > RANK_TOL * np.abs(w).max(initial=0.0)
-    Vk = V[:, keep]
-    return ((R @ Vk) / w[keep]) @ Vk.T
-
-
-class Evaluation:
-    """The data-driven objective at one rom and at its projection.
-
-    P and R depend on (Ahat, Bhat) alone, so one sweep of each serves both
-    the rom as given and the projected rom ``(Ahat, Bhat, chat_star)``.
-    The objective ``f = tr(Chat P Chat^T) - 2 tr(R Chat^T)`` is a convex
-    quadratic in Chat, minimized by ``chat_star = R P^+``, where the
-    gradient block ``gC = 2 (Chat P - R)`` vanishes; there it takes the
-    value ``phi = -tr(R P^+ R^T) = -<chat_star, R>``, the objective the
-    descent minimizes over (Ahat, Bhat) (variable projection, Golub &
-    Pereyra, SIAM J. Numer. Anal. 10 (1973) 413-432).  ``P^+`` is the
-    min-norm inverse of ``_times_psd_pinv``, so ``Bhat = 0`` gives
-    ``chat_star = 0``.
-
-    Each evaluation back-transforms P and R (O(n^2 r), as the R sweep) and
-    sets ``chat_star``, ``f`` (``objective_f`` at the rom as given) and
-    ``phi`` at O(n r^2).  ``phi`` is ``objective_f`` at ``projected`` rather
-    than its shortcut ``-<chat_star, R>``, so a rom whose Chat already is
-    its ``chat_star`` has ``f == phi`` to the bit.  ``projected`` reuses
-    the factor of Ahat.  The guards are those of
-    ``solve_stein`` and ``solve_R``: stability (``NotStable``) and the
-    separation of MR from the reciprocal poles (``AssumptionViolated``).
-    """
-
-    def __init__(self, dual: DualData, rom: Rom):
-        fm, fn = dual.mr_schur, rom.schur.transposed()
-        _require_separation(fm, fn.eigvals, "MR")
-        Yp, Yr = schur_sweeps(rom, fn, fm, dual.gb_schur)
-        P = from_schur(rom.schur, fn, Yp)
-        self.P = 0.5 * (P + P.T)
-        self.R = from_schur(fm, fn, Yr)
-        self.chat_star = _times_psd_pinv(self.R, self.P)
-        self.projected = rom.with_output(self.chat_star)
-        self.phi = objective_f(self.projected, self.P, self.R)
-        self.f = objective_f(rom, self.P, self.R)
-        self.rom = rom
-        self._dual = dual
-
-    def gramians(self, *, projected: bool = False) -> GramianSet:
-        """Every solve one data-driven gradient evaluation needs.
-
-        At the rom as given, or at ``projected``; P and R are this
-        evaluation's, and only Q and S are solved.  Q solves the Stein
-        equation of Ahat^T, whose factor is ``fn`` and whose transposed
-        factor is ``rom.schur``; it is symmetrized as ``solve_stein`` does.
-        """
-        rom = self.projected if projected else self.rom
-        fa = rom.schur
-        fn = fa.transposed()
-        C = rom.Chat
-        Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
-        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, solve_S(self._dual, rom))
-
-
 def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
     """Every solve one data-driven gradient evaluation needs."""
-    return Evaluation(dual, rom).gramians()
+    return Evaluation(dual.system, rom).gramians()
 
 
 def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTriple:
     """Gradient triple assembled from data-driven gramian solutions: the
     model-based assembly against the identified model (MR, GB, I)."""
-    return assemble_gradients(rom, dual.MR, dual.GB, np.eye(dual.n), grams)
+    return assemble_gradients(rom, dual.MR, dual.GB, dual.system.C, grams)
 
 
 def data_gradients_from_ensemble(ens: DataEnsemble, rom: Rom, *,

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import RANK_TOL, TrajectorySet, check_json_type, read_json_object
+from .dataio import TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, _triangle
+from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, RANK_TOL, _triangle
 from .sysmodel import Rom, markov_parameters, transfer_eval
 
 __all__ = [

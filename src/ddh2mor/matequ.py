@@ -39,15 +39,17 @@ __all__ = [
     "from_schur",
     "pencil_diagnostics",
     "pseudoinverse",
-    "pseudoinverse_svd",
     "solve_discrete_sylvester",
     "solve_schur",
     "solve_stein",
-    "spectral_radius",
     "stein_schur",
     "to_schur",
 ]
 
+# relative singular-value threshold for every rank decision: snapshot ranks,
+# the least-squares cutoff of the dual reconstruction, the initializers'
+# checks and the pseudoinverse of the reduced gramian
+RANK_TOL = 1e-10
 # eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
 UNIQUE_TOL = 1e-12
 # the stability annulus: every eigenvalue modulus of a reduced model stays in
@@ -79,37 +81,21 @@ def _as_square(A, name: str) -> np.ndarray:
     return A
 
 
-def spectral_radius(A) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    A = _as_square(A, "A")
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
 def pseudoinverse(A, rcond: float = 1e-12) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values below ``rcond`` times the largest one are treated as
     zero, which makes the result well defined for rank-deficient input.
-    """
-    return pseudoinverse_svd(A, rcond)[0]
-
-
-def pseudoinverse_svd(A, rcond: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """The pseudoinverse of A and A's singular values, from one SVD.
-
-    The arithmetic is ``np.linalg.pinv``'s, step for step, so the
-    pseudoinverse is bit-identical to it; a caller that also needs A's rank
-    reads it off the singular values without a second decomposition.
+    The arithmetic is ``np.linalg.pinv``'s, step for step, so the result is
+    bit-identical to it.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
-        return np.empty(A.shape[::-1]), np.empty(0)
+        return np.empty(A.shape[::-1])
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     large = s > rcond * s.max()
     inverse = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return vt.T @ (inverse[:, None] * u.T), s
+    return vt.T @ (inverse[:, None] * u.T)
 
 
 def _triangle(S: np.ndarray) -> np.ndarray:

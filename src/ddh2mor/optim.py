@@ -24,13 +24,15 @@ accept their first trial; it is not capped at ``alpha0``.  Where
 last.  Backtracking stays monotone, so phi never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
-eigenvalues off that factor) and evaluates phi with ``Evaluation``: the P
-and R equations are solved in Schur coordinates and back-transformed, and
-phi is f at ``Chat* = R P^+``.  The start is evaluated as a trial is; its
-``f`` as given is ``initial_f``.  The descent then starts from the same
-transfer function in input-normal coordinates, where P is the identity, so
-that ``Chat*`` and the gradient at it do not scale rounding in R by
-cond(P), which reaches 1e7 for random single-input roms.  The accepted
+eigenvalues off that factor) and evaluates phi with ``Evaluation`` against
+``dual.system``, factored once by the reconstruction: the P and R
+equations are solved in Schur coordinates and back-transformed, and phi is
+f at ``Chat* = R P^+``; a trial whose P or R overflows is rejected.  The
+start is evaluated as a trial is; its ``f`` as given is ``initial_f``.
+The descent then starts from the same transfer function in input-normal
+coordinates, where P is the identity, so that ``Chat*`` and the gradient at
+it do not scale rounding in R by cond(P), which reaches 1e7 for random
+single-input roms.  The accepted
 trial's ``Evaluation`` becomes the next iterate: its gradient reuses P and
 R and solves only Q and S at the projected rom, so every iterate has one
 value of phi and one solve of each equation.
@@ -47,10 +49,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .dataio import DataEnsemble, IterRecord
-from .ddgrad import DualData, Evaluation, data_gradients, reconstruct_dual
+from .ddgrad import DualData, data_gradients, reconstruct_dual
 from .errors import AssumptionViolated, NotStable, NumericalOverflow
-from .matequ import EIG_CEIL_MARGIN
-from .sysmodel import GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
+from .sysmodel import Evaluation, GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
     "OptimParams",
@@ -63,7 +64,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # errors that merely disqualify a trial step during backtracking
-_CANDIDATE_ERRORS = (AssumptionViolated, NotStable)
+_CANDIDATE_ERRORS = (AssumptionViolated, NotStable, NumericalOverflow)
 
 
 class StopReason(enum.Enum):
@@ -175,20 +176,22 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     history is phi, non-increasing; ``initial_f`` and
     ``initial_rel_h2_error`` are those of ``init`` as given, before its
     Chat is projected.  Recorded iterates always satisfy
-    the stability annulus.  A descent direction whose squared norm
-    overflows raises ``NumericalOverflow``, and data whose identified
-    model ``dual.MR`` (A_ls) has spectral radius at or beyond the annulus
-    ceiling raise ``NotStable`` before the start is evaluated.
+    the stability annulus.  A start whose P or R overflows and a descent
+    direction whose squared norm overflows raise ``NumericalOverflow``
+    (a trial that overflows is rejected), and data whose identified model
+    ``dual.system`` (A_ls) is not stable raise ``NotStable`` before the
+    start is evaluated.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
     if dual is None:
         dual = reconstruct_dual(ens)
+    model = dual.system
     # f is the h2 error against (A_ls, B_ls, I), which an unstable A_ls lacks
-    rho = np.abs(dual.mr_schur.eigvals).max(initial=0.0)
-    if rho >= 1.0 - EIG_CEIL_MARGIN:
-        raise NotStable(f"the identified model A_ls has spectral radius {rho:.4g} "
+    if not model.is_stable():
+        raise NotStable(f"the identified model A_ls has spectral radius "
+                        f"{model.spectral_radius():.4g} "
                         f"(data residual {dual.data_residual:.3g})")
 
     evaluator = H2ErrorEvaluator(oracle) if oracle is not None else None
@@ -211,12 +214,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
                 # keeps its value at init, which is f's where init is
                 # projected already, so the objective never rises from
                 # initial_f
-                current = Evaluation(dual, init)
+                current = Evaluation(model, init)
                 initial_f, initial_rel = current.f, rel_error(init)
                 phi = current.phi
                 start = _input_normal(init, current.P)
                 if start is not init:
-                    current = Evaluation(dual, start)
+                    current = Evaluation(model, start)
             iterate = current.projected
             g = data_gradients(dual, iterate, current.gramians(projected=True))
         except AssumptionViolated:
@@ -257,7 +260,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             cand = iterate.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
-                    trial = Evaluation(dual, cand)
+                    trial = Evaluation(model, cand)
                     if (np.isfinite(trial.phi)
                             and trial.phi <= phi - params.c * alpha * D):
                         accepted = (trial, alpha, bt)

@@ -2,7 +2,10 @@
 
 Systems follow the recursion ``x_{k+1} = A x_k + B u_k`` with output
 ``y_k = C x_k``.  The h2 norm is evaluated through the controllability
-gramian, and the model-based objective gradients provide the reference
+gramian.  ``Evaluation`` is the one evaluation of a rom against a model: the
+descent runs it against the identified model of the data and
+``H2ErrorEvaluator`` against a known system, each on the model's cached
+Schur factor.  The model-based objective gradients provide the reference
 implementation against which the data-driven path is verified.
 """
 
@@ -14,12 +17,15 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import GenerationFailed, SingularShift
-from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, SchurFactor, solve_discrete_sylvester,
-                     solve_schur, solve_stein, spectral_radius, stein_schur)
+from .errors import AssumptionViolated, GenerationFailed, NumericalOverflow, SingularShift
+from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, RANK_TOL, UNIQUE_TOL, SchurFactor,
+                     from_schur, solve_discrete_sylvester, solve_schur, solve_stein,
+                     stein_schur, to_schur)
 
 __all__ = [
     "ErrorGramians",
+    "Evaluation",
+    "GramianSet",
     "GradientTriple",
     "H2ErrorEvaluator",
     "LtiSystem",
@@ -32,9 +38,9 @@ __all__ = [
     "h2_norm",
     "markov_parameters",
     "model_based_gradients",
+    "objective_f",
+    "require_separation",
     "require_shared_io",
-    "schur_objective",
-    "schur_sweeps",
     "simulate",
     "transfer_eval",
 ]
@@ -49,7 +55,11 @@ def _matrix(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """Full-order system (A, B, C) with ``y = C x``."""
+    """Full-order system (A, B, C) with ``y = C x``.
+
+    ``schur`` factors A on first use; every evaluation and spectral check
+    against this system reuses that one factor.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -87,8 +97,22 @@ class LtiSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
+    @cached_property
+    def schur(self) -> SchurFactor:
+        return SchurFactor.of(self.A)
+
+    @cached_property
+    def b_schur(self) -> np.ndarray:
+        """``Z^H B`` for ``A = Z T Z^H``."""
+        return self.schur.ZH @ self.B
+
+    @cached_property
+    def identity_output(self) -> bool:
+        """Whether C is the identity, so that ``C X`` is X itself."""
+        return self.p == self.n and np.array_equal(self.C, np.eye(self.n))
+
     def spectral_radius(self) -> float:
-        return spectral_radius(self.A)
+        return float(np.abs(self.schur.eigvals).max(initial=0.0))
 
     def is_stable(self) -> bool:
         return self.spectral_radius() < 1.0 - EIG_CEIL_MARGIN
@@ -286,61 +310,173 @@ def model_based_gradients(sys: LtiSystem, rom: Rom) -> GradientTriple:
     return assemble_gradients(rom, sys.A, sys.B, sys.C, error_gramians(sys, rom))
 
 
-def schur_sweeps(rom: Rom, fn: SchurFactor, coef: SchurFactor,
-                 zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and R of ``rom`` against a model (M, B, C), in Schur coordinates.
+@dataclass(frozen=True)
+class GramianSet:
+    """Per-iterate solutions feeding the gradient assembly.
 
-    P solves ``Ahat P Ahat^T + Bhat Bhat^T = P`` and R solves
-    ``M R Ahat^T + B Bhat^T = R``; neither depends on Chat.  ``coef``
-    factors ``M = Zm Tm Zm^H``, ``fn`` is the factor of Ahat^T
-    (``rom.schur.transposed()``, Schur vectors Zn) and ``zb = Zm^H B``.
-    With ``Ahat = Za Ta Za^H``, returns ``(Yp^T, Yr^T)`` for
-    ``Yp = Za^H P Zn`` and ``Yr = Zm^H R Zn``.  The P sweep raises
-    ``NotStable`` unless Ahat is stable; the R sweep checks nothing, so the
-    caller makes sure that no product eig(M) eig(Ahat) is near 1.
+    P, Q are the reduced gramians; R, S the cross terms against the model.
     """
-    fa, B = rom.schur, rom.Bhat
-    Bn = fn.Z.T @ B
-    return stein_schur(fa, fn, Bn @ (fa.ZH @ B).T), solve_schur(coef, fn, Bn @ zb.T)
+
+    P: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    S: np.ndarray
 
 
-def schur_objective(rom: Rom, fn: SchurFactor, coef: SchurFactor, zb: np.ndarray,
-                    cz: np.ndarray) -> float:
-    """Reduced part of the squared h2 error of ``rom``, read off Schur coordinates.
+# minimum distance between a model's spectrum and reciprocal rom poles
+SEPARATION_TOL = 1e-10
 
-    Against a model (M, B, C) the squared error is
-    ``tr(C Sigma_c C^T) + tr(Chat P Chat^T) - 2 tr(C R Chat^T)``; this is
-    the last two terms.  The arguments are those of ``schur_sweeps``, and
-    ``cz = C conj(Zm)``.  The two traces are inner products with the swept
-    solutions, so neither is back-transformed:
 
-        tr(Chat P Chat^T) = Re <Yp, Za^H Chat^T Chat Zn>
-        tr(C R Chat^T)    = Re <Yr, Zm^H C^T Chat Zn>
+def require_separation(coef: SchurFactor, lam: np.ndarray) -> None:
+    """Require eig(coef) * eig(Ahat) != 1, the condition for a unique R or S.
+
+    One product ``mu lam`` over the coefficient spectrum ``mu`` and the rom
+    poles ``lam`` gives the moduli ``|1 - mu lam|``, which are the pivots of
+    the sweep.  Each must be at least ``SEPARATION_TOL |lam|``, that is,
+    ``mu`` lies that far from the reciprocal pole ``1 / lam`` (a zero pole
+    has none), and at least ``UNIQUE_TOL``, the uniqueness floor of
+    ``solve_discrete_sylvester``.  The sweeps of R and S check nothing
+    further.  Since ``|1 - mu lam| >= 1 - |mu| |lam|``, spectra whose
+    largest moduli leave twice the tolerance form no products.
     """
-    fa, C = rom.schur, rom.Chat
-    Yp, Yr = schur_sweeps(rom, fn, coef, zb)
-    Kp = (fn.Z.T @ (C.T @ C)) @ fa.ZH.T
-    Kr = fn.Z.T @ (C.T @ cz)
-    return float(np.vdot(Yp, Kp).real - 2.0 * np.vdot(Yr, Kr).real)
+    mods = np.abs(lam)
+    top = mods.max(initial=0.0)
+    tol = max(SEPARATION_TOL * top, UNIQUE_TOL)
+    if 1.0 - np.abs(coef.eigvals).max(initial=0.0) * top >= 2.0 * tol:
+        return
+    gaps = np.abs(1.0 - coef.eigvals[:, None] * lam)
+    if (gaps < np.maximum(SEPARATION_TOL * mods, UNIQUE_TOL)).any():
+        nonzero = mods > 0.0
+        sep = (gaps[:, nonzero] / mods[nonzero]).min(initial=np.inf)
+        raise AssumptionViolated(
+            f"model spectrum within {sep:.3e} of a reciprocal rom pole "
+            f"(tolerance {SEPARATION_TOL:g})")
+
+
+def objective_f(rom: Rom, P: np.ndarray, CR: np.ndarray) -> float:
+    """Reduced part of the squared h2 error: tr(Chat P Chat^T) - 2 tr(C R Chat^T).
+
+    The omitted full-order gramian term is constant in the rom, so this,
+    at the closed-form Chat of ``Evaluation``, is the quantity the descent
+    monitors; it may be negative.  ``CR`` is the product C R, which is R
+    for a model that observes its full state.
+    """
+    return _objective(rom.Chat, P, CR)
+
+
+def _objective(Chat: np.ndarray, P: np.ndarray, CR: np.ndarray) -> float:
+    # the sum methods reduce as np.sum does, without its dispatch
+    return float(((Chat @ P) * Chat).sum() - 2.0 * (CR * Chat).sum())
+
+
+def _times_psd_pinv(R: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``R P^+`` for a symmetric positive semidefinite P, through ``eigh``.
+
+    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero,
+    so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
+    before the division, so ``1 / w_min`` scales R's component along its
+    eigenvector alone; a formed ``P^+`` would spread that entry's rounding
+    into every direction.
+    """
+    w, V = np.linalg.eigh(P)
+    keep = w > RANK_TOL * np.abs(w).max(initial=0.0)
+    Vk = V[:, keep]
+    return ((R @ Vk) / w[keep]) @ Vk.T
+
+
+class Evaluation:
+    """The h2 objective of one rom against a model (A, B, C), and at its projection.
+
+    The squared error is ``tr(C Sigma_c C^T) + f`` with
+    ``f = tr(Chat P Chat^T) - 2 tr(C R Chat^T)``.  P and R depend on
+    (Ahat, Bhat) alone, so one sweep of each serves both the rom as given
+    and the projected rom ``(Ahat, Bhat, chat_star)``: f is a convex
+    quadratic in Chat, minimized by ``chat_star = C R P^+``, where the
+    gradient block ``gC = 2 (Chat P - C R)`` vanishes, and its value there,
+    ``phi``, is the objective the descent minimizes over (Ahat, Bhat)
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
+    413-432).  ``P^+`` is the min-norm inverse of ``_times_psd_pinv``, so
+    ``Bhat = 0`` gives ``chat_star = 0``.
+
+    The descent evaluates against ``DualData.system`` and
+    ``H2ErrorEvaluator`` against a known system.  Each evaluation
+    back-transforms P and R (O(n^2 r), as the R sweep) and sets ``f``;
+    ``chat_star``, ``phi`` and ``projected`` (which reuses the factor of
+    Ahat) follow on first use.  ``phi`` is ``objective_f`` at
+    ``projected``, so a rom whose Chat already is its ``chat_star`` has
+    ``f == phi`` to the bit.  The guards are stability (``NotStable``),
+    the separation of A from the reciprocal rom poles
+    (``AssumptionViolated``) and finite P and R (``NumericalOverflow``).
+    """
+
+    # an overflow is reported by the finiteness check, not as a warning
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, model: LtiSystem, rom: Rom):
+        fa, fm = rom.schur, model.schur
+        fn = fa.transposed()
+        require_separation(fm, fn.eigvals)
+        # P and R in Schur coordinates, (Za^H P Zn)^T and (Zm^H R Zn)^T for
+        # Ahat = Za Ta Za^H, A = Zm Tm Zm^H and Zn the Schur vectors of Ahat^T;
+        # the P sweep raises NotStable unless Ahat is stable
+        Bn = fn.Z.T @ rom.Bhat
+        Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ rom.Bhat).T)
+        Yr = solve_schur(fm, fn, Bn @ model.b_schur.T)
+        P = from_schur(fa, fn, Yp)
+        self.P = 0.5 * (P + P.T)
+        self.R = from_schur(fm, fn, Yr)
+        if not (np.isfinite(self.P).all() and np.isfinite(self.R).all()):
+            raise NumericalOverflow("the gramian P or the cross term R of the rom "
+                                    "overflowed the floating-point range")
+        self.CR = self.R if model.identity_output else model.C @ self.R
+        self.f = objective_f(rom, self.P, self.CR)
+        self.rom = rom
+        self.model = model
+
+    @cached_property
+    def chat_star(self) -> np.ndarray:
+        return _times_psd_pinv(self.CR, self.P)
+
+    @cached_property
+    def projected(self) -> Rom:
+        return self.rom.with_output(self.chat_star)
+
+    @cached_property
+    def phi(self) -> float:
+        return _objective(self.chat_star, self.P, self.CR)
+
+    def gramians(self, *, projected: bool = False) -> GramianSet:
+        """Every solve one gradient evaluation needs.
+
+        At the rom as given, or at ``projected``; P and R are this
+        evaluation's, and only Q and S are solved.  Q solves the Stein
+        equation of Ahat^T, whose factor is ``fn`` and whose transposed
+        factor is ``rom.schur``; it is symmetrized as ``solve_stein`` does.
+        S solves ``A^T S Ahat - C^T Chat = S``, on spectra already checked.
+        """
+        rom = self.projected if projected else self.rom
+        fa = rom.schur
+        fn = fa.transposed()
+        C = rom.Chat
+        Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
+        fs = self.model.schur.transposed()
+        W = -C if self.model.identity_output else -self.model.C.T @ C
+        S = from_schur(fs, fa, solve_schur(fs, fa, to_schur(fs, fa, W)))
+        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, S)
 
 
 class H2ErrorEvaluator:
     """Repeated h2-error evaluations against one fixed full-order system.
 
-    Caches the Schur factorization ``A = Z T Z^H``, the full-order gramian
-    term, ``Z^H B`` and ``C conj(Z)``, so each call only adds the reduced
-    and cross terms that ``schur_objective`` reads off the Schur
-    coordinates of P and R; no n x r matrix is back-transformed.
+    Computes the full-order gramian term once, on the system's cached Schur
+    factor; each call adds the reduced and cross terms, the ``f`` of one
+    ``Evaluation``.
     """
 
     def __init__(self, sys: LtiSystem):
         self._sys = sys
-        fa = self._a_schur = SchurFactor.of(sys.A)
-        sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=fa)
+        sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=sys.schur)
         self._trace_full = float(np.trace(sys.C @ sigma_c @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
-        self._zb = fa.ZH @ sys.B
-        self._cz = sys.C @ fa.Z.conj()
 
     @property
     def system(self) -> LtiSystem:
@@ -352,10 +488,7 @@ class H2ErrorEvaluator:
 
     def error(self, rom: Rom) -> float:
         require_shared_io(self._sys, rom)
-        # A is stable (its gramian exists) and the P sweep requires a stable
-        # Ahat, so no product eig(A) eig(Ahat) is near 1 in the R sweep
-        f = schur_objective(rom, rom.schur.transposed(), self._a_schur, self._zb,
-                            self._cz)
+        f = Evaluation(self._sys, rom).f
         return float(np.sqrt(max(self._trace_full + f, 0.0)))
 
     def relative_error(self, rom: Rom) -> float:
@@ -420,6 +553,7 @@ def generate_synthetic(spec: SyntheticSpec) -> LtiSystem:
         gen = (J - R) @ Q
         A = scipy.linalg.expm(gen * spec.h)
         B = _expm_integral(gen, spec.h) @ rng.standard_normal((n, m))
-        if spectral_radius(A) < 1.0:
-            return LtiSystem.with_identity_output(A, B)
+        sys = LtiSystem.with_identity_output(A, B)
+        if sys.spectral_radius() < 1.0:
+            return sys
     raise GenerationFailed("no stable draw in 10 attempts")

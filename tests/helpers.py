@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from ddh2mor import GradientTriple, LtiSystem, Rom, initmor, make_stable
+from ddh2mor import DataEnsemble, GradientTriple, LtiSystem, Rom, initmor, make_stable
 from ddh2mor.dataio import RANK_TOL
 
 
@@ -107,6 +107,11 @@ def richardson_gradients(phi, rom, step):
     fine = fd_gradients(phi, rom, step=0.5 * step)
     return GradientTriple(*((4.0 * getattr(fine, k) - getattr(coarse, k)) / 3.0
                             for k in ("gA", "gB", "gC")))
+
+
+def first_transitions(trajs):
+    """Reduce a trajectory set to the ensemble of its first transitions."""
+    return DataEnsemble(trajs.states[:, 0], trajs.inputs[:, 0], trajs.states[:, 1])
 
 
 def random_stable(rng, k, radius=0.8):

@@ -217,6 +217,28 @@ def test_reduce_from_rom_file_keeps_its_order(workspace, tmp_path, capsys):
     assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("block", ["Ahat", "Bhat"])
+def test_reduce_from_an_overflowing_rom_file_exits_3(workspace, tmp_path, capsys, block):
+    # Ahat[0, 1] = 1e200 keeps the poles 0.5, 0.5 and 0.3 inside the annulus,
+    # and so does Bhat at 1e200; either overflows the start's gramian P
+    Ahat, Bhat = np.diag([0.5, 0.5, 0.3]), np.ones((3, 2))
+    if block == "Ahat":
+        Ahat[0, 1] = 1e200
+    else:
+        Bhat *= 1e200
+    initdir, out = tmp_path / "init", tmp_path / "red"
+    save_rom(Rom(Ahat, Bhat, np.ones((12, 3))), initdir)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--init", "file",
+                   "--init-data", str(initdir), "--out", str(out)])
+    assert rc == 3
+    assert_one_line_error(capsys, "overflowed")
+    assert not caught
+    assert not (out / "summary.json").exists()
+
+
 def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys):
     config = tmp_path / "config.json"
     # alpha0 is a float flag, which a JSON integer may set

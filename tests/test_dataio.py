@@ -13,7 +13,6 @@ from ddh2mor import (
     Rom,
     TrajectorySet,
     check_assumptions,
-    first_transitions,
     generate_ensemble,
     generate_trajectories,
     load_ensemble,
@@ -22,7 +21,7 @@ from ddh2mor import (
     simulate,
 )
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
-from helpers import random_system
+from helpers import first_transitions, random_system
 
 st_seed = st.integers(0, 2**32 - 1)
 

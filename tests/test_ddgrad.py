@@ -42,7 +42,8 @@ from ddh2mor import (
     solve_stein,
 )
 from ddh2mor.dataio import RANK_TOL
-from ddh2mor.ddgrad import SEPARATION_TOL, Evaluation
+from ddh2mor.ddgrad import Evaluation
+from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
                      random_system, rel_max_err, richardson_gradients)
 
@@ -77,8 +78,8 @@ def test_dual_reconstruction_recovers_system_quantities():
 def test_dual_caches_are_populated():
     _, ens, _ = make_instance(seed=1)
     dual = reconstruct_dual(ens)
-    assert len(dual.mr_schur.eigvals) == ens.n
-    assert dual.gb_schur.shape == (ens.n, ens.m)
+    assert len(dual.system.schur.eigvals) == ens.n
+    assert dual.system.b_schur.shape == (ens.n, ens.m)
     assert dual.n == ens.n
     assert dual.report == check_assumptions(ens)
 
@@ -173,7 +174,7 @@ def test_known_input_reconstruction_factors_mr_once(monkeypatch):
     known = reconstruct_dual_known_input(ens, sys.B)
     # the S equation's coefficient MR^T takes the transposed factor of MR
     assert shapes == [(ens.n, ens.n)]
-    fs = known.mr_schur.transposed()
+    fs = known.system.schur.transposed()
     assert np.array_equal(fs.T, np.triu(fs.T))
     assert np.abs(fs.Z @ fs.T @ fs.ZH - known.MR.T).max() < 1e-12 * np.abs(known.MR).max()
     reconstruct_dual(ens)
@@ -242,7 +243,7 @@ def test_ms_is_mr_transposed_on_full_rank_x1(seed, n, m, alpha, tall, spread):
     assert np.linalg.norm(ref.MS - ref.MR.T) <= bound
     assert (np.linalg.norm(ref.MS - dual.MR.T)
             <= rounding * np.linalg.cond(np.hstack([ens.X1, ens.U1])))
-    fs = dual.mr_schur.transposed()
+    fs = dual.system.schur.transposed()
     assert np.linalg.norm(fs.Z @ fs.T @ fs.ZH - dual.MR.T) <= bound
 
 
@@ -431,7 +432,7 @@ def test_data_objective_plus_squared_norm_is_the_oracle_squared_error(seed, n, r
     ens = generate_ensemble(sys, n + 4, NoiseSpec(seed=seed % 1000))
     rom = random_rom(rng, r, 2, n)
     oracle = H2ErrorEvaluator(sys)
-    f = Evaluation(reconstruct_dual(ens), rom).f
+    f = Evaluation(reconstruct_dual(ens).system, rom).f
     assert f + oracle.h2_norm ** 2 == pytest.approx(oracle.error(rom) ** 2, rel=1e-12, abs=0)
 
 
@@ -467,7 +468,7 @@ st_shape = dict(seed=st_seed, n=st.integers(3, 8), m=st.integers(1, 2),
 def test_projection_never_raises_the_objective(seed, n, m, r):
     # phi is f at chat_star, the minimizer of the convex quadratic f(Chat)
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual, rom)
+    ev = Evaluation(dual.system, rom)
     scale = max(abs(ev.f), abs(ev.phi))
     assert ev.phi <= ev.f + 1e-12 * scale
     assert objective_f(ev.projected, ev.P, ev.R) == pytest.approx(ev.phi, rel=1e-10,
@@ -479,7 +480,7 @@ def test_projection_never_raises_the_objective(seed, n, m, r):
 @example(seed=219, n=8, m=1, r=3)  # cond(P) = 8e6
 def test_output_gradient_vanishes_at_the_projection(seed, n, m, r):
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual, rom)
+    ev = Evaluation(dual.system, rom)
     g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     assert np.abs(g.gC).max() <= 1e-10 * np.abs(ev.R).max()
 
@@ -491,14 +492,14 @@ def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n,
     # the envelope theorem: gC vanishes at chat_star, so phi's derivatives
     # in (Ahat, Bhat) are f's there, and phi does not depend on Chat
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual, rom)
+    ev = Evaluation(dual.system, rom)
     # phi = -tr(R P^-1 R^T) carries the rounding of P times its condition
     # number, which the differences divide by the step
     assume(np.linalg.cond(ev.P) < 1e4)
     g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     # the extrapolation cancels the h^2 truncation of the differences,
     # which near a multiple rom pole exceeds the bound at this step
-    fd = richardson_gradients(lambda q: Evaluation(dual, q).phi, rom, step=1e-5)
+    fd = richardson_gradients(lambda q: Evaluation(dual.system, q).phi, rom, step=1e-5)
     # phi is invariant under similarity, so a block may vanish (r = m = 1
     # leaves phi independent of Bhat); the scale is that of both blocks
     scale = max(np.abs(g.gA).max(), np.abs(g.gB).max())
@@ -509,6 +510,7 @@ def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n,
 
 @settings(max_examples=40, deadline=None)
 @given(**st_shape)
+@example(seed=102, n=8, m=1, r=2)  # cond(P) = 1.0e7
 def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
     # (T Ahat T^-1, T Bhat) has the transfer function of (Ahat, Bhat) for
     # every output map: phi stays and chat_star becomes chat_star T^-1
@@ -516,10 +518,19 @@ def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
     Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
     T = Q * np.exp(rng.uniform(-1.0, 1.0, r))
     Tinv = np.linalg.inv(T)
-    ev = Evaluation(dual, rom)
-    moved = Evaluation(dual, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
-    assert moved.phi == pytest.approx(ev.phi, rel=1e-9)
-    assert rel_max_err(moved.chat_star, ev.chat_star @ Tinv) <= 1e-9
+    ev = Evaluation(dual.system, rom)
+    moved = Evaluation(dual.system, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
+    # P^+ cuts eigenvalues below RANK_TOL times the largest, and which it
+    # cuts is not invariant (seed 516883675, n=8, m=1, r=2: cond(P) 2.1e9
+    # becomes 6.9e10), so the check needs both P well inside the cut
+    cond_p = np.linalg.cond(ev.P)
+    assume(max(cond_p, np.linalg.cond(moved.P)) < 0.1 / RANK_TOL)
+    # R P^+ carries the rounding of P times cond(P) in each coordinate
+    # system; cond(T P T^T) <= cond(T)^2 cond(P), and taking the first back
+    # with T^-1 scales its error by at most cond(T)
+    bound = 100.0 * np.finfo(float).eps * cond_p * np.linalg.cond(T) ** 2
+    assert abs(moved.phi - ev.phi) <= bound * abs(ev.phi)
+    assert rel_max_err(moved.chat_star, ev.chat_star @ Tinv) <= bound
 
 
 # ------------------------------------------------------------------ gradients
@@ -541,7 +552,7 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
     sys, ens, starts = acceptance_problem
     dual = (reconstruct_dual(ens) if route == "unknown-input"
             else reconstruct_dual_known_input(ens, sys.B))
-    np.testing.assert_allclose(dual.gb_schur, dual.mr_schur.ZH @ dual.GB, rtol=0,
+    np.testing.assert_allclose(dual.system.b_schur, dual.system.schur.ZH @ dual.GB, rtol=0,
                                atol=1e-14 * np.abs(dual.GB).max())
     compared = 0
     for rom in starts:
@@ -553,10 +564,10 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
             except NotStable:
                 # the full step leaves the unit disc: the same guard rejects it
                 with pytest.raises(NotStable):
-                    Evaluation(dual, cand)
+                    Evaluation(dual.system, cand)
                 continue
             ref = objective_f(cand, P, solve_R(dual, cand))
-            assert Evaluation(dual, cand).f == pytest.approx(ref, rel=1e-12, abs=0)
+            assert Evaluation(dual.system, cand).f == pytest.approx(ref, rel=1e-12, abs=0)
             compared += 1
     assert compared >= 5
 
@@ -569,7 +580,7 @@ def test_trial_objective_keeps_the_separation_guard():
     with pytest.raises(AssumptionViolated):
         solve_R(dual, rom)
     with pytest.raises(AssumptionViolated):
-        Evaluation(dual, rom)
+        Evaluation(dual.system, rom)
 
 
 def test_data_gradients_match_model_based():

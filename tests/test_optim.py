@@ -31,6 +31,7 @@ from ddh2mor import (
     stack_direction,
 )
 import ddh2mor
+from ddh2mor.sysmodel import Evaluation
 from helpers import count_schur_calls, input_normal, random_rom, random_system, rel_max_err
 
 
@@ -147,6 +148,63 @@ def test_overflowing_descent_direction_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match="squared norm of the descent direction"):
             run(ens, init, dual=huge)
+
+
+def test_overflowing_trial_is_rejected_without_warnings(monkeypatch):
+    # the first trial of the line search is scaled to Bhat ~ 1e200: its
+    # gramian P overflows, the evaluation raises NumericalOverflow, and the
+    # search backtracks to the next, unscaled trial
+    sys, ens, init = make_problem(seed=18)
+    dual = reconstruct_dual(ens)
+    huge = Rom(init.Ahat, 1e200 * init.Bhat, init.Chat)
+    with pytest.raises(NumericalOverflow):
+        Evaluation(dual.system, huge)
+    stepped, alphas = Rom.stepped, []
+
+    def first_overflows(rom, g, alpha):
+        alphas.append(alpha)
+        cand = stepped(rom, g, alpha)
+        return Rom(cand.Ahat, 1e200 * cand.Bhat, cand.Chat) if len(alphas) == 1 else cand
+
+    monkeypatch.setattr(Rom, "stepped", first_overflows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(ens, init, OptimParams(max_iters=1, tol=1e-15), dual=dual)
+    (first,) = res.history
+    assert first.backtracks == len(alphas) - 1 >= 1
+    assert first.step == alphas[-1] < alphas[0]
+
+
+def test_reconstruction_and_descent_factor_each_full_order_model_once(monkeypatch):
+    # A_ls in the reconstruction, A in the oracle; the descent's stability
+    # check, trials and gradients reuse the first, every oracle error the
+    # second.  A fresh copy of the system carries no factor yet
+    sys, ens, init = make_problem(seed=19)
+    oracle = LtiSystem(sys.A, sys.B, sys.C)
+    shapes = count_schur_calls(monkeypatch)
+    dual = reconstruct_dual(ens)
+    res = run(ens, init, OptimParams(max_iters=5, tol=1e-15), dual=dual, oracle=oracle)
+    assert len(res.history) == 5
+    n = sys.n
+    assert [s for s in shapes if s != (init.r, init.r)] == [(n, n), (n, n)]
+
+
+def test_error_against_the_identified_model_is_the_oracle_error_on_exact_data():
+    # on exact full-rank data (A_ls, B_ls, I) is the system to rounding, so
+    # the h2 error against dual.system, which needs no oracle, is the true
+    # error at the start and at every recorded iterate of a descent
+    sys, ens, init = make_problem(seed=20, N=40)
+    dual = reconstruct_dual(ens)
+    assert dual.report.b1_holds
+    params = OptimParams(max_iters=30, tol=1e-12)
+    true = run(ens, init, params, dual=dual, oracle=sys)
+    estimated = run(ens, init, params, dual=dual, oracle=dual.system)
+    assert len(true.history) == len(estimated.history) >= 10
+    pairs = [(true.initial_rel_h2_error, estimated.initial_rel_h2_error)]
+    pairs += [(a.rel_h2_error, b.rel_h2_error)
+              for a, b in zip(true.history, estimated.history)]
+    for ref, got in pairs:
+        assert got == pytest.approx(ref, rel=1e-8, abs=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -489,7 +547,7 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
 def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
     sys, ens, init = make_problem(seed=17)
     dual = reconstruct_dual(ens)
-    calls = {"PR": 0, "Q": 0, "S": 0, "solve_stein": 0, "evaluations": 0}
+    calls = {"stein": 0, "sylvester": 0, "solve_S": 0, "solve_stein": 0, "evaluations": 0}
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -500,17 +558,19 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # the kernel sweeps P and R; ddgrad's own Stein sweeps solve Q
-    counted(ddh2mor.ddgrad, "schur_sweeps", "PR")
-    counted(ddh2mor.ddgrad, "stein_schur", "Q")
-    counted(ddh2mor.ddgrad, "solve_S", "S")
+    # an evaluation sweeps P and R, a gradient Q and S
+    counted(ddh2mor.sysmodel, "stein_schur", "stein")
+    counted(ddh2mor.sysmodel, "solve_schur", "sylvester")
+    counted(ddh2mor.ddgrad, "solve_S", "solve_S")
+    counted(ddh2mor.sysmodel, "solve_stein", "solve_stein")
     counted(ddh2mor.ddgrad, "solve_stein", "solve_stein")
-    counted(ddh2mor.ddgrad.Evaluation, "__init__", "evaluations")
+    counted(ddh2mor.sysmodel.Evaluation, "__init__", "evaluations")
     k = 8
     res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
     assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
-    # the start and every trial, P and R once each; Q and S once per gradient
-    assert calls["PR"] == calls["evaluations"] >= 1 + k
-    assert calls["Q"] == k
-    assert calls["S"] == k
+    # the start and every trial, P and R once each; Q and S once per gradient,
+    # with no second separation check through solve_S
+    assert calls["evaluations"] >= 1 + k
+    assert calls["stein"] == calls["sylvester"] == calls["evaluations"] + k
+    assert calls["solve_S"] == 0
     assert calls["solve_stein"] == 0

@@ -17,7 +17,7 @@ from ddh2mor import (
     simulate,
     transfer_eval,
 )
-from ddh2mor.sysmodel import _expm_integral
+from ddh2mor.sysmodel import Evaluation, _expm_integral, assemble_gradients
 from helpers import fd_gradients, quad_h2_norm, random_rom, random_system, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -270,9 +270,10 @@ def test_evaluator_matches_direct_error():
 
 @pytest.mark.parametrize("p", [1, 3, 8])
 def test_evaluator_matches_quadrature_for_any_output_map(p):
-    # the error is read off Schur-coordinate solutions; an independent
-    # quadrature of the error system's transfer function checks it, also
-    # for output maps other than the identity and with complex rom poles
+    # the error is the f of one Evaluation plus the full-order term; an
+    # independent quadrature of the error system's transfer function checks
+    # it, also for output maps other than the identity and with complex rom
+    # poles
     rng = np.random.default_rng(30 + p)
     base = random_system(rng, 8, 2)
     sys = LtiSystem(base.A, base.B, rng.standard_normal((p, 8)))
@@ -284,6 +285,23 @@ def test_evaluator_matches_quadrature_for_any_output_map(p):
         assert ev.error(rom) == pytest.approx(ref, rel=1e-9)
         assert ev.relative_error(rom) == pytest.approx(ref / quad_h2_norm(sys.A, sys.B, sys.C),
                                                        rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [1, 3, 8])
+def test_evaluation_gradients_match_model_based_for_any_output_map(p):
+    # Evaluation solves S from -C^T Chat and assembles against the model's C;
+    # at its projection C R P^+ the output gradient vanishes
+    rng = np.random.default_rng(40 + p)
+    base = random_system(rng, 8, 2)
+    sys = LtiSystem(base.A, base.B, rng.standard_normal((p, 8)))
+    rom = random_rom(rng, 3, 2, p)
+    ev = Evaluation(sys, rom)
+    got = assemble_gradients(rom, sys.A, sys.B, sys.C, ev.gramians())
+    ref = model_based_gradients(sys, rom)
+    for block in ("gA", "gB", "gC"):
+        assert rel_max_err(getattr(got, block), getattr(ref, block)) < 1e-9
+    at = assemble_gradients(ev.projected, sys.A, sys.B, sys.C, ev.gramians(projected=True))
+    assert np.abs(at.gC).max() <= 1e-10 * np.abs(ev.CR).max()
 
 
 # ---------------------------------------------------------------- synthetic
