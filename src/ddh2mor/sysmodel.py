@@ -336,15 +336,10 @@ def require_separation(coef: SchurFactor, lam: np.ndarray) -> None:
     ``mu`` lies that far from the reciprocal pole ``1 / lam`` (a zero pole
     has none), and at least ``UNIQUE_TOL``, the uniqueness floor of
     ``solve_discrete_sylvester``.  The sweeps of R and S check nothing
-    further.  Since ``|1 - mu lam| >= 1 - |mu| |lam|``, spectra whose
-    largest moduli leave twice the tolerance form no products.
+    further.
     """
-    mods = np.abs(lam)
-    top = mods.max(initial=0.0)
-    tol = max(SEPARATION_TOL * top, UNIQUE_TOL)
-    if 1.0 - np.abs(coef.eigvals).max(initial=0.0) * top >= 2.0 * tol:
-        return
     gaps = np.abs(1.0 - coef.eigvals[:, None] * lam)
+    mods = np.abs(lam)
     if (gaps < np.maximum(SEPARATION_TOL * mods, UNIQUE_TOL)).any():
         nonzero = mods > 0.0
         sep = (gaps[:, nonzero] / mods[nonzero]).min(initial=np.inf)

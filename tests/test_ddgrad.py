@@ -508,10 +508,7 @@ def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n,
     assert np.abs(fd.gC).max() == 0.0
 
 
-@settings(max_examples=40, deadline=None)
-@given(**st_shape)
-@example(seed=102, n=8, m=1, r=2)  # cond(P) = 1.0e7
-def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
+def check_similarity_invariance(seed, n, m, r):
     # (T Ahat T^-1, T Bhat) has the transfer function of (Ahat, Bhat) for
     # every output map: phi stays and chat_star becomes chat_star T^-1
     rng, dual, rom = projection_instance(seed, n, m, r)
@@ -520,17 +517,29 @@ def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
     Tinv = np.linalg.inv(T)
     ev = Evaluation(dual.system, rom)
     moved = Evaluation(dual.system, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
-    # P^+ cuts eigenvalues below RANK_TOL times the largest, and which it
-    # cuts is not invariant (seed 516883675, n=8, m=1, r=2: cond(P) 2.1e9
-    # becomes 6.9e10), so the check needs both P well inside the cut
-    cond_p = np.linalg.cond(ev.P)
-    assume(max(cond_p, np.linalg.cond(moved.P)) < 0.1 / RANK_TOL)
     # R P^+ carries the rounding of P times cond(P) in each coordinate
     # system; cond(T P T^T) <= cond(T)^2 cond(P), and taking the first back
     # with T^-1 scales its error by at most cond(T)
-    bound = 100.0 * np.finfo(float).eps * cond_p * np.linalg.cond(T) ** 2
+    bound = 100.0 * np.finfo(float).eps * np.linalg.cond(ev.P) * np.linalg.cond(T) ** 2
     assert abs(moved.phi - ev.phi) <= bound * abs(ev.phi)
     assert rel_max_err(moved.chat_star, ev.chat_star @ Tinv) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(**st_shape)
+@example(seed=102, n=8, m=1, r=2)  # cond(P) = 1.0e7
+def test_projection_is_invariant_under_state_similarity(seed, n, m, r):
+    check_similarity_invariance(seed, n, m, r)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="P^+ cuts eigenvalues below RANK_TOL times the largest, "
+                          "a cut a similarity moves (CHANGES.md FOUND)")
+def test_projection_is_invariant_across_the_rank_cut():
+    # cond(P) 2.1e9 becomes 6.9e10 under a T of condition 5.7, an eigenvalue
+    # of P crosses RANK_TOL times the largest, and phi moves from -18.97 to
+    # -7.76 for the same transfer function
+    check_similarity_invariance(516883675, 8, 1, 2)
 
 
 # ------------------------------------------------------------------ gradients
