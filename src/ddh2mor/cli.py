@@ -1,8 +1,9 @@
 """Command-line harness: generate systems and data, reduce, evaluate.
 
-Exit codes: 0 success, 1 configuration or file-format problems, 2 failed
-data rank checks, 3 numerical failures.  Every flag can also be supplied
-through a JSON file via --config; explicit flags win over file values.
+Exit codes: 0 success, 1 configuration or file-format problems (a size too
+large to allocate included), 2 failed data rank checks, 3 numerical
+failures.  Every flag can also be supplied through a JSON file via
+--config; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RankDeficientData, InsufficientData) as exc:
         return report_error(exc, 2)
-    except (FormatError, ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError, MemoryError) as exc:
         return report_error(exc, 1)
     except ReductionError as exc:
         return report_error(exc, 3)

@@ -65,6 +65,10 @@ _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
 
 HISTORY_HEADER = "iter,f,D,step,backtracks,rel_h2_error,stable"
 
+# standard normals generate_trajectories draws at a time (512 KiB), in
+# whole trajectories
+_DRAW_CHUNK = 1 << 16
+
 # the Python types a JSON value may load as, by the type it stands for: a
 # JSON integer is a valid float, a JSON boolean is no number
 _JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
@@ -88,13 +92,29 @@ class NoiseSpec:
             raise ValueError("alpha must be nonnegative")
 
 
-def _snapshot(value, name: str) -> np.ndarray:
+def _snapshot(value, name: str, copy: bool) -> np.ndarray:
+    """``value`` as a finite, read-only, C-ordered float array.
+
+    With ``copy`` the array is always a new one, so no caller can change it
+    later; without, an array already in that layout is kept as it is.
+    """
     M = np.atleast_2d(np.asarray(value, dtype=float))
     if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
-    M = M.copy()
+    M = M.copy() if copy else np.ascontiguousarray(M)
     M.flags.writeable = False
     return M
+
+
+def _adopt(cls, **fields):
+    """``cls(**fields)`` for arrays this module has just allocated and hands
+    over, so that nothing else refers to them: they are checked and made
+    read-only like any others, but not copied."""
+    obj = object.__new__(cls)
+    for key, value in fields.items():
+        object.__setattr__(obj, key, value)
+    obj.__post_init__(copy=False)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,8 @@ class DataEnsemble:
     U1 : (N, m) inputs
     X2 : (N, n) successor states
     alpha, seed : generation provenance when known
+
+    The arrays are copied, so a caller may go on changing what it passed.
     """
 
     X1: np.ndarray
@@ -113,10 +135,10 @@ class DataEnsemble:
     alpha: float | None = None
     seed: int | None = None
 
-    def __post_init__(self):
-        X1 = _snapshot(self.X1, "X1")
-        U1 = _snapshot(self.U1, "U1")
-        X2 = _snapshot(self.X2, "X2")
+    def __post_init__(self, copy: bool = True):
+        X1 = _snapshot(self.X1, "X1", copy)
+        U1 = _snapshot(self.U1, "U1", copy)
+        X2 = _snapshot(self.X2, "X2", copy)
         if X2.shape != X1.shape:
             raise ValueError("X1 and X2 must have identical shapes")
         if U1.shape[0] != X1.shape[0]:
@@ -144,14 +166,16 @@ class TrajectorySet:
 
     states : (N, L, n) states of each trajectory, L >= 2
     inputs : (N, L - 1, m) the inputs that produced them
+
+    The arrays are copied, so a caller may go on changing what it passed.
     """
 
     states: np.ndarray
     inputs: np.ndarray
 
-    def __post_init__(self):
-        states = _snapshot(self.states, "states")
-        inputs = _snapshot(self.inputs, "inputs")
+    def __post_init__(self, copy: bool = True):
+        states = _snapshot(self.states, "states", copy)
+        inputs = _snapshot(self.inputs, "inputs", copy)
         if states.ndim != 3 or inputs.ndim != 3:
             raise ValueError("states and inputs must be (trajectory, step, entry) arrays")
         N, L = states.shape[:2]
@@ -213,34 +237,45 @@ def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) ->
     x2 = x1 @ sys.A.T + u1 @ sys.B.T
     e1 = rng.standard_normal((N, sys.n))
     e2 = rng.standard_normal((N, sys.n))
-    return DataEnsemble(x1 + noise.alpha * e1, u1, x2 + noise.alpha * e2,
-                        alpha=noise.alpha, seed=noise.seed)
+    return _adopt(DataEnsemble, X1=x1 + noise.alpha * e1, U1=u1,
+                  X2=x2 + noise.alpha * e2, alpha=noise.alpha, seed=noise.seed)
 
 
 def generate_trajectories(sys: LtiSystem, N: int, L: int,
                           noise: NoiseSpec = NoiseSpec()) -> TrajectorySet:
-    """Simulate N length-L trajectories from Gaussian initial states and inputs."""
+    """Simulate N length-L trajectories from Gaussian initial states and inputs.
+
+    Trajectory i draws its initial state, inputs and observation noise in
+    turn.  The draws are taken, and the trajectories simulated, a chunk of
+    whole trajectories at a time (``_DRAW_CHUNK`` normals), straight into
+    the returned arrays: consecutive draws continue one stream, so the
+    result does not depend on the chunk size.
+    """
     if N < 1:
         raise ValueError("N must be positive")
     if L < 2:
         raise ValueError("L must be at least 2")
     n, m = sys.n, sys.m
     rng = np.random.default_rng(noise.seed)
-    # row i holds trajectory i's initial state, inputs and observation noise,
-    # the order in which a trajectory-by-trajectory draw takes them
-    draw = rng.standard_normal((N, n + (L - 1) * m + L * n))
-    inputs = draw[:, n:n + (L - 1) * m].reshape(N, L - 1, m)
     states = np.empty((N, L, n))
-    states[:, 0] = draw[:, :n]
-    for k in range(L - 1):
-        # stacked matrix-vector products repeat A @ x + B @ u bit for bit;
-        # one matrix-matrix product over all trajectories would not
-        states[:, k + 1] = ((sys.A @ states[:, k, :, None])[..., 0]
-                            + (sys.B @ inputs[:, k, :, None])[..., 0])
-    noise_part = draw[:, n + (L - 1) * m:].reshape(N, L, n)
-    noise_part *= noise.alpha
-    states += noise_part
-    return TrajectorySet(states, inputs)
+    inputs = np.empty((N, L - 1, m))
+    width = n + (L - 1) * m + L * n
+    chunk = max(1, _DRAW_CHUNK // width)
+    for start in range(0, N, chunk):
+        x, u = states[start:start + chunk], inputs[start:start + chunk]
+        # row i holds one trajectory's initial state, inputs and noise
+        draw = rng.standard_normal((len(x), width))
+        x[:, 0] = draw[:, :n]
+        u[...] = draw[:, n:n + (L - 1) * m].reshape(u.shape)
+        for k in range(L - 1):
+            # stacked matrix-vector products repeat A @ x + B @ u bit for
+            # bit; one matrix-matrix product over all trajectories would not
+            x[:, k + 1] = ((sys.A @ x[:, k, :, None])[..., 0]
+                           + (sys.B @ u[:, k, :, None])[..., 0])
+        noise_part = draw[:, n + (L - 1) * m:].reshape(x.shape)
+        noise_part *= noise.alpha
+        x += noise_part
+    return _adopt(TrajectorySet, states=states, inputs=inputs)
 
 
 def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:
@@ -402,8 +437,8 @@ def load_ensemble(path) -> DataEnsemble:
     X1 = _read_block(root / manifest["x1"], (N, n))
     U1 = _read_block(root / manifest["u1"], (N, m))
     X2 = _read_block(root / manifest["x2"], (N, n))
-    return DataEnsemble(X1, U1, X2,
-                        alpha=manifest.get("alpha"), seed=manifest.get("seed"))
+    return _adopt(DataEnsemble, X1=X1, U1=U1, X2=X2,
+                  alpha=manifest.get("alpha"), seed=manifest.get("seed"))
 
 
 def save_system(sys: LtiSystem, out, *, h: float, seed: int) -> None:

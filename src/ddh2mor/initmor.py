@@ -42,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 # adjustment rounds of make_stable before it gives up
 _STABILIZE_ROUNDS = 5
+# snapshot rows init_dmdc reduces at a time, in whole trajectories; a block
+# of 2n + m = 202 columns (n = 100) is 3.3 MB
+_DMDC_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -114,17 +117,25 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     onto the dominant left singular vectors of the successor snapshots.
 
     The snapshots (states X, inputs U, successor states Xp; one column per
-    transition) fill the rows of ``S = [X; U; Xp]^T``.  Each column block
-    of S is written through an (N, L - 1, width) view of itself, so the
-    trajectories are copied once, into S, and nowhere else.  S is then
-    reduced in place to the triangle R of ``S = Q R`` by ``_triangle``
-    (LAPACK ``dgeqrt``).  With ``Rz`` and ``Rp`` the columns of R that
-    belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T`` and
-    ``Xp = Rp^T Q^T``, so every SVD the method needs is one of R's blocks:
-    Z and ``Rz^T`` share singular values and left vectors, the least
-    squares solve becomes ``Rp^T W_k s_k^{-1} U_k^T``, and Xp and ``Rp^T``
-    share singular values and left vectors.  No intermediate is larger
-    than the data.
+    transition) fill the rows of ``S = [X; U; Xp]^T``, but S is never
+    formed whole.  Its rows are taken a block of whole trajectories at a
+    time (about ``_DMDC_BLOCK_ROWS`` rows), and each block is reduced
+    together with the triangle of the blocks before it: ``_triangle`` of
+    ``[R; block]`` (LAPACK ``dgeqrt``) is the next R.  This is the
+    sequential TSQR of Demmel, Grigori, Hoemmen & Langou (SIAM J. Sci.
+    Comput. 34 (2012)); the final R satisfies ``R^T R = S^T S``, so it is
+    the triangle of ``S = Q R`` up to an orthogonal change of its rows,
+    which leaves everything read off R below unchanged.  Data of one block
+    take a single ``_triangle`` of S.  Each block is written through an
+    (N, L - 1, width) view of its column blocks, so the working set is the
+    trajectories, one block and R.
+
+    With ``Rz`` and ``Rp`` the columns of R that belong to ``Z = [X; U]``
+    and to Xp, ``Z = Rz^T Q^T`` and ``Xp = Rp^T Q^T``, so every SVD the
+    method needs is one of R's blocks: Z and ``Rz^T`` share singular values
+    and left vectors, the least squares solve becomes
+    ``Rp^T W_k s_k^{-1} U_k^T``, and Xp and ``Rp^T`` share singular values
+    and left vectors.
     """
     N, L, n = trajs.states.shape
     m = trajs.inputs.shape[2]
@@ -132,13 +143,20 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
-    # one row per transition, trajectory by trajectory; splitting the rows
-    # of a column block into (N, L - 1) is a view, so each block is one copy
-    S = np.empty((N * (L - 1), 2 * n + m), order="F")
-    S[:, :n].reshape(N, L - 1, n)[...] = trajs.states[:, :-1]
-    S[:, n:n + m].reshape(N, L - 1, m)[...] = trajs.inputs
-    S[:, n + m:].reshape(N, L - 1, n)[...] = trajs.states[:, 1:]
-    R = _triangle(S)
+    # one row per transition, trajectory by trajectory
+    per_block = max(1, _DMDC_BLOCK_ROWS // (L - 1))
+    R = np.empty((0, 2 * n + m))
+    for start in range(0, N, per_block):
+        states = trajs.states[start:start + per_block]
+        inputs = trajs.inputs[start:start + per_block]
+        k, count = R.shape[0], len(states)
+        S = np.empty((k + count * (L - 1), 2 * n + m), order="F")
+        S[:k] = R
+        # splitting the rows of a column block into (count, L - 1) is a view
+        S[k:, :n].reshape(count, L - 1, n)[...] = states[:, :-1]
+        S[k:, n:n + m].reshape(count, L - 1, m)[...] = inputs
+        S[k:, n + m:].reshape(count, L - 1, n)[...] = states[:, 1:]
+        R = _triangle(S)
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 
     Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)

@@ -223,13 +223,15 @@ class SchurFactor:
     T is upper triangular, ``eigvals`` is its diagonal and ``ZH`` caches
     ``Z^H``; T, Z and ZH are C-contiguous.  Factor a matrix once with
     ``SchurFactor.of(M)`` and pass the result to every solve and spectral
-    check that uses M.
+    check that uses M; ``transposed()`` is likewise formed once per factor.
     """
 
     T: np.ndarray
     Z: np.ndarray
     ZH: np.ndarray = field(init=False, repr=False)
     eigvals: np.ndarray = field(init=False, repr=False)
+    _transposed: "SchurFactor | None" = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "T", np.ascontiguousarray(self.T))
@@ -242,10 +244,14 @@ class SchurFactor:
         return cls(*_complex_schur(_as_square(M, "M")))
 
     def transposed(self) -> "SchurFactor":
-        """The factor of M^T, without a new factorization."""
-        # M^T = conj(Z) T^T Z^T; reversing the order of rows and columns turns
-        # the lower triangular T^T back into an upper triangular matrix
-        return SchurFactor(self.T.T[::-1, ::-1], self.Z.conj()[:, ::-1])
+        """The factor of M^T, without a new factorization; formed on the
+        first call and kept."""
+        if self._transposed is None:
+            # M^T = conj(Z) T^T Z^T; reversing the order of rows and columns
+            # turns the lower triangular T^T back into an upper triangular one
+            object.__setattr__(self, "_transposed", SchurFactor(
+                self.T.T[::-1, ::-1], self.Z.conj()[:, ::-1]))
+        return self._transposed
 
 
 def to_schur(fm: SchurFactor, fn: SchurFactor, W: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ quadrature of the transfer function on the unit circle, and gradients by
 central finite differences of a scalar objective.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,3 +217,14 @@ def blockwise_loewner(left, right, r):
     E = -Y.T @ Lr @ X
     return make_stable(Rom(np.linalg.solve(E, -Y.T @ Lsr @ X),
                            np.linalg.solve(E, Y.T @ Vr), Wr @ X))
+
+
+def traced_peak(fn, *args):
+    """The result of ``fn(*args)`` and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -173,6 +173,19 @@ def test_reduce_dmdc_without_oracle_exits_1(workspace, tmp_path, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
+def test_reduce_impossible_trajectory_count_is_one_error_line(workspace, tmp_path, capsys):
+    # 10^12 trajectories of 10 states (n = 12) take 873 TiB, beyond the
+    # 128 TiB of a 47-bit user address space: the allocation is refused
+    # before any memory is touched
+    rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+               "--init", "dmdc", "--oracle", str(workspace["system"]),
+               "--init-traj-count", str(10**12), "--out", str(tmp_path / "red")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "allocate" in err
+
+
 def test_reduce_with_impulse_file_needs_no_oracle(workspace, tmp_path, capsys):
     sys_ = load_system(workspace["system"])
     impulse_path = tmp_path / "impulse.json"

@@ -20,8 +20,9 @@ from ddh2mor import (
     save_ensemble,
     simulate,
 )
+from ddh2mor import dataio
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
-from helpers import first_transitions, random_system
+from helpers import first_transitions, random_system, traced_peak
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -154,6 +155,41 @@ def test_trajectories_match_per_trajectory_loop(n, m, N, L, alpha):
     np.testing.assert_array_equal(got.inputs, inputs)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_trajectories_match_per_trajectory_loop_across_draw_chunks(alpha):
+    n, m, L = 20, 3, 6
+    # trajectories per chunk of draws; three whole chunks and a partial one
+    chunk = dataio._DRAW_CHUNK // (n + (L - 1) * m + L * n)
+    N = 3 * chunk + chunk // 3
+    sys = random_system(np.random.default_rng(21), n, m)
+    noise = NoiseSpec(alpha=alpha, seed=22)
+    got = generate_trajectories(sys, N, L, noise)
+    states, inputs = loop_trajectories(sys, N, L, noise)
+    np.testing.assert_array_equal(got.states, states)
+    np.testing.assert_array_equal(got.inputs, inputs)
+
+
+def test_trajectory_generation_memory_stays_near_its_output():
+    n, m, N, L = 20, 3, 12000, 6
+    sys = random_system(np.random.default_rng(23), n, m)
+    trajs, peak = traced_peak(generate_trajectories, sys, N, L, NoiseSpec(alpha=1e-3, seed=24))
+    assert peak < 1.2 * (trajs.states.nbytes + trajs.inputs.nbytes)
+
+
+def test_generated_arrays_are_handed_over_and_given_ones_copied():
+    sys = random_system(np.random.default_rng(25), 3, 2)
+    trajs = generate_trajectories(sys, 4, 5, NoiseSpec(seed=26))
+    for M in (trajs.states, trajs.inputs):
+        assert M.flags.owndata and M.flags.c_contiguous and not M.flags.writeable
+    states, inputs = np.array(trajs.states), np.array(trajs.inputs)
+    again = TrajectorySet(states, inputs)
+    assert not (np.shares_memory(again.states, states)
+                or np.shares_memory(again.inputs, inputs))
+    X1, U1 = np.ones((4, 3)), np.ones((4, 2))
+    ens = DataEnsemble(X1, U1, X1)
+    assert not any(np.shares_memory(a, b) for a, b in ((ens.X1, X1), (ens.U1, U1), (ens.X2, X1)))
+
+
 def test_trajectory_validation():
     for states, inputs in [
         (np.zeros((1, 3, 2)), np.zeros((1, 3, 1))),  # as many inputs as states
@@ -195,6 +231,13 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
     # loading by directory works too
     third = load_ensemble(tmp_path / "data")
     np.testing.assert_array_equal(third.X2, ens.X2)
+
+
+def test_loaded_ensemble_memory_stays_near_its_blocks(tmp_path):
+    sys = random_system(np.random.default_rng(27), 20, 3)
+    save_ensemble(generate_ensemble(sys, 4000, NoiseSpec(seed=28)), tmp_path)
+    ens, peak = traced_peak(load_ensemble, tmp_path)
+    assert peak < 1.2 * (ens.X1.nbytes + ens.U1.nbytes + ens.X2.nbytes)
 
 
 def test_system_and_rom_writers_take_a_string_path(tmp_path):

@@ -34,7 +34,7 @@ from ddh2mor import (
 )
 from ddh2mor import initmor
 from ddh2mor.dataio import numerical_rank
-from helpers import blockwise_loewner, random_rom, random_system, rel_max_err
+from helpers import blockwise_loewner, random_rom, random_system, rel_max_err, traced_peak
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
 
@@ -208,6 +208,38 @@ def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
     # keep = n + m - 1 < n + m: one direction of [X; U] is dropped
     assert np.count_nonzero(sz > 1e-14 * sz[0]) == n + m - 1
     assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def blocks_of(count, L):
+    """A trajectory count whose snapshot rows fill ``count`` of init_dmdc's
+    row blocks and part of one more."""
+    per_block = initmor._DMDC_BLOCK_ROWS // (L - 1)
+    return count * per_block + per_block // 3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_dmdc_matches_svd_route_across_row_blocks(alpha):
+    n, m, r, L = 8, 2, 3, 8
+    sys = random_system(np.random.default_rng(40), n, m)
+    trajs = generate_trajectories(sys, blocks_of(3, L), L, NoiseSpec(alpha=alpha, seed=41))
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def test_dmdc_matches_svd_route_on_rank_deficient_data_across_row_blocks():
+    n, m, r, L = 6, 2, 3, 8
+    trajs = repeated_input_trajectories(random_system(np.random.default_rng(42), n, m),
+                                        blocks_of(3, L), L, 43)
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def test_dmdc_memory_does_not_grow_with_the_trajectory_count():
+    n, m, L = 30, 2, 10
+    sys = random_system(np.random.default_rng(44), n, m)
+    peaks = [traced_peak(init_dmdc, generate_trajectories(
+        sys, blocks_of(count, L), L, NoiseSpec(alpha=1e-3, seed=45)), 4)[1]
+        for count in (2, 8)]
+    # one block of snapshot rows and the triangle, whatever the count
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_dmdc_rejects_rank_deficient_snapshots():

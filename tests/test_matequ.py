@@ -265,6 +265,15 @@ def test_transposed_schur_factors():
         assert np.array_equal(f.eigvals, np.diagonal(T))
 
 
+
+def test_transposed_factor_is_formed_once_and_transposes_back():
+    fac = SchurFactor.of(np.random.default_rng(14).standard_normal((6, 6)))
+    ft = fac.transposed()
+    assert fac.transposed() is ft
+    back = ft.transposed()
+    for name in ("T", "Z", "ZH", "eigvals"):
+        assert np.array_equal(getattr(back, name), getattr(fac, name))
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st_seed, k=st.integers(0, 10))
 @example(seed=0, k=0)

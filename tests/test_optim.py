@@ -31,6 +31,7 @@ from ddh2mor import (
     stack_direction,
 )
 import ddh2mor
+from ddh2mor.matequ import SchurFactor
 from ddh2mor.sysmodel import Evaluation
 from helpers import count_schur_calls, input_normal, random_rom, random_system, rel_max_err
 
@@ -293,6 +294,31 @@ def test_each_line_search_trial_factors_one_rom(monkeypatch):
     # start in input-normal coordinates is factored once, and so is each
     # trial step
     assert shapes == [(init.r, init.r)] * (rec.backtracks + 2)
+
+
+def test_each_schur_factor_is_transposed_once(monkeypatch):
+    # every gradient solves Q on the transposed factor of Ahat and S on that
+    # of A_ls; the trial an iterate was accepted from, its projection and
+    # its gradient share one factor of Ahat, and the descent one of A_ls
+    sys, ens, init = make_problem(seed=23)
+    dual = reconstruct_dual(ens)
+    asked = {}
+    transposed = SchurFactor.transposed
+
+    def recording(self):
+        out = transposed(self)
+        # the factor is kept, so its id stays its own for the whole run
+        asked.setdefault(id(self), (self, []))[1].append(id(out))
+        return out
+
+    monkeypatch.setattr(SchurFactor, "transposed", recording)
+    k = 6
+    res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
+    assert len(res.history) == k
+    model = asked[id(dual.system.schur)][1]
+    assert len(model) >= k
+    # one transposition per factor, however often it is asked for
+    assert all(len(set(outs)) == 1 for _, outs in asked.values())
 
 
 def test_accepted_rows_record_the_objective_of_their_rom():
