@@ -26,8 +26,8 @@ from pathlib import Path
 
 import ddh2mor as dd
 from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, OPTIM_DEFAULTS,
-                         ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, flag_types, optim_params,
-                         oracle_start, reduce_into, report_error, resolve_options)
+                         ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, exit_code, flag_types,
+                         optim_params, oracle_start, reduce_into, resolve_options)
 from ddh2mor.dataio import save_system, write_json
 
 KINDS = ("dmdc", "loewner", "databt")
@@ -58,18 +58,19 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        args = resolve_options(args, DEFAULTS)
-        spec = dd.SyntheticSpec(n=args.n, m=args.m, h=args.h, seed=args.seed)
-        noise = dd.NoiseSpec(alpha=args.noise_alpha, seed=args.seed + 100)
-        params = optim_params(args)
-        if args.N < 1 or not 0 < args.r < args.n:
-            raise ValueError("need N >= 1 and 0 < r < n")
-        if args.initializer not in (*KINDS, "all"):
-            raise ValueError(f"unknown initializer {args.initializer!r}")
-    except (dd.FormatError, ValueError, OSError) as exc:
-        return report_error(exc, 1)
+    return exit_code(run, parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """The experiment ``args`` configure; raises what its steps raise."""
+    args = resolve_options(args, DEFAULTS)
+    spec = dd.SyntheticSpec(n=args.n, m=args.m, h=args.h, seed=args.seed)
+    noise = dd.NoiseSpec(alpha=args.noise_alpha, seed=args.seed + 100)
+    params = optim_params(args)
+    if args.N < 1 or not 0 < args.r < args.n:
+        raise ValueError("need N >= 1 and 0 < r < n")
+    if args.initializer not in (*KINDS, "all"):
+        raise ValueError(f"unknown initializer {args.initializer!r}")
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", {key: getattr(args, key) for key in DEFAULTS})

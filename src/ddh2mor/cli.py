@@ -23,8 +23,8 @@ from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
 __all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
-           "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "flag_types", "main",
-           "optim_params", "oracle_start", "reduce_into", "report_error",
+           "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "exit_code", "flag_types",
+           "main", "optim_params", "oracle_start", "reduce_into", "report_error",
            "resolve_options"]
 
 logger = logging.getLogger(__name__)
@@ -362,6 +362,23 @@ def report_error(exc: Exception, code: int) -> int:
     return code
 
 
+def exit_code(command, *args) -> int:
+    """``command(*args)``'s exit code, with the errors it raises reported.
+
+    Each ends as one ``error:`` line (``report_error``) and the module's
+    exit code: 2 for failed rank checks and insufficient data, 1 for
+    format, value, OS and memory errors, 3 for any other numerical failure.
+    """
+    try:
+        return command(*args)
+    except (RankDeficientData, InsufficientData) as exc:
+        return report_error(exc, 2)
+    except (FormatError, ValueError, OSError, MemoryError) as exc:
+        return report_error(exc, 1)
+    except ReductionError as exc:
+        return report_error(exc, 3)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -370,14 +387,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    try:
-        return args.func(args)
-    except (RankDeficientData, InsufficientData) as exc:
-        return report_error(exc, 2)
-    except (FormatError, ValueError, OSError, MemoryError) as exc:
-        return report_error(exc, 1)
-    except ReductionError as exc:
-        return report_error(exc, 3)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 An ensemble stacks N independent one-step transitions row-wise: X1 holds
 the starting states, U1 the applied inputs, and X2 the successor states.
 Observation noise with coefficient alpha perturbs both state snapshots,
-never the latent recursion.
+never the latent recursion.  ``check_assumptions`` checks the paper's rank
+conditions on an ensemble from the triangle of one QR of [X1 U1].
 
 Each file format has one writer and one reader here: the system, ensemble
 and rom directories (JSON manifests for the first two), the ``history.csv``
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .matequ import RANK_TOL
+from .matequ import RANK_TOL, _triangle
 from .sysmodel import LtiSystem, Rom
 
 __all__ = [
@@ -235,10 +236,14 @@ def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) ->
     x1 = rng.standard_normal((N, sys.n))
     u1 = rng.standard_normal((N, sys.m))
     x2 = x1 @ sys.A.T + u1 @ sys.B.T
-    e1 = rng.standard_normal((N, sys.n))
-    e2 = rng.standard_normal((N, sys.n))
-    return _adopt(DataEnsemble, X1=x1 + noise.alpha * e1, U1=u1,
-                  X2=x2 + noise.alpha * e2, alpha=noise.alpha, seed=noise.seed)
+    # e * alpha + x rounds as x + alpha * e does
+    X1 = rng.standard_normal((N, sys.n))
+    X1 *= noise.alpha
+    X1 += x1
+    X2 = rng.standard_normal((N, sys.n))
+    X2 *= noise.alpha
+    X2 += x2
+    return _adopt(DataEnsemble, X1=X1, U1=u1, X2=X2, alpha=noise.alpha, seed=noise.seed)
 
 
 def generate_trajectories(sys: LtiSystem, N: int, L: int,
@@ -278,16 +283,30 @@ def generate_trajectories(sys: LtiSystem, N: int, L: int,
     return _adopt(TrajectorySet, states=states, inputs=inputs)
 
 
-def check_assumptions(ens: DataEnsemble, singular_values=None) -> AssumptionReport:
+def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
+                      leading: tuple[int, np.ndarray] | None = None) -> AssumptionReport:
     """Rank-check the snapshot blocks against the required full ranks.
 
-    A caller that has the singular values of [X1 U1], X1 and U1 already
-    passes them, in that order, as ``singular_values``.
+    With ``[X1 U1] = Q R`` and Q of orthonormal columns, [X1 U1], X1 and U1
+    share their singular values with R's blocks ``R[:n+m, :n+m]``,
+    ``R[:n, :n]`` and ``R[:n+m, n:n+m]`` (Chan, ACM TOMS 8 (1982)), so
+    the only matrix with N rows reduced is [X1 U1], once, by ``_triangle``.
+    A reconstruction that has reduced ``[X1 U1 Y]`` already hands in that
+    ``triangle``, whose leading n + m columns are [X1 U1]'s, and as
+    ``leading = (k, s)`` the singular values s it took of ``R[:k, :k]``.
     """
     n, m = ens.n, ens.m
-    if singular_values is None:
-        singular_values = [np.linalg.svd(M, compute_uv=False)
-                           for M in (np.hstack([ens.X1, ens.U1]), ens.X1, ens.U1)]
+    if triangle is None:
+        S = np.empty((ens.N, n + m), order="F")
+        S[:, :n], S[:, n:] = ens.X1, ens.U1
+        # scaling by a power of two rounds nothing and changes no rank; it
+        # keeps the column norms of data near the float range finite
+        np.ldexp(S, -np.frexp(max(S.max(), -S.min()))[1], out=S)
+        triangle = _triangle(S)
+    k, s = (None, None) if leading is None else leading
+    singular_values = [s if (j0, j1) == (0, k)
+                       else np.linalg.svd(triangle[:j1, j0:j1], compute_uv=False)
+                       for j0, j1 in ((0, n + m), (0, n), (n, n + m))]
     rank_joint, rank_x1, rank_u1 = map(_rank, singular_values)
     return AssumptionReport(
         rank_X1U1=rank_joint,

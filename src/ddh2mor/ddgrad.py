@@ -9,7 +9,8 @@ the fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
 Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
 ``LtiSystem``, and the objective and gradient are the model-based ones
 against it (``sysmodel.Evaluation``, re-exported here), on exact full-rank
-data those of the system.
+data those of the system.  The fit reduces ``[X1 U1 X2]`` to one triangle,
+which it hands to ``dataio.check_assumptions`` for the rank report.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
 
     Theta is solved on the SVD of ``R[:k, :k]``, cut at ``RANK_TOL``; the
     residual is Y's part along the cut directions and in R's rows below k,
-    relative to ``||X2||_F``.  The singular values of [X1 U1], X1 and U1
-    are those of ``R[:n+m, :n+m]``, ``R[:n, :n]`` and ``R[:n+m, n:n+m]``.
-    No SVD is taken of a matrix with N rows.  Returns
-    ``(Theta, report, data_residual)``.
+    relative to ``||X2||_F``.  The rank check reads the singular values of
+    [X1 U1], X1 and U1 off the same R (``check_assumptions``), reusing
+    those of ``R[:k, :k]``; no SVD is taken of a matrix with N rows.
+    Returns ``(Theta, report, data_residual)``.
     """
     n, m = ens.n, ens.m
     S = np.empty((ens.N, 2 * n + m), order="F")
@@ -118,9 +119,7 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
     theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
     resid = math.hypot(_norm(U[:, ~keep].T @ Ry), _norm(R[k:, n + m:]))
     scale = _norm(ens.X2)
-    sv = [s if (j0, j1) == (0, k) else np.linalg.svd(R[:j1, j0:j1], compute_uv=False)
-          for j0, j1 in ((0, n + m), (0, n), (n, n + m))]
-    return (theta, check_assumptions(ens, sv),
+    return (theta, check_assumptions(ens, R, (k, s)),
             resid / scale if scale else (math.inf if resid else 0.0))
 
 

@@ -506,10 +506,9 @@ class SyntheticSpec:
             raise ValueError("h must be positive")
 
 
-def _expm_integral(gen: np.ndarray, h: float) -> np.ndarray:
-    """Integral of expm(gen * t) over [0, h]."""
+def _expm_integral(gen: np.ndarray, h: float, eah: np.ndarray) -> np.ndarray:
+    """Integral of expm(gen * t) over [0, h], given ``eah = expm(gen * h)``."""
     n = gen.shape[0]
-    eah = scipy.linalg.expm(gen * h)
     try:
         sv = np.linalg.svd(gen, compute_uv=False)
         if sv[-1] > 1e-12 * max(1.0, sv[0]):
@@ -547,7 +546,7 @@ def generate_synthetic(spec: SyntheticSpec) -> LtiSystem:
         Q = G @ G.T + 0.1 * np.eye(n)
         gen = (J - R) @ Q
         A = scipy.linalg.expm(gen * spec.h)
-        B = _expm_integral(gen, spec.h) @ rng.standard_normal((n, m))
+        B = _expm_integral(gen, spec.h, A) @ rng.standard_normal((n, m))
         sys = LtiSystem.with_identity_output(A, B)
         if sys.spectral_radius() < 1.0:
             return sys

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from ddh2mor import DataEnsemble, GradientTriple, LtiSystem, Rom, initmor, make_stable
-from ddh2mor.dataio import RANK_TOL
+from ddh2mor.dataio import RANK_TOL, AssumptionReport
 
 
 def rel_max_err(a, b):
@@ -168,6 +168,48 @@ def paper_dual(ens):
     return SimpleNamespace(Z2=Z2, ZB1=ZB1, UB1=UB1, MR=MR, MS=x1_pinv @ (X2 - UB1),
                            GB=x1_pinv @ ZB1.T,
                            sb_map=np.linalg.pinv(U1, rcond=RANK_TOL) @ UB1)
+
+
+def svd_route_report(ens):
+    """The rank report by one full SVD each of [X1 U1], X1 and U1, each with
+    N rows, counted at ``RANK_TOL`` relative to its largest singular value."""
+    n, m = ens.n, ens.m
+    ranks = []
+    for M in (np.hstack([ens.X1, ens.U1]), ens.X1, ens.U1):
+        sv = np.linalg.svd(M, compute_uv=False)
+        ranks.append(0 if sv.size == 0 or sv[0] == 0.0
+                     else int(np.count_nonzero(sv > RANK_TOL * sv[0])))
+    joint, x1, u1 = ranks
+    return AssumptionReport(rank_X1U1=joint, rank_X1=x1, rank_U1=u1, b1_holds=joint == n + m,
+                            b2_holds=x1 == n, b3_holds=u1 == m)
+
+
+def out_of_place_ensemble(sys, N, noise):
+    """``generate_ensemble``'s draws, with the noise added out of place:
+    ``x + alpha * e`` for both state snapshots."""
+    rng = np.random.default_rng(noise.seed)
+    x1 = rng.standard_normal((N, sys.n))
+    u1 = rng.standard_normal((N, sys.m))
+    x2 = x1 @ sys.A.T + u1 @ sys.B.T
+    e1 = rng.standard_normal((N, sys.n))
+    e2 = rng.standard_normal((N, sys.n))
+    return DataEnsemble(x1 + noise.alpha * e1, u1, x2 + noise.alpha * e2,
+                        alpha=noise.alpha, seed=noise.seed)
+
+
+def record_svd_shapes(monkeypatch):
+    """Record the shape of every matrix passed to numpy's or scipy's SVD."""
+    shapes = []
+
+    def recording(svd):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    return shapes
 
 
 def count_schur_calls(monkeypatch):

@@ -22,6 +22,7 @@ from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
                             save_rom)
+from helpers import out_of_place_ensemble, svd_route_report
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,28 @@ def test_gen_data_reports_assumptions(workspace, tmp_path, capsys):
     rep = payload["assumptions"]
     assert rep["rank_X1U1"] == 14 and rep["b1_holds"] and rep["b2_holds"] and rep["b3_holds"]
     assert (out / "ensemble.json").exists()
+
+
+@pytest.mark.parametrize("N, alpha, seed", [(40, 1e-3, 11), (10, 0.0, 12)],
+                         ids=["full-rank", "rank-deficient"])
+def test_gen_data_output_is_the_out_of_place_svd_route(workspace, tmp_path, capsys,
+                                                       N, alpha, seed):
+    # the blocks, the manifest and the printed report are byte for byte
+    # those of noise added as x + alpha * e and ranks from three full SVDs
+    out, ref = tmp_path / "ens", tmp_path / "ref"
+    assert main(["gen-data", "--system", str(workspace["system"]), "--N", str(N),
+                 "--alpha", str(alpha), "--seed", str(seed), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    ens = out_of_place_ensemble(load_system(workspace["system"]), N,
+                                ddh2mor.NoiseSpec(alpha=alpha, seed=seed))
+    ddh2mor.save_ensemble(ens, ref)
+    for name in ("x1.npy", "u1.npy", "x2.npy", "ensemble.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    report = svd_route_report(ens)
+    assert report.b1_holds == (N >= 14)
+    assert printed == json.dumps({"out": str(out), "N": N, "alpha": alpha,
+                                  "assumptions": dataclasses.asdict(report)},
+                                 indent=2, sort_keys=True) + "\n"
 
 
 def test_reduce_end_to_end(workspace, tmp_path, capsys):
@@ -754,3 +777,26 @@ def test_experiment_script_out_of_range_config_exits_1(tmp_path, capsys, content
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("start, code, message", [
+    (["dmdc", "--init-traj-count", str(10**12)], 1, "allocate"),
+    (["databt", "--init-impulse-count", "1"], 2, "two Markov parameters"),
+], ids=["impossible-trajectory-count", "insufficient-data"])
+def test_experiment_script_start_errors_end_as_the_cli_ends_them(
+        workspace, tmp_path, capsys, start, code, message):
+    # a start that cannot be built ends the script, after its config is
+    # read, as it ends reduce: one error line and the same exit code
+    kind, *flags = start
+    rc = load_experiment_script().main(["--n", "8", "--r", "2", "--N", "10",
+                                        "--seed", "1", "--initializer", kind, *flags,
+                                        "--out", str(tmp_path / "exp")])
+    script_err = capsys.readouterr().err
+    cli_rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+                   "--init", kind, "--oracle", str(workspace["system"]), *flags,
+                   "--out", str(tmp_path / "red")])
+    cli_err = capsys.readouterr().err
+    assert rc == cli_rc == code
+    for err in (script_err, cli_err):
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and message in err

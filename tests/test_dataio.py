@@ -22,7 +22,8 @@ from ddh2mor import (
 )
 from ddh2mor import dataio
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
-from helpers import first_transitions, random_system, traced_peak
+from helpers import (first_transitions, out_of_place_ensemble, random_system,
+                     record_svd_shapes, svd_route_report, traced_peak)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -97,6 +98,86 @@ def test_check_assumptions_zero_inputs():
     rep = check_assumptions(ens)
     assert rep.rank_U1 == 0
     assert rep.b2_holds and not rep.b3_holds and not rep.b1_holds
+
+
+def rank_case(case):
+    """An ensemble (n = 8, m = 2) of the named rank structure."""
+    sys = random_system(np.random.default_rng(40), 8, 2)
+    ens = generate_ensemble(sys, 7 if case == "short" else 30, NoiseSpec(alpha=1e-3, seed=41))
+    X1, U1 = ens.X1.copy(), ens.U1.copy()
+    if case == "zero-inputs":
+        U1[...] = 0.0
+    if case == "duplicated-x1-columns":
+        X1[:, 3] = X1[:, 0]
+    return DataEnsemble(X1, U1, ens.X2)
+
+
+@pytest.mark.parametrize("case, ranks", [
+    ("full-rank", (10, 8, 2)),
+    ("short", (7, 7, 2)),
+    ("zero-inputs", (8, 8, 0)),
+    ("duplicated-x1-columns", (9, 7, 2)),
+])
+def test_rank_check_matches_the_svd_route(case, ranks):
+    ens = rank_case(case)
+    rep = check_assumptions(ens)
+    assert rep == svd_route_report(ens)
+    assert (rep.rank_X1U1, rep.rank_X1, rep.rank_U1) == ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st_seed, n=st.integers(1, 8), m=st.integers(1, 3), rows=st.integers(1, 24),
+       spread=st.floats(0.0, 3.0), zeros=st.integers(0, 2), duplicate=st.booleans(),
+       alpha=st.sampled_from([0.0, 1e-3]))
+def test_rank_check_matches_the_svd_route_on_any_shape(seed, n, m, rows, spread, zeros,
+                                                       duplicate, alpha):
+    # columns scaled over up to six decades, some zero or repeated, and
+    # noise that lifts a repeat well clear of the tolerance: no singular
+    # value ratio falls near RANK_TOL, so both routes count the same ranks
+    rng = np.random.default_rng(seed)
+    X1U1 = rng.standard_normal((rows, n + m)) * 10.0 ** rng.uniform(-spread, spread, n + m)
+    if duplicate and n + m > 1:
+        X1U1[:, -1] = X1U1[:, 0]
+    X1U1 += alpha * rng.standard_normal(X1U1.shape)
+    X1U1[:, rng.choice(n + m, size=min(zeros, n + m), replace=False)] = 0.0
+    ens = DataEnsemble(X1U1[:, :n], X1U1[:, n:], rng.standard_normal((rows, n)))
+    assert check_assumptions(ens) == svd_route_report(ens)
+
+
+def test_rank_check_factors_one_triangle_and_no_matrix_with_n_rows(monkeypatch):
+    n, m, N = 8, 2, 200
+    ens = generate_ensemble(random_system(np.random.default_rng(42), n, m), N,
+                            NoiseSpec(alpha=1e-3, seed=43))
+    ref = svd_route_report(ens)
+    triangles = []
+    triangle = dataio._triangle
+    monkeypatch.setattr(dataio, "_triangle",
+                        lambda S: triangles.append(S.shape) or triangle(S))
+    shapes = record_svd_shapes(monkeypatch)
+    assert check_assumptions(ens) == ref
+    assert triangles == [(N, n + m)]
+    assert len(shapes) == 3 and max(rows for rows, _ in shapes) <= n + m
+
+
+@pytest.mark.parametrize("exponent", [1020, -1000])
+def test_rank_check_holds_near_the_float_range(exponent):
+    # at 2^1020 the columns of [X1 U1] have norms beyond the float range,
+    # which a triangle of the unscaled data would not survive
+    ens = generate_ensemble(random_system(np.random.default_rng(44), 8, 2), 400,
+                            NoiseSpec(alpha=1e-3, seed=45))
+    scaled = DataEnsemble(np.ldexp(ens.X1, exponent), np.ldexp(ens.U1, exponent), ens.X2)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(scaled.X1, axis=0)).any() == (exponent > 0)
+    assert check_assumptions(scaled) == check_assumptions(ens) == svd_route_report(ens)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.7])
+def test_noise_added_in_place_matches_the_out_of_place_formula(alpha):
+    sys = random_system(np.random.default_rng(46), 7, 3)
+    noise = NoiseSpec(alpha=alpha, seed=47)
+    ens, ref = generate_ensemble(sys, 50, noise), out_of_place_ensemble(sys, 50, noise)
+    for name in ("X1", "U1", "X2"):
+        np.testing.assert_array_equal(getattr(ens, name), getattr(ref, name))
 
 
 def test_numerical_rank_thresholding():

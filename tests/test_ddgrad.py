@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ddh2mor
 from ddh2mor import (
     AssumptionViolated,
     DataEnsemble,
@@ -45,7 +45,7 @@ from ddh2mor.dataio import RANK_TOL
 from ddh2mor.ddgrad import Evaluation
 from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
-                     random_system, rel_max_err, richardson_gradients)
+                     random_system, record_svd_shapes, rel_max_err, richardson_gradients)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -185,16 +185,30 @@ def test_reconstructions_take_no_svd_of_a_matrix_with_n_rows(monkeypatch):
     # both routes decompose blocks of the triangle of [X1 U1 Y] alone, the
     # rank report's blocks included
     sys, ens, _ = make_instance(seed=36, N=40)
-    shapes = []
-    for owner in (np.linalg, scipy.linalg):
-        def recording(a, *args, _svd=owner.svd, **kwargs):
-            shapes.append(np.shape(a))
-            return _svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(owner, "svd", recording)
+    shapes = record_svd_shapes(monkeypatch)
     reconstruct_dual(ens)
     reconstruct_dual_known_input(ens, sys.B)
     assert shapes and max(shape[0] for shape in shapes) <= ens.n + ens.m
+
+
+@pytest.mark.parametrize("route", ["unknown-input", "known-input"])
+def test_reconstruction_hands_its_triangle_and_svd_to_the_rank_check(monkeypatch, route):
+    # one triangle, of [X1 U1 Y], and three SVDs: the fit's of R[:k, :k],
+    # which the rank check reuses, and the rank check's of its other blocks
+    sys, ens, _ = make_instance(seed=37, N=40)
+    n, m = ens.n, ens.m
+    triangles = []
+    for owner in (ddh2mor.ddgrad, ddh2mor.dataio):
+        monkeypatch.setattr(owner, "_triangle", lambda S, _triangle=owner._triangle:
+                            triangles.append(S.shape) or _triangle(S))
+    shapes = record_svd_shapes(monkeypatch)
+    if route == "unknown-input":
+        reconstruct_dual(ens)
+    else:
+        reconstruct_dual_known_input(ens, sys.B)
+    assert triangles == [(ens.N, 2 * n + m)]
+    assert shapes == {"unknown-input": [(n + m, n + m), (n, n), (n + m, m)],
+                      "known-input": [(n, n), (n + m, n + m), (n + m, m)]}[route]
 
 
 @pytest.mark.parametrize("case", ["thin", "zero-input"])

@@ -34,7 +34,8 @@ from ddh2mor import (
 )
 from ddh2mor import initmor
 from ddh2mor.dataio import numerical_rank
-from helpers import blockwise_loewner, random_rom, random_system, rel_max_err, traced_peak
+from helpers import (blockwise_loewner, random_rom, random_system, record_svd_shapes,
+                     rel_max_err, traced_peak)
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
 
@@ -260,16 +261,7 @@ def test_dmdc_insufficient_data_matches_svd_route(route, states, inputs, r, mess
 
 
 def test_dmdc_svds_stay_within_the_triangle(monkeypatch):
-    shapes = []
-
-    def recording(svd):
-        def wrapped(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
-    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    shapes = record_svd_shapes(monkeypatch)
     n, m = 8, 2
     sys = random_system(np.random.default_rng(34), n, m)
     trajs = generate_trajectories(sys, 30, 8, NoiseSpec(alpha=1e-3, seed=35))
@@ -391,16 +383,7 @@ def test_loewner_forms_no_kronecker_transform(monkeypatch):
 
 
 def test_loewner_svds_stay_within_the_triangle(monkeypatch):
-    shapes = []
-
-    def recording(svd):
-        def wrapped(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
-    monkeypatch.setattr(scipy.linalg, "svd", recording(scipy.linalg.svd))
+    shapes = record_svd_shapes(monkeypatch)
     # q = k = 8 samples a side, p = 5 outputs, m = 2 inputs
     true = random_rom(np.random.default_rng(47), 3, 2, 5)
     left, right = sample_frequency_data(true, 8, 8, seed=48)

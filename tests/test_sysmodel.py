@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ddh2mor import (
+    GenerationFailed,
     H2ErrorEvaluator,
     LtiSystem,
     Rom,
@@ -340,7 +342,8 @@ def test_synthetic_spec_validation():
 
 def test_expm_integral_invertible_generator():
     h = 0.1
-    out = _expm_integral(np.array([[-1.0]]), h)
+    gen = np.array([[-1.0]])
+    out = _expm_integral(gen, h, scipy.linalg.expm(gen * h))
     assert out[0, 0] == pytest.approx(1.0 - np.exp(-h), rel=1e-12)
 
 
@@ -348,5 +351,28 @@ def test_expm_integral_singular_generator_series():
     # nilpotent generator: expm(t gen) = I + t gen, integral = [[h, h^2/2], [0, h]]
     h = 0.1
     gen = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(_expm_integral(gen, h),
+    np.testing.assert_allclose(_expm_integral(gen, h, scipy.linalg.expm(gen * h)),
                                np.array([[h, h * h / 2.0], [0.0, h]]), atol=1e-14)
+
+
+@pytest.mark.parametrize("stable_draw", [True, False])
+def test_synthetic_generation_takes_one_expm_per_draw(monkeypatch, stable_draw):
+    # the state matrix and the input matrix's exponential integral share
+    # one matrix exponential; a rejected draw takes its own
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    spec = SyntheticSpec(n=6, m=2, seed=3)
+    if stable_draw:
+        generate_synthetic(spec)
+        assert calls == [(6, 6)]
+    else:
+        monkeypatch.setattr(LtiSystem, "spectral_radius", lambda self: 1.0)
+        with pytest.raises(GenerationFailed):
+            generate_synthetic(spec)
+        assert calls == [(6, 6)] * 10
