@@ -27,7 +27,7 @@ from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       sample_frequency_data, save_frequency_samples,
                       save_impulse_data)
 from .matequ import (PencilReport, SchurFactor, pencil_diagnostics,
-                     pseudoinverse, solve_discrete_sylvester, solve_stein)
+                     solve_discrete_sylvester, solve_stein)
 from .optim import (OptimParams, OptimResult, StopReason, run,
                     stack_direction)
 from .sysmodel import (ErrorGramians, GradientTriple, H2ErrorEvaluator,

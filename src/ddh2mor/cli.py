@@ -16,8 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, ddgrad, initmor, optim, sysmodel
 from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
@@ -265,7 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     sys_ = dataio.load_system(args.system)
     rom = dataio.load_rom(args.rom)
     eigs = rom.schur.eigvals
-    mods = np.abs(eigs)
+    mods = rom.eig_moduli()
     # the evaluator reduce's oracle uses, so both report the same error
     evaluator = sysmodel.H2ErrorEvaluator(sys_)
     sysmodel.require_shared_io(sys_, rom)

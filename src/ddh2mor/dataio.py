@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .matequ import RANK_TOL, _triangle
+from .matequ import _triangle, significant
 from .sysmodel import LtiSystem, Rom
 
 __all__ = [
@@ -209,19 +209,15 @@ class AssumptionReport:
         return self.b1_holds and self.b2_holds and self.b3_holds
 
 
-def _rank(sv: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of the descending singular values ``sv`` above ``tol`` times the first."""
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+def _rank(sv: np.ndarray) -> int:
+    """Count of the singular values ``sv`` above ``RANK_TOL`` times the largest."""
+    return int(np.count_nonzero(significant(sv)))
 
 
-def numerical_rank(M: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of singular values above ``tol`` times the largest one."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Count of singular values above ``RANK_TOL`` times the largest one."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.size == 0:
-        return 0
-    return _rank(np.linalg.svd(M, compute_uv=False), tol)
+    return _rank(np.linalg.svd(M, compute_uv=False))
 
 
 def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) -> DataEnsemble:

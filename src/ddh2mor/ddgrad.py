@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import NumericalOverflow, RankDeficientData
-from .matequ import RANK_TOL, _triangle, from_schur, solve_schur, solve_stein, to_schur
+from .matequ import _triangle, from_schur, significant, solve_schur, solve_stein, to_schur
 from .sysmodel import (Evaluation, GramianSet, GradientTriple, LtiSystem, Rom,
                        assemble_gradients, objective_f, require_separation)
 
@@ -114,7 +114,7 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
     R = _triangle(S)
     _require_finite("the triangle of the snapshot data", R)
     U, s, Vt = np.linalg.svd(R[:k, :k], full_matrices=False)
-    keep = s > RANK_TOL * s[0]
+    keep = significant(s)
     Ry = R[:k, n + m:]
     theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
     resid = math.hypot(_norm(U[:, ~keep].T @ Ry), _norm(R[k:, n + m:]))

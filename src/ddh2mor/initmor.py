@@ -20,8 +20,8 @@ import numpy as np
 from .dataio import TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, RANK_TOL, _triangle
-from .sysmodel import Rom, markov_parameters, transfer_eval
+from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, _triangle, significant
+from .sysmodel import LtiSystem, Rom, markov_parameters, transfer_eval
 
 __all__ = [
     "FreqSample",
@@ -160,12 +160,12 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 
     Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
-    if np.count_nonzero(sx > RANK_TOL * sx[0]) < r:
+    if np.count_nonzero(significant(sx)) < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
     Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
-    keep = max(r, int(np.count_nonzero(sz > RANK_TOL * sz[0])))
+    keep = max(r, int(np.count_nonzero(significant(sz))))
     keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
     if keep == 0:
         raise InsufficientData("identification snapshots are numerically zero")
@@ -303,8 +303,8 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     stacked = np.empty((2 * t, km), order="F")
     stacked[:t], stacked[t:] = Ra, Rs
     sr, Vrt = np.linalg.svd(_triangle(stacked), full_matrices=False)[1:]
-    if (np.count_nonzero(sc > RANK_TOL * sc[0]) < r
-            or np.count_nonzero(sr > RANK_TOL * sr[0]) < r):
+    if (np.count_nonzero(significant(sc)) < r
+            or np.count_nonzero(significant(sr)) < r):
         raise SingularE(f"Loewner matrices have rank below the target order {r}")
     Ut, X = U[:, :r].T, Vrt[:r].T
 
@@ -334,7 +334,7 @@ def init_data_bt(imp: ImpulseData, r: int) -> Rom:
     Hup = np.block([[h[i + j + 1] for j in range(s)] for i in range(q)])
 
     U, sv, Vt = np.linalg.svd(H, full_matrices=False)
-    if np.count_nonzero(sv > RANK_TOL * sv[0]) < r:
+    if np.count_nonzero(significant(sv)) < r:
         raise InsufficientData(
             f"block Hankel matrix has rank below the target order {r}")
     root = np.sqrt(sv[:r])
@@ -344,7 +344,7 @@ def init_data_bt(imp: ImpulseData, r: int) -> Rom:
     return make_stable(Rom(Ahat, Bhat, Chat))
 
 
-def sample_frequency_data(sys_like, n_left: int, n_right: int,
+def sample_frequency_data(sys: LtiSystem, n_left: int, n_right: int,
                           seed: int = 0) -> tuple[list[FreqSample], list[FreqSample]]:
     """Conjugate-closed unit-circle samples of a system's transfer function.
 
@@ -364,7 +364,7 @@ def sample_frequency_data(sys_like, n_left: int, n_right: int,
 
     def pair(angle: float, side: str) -> list[FreqSample]:
         z = complex(math.cos(angle), math.sin(angle))
-        value = transfer_eval(sys_like, z)
+        value = transfer_eval(sys, z)
         return [FreqSample(z, value, side),
                 FreqSample(z.conjugate(), value.conjugate(), side)]
 
@@ -373,9 +373,9 @@ def sample_frequency_data(sys_like, n_left: int, n_right: int,
     return left, right
 
 
-def impulse_from_system(sys_like, count: int = 10) -> ImpulseData:
+def impulse_from_system(sys: LtiSystem, count: int = 10) -> ImpulseData:
     """Markov parameters of a known system packaged as impulse data."""
-    return ImpulseData(markov_parameters(sys_like, count))
+    return ImpulseData(markov_parameters(sys, count))
 
 
 def _parse_scalar(value, where: str) -> complex:

@@ -20,6 +20,10 @@ convert).  ``solve_schur`` checks nothing: each caller establishes the
 uniqueness of its solution once, from the eigenvalue products
 ``eig(M) eig(N)`` (``solve_discrete_sylvester``) or from a stronger
 condition that implies it (the stability check of ``stein_schur``).
+
+Every rank decision of the package, over singular values or over the
+eigenvalues of a gramian, is the one cut of ``significant`` at
+``RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ __all__ = [
     "SchurFactor",
     "from_schur",
     "pencil_diagnostics",
-    "pseudoinverse",
+    "significant",
     "solve_discrete_sylvester",
     "solve_schur",
     "solve_stein",
@@ -46,9 +50,9 @@ __all__ = [
     "to_schur",
 ]
 
-# relative singular-value threshold for every rank decision: snapshot ranks,
-# the least-squares cutoff of the dual reconstruction, the initializers'
-# checks and the pseudoinverse of the reduced gramian
+# relative threshold of every rank decision, all taken by ``significant``:
+# snapshot ranks, the least-squares cutoff of the dual reconstruction, the
+# initializers' checks and the pseudoinverse of the reduced gramian
 RANK_TOL = 1e-10
 # eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
 UNIQUE_TOL = 1e-12
@@ -81,21 +85,14 @@ def _as_square(A, name: str) -> np.ndarray:
     return A
 
 
-def pseudoinverse(A, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+def significant(values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` above ``RANK_TOL`` times their largest modulus.
 
-    Singular values below ``rcond`` times the largest one are treated as
-    zero, which makes the result well defined for rank-deficient input.
-    The arithmetic is ``np.linalg.pinv``'s, step for step, so the result is
-    bit-identical to it.
+    This is the package's one rank rule: counted over singular values it
+    is a numerical rank, and it picks the directions a pseudoinverse keeps.
+    The mask is all False for empty or all-zero input.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        return np.empty(A.shape[::-1])
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    large = s > rcond * s.max()
-    inverse = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    return vt.T @ (inverse[:, None] * u.T)
+    return values > RANK_TOL * np.abs(values).max(initial=0.0)
 
 
 def _triangle(S: np.ndarray) -> np.ndarray:

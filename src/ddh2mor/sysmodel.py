@@ -1,12 +1,15 @@
 """Discrete-time LTI systems, h2 norms and errors, and gradient oracles.
 
 Systems follow the recursion ``x_{k+1} = A x_k + B u_k`` with output
-``y_k = C x_k``.  The h2 norm is evaluated through the controllability
-gramian.  ``Evaluation`` is the one evaluation of a rom against a model: the
-descent runs it against the identified model of the data and
-``H2ErrorEvaluator`` against a known system, each on the model's cached
-Schur factor.  The model-based objective gradients provide the reference
-implementation against which the data-driven path is verified.
+``y_k = C x_k``.  A reduced model ``Rom`` is an ``LtiSystem``: it shares the
+validation, the cached Schur factor and the spectral reads, so every
+function that takes a system takes a rom as well.  The h2 norm is
+evaluated through the controllability gramian.  ``Evaluation`` is the one
+evaluation of a rom against a model: the descent runs it against the
+identified model of the data and ``H2ErrorEvaluator`` against a known
+system, each on the model's cached Schur factor.  The model-based
+objective gradients provide the reference implementation against which the
+data-driven path is verified.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AssumptionViolated, GenerationFailed, NumericalOverflow, SingularShift
-from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, RANK_TOL, UNIQUE_TOL, SchurFactor,
-                     from_schur, solve_discrete_sylvester, solve_schur, solve_stein,
+from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur,
+                     significant, solve_discrete_sylvester, solve_schur, solve_stein,
                      stein_schur, to_schur)
 
 __all__ = [
@@ -55,7 +58,7 @@ def _matrix(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """Full-order system (A, B, C) with ``y = C x``.
+    """System (A, B, C) with ``y = C x``, full order or reduced.
 
     ``schur`` factors A on first use; every evaluation and spectral check
     against this system reuses that one factor.
@@ -85,6 +88,13 @@ class LtiSystem:
         A = _matrix(A, "A")
         return cls(A, B, np.eye(A.shape[0]))
 
+    def with_output(self, C) -> "LtiSystem":
+        """This system with the output map ``C``, sharing the factor of A."""
+        out = type(self)(self.A, self.B, C)
+        # a cached_property lives in the instance dict, frozen or not
+        vars(out)["schur"] = self.schur
+        return out
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -111,79 +121,47 @@ class LtiSystem:
         """Whether C is the identity, so that ``C X`` is X itself."""
         return self.p == self.n and np.array_equal(self.C, np.eye(self.n))
 
+    def eig_moduli(self) -> np.ndarray:
+        return np.abs(self.schur.eigvals)
+
     def spectral_radius(self) -> float:
-        return float(np.abs(self.schur.eigvals).max(initial=0.0))
+        return float(self.eig_moduli().max(initial=0.0))
 
     def is_stable(self) -> bool:
         return self.spectral_radius() < 1.0 - EIG_CEIL_MARGIN
 
 
 @dataclass(frozen=True)
-class Rom:
-    """Reduced-order model (Ahat, Bhat, Chat).
+class Rom(LtiSystem):
+    """Reduced-order model: an ``LtiSystem`` of order r, whose matrices the
+    descent also reads as (Ahat, Bhat, Chat)."""
 
-    ``schur`` factors Ahat on first use; every solve and spectral check on
-    this rom reuses that one factor.
-    """
+    @property
+    def Ahat(self) -> np.ndarray:
+        return self.A
 
-    Ahat: np.ndarray
-    Bhat: np.ndarray
-    Chat: np.ndarray
+    @property
+    def Bhat(self) -> np.ndarray:
+        return self.B
 
-    def __post_init__(self):
-        Ahat = _matrix(self.Ahat, "Ahat")
-        Bhat = _matrix(self.Bhat, "Bhat")
-        Chat = _matrix(self.Chat, "Chat")
-        r = Ahat.shape[0]
-        if Ahat.shape != (r, r):
-            raise ValueError("Ahat must be square")
-        if Bhat.shape[0] != r:
-            raise ValueError("Bhat must have as many rows as Ahat")
-        if Chat.shape[1] != r:
-            raise ValueError("Chat must have as many columns as Ahat")
-        for name, M in (("Ahat", Ahat), ("Bhat", Bhat), ("Chat", Chat)):
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+    @property
+    def Chat(self) -> np.ndarray:
+        return self.C
 
     @property
     def r(self) -> int:
-        return self.Ahat.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.Bhat.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.Chat.shape[0]
-
-    @cached_property
-    def schur(self) -> SchurFactor:
-        return SchurFactor.of(self.Ahat)
-
-    def eig_moduli(self) -> np.ndarray:
-        return np.abs(self.schur.eigvals)
+        return self.n
 
     def satisfies_spectral_bounds(self) -> bool:
         """All eigenvalue moduli strictly inside the stability annulus."""
         mods = self.eig_moduli()
         return bool(np.all(mods > EIG_FLOOR) and np.all(mods < 1.0 - EIG_CEIL_MARGIN))
 
-    def as_system(self) -> LtiSystem:
-        return LtiSystem(self.Ahat, self.Bhat, self.Chat)
-
-    def with_output(self, Chat) -> "Rom":
-        """This rom with the output map ``Chat``, sharing the factor of Ahat."""
-        out = Rom(self.Ahat, self.Bhat, Chat)
-        # a cached_property lives in the instance dict, frozen or not
-        vars(out)["schur"] = self.schur
-        return out
-
     def stepped(self, gradients: "GradientTriple", step: float) -> "Rom":
         """Gradient-descent update with the given step size."""
-        return Rom(self.Ahat - step * gradients.gA,
-                   self.Bhat - step * gradients.gB,
-                   self.Chat - step * gradients.gC)
+        return Rom(self.A - step * gradients.gA,
+                   self.B - step * gradients.gB,
+                   self.C - step * gradients.gC)
 
 
 @dataclass(frozen=True)
@@ -212,21 +190,14 @@ class ErrorGramians:
     S: np.ndarray
 
 
-def _abc(sys_like) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(sys_like, Rom):
-        return sys_like.Ahat, sys_like.Bhat, sys_like.Chat
-    return sys_like.A, sys_like.B, sys_like.C
-
-
-def transfer_eval(sys_like, z: complex) -> np.ndarray:
+def transfer_eval(sys: LtiSystem, z: complex) -> np.ndarray:
     """Evaluate the transfer function ``C (zI - A)^{-1} B`` at a point z."""
-    A, B, C = _abc(sys_like)
-    F = z * np.eye(A.shape[0]) - A
+    F = z * np.eye(sys.n) - sys.A
     lu, piv = scipy.linalg.lu_factor(F, check_finite=False)
     diag = np.abs(np.diag(lu))
     if not np.all(np.isfinite(diag)) or diag.min(initial=np.inf) < 1e-14 * max(1.0, diag.max(initial=0.0)):
         raise SingularShift(f"evaluation point {z} is numerically a pole")
-    return C @ scipy.linalg.lu_solve((lu, piv), B.astype(complex), check_finite=False)
+    return sys.C @ scipy.linalg.lu_solve((lu, piv), sys.B.astype(complex), check_finite=False)
 
 
 def simulate(sys: LtiSystem, x0, inputs) -> np.ndarray:
@@ -242,22 +213,20 @@ def simulate(sys: LtiSystem, x0, inputs) -> np.ndarray:
     return states
 
 
-def markov_parameters(sys_like, count: int) -> np.ndarray:
+def markov_parameters(sys: LtiSystem, count: int) -> np.ndarray:
     """Impulse-response samples ``C A^{k-1} B`` for k = 1..count."""
-    A, B, C = _abc(sys_like)
-    out = np.empty((count, C.shape[0], B.shape[1]))
-    ak_b = B
+    out = np.empty((count, sys.p, sys.m))
+    ak_b = sys.B
     for k in range(count):
-        out[k] = C @ ak_b
-        ak_b = A @ ak_b
+        out[k] = sys.C @ ak_b
+        ak_b = sys.A @ ak_b
     return out
 
 
-def h2_norm(sys_like) -> float:
+def h2_norm(sys: LtiSystem) -> float:
     """h2 norm from the controllability gramian: sqrt(tr(C Sigma_c C^T))."""
-    A, B, C = _abc(sys_like)
-    sigma_c = solve_stein(A, B @ B.T)
-    return float(np.sqrt(max(np.trace(C @ sigma_c @ C.T), 0.0)))
+    sigma_c = solve_stein(sys.A, sys.B @ sys.B.T)
+    return float(np.sqrt(max(np.trace(sys.C @ sigma_c @ sys.C.T), 0.0)))
 
 
 def require_shared_io(sys: LtiSystem, rom: Rom) -> None:
@@ -269,9 +238,9 @@ def require_shared_io(sys: LtiSystem, rom: Rom) -> None:
 def h2_error(sys: LtiSystem, rom: Rom) -> float:
     """h2 norm of the difference system, via its controllability gramian."""
     require_shared_io(sys, rom)
-    Ae = scipy.linalg.block_diag(sys.A, rom.Ahat)
-    Be = np.vstack([sys.B, rom.Bhat])
-    Ce = np.hstack([sys.C, -rom.Chat])
+    Ae = scipy.linalg.block_diag(sys.A, rom.A)
+    Be = np.vstack([sys.B, rom.B])
+    Ce = np.hstack([sys.C, -rom.C])
     Ec = solve_stein(Ae, Be @ Be.T)
     return float(np.sqrt(max(np.trace(Ce @ Ec @ Ce.T), 0.0)))
 
@@ -279,7 +248,7 @@ def h2_error(sys: LtiSystem, rom: Rom) -> float:
 def error_gramians(sys: LtiSystem, rom: Rom) -> ErrorGramians:
     """Solve the individual block equations of the error-system gramians."""
     A, B, C = sys.A, sys.B, sys.C
-    Ah, Bh, Ch = rom.Ahat, rom.Bhat, rom.Chat
+    Ah, Bh, Ch = rom.A, rom.B, rom.C
     return ErrorGramians(
         SigmaC=solve_stein(A, B @ B.T),
         SigmaO=solve_stein(A.T, C.T @ C),
@@ -295,9 +264,9 @@ def assemble_gradients(rom: Rom, A: np.ndarray, B: np.ndarray, C: np.ndarray,
     """Gradients of the squared h2 error of ``rom`` against a model (A, B, C),
     from the gramians P, Q and cross terms R, S in ``g``; the model-based
     and the data-driven gradients are both this assembly."""
-    gA = 2.0 * (g.Q @ rom.Ahat @ g.P + g.S.T @ A @ g.R)
-    gB = 2.0 * (g.S.T @ B + g.Q @ rom.Bhat)
-    gC = 2.0 * (rom.Chat @ g.P - C @ g.R)
+    gA = 2.0 * (g.Q @ rom.A @ g.P + g.S.T @ A @ g.R)
+    gB = 2.0 * (g.S.T @ B + g.Q @ rom.B)
+    gC = 2.0 * (rom.C @ g.P - C @ g.R)
     return GradientTriple(gA, gB, gC)
 
 
@@ -356,7 +325,7 @@ def objective_f(rom: Rom, P: np.ndarray, CR: np.ndarray) -> float:
     monitors; it may be negative.  ``CR`` is the product C R, which is R
     for a model that observes its full state.
     """
-    return _objective(rom.Chat, P, CR)
+    return _objective(rom.C, P, CR)
 
 
 def _objective(Chat: np.ndarray, P: np.ndarray, CR: np.ndarray) -> float:
@@ -367,14 +336,14 @@ def _objective(Chat: np.ndarray, P: np.ndarray, CR: np.ndarray) -> float:
 def _times_psd_pinv(R: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``R P^+`` for a symmetric positive semidefinite P, through ``eigh``.
 
-    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero,
-    so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
+    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero
+    (``significant``), so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
     before the division, so ``1 / w_min`` scales R's component along its
     eigenvector alone; a formed ``P^+`` would spread that entry's rounding
     into every direction.
     """
     w, V = np.linalg.eigh(P)
-    keep = w > RANK_TOL * np.abs(w).max(initial=0.0)
+    keep = significant(w)
     Vk = V[:, keep]
     return ((R @ Vk) / w[keep]) @ Vk.T
 
@@ -406,15 +375,15 @@ class Evaluation:
 
     # an overflow is reported by the finiteness check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, model: LtiSystem, rom: Rom):
+    def __init__(self, model: LtiSystem, rom: LtiSystem):
         fa, fm = rom.schur, model.schur
         fn = fa.transposed()
         require_separation(fm, fn.eigvals)
         # P and R in Schur coordinates, (Za^H P Zn)^T and (Zm^H R Zn)^T for
         # Ahat = Za Ta Za^H, A = Zm Tm Zm^H and Zn the Schur vectors of Ahat^T;
         # the P sweep raises NotStable unless Ahat is stable
-        Bn = fn.Z.T @ rom.Bhat
-        Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ rom.Bhat).T)
+        Bn = fn.Z.T @ rom.B
+        Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ rom.B).T)
         Yr = solve_schur(fm, fn, Bn @ model.b_schur.T)
         P = from_schur(fa, fn, Yp)
         self.P = 0.5 * (P + P.T)
@@ -432,7 +401,7 @@ class Evaluation:
         return _times_psd_pinv(self.CR, self.P)
 
     @cached_property
-    def projected(self) -> Rom:
+    def projected(self) -> LtiSystem:
         return self.rom.with_output(self.chat_star)
 
     @cached_property
@@ -451,7 +420,7 @@ class Evaluation:
         rom = self.projected if projected else self.rom
         fa = rom.schur
         fn = fa.transposed()
-        C = rom.Chat
+        C = rom.C
         Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
         fs = self.model.schur.transposed()
         W = -C if self.model.identity_output else -self.model.C.T @ C
@@ -481,12 +450,12 @@ class H2ErrorEvaluator:
     def h2_norm(self) -> float:
         return self._h2
 
-    def error(self, rom: Rom) -> float:
+    def error(self, rom: LtiSystem) -> float:
         require_shared_io(self._sys, rom)
         f = Evaluation(self._sys, rom).f
         return float(np.sqrt(max(self._trace_full + f, 0.0)))
 
-    def relative_error(self, rom: Rom) -> float:
+    def relative_error(self, rom: LtiSystem) -> float:
         return self.error(rom) / self._h2
 
 
@@ -548,6 +517,6 @@ def generate_synthetic(spec: SyntheticSpec) -> LtiSystem:
         A = scipy.linalg.expm(gen * spec.h)
         B = _expm_integral(gen, spec.h, A) @ rng.standard_normal((n, m))
         sys = LtiSystem.with_identity_output(A, B)
-        if sys.spectral_radius() < 1.0:
+        if sys.is_stable():
             return sys
     raise GenerationFailed("no stable draw in 10 attempts")

@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from ddh2mor import DataEnsemble, GradientTriple, LtiSystem, Rom, initmor, make_stable
-from ddh2mor.dataio import RANK_TOL, AssumptionReport
+from ddh2mor.dataio import AssumptionReport
+from ddh2mor.matequ import RANK_TOL
 
 
 def rel_max_err(a, b):

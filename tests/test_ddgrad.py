@@ -41,8 +41,8 @@ from ddh2mor import (
     solve_discrete_sylvester,
     solve_stein,
 )
-from ddh2mor.dataio import RANK_TOL
 from ddh2mor.ddgrad import Evaluation
+from ddh2mor.matequ import RANK_TOL
 from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
                      random_system, record_svd_shapes, rel_max_err, richardson_gradients)
@@ -128,11 +128,17 @@ def test_reconstruction_is_bit_identical_to_three_pinv_formulas(n, m, N, alpha):
 @given(seed=st_seed, n=st.integers(2, 8), m=st.integers(1, 2),
        alpha=st.sampled_from([0.0, 1e-3, 1e-1]), tall=st.floats(0.0, 1.0),
        spread=st.floats(0.0, 3.5))
+# square data over 2.9 decades: cond([X1 U1]) = 5.2e4 and (|X2| + |X1 MR^T|) / |UB1| = 8
+@example(seed=296324115, n=2, m=1, alpha=0.0, tall=0.0, spread=2.875)
 def test_reconstruction_is_the_paper_formulas_to_rounding(seed, n, m, alpha, tall, spread):
     # Theta = pinv([X1 U1]) X2 = [Theta_x; Theta_u]: on full column rank the
     # paper's MR and MS^T are Theta_x^T and its GB and sb_map^T are
     # Theta_u^T, at any noise level, so the fit from the triangle matches
-    # all four to the rounding of length-N products times cond([X1 U1])
+    # the first three to the rounding of length-N products times
+    # cond([X1 U1]).  The paper's sb_map = pinv(U1) UB1 reads UB1 off the
+    # subtraction X2 - X1 MR^T: an error of that size in its two terms is
+    # (|X2| + |X1 MR^T|) / |UB1| times larger relative to UB1, and pinv(U1)
+    # carries a relative error in UB1 into sb_map times cond(U1)
     rng = np.random.default_rng(seed)
     N = n + m + round(tall * 19 * (n + m))
     ens = generate_ensemble(random_system(rng, n, m), N, NoiseSpec(alpha=alpha, seed=seed))
@@ -142,9 +148,12 @@ def test_reconstruction_is_the_paper_formulas_to_rounding(seed, n, m, alpha, tal
     assume(dual.report.b1_holds)
     ref = paper_dual(ens)
     bound = 10.0 * N * np.finfo(float).eps * np.linalg.cond(np.hstack([ens.X1, ens.U1]))
-    for got, want in ((dual.MR, ref.MR), (dual.MR.T, ref.MS), (dual.GB, ref.GB),
-                      (dual.GB.T, ref.sb_map)):
-        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+    cancel = ((np.linalg.norm(ens.X2) + np.linalg.norm(ens.X1 @ ref.MR.T))
+              / np.linalg.norm(ref.UB1))
+    sb_bound = bound * cancel * np.linalg.cond(ens.U1)
+    for got, want, tol in ((dual.MR, ref.MR, bound), (dual.MR.T, ref.MS, bound),
+                           (dual.GB, ref.GB, bound), (dual.GB.T, ref.sb_map, sb_bound)):
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def test_reconstruction_forms_no_sample_by_sample_matrix():

@@ -131,7 +131,7 @@ def svd_route_dmdc(trajs, r):
     Xp = np.hstack([x[1:].T for x in trajs.states])
     U = np.hstack([u.T for u in trajs.inputs])
     n = X.shape[0]
-    if Xp.shape[1] < r or numerical_rank(Xp, 1e-10) < r:
+    if Xp.shape[1] < r or numerical_rank(Xp) < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
     Uz, sz, Vzt = np.linalg.svd(np.vstack([X, U]), full_matrices=False)

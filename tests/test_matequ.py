@@ -10,11 +10,11 @@ from ddh2mor import (
     NotStable,
     SchurFactor,
     pencil_diagnostics,
-    pseudoinverse,
     solve_discrete_sylvester,
     solve_stein,
 )
-from ddh2mor.matequ import from_schur, solve_schur, spectral_separation, to_schur
+from ddh2mor.matequ import (RANK_TOL, from_schur, significant, solve_schur,
+                            spectral_separation, to_schur)
 from helpers import kron_solve_stein, kron_solve_sylvester, random_stable, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -304,40 +304,16 @@ def test_spectral_radius_values():
     assert radius(np.zeros((3, 3))) == 0.0
 
 
-def test_pseudoinverse_rank_deficient_fixed_value():
-    A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_allclose(pseudoinverse(A),
-                               np.array([[0.5, 0.5], [0.0, 0.0]]), atol=1e-14)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st_seed, k=st.integers(1, 8), r=st.integers(1, 8))
-def test_pseudoinverse_penrose_identities(seed, k, r):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((k, r))
-    P = pseudoinverse(A)
-    tol = 1e-9 * max(1.0, np.abs(A).max() ** 2)
-    np.testing.assert_allclose(A @ P @ A, A, atol=tol)
-    np.testing.assert_allclose(P @ A @ P, P, atol=tol)
-    np.testing.assert_allclose((A @ P).T, A @ P, atol=tol)
-    np.testing.assert_allclose((P @ A).T, P @ A, atol=tol)
-
-
-def test_pseudoinverse_rcond_truncates_small_singular_values():
-    A = np.diag([1.0, 1e-15])
-    P = pseudoinverse(A, rcond=1e-12)
-    np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st_seed, k=st.integers(1, 40), r=st.integers(1, 12),
-       deficiency=st.integers(0, 3), order=st.sampled_from("CF"))
-def test_pseudoinverse_svd_is_numpy_pinv_bit_for_bit(seed, k, r, deficiency, order):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((k, r))
-    A[:, :min(deficiency, r - 1)] = 0.0
-    A = np.asarray(A, order=order)
-    np.testing.assert_array_equal(pseudoinverse(A, 1e-10), np.linalg.pinv(A, rcond=1e-10))
+def test_significant_is_the_cut_at_rank_tol_of_the_largest_modulus():
+    # on descending singular values the largest modulus is the first value
+    sv = np.array([2.0, 1.0, 3e-10, 2e-10, 0.0])
+    np.testing.assert_array_equal(significant(sv), sv > RANK_TOL * sv[0])
+    np.testing.assert_array_equal(significant(sv), [True, True, True, False, False])
+    # eigenvalues of a semidefinite matrix may be negative by rounding
+    w = np.array([-1e-17, 1e-12, 0.5, 4.0])
+    np.testing.assert_array_equal(significant(w), [False, False, True, True])
+    assert not significant(np.zeros(3)).any()
+    assert significant(np.empty(0)).shape == (0,)
 
 
 def test_pencil_identity_pair():

@@ -33,14 +33,18 @@ def scalar_system(a=0.5, b=1.0, c=1.0):
 
 
 def test_system_shape_validation():
-    with pytest.raises(ValueError):
-        LtiSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        LtiSystem(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        LtiSystem(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        LtiSystem(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1)))
+    # a rom is a system, validated by the one check of LtiSystem
+    for cls in (LtiSystem, Rom):
+        with pytest.raises(ValueError, match="A must be square"):
+            cls(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="B must have as many rows"):
+            cls(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="C must have as many columns"):
+            cls(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="read-only"):
+            cls(np.eye(2), np.ones((2, 1)), np.ones((1, 2))).B[0, 0] = 2.0
 
 
 def test_system_dimensions_and_identity_output():
@@ -77,10 +81,36 @@ def test_rom_stepped_applies_descent_update():
 
 
 def test_rom_as_system_roundtrip():
+    # a rom is the system of its own matrices: Ahat, Bhat and Chat are the
+    # very arrays A, B and C, and with_output keeps the class and the factor
     rom = Rom(np.array([[0.4]]), np.array([[1.0]]), np.array([[2.0]]))
-    sys = rom.as_system()
-    np.testing.assert_array_equal(sys.A, rom.Ahat)
-    np.testing.assert_array_equal(sys.C, rom.Chat)
+    assert isinstance(rom, LtiSystem)
+    assert rom.Ahat is rom.A and rom.Bhat is rom.B and rom.Chat is rom.C
+    assert (rom.r, rom.n) == (1, 1)
+    out = rom.with_output(np.array([[3.0], [4.0]]))
+    assert type(out) is Rom and out.schur is rom.schur and out.A is rom.A
+    assert out.p == 2
+    sys = scalar_system().with_output(np.array([[5.0]]))
+    assert type(sys) is LtiSystem and sys.C[0, 0] == 5.0
+
+
+def test_rom_takes_the_system_route_of_every_function():
+    # a rom passed as it is gives the values of the LtiSystem of its matrices
+    rng = np.random.default_rng(21)
+    sys = random_system(rng, 6, 2)
+    rom = random_rom(rng, 3, 2, 6)
+    twin = LtiSystem(rom.A, rom.B, rom.C)
+    np.testing.assert_array_equal(transfer_eval(rom, 0.3 + 1.1j), transfer_eval(twin, 0.3 + 1.1j))
+    np.testing.assert_array_equal(markov_parameters(rom, 7), markov_parameters(twin, 7))
+    assert h2_norm(rom) == h2_norm(twin)
+    np.testing.assert_array_equal(rom.eig_moduli(), twin.eig_moduli())
+    assert rom.spectral_radius() == twin.spectral_radius()
+    assert rom.is_stable() == twin.is_stable()
+    ev = H2ErrorEvaluator(sys)
+    assert ev.error(rom) == ev.error(twin)
+    assert ev.relative_error(rom) == ev.relative_error(twin)
+    other = random_rom(rng, 2, 2, 6)
+    assert H2ErrorEvaluator(rom).error(other) == H2ErrorEvaluator(twin).error(other)
 
 
 # ----------------------------------------------------------------- transfer
@@ -330,7 +360,7 @@ def test_synthetic_seeds_differ():
 @given(seed=st_seed, n=st.integers(1, 25))
 def test_synthetic_always_stable(seed, n):
     sys = generate_synthetic(SyntheticSpec(n=n, m=2, seed=seed))
-    assert sys.spectral_radius() < 1.0
+    assert sys.is_stable()
 
 
 def test_synthetic_spec_validation():

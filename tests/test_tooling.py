@@ -9,7 +9,8 @@ the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
 its history; the count must stay the number of trial models the descent
 built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
 workload reads the files the command line writes without the package, so
-one small round of it runs here.
+one small round of it runs here.  The package's one rank rule,
+``matequ.significant``, is the only code that compares against ``RANK_TOL``.
 """
 
 import ast
@@ -124,3 +125,24 @@ def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
     workloads = load_benchmark_module(monkeypatch, "workloads")
     outcomes = workloads.make("cli-noisy-tall", 0, tmp_path, tiny=True).round()
     assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
+
+
+def test_rank_tol_is_compared_only_in_the_one_rank_rule():
+    # every rank decision takes matequ.significant; a comparison against
+    # RANK_TOL anywhere else is a second copy of the rule
+    src = Path(ddh2mor.__file__).resolve().parent
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                getattr(sub, "id", getattr(sub, "attr", None)) == "RANK_TOL"
+                for sub in ast.walk(node)):
+            found.append((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert found == [("matequ.py", "significant")]
