@@ -26,7 +26,7 @@ from pathlib import Path
 
 import ddh2mor as dd
 from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, OPTIM_DEFAULTS,
-                         ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, exit_code, flag_types,
+                         ORACLE_START_DEFAULTS, REDUCE_DEFAULTS, add_options, exit_code,
                          optim_params, oracle_start, reduce_into, resolve_options)
 from ddh2mor.dataio import save_system, write_json
 
@@ -43,17 +43,13 @@ DEFAULTS = {"n": GEN_SYSTEM_DEFAULTS["n"], "m": GEN_SYSTEM_DEFAULTS["m"],
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--config", help="JSON file with defaults for any flag")
+    add_options(ap, {key: value for key, value in DEFAULTS.items()
+                     if key not in ("initializer", "output_dir")})
     ap.add_argument("--out", dest="output_dir", metavar="OUT",
                     help="output directory (default: config output_dir)")
     ap.add_argument("--initializer", choices=(*KINDS, "all"),
                     help="which starting rom to descend from (default all)")
-    for name, value in DEFAULTS.items():
-        if name not in ("initializer", "output_dir"):
-            # the one unset default, init_traj_count, is a count
-            ap.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=int if value is None else type(value))
-    ap.set_defaults(flag_types=flag_types(ap))
+    ap.get_default("flag_types").update(initializer=str, output_dir=str)
     return ap.parse_args(argv)
 
 

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 configuration or file-format problems (a size too
 large to allocate included), 2 failed data rank checks, 3 numerical
-failures.  Every flag can also be supplied through a JSON file via
---config; explicit flags win over file values.
+failures.  Each option of a command is one row of its defaults table, which
+gives its flag, config key, default and type (``add_options``).  Every flag
+can also be supplied through a JSON file via --config; explicit flags win
+over file values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (FormatError, InsufficientData, RankDeficientData,
                      ReductionError)
 
 __all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
-           "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "exit_code", "flag_types",
+           "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "add_options", "exit_code",
            "main", "optim_params", "oracle_start", "reduce_into", "report_error",
            "resolve_options"]
 
@@ -68,7 +70,7 @@ def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 # --- options, shared with scripts/run_experiment.py --------------------------
@@ -77,7 +79,7 @@ def resolve_options(args: argparse.Namespace, defaults: dict) -> argparse.Namesp
     """Apply flag-over-file-over-default precedence for every option.
 
     A config value must have the JSON type of its flag (``args.flag_types``,
-    see ``flag_types``); null stands in only for a flag whose default is
+    see ``add_options``); null stands in only for a flag whose default is
     unset.  ``args.given`` names the options set by a flag or the config.
     """
     config = {} if args.config is None else dataio.read_json_object(args.config)
@@ -95,9 +97,45 @@ def resolve_options(args: argparse.Namespace, defaults: dict) -> argparse.Namesp
     return args
 
 
-def flag_types(parser: argparse.ArgumentParser) -> dict:
-    """The type each flag of ``parser`` parses to, which a config value must match."""
-    return {a.dest: bool if a.const is True else a.type or str for a in parser._actions}
+# the types of the options whose default is unset
+_UNSET_TYPES = {"system": str, "ensemble": str, "oracle": str, "init_data": str,
+                "rom": str, "init_seed": int, "init_traj_count": int}
+_CHOICES = {"init": ("dmdc", "loewner", "databt", "file")}
+_HELP = {
+    "h": "discretization step",
+    "out": "output directory",
+    "system": "system directory or manifest",
+    "N": "number of one-step samples",
+    "alpha": "observation-noise coefficient",
+    "ensemble": "ensemble directory or manifest",
+    "r": "reduced order",
+    "oracle": "true system directory, enables error logging and harness-mode "
+              "initializer data",
+    "init_data": "JSON samples (loewner/databt) or rom directory (file)",
+    "force": "proceed despite failed rank checks",
+    "rom": "directory with rom_{A,B,C}.csv",
+}
+
+
+def add_options(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """Declare ``--config`` and one flag per option of ``defaults``.
+
+    Option ``max_iters`` is flag ``--max-iters``.  A flag parses to the
+    type of its default, or to the type ``_UNSET_TYPES`` gives where the
+    default is None, and a bool flag takes no value.  Every flag defaults to
+    None, so that ``resolve_options`` can tell it from one not given.  The
+    types are stored on the parser as ``flag_types``, which a config value
+    must match.
+    """
+    parser.add_argument("--config", help="JSON file with defaults for any flag")
+    types = {}
+    for key, default in defaults.items():
+        kind = types[key] = _UNSET_TYPES[key] if default is None else type(default)
+        spec = ({"action": "store_const", "const": True} if kind is bool
+                else {"type": kind, "choices": _CHOICES.get(key)})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=_HELP.get(key), **spec)
+    parser.set_defaults(flag_types=types)
 
 
 # the descent's options and defaults are OptimParams' own
@@ -294,58 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gs = sub.add_parser("gen-system", help="generate a synthetic stable system")
-    gs.add_argument("--config", help="JSON file with defaults for any flag")
-    gs.add_argument("--n", type=int)
-    gs.add_argument("--m", type=int)
-    gs.add_argument("--h", type=float, help="discretization step")
-    gs.add_argument("--seed", type=int)
-    gs.add_argument("--out", help="output directory")
-    gs.set_defaults(func=cmd_gen_system)
-
-    gd = sub.add_parser("gen-data", help="sample a snapshot ensemble from a system")
-    gd.add_argument("--config")
-    gd.add_argument("--system", help="system directory or manifest")
-    gd.add_argument("--N", type=int, help="number of one-step samples")
-    gd.add_argument("--alpha", type=float, help="observation-noise coefficient")
-    gd.add_argument("--seed", type=int)
-    gd.add_argument("--out")
-    gd.set_defaults(func=cmd_gen_data)
-
-    rd = sub.add_parser("reduce", help="run the data-driven descent")
-    rd.add_argument("--config")
-    rd.add_argument("--ensemble", help="ensemble directory or manifest")
-    rd.add_argument("--r", type=int, help="reduced order")
-    rd.add_argument("--init", choices=("dmdc", "loewner", "databt", "file"))
-    rd.add_argument("--oracle", help="true system directory, enables error logging "
-                                     "and harness-mode initializer data")
-    rd.add_argument("--init-data", dest="init_data",
-                    help="JSON samples (loewner/databt) or rom directory (file)")
-    rd.add_argument("--init-seed", dest="init_seed", type=int)
-    rd.add_argument("--init-traj-count", dest="init_traj_count", type=int)
-    rd.add_argument("--init-traj-length", dest="init_traj_length", type=int)
-    rd.add_argument("--init-left", dest="init_left", type=int)
-    rd.add_argument("--init-right", dest="init_right", type=int)
-    rd.add_argument("--init-impulse-count", dest="init_impulse_count", type=int)
-    rd.add_argument("--alpha0", type=float)
-    rd.add_argument("--c", type=float)
-    rd.add_argument("--rho", type=float)
-    rd.add_argument("--tol", type=float)
-    rd.add_argument("--max-iters", dest="max_iters", type=int)
-    rd.add_argument("--max-backtracks", dest="max_backtracks", type=int)
-    rd.add_argument("--force", action="store_const", const=True,
-                    help="proceed despite failed rank checks")
-    rd.add_argument("--out")
-    rd.set_defaults(func=cmd_reduce)
-
-    ev = sub.add_parser("evaluate", help="compare a rom against a system")
-    ev.add_argument("--config")
-    ev.add_argument("--system")
-    ev.add_argument("--rom", help="directory with rom_{A,B,C}.csv")
-    ev.set_defaults(func=cmd_evaluate)
-
-    for sp in (gs, gd, rd, ev):
-        sp.set_defaults(flag_types=flag_types(sp))
+    for name, defaults, func, text in (
+            ("gen-system", GEN_SYSTEM_DEFAULTS, cmd_gen_system,
+             "generate a synthetic stable system"),
+            ("gen-data", GEN_DATA_DEFAULTS, cmd_gen_data,
+             "sample a snapshot ensemble from a system"),
+            ("reduce", REDUCE_DEFAULTS, cmd_reduce, "run the data-driven descent"),
+            ("evaluate", _EVALUATE_DEFAULTS, cmd_evaluate,
+             "compare a rom against a system")):
+        command = sub.add_parser(name, help=text)
+        add_options(command, defaults)
+        command.set_defaults(func=func)
     return parser
 
 

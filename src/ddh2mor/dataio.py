@@ -89,8 +89,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
 
 
 def _snapshot(value, name: str, copy: bool) -> np.ndarray:
@@ -416,8 +416,10 @@ def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write a JSON object with sorted keys and two-space indents."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write a JSON object with sorted keys and two-space indents; a
+    non-finite float, which JSON cannot hold, raises ValueError."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
 
 
 def save_ensemble(ens: DataEnsemble, path) -> Path:

@@ -416,7 +416,7 @@ def save_frequency_samples(left, right, path) -> None:
                 for s in samples]
 
     Path(path).write_text(json.dumps({"left": encode(left), "right": encode(right)},
-                                     indent=2) + "\n")
+                                     indent=2, allow_nan=False) + "\n")
 
 
 def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
@@ -450,7 +450,7 @@ def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
 def save_impulse_data(imp: ImpulseData, path) -> None:
     payload = {"markov": [[[float(v) for v in row] for row in mat]
                           for mat in imp.markov]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def load_impulse_data(path) -> ImpulseData:

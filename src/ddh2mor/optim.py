@@ -68,9 +68,10 @@ _CANDIDATE_ERRORS = (AssumptionViolated, NotStable, NumericalOverflow)
 
 
 class StopReason(enum.Enum):
+    """Why a descent ended; a start it cannot descend from raises instead."""
+
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
-    ASSUMPTION_VIOLATED = "assumption_violated"
     BACKTRACK_EXHAUSTED = "backtrack_exhausted"
 
 
@@ -96,6 +97,9 @@ class OptimParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
+        for name in ("alpha0", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha0 <= 0 or not (0 < self.c < 1) or not (0 < self.rho < 1):
             raise ValueError("need alpha0 > 0 and c, rho in (0, 1)")
         if self.tol <= 0 or self.max_iters < 1 or self.max_backtracks < 1:
@@ -157,7 +161,9 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     Parameters
     ----------
     ens : snapshot ensemble driving the gradients
-    init : starting reduced model; must lie inside the stability annulus
+    init : starting reduced model; must lie inside the stability annulus,
+        with its reciprocal poles separated from the spectrum of
+        ``dual.system`` and of ``oracle``
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
     sink : optional callable receiving each IterRecord as it is produced
@@ -180,7 +186,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     direction whose squared norm overflows raise ``NumericalOverflow``
     (a trial that overflows is rejected), and data whose identified model
     ``dual.system`` (A_ls) is not stable raise ``NotStable`` before the
-    start is evaluated.
+    start is evaluated.  A start outside the annulus or without that
+    separation raises ``AssumptionViolated`` before the first iteration.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
@@ -199,33 +206,26 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     def rel_error(rom: Rom) -> float | None:
         return evaluator.relative_error(rom) if evaluator is not None else None
 
+    # the start is evaluated as a trial is, then put in input-normal
+    # coordinates; every later iterate is the trial that accepted it.  phi,
+    # the same there but for rounding, keeps its value at init, which is f's
+    # where init is projected already, so the objective never rises from
+    # initial_f
+    current = Evaluation(model, init)
+    initial_f, initial_rel = current.f, rel_error(init)
+    phi = current.phi
+    start = _input_normal(init, current.P)
+    if start is not init:
+        current = Evaluation(model, start)
+
     history: list[IterRecord] = []
     rom = init
-    initial_f = np.nan
-    initial_rel = None
+    d_prev = None
     stop = StopReason.MAX_ITERS
 
     for it in range(1, params.max_iters + 1):
-        try:
-            if it == 1:
-                # the start is evaluated as a trial is, then put in
-                # input-normal coordinates; every later iterate is the trial
-                # that accepted it.  phi, the same there but for rounding,
-                # keeps its value at init, which is f's where init is
-                # projected already, so the objective never rises from
-                # initial_f
-                current = Evaluation(model, init)
-                initial_f, initial_rel = current.f, rel_error(init)
-                phi = current.phi
-                start = _input_normal(init, current.P)
-                if start is not init:
-                    current = Evaluation(model, start)
-            iterate = current.projected
-            g = data_gradients(dual, iterate, current.gramians(projected=True))
-        except AssumptionViolated:
-            stop = StopReason.ASSUMPTION_VIOLATED
-            break
-
+        iterate = current.projected
+        g = data_gradients(dual, iterate, current.gramians(projected=True))
         d = stack_direction(g)
         D = float(np.sum(d * d))
         # a non-finite D would fail every Armijo test; it is a failure of
@@ -245,7 +245,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             break
 
         accepted = None
-        if it == 1:
+        if d_prev is None:
             alpha = params.alpha0
         else:
             # alpha and d_prev still hold the last accepted step and its

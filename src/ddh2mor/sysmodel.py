@@ -471,8 +471,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be finite and positive, got {self.h}")
 
 
 def _expm_integral(gen: np.ndarray, h: float, eah: np.ndarray) -> np.ndarray:

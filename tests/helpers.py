@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from ddh2mor import DataEnsemble, GradientTriple, LtiSystem, Rom, initmor, make_stable
+from ddh2mor import (DataEnsemble, GradientTriple, LtiSystem, NoiseSpec, Rom,
+                     generate_ensemble, initmor, make_stable)
 from ddh2mor.dataio import AssumptionReport
 from ddh2mor.matequ import RANK_TOL
 
@@ -129,6 +130,16 @@ def random_system(rng, n, m, radius=0.8):
     A = random_stable(rng, n, radius)
     B = rng.standard_normal((n, m))
     return LtiSystem.with_identity_output(A, B)
+
+
+def unseparated_start():
+    """Noiseless data of a system with a pole at 1 - 4e-12, and a start at
+    that pole: inside the stability annulus, but 8e-12 from the reciprocal
+    of the data's pole, which the separation check refuses."""
+    A = np.diag([1 - 4e-12, 0.5, 0.3])
+    system = LtiSystem(A, np.array([[1.0], [0.5], [0.2]]), np.eye(3))
+    ens = generate_ensemble(system, 12, NoiseSpec(seed=3))
+    return ens, Rom(np.array([[1 - 4e-12]]), np.array([[1.0]]), np.ones((3, 1)))
 
 
 def random_rom(rng, r, m, p, radius=0.7, min_modulus=1e-3):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib.util
 import io
@@ -22,7 +23,7 @@ from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
                             save_rom)
-from helpers import out_of_place_ensemble, svd_route_report
+from helpers import out_of_place_ensemble, svd_route_report, unseparated_start
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,9 @@ def test_config_file_supplies_defaults_and_flags_win(workspace, tmp_path, capsys
         (["gen-data", "--system", str(workspace["system"])], {"N": 3.5},
          "'N' must be an integer, got 3.5"),
         (["gen-system"], {"h": "0.1"}, "'h' must be a number"),
+        # a number of the right type must still be finite: json.dumps
+        # writes the NaN token, which a config may hold
+        (["gen-system"], {"h": float("nan")}, "h must be finite and positive, got nan"),
     ]:
         capsys.readouterr()
         config.write_text(json.dumps(bad))
@@ -328,6 +332,129 @@ def test_bad_cli_usage_exits_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["reduce", "--init", "newton"]) == 1
     assert main([]) == 1
+
+
+# every flag as (option strings, dest, parsed type, const, choices); the type
+# of a flag that takes no value is None
+FLAGS = {
+    "gen-system": [
+        (("--n",), "n", int, None, None), (("--m",), "m", int, None, None),
+        (("--h",), "h", float, None, None), (("--seed",), "seed", int, None, None),
+        (("--out",), "out", str, None, None)],
+    "gen-data": [
+        (("--system",), "system", str, None, None), (("--N",), "N", int, None, None),
+        (("--alpha",), "alpha", float, None, None), (("--seed",), "seed", int, None, None),
+        (("--out",), "out", str, None, None)],
+    "reduce": [
+        (("--ensemble",), "ensemble", str, None, None), (("--r",), "r", int, None, None),
+        (("--init",), "init", str, None, ("dmdc", "loewner", "databt", "file")),
+        (("--oracle",), "oracle", str, None, None),
+        (("--init-data",), "init_data", str, None, None),
+        (("--init-seed",), "init_seed", int, None, None),
+        (("--init-traj-count",), "init_traj_count", int, None, None),
+        (("--init-traj-length",), "init_traj_length", int, None, None),
+        (("--init-left",), "init_left", int, None, None),
+        (("--init-right",), "init_right", int, None, None),
+        (("--init-impulse-count",), "init_impulse_count", int, None, None),
+        (("--alpha0",), "alpha0", float, None, None), (("--c",), "c", float, None, None),
+        (("--rho",), "rho", float, None, None), (("--tol",), "tol", float, None, None),
+        (("--max-iters",), "max_iters", int, None, None),
+        (("--max-backtracks",), "max_backtracks", int, None, None),
+        (("--force",), "force", None, True, None), (("--out",), "out", str, None, None)],
+    "evaluate": [
+        (("--system",), "system", str, None, None), (("--rom",), "rom", str, None, None)],
+    "driver": [
+        (("--out",), "output_dir", str, None, None),
+        (("--initializer",), "initializer", str, None, ("dmdc", "loewner", "databt", "all")),
+        (("--n",), "n", int, None, None), (("--m",), "m", int, None, None),
+        (("--r",), "r", int, None, None), (("--N",), "N", int, None, None),
+        (("--h",), "h", float, None, None), (("--noise-alpha",), "noise_alpha", float, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--init-traj-count",), "init_traj_count", int, None, None),
+        (("--init-traj-length",), "init_traj_length", int, None, None),
+        (("--init-left",), "init_left", int, None, None),
+        (("--init-right",), "init_right", int, None, None),
+        (("--init-impulse-count",), "init_impulse_count", int, None, None),
+        (("--alpha0",), "alpha0", float, None, None), (("--c",), "c", float, None, None),
+        (("--rho",), "rho", float, None, None), (("--tol",), "tol", float, None, None),
+        (("--max-iters",), "max_iters", int, None, None),
+        (("--max-backtracks",), "max_backtracks", int, None, None)],
+}
+
+
+def test_each_flag_is_one_table_row(monkeypatch):
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    parsers = {name: (commands[name], table) for name, table in [
+        ("gen-system", GEN_SYSTEM_DEFAULTS), ("gen-data", GEN_DATA_DEFAULTS),
+        ("reduce", REDUCE_DEFAULTS), ("evaluate", ddh2mor.cli._EVALUATE_DEFAULTS)]}
+    # the driver builds its parser inside parse_args
+    script, seen = load_experiment_script(), []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: seen.append(self) or parse(self, *args))
+    script.parse_args([])
+    parsers["driver"] = (seen[0], script.DEFAULTS)
+    for name, (parser, table) in parsers.items():
+        flags = [(tuple(a.option_strings), a.dest, a.type or str if a.nargs != 0 else None,
+                  a.const, a.choices)
+                 for a in parser._actions if a.dest not in ("help", "config")]
+        assert sorted(flags, key=str) == sorted(FLAGS[name], key=str), name
+        assert {dest for _, dest, *_ in flags} == set(table), name
+        types = {dest: bool if const else kind for _, dest, kind, const, _ in FLAGS[name]}
+        assert parser.get_default("flag_types") == types, name
+        assert all(types[key] is type(default)
+                   for key, default in table.items() if default is not None), name
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen-system", "--h", "inf"], "h"),
+    (["gen-data", "--alpha", "nan"], "alpha"),
+    (["reduce", "--tol", "nan"], "tol"),
+    (["reduce", "--alpha0", "inf"], "alpha0"),
+], ids=["gen-system-h", "gen-data-alpha", "reduce-tol", "reduce-alpha0"])
+def test_a_non_finite_option_value_is_one_error_line_naming_it(workspace, tmp_path, capsys,
+                                                               argv, name):
+    inputs = {"gen-system": [], "gen-data": ["--system", str(workspace["system"])],
+              "reduce": ["--ensemble", str(workspace["ensemble"]), "--r", "3",
+                         "--init", "databt", "--oracle", str(workspace["system"])]}
+    capsys.readouterr()
+    assert main([*argv, *inputs[argv[0]], "--out", str(tmp_path / "out")]) == 1
+    assert_one_line_error(capsys, f"error: {name} must be finite")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def strict_json(text: str):
+    """``json.loads`` refusing the NaN and Infinity tokens, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_written_and_printed_json_is_strict(workspace, tmp_path, capsys):
+    ens, red = tmp_path / "ens", tmp_path / "red"
+    for argv in (["gen-data", "--system", str(workspace["system"]), "--N", "16",
+                  "--alpha", "1e-3", "--out", str(ens)],
+                 reduce_args({**workspace, "ensemble": ens}, red),
+                 ["evaluate", "--system", str(workspace["system"]), "--rom", str(red)]):
+        capsys.readouterr()
+        assert main(argv) == 0
+        strict_json(capsys.readouterr().out)
+    for path in (ens / "ensemble.json", red / "summary.json"):
+        strict_json(path.read_text())
+    with pytest.raises(ValueError):
+        ddh2mor.dataio.write_json(tmp_path / "nan.json", {"f": float("nan")})
+
+
+def test_reduce_refuses_a_start_without_separation_with_one_error_line(tmp_path, capsys):
+    ens, start = unseparated_start()
+    ddh2mor.save_ensemble(ens, tmp_path / "ens")
+    save_rom(start, tmp_path / "init")
+    capsys.readouterr()
+    rc = main(["reduce", "--ensemble", str(tmp_path / "ens"), "--init", "file",
+               "--init-data", str(tmp_path / "init"), "--out", str(tmp_path / "red")])
+    assert rc == 3
+    assert_one_line_error(capsys, "of a reciprocal rom pole")
+    assert not (tmp_path / "red" / "summary.json").exists()
 
 
 def test_evaluate_report(workspace, tmp_path, capsys):
@@ -767,7 +894,8 @@ def test_experiment_script_reruns_from_its_own_config(tmp_path, capsys):
     ({"rho": 2}, "rho in (0, 1)"),
     ({"initializer": "newton"}, "unknown initializer 'newton'"),
     ({"n": 8, "r": 8}, "0 < r < n"),
-], ids=["optim-range", "initializer", "order"])
+    ({"noise_alpha": float("nan")}, "alpha must be finite and nonnegative, got nan"),
+], ids=["optim-range", "initializer", "order", "non-finite"])
 def test_experiment_script_out_of_range_config_exits_1(tmp_path, capsys, content, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(content))

@@ -65,8 +65,9 @@ def test_ensemble_validation():
         DataEnsemble(np.zeros((3, 2)), np.zeros((2, 1)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         DataEnsemble(np.full((3, 2), np.inf), np.zeros((3, 1)), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        NoiseSpec(alpha=-0.1)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            NoiseSpec(alpha=alpha)
 
 
 def test_ensemble_dimensions_and_immutability():

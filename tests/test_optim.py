@@ -33,7 +33,8 @@ from ddh2mor import (
 import ddh2mor
 from ddh2mor.matequ import SchurFactor
 from ddh2mor.sysmodel import Evaluation
-from helpers import count_schur_calls, input_normal, random_rom, random_system, rel_max_err
+from helpers import (count_schur_calls, input_normal, random_rom, random_system, rel_max_err,
+                     unseparated_start)
 
 
 def make_problem(seed=0, n=12, m=2, r=3, N=16):
@@ -95,6 +96,17 @@ def test_unstable_initializer_rejected():
     near_zero = Rom(np.diag([0.5, 0.4, 1e-14]), np.ones((3, 2)), np.ones((12, 3)))
     with pytest.raises(AssumptionViolated):
         run(ens, near_zero)
+
+
+def test_start_without_separation_raises_before_the_first_iteration():
+    ens, start = unseparated_start()
+    assert start.satisfies_spectral_bounds()
+    seen = []
+    with pytest.raises(AssumptionViolated, match="reciprocal rom pole"):
+        run(ens, start, sink=seen.append)
+    assert not seen
+    assert [reason.value for reason in StopReason] == [
+        "converged", "max_iters", "backtrack_exhausted"]
 
 
 def test_max_iters_stop():
@@ -423,6 +435,10 @@ def test_params_validation():
         OptimParams(tol=0.0)
     with pytest.raises(ValueError):
         OptimParams(max_iters=0)
+    for name in ("alpha0", "tol"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                OptimParams(**{name: value})
 
 
 def record_stepped(monkeypatch):

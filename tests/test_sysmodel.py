@@ -366,8 +366,9 @@ def test_synthetic_always_stable(seed, n):
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(n=0, m=1)
-    with pytest.raises(ValueError):
-        SyntheticSpec(n=1, m=1, h=0.0)
+    for h in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            SyntheticSpec(n=1, m=1, h=h)
 
 
 def test_expm_integral_invertible_generator():
