@@ -12,11 +12,10 @@ from .dataio import (AssumptionReport, DataEnsemble, IterRecord, NoiseSpec,
                      TrajectorySet, check_assumptions, generate_ensemble,
                      generate_trajectories, load_ensemble, numerical_rank,
                      save_ensemble)
-from .ddgrad import (DualData, GramianSet, data_gradients,
-                     data_gradients_B_known, data_gradients_from_ensemble,
-                     objective_f, reconstruct_dual,
-                     reconstruct_dual_known_input, rom_gramians,
-                     solve_gramians, solve_R, solve_S, solve_SB)
+from .ddgrad import (DualData, data_gradients, data_gradients_B_known,
+                     data_gradients_from_ensemble, reconstruct_dual,
+                     reconstruct_dual_known_input, rom_gramians, solve_R,
+                     solve_S, solve_SB)
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
                      InsufficientData, NoUniqueSolution, NotStable,
                      NumericalOverflow, RankDeficientData, ReductionError,
@@ -28,12 +27,11 @@ from .initmor import (FreqSample, ImpulseData, impulse_from_system,
                       save_impulse_data)
 from .matequ import (PencilReport, SchurFactor, pencil_diagnostics,
                      solve_discrete_sylvester, solve_stein)
-from .optim import (OptimParams, OptimResult, StopReason, run,
-                    stack_direction)
-from .sysmodel import (ErrorGramians, GradientTriple, H2ErrorEvaluator,
-                       LtiSystem, Rom, SyntheticSpec, error_gramians,
-                       generate_synthetic, h2_error, h2_norm,
-                       markov_parameters, model_based_gradients, simulate,
-                       transfer_eval)
+from .optim import OptimParams, OptimResult, StopReason, run
+from .sysmodel import (ErrorGramians, GramianSet, GradientTriple,
+                       H2ErrorEvaluator, LtiSystem, Rom, SyntheticSpec,
+                       error_gramians, generate_synthetic, h2_error, h2_norm,
+                       markov_parameters, model_based_gradients, objective_f,
+                       simulate, transfer_eval)
 
 __version__ = "0.1.0"

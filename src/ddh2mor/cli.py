@@ -37,19 +37,20 @@ def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
     """Descend from ``init`` on the reconstruction ``dual`` of ``ens`` and
     write the reduction into directory ``out``.
 
-    Streams ``history.csv`` row by row as the descent runs, then writes
-    ``rom_{A,B,C}.csv`` and ``summary.json``, and returns the summary.
-    ``wall_time_s`` times the descent alone; ``data_residual`` reports how
-    far the snapshots are from one linear model (``DualData.data_residual``).
+    Once the descent returns, writes ``history.csv``, ``rom_{A,B,C}.csv``
+    and ``summary.json``, and returns the summary; a descent that raises
+    writes nothing.  ``wall_time_s`` times the descent alone;
+    ``data_residual`` reports how far the snapshots are from one linear
+    model (``DualData.data_residual``).
     """
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    with open(out / "history.csv", "w") as fh:
-        fh.write(dataio.HISTORY_HEADER + "\n")
-        result = optim.run(ens, init, params, oracle=oracle, dual=dual,
-                           sink=lambda rec: fh.write(dataio.history_row(rec) + "\n"))
+    result = optim.run(ens, init, params, oracle=oracle, dual=dual)
     elapsed = time.perf_counter() - started
 
+    with open(out / "history.csv", "w") as fh:
+        fh.write(dataio.HISTORY_HEADER + "\n")
+        fh.writelines(dataio.history_row(rec) + "\n" for rec in result.history)
     dataio.save_rom(result.rom, out)
     final = result.history[-1] if result.history else None
     summary = {

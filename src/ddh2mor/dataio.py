@@ -511,8 +511,8 @@ class IterRecord:
 def history_row(rec: IterRecord) -> str:
     """The ``history.csv`` line of one record, without its newline.
 
-    A history file is ``HISTORY_HEADER`` and then one such line per record,
-    written as the descent produces them.
+    A history file is ``HISTORY_HEADER`` and then one such line per record
+    of the descent, written once it returns (``cli.reduce_into``).
     """
     rel = "" if rec.rel_h2_error is None else _CSV_FMT % rec.rel_h2_error
     return ",".join([str(rec.iter), _CSV_FMT % rec.f, _CSV_FMT % rec.D,

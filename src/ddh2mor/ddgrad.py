@@ -8,9 +8,9 @@ equation's coefficient is its transpose) and ``GB = Theta_u^T = B_ls``,
 the fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
 Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
 ``LtiSystem``, and the objective and gradient are the model-based ones
-against it (``sysmodel.Evaluation``, re-exported here), on exact full-rank
-data those of the system.  The fit reduces ``[X1 U1 X2]`` to one triangle,
-which it hands to ``dataio.check_assumptions`` for the rank report.
+against it (``sysmodel.Evaluation``), on exact full-rank data those of the
+system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it hands to
+``dataio.check_assumptions`` for the rank report.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import NumericalOverflow, RankDeficientData
 from .matequ import _triangle, from_schur, significant, solve_schur, solve_stein, to_schur
 from .sysmodel import (Evaluation, GramianSet, GradientTriple, LtiSystem, Rom,
-                       assemble_gradients, objective_f, require_separation)
+                       assemble_gradients, require_separation)
 
 __all__ = [
     "DualData",
-    "Evaluation",
-    "GramianSet",
-    "GradientTriple",
     "data_gradients",
     "data_gradients_B_known",
     "data_gradients_from_ensemble",
-    "objective_f",
     "reconstruct_dual",
     "reconstruct_dual_known_input",
     "rom_gramians",
-    "solve_gramians",
     "solve_R",
     "solve_S",
     "solve_SB",
@@ -186,11 +181,6 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
-def solve_gramians(dual: DualData, rom: Rom) -> GramianSet:
-    """Every solve one data-driven gradient evaluation needs."""
-    return Evaluation(dual.system, rom).gramians()
-
-
 def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTriple:
     """Gradient triple assembled from data-driven gramian solutions: the
     model-based assembly against the identified model (MR, GB, I)."""
@@ -201,7 +191,7 @@ def data_gradients_from_ensemble(ens: DataEnsemble, rom: Rom, *,
                                  force: bool = False) -> GradientTriple:
     """Full data-driven gradient pipeline with unknown system matrices."""
     dual = reconstruct_dual(ens, force=force)
-    return data_gradients(dual, rom, solve_gramians(dual, rom))
+    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
 
 
 def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
@@ -213,4 +203,4 @@ def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
     whenever both are applicable.
     """
     dual = reconstruct_dual_known_input(ens, B, force=force)
-    return data_gradients(dual, rom, solve_gramians(dual, rom))
+    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())

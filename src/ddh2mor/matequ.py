@@ -151,16 +151,9 @@ def pencil_diagnostics(A, B, other_spectrum=()) -> PencilReport:
 
     w = scipy.linalg.eigvals(A, B)
     finite = w[np.isfinite(w)]
-    return PencilReport(True, tuple(finite), spectral_separation(finite, other_spectrum))
-
-
-def spectral_separation(spectrum, other) -> float:
-    """Smallest pairwise distance between two point sets in the complex plane."""
-    spectrum = np.asarray(spectrum, dtype=complex).ravel()
-    other = np.asarray(other, dtype=complex).ravel()
-    if spectrum.size == 0 or other.size == 0:
-        return float("inf")
-    return float(np.min(np.abs(spectrum[:, None] - other[None, :])))
+    other = np.asarray(other_spectrum, dtype=complex).ravel()
+    return PencilReport(True, tuple(finite),
+                        float(np.abs(finite[:, None] - other).min(initial=np.inf)))
 
 
 @functools.lru_cache(maxsize=None)

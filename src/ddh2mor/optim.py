@@ -7,18 +7,18 @@ the descent runs on the projected objective ``phi(Ahat, Bhat) = f`` at
 Chat* (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10
 (1973) 413-432).  By the envelope theorem the gradient of phi is the
 paper's ``(gA, gB)`` at Chat*, whose ``gC`` vanishes to rounding, so each
-iterate is the projected rom (Ahat, Bhat, Chat*) and the stacked direction
-moves only Ahat and Bhat.
+iterate is the projected rom (Ahat, Bhat, Chat*) and the descent direction
+``-[gA gB]`` moves only Ahat and Bhat.
 
-Each iteration assembles the data-driven gradients there, stacks them into
-one descent direction, and backtracks the step until phi decreases by the
-Armijo margin while the candidate stays inside the stability annulus.  The
-first trial step of the first iteration is ``alpha0``; every later
-iteration opens at the short Barzilai-Borwein step ``<s, y> / <y, y>``
-(Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141-148), where ``s`` is
-the last accepted move and ``y`` the change of the stacked direction over
-it.  The step fits the curvature along the last move, so most iterations
-accept their first trial; it is not capped at ``alpha0``.  Where
+Each iteration assembles the data-driven gradients there and backtracks the
+step along ``-[gA gB]`` until phi decreases by the Armijo margin while the
+candidate stays inside the stability annulus.  The first trial step of the
+first iteration is ``alpha0``; every later iteration opens at the short
+Barzilai-Borwein step ``<s, y> / <y, y>`` (Barzilai & Borwein, IMA J.
+Numer. Anal. 8 (1988) 141-148), where ``s`` is the last accepted move and
+``y`` the change of the direction over it.  The step fits the curvature
+along the last move, so most iterations accept their first trial; it is
+not capped at ``alpha0``.  Where
 ``<s, y> <= 0`` there is no curvature to fit, and the search opens at
 ``min(alpha0, alpha_prev / rho)``, one expansion of the step accepted
 last.  Backtracking stays monotone, so phi never rises.
@@ -51,14 +51,13 @@ from scipy.linalg import solve_triangular
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import DualData, data_gradients, reconstruct_dual
 from .errors import AssumptionViolated, NotStable, NumericalOverflow
-from .sysmodel import Evaluation, GradientTriple, H2ErrorEvaluator, LtiSystem, Rom
+from .sysmodel import Evaluation, H2ErrorEvaluator, LtiSystem, Rom
 
 __all__ = [
     "OptimParams",
     "OptimResult",
     "StopReason",
     "run",
-    "stack_direction",
 ]
 
 logger = logging.getLogger(__name__)
@@ -85,8 +84,7 @@ class OptimParams:
     c      : Armijo decrease coefficient
     rho    : backtracking shrink factor
     tol    : stop once D, the squared norm of the gradient ``(gA, gB)`` of
-             the projected objective (the stacked direction at Chat*, whose
-             Chat block vanishes to rounding), falls below this
+             the projected objective, falls below this
     """
 
     alpha0: float = 1.0
@@ -115,23 +113,6 @@ class OptimResult:
     initial_rel_h2_error: float | None = None
 
 
-def stack_direction(g: GradientTriple) -> np.ndarray:
-    """Negative gradients stacked into one (n + r) x (r + m) block matrix."""
-    r, m = g.gA.shape[0], g.gB.shape[1]
-    n = g.gC.shape[0]
-    d = np.zeros((n + r, r + m))
-    d[:r, :r] = -g.gA
-    d[:r, r:] = -g.gB
-    d[r:, :r] = -g.gC
-    return d
-
-
-def _record(history, sink, rec: IterRecord) -> None:
-    history.append(rec)
-    if sink is not None:
-        sink(rec)
-
-
 def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
     """``rom`` in the coordinates where its gramian P is the identity.
 
@@ -154,7 +135,7 @@ def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
 # its non-finite D, so an overflow is a decision here, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
-        oracle: LtiSystem | None = None, sink=None,
+        oracle: LtiSystem | None = None,
         dual: DualData | None = None) -> OptimResult:
     """Descend the projected data-driven h2 objective starting from ``init``.
 
@@ -166,7 +147,6 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         ``dual.system`` and of ``oracle``
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
-    sink : optional callable receiving each IterRecord as it is produced
     dual : an already reconstructed DualData, for instance
         ``reconstruct_dual_known_input(ens, B)`` when the input matrix B is
         known; by default ``reconstruct_dual(ens)`` is used
@@ -226,7 +206,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     for it in range(1, params.max_iters + 1):
         iterate = current.projected
         g = data_gradients(dual, iterate, current.gramians(projected=True))
-        d = stack_direction(g)
+        d = -np.hstack([g.gA, g.gB])
         D = float(np.sum(d * d))
         # a non-finite D would fail every Armijo test; it is a failure of
         # the data's range, not of the step
@@ -239,8 +219,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
 
         if D < params.tol:
             rom = iterate
-            _record(history, sink, IterRecord(it, phi, D, 0.0, 0,
-                                              rel_error(rom), True))
+            history.append(IterRecord(it, phi, D, 0.0, 0, rel_error(rom), True))
             stop = StopReason.CONVERGED
             break
 
@@ -275,8 +254,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         current, alpha, bt = accepted
         phi = current.phi
         rom = current.projected
-        _record(history, sink, IterRecord(it, phi, D, alpha, bt,
-                                          rel_error(rom), True))
+        history.append(IterRecord(it, phi, D, alpha, bt, rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,
                        initial_f=float(initial_f),

@@ -455,6 +455,7 @@ def test_reduce_refuses_a_start_without_separation_with_one_error_line(tmp_path,
     assert rc == 3
     assert_one_line_error(capsys, "of a reciprocal rom pole")
     assert not (tmp_path / "red" / "summary.json").exists()
+    assert not (tmp_path / "red" / "history.csv").exists()
 
 
 def test_evaluate_report(workspace, tmp_path, capsys):

@@ -34,14 +34,13 @@ from ddh2mor import (
     reconstruct_dual,
     reconstruct_dual_known_input,
     rom_gramians,
-    solve_gramians,
     solve_R,
     solve_S,
     solve_SB,
     solve_discrete_sylvester,
     solve_stein,
 )
-from ddh2mor.ddgrad import Evaluation
+from ddh2mor.sysmodel import Evaluation
 from ddh2mor.matequ import RANK_TOL
 from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
@@ -588,7 +587,7 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
                                atol=1e-14 * np.abs(dual.GB).max())
     compared = 0
     for rom in starts:
-        g = data_gradients(dual, rom, solve_gramians(dual, rom))
+        g = data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
         for alpha in (1.0, 1e-2, 1e-4):
             cand = rom.stepped(g, alpha)
             try:
@@ -715,7 +714,7 @@ def test_gradient_evaluation_factors_the_rom_once(monkeypatch):
     _, ens, rom = make_instance(seed=29)
     dual = reconstruct_dual(ens)
     shapes = count_schur_calls(monkeypatch)
-    data_gradients(dual, rom, solve_gramians(dual, rom))
+    data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
     assert shapes == [(rom.r, rom.r)]
 
 
@@ -751,7 +750,7 @@ def test_data_gradients_are_the_paper_assembly_to_rounding(alpha):
     # paper's inverse scales rounding by cond(Ahat), 570 here
     _, ens, rom = make_instance(seed=38, N=40, alpha=alpha)
     dual = reconstruct_dual(ens)
-    got = data_gradients(dual, rom, solve_gramians(dual, rom))
+    got = data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
     bound = 100.0 * np.finfo(float).eps * np.linalg.cond(rom.Ahat)
     assert triple_err(got, paper_gradients(paper_dual(ens), rom)) <= bound
 

@@ -13,8 +13,7 @@ from ddh2mor import (
     solve_discrete_sylvester,
     solve_stein,
 )
-from ddh2mor.matequ import (RANK_TOL, from_schur, significant, solve_schur,
-                            spectral_separation, to_schur)
+from ddh2mor.matequ import RANK_TOL, from_schur, significant, solve_schur, to_schur
 from helpers import kron_solve_stein, kron_solve_sylvester, random_stable, rel_max_err
 
 st_seed = st.integers(0, 2**32 - 1)
@@ -340,9 +339,14 @@ def test_pencil_singular_second_matrix_drops_infinite_part():
 
 
 def test_spectral_separation_basic():
-    assert spectral_separation([1.0, 2.0], [2.5]) == pytest.approx(0.5)
-    assert spectral_separation([], [1.0]) == float("inf")
-    assert spectral_separation([1j, -1j], [0.0]) == pytest.approx(1.0)
+    def separation(A, B, other):
+        return pencil_diagnostics(A, B, other_spectrum=other).min_separation
+
+    assert separation(np.diag([1.0, 2.0]), np.eye(2), [2.5]) == pytest.approx(0.5)
+    # B = 0: every generalized eigenvalue is infinite
+    assert separation(np.eye(2), np.zeros((2, 2)), [1.0]) == float("inf")
+    # eigenvalues +-i
+    assert separation(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2), [0.0]) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 6, 100])

@@ -374,16 +374,31 @@ def test_synthetic_spec_validation():
 def test_expm_integral_invertible_generator():
     h = 0.1
     gen = np.array([[-1.0]])
-    out = _expm_integral(gen, h, scipy.linalg.expm(gen * h))
+    out = _expm_integral(gen, scipy.linalg.expm(gen * h))
     assert out[0, 0] == pytest.approx(1.0 - np.exp(-h), rel=1e-12)
 
 
-def test_expm_integral_singular_generator_series():
-    # nilpotent generator: expm(t gen) = I + t gen, integral = [[h, h^2/2], [0, h]]
-    h = 0.1
-    gen = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(_expm_integral(gen, h, scipy.linalg.expm(gen * h)),
-                               np.array([[h, h * h / 2.0], [0.0, h]]), atol=1e-14)
+@pytest.mark.parametrize("n, m, h, seed", [(2, 1, 0.1, 0), (6, 2, 0.05, 3),
+                                           (10, 3, 0.1, 11), (30, 2, 0.2, 7)])
+def test_synthetic_input_matrix_is_the_exponential_integral(n, m, h, seed):
+    # replay the generator's draws, and take the integral of expm(gen t) over
+    # [0, h] from the top-right block of expm([[gen, I], [0, 0]] h) (Van Loan,
+    # IEEE TAC 23 (1978)), which needs no inverse of gen
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    J = 0.5 * (G - G.T)
+    G = rng.standard_normal((n, n))
+    R = G @ G.T + 0.1 * np.eye(n)
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T + 0.1 * np.eye(n)
+    gen = (J - R) @ Q
+    draw = rng.standard_normal((n, m))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:] = gen, np.eye(n)
+    integral = scipy.linalg.expm(block * h)[:n, n:]
+    sys = generate_synthetic(SyntheticSpec(n=n, m=m, h=h, seed=seed))
+    assert rel_max_err(sys.A, scipy.linalg.expm(gen * h)) < 1e-12
+    assert rel_max_err(sys.B, integral @ draw) < 1e-10
 
 
 @pytest.mark.parametrize("stable_draw", [True, False])

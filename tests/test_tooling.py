@@ -9,7 +9,8 @@ the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
 its history; the count must stay the number of trial models the descent
 built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
 workload reads the files the command line writes without the package, so
-one small round of it runs here.  The package's one rank rule,
+one small round of it runs here.  Each public name is listed in the
+``__all__`` of one module.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``.
 """
 
@@ -66,6 +67,17 @@ def test_export_lists_name_what_exists():
                              [n for n in vars(module) if not n.startswith("_")])
             unlisted = [a.name for a in node.names if a.name not in public]
             assert not unlisted, f"ddh2mor imports {unlisted} outside ddh2mor.{node.module}.__all__"
+
+
+def test_each_public_name_has_one_home_module():
+    # a name in the __all__ of two modules is a re-export, a second route to
+    # the same object
+    homes = {}
+    for info in pkgutil.iter_modules(ddh2mor.__path__):
+        for name in getattr(importlib.import_module(f"ddh2mor.{info.name}"), "__all__", ()):
+            homes.setdefault(name, []).append(info.name)
+    shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
+    assert not shared, f"names listed in more than one module's __all__: {shared}"
 
 
 def test_every_error_class_is_raised():
