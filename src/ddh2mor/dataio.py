@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError
 from .matequ import _triangle, significant
-from .sysmodel import LtiSystem, Rom
+from .sysmodel import LtiSystem, Rom, _matrix
 
 __all__ = [
     "HISTORY_HEADER",
@@ -99,9 +99,7 @@ def _snapshot(value, name: str, copy: bool) -> np.ndarray:
     With ``copy`` the array is always a new one, so no caller can change it
     later; without, an array already in that layout is kept as it is.
     """
-    M = np.atleast_2d(np.asarray(value, dtype=float))
-    if not np.isfinite(M).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    M = _matrix(value, name)
     M = M.copy() if copy else np.ascontiguousarray(M)
     M.flags.writeable = False
     return M

@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import NumericalOverflow, RankDeficientData
-from .matequ import _triangle, from_schur, significant, solve_schur, solve_stein, to_schur
+from .matequ import _triangle, significant, solve_discrete_sylvester
 from .sysmodel import (Evaluation, GramianSet, GradientTriple, LtiSystem, Rom,
                        assemble_gradients, require_separation)
 
@@ -155,18 +155,16 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
 
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    fm, fn = dual.system.schur, rom.schur.transposed()
-    require_separation(fm, fn.eigvals)
-    return from_schur(fm, fn, solve_schur(fm, fn, to_schur(fm, fn, dual.GB @ rom.Bhat.T)))
+    require_separation(dual.system.schur, rom.schur.eigvals)
+    return solve_discrete_sylvester(dual.MR, rom.Ahat.T, dual.GB @ rom.Bhat.T)
 
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
     """Cross term S from data: ``MR^T S Ahat - Chat = S``."""
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
-    fm, fa = dual.system.schur.transposed(), rom.schur
-    require_separation(fm, fa.eigvals)
-    return from_schur(fm, fa, solve_schur(fm, fa, to_schur(fm, fa, -rom.Chat)))
+    require_separation(dual.system.schur, rom.schur.eigvals)
+    return solve_discrete_sylvester(dual.MR.T, rom.Ahat, -rom.Chat)
 
 
 def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
@@ -176,9 +174,7 @@ def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
 
 def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
     """Reduced controllability and observability gramians (P, Q)."""
-    P = solve_stein(rom.Ahat, rom.Bhat @ rom.Bhat.T, a_schur=rom.schur)
-    Q = solve_stein(rom.Ahat.T, rom.Chat.T @ rom.Chat, a_schur=rom.schur.transposed())
-    return P, Q
+    return rom.P, rom.Q
 
 
 def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTriple:

@@ -20,7 +20,7 @@ import numpy as np
 from .dataio import TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .matequ import EIG_CEIL_MARGIN, EIG_FLOOR, _triangle, significant
+from .matequ import _triangle, significant
 from .sysmodel import LtiSystem, Rom, markov_parameters, transfer_eval
 
 __all__ = [
@@ -90,19 +90,19 @@ def make_stable(rom: Rom) -> Rom:
     is then returned unchanged.  Otherwise a spectral radius at or beyond
     the annulus ceiling is removed by rescaling Ahat to radius 0.99, and a
     modulus at or below its floor by adding 1e-6 times the identity; both
-    adjustments are logged.  The eigenvalues are read off ``Rom.schur``.
+    adjustments are logged.  The ceiling is read through ``is_stable``, and
+    after it what ``satisfies_spectral_bounds`` still refuses is the floor.
     """
     out = rom
     for _ in range(_STABILIZE_ROUNDS):
         if out.satisfies_spectral_bounds():
             return out
-        rho = out.eig_moduli().max()
-        if rho >= 1.0 - EIG_CEIL_MARGIN:
+        if not out.is_stable():
+            rho = out.spectral_radius()
             logger.info("rescaling Ahat: spectral radius %.6f -> 0.99", rho)
             out = Rom(out.Ahat * (0.99 / rho), rom.Bhat, rom.Chat)
-        floor = out.eig_moduli().min()
-        if floor <= EIG_FLOOR:
-            logger.info("shifting Ahat: smallest eigenvalue modulus %.3e", floor)
+        if not out.satisfies_spectral_bounds():
+            logger.info("shifting Ahat: smallest eigenvalue modulus %.3e", out.eig_moduli().min())
             out = Rom(out.Ahat + 1e-6 * np.eye(out.r), rom.Bhat, rom.Chat)
     if out.satisfies_spectral_bounds():
         return out

@@ -212,7 +212,7 @@ class SchurFactor:
 
     T is upper triangular, ``eigvals`` is its diagonal and ``ZH`` caches
     ``Z^H``; T, Z and ZH are C-contiguous.  Factor a matrix once with
-    ``SchurFactor.of(M)`` and pass the result to every solve and spectral
+    ``SchurFactor.of(M)`` and pass the result to every sweep and spectral
     check that uses M; ``transposed()`` is likewise formed once per factor.
     """
 
@@ -310,7 +310,7 @@ def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray
     return solve_schur(fa, fat, Ct)
 
 
-def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarray:
+def solve_discrete_sylvester(M, N, W) -> np.ndarray:
     """Solve ``M X N + W = X`` for X.
 
     Parameters
@@ -318,10 +318,6 @@ def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarr
     M : (k, k) array
     N : (r, r) array
     W : (k, r) array
-    m_schur, n_schur : optional SchurFactor
-        Precomputed factors of M and N.  Passing them skips the reduction
-        step, which pays off when the same coefficient is used across many
-        solves.
 
     Returns
     -------
@@ -337,8 +333,7 @@ def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarr
     if not (k and r):
         return np.zeros((k, r))
 
-    fm = m_schur if m_schur is not None else SchurFactor.of(M)
-    fn = n_schur if n_schur is not None else SchurFactor.of(N)
+    fm, fn = SchurFactor.of(M), SchurFactor.of(N)
     # 1 - lam_i mu_j is the i-th pivot of the j-th shifted triangle
     if np.abs(1.0 - fm.eigvals[:, None] * fn.eigvals).min() < UNIQUE_TOL:
         raise NoUniqueSolution(
@@ -347,12 +342,11 @@ def solve_discrete_sylvester(M, N, W, *, m_schur=None, n_schur=None) -> np.ndarr
     return from_schur(fm, fn, Yt)
 
 
-def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:
+def solve_stein(A, W) -> np.ndarray:
     """Solve the Stein equation ``A X A^T + W = X`` for symmetric W.
 
     Requires the spectral radius of A to be strictly below one; the output
-    is symmetrized to remove roundoff skew.  ``a_schur`` optionally passes
-    a precomputed factor of A.
+    is symmetrized to remove roundoff skew.
     """
     A = _as_square(A, "A")
     W = _as_square(W, "W")
@@ -363,7 +357,7 @@ def solve_stein(A, W, *, a_schur: SchurFactor | None = None) -> np.ndarray:
     if not (np.abs(W - W.T) <= atol + 1e-8 * np.abs(W.T)).all():
         raise ValueError("W must be symmetric")
 
-    fa = a_schur if a_schur is not None else SchurFactor.of(A)
+    fa = SchurFactor.of(A)
     fat = fa.transposed()
     X = from_schur(fa, fat, stein_schur(fa, fat, to_schur(fa, fat, 0.5 * (W + W.T))))
     return 0.5 * (X + X.T)

@@ -14,6 +14,7 @@ data-driven path is verified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,7 +52,8 @@ __all__ = [
 
 def _matrix(value, name: str) -> np.ndarray:
     M = np.atleast_2d(np.asarray(value, dtype=float))
-    if not np.isfinite(M).all():
+    # min and max propagate NaN and reach any infinity, with no mask of M's size
+    if not (math.isfinite(M.min(initial=0.0)) and math.isfinite(M.max(initial=0.0))):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -61,7 +63,8 @@ class LtiSystem:
     """System (A, B, C) with ``y = C x``, full order or reduced.
 
     ``schur`` factors A on first use; every evaluation and spectral check
-    against this system reuses that one factor.
+    against this system reuses that one factor, and so do its gramians
+    ``P`` and ``Q``, one Stein sweep each, solved on first use and kept.
     """
 
     A: np.ndarray
@@ -89,10 +92,13 @@ class LtiSystem:
         return cls(A, B, np.eye(A.shape[0]))
 
     def with_output(self, C) -> "LtiSystem":
-        """This system with the output map ``C``, sharing the factor of A."""
+        """This system with the output map ``C``, sharing the factor of A and,
+        once solved, the gramian P, which depends on A and B alone."""
         out = type(self)(self.A, self.B, C)
         # a cached_property lives in the instance dict, frozen or not
         vars(out)["schur"] = self.schur
+        if "P" in vars(self):
+            vars(out)["P"] = self.P
         return out
 
     @property
@@ -115,6 +121,21 @@ class LtiSystem:
     def b_schur(self) -> np.ndarray:
         """``Z^H B`` for ``A = Z T Z^H``."""
         return self.schur.ZH @ self.B
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Controllability gramian, ``A P A^T + B B^T = P``, symmetrized; the
+        right-hand side is ``(Zn^T B)(Z^H B)^T`` for Zn the Schur vectors of A^T."""
+        fa, fn = self.schur, self.schur.transposed()
+        P = from_schur(fa, fn, stein_schur(fa, fn, (fn.Z.T @ self.B) @ self.b_schur.T))
+        return 0.5 * (P + P.T)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Observability gramian, ``A^T Q A + C^T C = Q``, symmetrized."""
+        fa, fn = self.schur, self.schur.transposed()
+        Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, self.C.T @ self.C)))
+        return 0.5 * (Q + Q.T)
 
     @cached_property
     def identity_output(self) -> bool:
@@ -231,9 +252,8 @@ def markov_parameters(sys: LtiSystem, count: int) -> np.ndarray:
 
 
 def h2_norm(sys: LtiSystem) -> float:
-    """h2 norm from the controllability gramian: sqrt(tr(C Sigma_c C^T))."""
-    sigma_c = solve_stein(sys.A, sys.B @ sys.B.T)
-    return float(np.sqrt(max(np.trace(sys.C @ sigma_c @ sys.C.T), 0.0)))
+    """h2 norm from the controllability gramian: sqrt(tr(C P C^T))."""
+    return float(np.sqrt(max(np.trace(sys.C @ sys.P @ sys.C.T), 0.0)))
 
 
 def require_shared_io(sys: LtiSystem, rom: Rom) -> None:
@@ -357,10 +377,11 @@ class Evaluation:
     ``Bhat = 0`` gives ``chat_star = 0``.
 
     The descent evaluates against ``DualData.system`` and
-    ``H2ErrorEvaluator`` against a known system.  Each evaluation
-    back-transforms P and R (O(n^2 r), as the R sweep) and sets ``f``;
+    ``H2ErrorEvaluator`` against a known system.  P is ``rom.P``, so the
+    oracle's evaluation of an iterate reuses the descent's.  Each
+    evaluation sweeps and back-transforms R (O(n^2 r)) and sets ``f``;
     ``chat_star``, ``phi`` and ``projected`` (which reuses the factor of
-    Ahat) follow on first use.  ``phi`` is ``objective_f`` at
+    Ahat and P) follow on first use.  ``phi`` is ``objective_f`` at
     ``projected``, so a rom whose Chat already is its ``chat_star`` has
     ``f == phi`` to the bit.  The guards are stability (``NotStable``),
     the separation of A from the reciprocal rom poles
@@ -370,18 +391,12 @@ class Evaluation:
     # an overflow is reported by the finiteness check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, model: LtiSystem, rom: LtiSystem):
-        fa, fm = rom.schur, model.schur
-        fn = fa.transposed()
+        fm, fn = model.schur, rom.schur.transposed()
         require_separation(fm, fn.eigvals)
-        # P and R in Schur coordinates, (Za^H P Zn)^T and (Zm^H R Zn)^T for
-        # Ahat = Za Ta Za^H, A = Zm Tm Zm^H and Zn the Schur vectors of Ahat^T;
-        # the P sweep raises NotStable unless Ahat is stable
-        Bn = fn.Z.T @ rom.B
-        Yp = stein_schur(fa, fn, Bn @ (fa.ZH @ rom.B).T)
-        Yr = solve_schur(fm, fn, Bn @ model.b_schur.T)
-        P = from_schur(fa, fn, Yp)
-        self.P = 0.5 * (P + P.T)
-        self.R = from_schur(fm, fn, Yr)
+        # R in Schur coordinates, (Zm^H R Zn)^T for A = Zm Tm Zm^H and Zn the
+        # Schur vectors of Ahat^T; rom.P raises NotStable unless Ahat is stable
+        self.P = rom.P
+        self.R = from_schur(fm, fn, solve_schur(fm, fn, (fn.Z.T @ rom.B) @ model.b_schur.T))
         if not (np.isfinite(self.P).all() and np.isfinite(self.R).all()):
             raise NumericalOverflow("the gramian P or the cross term R of the rom "
                                     "overflowed the floating-point range")
@@ -406,34 +421,27 @@ class Evaluation:
         """Every solve one gradient evaluation needs.
 
         At the rom as given, or at ``projected``; P and R are this
-        evaluation's, and only Q and S are solved.  Q solves the Stein
-        equation of Ahat^T, whose factor is ``fn`` and whose transposed
-        factor is ``rom.schur``; it is symmetrized as ``solve_stein`` does.
-        S solves ``A^T S Ahat - C^T Chat = S``, on spectra already checked.
+        evaluation's, Q is that rom's ``Q``, and only S is swept here:
+        ``A^T S Ahat - C^T Chat = S``, on spectra already checked.
         """
         rom = self.projected if projected else self.rom
-        fa = rom.schur
-        fn = fa.transposed()
-        C = rom.C
-        Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, C.T @ C)))
-        fs = self.model.schur.transposed()
-        W = -C if self.model.identity_output else -self.model.C.T @ C
+        fa, fs = rom.schur, self.model.schur.transposed()
+        W = -rom.C if self.model.identity_output else -self.model.C.T @ rom.C
         S = from_schur(fs, fa, solve_schur(fs, fa, to_schur(fs, fa, W)))
-        return GramianSet(self.P, 0.5 * (Q + Q.T), self.R, S)
+        return GramianSet(self.P, rom.Q, self.R, S)
 
 
 class H2ErrorEvaluator:
     """Repeated h2-error evaluations against one fixed full-order system.
 
-    Computes the full-order gramian term once, on the system's cached Schur
-    factor; each call adds the reduced and cross terms, the ``f`` of one
-    ``Evaluation``.
+    Computes the full-order gramian term once, from the system's gramian
+    ``sys.P``; each call adds the reduced and cross terms, the ``f`` of one
+    ``Evaluation``, which reads the rom's P where the descent solved it.
     """
 
     def __init__(self, sys: LtiSystem):
         self._sys = sys
-        sigma_c = solve_stein(sys.A, sys.B @ sys.B.T, a_schur=sys.schur)
-        self._trace_full = float(np.trace(sys.C @ sigma_c @ sys.C.T))
+        self._trace_full = float(np.trace(sys.C @ sys.P @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
 
     @property

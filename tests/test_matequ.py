@@ -107,16 +107,6 @@ def test_stein_symmetry_tolerance_boundary(skew, accepted):
             solve_stein(A, W)
 
 
-def test_stein_accepts_precomputed_schur():
-    rng = np.random.default_rng(11)
-    A = random_stable(rng, 8, radius=0.7)
-    G = rng.standard_normal((8, 8))
-    W = G + G.T
-    fac = SchurFactor.of(A)
-    np.testing.assert_allclose(solve_stein(A, W, a_schur=fac), solve_stein(A, W),
-                               atol=1e-12)
-
-
 def test_sylvester_scalar_closed_form():
     # m x n + w = x  ->  x = w / (1 - m n)
     X = solve_discrete_sylvester(np.array([[0.5]]), np.array([[0.5]]),
@@ -198,18 +188,6 @@ def test_sylvester_shape_mismatch_raises():
         solve_discrete_sylvester(np.eye(2), np.eye(3), np.zeros((3, 2)))
 
 
-def test_sylvester_precomputed_schur_matches():
-    rng = np.random.default_rng(31)
-    M = random_stable(rng, 7, radius=0.8)
-    N = random_stable(rng, 5, radius=0.8)
-    W = rng.standard_normal((7, 5))
-    ref = solve_discrete_sylvester(M, N, W)
-    got = solve_discrete_sylvester(M, N, W,
-                                   m_schur=SchurFactor.of(M),
-                                   n_schur=SchurFactor.of(N))
-    np.testing.assert_allclose(got, ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
-
-
 def mixed_spectrum(rng, k, radius=0.9):
     """Random real k x k matrix with one complex pair (k >= 2), the rest real."""
     t = rng.uniform(0.3, 2.8)
@@ -227,12 +205,16 @@ def test_sylvester_sweep_matches_kronecker_on_pipeline_shapes(k, r):
     M = mixed_spectrum(rng, k)
     A = mixed_spectrum(rng, r)
     W = rng.standard_normal((k, r))
-    # N = A^T enters through the transposed factor of A, as Ahat^T does in solve_R
-    X = solve_discrete_sylvester(M, A.T, W, m_schur=SchurFactor.of(M),
-                                 n_schur=SchurFactor.of(A).transposed())
+    X = solve_discrete_sylvester(M, A.T, W)
     assert X.dtype == np.float64 and X.shape == (k, r)
     if X.size:
-        assert rel_max_err(X, kron_solve_sylvester(M, A.T, W)) < 1e-10
+        ref = kron_solve_sylvester(M, A.T, W)
+        assert rel_max_err(X, ref) < 1e-10
+        # N = A^T through the transposed factor of A, as Ahat^T enters the
+        # R sweep of sysmodel.Evaluation
+        fm, fn = SchurFactor.of(M), SchurFactor.of(A).transposed()
+        assert rel_max_err(from_schur(fm, fn, solve_schur(fm, fn, to_schur(fm, fn, W))),
+                           ref) < 1e-10
 
 
 def test_sylvester_sweep_forms_no_kronecker_system(monkeypatch):

@@ -566,16 +566,22 @@ def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
         np.testing.assert_array_equal(grams.P, grams.P.T)
 
 
-def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
+def assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_oracle):
     sys, ens, init = make_problem(seed=17)
     dual = reconstruct_dual(ens)
-    calls = {"stein": 0, "sylvester": 0, "solve_S": 0, "solve_stein": 0, "evaluations": 0}
+    oracle = sys if with_oracle else None
+    calls = {"stein": 0, "sylvester": 0, "solve_S": 0, "solve_stein": 0, "evaluations": 0,
+             "oracle_stein": 0, "oracle_sylvester": 0, "oracle_evaluations": 0}
 
     def counted(owner, name, key):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            # a sweep on the oracle's factor, or an evaluation against it,
+            # is the oracle's; everything else is the descent's
+            first = args[1] if name == "__init__" else args[0]
+            owned = oracle is not None and (first is oracle or first is oracle.schur)
+            calls["oracle_" + key if owned else key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -584,11 +590,12 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
     counted(ddh2mor.sysmodel, "stein_schur", "stein")
     counted(ddh2mor.sysmodel, "solve_schur", "sylvester")
     counted(ddh2mor.ddgrad, "solve_S", "solve_S")
+    # neither the general Stein solver nor ddgrad's route to the gramians
     counted(ddh2mor.sysmodel, "solve_stein", "solve_stein")
-    counted(ddh2mor.ddgrad, "solve_stein", "solve_stein")
+    counted(ddh2mor.ddgrad, "rom_gramians", "solve_stein")
     counted(ddh2mor.sysmodel.Evaluation, "__init__", "evaluations")
     k = 8
-    res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual)
+    res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual, oracle=oracle)
     assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
     # the start and every trial, P and R once each; Q and S once per gradient,
     # with no second separation check through solve_S
@@ -596,3 +603,16 @@ def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
     assert calls["stein"] == calls["sylvester"] == calls["evaluations"] + k
     assert calls["solve_S"] == 0
     assert calls["solve_stein"] == 0
+    # the oracle sweeps its own gramian once, and one R per evaluation of the
+    # start and of each recorded iterate; their P is the descent's
+    assert calls["oracle_stein"] == (1 if with_oracle else 0)
+    assert (calls["oracle_sylvester"] == calls["oracle_evaluations"]
+            == (1 + k if with_oracle else 0))
+
+
+def test_p_and_r_are_solved_for_the_start_and_in_trials_only(monkeypatch):
+    assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_oracle=False)
+
+
+def test_p_is_swept_once_per_iterate_with_an_oracle(monkeypatch):
+    assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_oracle=True)

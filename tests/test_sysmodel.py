@@ -10,6 +10,7 @@ from ddh2mor import (
     Rom,
     SingularShift,
     SyntheticSpec,
+    TrajectorySet,
     error_gramians,
     generate_synthetic,
     h2_error,
@@ -45,6 +46,21 @@ def test_system_shape_validation():
             cls(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError, match="read-only"):
             cls(np.eye(2), np.ones((2, 1)), np.ones((1, 2))).B[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_entry_among_finite_ones_is_refused(entry):
+    # the check reads the extremes: a NaN propagates through both, and an
+    # infinity of either sign is one of them, whatever the other entries' signs
+    for fill in (-2.0, 0.0, 3.0):
+        A = np.full((3, 3), fill)
+        A[1, 2] = entry
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            LtiSystem(A, np.ones((3, 1)), np.ones((1, 3)))
+        states = np.full((2, 4, 3), fill)
+        states[1, 3, 0] = entry
+        with pytest.raises(ValueError, match="states contains non-finite"):
+            TrajectorySet(states, np.zeros((2, 3, 1)))
 
 
 def test_system_dimensions_and_identity_output():
@@ -90,6 +106,9 @@ def test_rom_as_system_roundtrip():
     out = rom.with_output(np.array([[3.0], [4.0]]))
     assert type(out) is Rom and out.schur is rom.schur and out.A is rom.A
     assert out.p == 2
+    # P depends on A and B alone; once solved, it is shared too
+    assert rom.with_output(np.array([[1.0]])).P is not rom.P
+    assert rom.with_output(np.array([[1.0]])).P is rom.P
     sys = scalar_system().with_output(np.array([[5.0]]))
     assert type(sys) is LtiSystem and sys.C[0, 0] == 5.0
 

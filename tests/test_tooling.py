@@ -11,7 +11,9 @@ built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
 workload reads the files the command line writes without the package, so
 one small round of it runs here.  Each public name is listed in the
 ``__all__`` of one module.  The package's one rank rule,
-``matequ.significant``, is the only code that compares against ``RANK_TOL``.
+``matequ.significant``, is the only code that compares against ``RANK_TOL``,
+the annulus bounds are compared only in the checks that own them, and only
+``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.
 """
 
 import ast
@@ -139,17 +141,17 @@ def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
     assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
 
 
-def test_rank_tol_is_compared_only_in_the_one_rank_rule():
-    # every rank decision takes matequ.significant; a comparison against
-    # RANK_TOL anywhere else is a second copy of the rule
+def compared_in(name):
+    """(file, qualified function) of each comparison in the package that
+    reads the constant ``name``."""
     src = Path(ddh2mor.__file__).resolve().parent
     found = []
 
     def visit(node, path, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
         if isinstance(node, ast.Compare) and any(
-                getattr(sub, "id", getattr(sub, "attr", None)) == "RANK_TOL"
+                getattr(sub, "id", getattr(sub, "attr", None)) == name
                 for sub in ast.walk(node)):
             found.append((path.name, where))
         for child in ast.iter_child_nodes(node):
@@ -157,4 +159,31 @@ def test_rank_tol_is_compared_only_in_the_one_rank_rule():
 
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
-    assert found == [("matequ.py", "significant")]
+    return found
+
+
+def test_rank_tol_is_compared_only_in_the_one_rank_rule():
+    # every rank decision takes matequ.significant; a comparison against
+    # RANK_TOL anywhere else is a second copy of the rule
+    assert compared_in("RANK_TOL") == [("matequ.py", "significant")]
+
+
+def test_annulus_bounds_are_compared_only_in_the_annulus_checks():
+    # the stability annulus is read through the checks that own it: the
+    # Stein sweep's, a system's stability and a rom's spectral bounds
+    checks = {("matequ.py", "stein_schur"), ("sysmodel.py", "LtiSystem.is_stable"),
+              ("sysmodel.py", "Rom.satisfies_spectral_bounds")}
+    assert set(compared_in("EIG_FLOOR") + compared_in("EIG_CEIL_MARGIN")) == checks
+
+
+def test_schur_coordinate_sweeps_are_called_only_in_matequ_and_sysmodel():
+    # the package's solves in Schur coordinates are matequ's solvers and the
+    # gramians and evaluations of sysmodel; any other module takes those
+    sweeps = {"to_schur", "solve_schur", "stein_schur", "from_schur"}
+    src = Path(ddh2mor.__file__).resolve().parent
+    found = [(path.name, node.lineno)
+             for path in sorted(src.rglob("*.py")) if path.name not in ("matequ.py", "sysmodel.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in sweeps]
+    assert not found, f"Schur-coordinate sweeps called outside matequ and sysmodel: {found}"
