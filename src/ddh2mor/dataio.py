@@ -126,6 +126,11 @@ class DataEnsemble:
     alpha, seed : generation provenance when known
 
     The arrays are copied, so a caller may go on changing what it passed.
+    An ensemble must not be changed after construction:
+    ``ddgrad.reconstruct_dual`` keeps the model it identifies on the
+    ensemble, and the frozen fields and read-only arrays keep that model the
+    one of these data.  ``dataclasses.replace`` makes a new ensemble, which
+    is reconstructed afresh.
     """
 
     X1: np.ndarray

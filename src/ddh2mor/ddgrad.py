@@ -11,6 +11,11 @@ Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
 against it (``sysmodel.Evaluation``), on exact full-rank data those of the
 system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it hands to
 ``dataio.check_assumptions`` for the rank report.
+
+``reconstruct_dual`` keeps its model on the ensemble it came from, so an
+ensemble is reconstructed once however many starts descend on it; an
+ensemble is never changed after construction, which keeps that model
+current.  The known-input reconstruction depends on B and is not kept.
 """
 
 from __future__ import annotations
@@ -118,6 +123,12 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
             resid / scale if scale else (math.inf if resid else 0.0))
 
 
+def _require_full_rank(ens: DataEnsemble, report: AssumptionReport, force: bool) -> None:
+    if not report.b1_holds and not force:
+        raise RankDeficientData(
+            f"need rank [X1 U1] = {ens.n + ens.m}, got {report.rank_X1U1}")
+
+
 @_OVERFLOW_CHECKED
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     """The paper's dual coefficients from data with unknown system matrices:
@@ -128,20 +139,30 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     interlace the whole's); forced, rank-deficient data give the min-norm
     model.  Snapshots whose range overflows the triangle, the fit or the
     Schur factor of MR raise ``NumericalOverflow``.
+
+    The first reconstruction that succeeds is kept on ``ens``, and every
+    later call returns that same ``DualData``; each call applies its own
+    rank gate to the kept report.  A failed reconstruction keeps nothing.
     """
-    n = ens.n
-    theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
-    if not report.b1_holds and not force:
-        raise RankDeficientData(
-            f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
-    return DualData(theta[:n].T, theta[n:].T, report, residual)
+    dual = vars(ens).get("_dual")
+    if dual is None:
+        n = ens.n
+        theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
+        _require_full_rank(ens, report, force)
+        # DataEnsemble is frozen and its arrays read-only, so the kept model
+        # stays that of its data; a frozen dataclass has an instance dict
+        dual = vars(ens)["_dual"] = DualData(theta[:n].T, theta[n:].T, report, residual)
+    else:
+        _require_full_rank(ens, dual.report, force)
+    return dual
 
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
     """Dual reconstruction when the input matrix B is known: the fit of
     ``X2 - U1 B^T`` on X1 alone, ``MR = Theta_x^T`` and ``GB = B``, which
-    needs only rank X1 = n (N >= n).
+    needs only rank X1 = n (N >= n).  Its model depends on B, so unlike
+    ``reconstruct_dual`` it is computed afresh on every call.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):

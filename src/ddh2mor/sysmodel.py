@@ -72,9 +72,10 @@ class LtiSystem:
     C: np.ndarray
 
     def __post_init__(self):
-        A = _matrix(self.A, "A")
-        B = _matrix(self.B, "B")
-        C = _matrix(self.C, "C")
+        self._set(_matrix(self.A, "A"), _matrix(self.B, "B"), _matrix(self.C, "C"))
+
+    def _set(self, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+        """Store arrays that ``_matrix`` has checked, once their shapes agree."""
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError("A must be square")
@@ -93,8 +94,10 @@ class LtiSystem:
 
     def with_output(self, C) -> "LtiSystem":
         """This system with the output map ``C``, sharing the factor of A and,
-        once solved, the gramian P, which depends on A and B alone."""
-        out = type(self)(self.A, self.B, C)
+        once solved, the gramian P, which depends on A and B alone.  Only C
+        is checked: A and B are this system's, checked already."""
+        out = object.__new__(type(self))
+        out._set(self.A, self.B, _matrix(C, "C"))
         # a cached_property lives in the instance dict, frozen or not
         vars(out)["schur"] = self.schur
         if "P" in vars(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from ddh2mor import (
     LtiSystem,
     NoiseSpec,
     NotStable,
+    NumericalOverflow,
+    OptimParams,
     RankDeficientData,
     Rom,
     SyntheticSpec,
@@ -174,6 +177,9 @@ def test_known_input_reconstruction_matches_unknown():
     assert rel_max_err(a.GB, b.GB) < 1e-9
     np.testing.assert_array_equal(b.GB, sys.B)
     assert b.report == a.report == check_assumptions(ens)
+    # the known-input model depends on B, so it is not the one kept on ens
+    np.testing.assert_array_equal(reconstruct_dual_known_input(ens, 2 * sys.B).GB, 2 * sys.B)
+    assert reconstruct_dual(ens) is a
 
 
 def test_known_input_reconstruction_factors_mr_once(monkeypatch):
@@ -217,6 +223,35 @@ def test_reconstruction_hands_its_triangle_and_svd_to_the_rank_check(monkeypatch
     assert triangles == [(ens.N, 2 * n + m)]
     assert shapes == {"unknown-input": [(n + m, n + m), (n, n), (n + m, m)],
                       "known-input": [(n, n), (n + m, n + m), (n + m, m)]}[route]
+
+
+def test_reconstruction_is_kept_on_its_ensemble(monkeypatch):
+    # one reduction of [X1 U1 X2] serves every later call on the ensemble,
+    # the descent's own from each of three starts included; a replaced
+    # ensemble is a new one and is reconstructed afresh
+    rng = np.random.default_rng(38)
+    sys, ens, _ = make_instance(seed=38, N=40)
+    triangles = []
+    monkeypatch.setattr(ddh2mor.ddgrad, "_triangle", lambda S, _triangle=ddh2mor.ddgrad._triangle:
+                        triangles.append(S.shape) or _triangle(S))
+    dual = reconstruct_dual(ens)
+    assert reconstruct_dual(ens) is dual
+    for _ in range(3):
+        ddh2mor.run(ens, random_rom(rng, 3, ens.m, ens.n), OptimParams(max_iters=2))
+    assert triangles == [(ens.N, 2 * ens.n + ens.m)]
+    replaced = dataclasses.replace(ens, X2=ens.X2 + 1e-3 * rng.standard_normal(ens.X2.shape))
+    fresh = reconstruct_dual(replaced)
+    assert fresh is not dual and fresh.data_residual > dual.data_residual
+    assert len(triangles) == 2 and reconstruct_dual(ens) is dual
+
+
+def test_overflowing_snapshots_raise_on_every_call():
+    # a reconstruction that overflows keeps nothing, so a second call raises too
+    _, ens, _ = make_instance(seed=39)
+    huge = DataEnsemble(ens.X1, ens.U1, np.full_like(ens.X2, 1e308))
+    for _ in range(2):
+        with pytest.raises(NumericalOverflow, match="triangle of the snapshot data"):
+            reconstruct_dual(huge)
 
 
 @pytest.mark.parametrize("case", ["thin", "zero-input"])
@@ -316,6 +351,10 @@ def test_reconstruction_requires_joint_rank():
         reconstruct_dual(thin)
     dual = reconstruct_dual(thin, force=True)
     assert dual.MR.shape == (sys.n, sys.n)
+    # the kept model passes each call's own gate
+    with pytest.raises(RankDeficientData):
+        reconstruct_dual(thin)
+    assert reconstruct_dual(thin, force=True) is dual
 
 
 def test_known_input_reconstruction_needs_only_state_rank():

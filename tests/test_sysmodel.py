@@ -20,6 +20,7 @@ from ddh2mor import (
     simulate,
     transfer_eval,
 )
+from ddh2mor import sysmodel
 from ddh2mor.sysmodel import Evaluation, _expm_integral, assemble_gradients
 from helpers import fd_gradients, quad_h2_norm, random_rom, random_system, rel_max_err
 
@@ -111,6 +112,21 @@ def test_rom_as_system_roundtrip():
     assert rom.with_output(np.array([[1.0]])).P is rom.P
     sys = scalar_system().with_output(np.array([[5.0]]))
     assert type(sys) is LtiSystem and sys.C[0, 0] == 5.0
+
+
+def test_with_output_checks_the_new_output_map_alone(monkeypatch):
+    # A and B are the checked arrays of the system it copies
+    rom = Rom(np.array([[0.4]]), np.array([[1.0]]), np.array([[2.0]]))
+    checked = []
+    matrix = sysmodel._matrix
+    monkeypatch.setattr(sysmodel, "_matrix",
+                        lambda value, name: checked.append(name) or matrix(value, name))
+    out = rom.with_output(np.array([[3.0], [4.0]]))
+    assert checked == ["C"] and not out.C.flags.writeable
+    with pytest.raises(ValueError, match="C contains non-finite"):
+        rom.with_output(np.array([[np.inf]]))
+    with pytest.raises(ValueError, match="C must have as many columns"):
+        rom.with_output(np.ones((1, 2)))
 
 
 def test_rom_takes_the_system_route_of_every_function():
