@@ -75,9 +75,9 @@ def run(args: argparse.Namespace) -> int:
     save_system(sys_, out / "system", h=spec.h, seed=spec.seed)
     ens = dd.generate_ensemble(sys_, args.N, noise)
     dd.save_ensemble(ens, out / "ensemble")
-    # one reconstruction and one rank check for every initializer, kept on
-    # ens; the gate below is the reconstruction's own condition, applied here
-    # so that it can print the ranks, hence force=True
+    # one reconstruction and one rank check for every initializer; the gate
+    # below is the reconstruction's own condition, applied here so that it
+    # can print the ranks, hence force=True
     dual = dd.reconstruct_dual(ens, force=True)
     report = dual.report
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")

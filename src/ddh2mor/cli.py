@@ -267,11 +267,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if int(args.r) < 1:
         raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
-    # the reconstruction, kept on ens, runs the one rank check of the
-    # reduction; the gate below applies its report, which is the
-    # reconstruction's own condition (rank [X1 U1] = n + m gives the ranks of
-    # X1 and U1), but prints the report and honours --force, hence force=True
-    # here, and the forced model is passed on to run
+    # the reconstruction runs the one rank check of the reduction; the gate
+    # below applies its report, which is the reconstruction's own condition
+    # (rank [X1 U1] = n + m gives the ranks of X1 and U1), but prints the
+    # report and honours --force, hence force=True here
     dual = ddgrad.reconstruct_dual(ens, force=True)
     report = dual.report
     if not report.all_hold:

@@ -126,11 +126,6 @@ class DataEnsemble:
     alpha, seed : generation provenance when known
 
     The arrays are copied, so a caller may go on changing what it passed.
-    An ensemble must not be changed after construction:
-    ``ddgrad.reconstruct_dual`` keeps the model it identifies on the
-    ensemble, and the frozen fields and read-only arrays keep that model the
-    one of these data.  ``dataclasses.replace`` makes a new ensemble, which
-    is reconstructed afresh.
     """
 
     X1: np.ndarray
@@ -293,6 +288,11 @@ def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
     A reconstruction that has reduced ``[X1 U1 Y]`` already hands in that
     ``triangle``, whose leading n + m columns are [X1 U1]'s, and as
     ``leading = (k, s)`` the singular values s it took of ``R[:k, :k]``.
+
+    The singular values of a column block interlace those of the whole, so
+    its smallest is no smaller and its largest no larger: full rank of
+    [X1 U1] at the relative ``RANK_TOL`` gives full rank of X1 and U1, and
+    their blocks are decomposed only when rank [X1 U1] < n + m.
     """
     n, m = ens.n, ens.m
     if triangle is None:
@@ -303,10 +303,15 @@ def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
         np.ldexp(S, -np.frexp(max(S.max(), -S.min()))[1], out=S)
         triangle = _triangle(S)
     k, s = (None, None) if leading is None else leading
-    singular_values = [s if (j0, j1) == (0, k)
-                       else np.linalg.svd(triangle[:j1, j0:j1], compute_uv=False)
-                       for j0, j1 in ((0, n + m), (0, n), (n, n + m))]
-    rank_joint, rank_x1, rank_u1 = map(_rank, singular_values)
+
+    def rank(j0: int, j1: int) -> int:
+        if (j0, j1) == (0, k):
+            return _rank(s)
+        return _rank(np.linalg.svd(triangle[:j1, j0:j1], compute_uv=False))
+
+    rank_joint = rank(0, n + m)
+    rank_x1, rank_u1 = ((n, m) if rank_joint == n + m
+                        else (rank(0, n), rank(n, n + m)))
     return AssumptionReport(
         rank_X1U1=rank_joint,
         rank_X1=rank_x1,

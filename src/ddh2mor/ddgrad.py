@@ -11,11 +11,6 @@ Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
 against it (``sysmodel.Evaluation``), on exact full-rank data those of the
 system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it hands to
 ``dataio.check_assumptions`` for the rank report.
-
-``reconstruct_dual`` keeps its model on the ensemble it came from, so an
-ensemble is reconstructed once however many starts descend on it; an
-ensemble is never changed after construction, which keeps that model
-current.  The known-input reconstruction depends on B and is not kept.
 """
 
 from __future__ import annotations
@@ -101,10 +96,13 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
     """The min-norm fit ``Y ~ [X1 U1][:, :k] Theta``, from the triangle R
     of ``[X1 U1 Y] = Q R``.
 
-    Theta is solved on the SVD of ``R[:k, :k]``, cut at ``RANK_TOL``; the
-    residual is Y's part along the cut directions and in R's rows below k,
-    relative to ``||X2||_F``.  The rank check reads the singular values of
-    [X1 U1], X1 and U1 off the same R (``check_assumptions``), reusing
+    When ``R[:k, :k]`` has full rank at ``RANK_TOL``, read off its singular
+    values, Theta is the triangular solve ``R[:k, :k] Theta = R[:k, Y]``
+    and the residual is Y's part in R's rows below k.  Otherwise Theta is
+    solved on the SVD of ``R[:k, :k]``, cut at ``RANK_TOL``, and the
+    residual also holds Y's part along the cut directions.  The residual
+    is relative to ``||X2||_F``.  The rank check reads the singular values
+    of [X1 U1], X1 and U1 off the same R (``check_assumptions``), reusing
     those of ``R[:k, :k]``; no SVD is taken of a matrix with N rows.
     Returns ``(Theta, report, data_residual)``.
     """
@@ -113,20 +111,19 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
     S[:, :n], S[:, n:n + m], S[:, n + m:] = ens.X1, ens.U1, Y
     R = _triangle(S)
     _require_finite("the triangle of the snapshot data", R)
-    U, s, Vt = np.linalg.svd(R[:k, :k], full_matrices=False)
-    keep = significant(s)
-    Ry = R[:k, n + m:]
-    theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
-    resid = math.hypot(_norm(U[:, ~keep].T @ Ry), _norm(R[k:, n + m:]))
+    Rk, Ry = R[:k, :k], R[:k, n + m:]
+    s = np.linalg.svd(Rk, compute_uv=False)
+    if np.count_nonzero(significant(s)) == k:
+        theta, cut = scipy.linalg.solve_triangular(Rk, Ry, check_finite=False), 0.0
+    else:
+        U, s, Vt = np.linalg.svd(Rk, full_matrices=False)
+        keep = significant(s)
+        theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
+        cut = _norm(U[:, ~keep].T @ Ry)
+    resid = math.hypot(cut, _norm(R[k:, n + m:]))
     scale = _norm(ens.X2)
     return (theta, check_assumptions(ens, R, (k, s)),
             resid / scale if scale else (math.inf if resid else 0.0))
-
-
-def _require_full_rank(ens: DataEnsemble, report: AssumptionReport, force: bool) -> None:
-    if not report.b1_holds and not force:
-        raise RankDeficientData(
-            f"need rank [X1 U1] = {ens.n + ens.m}, got {report.rank_X1U1}")
 
 
 @_OVERFLOW_CHECKED
@@ -139,30 +136,20 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     interlace the whole's); forced, rank-deficient data give the min-norm
     model.  Snapshots whose range overflows the triangle, the fit or the
     Schur factor of MR raise ``NumericalOverflow``.
-
-    The first reconstruction that succeeds is kept on ``ens``, and every
-    later call returns that same ``DualData``; each call applies its own
-    rank gate to the kept report.  A failed reconstruction keeps nothing.
     """
-    dual = vars(ens).get("_dual")
-    if dual is None:
-        n = ens.n
-        theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
-        _require_full_rank(ens, report, force)
-        # DataEnsemble is frozen and its arrays read-only, so the kept model
-        # stays that of its data; a frozen dataclass has an instance dict
-        dual = vars(ens)["_dual"] = DualData(theta[:n].T, theta[n:].T, report, residual)
-    else:
-        _require_full_rank(ens, dual.report, force)
-    return dual
+    n = ens.n
+    theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
+    if not report.b1_holds and not force:
+        raise RankDeficientData(
+            f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
+    return DualData(theta[:n].T, theta[n:].T, report, residual)
 
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
     """Dual reconstruction when the input matrix B is known: the fit of
     ``X2 - U1 B^T`` on X1 alone, ``MR = Theta_x^T`` and ``GB = B``, which
-    needs only rank X1 = n (N >= n).  Its model depends on B, so unlike
-    ``reconstruct_dual`` it is computed afresh on every call.
+    needs only rank X1 = n (N >= n).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):

@@ -204,7 +204,8 @@ def _conjugate_groups(samples: list[FreqSample]) -> list[tuple[int, ...]]:
     return groups
 
 
-_PAIR_UNITARY = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
+_PAIR_UNITARY = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / _SQRT2
 
 
 def _real_transform(groups) -> np.ndarray:
@@ -237,8 +238,13 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     converts the resulting descriptor realization to standard form.
 
     Each Loewner matrix is formed with its right samples on the last axis,
-    so the real transform of the left samples is one product from the left
-    and that of the right samples one product from the right.  The real
+    so the real transform of the right samples is one product from the
+    right.  The left samples need no product: the second sample of a pair
+    is the conjugate of the first (``_conjugate_groups`` checks it), which
+    makes its rows of the Loewner matrices, once transformed on the right,
+    the conjugate of the first's.  The pair's transformed rows are then
+    ``sqrt(2)`` times the real and the imaginary part of the first's, so
+    the complex rows are formed for one sample per group alone.  The real
     ``[Lr Lsr Vr]`` (q p rows) is written straight into one Fortran-ordered
     buffer and reduced in place by ``_triangle``: ``[Lr Lsr Vr] = Q R``.
     Every quantity the projection needs is then read off R.  The leading
@@ -256,7 +262,9 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     if any(s.value.shape != (p, m) for s in left + right):
         raise ValueError("all sample values must share one shape")
 
-    lg = _conjugate_groups(left)
+    # real left samples first, then the pairs, each pair's first sample at
+    # ns, ns + 2, ...
+    lg = sorted(_conjugate_groups(left), key=len)
     rg = _conjugate_groups(right)
     lo = [left[i] for g in lg for i in g]
     ro = [right[i] for g in rg for i in g]
@@ -270,29 +278,35 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     VL = np.stack([s.value for s in lo])
     VR = np.stack([s.value for s in ro], axis=-1)
 
-    JLh = _real_transform(lg).conj().T
     JR = _real_transform(rg)
     km = k * m
+    ns = sum(len(g) == 1 for g in lg)
+    first = np.r_[:ns, ns:q:2]
     # the rows of the C-ordered buf are the columns of [Lr Lsr Vr], so buf.T
     # is the Fortran-ordered matrix _triangle reduces, and each column block
     # is filled through a (k, m, q, p) or (m, q, p) view of its rows
     buf = np.empty((2 * km + m, q * p))
     # one complex work array serves both Loewner matrices
-    M = np.empty((q, p * m, k), dtype=complex)
-    inv = (1.0 / denom)[:, None, :]
+    M = np.empty((len(lg), p * m, k), dtype=complex)
+    inv = (1.0 / denom[first])[:, None, :]
+
+    def real_rows(out, W, label):
+        # out (..., q, p) from W (..., groups, p): the left real transform
+        out[..., :ns, :] = _take_real(W[..., :ns, :], label)
+        np.multiply(W[..., ns:, :].real, _SQRT2, out=out[..., ns::2, :])
+        np.multiply(W[..., ns:, :].imag, _SQRT2, out=out[..., ns + 1::2, :])
 
     def fill(rows, vl, vr, label):
-        # entry (i, a, b, j) is (vl[i, a, b] - vr[a, b, j]) / (zl[i] - zr[j])
-        np.subtract(vl.reshape(q, -1, 1), vr.reshape(-1, k), out=M)
+        # entry (g, a, b, j) is (vl[i, a, b] - vr[a, b, j]) / (zl[i] - zr[j])
+        # for the first sample i of left group g
+        np.subtract(vl[first].reshape(len(lg), -1, 1), vr.reshape(-1, k), out=M)
         np.multiply(M, inv, out=M)
-        np.matmul((JLh @ M.reshape(q, -1)).reshape(-1, k), JR, out=M.reshape(-1, k))
-        rows.reshape(k, m, q, p)[...] = _take_real(M, label).reshape(
-            q, p, m, k).transpose(3, 2, 0, 1)
+        W = (M.reshape(-1, k) @ JR).reshape(-1, p, m, k).transpose(3, 2, 0, 1)
+        real_rows(rows.reshape(k, m, q, p), W, label)
 
     fill(buf[:km], VL, VR, "Loewner matrix")
     fill(buf[km:2 * km], zl[:, None, None] * VL, VR * zr, "shifted Loewner matrix")
-    buf[2 * km:].reshape(m, q, p)[...] = _take_real(
-        JLh @ VL.reshape(q, -1), "left data").reshape(q, p, m).transpose(2, 0, 1)
+    real_rows(buf[2 * km:].reshape(m, q, p), VL[first].transpose(2, 0, 1), "left data")
     Wr = _take_real(VR.reshape(-1, k) @ JR, "right data").reshape(
         p, m, k).transpose(0, 2, 1).reshape(p, km)
 

@@ -149,9 +149,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         relative h2 error per iterate
     dual : an already reconstructed DualData, for instance
         ``reconstruct_dual_known_input(ens, B)`` when the input matrix B is
-        known; by default ``reconstruct_dual(ens)``, the model kept on
-        ``ens`` once it has been reconstructed, so runs from several starts
-        on one ensemble reconstruct it once
+        known; by default ``reconstruct_dual(ens)`` is used
 
     Returns
     -------

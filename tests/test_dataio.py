@@ -119,11 +119,16 @@ def rank_case(case):
     ("zero-inputs", (8, 8, 0)),
     ("duplicated-x1-columns", (9, 7, 2)),
 ])
-def test_rank_check_matches_the_svd_route(case, ranks):
+def test_rank_check_matches_the_svd_route(monkeypatch, case, ranks):
     ens = rank_case(case)
+    ref = svd_route_report(ens)
+    shapes = record_svd_shapes(monkeypatch)
     rep = check_assumptions(ens)
-    assert rep == svd_route_report(ens)
+    assert rep == ref
     assert (rep.rank_X1U1, rep.rank_X1, rep.rank_U1) == ranks
+    # a column block's singular values interlace those of [X1 U1], so the
+    # blocks of X1 and U1 are decomposed only when rank [X1 U1] < n + m
+    assert len(shapes) == (1 if rep.b1_holds else 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,7 +162,9 @@ def test_rank_check_factors_one_triangle_and_no_matrix_with_n_rows(monkeypatch):
     shapes = record_svd_shapes(monkeypatch)
     assert check_assumptions(ens) == ref
     assert triangles == [(N, n + m)]
-    assert len(shapes) == 3 and max(rows for rows, _ in shapes) <= n + m
+    # full joint rank gives the ranks of X1 and U1, so only [X1 U1]'s block
+    # is decomposed
+    assert shapes == [(n + m, n + m)]
 
 
 @pytest.mark.parametrize("exponent", [1020, -1000])

@@ -9,9 +9,7 @@ the same way.  ``benchmarks/workloads.py`` counts a run's trial steps from
 its history; the count must stay the number of trial models the descent
 built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
 workload reads the files the command line writes without the package, so
-one small round of it runs here.  Its library workload holds one
-ensemble, which every start of every round reconstructs from the model
-kept on it.  Each public name is listed in the
+one small round of it runs here.  Each public name is listed in the
 ``__all__`` of one module.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
 the annulus bounds are compared only in the checks that own them, and only
@@ -141,21 +139,6 @@ def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
     workloads = load_benchmark_module(monkeypatch, "workloads")
     outcomes = workloads.make("cli-noisy-tall", 0, tmp_path, tiny=True).round()
     assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
-
-
-def test_harness_library_rounds_reduce_their_snapshots_once(monkeypatch, tmp_path):
-    # the accept-n100 rounds reconstruct their one ensemble per start; the
-    # model kept on it makes every call after the first a lookup
-    workloads = load_benchmark_module(monkeypatch, "workloads")
-    workload = workloads.make("accept-n100", 0, tmp_path, tiny=True)
-    triangles = []
-    monkeypatch.setattr(ddh2mor.ddgrad, "_triangle", lambda S, _triangle=ddh2mor.ddgrad._triangle:
-                        triangles.append(S.shape) or _triangle(S))
-    for _ in range(2):
-        outcomes = workload.round()
-        assert len(outcomes) == 3 and all(not o.failures for o in outcomes)
-    ens = workload.ens
-    assert triangles == [(ens.N, 2 * ens.n + ens.m)]
 
 
 def compared_in(name):
