@@ -11,7 +11,7 @@ initializers plus a model-based oracle round out the pipeline.
 from .dataio import (AssumptionReport, DataEnsemble, IterRecord, NoiseSpec,
                      TrajectorySet, check_assumptions, generate_ensemble,
                      generate_trajectories, load_ensemble, numerical_rank,
-                     save_ensemble)
+                     save_ensemble, trajectory_blocks)
 from .ddgrad import (DualData, data_gradients, data_gradients_B_known,
                      data_gradients_from_ensemble, reconstruct_dual,
                      reconstruct_dual_known_input, rom_gramians, solve_R,

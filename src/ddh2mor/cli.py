@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -163,14 +164,25 @@ def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
     and ``init_right`` transfer-function values, and databt takes
     ``init_impulse_count`` Markov parameters.  ``seed`` seeds the random
     draws.
+
+    dmdc folds the trajectories into its fit a block at a time as they are
+    simulated, so it never holds the set.  A count whose set would not fit
+    in the machine's memory is refused with a MemoryError all the same,
+    before anything is drawn: simulating it would take far longer than any
+    reduction is meant to.
     """
     r = int(args.r)
     if kind == "dmdc":
         count = ens.N if args.init_traj_count is None else int(args.init_traj_count)
+        length = int(args.init_traj_length)
+        set_bytes = count * (length * oracle.n + (length - 1) * oracle.m) * 8
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if set_bytes > memory:
+            raise MemoryError(f"{count} trajectories of {length} states take "
+                              f"{set_bytes / 2**30:.4g} GiB, more than the "
+                              f"{memory / 2**30:.4g} GiB this machine can allocate")
         noise = dataio.NoiseSpec(alpha=ens.alpha or 0.0, seed=seed)
-        trajs = dataio.generate_trajectories(oracle, count,
-                                             int(args.init_traj_length), noise)
-        return initmor.init_dmdc(trajs, r)
+        return initmor.init_dmdc(dataio.trajectory_blocks(oracle, count, length, noise), r)
     if kind == "loewner":
         left, right = initmor.sample_frequency_data(
             oracle, int(args.init_left), int(args.init_right), seed)

@@ -20,6 +20,7 @@ import json
 import os
 import tokenize
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,7 @@ __all__ = [
     "save_ensemble",
     "save_rom",
     "save_system",
+    "trajectory_blocks",
     "write_json",
     "write_matrix",
 ]
@@ -66,7 +68,7 @@ _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
 
 HISTORY_HEADER = "iter,f,D,step,backtracks,rel_h2_error,stable"
 
-# standard normals generate_trajectories draws at a time (512 KiB), in
+# standard normals trajectory_blocks draws for one block (512 KiB), in
 # whole trajectories
 _DRAW_CHUNK = 1 << 16
 
@@ -240,40 +242,65 @@ def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) ->
     return _adopt(DataEnsemble, X1=X1, U1=u1, X2=X2, alpha=noise.alpha, seed=noise.seed)
 
 
-def generate_trajectories(sys: LtiSystem, N: int, L: int,
-                          noise: NoiseSpec = NoiseSpec()) -> TrajectorySet:
-    """Simulate N length-L trajectories from Gaussian initial states and inputs.
+def _simulate(sys: LtiSystem, rng: np.random.Generator, count: int, L: int,
+              alpha: float) -> TrajectorySet:
+    """Draw and simulate ``count`` whole trajectories of L states from ``rng``.
 
-    Trajectory i draws its initial state, inputs and observation noise in
-    turn.  The draws are taken, and the trajectories simulated, a chunk of
-    whole trajectories at a time (``_DRAW_CHUNK`` normals), straight into
-    the returned arrays: consecutive draws continue one stream, so the
-    result does not depend on the chunk size.
+    Row i of one draw holds trajectory i's initial state, inputs and
+    observation noise in turn, so consecutive calls continue one stream.
+    """
+    n, m = sys.n, sys.m
+    states, inputs = np.empty((count, L, n)), np.empty((count, L - 1, m))
+    draw = rng.standard_normal((count, n + (L - 1) * m + L * n))
+    states[:, 0] = draw[:, :n]
+    inputs[...] = draw[:, n:n + (L - 1) * m].reshape(inputs.shape)
+    for k in range(L - 1):
+        # stacked matrix-vector products repeat A @ x + B @ u bit for bit;
+        # one matrix-matrix product over all trajectories would not
+        states[:, k + 1] = ((sys.A @ states[:, k, :, None])[..., 0]
+                            + (sys.B @ inputs[:, k, :, None])[..., 0])
+    noise_part = draw[:, n + (L - 1) * m:].reshape(states.shape)
+    noise_part *= alpha
+    states += noise_part
+    return _adopt(TrajectorySet, states=states, inputs=inputs)
+
+
+def trajectory_blocks(sys: LtiSystem, N: int, L: int,
+                      noise: NoiseSpec = NoiseSpec()) -> Iterator[TrajectorySet]:
+    """The trajectories of ``generate_trajectories(sys, N, L, noise)``, as
+    blocks of whole trajectories that are drawn and simulated only when the
+    iterator reaches them.
+
+    Each block takes about ``_DRAW_CHUNK`` normals, so a consumer that
+    folds the blocks in holds one block at a time, whatever N is.  The
+    sizes are checked when this is called, before anything is drawn.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if L < 2:
         raise ValueError("L must be at least 2")
-    n, m = sys.n, sys.m
     rng = np.random.default_rng(noise.seed)
-    states = np.empty((N, L, n))
-    inputs = np.empty((N, L - 1, m))
-    width = n + (L - 1) * m + L * n
-    chunk = max(1, _DRAW_CHUNK // width)
-    for start in range(0, N, chunk):
-        x, u = states[start:start + chunk], inputs[start:start + chunk]
-        # row i holds one trajectory's initial state, inputs and noise
-        draw = rng.standard_normal((len(x), width))
-        x[:, 0] = draw[:, :n]
-        u[...] = draw[:, n:n + (L - 1) * m].reshape(u.shape)
-        for k in range(L - 1):
-            # stacked matrix-vector products repeat A @ x + B @ u bit for
-            # bit; one matrix-matrix product over all trajectories would not
-            x[:, k + 1] = ((sys.A @ x[:, k, :, None])[..., 0]
-                           + (sys.B @ u[:, k, :, None])[..., 0])
-        noise_part = draw[:, n + (L - 1) * m:].reshape(x.shape)
-        noise_part *= noise.alpha
-        x += noise_part
+    chunk = max(1, _DRAW_CHUNK // (sys.n + (L - 1) * sys.m + L * sys.n))
+    return (_simulate(sys, rng, min(chunk, N - start), L, noise.alpha)
+            for start in range(0, N, chunk))
+
+
+def generate_trajectories(sys: LtiSystem, N: int, L: int,
+                          noise: NoiseSpec = NoiseSpec()) -> TrajectorySet:
+    """Simulate N length-L trajectories from Gaussian initial states and inputs.
+
+    Trajectory i draws its initial state, inputs and observation noise in
+    turn.  The set is ``trajectory_blocks`` collected into the returned
+    arrays, one block at a time; the draws continue one stream, so the
+    result does not depend on the block size.
+    """
+    blocks = trajectory_blocks(sys, N, L, noise)
+    states, inputs = np.empty((N, L, sys.n)), np.empty((N, L - 1, sys.m))
+    start = 0
+    for block in blocks:
+        stop = start + len(block.states)
+        states[start:stop], inputs[start:stop] = block.states, block.inputs
+        start = stop
     return _adopt(TrajectorySet, states=states, inputs=inputs)
 
 

@@ -12,10 +12,12 @@ import cmath
 import json
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .dataio import TrajectorySet, check_json_type, read_json_object
 from .errors import (FormatError, InsufficientData, SingularE,
@@ -112,51 +114,89 @@ def make_stable(rom: Rom) -> Rom:
         f"after {_STABILIZE_ROUNDS} adjustment rounds")
 
 
-def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
+def init_dmdc(trajs: TrajectorySet | Iterable[TrajectorySet], r: int) -> Rom:
     """DMDc initializer: identify [A B] by least squares, then project
     onto the dominant left singular vectors of the successor snapshots.
 
-    The snapshots (states X, inputs U, successor states Xp; one column per
-    transition) fill the rows of ``S = [X; U; Xp]^T``, but S is never
-    formed whole.  Its rows are taken a block of whole trajectories at a
-    time (about ``_DMDC_BLOCK_ROWS`` rows), and each block is reduced
-    together with the triangle of the blocks before it: ``_triangle`` of
-    ``[R; block]`` (LAPACK ``dgeqrt``) is the next R.  This is the
-    sequential TSQR of Demmel, Grigori, Hoemmen & Langou (SIAM J. Sci.
-    Comput. 34 (2012)); the final R satisfies ``R^T R = S^T S``, so it is
-    the triangle of ``S = Q R`` up to an orthogonal change of its rows,
-    which leaves everything read off R below unchanged.  Data of one block
-    take a single ``_triangle`` of S.  Each block is written through an
-    (N, L - 1, width) view of its column blocks, so the working set is the
-    trajectories, one block and R.
+    ``trajs`` is a trajectory set or an iterable of blocks of one data set
+    (``dataio.trajectory_blocks``), read once, in order.  The snapshots
+    (states X, inputs U, successor states Xp; one column per transition)
+    fill the rows of ``S = [X; U; Xp]^T``, but S is never formed whole.
+    Its rows are taken a block of whole trajectories at a time (about
+    ``_DMDC_BLOCK_ROWS`` rows), and each block is reduced together with the
+    triangle of the blocks before it: ``_triangle`` of ``[R; block]``
+    (LAPACK ``dgeqrt``) is the next R.  This is the sequential TSQR of
+    Demmel, Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 34 (2012)); the
+    final R satisfies ``R^T R = S^T S``, so it is the triangle of
+    ``S = Q R`` up to an orthogonal change of its rows, which leaves
+    everything read off R below unchanged.  Data of one block take a single
+    ``_triangle`` of S.  The incoming trajectories are copied into one
+    reused Fortran-ordered buffer through (count, L - 1, width) views of its
+    column blocks, so the working set is one incoming block, one row block
+    and R; the row blocks do not depend on how ``trajs`` is split.
 
     With ``Rz`` and ``Rp`` the columns of R that belong to ``Z = [X; U]``
     and to Xp, ``Z = Rz^T Q^T`` and ``Xp = Rp^T Q^T``, so every SVD the
     method needs is one of R's blocks: Z and ``Rz^T`` share singular values
-    and left vectors, the least squares solve becomes
-    ``Rp^T W_k s_k^{-1} U_k^T``, and Xp and ``Rp^T`` share singular values
-    and left vectors.
+    and left vectors, and Xp and ``Rp^T`` share singular values and left
+    vectors.  When ``R[:n+m, :n+m]`` has full rank at ``RANK_TOL``, the
+    least squares fit is the triangular solve
+    ``R[:n+m, :n+m] [A B]^T = Rp[:n+m]``; otherwise it is
+    ``Rp^T W_k s_k^{-1} U_k^T`` on the SVD of ``Rz^T``.  An empty ``trajs``
+    raises InsufficientData, and blocks that disagree in L, n or m raise
+    ValueError.
     """
-    N, L, n = trajs.states.shape
-    m = trajs.inputs.shape[2]
-    if N * (L - 1) < r:
-        raise InsufficientData(
-            f"successor snapshots have rank below the target order {r}")
+    whole = isinstance(trajs, TrajectorySet)
+    blocks = iter([trajs] if whole else trajs)
+    block = next(blocks, None)
+    if block is None:
+        raise InsufficientData("no trajectories to identify from")
+    dims = block.states.shape[1:] + block.inputs.shape[2:]
+    L, n, m = dims
+    width, steps = 2 * n + m, L - 1
 
-    # one row per transition, trajectory by trajectory
-    per_block = max(1, _DMDC_BLOCK_ROWS // (L - 1))
-    R = np.empty((0, 2 * n + m))
-    for start in range(0, N, per_block):
-        states = trajs.states[start:start + per_block]
-        inputs = trajs.inputs[start:start + per_block]
-        k, count = R.shape[0], len(states)
-        S = np.empty((k + count * (L - 1), 2 * n + m), order="F")
-        S[:k] = R
-        # splitting the rows of a column block into (count, L - 1) is a view
-        S[k:, :n].reshape(count, L - 1, n)[...] = states[:, :-1]
-        S[k:, n:n + m].reshape(count, L - 1, m)[...] = inputs
-        S[k:, n + m:].reshape(count, L - 1, n)[...] = states[:, 1:]
-        R = _triangle(S)
+    # trajectories per row block; a whole set smaller than one block sizes
+    # the buffer to its own rows
+    per_block = max(1, _DMDC_BLOCK_ROWS // steps)
+    if whole:
+        per_block = min(per_block, len(block.states))
+    buf = np.empty((width + per_block * steps) * width)
+
+    def block_matrix(rows):
+        # the Fortran-ordered (rows, width) matrix at the buffer's start
+        return buf[:rows * width].reshape((rows, width), order="F")
+
+    # S holds R's rows and then room for per_block trajectories, `filled`
+    # of them written
+    R, S, filled = np.empty((0, width)), block_matrix(per_block * steps), 0
+    while block is not None:
+        got = block.states.shape[1:] + block.inputs.shape[2:]
+        if got != dims:
+            raise ValueError(f"trajectory blocks disagree in (L, n, m): {dims} and {got}")
+        states, inputs = block.states, block.inputs
+        while len(states):
+            if filled == per_block:
+                R = _triangle(S)
+                S, filled = block_matrix(len(R) + per_block * steps), 0
+                S[:len(R)] = R
+            count = min(per_block - filled, len(states))
+            # splitting the rows of a column block into (count, L - 1) is a view
+            rows = S[len(R) + filled * steps:len(R) + (filled + count) * steps]
+            rows[:, :n].reshape(count, steps, n)[...] = states[:count, :-1]
+            rows[:, n:n + m].reshape(count, steps, m)[...] = inputs[:count]
+            rows[:, n + m:].reshape(count, steps, n)[...] = states[:count, 1:]
+            states, inputs, filled = states[count:], inputs[count:], filled + count
+        # let this block go before the next one is drawn
+        del block, states, inputs
+        block = next(blocks, None)
+    if filled < per_block:
+        # the last block is partial: move each column up to the layout of
+        # its own row count (column 0 is in place, and no column reaches
+        # the source of a later one)
+        full, S = S, block_matrix(len(R) + filled * steps)
+        for j in range(1, width):
+            S[:, j] = full[:len(S), j]
+    R = _triangle(S)
     Rz, Rp = R[:, :n + m], R[:, n + m:]
 
     Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
@@ -164,12 +204,18 @@ def init_dmdc(trajs: TrajectorySet, r: int) -> Rom:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
 
-    Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
-    keep = max(r, int(np.count_nonzero(significant(sz))))
-    keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
-    if keep == 0:
-        raise InsufficientData("identification snapshots are numerically zero")
-    AB = Rp.T @ (Wt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
+    k = n + m
+    if np.count_nonzero(significant(np.linalg.svd(Rz[:k], compute_uv=False))) == k:
+        # Z has full row rank, so its fit is the triangular solve
+        # R[:k, :k] [A B]^T = Rp[:k]
+        AB = scipy.linalg.solve_triangular(Rz[:k], Rp[:k], check_finite=False).T
+    else:
+        Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
+        keep = max(r, int(np.count_nonzero(significant(sz))))
+        keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
+        if keep == 0:
+            raise InsufficientData("identification snapshots are numerically zero")
+        AB = Rp.T @ (Wt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
 
     basis = Ux[:, :r]
     return make_stable(Rom(basis.T @ AB[:, :n] @ basis,

@@ -19,11 +19,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ddh2mor
 from ddh2mor import IterRecord, OptimParams, Rom, FormatError
 from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS,
-                         build_parser, main)
+                         build_parser, main, oracle_start)
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
                             save_rom)
-from helpers import out_of_place_ensemble, svd_route_report, unseparated_start
+from helpers import (out_of_place_ensemble, random_system, svd_route_report,
+                     traced_peak, unseparated_start)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +209,21 @@ def test_reduce_impossible_trajectory_count_is_one_error_line(workspace, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "allocate" in err
+
+
+def test_oracle_dmdc_start_memory_does_not_grow_with_the_trajectory_count():
+    n, m, L = 30, 2, 10
+    oracle = random_system(np.random.default_rng(46), n, m)
+    ens = ddh2mor.generate_ensemble(oracle, 40, ddh2mor.NoiseSpec(alpha=1e-3, seed=47))
+    per_block = ddh2mor.initmor._DMDC_BLOCK_ROWS // (L - 1)
+    counts = [blocks * per_block + per_block // 3 for blocks in (2, 8)]
+    peaks = [traced_peak(oracle_start, "dmdc", argparse.Namespace(
+        r=4, init_traj_count=count, init_traj_length=L), ens, oracle, 48)[1]
+        for count in counts]
+    # one block of draws, one row block and the triangle, whatever the
+    # count: less than the states of the larger set alone
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert max(peaks) < counts[1] * L * n * np.dtype(float).itemsize
 
 
 def test_reduce_with_impulse_file_needs_no_oracle(workspace, tmp_path, capsys):

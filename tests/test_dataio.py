@@ -19,6 +19,7 @@ from ddh2mor import (
     numerical_rank,
     save_ensemble,
     simulate,
+    trajectory_blocks,
 )
 from ddh2mor import dataio
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
@@ -256,6 +257,20 @@ def test_trajectories_match_per_trajectory_loop_across_draw_chunks(alpha):
     states, inputs = loop_trajectories(sys, N, L, noise)
     np.testing.assert_array_equal(got.states, states)
     np.testing.assert_array_equal(got.inputs, inputs)
+    # the stream yields the same trajectories, one chunk per block
+    blocks = list(trajectory_blocks(sys, N, L, noise))
+    assert [len(b.states) for b in blocks] == [chunk] * 3 + [chunk // 3]
+    assert not any(b.states.flags.writeable or b.inputs.flags.writeable for b in blocks)
+    np.testing.assert_array_equal(np.concatenate([b.states for b in blocks]), states)
+    np.testing.assert_array_equal(np.concatenate([b.inputs for b in blocks]), inputs)
+
+
+def test_trajectory_blocks_check_their_sizes_before_drawing():
+    sys = random_system(np.random.default_rng(29), 2, 1)
+    for N, L in [(0, 3), (3, 1)]:
+        # refused when called, not when the first block is drawn
+        with pytest.raises(ValueError):
+            trajectory_blocks(sys, N, L)
 
 
 def test_trajectory_generation_memory_stays_near_its_output():

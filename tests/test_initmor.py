@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from ddh2mor import (
     save_frequency_samples,
     save_impulse_data,
     simulate,
+    trajectory_blocks,
     transfer_eval,
 )
 from ddh2mor import initmor
@@ -231,6 +234,72 @@ def test_dmdc_matches_svd_route_on_rank_deficient_data_across_row_blocks():
     trajs = repeated_input_trajectories(random_system(np.random.default_rng(42), n, m),
                                         blocks_of(3, L), L, 43)
     assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
+def split(trajs, sizes):
+    """``trajs`` as consecutive blocks of ``sizes`` trajectories, cycled."""
+    blocks, start = [], 0
+    for size in itertools.cycle(sizes):
+        if start >= len(trajs.states):
+            return blocks
+        blocks.append(TrajectorySet(trajs.states[start:start + size],
+                                    trajs.inputs[start:start + size]))
+        start += size
+
+
+def tsqr_inputs(trajs, per_block):
+    """The matrices a sequential TSQR of DMDc's snapshot rows reduces: each
+    block of ``per_block`` whole trajectories below the triangle of the
+    blocks before it."""
+    inputs, R = [], np.empty((0, 2 * trajs.states.shape[2] + trajs.inputs.shape[2]))
+    for start in range(0, len(trajs.states), per_block):
+        x = trajs.states[start:start + per_block]
+        u = trajs.inputs[start:start + per_block]
+        rows = np.concatenate([x[:, :-1], u, x[:, 1:]], axis=2).reshape(-1, R.shape[1])
+        inputs.append(np.vstack([R, rows]))
+        R = initmor._triangle(np.asfortranarray(inputs[-1]))
+    return inputs
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+@pytest.mark.parametrize("blocks", [2, 3.4], ids=["whole-blocks", "partial-last-block"])
+def test_dmdc_of_blocks_is_bitwise_the_dmdc_of_their_set(monkeypatch, alpha, blocks):
+    n, m, r, L = 8, 2, 3, 8
+    per_block = initmor._DMDC_BLOCK_ROWS // (L - 1)
+    N = int(blocks * per_block)
+    sys = random_system(np.random.default_rng(46), n, m)
+    noise = NoiseSpec(alpha=alpha, seed=47)
+    trajs = generate_trajectories(sys, N, L, noise)
+    expected = tsqr_inputs(trajs, per_block)
+    reduced = []
+    triangle = initmor._triangle
+    monkeypatch.setattr(initmor, "_triangle",
+                        lambda S: reduced.append(np.array(S)) or triangle(S))
+    ref = init_dmdc(trajs, r)
+    # the draw blocks (762 trajectories), and blocks that straddle the row
+    # blocks (292 trajectories) every way, fold into the same row blocks
+    for stream in (trajectory_blocks(sys, N, L, noise),
+                   split(trajs, [1, per_block - 2, per_block + 5, 2])):
+        reduced.clear()
+        rom = init_dmdc(stream, r)
+        assert len(reduced) == len(expected)
+        for got, want in zip(reduced, expected):
+            np.testing.assert_array_equal(got, want)
+        for got, want in ((rom.Ahat, ref.Ahat), (rom.Bhat, ref.Bhat), (rom.Chat, ref.Chat)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_dmdc_of_no_trajectories_is_insufficient_data():
+    with pytest.raises(InsufficientData):
+        init_dmdc(iter([]), 1)
+
+
+@pytest.mark.parametrize("L, n, m", [(6, 4, 2), (5, 3, 2), (5, 4, 1)], ids=["L", "n", "m"])
+def test_dmdc_refuses_blocks_of_different_data(L, n, m):
+    first = generate_trajectories(random_system(np.random.default_rng(48), 4, 2), 3, 5)
+    other = TrajectorySet(np.zeros((2, L, n)), np.zeros((2, L - 1, m)))
+    with pytest.raises(ValueError, match=re.escape(f"(5, 4, 2) and {(L, n, m)}")):
+        init_dmdc([first, other], 1)
 
 
 def test_dmdc_memory_does_not_grow_with_the_trajectory_count():

@@ -13,7 +13,8 @@ one small round of it runs here.  Each public name is listed in the
 ``__all__`` of one module.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
 the annulus bounds are compared only in the checks that own them, and only
-``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.
+``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
+drawn and stepped in one ``dataio`` function, whichever route collects them.
 """
 
 import ast
@@ -141,18 +142,16 @@ def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
     assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
 
 
-def compared_in(name):
-    """(file, qualified function) of each comparison in the package that
-    reads the constant ``name``."""
+def found_in(match):
+    """(file, qualified function) of each node in the package that ``match``
+    accepts."""
     src = Path(ddh2mor.__file__).resolve().parent
     found = []
 
     def visit(node, path, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where else node.name
-        if isinstance(node, ast.Compare) and any(
-                getattr(sub, "id", getattr(sub, "attr", None)) == name
-                for sub in ast.walk(node)):
+        if match(node):
             found.append((path.name, where))
         for child in ast.iter_child_nodes(node):
             visit(child, path, where)
@@ -160,6 +159,13 @@ def compared_in(name):
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
     return found
+
+
+def compared_in(name):
+    """(file, qualified function) of each comparison in the package that
+    reads the constant ``name``."""
+    return found_in(lambda node: isinstance(node, ast.Compare) and any(
+        getattr(sub, "id", getattr(sub, "attr", None)) == name for sub in ast.walk(node)))
 
 
 def test_rank_tol_is_compared_only_in_the_one_rank_rule():
@@ -187,3 +193,23 @@ def test_schur_coordinate_sweeps_are_called_only_in_matequ_and_sysmodel():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in sweeps]
     assert not found, f"Schur-coordinate sweeps called outside matequ and sysmodel: {found}"
+
+
+def test_trajectories_are_drawn_and_stepped_in_one_dataio_function():
+    # generate_trajectories collects trajectory_blocks, and both simulate
+    # through one kernel; a second loop of state steps, or a second draw of
+    # trajectories, would let the whole set and the stream drift apart
+    def steps(node):
+        return isinstance(node, ast.For) and any(isinstance(sub, ast.MatMult)
+                                                 for sub in ast.walk(node))
+
+    def draws(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "standard_normal")
+
+    def in_dataio(found):
+        return sorted({where for where in found if where[0] == "dataio.py"})
+
+    assert in_dataio(found_in(steps)) == [("dataio.py", "_simulate")]
+    assert in_dataio(found_in(draws)) == [("dataio.py", "_simulate"),
+                                          ("dataio.py", "generate_ensemble")]
