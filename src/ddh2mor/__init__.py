@@ -10,10 +10,9 @@ initializers plus a model-based oracle round out the pipeline.
 
 from .dataio import (AssumptionReport, DataEnsemble, IterRecord, NoiseSpec,
                      TrajectorySet, check_assumptions, generate_ensemble,
-                     generate_trajectories, load_ensemble, numerical_rank,
-                     save_ensemble, trajectory_blocks)
-from .ddgrad import (DualData, data_gradients, data_gradients_B_known,
-                     data_gradients_from_ensemble, reconstruct_dual,
+                     generate_trajectories, load_ensemble, save_ensemble,
+                     trajectory_blocks)
+from .ddgrad import (DualData, data_gradients, reconstruct_dual,
                      reconstruct_dual_known_input, rom_gramians, solve_R,
                      solve_S, solve_SB)
 from .errors import (AssumptionViolated, FormatError, GenerationFailed,
@@ -32,6 +31,6 @@ from .sysmodel import (ErrorGramians, GramianSet, GradientTriple,
                        H2ErrorEvaluator, LtiSystem, Rom, SyntheticSpec,
                        error_gramians, generate_synthetic, h2_error, h2_norm,
                        markov_parameters, model_based_gradients, objective_f,
-                       simulate, transfer_eval)
+                       transfer_eval)
 
 __version__ = "0.1.0"

@@ -49,9 +49,7 @@ def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
     result = optim.run(ens, init, params, oracle=oracle, dual=dual)
     elapsed = time.perf_counter() - started
 
-    with open(out / "history.csv", "w") as fh:
-        fh.write(dataio.HISTORY_HEADER + "\n")
-        fh.writelines(dataio.history_row(rec) + "\n" for rec in result.history)
+    dataio.write_history(out / "history.csv", result.history)
     dataio.save_rom(result.rom, out)
     final = result.history[-1] if result.history else None
     summary = {

@@ -45,7 +45,6 @@ __all__ = [
     "load_ensemble",
     "load_rom",
     "load_system",
-    "numerical_rank",
     "read_history",
     "read_json_object",
     "read_manifest",
@@ -54,6 +53,7 @@ __all__ = [
     "save_rom",
     "save_system",
     "trajectory_blocks",
+    "write_history",
     "write_json",
     "write_matrix",
 ]
@@ -209,17 +209,6 @@ class AssumptionReport:
         return self.b1_holds and self.b2_holds and self.b3_holds
 
 
-def _rank(sv: np.ndarray) -> int:
-    """Count of the singular values ``sv`` above ``RANK_TOL`` times the largest."""
-    return int(np.count_nonzero(significant(sv)))
-
-
-def numerical_rank(M: np.ndarray) -> int:
-    """Count of singular values above ``RANK_TOL`` times the largest one."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return _rank(np.linalg.svd(M, compute_uv=False))
-
-
 def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) -> DataEnsemble:
     """Draw N one-step transitions with Gaussian states and inputs.
 
@@ -332,9 +321,9 @@ def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
     k, s = (None, None) if leading is None else leading
 
     def rank(j0: int, j1: int) -> int:
-        if (j0, j1) == (0, k):
-            return _rank(s)
-        return _rank(np.linalg.svd(triangle[:j1, j0:j1], compute_uv=False))
+        sv = s if (j0, j1) == (0, k) else np.linalg.svd(triangle[:j1, j0:j1],
+                                                        compute_uv=False)
+        return int(np.count_nonzero(significant(sv)))
 
     rank_joint = rank(0, n + m)
     rank_x1, rank_u1 = ((n, m) if rank_joint == n + m
@@ -450,11 +439,11 @@ def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
     return manifest, manifest_path
 
 
-def write_json(path: Path, payload: dict) -> None:
+def write_json(path, payload: dict) -> None:
     """Write a JSON object with sorted keys and two-space indents; a
     non-finite float, which JSON cannot hold, raises ValueError."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                    + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                          + "\n")
 
 
 def save_ensemble(ens: DataEnsemble, path) -> Path:
@@ -544,15 +533,17 @@ class IterRecord:
 
 
 def history_row(rec: IterRecord) -> str:
-    """The ``history.csv`` line of one record, without its newline.
-
-    A history file is ``HISTORY_HEADER`` and then one such line per record
-    of the descent, written once it returns (``cli.reduce_into``).
-    """
+    """The ``history.csv`` line of one record, without its newline."""
     rel = "" if rec.rel_h2_error is None else _CSV_FMT % rec.rel_h2_error
     return ",".join([str(rec.iter), _CSV_FMT % rec.f, _CSV_FMT % rec.D,
                      _CSV_FMT % rec.step, str(rec.backtracks), rel,
                      "true" if rec.stable else "false"])
+
+
+def write_history(path, records) -> None:
+    """Write a history.csv file: ``HISTORY_HEADER``, then one ``history_row``
+    per record, each line ending in a newline."""
+    Path(path).write_text("\n".join([HISTORY_HEADER, *map(history_row, records)]) + "\n")
 
 
 def read_history(path) -> list[IterRecord]:

@@ -24,14 +24,12 @@ import scipy.linalg
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import NumericalOverflow, RankDeficientData
 from .matequ import _triangle, significant, solve_discrete_sylvester
-from .sysmodel import (Evaluation, GramianSet, GradientTriple, LtiSystem, Rom,
-                       assemble_gradients, require_separation)
+from .sysmodel import (GramianSet, GradientTriple, LtiSystem, Rom, assemble_gradients,
+                       require_separation)
 
 __all__ = [
     "DualData",
     "data_gradients",
-    "data_gradients_B_known",
-    "data_gradients_from_ensemble",
     "reconstruct_dual",
     "reconstruct_dual_known_input",
     "rom_gramians",
@@ -189,22 +187,3 @@ def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTripl
     """Gradient triple assembled from data-driven gramian solutions: the
     model-based assembly against the identified model (MR, GB, I)."""
     return assemble_gradients(rom, dual.MR, dual.GB, dual.system.C, grams)
-
-
-def data_gradients_from_ensemble(ens: DataEnsemble, rom: Rom, *,
-                                 force: bool = False) -> GradientTriple:
-    """Full data-driven gradient pipeline with unknown system matrices."""
-    dual = reconstruct_dual(ens, force=force)
-    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
-
-
-def data_gradients_B_known(ens: DataEnsemble, B, rom: Rom, *,
-                           force: bool = False) -> GradientTriple:
-    """Gradient pipeline for known input matrix B.
-
-    GB is B itself, so only X1 needs full column rank; otherwise the
-    pipeline is identical to the unknown-B route and agrees with it
-    whenever both are applicable.
-    """
-    dual = reconstruct_dual_known_input(ens, B, force=force)
-    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())

@@ -9,7 +9,6 @@ Frequency and impulse data can either be sampled from a known system
 from __future__ import annotations
 
 import cmath
-import json
 import logging
 import math
 from collections.abc import Iterable
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dataio import TrajectorySet, check_json_type, read_json_object
+from .dataio import TrajectorySet, check_json_type, read_json_object, write_json
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
 from .matequ import _triangle, significant
@@ -475,8 +474,7 @@ def save_frequency_samples(left, right, path) -> None:
                  "value": [[_encode_scalar(v) for v in row] for row in s.value]}
                 for s in samples]
 
-    Path(path).write_text(json.dumps({"left": encode(left), "right": encode(right)},
-                                     indent=2, allow_nan=False) + "\n")
+    write_json(path, {"left": encode(left), "right": encode(right)})
 
 
 def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
@@ -508,9 +506,8 @@ def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
 
 
 def save_impulse_data(imp: ImpulseData, path) -> None:
-    payload = {"markov": [[[float(v) for v in row] for row in mat]
-                          for mat in imp.markov]}
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    write_json(path, {"markov": [[[float(v) for v in row] for row in mat]
+                                 for mat in imp.markov]})
 
 
 def load_impulse_data(path) -> ImpulseData:

@@ -14,7 +14,6 @@ data-driven path is verified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,15 +44,13 @@ __all__ = [
     "objective_f",
     "require_separation",
     "require_shared_io",
-    "simulate",
     "transfer_eval",
 ]
 
 
 def _matrix(value, name: str) -> np.ndarray:
     M = np.atleast_2d(np.asarray(value, dtype=float))
-    # min and max propagate NaN and reach any infinity, with no mask of M's size
-    if not (math.isfinite(M.min(initial=0.0)) and math.isfinite(M.max(initial=0.0))):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -89,8 +86,11 @@ class LtiSystem:
 
     @classmethod
     def with_identity_output(cls, A, B) -> "LtiSystem":
+        """The system ``(A, B, I)``; A and B are checked once, I not at all."""
         A = _matrix(A, "A")
-        return cls(A, B, np.eye(A.shape[0]))
+        out = object.__new__(cls)
+        out._set(A, _matrix(B, "B"), np.eye(A.shape[0]))
+        return out
 
     def with_output(self, C) -> "LtiSystem":
         """This system with the output map ``C``, sharing the factor of A and,
@@ -139,11 +139,6 @@ class LtiSystem:
         fa, fn = self.schur, self.schur.transposed()
         Q = from_schur(fn, fa, stein_schur(fn, fa, to_schur(fn, fa, self.C.T @ self.C)))
         return 0.5 * (Q + Q.T)
-
-    @cached_property
-    def identity_output(self) -> bool:
-        """Whether C is the identity, so that ``C X`` is X itself."""
-        return self.p == self.n and np.array_equal(self.C, np.eye(self.n))
 
     def eig_moduli(self) -> np.ndarray:
         return np.abs(self.schur.eigvals)
@@ -229,19 +224,6 @@ def transfer_eval(sys: LtiSystem, z: complex) -> np.ndarray:
     if not np.all(np.isfinite(diag)) or diag.min(initial=np.inf) < 1e-14 * max(1.0, diag.max(initial=0.0)):
         raise SingularShift(f"evaluation point {z} is numerically a pole")
     return sys.C @ scipy.linalg.lu_solve((lu, piv), sys.B.astype(complex), check_finite=False)
-
-
-def simulate(sys: LtiSystem, x0, inputs) -> np.ndarray:
-    """Run the state recursion; returns ``len(inputs) + 1`` states, x0 first."""
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.size and inputs.shape[1] != sys.m:
-        raise ValueError(f"inputs must have {sys.m} columns")
-    states = np.empty((inputs.shape[0] + 1, sys.n))
-    states[0] = x0
-    for k, u in enumerate(inputs):
-        states[k + 1] = sys.A @ states[k] + sys.B @ u
-    return states
 
 
 def markov_parameters(sys: LtiSystem, count: int) -> np.ndarray:
@@ -339,8 +321,7 @@ def objective_f(rom: Rom, P: np.ndarray, CR: np.ndarray) -> float:
 
     The omitted full-order gramian term is constant in the rom, so this,
     at the closed-form Chat of ``Evaluation``, is the quantity the descent
-    monitors; it may be negative.  ``CR`` is the product C R, which is R
-    for a model that observes its full state.
+    monitors; it may be negative.  ``CR`` is the product C R.
     """
     return _objective(rom.C, P, CR)
 
@@ -403,7 +384,7 @@ class Evaluation:
         if not (np.isfinite(self.P).all() and np.isfinite(self.R).all()):
             raise NumericalOverflow("the gramian P or the cross term R of the rom "
                                     "overflowed the floating-point range")
-        self.CR = self.R if model.identity_output else model.C @ self.R
+        self.CR = model.C @ self.R
         self.f = objective_f(rom, self.P, self.CR)
         self.rom = rom
         self.model = model
@@ -429,7 +410,7 @@ class Evaluation:
         """
         rom = self.projected if projected else self.rom
         fa, fs = rom.schur, self.model.schur.transposed()
-        W = -rom.C if self.model.identity_output else -self.model.C.T @ rom.C
+        W = -self.model.C.T @ rom.C
         S = from_schur(fs, fa, solve_schur(fs, fa, to_schur(fs, fa, W)))
         return GramianSet(self.P, rom.Q, self.R, S)
 
@@ -446,10 +427,6 @@ class H2ErrorEvaluator:
         self._sys = sys
         self._trace_full = float(np.trace(sys.C @ sys.P @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
-
-    @property
-    def system(self) -> LtiSystem:
-        return self._sys
 
     @property
     def h2_norm(self) -> float:

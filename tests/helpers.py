@@ -1,10 +1,14 @@
-"""Shared test utilities: independent oracles and random instance builders.
+"""Shared test utilities: independent oracles, random instance builders
+and the data-driven gradient pipelines.
 
-Everything here deliberately avoids the package's own solvers so that
+The oracles deliberately avoid the package's own solvers so that
 agreement between the two routes is meaningful evidence.  Matrix equations
 are solved by dense Kronecker vectorization, h2 norms by trapezoid
-quadrature of the transfer function on the unit circle, and gradients by
-central finite differences of a scalar objective.
+quadrature of the transfer function on the unit circle, gradients by
+central finite differences of a scalar objective, state trajectories by a
+plain loop of the recursion, and numerical ranks by a full SVD.  The
+gradient pipelines compose the package's one route from snapshots to a
+gradient, the one the descent takes.
 """
 
 import tracemalloc
@@ -14,9 +18,11 @@ import numpy as np
 import scipy.linalg
 
 from ddh2mor import (DataEnsemble, GradientTriple, LtiSystem, NoiseSpec, Rom,
-                     generate_ensemble, initmor, make_stable)
+                     data_gradients, generate_ensemble, initmor, make_stable,
+                     reconstruct_dual, reconstruct_dual_known_input)
 from ddh2mor.dataio import AssumptionReport
-from ddh2mor.matequ import RANK_TOL
+from ddh2mor.matequ import RANK_TOL, significant
+from ddh2mor.sysmodel import Evaluation
 
 
 def rel_max_err(a, b):
@@ -110,6 +116,37 @@ def richardson_gradients(phi, rom, step):
     fine = fd_gradients(phi, rom, step=0.5 * step)
     return GradientTriple(*((4.0 * getattr(fine, k) - getattr(coarse, k)) / 3.0
                             for k in ("gA", "gB", "gC")))
+
+
+def data_gradients_from_ensemble(ens, rom, *, force=False):
+    """The data-driven gradient of ``rom`` from snapshots with unknown system
+    matrices: reconstruction, one evaluation against the identified model,
+    assembly."""
+    dual = reconstruct_dual(ens, force=force)
+    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+
+
+def data_gradients_B_known(ens, B, rom, *, force=False):
+    """The same gradient with the input matrix B known: GB is B itself, so
+    only X1 needs full column rank."""
+    dual = reconstruct_dual_known_input(ens, B, force=force)
+    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+
+
+def simulate(sys, x0, inputs):
+    """The state recursion, one step at a time: ``len(inputs) + 1`` states,
+    x0 first."""
+    states = np.empty((len(inputs) + 1, sys.n))
+    states[0] = x0
+    for k, u in enumerate(inputs):
+        states[k + 1] = sys.A @ states[k] + sys.B @ u
+    return states
+
+
+def numerical_rank(M):
+    """Count of the singular values of M that ``matequ.significant`` keeps."""
+    return int(np.count_nonzero(significant(np.linalg.svd(np.atleast_2d(M),
+                                                          compute_uv=False))))
 
 
 def first_transitions(trajs):

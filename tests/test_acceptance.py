@@ -14,6 +14,8 @@ import numpy as np
 
 import ddh2mor as dd
 from helpers import (
+    data_gradients_B_known,
+    data_gradients_from_ensemble,
     kron_solve_stein,
     kron_solve_sylvester,
     quad_h2_norm,
@@ -49,7 +51,7 @@ def test_data_gradients_match_model_gradients_desk_scale():
     worst = 0.0
     for _ in range(20):
         rom = random_rom(rng, 3, 2, 10)
-        got = dd.data_gradients_from_ensemble(ens, rom)
+        got = data_gradients_from_ensemble(ens, rom)
         ref = dd.model_based_gradients(sys, rom)
         worst = max(worst, triple_rel_err(got, ref))
     elapsed = time.perf_counter() - started
@@ -64,8 +66,8 @@ def test_known_input_gradients_match_unknown_input_route():
     worst = 0.0
     for _ in range(20):
         rom = random_rom(rng, 3, 2, 10)
-        unknown = dd.data_gradients_from_ensemble(ens, rom)
-        known = dd.data_gradients_B_known(ens, sys.B, rom)
+        unknown = data_gradients_from_ensemble(ens, rom)
+        known = data_gradients_B_known(ens, sys.B, rom)
         worst = max(worst, triple_rel_err(known, unknown))
     assert worst <= 1e-8
     _line("known-input gradients match unknown-input gradients",
@@ -86,7 +88,7 @@ def test_gradients_match_central_finite_differences():
             P, _ = dd.rom_gramians(q)
             return dd.objective_f(q, P, dd.solve_R(dual, q))
 
-        got = dd.data_gradients_from_ensemble(ens, rom)
+        got = data_gradients_from_ensemble(ens, rom)
         fd = fd_gradients(phi, rom, step=1e-6)
         worst = max(worst, triple_rel_err(got, fd))
     assert worst <= 1e-4

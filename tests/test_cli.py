@@ -21,8 +21,8 @@ from ddh2mor import IterRecord, OptimParams, Rom, FormatError
 from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS,
                          build_parser, main, oracle_start)
 from ddh2mor import impulse_from_system, save_impulse_data
-from ddh2mor.dataio import (HISTORY_HEADER, history_row, load_system, read_history,
-                            save_rom)
+from ddh2mor.dataio import (HISTORY_HEADER, load_system, read_history, save_rom,
+                            write_history)
 from helpers import (out_of_place_ensemble, random_system, svd_route_report,
                      traced_peak, unseparated_start)
 
@@ -785,11 +785,6 @@ def test_reduce_dmdc_rejects_init_data(workspace, tmp_path, capsys):
 def sample_records():
     return [IterRecord(1, 2.0, 1.0, 0.5, 3, 0.7, True),
             IterRecord(2, 1.5, 0.8, 0.25, 0, None, True)]
-
-
-def write_history(path, records):
-    path.write_text("".join(line + "\n" for line in
-                            [HISTORY_HEADER, *map(history_row, records)]))
 
 
 def test_history_roundtrip(tmp_path):

@@ -16,15 +16,13 @@ from ddh2mor import (
     generate_ensemble,
     generate_trajectories,
     load_ensemble,
-    numerical_rank,
     save_ensemble,
-    simulate,
     trajectory_blocks,
 )
 from ddh2mor import dataio
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
-from helpers import (first_transitions, out_of_place_ensemble, random_system,
-                     record_svd_shapes, svd_route_report, traced_peak)
+from helpers import (first_transitions, numerical_rank, out_of_place_ensemble, random_system,
+                     record_svd_shapes, simulate, svd_route_report, traced_peak)
 
 st_seed = st.integers(0, 2**32 - 1)
 

@@ -18,8 +18,6 @@ from ddh2mor import (
     SyntheticSpec,
     check_assumptions,
     data_gradients,
-    data_gradients_B_known,
-    data_gradients_from_ensemble,
     generate_ensemble,
     generate_synthetic,
     generate_trajectories,
@@ -43,8 +41,9 @@ from ddh2mor import (
 from ddh2mor.sysmodel import Evaluation
 from ddh2mor.matequ import RANK_TOL
 from ddh2mor.sysmodel import SEPARATION_TOL
-from helpers import (count_schur_calls, fd_gradients, paper_dual, random_rom,
-                     random_system, record_svd_shapes, rel_max_err, richardson_gradients)
+from helpers import (count_schur_calls, data_gradients_B_known, data_gradients_from_ensemble,
+                     fd_gradients, paper_dual, random_rom, random_system, record_svd_shapes,
+                     rel_max_err, richardson_gradients)
 
 st_seed = st.integers(0, 2**32 - 1)
 

@@ -31,14 +31,12 @@ from ddh2mor import (
     sample_frequency_data,
     save_frequency_samples,
     save_impulse_data,
-    simulate,
     trajectory_blocks,
     transfer_eval,
 )
 from ddh2mor import initmor
-from ddh2mor.dataio import numerical_rank
-from helpers import (blockwise_loewner, random_rom, random_system, record_svd_shapes,
-                     rel_max_err, traced_peak)
+from helpers import (blockwise_loewner, numerical_rank, random_rom, random_system,
+                     record_svd_shapes, rel_max_err, simulate, traced_peak)
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
 

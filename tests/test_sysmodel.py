@@ -17,7 +17,7 @@ from ddh2mor import (
     h2_norm,
     markov_parameters,
     model_based_gradients,
-    simulate,
+    objective_f,
     transfer_eval,
 )
 from ddh2mor import sysmodel
@@ -178,24 +178,6 @@ def test_transfer_accepts_rom():
 # --------------------------------------------------------------- simulation
 
 
-def test_simulate_follows_recursion():
-    rng = np.random.default_rng(2)
-    sys = random_system(rng, 4, 2)
-    x0 = rng.standard_normal(4)
-    u = rng.standard_normal((6, 2))
-    states = simulate(sys, x0, u)
-    assert states.shape == (7, 4)
-    np.testing.assert_array_equal(states[0], x0)
-    for k in range(6):
-        np.testing.assert_array_equal(states[k + 1], sys.A @ states[k] + sys.B @ u[k])
-
-
-def test_simulate_zero_everything_stays_zero():
-    sys = random_system(np.random.default_rng(3), 3, 1)
-    states = simulate(sys, np.zeros(3), np.zeros((5, 1)))
-    np.testing.assert_array_equal(states, np.zeros((6, 3)))
-
-
 def test_markov_parameters_match_powers():
     rng = np.random.default_rng(4)
     sys = random_system(rng, 5, 2)
@@ -332,7 +314,6 @@ def test_evaluator_matches_direct_error():
         direct = h2_error(sys, rom)
         assert abs(ev.error(rom) - direct) / direct < 1e-9
         assert ev.relative_error(rom) == pytest.approx(ev.error(rom) / ev.h2_norm)
-    assert ev.system is sys
 
 
 @pytest.mark.parametrize("p", [1, 3, 8])
@@ -369,6 +350,22 @@ def test_evaluation_gradients_match_model_based_for_any_output_map(p):
         assert rel_max_err(getattr(got, block), getattr(ref, block)) < 1e-9
     at = assemble_gradients(ev.projected, sys.A, sys.B, sys.C, ev.gramians(projected=True))
     assert np.abs(at.gC).max() <= 1e-10 * np.abs(ev.CR).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st_seed, n=st.integers(1, 8), m=st.integers(1, 3), r=st.integers(1, 4))
+def test_identity_output_products_are_exact(seed, n, m, r):
+    # with C = I every term of an entry of C R but one is an exact zero, so
+    # C R is R to the bit, and f and phi are those of R; so is -C^T Chat of
+    # the S equation -Chat
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, m)
+    rom = random_rom(rng, r, m, n)
+    ev = Evaluation(sys, rom)
+    assert np.array_equal(ev.CR, ev.R)
+    assert ev.f == objective_f(rom, ev.P, ev.R)
+    assert ev.phi == objective_f(ev.projected, ev.P, ev.R)
+    assert np.array_equal(-sys.C.T @ rom.C, -rom.C)
 
 
 # ---------------------------------------------------------------- synthetic

@@ -10,7 +10,7 @@ its history; the count must stay the number of trial models the descent
 built.  Its annulus check repeats the package's eigenvalue bounds.  Its CLI
 workload reads the files the command line writes without the package, so
 one small round of it runs here.  Each public name is listed in the
-``__all__`` of one module.  The package's one rank rule,
+``__all__`` of one module, and is used outside the tests.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
 the annulus bounds are compared only in the checks that own them, and only
 ``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
@@ -213,3 +213,44 @@ def test_trajectories_are_drawn_and_stepped_in_one_dataio_function():
     assert in_dataio(found_in(steps)) == [("dataio.py", "_simulate")]
     assert in_dataio(found_in(draws)) == [("dataio.py", "_simulate"),
                                           ("dataio.py", "generate_ensemble")]
+
+
+# public names that only tests call, kept on purpose: the model-based
+# reference the data-driven gradients are checked against, the counterparts
+# of file formats whose other half the package uses, and the known-input
+# reconstruction, which a library caller hands to ``run`` as its ``dual``
+TEST_ONLY_PUBLIC = {"model_based_gradients", "read_history", "save_frequency_samples",
+                    "save_impulse_data", "reconstruct_dual_known_input"}
+
+
+def loaded_names(path, *, imports):
+    """The names a file loads and the attributes it reads, and with
+    ``imports`` the names it imports from a module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            names.add(getattr(node, "id", getattr(node, "attr", None)))
+        elif imports and isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests(monkeypatch):
+    # a public name is called by the package itself, by a script or the
+    # benchmark harness, or traced by the harness; one that only tests
+    # call is code kept for its tests, and goes.  The package's own
+    # imports are no use: ddh2mor/__init__ re-exports every public name
+    src = Path(ddh2mor.__file__).resolve().parent
+    used = set(TEST_ONLY_PUBLIC)
+    for path in src.rglob("*.py"):
+        used |= loaded_names(path, imports=False)
+    for path in [*(BENCHMARKS.parent / "scripts").glob("*.py"), *BENCHMARKS.glob("*.py")]:
+        used |= loaded_names(path, imports=True)
+    tracing = load_benchmark_module(monkeypatch, "tracing")
+    for target in tracing.SPANNED + tracing.COUNTED:
+        used.update(target.split(".")[1:])
+    unused = sorted(f"{info.name}.{name}" for info in pkgutil.iter_modules(ddh2mor.__path__)
+                    for name in getattr(importlib.import_module(f"ddh2mor.{info.name}"),
+                                        "__all__", ())
+                    if name not in used)
+    assert not unused, f"public names that only tests use: {unused}"
