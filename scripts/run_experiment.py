@@ -83,7 +83,7 @@ def run(args: argparse.Namespace) -> int:
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")
     print(f"data: N={args.N} alpha={args.noise_alpha} "
           f"ranks=({report.rank_X1U1}, {report.rank_X1}, {report.rank_U1})")
-    if not report.all_hold:
+    if not report.b1_holds:
         print("rank checks failed; aborting", file=sys.stderr)
         return 2
 

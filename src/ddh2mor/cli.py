@@ -35,8 +35,8 @@ def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
                 params: optim.OptimParams, *, init_label: str,
                 dual: ddgrad.DualData,
                 oracle: sysmodel.LtiSystem | None = None) -> dict:
-    """Descend from ``init`` on the reconstruction ``dual`` of ``ens`` and
-    write the reduction into directory ``out``.
+    """Descend from ``init`` against ``dual``, the model identified from
+    ``ens``, and write the reduction into directory ``out``.
 
     Once the descent returns, writes ``history.csv``, ``rom_{A,B,C}.csv``
     and ``summary.json``, and returns the summary; a descent that raises
@@ -278,13 +278,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
     # the reconstruction runs the one rank check of the reduction; the gate
-    # below applies its report, which is the reconstruction's own condition
-    # (rank [X1 U1] = n + m gives the ranks of X1 and U1), but prints the
-    # report and honours --force, hence force=True here
+    # below is its own condition b1 (rank [X1 U1] = n + m gives the ranks of
+    # X1 and U1), applied here so that it prints the report and honours
+    # --force, hence force=True
     dual = ddgrad.reconstruct_dual(ens, force=True)
-    report = dual.report
-    if not report.all_hold:
-        _print_json({"assumptions": dataclasses.asdict(report)})
+    if not dual.report.b1_holds:
+        _print_json({"assumptions": dataclasses.asdict(dual.report)})
         if not args.force:
             print("rank checks failed; re-run with --force to proceed",
                   file=sys.stderr)

@@ -204,10 +204,6 @@ class AssumptionReport:
     b2_holds: bool
     b3_holds: bool
 
-    @property
-    def all_hold(self) -> bool:
-        return self.b1_holds and self.b2_holds and self.b3_holds
-
 
 def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) -> DataEnsemble:
     """Draw N one-step transitions with Gaussian states and inputs.
@@ -220,11 +216,14 @@ def generate_ensemble(sys: LtiSystem, N: int, noise: NoiseSpec = NoiseSpec()) ->
     rng = np.random.default_rng(noise.seed)
     x1 = rng.standard_normal((N, sys.n))
     u1 = rng.standard_normal((N, sys.m))
-    x2 = x1 @ sys.A.T + u1 @ sys.B.T
+    x2 = x1 @ sys.A.T
+    x2 += u1 @ sys.B.T
     # e * alpha + x rounds as x + alpha * e does
     X1 = rng.standard_normal((N, sys.n))
     X1 *= noise.alpha
     X1 += x1
+    # so that three N x n arrays are held at once, not four
+    del x1
     X2 = rng.standard_normal((N, sys.n))
     X2 *= noise.alpha
     X2 += x2

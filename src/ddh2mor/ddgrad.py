@@ -3,20 +3,20 @@
 The paper closes the cross-gramian equations over coefficients computed
 from dual (adjoint) snapshots reconstructed from the data.  With
 ``Theta = [X1 U1]^+ X2 = [Theta_x; Theta_u]`` and [X1 U1] of full column
-rank, they are the least-squares model ``MR = Theta_x^T = A_ls`` (the S
-equation's coefficient is its transpose) and ``GB = Theta_u^T = B_ls``,
-the fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
-Dyn. Syst. 15 (2016)).  ``DualData.system`` is that model as an
-``LtiSystem``, and the objective and gradient are the model-based ones
-against it (``sysmodel.Evaluation``), on exact full-rank data those of the
-system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it hands to
-``dataio.check_assumptions`` for the rank report.
+rank, they are the least-squares model ``A_ls = Theta_x^T`` (the S
+equation's coefficient is its transpose) and ``B_ls = Theta_u^T``, the
+fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
+Dyn. Syst. 15 (2016)).  ``DualData`` is that model, the ``LtiSystem``
+``(A_ls, B_ls, I)``, and the objective and gradient are the model-based
+ones against it (``sysmodel.Evaluation``), on exact full-rank data those
+of the system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it
+hands to ``dataio.check_assumptions`` for the rank report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,36 +40,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DualData:
-    """The least-squares model the dual reconstruction identifies.
+class DualData(LtiSystem):
+    """The least-squares model ``(A_ls, B_ls, I)`` the dual reconstruction
+    identifies, factored once here, because every gradient step reuses the
+    factor.
 
-    MR      (n, n)  A_ls; coefficient of the R equation, and transposed of
+    A               A_ls; coefficient of the R equation, and transposed of
                     the S equation
-    GB      (n, m)  B_ls; ``GB^T S`` is the input-side term SB
+    B               B_ls; ``B^T S`` is the input-side term SB
     report          the rank check of the ensemble the reconstruction ran
     data_residual   relative least-squares residual of the one-step model,
                     ``||X2 - fit||_F / ||X2||_F``: near 0 on exact data, it
                     grows with noise and with entries that no linear model
                     explains
-    system          the identified model ``(MR, GB, I)``, factored here
-                    once, because every gradient step reuses the factor
     """
 
-    MR: np.ndarray
-    GB: np.ndarray
     report: AssumptionReport
     data_residual: float
-    system: LtiSystem = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_finite("the dual reconstruction", self.MR, self.GB)
-        system = LtiSystem.with_identity_output(self.MR, self.GB)
-        _require_finite("the Schur factor of MR", system.schur.T, system.schur.Z)
-        object.__setattr__(self, "system", system)
-
-    @property
-    def n(self) -> int:
-        return self.MR.shape[0]
+        _require_finite("the dual reconstruction", self.A, self.B)
+        super().__post_init__()
+        _require_finite("the Schur factor of A_ls", self.schur.T, self.schur.Z)
 
 
 def _norm(M: np.ndarray) -> float:
@@ -126,27 +118,28 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
-    """The paper's dual coefficients from data with unknown system matrices:
-    ``MR = Theta_x^T`` and ``GB = Theta_u^T`` of the fit of X2 on [X1 U1].
+    """The model the paper's dual coefficients form, from data with unknown
+    system matrices: ``A_ls = Theta_x^T`` and ``B_ls = Theta_u^T`` of the
+    fit of X2 on [X1 U1].
 
     Requires rank [X1 U1] = n + m, which gives rank X1 = n and rank U1 = m
     at the same relative tolerance (a column block's singular values
     interlace the whole's); forced, rank-deficient data give the min-norm
     model.  Snapshots whose range overflows the triangle, the fit or the
-    Schur factor of MR raise ``NumericalOverflow``.
+    Schur factor of A_ls raise ``NumericalOverflow``.
     """
     n = ens.n
     theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
     if not report.b1_holds and not force:
         raise RankDeficientData(
             f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
-    return DualData(theta[:n].T, theta[n:].T, report, residual)
+    return DualData(theta[:n].T, theta[n:].T, np.eye(n), report, residual)
 
 
 @_OVERFLOW_CHECKED
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
     """Dual reconstruction when the input matrix B is known: the fit of
-    ``X2 - U1 B^T`` on X1 alone, ``MR = Theta_x^T`` and ``GB = B``, which
+    ``X2 - U1 B^T`` on X1 alone, ``A_ls = Theta_x^T`` and ``B_ls = B``, which
     needs only rank X1 = n (N >= n).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -156,26 +149,26 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     if not report.b2_holds and not force:
         raise RankDeficientData(
             f"need rank X1 = {ens.n}, got {report.rank_X1}")
-    return DualData(theta.T, B.copy(), report, residual)
+    return DualData(theta.T, B.copy(), np.eye(ens.n), report, residual)
 
 
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:
-    """Cross term R from data: ``MR R Ahat^T + GB Bhat^T = R``."""
-    require_separation(dual.system.schur, rom.schur.eigvals)
-    return solve_discrete_sylvester(dual.MR, rom.Ahat.T, dual.GB @ rom.Bhat.T)
+    """Cross term R from data: ``A_ls R Ahat^T + B_ls Bhat^T = R``."""
+    require_separation(dual.schur, rom.schur.eigvals)
+    return solve_discrete_sylvester(dual.A, rom.Ahat.T, dual.B @ rom.Bhat.T)
 
 
 def solve_S(dual: DualData, rom: Rom) -> np.ndarray:
-    """Cross term S from data: ``MR^T S Ahat - Chat = S``."""
+    """Cross term S from data: ``A_ls^T S Ahat - Chat = S``."""
     if rom.p != dual.n:
         raise ValueError("rom must observe the full state (Chat with n rows)")
-    require_separation(dual.system.schur, rom.schur.eigvals)
-    return solve_discrete_sylvester(dual.MR.T, rom.Ahat, -rom.Chat)
+    require_separation(dual.schur, rom.schur.eigvals)
+    return solve_discrete_sylvester(dual.A.T, rom.Ahat, -rom.Chat)
 
 
 def solve_SB(dual: DualData, S: np.ndarray) -> np.ndarray:
-    """Input-side contraction ``SB = GB^T S``, the paper's ``B^T S``."""
-    return dual.GB.T @ S
+    """Input-side contraction ``SB = B_ls^T S``, the paper's ``B^T S``."""
+    return dual.B.T @ S
 
 
 def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
@@ -185,5 +178,5 @@ def rom_gramians(rom: Rom) -> tuple[np.ndarray, np.ndarray]:
 
 def data_gradients(dual: DualData, rom: Rom, grams: GramianSet) -> GradientTriple:
     """Gradient triple assembled from data-driven gramian solutions: the
-    model-based assembly against the identified model (MR, GB, I)."""
-    return assemble_gradients(rom, dual.MR, dual.GB, dual.system.C, grams)
+    model-based assembly against the identified model ``dual``."""
+    return assemble_gradients(rom, dual.A, dual.B, dual.C, grams)

@@ -25,14 +25,14 @@ last.  Backtracking stays monotone, so phi never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates phi with ``Evaluation`` against
-``dual.system``, factored once by the reconstruction: the P and R
-equations are solved in Schur coordinates and back-transformed, and phi is
-f at ``Chat* = R P^+``; a trial whose P or R overflows is rejected.  The
-start is evaluated as a trial is; its ``f`` as given is ``initial_f``.
-The descent then starts from the same transfer function in input-normal
-coordinates, where P is the identity, so that ``Chat*`` and the gradient at
-it do not scale rounding in R by cond(P), which reaches 1e7 for random
-single-input roms.  The accepted
+``dual``, the identified model, which the reconstruction factored once:
+the P and R equations are solved in Schur coordinates and back-transformed,
+and phi is f at ``Chat* = R P^+``; a trial whose P or R overflows is
+rejected.  The start is evaluated as a trial is; its ``f`` as given is
+``initial_f``.  The descent then starts from the same transfer function in
+input-normal coordinates, where P is the identity, so that ``Chat*`` and
+the gradient at it do not scale rounding in R by cond(P), which reaches
+1e7 for random single-input roms.  The accepted
 trial's ``Evaluation`` becomes the next iterate: its gradient reuses P and
 R and solves only Q and S at the projected rom, so every iterate has one
 value of phi and one solve of each equation.
@@ -144,10 +144,10 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     ens : snapshot ensemble driving the gradients
     init : starting reduced model; must lie inside the stability annulus,
         with its reciprocal poles separated from the spectrum of
-        ``dual.system`` and of ``oracle``
+        ``dual`` and of ``oracle``
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
-    dual : an already reconstructed DualData, for instance
+    dual : the identified model of ``ens``, for instance
         ``reconstruct_dual_known_input(ens, B)`` when the input matrix B is
         known; by default ``reconstruct_dual(ens)`` is used
 
@@ -165,7 +165,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     the stability annulus.  A start whose P or R overflows and a descent
     direction whose squared norm overflows raise ``NumericalOverflow``
     (a trial that overflows is rejected), and data whose identified model
-    ``dual.system`` (A_ls) is not stable raise ``NotStable`` before the
+    ``dual`` (A_ls) is not stable raise ``NotStable`` before the
     start is evaluated.  A start outside the annulus or without that
     separation raises ``AssumptionViolated`` before the first iteration.
     """
@@ -174,11 +174,10 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
     if dual is None:
         dual = reconstruct_dual(ens)
-    model = dual.system
     # f is the h2 error against (A_ls, B_ls, I), which an unstable A_ls lacks
-    if not model.is_stable():
+    if not dual.is_stable():
         raise NotStable(f"the identified model A_ls has spectral radius "
-                        f"{model.spectral_radius():.4g} "
+                        f"{dual.spectral_radius():.4g} "
                         f"(data residual {dual.data_residual:.3g})")
 
     evaluator = H2ErrorEvaluator(oracle) if oracle is not None else None
@@ -191,12 +190,12 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
     # the same there but for rounding, keeps its value at init, which is f's
     # where init is projected already, so the objective never rises from
     # initial_f
-    current = Evaluation(model, init)
+    current = Evaluation(dual, init)
     initial_f, initial_rel = current.f, rel_error(init)
     phi = current.phi
     start = _input_normal(init, current.P)
     if start is not init:
-        current = Evaluation(model, start)
+        current = Evaluation(dual, start)
 
     history: list[IterRecord] = []
     rom = init
@@ -239,7 +238,7 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
             cand = iterate.stepped(g, alpha)
             if cand.satisfies_spectral_bounds():
                 try:
-                    trial = Evaluation(model, cand)
+                    trial = Evaluation(dual, cand)
                     if (np.isfinite(trial.phi)
                             and trial.phi <= phi - params.c * alpha * D):
                         accepted = (trial, alpha, bt)

@@ -1,15 +1,15 @@
 """Discrete-time LTI systems, h2 norms and errors, and gradient oracles.
 
 Systems follow the recursion ``x_{k+1} = A x_k + B u_k`` with output
-``y_k = C x_k``.  A reduced model ``Rom`` is an ``LtiSystem``: it shares the
-validation, the cached Schur factor and the spectral reads, so every
-function that takes a system takes a rom as well.  The h2 norm is
-evaluated through the controllability gramian.  ``Evaluation`` is the one
-evaluation of a rom against a model: the descent runs it against the
-identified model of the data and ``H2ErrorEvaluator`` against a known
-system, each on the model's cached Schur factor.  The model-based
-objective gradients provide the reference implementation against which the
-data-driven path is verified.
+``y_k = C x_k``.  A reduced model ``Rom`` and the model the data identify,
+``ddgrad.DualData``, are each an ``LtiSystem``: they share the validation,
+the cached Schur factor and the spectral reads, so every function that
+takes a system takes either as well.  The h2 norm is evaluated through the
+controllability gramian.  ``Evaluation`` is the one evaluation of a rom
+against a model: the descent runs it against the identified model and
+``H2ErrorEvaluator`` against a known system, each on the model's cached
+Schur factor.  The model-based objective gradients provide the reference
+implementation against which the data-driven path is verified.
 """
 
 from __future__ import annotations
@@ -84,24 +84,12 @@ class LtiSystem:
             M.flags.writeable = False
             object.__setattr__(self, name, M)
 
-    @classmethod
-    def with_identity_output(cls, A, B) -> "LtiSystem":
+    @staticmethod
+    def with_identity_output(A, B) -> "LtiSystem":
         """The system ``(A, B, I)``; A and B are checked once, I not at all."""
         A = _matrix(A, "A")
-        out = object.__new__(cls)
+        out = object.__new__(LtiSystem)
         out._set(A, _matrix(B, "B"), np.eye(A.shape[0]))
-        return out
-
-    def with_output(self, C) -> "LtiSystem":
-        """This system with the output map ``C``, sharing the factor of A and,
-        once solved, the gramian P, which depends on A and B alone.  Only C
-        is checked: A and B are this system's, checked already."""
-        out = object.__new__(type(self))
-        out._set(self.A, self.B, _matrix(C, "C"))
-        # a cached_property lives in the instance dict, frozen or not
-        vars(out)["schur"] = self.schur
-        if "P" in vars(self):
-            vars(out)["P"] = self.P
         return out
 
     @property
@@ -170,6 +158,18 @@ class Rom(LtiSystem):
     @property
     def r(self) -> int:
         return self.n
+
+    def with_output(self, C) -> "Rom":
+        """This rom with the output map ``C``, sharing the factor of A and,
+        once solved, the gramian P, which depends on A and B alone.  Only C
+        is checked: A and B are this rom's, checked already."""
+        out = object.__new__(Rom)
+        out._set(self.A, self.B, _matrix(C, "C"))
+        # a cached_property lives in the instance dict, frozen or not
+        vars(out)["schur"] = self.schur
+        if "P" in vars(self):
+            vars(out)["P"] = self.P
+        return out
 
     def satisfies_spectral_bounds(self) -> bool:
         """All eigenvalue moduli strictly inside the stability annulus."""
@@ -360,7 +360,7 @@ class Evaluation:
     413-432).  ``P^+`` is the min-norm inverse of ``_times_psd_pinv``, so
     ``Bhat = 0`` gives ``chat_star = 0``.
 
-    The descent evaluates against ``DualData.system`` and
+    The descent evaluates against the identified model ``DualData`` and
     ``H2ErrorEvaluator`` against a known system.  P is ``rom.P``, so the
     oracle's evaluation of an iterate reuses the descent's.  Each
     evaluation sweeps and back-transforms R (O(n^2 r)) and sets ``f``;
@@ -374,7 +374,7 @@ class Evaluation:
 
     # an overflow is reported by the finiteness check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, model: LtiSystem, rom: LtiSystem):
+    def __init__(self, model: LtiSystem, rom: Rom):
         fm, fn = model.schur, rom.schur.transposed()
         require_separation(fm, fn.eigvals)
         # R in Schur coordinates, (Zm^H R Zn)^T for A = Zm Tm Zm^H and Zn the
@@ -394,7 +394,7 @@ class Evaluation:
         return _times_psd_pinv(self.CR, self.P)
 
     @cached_property
-    def projected(self) -> LtiSystem:
+    def projected(self) -> Rom:
         return self.rom.with_output(self.chat_star)
 
     @cached_property

@@ -4,10 +4,11 @@ and the data-driven gradient pipelines.
 The oracles deliberately avoid the package's own solvers so that
 agreement between the two routes is meaningful evidence.  Matrix equations
 are solved by dense Kronecker vectorization, h2 norms by trapezoid
-quadrature of the transfer function on the unit circle, gradients by
-central finite differences of a scalar objective, state trajectories by a
-plain loop of the recursion, and numerical ranks by a full SVD.  The
-gradient pipelines compose the package's one route from snapshots to a
+quadrature of the transfer function on the unit circle or by scipy's
+discrete Lyapunov solver, gradients by central finite differences of a
+scalar objective, state trajectories by a plain loop of the recursion,
+numerical ranks by a full SVD, and the h2-optimal rom by discrete IRKA.
+The gradient pipelines compose the package's one route from snapshots to a
 gradient, the one the descent takes.
 """
 
@@ -77,6 +78,57 @@ def quad_h2_norm(A, B, C, nodes=4096):
     return float(np.sqrt(total / nodes))
 
 
+def lyap_h2_error(A, B, C, Ar, Br, Cr):
+    """Relative h2 error of (Ar, Br, Cr) against (A, B, C), from the
+    controllability gramians of the error system and of the system, each by
+    ``scipy.linalg.solve_discrete_lyapunov``."""
+    Ae = scipy.linalg.block_diag(A, Ar)
+    Be = np.vstack([B, Br])
+    Ce = np.hstack([C, -np.asarray(Cr)])
+    err = np.trace(Ce @ scipy.linalg.solve_discrete_lyapunov(Ae, Be @ Be.T) @ Ce.T)
+    norm = np.trace(C @ scipy.linalg.solve_discrete_lyapunov(A, B @ B.T) @ C.T)
+    return float(np.sqrt(max(err, 0.0) / norm))
+
+
+def _real_basis(V):
+    """Orthonormal real basis of the span of V's columns, a set closed under
+    conjugation: the leading left singular vectors of ``[Re V, Im V]``."""
+    U = np.linalg.svd(np.hstack([V.real, V.imag]), full_matrices=False)[0]
+    return U[:, :V.shape[1]]
+
+
+def irka(A, B, C, Ar, Br, Cr, tol=1e-10, max_iters=200):
+    """Discrete-time IRKA (Gugercin, Antoulas & Beattie, SIAM J. Matrix Anal.
+    Appl. 30 (2008); Bunse-Gerstner et al., J. Comput. Appl. Math. 233
+    (2010)) from the rom (Ar, Br, Cr); returns the rom and its iteration count.
+
+    With ``Ar = X diag(lam) X^{-1}`` each iteration interpolates at
+    ``sigma_i = 1 / lam_i`` along the untransformed row i of ``X^{-1} Br``
+    and column i of ``Cr X``: ``V_i = (sigma_i I - A)^{-1} B b_i`` and
+    ``W_i = (sigma_i I - A)^{-T} C^T c_i``, each realified by the SVD of
+    ``[Re Im]``, and projects by Petrov-Galerkin,
+    ``((W^T V)^{-1} W^T A V, (W^T V)^{-1} W^T B, C V)``.  It stops once
+    every new pole lies within ``tol`` times the largest modulus of an
+    old one.
+    """
+    eye = np.eye(A.shape[0])
+    for it in range(1, max_iters + 1):
+        lam, X = np.linalg.eig(Ar)
+        # one shifted matrix per pole, solved as a stack: column i of B bt^T
+        # is B b_i, of C^T c that of C^T c_i
+        F = (1.0 / lam)[:, None, None] * eye - A
+        bt, c = np.linalg.solve(X, Br), Cr @ X
+        V = np.linalg.solve(F, (B @ bt.T).T[..., None])[..., 0].T
+        W = np.linalg.solve(F.transpose(0, 2, 1), (C.T @ c).T[..., None])[..., 0].T
+        V, W = _real_basis(V), _real_basis(W)
+        WV = W.T @ V
+        Ar, Br, Cr = np.linalg.solve(WV, W.T @ A @ V), np.linalg.solve(WV, W.T @ B), C @ V
+        moved = np.abs(np.linalg.eigvals(Ar)[:, None] - lam).min(axis=1).max()
+        if moved <= tol * np.abs(lam).max():
+            return (Ar, Br, Cr), it
+    raise RuntimeError(f"IRKA did not converge in {max_iters} iterations")
+
+
 def fd_gradients(phi, rom, step=1e-6):
     """Central finite differences of a scalar phi(Rom) in every coordinate."""
 
@@ -123,14 +175,14 @@ def data_gradients_from_ensemble(ens, rom, *, force=False):
     matrices: reconstruction, one evaluation against the identified model,
     assembly."""
     dual = reconstruct_dual(ens, force=force)
-    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+    return data_gradients(dual, rom, Evaluation(dual, rom).gramians())
 
 
 def data_gradients_B_known(ens, B, rom, *, force=False):
-    """The same gradient with the input matrix B known: GB is B itself, so
+    """The same gradient with the input matrix B known: B_ls is B itself, so
     only X1 needs full column rank."""
     dual = reconstruct_dual_known_input(ens, B, force=force)
-    return data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+    return data_gradients(dual, rom, Evaluation(dual, rom).gramians())
 
 
 def simulate(sys, x0, inputs):

@@ -80,7 +80,7 @@ def test_check_assumptions_rich_data():
     sys = random_system(np.random.default_rng(4), 6, 2)
     rep = check_assumptions(generate_ensemble(sys, 12, NoiseSpec(seed=5)))
     assert (rep.rank_X1U1, rep.rank_X1, rep.rank_U1) == (8, 6, 2)
-    assert rep.b1_holds and rep.b2_holds and rep.b3_holds and rep.all_hold
+    assert rep.b1_holds and rep.b2_holds and rep.b3_holds
 
 
 def test_check_assumptions_insufficient_samples():
@@ -88,7 +88,6 @@ def test_check_assumptions_insufficient_samples():
     rep = check_assumptions(generate_ensemble(sys, 7, NoiseSpec(seed=6)))
     # 7 rows cannot span an 8-dimensional joint row space
     assert not rep.b1_holds
-    assert not rep.all_hold
 
 
 def test_check_assumptions_zero_inputs():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import ddh2mor
 from ddh2mor import (
     AssumptionViolated,
     DataEnsemble,
+    DualData,
     GradientTriple,
     H2ErrorEvaluator,
     LtiSystem,
@@ -38,7 +40,7 @@ from ddh2mor import (
     solve_discrete_sylvester,
     solve_stein,
 )
-from ddh2mor.sysmodel import Evaluation
+from ddh2mor.sysmodel import Evaluation, assemble_gradients
 from ddh2mor.matequ import RANK_TOL
 from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, data_gradients_B_known, data_gradients_from_ensemble,
@@ -69,17 +71,31 @@ def triple_err(got, ref):
 def test_dual_reconstruction_recovers_system_quantities():
     sys, ens, _ = make_instance(seed=0)
     dual = reconstruct_dual(ens)
-    assert rel_max_err(dual.MR, sys.A) < 1e-9
-    assert rel_max_err(dual.GB, sys.B) < 1e-9
+    assert rel_max_err(dual.A, sys.A) < 1e-9
+    assert rel_max_err(dual.B, sys.B) < 1e-9
 
 
 def test_dual_caches_are_populated():
     _, ens, _ = make_instance(seed=1)
     dual = reconstruct_dual(ens)
-    assert len(dual.system.schur.eigvals) == ens.n
-    assert dual.system.b_schur.shape == (ens.n, ens.m)
+    assert len(dual.schur.eigvals) == ens.n
+    assert dual.b_schur.shape == (ens.n, ens.m)
     assert dual.n == ens.n
     assert dual.report == check_assumptions(ens)
+
+
+def test_dual_is_the_identified_system():
+    # the reconstruction returns the model (A_ls, B_ls, I) itself, factored
+    # already, with its rank report and residual as its only other fields;
+    # no method of a system copies it without them
+    sys, ens, _ = make_instance(seed=1)
+    for dual in (reconstruct_dual(ens), reconstruct_dual_known_input(ens, sys.B)):
+        assert isinstance(dual, LtiSystem) and "schur" in vars(dual)
+        np.testing.assert_array_equal(dual.C, np.eye(ens.n))
+    assert ([f.name for f in dataclasses.fields(DualData)]
+            == ["A", "B", "C", "report", "data_residual"])
+    assert not hasattr(dual, "with_output")
+    assert type(DualData.with_identity_output(dual.A, dual.B)) is LtiSystem
 
 
 def test_reconstruction_matches_square_association_reference():
@@ -89,7 +105,7 @@ def test_reconstruction_matches_square_association_reference():
     stacked = np.linalg.pinv(np.hstack([X1, U1]), rcond=1e-10) @ (X2 @ X1.T)
     Z2, ZB1 = stacked[:n].T, stacked[n:]
     x1_pinv = np.linalg.pinv(X1, rcond=1e-10)
-    ref = {"MR": x1_pinv @ Z2, "GB": x1_pinv @ ZB1.T}
+    ref = {"A": x1_pinv @ Z2, "B": x1_pinv @ ZB1.T}
     dual = reconstruct_dual(ens)
     for name, value in ref.items():
         assert rel_max_err(getattr(dual, name), value) <= 1e-12, name
@@ -111,15 +127,15 @@ def test_reconstruction_is_bit_identical_to_three_pinv_formulas(n, m, N, alpha):
     P = x1_pinv @ ens.X1
     dual = reconstruct_dual(ens, force=True)
     assert dual.report == report
-    pairs = {"MR": (P @ dual.MR, ref.MR), "GB": (P @ dual.GB, ref.GB)}
+    pairs = {"MR": (P @ dual.A, ref.MR), "GB": (P @ dual.B, ref.GB)}
     if report.b1_holds:
-        pairs.update(MS=(dual.MR.T, ref.MS), sb_map=(dual.GB.T, ref.sb_map))
+        pairs.update(MS=(dual.A.T, ref.MS), sb_map=(dual.B.T, ref.sb_map))
     for name, (got, want) in pairs.items():
         assert rel_max_err(got, want) <= 1e-12, name
     known = reconstruct_dual_known_input(ens, sys.B, force=True)
     assert known.report == report
-    np.testing.assert_array_equal(known.GB, sys.B)
-    assert rel_max_err(known.MR.T, x1_pinv @ (ens.X2 - ens.U1 @ sys.B.T)) <= 1e-12
+    np.testing.assert_array_equal(known.B, sys.B)
+    assert rel_max_err(known.A.T, x1_pinv @ (ens.X2 - ens.U1 @ sys.B.T)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +165,8 @@ def test_reconstruction_is_the_paper_formulas_to_rounding(seed, n, m, alpha, tal
     cancel = ((np.linalg.norm(ens.X2) + np.linalg.norm(ens.X1 @ ref.MR.T))
               / np.linalg.norm(ref.UB1))
     sb_bound = bound * cancel * np.linalg.cond(ens.U1)
-    for got, want, tol in ((dual.MR, ref.MR, bound), (dual.MR.T, ref.MS, bound),
-                           (dual.GB, ref.GB, bound), (dual.GB.T, ref.sb_map, sb_bound)):
+    for got, want, tol in ((dual.A, ref.MR, bound), (dual.A.T, ref.MS, bound),
+                           (dual.B, ref.GB, bound), (dual.B.T, ref.sb_map, sb_bound)):
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
@@ -169,9 +185,9 @@ def test_known_input_reconstruction_matches_unknown():
     sys, ens, _ = make_instance(seed=2)
     a = reconstruct_dual(ens)
     b = reconstruct_dual_known_input(ens, sys.B)
-    assert rel_max_err(b.MR, a.MR) < 1e-9
-    assert rel_max_err(a.GB, b.GB) < 1e-9
-    np.testing.assert_array_equal(b.GB, sys.B)
+    assert rel_max_err(b.A, a.A) < 1e-9
+    assert rel_max_err(a.B, b.B) < 1e-9
+    np.testing.assert_array_equal(b.B, sys.B)
     assert b.report == a.report == check_assumptions(ens)
 
 
@@ -181,9 +197,9 @@ def test_known_input_reconstruction_factors_mr_once(monkeypatch):
     known = reconstruct_dual_known_input(ens, sys.B)
     # the S equation's coefficient MR^T takes the transposed factor of MR
     assert shapes == [(ens.n, ens.n)]
-    fs = known.system.schur.transposed()
+    fs = known.schur.transposed()
     assert np.array_equal(fs.T, np.triu(fs.T))
-    assert np.abs(fs.Z @ fs.T @ fs.ZH - known.MR.T).max() < 1e-12 * np.abs(known.MR).max()
+    assert np.abs(fs.Z @ fs.T @ fs.ZH - known.A.T).max() < 1e-12 * np.abs(known.A).max()
     reconstruct_dual(ens)
     assert shapes == [(ens.n, ens.n)] * 2
 
@@ -254,8 +270,8 @@ def test_forced_reconstruction_is_the_min_norm_least_squares_model(monkeypatch, 
     X1U1 = np.hstack([ens.X1, ens.U1])
     theta = np.linalg.pinv(X1U1, rcond=RANK_TOL) @ ens.X2
     atol = 1e-12 * np.abs(theta).max()
-    np.testing.assert_allclose(dual.MR, theta[:n].T, rtol=0, atol=atol)
-    np.testing.assert_allclose(dual.GB, theta[n:].T, rtol=0, atol=atol)
+    np.testing.assert_allclose(dual.A, theta[:n].T, rtol=0, atol=atol)
+    np.testing.assert_allclose(dual.B, theta[n:].T, rtol=0, atol=atol)
     residual = np.linalg.norm(ens.X2 - X1U1 @ theta) / np.linalg.norm(ens.X2)
     assert dual.data_residual == pytest.approx(residual, rel=0, abs=1e-12)
 
@@ -280,10 +296,10 @@ def test_ms_is_mr_transposed_on_full_rank_x1(seed, n, m, alpha, tall, spread):
     rounding = 10.0 * N * np.finfo(float).eps * np.linalg.norm(ref.MS)
     bound = rounding * np.linalg.cond(ens.X1)
     assert np.linalg.norm(ref.MS - ref.MR.T) <= bound
-    assert (np.linalg.norm(ref.MS - dual.MR.T)
+    assert (np.linalg.norm(ref.MS - dual.A.T)
             <= rounding * np.linalg.cond(np.hstack([ens.X1, ens.U1])))
-    fs = dual.system.schur.transposed()
-    assert np.linalg.norm(fs.Z @ fs.T @ fs.ZH - dual.MR.T) <= bound
+    fs = dual.schur.transposed()
+    assert np.linalg.norm(fs.Z @ fs.T @ fs.ZH - dual.A.T) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +325,7 @@ def test_solve_S_on_the_factor_of_mr_matches_a_factor_of_ms_at_acceptance_size()
     ens = generate_ensemble(sys, 102, NoiseSpec(alpha=0.0, seed=107))
     dual = reconstruct_dual(ens)
     rom = random_rom(np.random.default_rng(35), 6, 2, 100)
-    ref = solve_discrete_sylvester(dual.MR.T, rom.Ahat, -rom.Chat)
+    ref = solve_discrete_sylvester(dual.A.T, rom.Ahat, -rom.Chat)
     assert rel_max_err(solve_S(dual, rom), ref) <= 1e-12
 
 
@@ -332,7 +348,7 @@ def test_reconstruction_requires_joint_rank():
     with pytest.raises(RankDeficientData):
         reconstruct_dual(thin)
     dual = reconstruct_dual(thin, force=True)
-    assert dual.MR.shape == (sys.n, sys.n)
+    assert dual.A.shape == (sys.n, sys.n)
 
 
 def test_known_input_reconstruction_needs_only_state_rank():
@@ -342,7 +358,7 @@ def test_known_input_reconstruction_needs_only_state_rank():
     with pytest.raises(RankDeficientData):
         reconstruct_dual(ens)
     dual = reconstruct_dual_known_input(ens, sys.B)
-    assert rel_max_err(dual.MR, sys.A) < 1e-8
+    assert rel_max_err(dual.A, sys.A) < 1e-8
 
 
 def test_known_input_shape_check():
@@ -362,9 +378,9 @@ def test_cross_equation_residuals_vanish():
     SB = solve_SB(dual, S)
     # the paper's equations, with UB1 = X2 - X1 MR^T the input block of
     # the one-step model
-    UB1 = ens.X2 - ens.X1 @ dual.MR.T
-    res_r = dual.MR @ R @ rom.Ahat.T + dual.GB @ rom.Bhat.T - R
-    res_s = dual.MR.T @ S @ rom.Ahat - rom.Chat - S
+    UB1 = ens.X2 - ens.X1 @ dual.A.T
+    res_r = dual.A @ R @ rom.Ahat.T + dual.B @ rom.Bhat.T - R
+    res_s = dual.A.T @ S @ rom.Ahat - rom.Chat - S
     res_sb = ens.U1 @ SB - UB1 @ S
     assert np.abs(res_r).max() < 1e-9 * max(1.0, np.abs(R).max())
     assert np.abs(res_s).max() < 1e-9 * max(1.0, np.abs(S).max())
@@ -471,7 +487,7 @@ def test_data_objective_plus_squared_norm_is_the_oracle_squared_error(seed, n, r
     ens = generate_ensemble(sys, n + 4, NoiseSpec(seed=seed % 1000))
     rom = random_rom(rng, r, 2, n)
     oracle = H2ErrorEvaluator(sys)
-    f = Evaluation(reconstruct_dual(ens).system, rom).f
+    f = Evaluation(reconstruct_dual(ens), rom).f
     assert f + oracle.h2_norm ** 2 == pytest.approx(oracle.error(rom) ** 2, rel=1e-12, abs=0)
 
 
@@ -504,10 +520,28 @@ st_shape = dict(seed=st_seed, n=st.integers(3, 8), m=st.integers(1, 2),
 
 @settings(max_examples=40, deadline=None)
 @given(**st_shape)
+def test_identified_model_evaluates_as_the_plain_system(seed, n, m, r):
+    # DualData is the system (A_ls, B_ls, I): an evaluation against it reads
+    # the same arrays as one against the LtiSystem of its A and B, so f, phi
+    # and the gradients are the same to the bit
+    _, dual, rom = projection_instance(seed, n, m, r)
+    plain = LtiSystem.with_identity_output(dual.A, dual.B)
+    ev, ref = Evaluation(dual, rom), Evaluation(plain, rom)
+    assert (ev.f, ev.phi) == (ref.f, ref.phi)
+    for projected in (False, True):
+        got = data_gradients(dual, rom, ev.gramians(projected=projected))
+        want = assemble_gradients(rom, plain.A, plain.B, plain.C,
+                                  ref.gramians(projected=projected))
+        for block in ("gA", "gB", "gC"):
+            np.testing.assert_array_equal(getattr(got, block), getattr(want, block))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**st_shape)
 def test_projection_never_raises_the_objective(seed, n, m, r):
     # phi is f at chat_star, the minimizer of the convex quadratic f(Chat)
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual.system, rom)
+    ev = Evaluation(dual, rom)
     scale = max(abs(ev.f), abs(ev.phi))
     assert ev.phi <= ev.f + 1e-12 * scale
     assert objective_f(ev.projected, ev.P, ev.R) == pytest.approx(ev.phi, rel=1e-10,
@@ -519,7 +553,7 @@ def test_projection_never_raises_the_objective(seed, n, m, r):
 @example(seed=219, n=8, m=1, r=3)  # cond(P) = 8e6
 def test_output_gradient_vanishes_at_the_projection(seed, n, m, r):
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual.system, rom)
+    ev = Evaluation(dual, rom)
     g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     assert np.abs(g.gC).max() <= 1e-10 * np.abs(ev.R).max()
 
@@ -531,14 +565,14 @@ def test_projected_objective_gradient_is_the_gradient_at_the_projection(seed, n,
     # the envelope theorem: gC vanishes at chat_star, so phi's derivatives
     # in (Ahat, Bhat) are f's there, and phi does not depend on Chat
     _, dual, rom = projection_instance(seed, n, m, r)
-    ev = Evaluation(dual.system, rom)
+    ev = Evaluation(dual, rom)
     # phi = -tr(R P^-1 R^T) carries the rounding of P times its condition
     # number, which the differences divide by the step
     assume(np.linalg.cond(ev.P) < 1e4)
     g = data_gradients(dual, ev.projected, ev.gramians(projected=True))
     # the extrapolation cancels the h^2 truncation of the differences,
     # which near a multiple rom pole exceeds the bound at this step
-    fd = richardson_gradients(lambda q: Evaluation(dual.system, q).phi, rom, step=1e-5)
+    fd = richardson_gradients(lambda q: Evaluation(dual, q).phi, rom, step=1e-5)
     # phi is invariant under similarity, so a block may vanish (r = m = 1
     # leaves phi independent of Bhat); the scale is that of both blocks
     scale = max(np.abs(g.gA).max(), np.abs(g.gB).max())
@@ -554,8 +588,8 @@ def check_similarity_invariance(seed, n, m, r):
     Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
     T = Q * np.exp(rng.uniform(-1.0, 1.0, r))
     Tinv = np.linalg.inv(T)
-    ev = Evaluation(dual.system, rom)
-    moved = Evaluation(dual.system, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
+    ev = Evaluation(dual, rom)
+    moved = Evaluation(dual, Rom(T @ rom.Ahat @ Tinv, T @ rom.Bhat, rom.Chat))
     # R P^+ carries the rounding of P times cond(P) in each coordinate
     # system; cond(T P T^T) <= cond(T)^2 cond(P), and taking the first back
     # with T^-1 scales its error by at most cond(T)
@@ -600,11 +634,11 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
     sys, ens, starts = acceptance_problem
     dual = (reconstruct_dual(ens) if route == "unknown-input"
             else reconstruct_dual_known_input(ens, sys.B))
-    np.testing.assert_allclose(dual.system.b_schur, dual.system.schur.ZH @ dual.GB, rtol=0,
-                               atol=1e-14 * np.abs(dual.GB).max())
+    np.testing.assert_allclose(dual.b_schur, dual.schur.ZH @ dual.B, rtol=0,
+                               atol=1e-14 * np.abs(dual.B).max())
     compared = 0
     for rom in starts:
-        g = data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+        g = data_gradients(dual, rom, Evaluation(dual, rom).gramians())
         for alpha in (1.0, 1e-2, 1e-4):
             cand = rom.stepped(g, alpha)
             try:
@@ -612,10 +646,10 @@ def test_trial_objective_matches_reference_objective(acceptance_problem, route):
             except NotStable:
                 # the full step leaves the unit disc: the same guard rejects it
                 with pytest.raises(NotStable):
-                    Evaluation(dual.system, cand)
+                    Evaluation(dual, cand)
                 continue
             ref = objective_f(cand, P, solve_R(dual, cand))
-            assert Evaluation(dual.system, cand).f == pytest.approx(ref, rel=1e-12, abs=0)
+            assert Evaluation(dual, cand).f == pytest.approx(ref, rel=1e-12, abs=0)
             compared += 1
     assert compared >= 5
 
@@ -628,7 +662,7 @@ def test_trial_objective_keeps_the_separation_guard():
     with pytest.raises(AssumptionViolated):
         solve_R(dual, rom)
     with pytest.raises(AssumptionViolated):
-        Evaluation(dual.system, rom)
+        Evaluation(dual, rom)
 
 
 def test_data_gradients_match_model_based():
@@ -714,8 +748,8 @@ def test_state_only_scaling_rescales_input_quantities():
     dual0 = reconstruct_dual(ens)
     dual1 = reconstruct_dual(scaled)
     # states scaled alone describe the pair (A, gamma B)
-    assert rel_max_err(dual1.MR, dual0.MR) < 1e-8
-    assert rel_max_err(dual1.GB, gamma * sys.B) < 1e-8
+    assert rel_max_err(dual1.A, dual0.A) < 1e-8
+    assert rel_max_err(dual1.B, gamma * sys.B) < 1e-8
 
 
 def test_stationary_rom_has_zero_gradients():
@@ -731,7 +765,7 @@ def test_gradient_evaluation_factors_the_rom_once(monkeypatch):
     _, ens, rom = make_instance(seed=29)
     dual = reconstruct_dual(ens)
     shapes = count_schur_calls(monkeypatch)
-    data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+    data_gradients(dual, rom, Evaluation(dual, rom).gramians())
     assert shapes == [(rom.r, rom.r)]
 
 
@@ -767,7 +801,7 @@ def test_data_gradients_are_the_paper_assembly_to_rounding(alpha):
     # paper's inverse scales rounding by cond(Ahat), 570 here
     _, ens, rom = make_instance(seed=38, N=40, alpha=alpha)
     dual = reconstruct_dual(ens)
-    got = data_gradients(dual, rom, Evaluation(dual.system, rom).gramians())
+    got = data_gradients(dual, rom, Evaluation(dual, rom).gramians())
     bound = 100.0 * np.finfo(float).eps * np.linalg.cond(rom.Ahat)
     assert triple_err(got, paper_gradients(paper_dual(ens), rom)) <= bound
 
