@@ -16,7 +16,7 @@ hands to ``dataio.check_assumptions`` for the rank report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +48,8 @@ class DualData(LtiSystem):
     A               A_ls; coefficient of the R equation, and transposed of
                     the S equation
     B               B_ls; ``B^T S`` is the input-side term SB
+    C               I, set here and not an argument: the data observe the
+                    full state, which ``solve_S`` assumes
     report          the rank check of the ensemble the reconstruction ran
     data_residual   relative least-squares residual of the one-step model,
                     ``||X2 - fit||_F / ||X2||_F``: near 0 on exact data, it
@@ -55,12 +57,14 @@ class DualData(LtiSystem):
                     explains
     """
 
+    C: np.ndarray = field(init=False, repr=False)
     report: AssumptionReport
     data_residual: float
 
     def __post_init__(self):
+        # A and B are the float arrays of the fit, checked once here; C is I
         _require_finite("the dual reconstruction", self.A, self.B)
-        super().__post_init__()
+        self._set(self.A, self.B, np.eye(self.A.shape[0]))
         _require_finite("the Schur factor of A_ls", self.schur.T, self.schur.Z)
 
 
@@ -133,7 +137,7 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     if not report.b1_holds and not force:
         raise RankDeficientData(
             f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
-    return DualData(theta[:n].T, theta[n:].T, np.eye(n), report, residual)
+    return DualData(theta[:n].T, theta[n:].T, report, residual)
 
 
 @_OVERFLOW_CHECKED
@@ -149,7 +153,7 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
     if not report.b2_holds and not force:
         raise RankDeficientData(
             f"need rank X1 = {ens.n}, got {report.rank_X1}")
-    return DualData(theta.T, B.copy(), np.eye(ens.n), report, residual)
+    return DualData(theta.T, B.copy(), report, residual)
 
 
 def solve_R(dual: DualData, rom: Rom) -> np.ndarray:

@@ -92,6 +92,20 @@ class LtiSystem:
         out._set(A, _matrix(B, "B"), np.eye(A.shape[0]))
         return out
 
+    def with_output(self, C) -> "LtiSystem":
+        """This system with the output map ``C``, sharing the factor of A and,
+        once solved, the gramian P, which depends on A and B alone.  Only C
+        is checked: A and B are this system's, checked already.  A rom stays
+        a ``Rom``; any other system, the identified model among them, gives
+        a plain ``LtiSystem``, so no copy lacks the fields of its class."""
+        out = object.__new__(Rom if isinstance(self, Rom) else LtiSystem)
+        out._set(self.A, self.B, _matrix(C, "C"))
+        # a cached_property lives in the instance dict, frozen or not
+        vars(out)["schur"] = self.schur
+        if "P" in vars(self):
+            vars(out)["P"] = self.P
+        return out
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -158,18 +172,6 @@ class Rom(LtiSystem):
     @property
     def r(self) -> int:
         return self.n
-
-    def with_output(self, C) -> "Rom":
-        """This rom with the output map ``C``, sharing the factor of A and,
-        once solved, the gramian P, which depends on A and B alone.  Only C
-        is checked: A and B are this rom's, checked already."""
-        out = object.__new__(Rom)
-        out._set(self.A, self.B, _matrix(C, "C"))
-        # a cached_property lives in the instance dict, frozen or not
-        vars(out)["schur"] = self.schur
-        if "P" in vars(self):
-            vars(out)["P"] = self.P
-        return out
 
     def satisfies_spectral_bounds(self) -> bool:
         """All eigenvalue moduli strictly inside the stability annulus."""
@@ -374,7 +376,7 @@ class Evaluation:
 
     # an overflow is reported by the finiteness check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, model: LtiSystem, rom: Rom):
+    def __init__(self, model: LtiSystem, rom: LtiSystem):
         fm, fn = model.schur, rom.schur.transposed()
         require_separation(fm, fn.eigvals)
         # R in Schur coordinates, (Zm^H R Zn)^T for A = Zm Tm Zm^H and Zn the
@@ -394,7 +396,7 @@ class Evaluation:
         return _times_psd_pinv(self.CR, self.P)
 
     @cached_property
-    def projected(self) -> Rom:
+    def projected(self) -> LtiSystem:
         return self.rom.with_output(self.chat_star)
 
     @cached_property

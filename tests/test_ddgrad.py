@@ -87,14 +87,15 @@ def test_dual_caches_are_populated():
 def test_dual_is_the_identified_system():
     # the reconstruction returns the model (A_ls, B_ls, I) itself, factored
     # already, with its rank report and residual as its only other fields;
-    # no method of a system copies it without them
+    # C is I and no argument, and no method of a system copies it without them
     sys, ens, _ = make_instance(seed=1)
     for dual in (reconstruct_dual(ens), reconstruct_dual_known_input(ens, sys.B)):
         assert isinstance(dual, LtiSystem) and "schur" in vars(dual)
         np.testing.assert_array_equal(dual.C, np.eye(ens.n))
     assert ([f.name for f in dataclasses.fields(DualData)]
             == ["A", "B", "C", "report", "data_residual"])
-    assert not hasattr(dual, "with_output")
+    assert type(dual.with_output(np.eye(ens.n))) is LtiSystem
+    assert "C" not in {f.name for f in dataclasses.fields(DualData) if f.init}
     assert type(DualData.with_identity_output(dual.A, dual.B)) is LtiSystem
 
 

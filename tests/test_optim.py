@@ -152,7 +152,7 @@ def test_overflowing_descent_direction_raises_without_warnings():
     # run stops on the squared norm of the direction
     sys, ens, init = make_problem(seed=14)
     dual = reconstruct_dual(ens)
-    huge = DualData(dual.A, 1e160 * dual.B, dual.C, dual.report, dual.data_residual)
+    huge = DualData(dual.A, 1e160 * dual.B, dual.report, dual.data_residual)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalOverflow, match="squared norm of the descent direction"):
