@@ -99,8 +99,7 @@ def test_rom_stepped_applies_descent_update():
 
 def test_rom_as_system_roundtrip():
     # a rom is the system of its own matrices: Ahat, Bhat and Chat are the
-    # very arrays A, B and C, and with_output keeps the class and the factor;
-    # a system that is no rom copies into a plain system
+    # very arrays A, B and C, and with_output keeps the class and the factor
     rom = Rom(np.array([[0.4]]), np.array([[1.0]]), np.array([[2.0]]))
     assert isinstance(rom, LtiSystem)
     assert rom.Ahat is rom.A and rom.Bhat is rom.B and rom.Chat is rom.C
@@ -111,8 +110,8 @@ def test_rom_as_system_roundtrip():
     # P depends on A and B alone; once solved, it is shared too
     assert rom.with_output(np.array([[1.0]])).P is not rom.P
     assert rom.with_output(np.array([[1.0]])).P is rom.P
-    plain = scalar_system().with_output(np.array([[5.0]]))
-    assert type(plain) is LtiSystem and plain.p == 1
+    sys = scalar_system().with_output(np.array([[5.0]]))
+    assert type(sys) is LtiSystem and sys.C[0, 0] == 5.0
 
 
 def test_with_output_checks_the_new_output_map_alone(monkeypatch):
