@@ -277,26 +277,28 @@ def _take_real(M: np.ndarray, label: str) -> np.ndarray:
 def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom:
     """Loewner-framework initializer from transfer-function samples.
 
-    Builds the Loewner and shifted Loewner matrices from divided
-    differences of the left/right sample values, maps conjugate pairs to
-    real arithmetic, projects onto the dominant rank-r subspaces, and
-    converts the resulting descriptor realization to standard form.
+    Builds the Loewner matrix from divided differences of the left/right
+    sample values, maps conjugate pairs to real arithmetic, projects onto
+    the dominant rank-r subspaces of the Loewner pencil, and converts the
+    resulting descriptor realization to standard form.
 
-    Each Loewner matrix is formed with its right samples on the last axis,
-    so the real transform of the right samples is one product from the
-    right.  The left samples need no product: the second sample of a pair
-    is the conjugate of the first (``_conjugate_groups`` checks it), which
-    makes its rows of the Loewner matrices, once transformed on the right,
-    the conjugate of the first's.  The pair's transformed rows are then
-    ``sqrt(2)`` times the real and the imaginary part of the first's, so
-    the complex rows are formed for one sample per group alone.  The real
-    ``[Lr Lsr Vr]`` (q p rows) is written straight into one Fortran-ordered
-    buffer and reduced in place by ``_triangle``: ``[Lr Lsr Vr] = Q R``.
-    Every quantity the projection needs is then read off R.  The leading
-    block ``[Ra Rs]`` of R is the triangle of ``[Lr Lsr]``, whose left
-    singular vectors are ``Y = Q U`` with U those of ``[Ra Rs]``; so
-    ``Y^T Lr = U^T Ra``, ``Y^T Lsr = U^T Rs`` and ``Y^T Vr = U^T (Q^T Vr)``,
-    with ``Q^T Vr`` the trailing columns of R.  ``[Lr; Lsr]`` is
+    The shifted Loewner matrix is never formed: its blocks are
+    ``Ls_ij = v_i + zr_j L_ij`` (Mayo & Antoulas, Linear Algebra Appl. 425
+    (2007)), so ``Lsr = Lr kron(Lam, I_m) + Vr kron(1r, I_m)`` with the real
+    k x k ``Lam = JR^H diag(zr) JR`` and 1 x k ``1r = 1^T JR``.  L is formed
+    with its right samples on the last axis, so the right real transform JR
+    is one product from the right.  The left samples need no product: the
+    second sample of a pair is the conjugate of the first
+    (``_conjugate_groups`` checks it), so the pair's rows, once transformed
+    on the right, are ``sqrt(2)`` times the real and the imaginary part of
+    the first's, and the complex rows are formed for one sample per group
+    alone.  The real ``[Lr Vr]`` (q p rows) is written straight into one
+    Fortran-ordered buffer and reduced in place by ``_triangle``:
+    ``[Lr Vr] = Q [Ra QtVr]``, and then ``Lsr = Q Rs`` with
+    ``Rs = Ra kron(Lam, I_m) + QtVr kron(1r, I_m)``.  The left singular
+    vectors of ``[Lr Lsr]`` are ``Y = Q U`` with U those of the
+    (k m + m) x (2 k m) ``[Ra Rs]``; so ``Y^T Lr = U^T Ra``,
+    ``Y^T Lsr = U^T Rs`` and ``Y^T Vr = U^T QtVr``.  ``[Lr; Lsr]`` is
     ``diag(Q, Q) [Ra; Rs]``, so its singular values and right vectors are
     those of the (k m) x (k m) triangle of ``[Ra; Rs]``.  No SVD is taken
     of a matrix with q p rows, and Q is never formed.
@@ -324,16 +326,15 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     VR = np.stack([s.value for s in ro], axis=-1)
 
     JR = _real_transform(rg)
+    Lam = _take_real(JR.conj().T @ (zr[:, None] * JR), "right sample points")
+    ones = _take_real(JR.sum(axis=0), "right sample weights")
     km = k * m
     ns = sum(len(g) == 1 for g in lg)
     first = np.r_[:ns, ns:q:2]
-    # the rows of the C-ordered buf are the columns of [Lr Lsr Vr], so buf.T
-    # is the Fortran-ordered matrix _triangle reduces, and each column block
-    # is filled through a (k, m, q, p) or (m, q, p) view of its rows
-    buf = np.empty((2 * km + m, q * p))
-    # one complex work array serves both Loewner matrices
-    M = np.empty((len(lg), p * m, k), dtype=complex)
-    inv = (1.0 / denom[first])[:, None, :]
+    # the rows of the C-ordered buf are the columns of [Lr Vr], so buf.T is
+    # the Fortran-ordered matrix _triangle reduces, and each column block is
+    # filled through a (k, m, q, p) or (m, q, p) view of its rows
+    buf = np.empty((km + m, q * p))
 
     def real_rows(out, W, label):
         # out (..., q, p) from W (..., groups, p): the left real transform
@@ -341,24 +342,23 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
         np.multiply(W[..., ns:, :].real, _SQRT2, out=out[..., ns::2, :])
         np.multiply(W[..., ns:, :].imag, _SQRT2, out=out[..., ns + 1::2, :])
 
-    def fill(rows, vl, vr, label):
-        # entry (g, a, b, j) is (vl[i, a, b] - vr[a, b, j]) / (zl[i] - zr[j])
-        # for the first sample i of left group g
-        np.subtract(vl[first].reshape(len(lg), -1, 1), vr.reshape(-1, k), out=M)
-        np.multiply(M, inv, out=M)
-        W = (M.reshape(-1, k) @ JR).reshape(-1, p, m, k).transpose(3, 2, 0, 1)
-        real_rows(rows.reshape(k, m, q, p), W, label)
-
-    fill(buf[:km], VL, VR, "Loewner matrix")
-    fill(buf[km:2 * km], zl[:, None, None] * VL, VR * zr, "shifted Loewner matrix")
-    real_rows(buf[2 * km:].reshape(m, q, p), VL[first].transpose(2, 0, 1), "left data")
+    # entry (g, a, b, j) is (VL[i, a, b] - VR[a, b, j]) / (zl[i] - zr[j])
+    # for the first sample i of left group g
+    M = VL[first].reshape(len(lg), -1, 1) - VR.reshape(-1, k)
+    M *= (1.0 / denom[first])[:, None, :]
+    W = (M.reshape(-1, k) @ JR).reshape(-1, p, m, k).transpose(3, 2, 0, 1)
+    real_rows(buf[:km].reshape(k, m, q, p), W, "Loewner matrix")
+    real_rows(buf[km:].reshape(m, q, p), VL[first].transpose(2, 0, 1), "left data")
     Wr = _take_real(VR.reshape(-1, k) @ JR, "right data").reshape(
         p, m, k).transpose(0, 2, 1).reshape(p, km)
+    del M, W  # the complex work arrays go before the reduction
 
     R = _triangle(buf.T)
-    t = min(q * p, 2 * km)
-    Ra, Rs, QtVr = R[:t, :km], R[:t, km:2 * km], R[:t, 2 * km:]
-    U, sc, _ = np.linalg.svd(R[:t, :2 * km], full_matrices=False)
+    t = len(R)
+    Ra, QtVr = R[:, :km], R[:, km:]
+    # block column j of Rs is sum_l Ra_l Lam[l, j] + QtVr 1r[j]
+    Rs = (Lam.T @ Ra.reshape(t, k, m) + QtVr[:, None, :] * ones[:, None]).reshape(t, km)
+    U, sc, _ = np.linalg.svd(np.hstack([Ra, Rs]), full_matrices=False)
     stacked = np.empty((2 * t, km), order="F")
     stacked[:t], stacked[t:] = Ra, Rs
     sr, Vrt = np.linalg.svd(_triangle(stacked), full_matrices=False)[1:]

@@ -326,10 +326,11 @@ def count_schur_calls(monkeypatch):
     return shapes
 
 
-def blockwise_loewner(left, right, r):
-    """The Loewner initializer by its earlier formulas: the left real transform
-    as one product, the right one as a stacked product per row block, and the
-    projection from the SVDs of the full ``[Lr Lsr]`` and ``[Lr; Lsr]``."""
+def real_loewner_matrices(left, right):
+    """The real ``Lr, Lsr, Vr, Wr`` of the Loewner initializer by their earlier
+    formulas: the left real transform as one product, the right one as a
+    stacked product per row block, and ``Lsr`` formed from its own divided
+    differences."""
     lg = initmor._conjugate_groups(left)
     rg = initmor._conjugate_groups(right)
     lo = [left[i] for g in lg for i in g]
@@ -355,6 +356,14 @@ def blockwise_loewner(left, right, r):
     Lsr = real_loewner(zl[:, None, None] * VL, zr[:, None] * VR, "shifted Loewner matrix")
     Vr = initmor._take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
     Wr = initmor._take_real((JRt @ VR).reshape(p, k * m), "right data")
+    return Lr, Lsr, Vr, Wr
+
+
+def blockwise_loewner(left, right, r):
+    """The Loewner initializer by its earlier formulas: the real matrices of
+    ``real_loewner_matrices`` and the projection from the SVDs of the full
+    ``[Lr Lsr]`` and ``[Lr; Lsr]``."""
+    Lr, Lsr, Vr, Wr = real_loewner_matrices(left, right)
     Y = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)[0][:, :r]
     X = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[2][:r].T
     E = -Y.T @ Lr @ X
