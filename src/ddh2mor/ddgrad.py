@@ -9,13 +9,16 @@ fit the DMDc start also makes (Proctor, Brunton & Kutz, SIAM J. Appl.
 Dyn. Syst. 15 (2016)).  ``DualData`` is that model, the ``LtiSystem``
 ``(A_ls, B_ls, I)``, and the objective and gradient are the model-based
 ones against it (``sysmodel.Evaluation``), on exact full-rank data those
-of the system.  The fit reduces ``[X1 U1 X2]`` to one triangle, which it
-hands to ``dataio.check_assumptions`` for the rank report.
+of the system.  The fit streams ``[X1 U1 X2]`` into one triangle, which it
+hands to ``dataio.check_assumptions`` for the rank report; the DMDc start
+takes the same triangle of its snapshots and the same fit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,10 @@ __all__ = [
     "solve_S",
     "solve_SB",
 ]
+
+# snapshot rows _snapshot_triangle reduces at a time, in whole trajectories
+# or one-step rows; a block of 2n + m = 202 columns (n = 100) is 3.3 MB
+_SNAPSHOT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -85,27 +92,89 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
 _OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
-def _least_squares(ens: DataEnsemble, Y: np.ndarray,
-                   k: int) -> tuple[np.ndarray, AssumptionReport, float]:
-    """The min-norm fit ``Y ~ [X1 U1][:, :k] Theta``, from the triangle R
-    of ``[X1 U1 Y] = Q R``.
+def _snapshot_triangle(pieces: Iterable[tuple[np.ndarray, ...]], *,
+                       whole: bool) -> np.ndarray:
+    """The triangle R of the snapshot matrix ``S = Q R`` whose rows
+    ``pieces`` hold, S never formed whole.
 
-    When ``R[:k, :k]`` has full rank at ``RANK_TOL``, read off its singular
-    values, Theta is the triangular solve ``R[:k, :k] Theta = R[:k, Y]``
-    and the residual is Y's part in R's rows below k.  Otherwise Theta is
-    solved on the SVD of ``R[:k, :k]``, cut at ``RANK_TOL``, and the
-    residual also holds Y's part along the cut directions.  The residual
-    is relative to ``||X2||_F``.  The rank check reads the singular values
-    of [X1 U1], X1 and U1 off the same R (``check_assumptions``), reusing
-    those of ``R[:k, :k]``; no SVD is taken of a matrix with N rows.
-    Returns ``(Theta, report, data_residual)``.
+    A piece is a tuple of column blocks of shape (count, steps, width), its
+    count * steps rows of S side by side: ``init_dmdc`` passes trajectory
+    blocks ``(states[:, :-1], inputs, states[:, 1:])``, the reconstructions
+    the ensemble as one piece of one-step rows ``(X1, U1, Y)``.  ``pieces``
+    is read once, in order, and is not empty.  Its rows are taken a block of
+    whole counts at a time (about ``_SNAPSHOT_BLOCK_ROWS`` rows), and each
+    block is reduced together with the triangle of the blocks before it:
+    ``_triangle`` of ``[R; block]`` (LAPACK ``dgeqrt``) is the next R.  This
+    is the sequential TSQR of Demmel, Grigori, Hoemmen & Langou (SIAM J.
+    Sci. Comput. 34 (2012)); the final R satisfies ``R^T R = S^T S``, so it
+    is S's triangle up to an orthogonal change of its rows, which no fit or
+    singular value read off R sees.  The pieces are copied into one reused
+    Fortran-ordered buffer through (count, steps, width) views of its column
+    blocks, so the working set is one piece, one row block and R, and the
+    row blocks do not depend on how the rows are split into pieces.  A
+    ``whole`` set of one block is one ``_triangle`` of exactly S.
     """
-    n, m = ens.n, ens.m
-    S = np.empty((ens.N, 2 * n + m), order="F")
-    S[:, :n], S[:, n:n + m], S[:, n + m:] = ens.X1, ens.U1, Y
-    R = _triangle(S)
-    _require_finite("the triangle of the snapshot data", R)
-    Rk, Ry = R[:k, :k], R[:k, n + m:]
+    pieces = iter(pieces)
+    piece = next(pieces)
+    count, steps = piece[0].shape[:2]
+    edges = list(itertools.accumulate((block.shape[2] for block in piece), initial=0))
+    width = edges[-1]
+    # whole counts per row block; a whole set of one block is S alone, with
+    # no room for a triangle above it
+    per_block = max(1, _SNAPSHOT_BLOCK_ROWS // steps)
+    if whole and count <= per_block:
+        per_block, room = count, count * steps
+    else:
+        room = width + per_block * steps
+    buf = np.empty(room * width)
+
+    def block_matrix(rows):
+        # the Fortran-ordered (rows, width) matrix at the buffer's start
+        return buf[:rows * width].reshape((rows, width), order="F")
+
+    # S holds R's rows and then room for per_block counts, `filled` of them
+    # written
+    R, S, filled = np.empty((0, width)), block_matrix(per_block * steps), 0
+    while piece is not None:
+        while len(piece[0]):
+            if filled == per_block:
+                R = _triangle(S)
+                S, filled = block_matrix(len(R) + per_block * steps), 0
+                S[:len(R)] = R
+            take = min(per_block - filled, len(piece[0]))
+            rows = S[len(R) + filled * steps:len(R) + (filled + take) * steps]
+            # by index, so that no loop name holds a column block after its
+            # piece goes; splitting the rows of a column block into
+            # (take, steps) is a view
+            for j in range(len(piece)):
+                cols = rows[:, edges[j]:edges[j + 1]]
+                cols.reshape(take, steps, cols.shape[1])[...] = piece[j][:take]
+            piece, filled = [block[take:] for block in piece], filled + take
+        # let this piece go before the next one is drawn
+        del piece
+        piece = next(pieces, None)
+    if filled < per_block:
+        # the last block is partial: move each column up to the layout of
+        # its own row count (column 0 is in place, and no column reaches
+        # the source of a later one)
+        full, S = S, block_matrix(len(R) + filled * steps)
+        for j in range(1, width):
+            S[:, j] = full[:len(S), j]
+    return _triangle(S)
+
+
+def _triangle_fit(R: np.ndarray, k: int, y: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The min-norm fit ``Y ~ Z[:, :k] Theta`` from the triangle R of
+    ``[Z Y] = Q R``, Y in R's columns from ``y`` on.
+
+    When ``R[:k, :k]`` has full rank, read off its singular values s by
+    ``significant``, Theta is the triangular solve ``R[:k, :k] Theta =
+    R[:k, y:]`` and the residual is Y's part in R's rows below k.  Otherwise
+    Theta is solved on the SVD of ``R[:k, :k]``, cut by ``significant``, and
+    the residual also holds Y's part along the cut directions.  Returns
+    ``(Theta, s, ||Y - Z[:, :k] Theta||_F)``.
+    """
+    Rk, Ry = R[:k, :k], R[:k, y:]
     s = np.linalg.svd(Rk, compute_uv=False)
     if np.count_nonzero(significant(s)) == k:
         theta, cut = scipy.linalg.solve_triangular(Rk, Ry, check_finite=False), 0.0
@@ -114,7 +183,22 @@ def _least_squares(ens: DataEnsemble, Y: np.ndarray,
         keep = significant(s)
         theta = Vt[keep].T @ ((U[:, keep].T @ Ry) / s[keep, None])
         cut = _norm(U[:, ~keep].T @ Ry)
-    resid = math.hypot(cut, _norm(R[k:, n + m:]))
+    return theta, s, math.hypot(cut, _norm(R[k:, y:]))
+
+
+def _least_squares(ens: DataEnsemble, Y: np.ndarray,
+                   k: int) -> tuple[np.ndarray, AssumptionReport, float]:
+    """The fit of Y on ``[X1 U1][:, :k]`` (``_triangle_fit``) from the
+    triangle R of ``[X1 U1 Y]``, with the data residual relative to
+    ``||X2||_F``.  The rank check reads the singular values of [X1 U1], X1
+    and U1 off the same R (``check_assumptions``), reusing the fit's of
+    ``R[:k, :k]``; no SVD is taken of a matrix with N rows.  Returns
+    ``(Theta, report, data_residual)``.
+    """
+    n, m = ens.n, ens.m
+    R = _snapshot_triangle([(ens.X1[:, None], ens.U1[:, None], Y[:, None])], whole=True)
+    _require_finite("the triangle of the snapshot data", R)
+    theta, s, resid = _triangle_fit(R, k, n + m)
     scale = _norm(ens.X2)
     return (theta, check_assumptions(ens, R, (k, s)),
             resid / scale if scale else (math.inf if resid else 0.0))

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .dataio import TrajectorySet, check_json_type, read_json_object, write_json
+from .ddgrad import _snapshot_triangle, _triangle_fit
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
 from .matequ import _triangle, significant
@@ -43,9 +43,6 @@ logger = logging.getLogger(__name__)
 
 # adjustment rounds of make_stable before it gives up
 _STABILIZE_ROUNDS = 5
-# snapshot rows init_dmdc reduces at a time, in whole trajectories; a block
-# of 2n + m = 202 columns (n = 100) is 3.3 MB
-_DMDC_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -120,30 +117,17 @@ def init_dmdc(trajs: TrajectorySet | Iterable[TrajectorySet], r: int) -> Rom:
     ``trajs`` is a trajectory set or an iterable of blocks of one data set
     (``dataio.trajectory_blocks``), read once, in order.  The snapshots
     (states X, inputs U, successor states Xp; one column per transition)
-    fill the rows of ``S = [X; U; Xp]^T``, but S is never formed whole.
-    Its rows are taken a block of whole trajectories at a time (about
-    ``_DMDC_BLOCK_ROWS`` rows), and each block is reduced together with the
-    triangle of the blocks before it: ``_triangle`` of ``[R; block]``
-    (LAPACK ``dgeqrt``) is the next R.  This is the sequential TSQR of
-    Demmel, Grigori, Hoemmen & Langou (SIAM J. Sci. Comput. 34 (2012)); the
-    final R satisfies ``R^T R = S^T S``, so it is the triangle of
-    ``S = Q R`` up to an orthogonal change of its rows, which leaves
-    everything read off R below unchanged.  Data of one block take a single
-    ``_triangle`` of S.  The incoming trajectories are copied into one
-    reused Fortran-ordered buffer through (count, L - 1, width) views of its
-    column blocks, so the working set is one incoming block, one row block
-    and R; the row blocks do not depend on how ``trajs`` is split.
-
-    With ``Rz`` and ``Rp`` the columns of R that belong to ``Z = [X; U]``
-    and to Xp, ``Z = Rz^T Q^T`` and ``Xp = Rp^T Q^T``, so every SVD the
-    method needs is one of R's blocks: Z and ``Rz^T`` share singular values
-    and left vectors, and Xp and ``Rp^T`` share singular values and left
-    vectors.  When ``R[:n+m, :n+m]`` has full rank at ``RANK_TOL``, the
-    least squares fit is the triangular solve
-    ``R[:n+m, :n+m] [A B]^T = Rp[:n+m]``; otherwise it is
-    ``Rp^T W_k s_k^{-1} U_k^T`` on the SVD of ``Rz^T``.  An empty ``trajs``
-    raises InsufficientData, and blocks that disagree in L, n or m raise
-    ValueError.
+    fill the rows of ``S = [X; U; Xp]^T``, which is never formed whole:
+    ``ddgrad._snapshot_triangle`` streams the blocks into its triangle R,
+    one block of draws, one row block and R at a time, and a stream gives
+    the rom of its set bit for bit.  With ``Rz`` and ``Rp`` the columns of
+    R that belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T`` and
+    ``Xp = Rp^T Q^T``, so every SVD the method needs is one of R's blocks:
+    Xp and ``Rp^T`` share singular values and left vectors, and [A B] is
+    the fit the dual reconstruction makes (``ddgrad._triangle_fit``), a
+    triangular solve at full rank of Z and otherwise the min-norm fit cut
+    by ``significant``.  An empty ``trajs`` raises InsufficientData, and
+    blocks that disagree in L, n or m raise ValueError.
     """
     whole = isinstance(trajs, TrajectorySet)
     blocks = iter([trajs] if whole else trajs)
@@ -151,74 +135,34 @@ def init_dmdc(trajs: TrajectorySet | Iterable[TrajectorySet], r: int) -> Rom:
     if block is None:
         raise InsufficientData("no trajectories to identify from")
     dims = block.states.shape[1:] + block.inputs.shape[2:]
-    L, n, m = dims
-    width, steps = 2 * n + m, L - 1
+    n, m = dims[1:]
 
-    # trajectories per row block; a whole set smaller than one block sizes
-    # the buffer to its own rows
-    per_block = max(1, _DMDC_BLOCK_ROWS // steps)
-    if whole:
-        per_block = min(per_block, len(block.states))
-    buf = np.empty((width + per_block * steps) * width)
+    def pieces(block):
+        # each block's snapshot columns, the block let go before the next
+        # one is drawn
+        while block is not None:
+            got = block.states.shape[1:] + block.inputs.shape[2:]
+            if got != dims:
+                raise ValueError(f"trajectory blocks disagree in (L, n, m): {dims} and {got}")
+            states = block.states
+            yield states[:, :-1], block.inputs, states[:, 1:]
+            del block, states
+            block = next(blocks, None)
 
-    def block_matrix(rows):
-        # the Fortran-ordered (rows, width) matrix at the buffer's start
-        return buf[:rows * width].reshape((rows, width), order="F")
-
-    # S holds R's rows and then room for per_block trajectories, `filled`
-    # of them written
-    R, S, filled = np.empty((0, width)), block_matrix(per_block * steps), 0
-    while block is not None:
-        got = block.states.shape[1:] + block.inputs.shape[2:]
-        if got != dims:
-            raise ValueError(f"trajectory blocks disagree in (L, n, m): {dims} and {got}")
-        states, inputs = block.states, block.inputs
-        while len(states):
-            if filled == per_block:
-                R = _triangle(S)
-                S, filled = block_matrix(len(R) + per_block * steps), 0
-                S[:len(R)] = R
-            count = min(per_block - filled, len(states))
-            # splitting the rows of a column block into (count, L - 1) is a view
-            rows = S[len(R) + filled * steps:len(R) + (filled + count) * steps]
-            rows[:, :n].reshape(count, steps, n)[...] = states[:count, :-1]
-            rows[:, n:n + m].reshape(count, steps, m)[...] = inputs[:count]
-            rows[:, n + m:].reshape(count, steps, n)[...] = states[:count, 1:]
-            states, inputs, filled = states[count:], inputs[count:], filled + count
-        # let this block go before the next one is drawn
-        del block, states, inputs
-        block = next(blocks, None)
-    if filled < per_block:
-        # the last block is partial: move each column up to the layout of
-        # its own row count (column 0 is in place, and no column reaches
-        # the source of a later one)
-        full, S = S, block_matrix(len(R) + filled * steps)
-        for j in range(1, width):
-            S[:, j] = full[:len(S), j]
-    R = _triangle(S)
-    Rz, Rp = R[:, :n + m], R[:, n + m:]
-
-    Ux, sx, _ = np.linalg.svd(Rp.T, full_matrices=False)
+    stream = pieces(block)
+    del block  # the stream holds the first block, and lets it go in turn
+    R = _snapshot_triangle(stream, whole=whole)
+    Ux, sx, _ = np.linalg.svd(R[:, n + m:].T, full_matrices=False)
     if np.count_nonzero(significant(sx)) < r:
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
-
-    k = n + m
-    if np.count_nonzero(significant(np.linalg.svd(Rz[:k], compute_uv=False))) == k:
-        # Z has full row rank, so its fit is the triangular solve
-        # R[:k, :k] [A B]^T = Rp[:k]
-        AB = scipy.linalg.solve_triangular(Rz[:k], Rp[:k], check_finite=False).T
-    else:
-        Uz, sz, Wt = np.linalg.svd(Rz.T, full_matrices=False)
-        keep = max(r, int(np.count_nonzero(significant(sz))))
-        keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
-        if keep == 0:
-            raise InsufficientData("identification snapshots are numerically zero")
-        AB = Rp.T @ (Wt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
+    theta, sz, _ = _triangle_fit(R, n + m, n + m)  # theta = [A B]^T
+    if not significant(sz).any():
+        raise InsufficientData("identification snapshots are numerically zero")
 
     basis = Ux[:, :r]
-    return make_stable(Rom(basis.T @ AB[:, :n] @ basis,
-                           basis.T @ AB[:, n:],
+    return make_stable(Rom(basis.T @ theta[:n].T @ basis,
+                           basis.T @ theta[n:].T,
                            basis))
 
 
@@ -265,12 +209,17 @@ def _real_transform(groups) -> np.ndarray:
     return J
 
 
-def _take_real(M: np.ndarray, label: str) -> np.ndarray:
-    """The real part of M, as a view, once its imaginary part is negligible."""
-    scale = max(1.0, np.abs(M).max(initial=0.0))
-    if np.abs(M.imag).max(initial=0.0) > 1e-8 * scale:
+def _require_real(imag: float, scale: float, label: str) -> None:
+    """Refuse an imaginary part of largest modulus ``imag`` beyond rounding
+    of data of largest modulus ``scale``."""
+    if imag > 1e-8 * max(1.0, scale):
         raise ValueError(f"{label} kept a significant imaginary part; "
                          "check conjugate closure of the samples")
+
+
+def _take_real(M: np.ndarray, label: str) -> np.ndarray:
+    """The real part of M, as a view, once its imaginary part is negligible."""
+    _require_real(np.abs(M.imag).max(initial=0.0), np.abs(M).max(initial=0.0), label)
     return M.real
 
 
@@ -286,8 +235,10 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     ``Ls_ij = v_i + zr_j L_ij`` (Mayo & Antoulas, Linear Algebra Appl. 425
     (2007)), so ``Lsr = Lr kron(Lam, I_m) + Vr kron(1r, I_m)`` with the real
     k x k ``Lam = JR^H diag(zr) JR`` and 1 x k ``1r = 1^T JR``.  L is formed
-    with its right samples on the last axis, so the right real transform JR
-    is one product from the right.  The left samples need no product: the
+    one right group (a real point or a conjugate pair) at a time, with the
+    group's samples on the last axis, so the right real transform is the
+    product with the group's own 1 x 1 or 2 x 2 block of JR, and no complex
+    array wider than one group exists.  The left samples need no product: the
     second sample of a pair is the conjugate of the first
     (``_conjugate_groups`` checks it), so the pair's rows, once transformed
     on the right, are ``sqrt(2)`` times the real and the imaginary part of
@@ -336,22 +287,36 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     # filled through a (k, m, q, p) or (m, q, p) view of its rows
     buf = np.empty((km + m, q * p))
 
-    def real_rows(out, W, label):
-        # out (..., q, p) from W (..., groups, p): the left real transform
-        out[..., :ns, :] = _take_real(W[..., :ns, :], label)
+    def real_rows(out, W):
+        # out (..., q, p) from W (..., groups, p): the left real transform;
+        # returns the rows of the real left samples, whose imaginary part
+        # the caller checks
+        out[..., :ns, :] = W[..., :ns, :].real
         np.multiply(W[..., ns:, :].real, _SQRT2, out=out[..., ns::2, :])
         np.multiply(W[..., ns:, :].imag, _SQRT2, out=out[..., ns + 1::2, :])
+        return W[..., :ns, :]
 
-    # entry (g, a, b, j) is (VL[i, a, b] - VR[a, b, j]) / (zl[i] - zr[j])
-    # for the first sample i of left group g
-    M = VL[first].reshape(len(lg), -1, 1) - VR.reshape(-1, k)
-    M *= (1.0 / denom[first])[:, None, :]
-    W = (M.reshape(-1, k) @ JR).reshape(-1, p, m, k).transpose(3, 2, 0, 1)
-    real_rows(buf[:km].reshape(k, m, q, p), W, "Loewner matrix")
-    real_rows(buf[km:].reshape(m, q, p), VL[first].transpose(2, 0, 1), "left data")
-    Wr = _take_real(VR.reshape(-1, k) @ JR, "right data").reshape(
-        p, m, k).transpose(0, 2, 1).reshape(p, km)
-    del M, W  # the complex work arrays go before the reduction
+    # one right group (a real point or a conjugate pair) at a time: entry
+    # (g, a, b, j) of M is (VL[i, a, b] - VR[a, b, j]) / (zl[i] - zr[j]) for
+    # the first sample i of left group g and the group's samples j, and the
+    # right real transform is the group's own block of JR
+    Lr, VRf = buf[:km].reshape(k, m, q, p), VR.reshape(-1, k)
+    VLf = VL[first].reshape(len(lg), -1, 1)
+    imag = scale = 0.0
+    pos = 0
+    for g in rg:
+        cols = slice(pos, pos + len(g))
+        M = VLf - VRf[:, cols]
+        M *= (1.0 / denom[first, cols])[:, None, :]
+        W = (M.reshape(-1, len(g)) @ JR[cols, cols]).reshape(-1, p, m, len(g))
+        reals = real_rows(Lr[cols], W.transpose(3, 2, 0, 1))
+        imag = max(imag, np.abs(reals.imag).max(initial=0.0))
+        scale = max(scale, np.abs(reals).max(initial=0.0))
+        pos += len(g)
+    # checked against the whole matrix's scale, as _take_real does
+    _require_real(imag, scale, "Loewner matrix")
+    _take_real(real_rows(buf[km:].reshape(m, q, p), VL[first].transpose(2, 0, 1)), "left data")
+    Wr = _take_real(VRf @ JR, "right data").reshape(p, m, k).transpose(0, 2, 1).reshape(p, km)
 
     R = _triangle(buf.T)
     t = len(R)

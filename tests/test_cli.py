@@ -215,7 +215,7 @@ def test_oracle_dmdc_start_memory_does_not_grow_with_the_trajectory_count():
     n, m, L = 30, 2, 10
     oracle = random_system(np.random.default_rng(46), n, m)
     ens = ddh2mor.generate_ensemble(oracle, 40, ddh2mor.NoiseSpec(alpha=1e-3, seed=47))
-    per_block = ddh2mor.initmor._DMDC_BLOCK_ROWS // (L - 1)
+    per_block = ddh2mor.ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
     counts = [blocks * per_block + per_block // 3 for blocks in (2, 8)]
     peaks = [traced_peak(oracle_start, "dmdc", argparse.Namespace(
         r=4, init_traj_count=count, init_traj_length=L), ens, oracle, 48)[1]

@@ -45,7 +45,7 @@ from ddh2mor.matequ import RANK_TOL
 from ddh2mor.sysmodel import SEPARATION_TOL
 from helpers import (count_schur_calls, data_gradients_B_known, data_gradients_from_ensemble,
                      fd_gradients, paper_dual, random_rom, random_system, record_svd_shapes,
-                     rel_max_err, richardson_gradients)
+                     rel_max_err, richardson_gradients, traced_peak)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -180,6 +180,29 @@ def test_reconstruction_forms_no_sample_by_sample_matrix():
     finally:
         tracemalloc.stop()
     assert peak < ens.N * ens.N * np.dtype(float).itemsize
+
+
+def test_reconstruction_memory_does_not_grow_with_the_sample_count():
+    # the ensemble's one-step rows are reduced a row block at a time, so the
+    # working set is one row block and the triangle whatever N; the model
+    # and residual of several blocks are the least-squares fit's
+    n, m = 30, 2
+    sys = random_system(np.random.default_rng(50), n, m)
+    rows = ddh2mor.ddgrad._SNAPSHOT_BLOCK_ROWS
+    peaks = []
+    for blocks in (2, 8):
+        ens = generate_ensemble(sys, blocks * rows + rows // 3, NoiseSpec(alpha=1e-3, seed=51))
+        dual, peak = traced_peak(reconstruct_dual, ens)
+        peaks.append(peak)
+        ref = paper_dual(ens)
+        assert rel_max_err(dual.A, ref.MR) < 1e-13
+        assert rel_max_err(dual.B, ref.GB) < 1e-13
+        Z = np.hstack([ens.X1, ens.U1])
+        fit = np.linalg.lstsq(Z, ens.X2, rcond=None)[0]
+        residual = np.linalg.norm(ens.X2 - Z @ fit) / np.linalg.norm(ens.X2)
+        assert dual.data_residual == pytest.approx(residual, rel=1e-12)
+        assert dual.report == check_assumptions(ens)
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_known_input_reconstruction_matches_unknown():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import re
@@ -34,7 +35,8 @@ from ddh2mor import (
     trajectory_blocks,
     transfer_eval,
 )
-from ddh2mor import initmor
+from ddh2mor import ddgrad, initmor
+from ddh2mor.matequ import significant
 from helpers import (blockwise_loewner, numerical_rank, random_rom, random_system,
                      real_loewner_matrices, record_svd_shapes, rel_max_err, simulate,
                      traced_peak)
@@ -137,8 +139,7 @@ def svd_route_dmdc(trajs, r):
         raise InsufficientData(
             f"successor snapshots have rank below the target order {r}")
     Uz, sz, Vzt = np.linalg.svd(np.vstack([X, U]), full_matrices=False)
-    keep = max(r, int(np.count_nonzero(sz > 1e-10 * sz[0])))
-    keep = min(keep, int(np.count_nonzero(sz > 1e-14 * sz[0])))
+    keep = int(np.count_nonzero(significant(sz)))
     if keep == 0:
         raise InsufficientData("identification snapshots are numerically zero")
     AB = Xp @ (Vzt[:keep].T / sz[:keep]) @ Uz[:, :keep].T
@@ -213,10 +214,28 @@ def test_dmdc_matches_svd_route_on_rank_deficient_identification_data():
     assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
 
 
+def test_dmdc_cuts_identification_directions_by_the_one_rank_rule():
+    # one-step trajectories, so X and Xp are free: rank [X; U] = 1 < r at
+    # RANK_TOL, and a second singular value of 1e-12 of the largest lies
+    # above the 1e-14 floor of a "keep at least r directions" rule; the fit
+    # keeps only what significant keeps
+    n, m, r, N = 4, 1, 3, 20
+    rng = np.random.default_rng(49)
+    a = rng.standard_normal(N)
+    x = np.outer(a, rng.standard_normal(n))
+    x += 1e-12 * np.linalg.norm(x) * np.outer(rng.standard_normal(N), rng.standard_normal(n))
+    trajs = TrajectorySet(np.stack([x, rng.standard_normal((N, n))], axis=1),
+                          0.5 * a[:, None, None])
+    sz = np.linalg.svd(np.hstack([x, 0.5 * a[:, None]]), compute_uv=False)
+    assert np.count_nonzero(significant(sz)) == 1 < r
+    assert np.count_nonzero(sz > 1e-14 * sz[0]) == 2
+    assert_same_rom(init_dmdc(trajs, r), svd_route_dmdc(trajs, r))
+
+
 def blocks_of(count, L):
     """A trajectory count whose snapshot rows fill ``count`` of init_dmdc's
     row blocks and part of one more."""
-    per_block = initmor._DMDC_BLOCK_ROWS // (L - 1)
+    per_block = ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
     return count * per_block + per_block // 3
 
 
@@ -264,15 +283,15 @@ def tsqr_inputs(trajs, per_block):
 @pytest.mark.parametrize("blocks", [2, 3.4], ids=["whole-blocks", "partial-last-block"])
 def test_dmdc_of_blocks_is_bitwise_the_dmdc_of_their_set(monkeypatch, alpha, blocks):
     n, m, r, L = 8, 2, 3, 8
-    per_block = initmor._DMDC_BLOCK_ROWS // (L - 1)
+    per_block = ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
     N = int(blocks * per_block)
     sys = random_system(np.random.default_rng(46), n, m)
     noise = NoiseSpec(alpha=alpha, seed=47)
     trajs = generate_trajectories(sys, N, L, noise)
     expected = tsqr_inputs(trajs, per_block)
     reduced = []
-    triangle = initmor._triangle
-    monkeypatch.setattr(initmor, "_triangle",
+    triangle = ddgrad._triangle
+    monkeypatch.setattr(ddgrad, "_triangle",
                         lambda S: reduced.append(np.array(S)) or triangle(S))
     ref = init_dmdc(trajs, r)
     # the draw blocks (762 trajectories), and blocks that straddle the row
@@ -309,6 +328,21 @@ def test_dmdc_memory_does_not_grow_with_the_trajectory_count():
         for count in (2, 8)]
     # one block of snapshot rows and the triangle, whatever the count
     assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_streamed_dmdc_holds_one_block_of_draws_at_a_time():
+    # the working set is what drawing the blocks takes, one row block of
+    # snapshot rows and R: a block held while the next one is drawn would
+    # add a block of draws (0.45 MB here)
+    n, m, L, N = 30, 2, 10, 1000
+    sys = random_system(np.random.default_rng(44), n, m)
+    noise = NoiseSpec(alpha=1e-3, seed=45)
+    drawing = traced_peak(lambda blocks: collections.deque(blocks, maxlen=0),
+                          trajectory_blocks(sys, N, L, noise))[1]
+    peak = traced_peak(init_dmdc, trajectory_blocks(sys, N, L, noise), 4)[1]
+    width, per_block = 2 * n + m, ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
+    row_block = (width + per_block * (L - 1)) * width * np.dtype(float).itemsize
+    assert peak <= 1.05 * (drawing + row_block)
 
 
 def test_dmdc_rejects_rank_deficient_snapshots():
@@ -555,7 +589,7 @@ def test_loewner_memory_stays_within_a_few_loewner_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * loewner_bytes
+    assert peak < 1 * loewner_bytes
 
 
 # ---------------------------------------------------------- Hankel realizer

@@ -15,6 +15,8 @@ one small round of it runs here.  Each public name is listed in the
 the annulus bounds are compared only in the checks that own them, and only
 ``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
 drawn and stepped in one ``dataio`` function, whichever route collects them.
+Snapshot matrices are reduced by one streamed triangle and fitted by one
+triangle fit, which the DMDc start and the dual reconstruction share.
 """
 
 import ast
@@ -193,6 +195,25 @@ def test_schur_coordinate_sweeps_are_called_only_in_matequ_and_sysmodel():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) in sweeps]
     assert not found, f"Schur-coordinate sweeps called outside matequ and sysmodel: {found}"
+
+
+def called_in(name):
+    """(file, qualified function) of each call in the package of a function
+    or method named ``name``."""
+    return found_in(lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_snapshot_triangles_and_fits_have_one_home_each():
+    # snapshot matrices are reduced by the one streamed triangle, and every
+    # least-squares fit on a triangle is the one triangle fit: the DMDc start
+    # and the dual reconstruction share both, so a second QR or triangular
+    # solve beside them is a second copy of the rank rule or of the fit
+    assert set(called_in("_triangle")) == {("ddgrad.py", "_snapshot_triangle"),
+                                           ("dataio.py", "check_assumptions"),
+                                           ("initmor.py", "init_loewner")}
+    assert set(called_in("solve_triangular")) == {("ddgrad.py", "_triangle_fit"),
+                                                  ("optim.py", "_input_normal")}
 
 
 def test_trajectories_are_drawn_and_stepped_in_one_dataio_function():
