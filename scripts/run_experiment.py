@@ -77,8 +77,11 @@ def run(args: argparse.Namespace) -> int:
     dd.save_ensemble(ens, out / "ensemble")
     # one reconstruction and one rank check for every initializer; the gate
     # below is the reconstruction's own condition, applied here so that it
-    # can print the ranks, hence force=True
+    # can print the ranks, hence force=True.  The starts read only the
+    # ensemble's size and noise level, the descents only the model, so the
+    # snapshots go
     dual = dd.reconstruct_dual(ens, force=True)
+    del ens
     report = dual.report
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")
     print(f"data: N={args.N} alpha={args.noise_alpha} "
@@ -88,8 +91,9 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     kinds = KINDS if args.initializer == "all" else (args.initializer,)
-    summaries = [reduce_into(out / kind, ens,
-                             oracle_start(kind, args, ens, sys_, args.seed + 200),
+    summaries = [reduce_into(out / kind,
+                             oracle_start(kind, args, sys_, args.seed + 200,
+                                          N=args.N, alpha=args.noise_alpha),
                              params, init_label=kind, oracle=sys_, dual=dual)
                  for kind in kinds]
 

@@ -31,22 +31,22 @@ __all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
 logger = logging.getLogger(__name__)
 
 
-def reduce_into(out: Path, ens: dataio.DataEnsemble, init: sysmodel.Rom,
-                params: optim.OptimParams, *, init_label: str,
-                dual: ddgrad.DualData,
+def reduce_into(out: Path, init: sysmodel.Rom, params: optim.OptimParams, *,
+                init_label: str, dual: ddgrad.DualData,
                 oracle: sysmodel.LtiSystem | None = None) -> dict:
-    """Descend from ``init`` against ``dual``, the model identified from
-    ``ens``, and write the reduction into directory ``out``.
+    """Descend from ``init`` against ``dual``, the model identified from the
+    snapshots, and write the reduction into directory ``out``.
 
-    Once the descent returns, writes ``history.csv``, ``rom_{A,B,C}.csv``
-    and ``summary.json``, and returns the summary; a descent that raises
-    writes nothing.  ``wall_time_s`` times the descent alone;
-    ``data_residual`` reports how far the snapshots are from one linear
-    model (``DualData.data_residual``).
+    The descent reads the data only through ``dual``, so a caller need not
+    hold the snapshots while it runs.  Once the descent returns, writes
+    ``history.csv``, ``rom_{A,B,C}.csv`` and ``summary.json``, and returns
+    the summary; a descent that raises writes nothing.  ``wall_time_s``
+    times the descent alone; ``data_residual`` reports how far the
+    snapshots are from one linear model (``DualData.data_residual``).
     """
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = optim.run(ens, init, params, oracle=oracle, dual=dual)
+    result = optim.run(None, init, params, oracle=oracle, dual=dual)
     elapsed = time.perf_counter() - started
 
     dataio.write_history(out / "history.csv", result.history)
@@ -153,15 +153,17 @@ def optim_params(args: argparse.Namespace) -> optim.OptimParams:
                                 for key, default in OPTIM_DEFAULTS.items()})
 
 
-def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
-                 oracle: sysmodel.LtiSystem, seed: int) -> sysmodel.Rom:
+def oracle_start(kind: str, args: argparse.Namespace, oracle: sysmodel.LtiSystem,
+                 seed: int, *, N: int, alpha: float | None) -> sysmodel.Rom:
     """The ``kind`` start of order ``args.r`` from data synthesized from ``oracle``.
 
-    dmdc simulates ``init_traj_count`` trajectories of ``init_traj_length``
-    states under the ensemble's noise level, loewner samples ``init_left``
-    and ``init_right`` transfer-function values, and databt takes
-    ``init_impulse_count`` Markov parameters.  ``seed`` seeds the random
-    draws.
+    dmdc simulates ``init_traj_count`` trajectories (by default N, the
+    ensemble's sample count) of ``init_traj_length`` states under the
+    ensemble's noise level alpha (none where it is unknown, None), loewner
+    samples ``init_left`` and ``init_right`` transfer-function values, and
+    databt takes ``init_impulse_count`` Markov parameters.  ``seed`` seeds
+    the random draws.  The start reads no snapshot, so a caller that has
+    identified its model need not hold the ensemble while it runs.
 
     dmdc folds the trajectories into its fit a block at a time as they are
     simulated, so it never holds the set.  A count whose set would not fit
@@ -171,7 +173,7 @@ def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
     """
     r = int(args.r)
     if kind == "dmdc":
-        count = ens.N if args.init_traj_count is None else int(args.init_traj_count)
+        count = N if args.init_traj_count is None else int(args.init_traj_count)
         length = int(args.init_traj_length)
         set_bytes = count * (length * oracle.n + (length - 1) * oracle.m) * 8
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -179,7 +181,7 @@ def oracle_start(kind: str, args: argparse.Namespace, ens: dataio.DataEnsemble,
             raise MemoryError(f"{count} trajectories of {length} states take "
                               f"{set_bytes / 2**30:.4g} GiB, more than the "
                               f"{memory / 2**30:.4g} GiB this machine can allocate")
-        noise = dataio.NoiseSpec(alpha=ens.alpha or 0.0, seed=seed)
+        noise = dataio.NoiseSpec(alpha=alpha or 0.0, seed=seed)
         return initmor.init_dmdc(dataio.trajectory_blocks(oracle, count, length, noise), r)
     if kind == "loewner":
         left, right = initmor.sample_frequency_data(
@@ -233,8 +235,8 @@ REDUCE_DEFAULTS = {
 }
 
 
-def _build_initializer(args, ens: dataio.DataEnsemble,
-                       oracle: sysmodel.LtiSystem | None) -> sysmodel.Rom:
+def _build_initializer(args, oracle: sysmodel.LtiSystem | None, *, N: int,
+                       alpha: float | None, seed: int | None) -> sysmodel.Rom:
     r = int(args.r)
     kind = args.init
     if kind == "file":
@@ -255,7 +257,7 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
         if kind == "databt":
             return initmor.init_data_bt(initmor.load_impulse_data(args.init_data), r)
     elif oracle is not None:
-        return oracle_start(kind, args, ens, oracle, _init_seed(args, ens))
+        return oracle_start(kind, args, oracle, _init_seed(args, seed), N=N, alpha=alpha)
     elif kind == "dmdc":
         raise ValueError("--init dmdc needs --oracle to generate trajectories")
     elif kind in ("loewner", "databt"):
@@ -263,11 +265,11 @@ def _build_initializer(args, ens: dataio.DataEnsemble,
     raise ValueError(f"unknown initializer {kind!r}")
 
 
-def _init_seed(args, ens: dataio.DataEnsemble) -> int:
+def _init_seed(args, data_seed: int | None) -> int:
     # default: offset the ensemble seed so initializer data is fresh
     if args.init_seed is not None:
         return int(args.init_seed)
-    return (ens.seed + 1) if ens.seed is not None else 0
+    return (data_seed + 1) if data_seed is not None else 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -282,6 +284,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     # X1 and U1), applied here so that it prints the report and honours
     # --force, hence force=True
     dual = ddgrad.reconstruct_dual(ens, force=True)
+    # the descent reads the data only through the model they identify, and
+    # the start only their size, noise level and seed: the snapshots go
+    # before the start and the descent allocate theirs
+    N, alpha, seed = ens.N, ens.alpha, ens.seed
+    del ens
     if not dual.report.b1_holds:
         _print_json({"assumptions": dataclasses.asdict(dual.report)})
         if not args.force:
@@ -291,8 +298,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         logger.warning("rank checks failed, continuing because --force is set")
 
     oracle = dataio.load_system(args.oracle) if args.oracle is not None else None
-    init = _build_initializer(args, ens, oracle)
-    summary = reduce_into(Path(args.out), ens, init, optim_params(args), init_label=args.init,
+    init = _build_initializer(args, oracle, N=N, alpha=alpha, seed=seed)
+    summary = reduce_into(Path(args.out), init, optim_params(args), init_label=args.init,
                           oracle=oracle, dual=dual)
     _print_json(summary)
     # run accepts only iterates inside the stability annulus, so the stop

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .matequ import _triangle, significant
+from .matequ import _rows_triangle, significant
 from .sysmodel import LtiSystem, Rom, _matrix
 
 __all__ = [
@@ -299,7 +299,8 @@ def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
     With ``[X1 U1] = Q R`` and Q of orthonormal columns, [X1 U1], X1 and U1
     share their singular values with R's blocks ``R[:n+m, :n+m]``,
     ``R[:n, :n]`` and ``R[:n+m, n:n+m]`` (Chan, ACM TOMS 8 (1982)), so
-    the only matrix with N rows reduced is [X1 U1], once, by ``_triangle``.
+    the only matrix with N rows reduced is [X1 U1], once, a row block at a
+    time (``matequ._rows_triangle``).
     A reconstruction that has reduced ``[X1 U1 Y]`` already hands in that
     ``triangle``, whose leading n + m columns are [X1 U1]'s, and as
     ``leading = (k, s)`` the singular values s it took of ``R[:k, :k]``.
@@ -311,12 +312,12 @@ def check_assumptions(ens: DataEnsemble, triangle: np.ndarray | None = None,
     """
     n, m = ens.n, ens.m
     if triangle is None:
-        S = np.empty((ens.N, n + m), order="F")
-        S[:, :n], S[:, n:] = ens.X1, ens.U1
         # scaling by a power of two rounds nothing and changes no rank; it
         # keeps the column norms of data near the float range finite
-        np.ldexp(S, -np.frexp(max(S.max(), -S.min()))[1], out=S)
-        triangle = _triangle(S)
+        shift = -np.frexp(max(ens.X1.max(), -ens.X1.min(),
+                              ens.U1.max(), -ens.U1.min()))[1]
+        triangle = _rows_triangle(ens.N, lambda rows: (np.ldexp(ens.X1[rows], shift),
+                                                       np.ldexp(ens.U1[rows], shift)))
     k, s = (None, None) if leading is None else leading
 
     def rank(j0: int, j1: int) -> int:

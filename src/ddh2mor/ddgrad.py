@@ -16,9 +16,8 @@ takes the same triangle of its snapshots and the same fit.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ import scipy.linalg
 
 from .dataio import AssumptionReport, DataEnsemble, check_assumptions
 from .errors import NumericalOverflow, RankDeficientData
-from .matequ import _triangle, significant, solve_discrete_sylvester
+from .matequ import _rows_triangle, significant, solve_discrete_sylvester
 from .sysmodel import (GramianSet, GradientTriple, LtiSystem, Rom, assemble_gradients,
                        require_separation)
 
@@ -40,10 +39,6 @@ __all__ = [
     "solve_S",
     "solve_SB",
 ]
-
-# snapshot rows _snapshot_triangle reduces at a time, in whole trajectories
-# or one-step rows; a block of 2n + m = 202 columns (n = 100) is 3.3 MB
-_SNAPSHOT_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -92,77 +87,6 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
 _OVERFLOW_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
-def _snapshot_triangle(pieces: Iterable[tuple[np.ndarray, ...]], *,
-                       whole: bool) -> np.ndarray:
-    """The triangle R of the snapshot matrix ``S = Q R`` whose rows
-    ``pieces`` hold, S never formed whole.
-
-    A piece is a tuple of column blocks of shape (count, steps, width), its
-    count * steps rows of S side by side: ``init_dmdc`` passes trajectory
-    blocks ``(states[:, :-1], inputs, states[:, 1:])``, the reconstructions
-    the ensemble as one piece of one-step rows ``(X1, U1, Y)``.  ``pieces``
-    is read once, in order, and is not empty.  Its rows are taken a block of
-    whole counts at a time (about ``_SNAPSHOT_BLOCK_ROWS`` rows), and each
-    block is reduced together with the triangle of the blocks before it:
-    ``_triangle`` of ``[R; block]`` (LAPACK ``dgeqrt``) is the next R.  This
-    is the sequential TSQR of Demmel, Grigori, Hoemmen & Langou (SIAM J.
-    Sci. Comput. 34 (2012)); the final R satisfies ``R^T R = S^T S``, so it
-    is S's triangle up to an orthogonal change of its rows, which no fit or
-    singular value read off R sees.  The pieces are copied into one reused
-    Fortran-ordered buffer through (count, steps, width) views of its column
-    blocks, so the working set is one piece, one row block and R, and the
-    row blocks do not depend on how the rows are split into pieces.  A
-    ``whole`` set of one block is one ``_triangle`` of exactly S.
-    """
-    pieces = iter(pieces)
-    piece = next(pieces)
-    count, steps = piece[0].shape[:2]
-    edges = list(itertools.accumulate((block.shape[2] for block in piece), initial=0))
-    width = edges[-1]
-    # whole counts per row block; a whole set of one block is S alone, with
-    # no room for a triangle above it
-    per_block = max(1, _SNAPSHOT_BLOCK_ROWS // steps)
-    if whole and count <= per_block:
-        per_block, room = count, count * steps
-    else:
-        room = width + per_block * steps
-    buf = np.empty(room * width)
-
-    def block_matrix(rows):
-        # the Fortran-ordered (rows, width) matrix at the buffer's start
-        return buf[:rows * width].reshape((rows, width), order="F")
-
-    # S holds R's rows and then room for per_block counts, `filled` of them
-    # written
-    R, S, filled = np.empty((0, width)), block_matrix(per_block * steps), 0
-    while piece is not None:
-        while len(piece[0]):
-            if filled == per_block:
-                R = _triangle(S)
-                S, filled = block_matrix(len(R) + per_block * steps), 0
-                S[:len(R)] = R
-            take = min(per_block - filled, len(piece[0]))
-            rows = S[len(R) + filled * steps:len(R) + (filled + take) * steps]
-            # by index, so that no loop name holds a column block after its
-            # piece goes; splitting the rows of a column block into
-            # (take, steps) is a view
-            for j in range(len(piece)):
-                cols = rows[:, edges[j]:edges[j + 1]]
-                cols.reshape(take, steps, cols.shape[1])[...] = piece[j][:take]
-            piece, filled = [block[take:] for block in piece], filled + take
-        # let this piece go before the next one is drawn
-        del piece
-        piece = next(pieces, None)
-    if filled < per_block:
-        # the last block is partial: move each column up to the layout of
-        # its own row count (column 0 is in place, and no column reaches
-        # the source of a later one)
-        full, S = S, block_matrix(len(R) + filled * steps)
-        for j in range(1, width):
-            S[:, j] = full[:len(S), j]
-    return _triangle(S)
-
-
 def _triangle_fit(R: np.ndarray, k: int, y: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The min-norm fit ``Y ~ Z[:, :k] Theta`` from the triangle R of
     ``[Z Y] = Q R``, Y in R's columns from ``y`` on.
@@ -186,17 +110,19 @@ def _triangle_fit(R: np.ndarray, k: int, y: int) -> tuple[np.ndarray, np.ndarray
     return theta, s, math.hypot(cut, _norm(R[k:, y:]))
 
 
-def _least_squares(ens: DataEnsemble, Y: np.ndarray,
+def _least_squares(ens: DataEnsemble, successor: Callable[[slice], np.ndarray],
                    k: int) -> tuple[np.ndarray, AssumptionReport, float]:
     """The fit of Y on ``[X1 U1][:, :k]`` (``_triangle_fit``) from the
     triangle R of ``[X1 U1 Y]``, with the data residual relative to
-    ``||X2||_F``.  The rank check reads the singular values of [X1 U1], X1
-    and U1 off the same R (``check_assumptions``), reusing the fit's of
-    ``R[:k, :k]``; no SVD is taken of a matrix with N rows.  Returns
-    ``(Theta, report, data_residual)``.
+    ``||X2||_F``.  ``successor(rows)`` forms Y's rows in slice ``rows``, one
+    row block at a time (``_rows_triangle``).  The rank check reads the
+    singular values of [X1 U1], X1 and U1 off the same R
+    (``check_assumptions``), reusing the fit's of ``R[:k, :k]``; no SVD is
+    taken of a matrix with N rows.  Returns ``(Theta, report,
+    data_residual)``.
     """
     n, m = ens.n, ens.m
-    R = _snapshot_triangle([(ens.X1[:, None], ens.U1[:, None], Y[:, None])], whole=True)
+    R = _rows_triangle(ens.N, lambda rows: (ens.X1[rows], ens.U1[rows], successor(rows)))
     _require_finite("the triangle of the snapshot data", R)
     theta, s, resid = _triangle_fit(R, k, n + m)
     scale = _norm(ens.X2)
@@ -217,7 +143,7 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     Schur factor of A_ls raise ``NumericalOverflow``.
     """
     n = ens.n
-    theta, report, residual = _least_squares(ens, ens.X2, n + ens.m)
+    theta, report, residual = _least_squares(ens, lambda rows: ens.X2[rows], n + ens.m)
     if not report.b1_holds and not force:
         raise RankDeficientData(
             f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
@@ -228,12 +154,14 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
 def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -> DualData:
     """Dual reconstruction when the input matrix B is known: the fit of
     ``X2 - U1 B^T`` on X1 alone, ``A_ls = Theta_x^T`` and ``B_ls = B``, which
-    needs only rank X1 = n (N >= n).
+    needs only rank X1 = n (N >= n).  ``X2 - U1 B^T`` is formed a row block
+    at a time, as the triangle takes it.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape != (ens.n, ens.m):
         raise ValueError(f"B must have shape {(ens.n, ens.m)}, got {B.shape}")
-    theta, report, residual = _least_squares(ens, ens.X2 - ens.U1 @ B.T, ens.n)
+    theta, report, residual = _least_squares(
+        ens, lambda rows: ens.X2[rows] - ens.U1[rows] @ B.T, ens.n)
     if not report.b2_holds and not force:
         raise RankDeficientData(
             f"need rank X1 = {ens.n}, got {report.rank_X1}")

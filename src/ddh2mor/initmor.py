@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import TrajectorySet, check_json_type, read_json_object, write_json
-from .ddgrad import _snapshot_triangle, _triangle_fit
+from .ddgrad import _triangle_fit
 from .errors import (FormatError, InsufficientData, SingularE,
                      StabilizationFailed)
-from .matequ import _triangle, significant
+from .matequ import _snapshot_triangle, _triangle, significant
 from .sysmodel import LtiSystem, Rom, markov_parameters, transfer_eval
 
 __all__ = [
@@ -118,7 +118,7 @@ def init_dmdc(trajs: TrajectorySet | Iterable[TrajectorySet], r: int) -> Rom:
     (``dataio.trajectory_blocks``), read once, in order.  The snapshots
     (states X, inputs U, successor states Xp; one column per transition)
     fill the rows of ``S = [X; U; Xp]^T``, which is never formed whole:
-    ``ddgrad._snapshot_triangle`` streams the blocks into its triangle R,
+    ``matequ._snapshot_triangle`` streams the blocks into its triangle R,
     one block of draws, one row block and R at a time, and a stream gives
     the rom of its set bit for bit.  With ``Rz`` and ``Rp`` the columns of
     R that belong to ``Z = [X; U]`` and to Xp, ``Z = Rz^T Q^T`` and

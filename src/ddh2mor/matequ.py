@@ -29,7 +29,9 @@ eigenvalues of a gramian, is the one cut of ``significant`` at
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +75,9 @@ _SHIFT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # and 64 run at the same speed
 _DGEQRT = scipy.linalg.get_lapack_funcs("geqrt", dtype=float)
 _QR_BLOCK = 32
+# snapshot rows _snapshot_triangle reduces at a time, in whole trajectories
+# or one-step rows; a block of 2n + m = 202 columns (n = 100) is 3.3 MB
+_SNAPSHOT_BLOCK_ROWS = 2048
 # fixed fourth probe shift for pencil regularity, kept constant so that
 # repeated runs on identical inputs give identical diagnostics
 _PROBE_SHIFT = 0.7390851332151607
@@ -102,12 +107,99 @@ def _triangle(S: np.ndarray) -> np.ndarray:
     IBM J. Res. Dev. 44 (2000)), so a tall S is reduced at matrix-product
     speed where ``dgeqrf``'s panels are matrix-vector work.  R is
     ``min(S.shape)`` by ``S.shape[1]``, with ``dgeqrf``'s diagonal signs.
-    The initializers and the dual reconstruction reduce their snapshot
-    matrices with it.
+    The snapshot matrices of the initializers, the dual reconstruction and
+    the rank check are reduced with it.
     """
     k = min(S.shape)
     qr = _DGEQRT(min(_QR_BLOCK, k), S, overwrite_a=1)[0]
     return np.triu(qr[:k])
+
+
+def _snapshot_triangle(pieces: Iterable[tuple[np.ndarray, ...]], *,
+                       whole: bool) -> np.ndarray:
+    """The triangle R of the snapshot matrix ``S = Q R`` whose rows
+    ``pieces`` hold, S never formed whole.
+
+    A piece is a tuple of column blocks of shape (count, steps, width), its
+    count * steps rows of S side by side: ``init_dmdc`` passes trajectory
+    blocks ``(states[:, :-1], inputs, states[:, 1:])``, the reconstructions
+    and the rank check an ensemble's one-step rows ``(X1, U1, Y)`` and
+    ``(X1, U1)`` a row block at a time (``_rows_triangle``).  ``pieces``
+    is read once, in order, and is not empty.  Its rows are taken a block of
+    whole counts at a time (about ``_SNAPSHOT_BLOCK_ROWS`` rows), and each
+    block is reduced together with the triangle of the blocks before it:
+    ``_triangle`` of ``[R; block]`` (LAPACK ``dgeqrt``) is the next R.  This
+    is the sequential TSQR of Demmel, Grigori, Hoemmen & Langou (SIAM J.
+    Sci. Comput. 34 (2012)); the final R satisfies ``R^T R = S^T S``, so it
+    is S's triangle up to an orthogonal change of its rows, which no fit or
+    singular value read off R sees.  The pieces are copied into one reused
+    Fortran-ordered buffer through (count, steps, width) views of its column
+    blocks, so the working set is one piece, one row block and R, and the
+    row blocks do not depend on how the rows are split into pieces.  A
+    ``whole`` set of one block is one ``_triangle`` of exactly S.
+    """
+    pieces = iter(pieces)
+    piece = next(pieces)
+    count, steps = piece[0].shape[:2]
+    edges = list(itertools.accumulate((block.shape[2] for block in piece), initial=0))
+    width = edges[-1]
+    # whole counts per row block; a whole set of one block is S alone, with
+    # no room for a triangle above it
+    per_block = max(1, _SNAPSHOT_BLOCK_ROWS // steps)
+    if whole and count <= per_block:
+        per_block, room = count, count * steps
+    else:
+        room = width + per_block * steps
+    buf = np.empty(room * width)
+
+    def block_matrix(rows):
+        # the Fortran-ordered (rows, width) matrix at the buffer's start
+        return buf[:rows * width].reshape((rows, width), order="F")
+
+    # S holds R's rows and then room for per_block counts, `filled` of them
+    # written
+    R, S, filled = np.empty((0, width)), block_matrix(per_block * steps), 0
+    while piece is not None:
+        while len(piece[0]):
+            if filled == per_block:
+                R = _triangle(S)
+                S, filled = block_matrix(len(R) + per_block * steps), 0
+                S[:len(R)] = R
+            take = min(per_block - filled, len(piece[0]))
+            rows = S[len(R) + filled * steps:len(R) + (filled + take) * steps]
+            # by index, so that no loop name holds a column block after its
+            # piece goes; splitting the rows of a column block into
+            # (take, steps) is a view
+            for j in range(len(piece)):
+                cols = rows[:, edges[j]:edges[j + 1]]
+                cols.reshape(take, steps, cols.shape[1])[...] = piece[j][:take]
+            piece, filled = [block[take:] for block in piece], filled + take
+        # let this piece go before the next one is drawn
+        del piece
+        piece = next(pieces, None)
+    if filled < per_block:
+        # the last block is partial: move each column up to the layout of
+        # its own row count (column 0 is in place, and no column reaches
+        # the source of a later one)
+        full, S = S, block_matrix(len(R) + filled * steps)
+        for j in range(1, width):
+            S[:, j] = full[:len(S), j]
+    return _triangle(S)
+
+
+def _rows_triangle(N: int,
+                   block: Callable[[slice], tuple[np.ndarray, ...]]) -> np.ndarray:
+    """``_snapshot_triangle`` of an N-row matrix of one-step rows, of which
+    ``block(rows)`` forms the column blocks of the rows in slice ``rows``.
+
+    ``block`` is called once per row block, so a column block it computes,
+    such as ``X2 - U1 B^T``, is held one row block at a time; N rows of one
+    block are one call, reduced whole.
+    """
+    step = _SNAPSHOT_BLOCK_ROWS
+    return _snapshot_triangle(
+        (tuple(col[:, None] for col in block(slice(start, start + step)))
+         for start in range(0, N, step)), whole=N <= step)
 
 
 @dataclass(frozen=True)

@@ -134,22 +134,25 @@ def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
 # a trial that overflows is rejected by its non-finite phi, an iterate by
 # its non-finite D, so an overflow is a decision here, not a warning
 @np.errstate(over="ignore", invalid="ignore")
-def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
+def run(ens: DataEnsemble | None, init: Rom, params: OptimParams = OptimParams(), *,
         oracle: LtiSystem | None = None,
         dual: DualData | None = None) -> OptimResult:
     """Descend the projected data-driven h2 objective starting from ``init``.
 
     Parameters
     ----------
-    ens : snapshot ensemble driving the gradients
+    ens : snapshot ensemble, read only to identify ``dual`` when none is
+        given; None when ``dual`` is
     init : starting reduced model; must lie inside the stability annulus,
         with its reciprocal poles separated from the spectrum of
         ``dual`` and of ``oracle``
     oracle : optional full-order system used solely to log the true
         relative h2 error per iterate
-    dual : the identified model of ``ens``, for instance
-        ``reconstruct_dual_known_input(ens, B)`` when the input matrix B is
-        known; by default ``reconstruct_dual(ens)`` is used
+    dual : the identified model the gradients are taken against, for
+        instance ``reconstruct_dual_known_input(ens, B)`` when the input
+        matrix B is known; by default ``reconstruct_dual(ens)``.  The
+        descent reads the data only through it, so a caller that passes it
+        need not hold the snapshots
 
     Returns
     -------
@@ -173,6 +176,8 @@ def run(ens: DataEnsemble, init: Rom, params: OptimParams = OptimParams(), *,
         raise AssumptionViolated(
             "initial rom eigenvalues must lie strictly inside the annulus (0, 1)")
     if dual is None:
+        if ens is None:
+            raise ValueError("run needs the snapshot ensemble or its identified model dual")
         dual = reconstruct_dual(ens)
     # f is the h2 error against (A_ls, B_ls, I), which an unstable A_ls lacks
     if not dual.is_stable():

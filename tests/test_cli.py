@@ -214,16 +214,41 @@ def test_reduce_impossible_trajectory_count_is_one_error_line(workspace, tmp_pat
 def test_oracle_dmdc_start_memory_does_not_grow_with_the_trajectory_count():
     n, m, L = 30, 2, 10
     oracle = random_system(np.random.default_rng(46), n, m)
-    ens = ddh2mor.generate_ensemble(oracle, 40, ddh2mor.NoiseSpec(alpha=1e-3, seed=47))
-    per_block = ddh2mor.ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
+    per_block = ddh2mor.matequ._SNAPSHOT_BLOCK_ROWS // (L - 1)
     counts = [blocks * per_block + per_block // 3 for blocks in (2, 8)]
-    peaks = [traced_peak(oracle_start, "dmdc", argparse.Namespace(
-        r=4, init_traj_count=count, init_traj_length=L), ens, oracle, 48)[1]
-        for count in counts]
+    peaks = [traced_peak(lambda args: oracle_start("dmdc", args, oracle, 48, N=40, alpha=1e-3),
+                         argparse.Namespace(r=4, init_traj_count=count, init_traj_length=L))[1]
+             for count in counts]
     # one block of draws, one row block and the triangle, whatever the
     # count: less than the states of the larger set alone
     assert peaks[1] <= 1.05 * peaks[0]
     assert max(peaks) < counts[1] * L * n * np.dtype(float).itemsize
+
+
+def test_reduce_lets_the_snapshots_go_before_the_oracle_start(tmp_path, capsys):
+    # reduce holds the ensemble while it identifies the model and the model
+    # alone from then on, so its peak is the larger of the identification's
+    # and the start's, not their sum; the ensemble's arrays (3.4 MB) are
+    # more than the start's working set
+    n, m, rows = 30, 2, ddh2mor.matequ._SNAPSHOT_BLOCK_ROWS
+    N = 3 * rows + rows // 3
+    oracle = random_system(np.random.default_rng(60), n, m)
+    ddh2mor.dataio.save_system(oracle, tmp_path / "system", h=0.1, seed=0)
+    ens = ddh2mor.generate_ensemble(oracle, N, ddh2mor.NoiseSpec(alpha=1e-3, seed=61))
+    ddh2mor.save_ensemble(ens, tmp_path / "ensemble")
+    arrays = ens.X1.nbytes + ens.U1.nbytes + ens.X2.nbytes
+    del ens
+    identify = traced_peak(lambda path: ddh2mor.reconstruct_dual(
+        ddh2mor.load_ensemble(path)), tmp_path / "ensemble")[1]
+    start = traced_peak(lambda args: oracle_start("dmdc", args, oracle, 62, N=N, alpha=1e-3),
+                        argparse.Namespace(r=4, init_traj_count=None, init_traj_length=10))[1]
+    assert arrays > start
+    rc, peak = traced_peak(main, [
+        "reduce", "--ensemble", str(tmp_path / "ensemble"), "--r", "4", "--init", "dmdc",
+        "--oracle", str(tmp_path / "system"), "--init-seed", "62", "--max-iters", "2",
+        "--out", str(tmp_path / "red")])
+    assert rc == 0, capsys.readouterr().err
+    assert peak <= 1.05 * max(identify, start)
 
 
 def test_reduce_with_impulse_file_needs_no_oracle(workspace, tmp_path, capsys):

@@ -19,7 +19,7 @@ from ddh2mor import (
     save_ensemble,
     trajectory_blocks,
 )
-from ddh2mor import dataio
+from ddh2mor import dataio, matequ
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
 from helpers import (first_transitions, numerical_rank, out_of_place_ensemble, random_system,
                      record_svd_shapes, simulate, svd_route_report, traced_peak)
@@ -154,8 +154,8 @@ def test_rank_check_factors_one_triangle_and_no_matrix_with_n_rows(monkeypatch):
                             NoiseSpec(alpha=1e-3, seed=43))
     ref = svd_route_report(ens)
     triangles = []
-    triangle = dataio._triangle
-    monkeypatch.setattr(dataio, "_triangle",
+    triangle = matequ._triangle
+    monkeypatch.setattr(matequ, "_triangle",
                         lambda S: triangles.append(S.shape) or triangle(S))
     shapes = record_svd_shapes(monkeypatch)
     assert check_assumptions(ens) == ref
@@ -175,6 +175,24 @@ def test_rank_check_holds_near_the_float_range(exponent):
     with np.errstate(over="ignore"):
         assert np.isinf(np.linalg.norm(scaled.X1, axis=0)).any() == (exponent > 0)
     assert check_assumptions(scaled) == check_assumptions(ens) == svd_route_report(ens)
+
+
+def test_rank_check_memory_does_not_grow_with_the_sample_count():
+    # [X1 U1] is scaled and reduced a row block at a time, so the rank check
+    # of an ensemble alone holds one row block and the triangle whatever N,
+    # and every block takes the one power-of-two scaling of the whole
+    n, m = 30, 2
+    sys = random_system(np.random.default_rng(48), n, m)
+    rows = matequ._SNAPSHOT_BLOCK_ROWS
+    peaks = []
+    for blocks in (2, 8):
+        ens = generate_ensemble(sys, blocks * rows + rows // 3, NoiseSpec(alpha=1e-3, seed=49))
+        report, peak = traced_peak(check_assumptions, ens)
+        peaks.append(peak)
+        assert report == svd_route_report(ens)
+        scaled = DataEnsemble(np.ldexp(ens.X1, 1020), np.ldexp(ens.U1, 1020), ens.X2)
+        assert check_assumptions(scaled) == report
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.7])

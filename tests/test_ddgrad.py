@@ -188,7 +188,7 @@ def test_reconstruction_memory_does_not_grow_with_the_sample_count():
     # and residual of several blocks are the least-squares fit's
     n, m = 30, 2
     sys = random_system(np.random.default_rng(50), n, m)
-    rows = ddh2mor.ddgrad._SNAPSHOT_BLOCK_ROWS
+    rows = ddh2mor.matequ._SNAPSHOT_BLOCK_ROWS
     peaks = []
     for blocks in (2, 8):
         ens = generate_ensemble(sys, blocks * rows + rows // 3, NoiseSpec(alpha=1e-3, seed=51))
@@ -200,6 +200,27 @@ def test_reconstruction_memory_does_not_grow_with_the_sample_count():
         Z = np.hstack([ens.X1, ens.U1])
         fit = np.linalg.lstsq(Z, ens.X2, rcond=None)[0]
         residual = np.linalg.norm(ens.X2 - Z @ fit) / np.linalg.norm(ens.X2)
+        assert dual.data_residual == pytest.approx(residual, rel=1e-12)
+        assert dual.report == check_assumptions(ens)
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_known_input_reconstruction_memory_does_not_grow_with_the_sample_count():
+    # X2 - U1 B^T is formed a row block at a time, as the triangle takes it,
+    # so the known-input route too holds one row block and the triangle
+    n, m = 30, 2
+    sys = random_system(np.random.default_rng(52), n, m)
+    rows = ddh2mor.matequ._SNAPSHOT_BLOCK_ROWS
+    peaks = []
+    for blocks in (2, 8):
+        ens = generate_ensemble(sys, blocks * rows + rows // 3, NoiseSpec(alpha=1e-3, seed=53))
+        dual, peak = traced_peak(reconstruct_dual_known_input, ens, sys.B)
+        peaks.append(peak)
+        Y = ens.X2 - ens.U1 @ sys.B.T
+        fit = np.linalg.pinv(ens.X1, rcond=RANK_TOL) @ Y
+        assert rel_max_err(dual.A.T, fit) <= 1e-12
+        np.testing.assert_array_equal(dual.B, sys.B)
+        residual = np.linalg.norm(Y - ens.X1 @ fit) / np.linalg.norm(ens.X2)
         assert dual.data_residual == pytest.approx(residual, rel=1e-12)
         assert dual.report == check_assumptions(ens)
     assert peaks[1] <= 1.05 * peaks[0]
@@ -246,9 +267,9 @@ def test_reconstruction_hands_its_triangle_and_svd_to_the_rank_check(monkeypatch
     sys, ens, _ = make_instance(seed=37, N=40)
     n, m = ens.n, ens.m
     triangles = []
-    for owner in (ddh2mor.ddgrad, ddh2mor.dataio):
-        monkeypatch.setattr(owner, "_triangle", lambda S, _triangle=owner._triangle:
-                            triangles.append(S.shape) or _triangle(S))
+    triangle = ddh2mor.matequ._triangle
+    monkeypatch.setattr(ddh2mor.matequ, "_triangle",
+                        lambda S: triangles.append(S.shape) or triangle(S))
     shapes = record_svd_shapes(monkeypatch)
     if route == "unknown-input":
         reconstruct_dual(ens)

@@ -35,7 +35,7 @@ from ddh2mor import (
     trajectory_blocks,
     transfer_eval,
 )
-from ddh2mor import ddgrad, initmor
+from ddh2mor import initmor, matequ
 from ddh2mor.matequ import significant
 from helpers import (blockwise_loewner, numerical_rank, random_rom, random_system,
                      real_loewner_matrices, record_svd_shapes, rel_max_err, simulate,
@@ -235,7 +235,7 @@ def test_dmdc_cuts_identification_directions_by_the_one_rank_rule():
 def blocks_of(count, L):
     """A trajectory count whose snapshot rows fill ``count`` of init_dmdc's
     row blocks and part of one more."""
-    per_block = ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
+    per_block = matequ._SNAPSHOT_BLOCK_ROWS // (L - 1)
     return count * per_block + per_block // 3
 
 
@@ -283,15 +283,15 @@ def tsqr_inputs(trajs, per_block):
 @pytest.mark.parametrize("blocks", [2, 3.4], ids=["whole-blocks", "partial-last-block"])
 def test_dmdc_of_blocks_is_bitwise_the_dmdc_of_their_set(monkeypatch, alpha, blocks):
     n, m, r, L = 8, 2, 3, 8
-    per_block = ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
+    per_block = matequ._SNAPSHOT_BLOCK_ROWS // (L - 1)
     N = int(blocks * per_block)
     sys = random_system(np.random.default_rng(46), n, m)
     noise = NoiseSpec(alpha=alpha, seed=47)
     trajs = generate_trajectories(sys, N, L, noise)
     expected = tsqr_inputs(trajs, per_block)
     reduced = []
-    triangle = ddgrad._triangle
-    monkeypatch.setattr(ddgrad, "_triangle",
+    triangle = matequ._triangle
+    monkeypatch.setattr(matequ, "_triangle",
                         lambda S: reduced.append(np.array(S)) or triangle(S))
     ref = init_dmdc(trajs, r)
     # the draw blocks (762 trajectories), and blocks that straddle the row
@@ -340,7 +340,7 @@ def test_streamed_dmdc_holds_one_block_of_draws_at_a_time():
     drawing = traced_peak(lambda blocks: collections.deque(blocks, maxlen=0),
                           trajectory_blocks(sys, N, L, noise))[1]
     peak = traced_peak(init_dmdc, trajectory_blocks(sys, N, L, noise), 4)[1]
-    width, per_block = 2 * n + m, ddgrad._SNAPSHOT_BLOCK_ROWS // (L - 1)
+    width, per_block = 2 * n + m, matequ._SNAPSHOT_BLOCK_ROWS // (L - 1)
     row_block = (width + per_block * (L - 1)) * width * np.dtype(float).itemsize
     assert peak <= 1.05 * (drawing + row_block)
 

@@ -285,6 +285,17 @@ def test_injected_dual_matches_internal_reconstruction(monkeypatch):
     assert res1.history == res2.history
 
 
+def test_descent_needs_the_model_not_the_snapshots():
+    # with the identified model given, the ensemble is not read; without
+    # either there is nothing to descend against
+    sys, ens, init = make_problem(seed=10)
+    dual = reconstruct_dual(ens)
+    res = run(None, init, OptimParams(max_iters=20), dual=dual)
+    assert res.history == run(ens, init, OptimParams(max_iters=20), dual=dual).history
+    with pytest.raises(ValueError, match="identified model"):
+        run(None, init)
+
+
 def test_each_line_search_trial_factors_one_rom(monkeypatch):
     sys, ens, init = make_problem(seed=13)
     dual = reconstruct_dual(ens)

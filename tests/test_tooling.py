@@ -15,13 +15,16 @@ one small round of it runs here.  Each public name is listed in the
 the annulus bounds are compared only in the checks that own them, and only
 ``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
 drawn and stepped in one ``dataio`` function, whichever route collects them.
-Snapshot matrices are reduced by one streamed triangle and fitted by one
-triangle fit, which the DMDc start and the dual reconstruction share.
+Snapshot matrices are reduced by one streamed triangle, which the DMDc
+start, the dual reconstruction and the rank check share, and fitted by one
+triangle fit.  The reduction pipelines hand the descent the identified
+model, not the snapshots.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -207,13 +210,47 @@ def called_in(name):
 def test_snapshot_triangles_and_fits_have_one_home_each():
     # snapshot matrices are reduced by the one streamed triangle, and every
     # least-squares fit on a triangle is the one triangle fit: the DMDc start
-    # and the dual reconstruction share both, so a second QR or triangular
-    # solve beside them is a second copy of the rank rule or of the fit
-    assert set(called_in("_triangle")) == {("ddgrad.py", "_snapshot_triangle"),
-                                           ("dataio.py", "check_assumptions"),
+    # and the dual reconstruction share both, and the rank check the
+    # triangle, so a second QR or triangular solve beside them is a second
+    # copy of the rank rule or of the fit
+    assert set(called_in("_triangle")) == {("matequ.py", "_snapshot_triangle"),
                                            ("initmor.py", "init_loewner")}
     assert set(called_in("solve_triangular")) == {("ddgrad.py", "_triangle_fit"),
                                                   ("optim.py", "_input_normal")}
+
+
+def test_the_descent_gets_the_identified_model_not_the_snapshots():
+    # one identification per reduction: the command line and the experiment
+    # script identify the model once and hand the descent that model, so
+    # neither the pipeline nor its descent holds the snapshots; run's own
+    # reconstruction is for library callers that pass an ensemble
+    src = Path(ddh2mor.__file__).resolve().parent
+    paths = [*sorted(src.rglob("*.py")), *sorted((BENCHMARKS.parent / "scripts").glob("*.py"))]
+
+    def calls(name):
+        return [(path.name, node) for path in paths
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+    def names(node):
+        return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+    def keywords(call):
+        return {kw.arg for kw in call.keywords}
+
+    reducers = calls("reduce_into")
+    assert sorted(path for path, _ in reducers) == ["cli.py", "run_experiment.py"]
+    assert "ens" not in inspect.signature(ddh2mor.cli.reduce_into).parameters
+    for path, call in reducers:
+        assert "dual" in keywords(call) and "ens" not in names(call), path
+    # run is called by attribute (optim.run) in the pipeline; the script's
+    # own run is its entry point, passed to exit_code and never called
+    runs = [(path, call) for path, call in calls("run") if isinstance(call.func, ast.Attribute)]
+    assert [path for path, _ in runs] == ["cli.py"]
+    for _, call in runs:
+        assert isinstance(call.args[0], ast.Constant) and call.args[0].value is None
+        assert "dual" in keywords(call)
 
 
 def test_trajectories_are_drawn_and_stepped_in_one_dataio_function():
