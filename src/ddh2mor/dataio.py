@@ -41,7 +41,6 @@ __all__ = [
     "check_json_type",
     "generate_ensemble",
     "generate_trajectories",
-    "history_row",
     "load_ensemble",
     "load_rom",
     "load_system",
@@ -532,18 +531,17 @@ class IterRecord:
     stable: bool
 
 
-def history_row(rec: IterRecord) -> str:
-    """The ``history.csv`` line of one record, without its newline."""
-    rel = "" if rec.rel_h2_error is None else _CSV_FMT % rec.rel_h2_error
-    return ",".join([str(rec.iter), _CSV_FMT % rec.f, _CSV_FMT % rec.D,
-                     _CSV_FMT % rec.step, str(rec.backtracks), rel,
-                     "true" if rec.stable else "false"])
-
-
 def write_history(path, records) -> None:
-    """Write a history.csv file: ``HISTORY_HEADER``, then one ``history_row``
-    per record, each line ending in a newline."""
-    Path(path).write_text("\n".join([HISTORY_HEADER, *map(history_row, records)]) + "\n")
+    """Write a history.csv file: ``HISTORY_HEADER``, then one line per
+    record, each line ending in a newline; a missing ``rel_h2_error`` is an
+    empty field."""
+    lines = [HISTORY_HEADER]
+    for rec in records:
+        rel = "" if rec.rel_h2_error is None else _CSV_FMT % rec.rel_h2_error
+        lines.append(",".join([str(rec.iter), _CSV_FMT % rec.f, _CSV_FMT % rec.D,
+                               _CSV_FMT % rec.step, str(rec.backtracks), rel,
+                               "true" if rec.stable else "false"]))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_history(path) -> list[IterRecord]:

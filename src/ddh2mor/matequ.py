@@ -21,9 +21,9 @@ uniqueness of its solution once, from the eigenvalue products
 ``eig(M) eig(N)`` (``solve_discrete_sylvester``) or from a stronger
 condition that implies it (the stability check of ``stein_schur``).
 
-Every rank decision of the package, over singular values or over the
-eigenvalues of a gramian, is the one cut of ``significant`` at
-``RANK_TOL``.
+Every rank decision of the package, a count of significant singular
+values, is the one cut of ``significant`` at ``RANK_TOL``.  The reduced
+gramian is inverted by a least-squares solve, not by a rank decision.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 # relative threshold of every rank decision, all taken by ``significant``:
-# snapshot ranks, the least-squares cutoff of the dual reconstruction, the
-# initializers' checks and the pseudoinverse of the reduced gramian
+# snapshot ranks, the least-squares cutoff of the dual reconstruction and
+# the initializers' checks
 RANK_TOL = 1e-10
 # eigenvalue products eig(M) eig(N) within this of 1 have no unique solution
 UNIQUE_TOL = 1e-12
@@ -350,8 +350,13 @@ def from_schur(fm: SchurFactor, fn: SchurFactor, Yt: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((fm.Z @ Yt.T @ fn.ZH).real)
 
 
-def _sweep(TM: np.ndarray, TN: np.ndarray, Yt: np.ndarray) -> np.ndarray:
-    """Overwrite ``Yt = C^T`` with ``Y^T``, where ``TM Y TN + C = Y``.
+def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
+    """Solve ``TM Y TN + C = Y``, the Sylvester equation in Schur coordinates.
+
+    ``Ct`` is ``C^T``, an (r, k) complex C-contiguous array (``to_schur``
+    gives it); it is overwritten with, and returned as, ``Y^T``.  The
+    pivots of the sweep are ``1 - eig(M) eig(N)``; the caller makes sure
+    that none of them is numerically zero.
 
     TN is upper triangular, so column j needs only the columns before it:
       (I - mu TM) y_j = c_j + TM (Y[:, :j] TN[:j, j]),   mu = TN[j, j],
@@ -359,6 +364,7 @@ def _sweep(TM: np.ndarray, TN: np.ndarray, Yt: np.ndarray) -> np.ndarray:
     diagonal is rewritten per column.  The 1/mu scaling of each right-hand
     side is applied up front, to C's rows and to TN's columns.
     """
+    TM, TN, Yt = fm.T, fn.T, Ct
     k = TM.shape[0]
     shifted = TM * -1.0  # np.negative is several times slower on complex
     diag = shifted.reshape(-1)[:: k + 1]
@@ -377,17 +383,6 @@ def _sweep(TM: np.ndarray, TN: np.ndarray, Yt: np.ndarray) -> np.ndarray:
             # shifted.T is the Fortran-ordered view BLAS reads without a copy
             Yt[j] = _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
     return Yt
-
-
-def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
-    """Solve ``TM Y TN + C = Y``, the Sylvester equation in Schur coordinates.
-
-    ``Ct`` is ``C^T``, an (r, k) complex C-contiguous array (``to_schur``
-    gives it); it is overwritten with, and returned as, ``Y^T``.  The
-    pivots of the sweep are ``1 - eig(M) eig(N)``; the caller makes sure
-    that none of them is numerically zero.
-    """
-    return _sweep(fm.T, fn.T, Ct)
 
 
 def stein_schur(fa: SchurFactor, fat: SchurFactor, Ct: np.ndarray) -> np.ndarray:

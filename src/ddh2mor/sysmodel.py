@@ -22,8 +22,8 @@ import scipy.linalg
 
 from .errors import AssumptionViolated, GenerationFailed, NumericalOverflow, SingularShift
 from .matequ import (EIG_CEIL_MARGIN, EIG_FLOOR, UNIQUE_TOL, SchurFactor, from_schur,
-                     significant, solve_discrete_sylvester, solve_schur, solve_stein,
-                     stein_schur, to_schur)
+                     solve_discrete_sylvester, solve_schur, solve_stein, stein_schur,
+                     to_schur)
 
 __all__ = [
     "ErrorGramians",
@@ -333,21 +333,6 @@ def _objective(Chat: np.ndarray, P: np.ndarray, CR: np.ndarray) -> float:
     return float(((Chat @ P) * Chat).sum() - 2.0 * (CR * Chat).sum())
 
 
-def _times_psd_pinv(R: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """``R P^+`` for a symmetric positive semidefinite P, through ``eigh``.
-
-    Eigenvalues up to ``RANK_TOL`` times the largest are treated as zero
-    (``significant``), so ``P = 0`` gives ``R P^+ = 0``.  R is taken into P's eigenbasis
-    before the division, so ``1 / w_min`` scales R's component along its
-    eigenvector alone; a formed ``P^+`` would spread that entry's rounding
-    into every direction.
-    """
-    w, V = np.linalg.eigh(P)
-    keep = significant(w)
-    Vk = V[:, keep]
-    return ((R @ Vk) / w[keep]) @ Vk.T
-
-
 class Evaluation:
     """The h2 objective of one rom against a model (A, B, C), and at its projection.
 
@@ -359,8 +344,10 @@ class Evaluation:
     gradient block ``gC = 2 (Chat P - C R)`` vanishes, and its value there,
     ``phi``, is the objective the descent minimizes over (Ahat, Bhat)
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
-    413-432).  ``P^+`` is the min-norm inverse of ``_times_psd_pinv``, so
-    ``Bhat = 0`` gives ``chat_star = 0``.
+    413-432).  ``chat_star`` is the min-norm least-squares solution of
+    ``Chat P = C R`` (``np.linalg.lstsq``): exact for positive definite P,
+    so it does not depend on the rom's basis, and it drops only singular
+    values of P at rounding level, so ``Bhat = 0`` gives ``chat_star = 0``.
 
     The descent evaluates against the identified model ``DualData`` and
     ``H2ErrorEvaluator`` against a known system.  P is ``rom.P``, so the
@@ -393,7 +380,7 @@ class Evaluation:
 
     @cached_property
     def chat_star(self) -> np.ndarray:
-        return _times_psd_pinv(self.CR, self.P)
+        return np.linalg.lstsq(self.P, self.CR.T, rcond=None)[0].T
 
     @cached_property
     def projected(self) -> LtiSystem:

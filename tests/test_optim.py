@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ddh2mor import (
     AssumptionViolated,
@@ -74,6 +74,25 @@ def test_stationary_start_converges_immediately():
     assert rec.iter == 1 and rec.step == 0.0 and rec.backtracks == 0
     assert rec.D == 0.0 and rec.f == 0.0
     np.testing.assert_array_equal(res.rom.Ahat, rom.Ahat)
+
+
+def test_start_with_an_uncontrollable_mode_projects_and_converges():
+    # Bhat = [1; 0] leaves the mode at 0.3 uncontrollable: P = diag(4/3, 0)
+    # is singular but not zero, and chat_star gives that mode no output
+    rng = np.random.default_rng(3)
+    sys = random_system(rng, 8, 1)
+    dual = reconstruct_dual(generate_ensemble(sys, 11, NoiseSpec(seed=3)))
+    rom = Rom(np.diag([0.5, 0.3]), np.array([[1.0], [0.0]]), np.ones((8, 2)))
+    ev = Evaluation(dual, rom)
+    np.testing.assert_array_equal(ev.chat_star[:, 1], np.zeros(8))
+    # a similarity that mixes the modes leaves P singular only to rounding,
+    # and the transfer function, so phi, where it was
+    T = np.array([[1.0, 1.0], [-0.5, 1.0]])
+    moved = Evaluation(dual, Rom(T @ rom.Ahat @ np.linalg.inv(T), T @ rom.Bhat, rom.Chat))
+    assert moved.phi == pytest.approx(ev.phi, rel=100 * np.finfo(float).eps)
+    # P has no Cholesky factor, so the descent runs in the start's coordinates
+    res = run(None, rom, dual=dual)
+    assert res.stop_reason is StopReason.CONVERGED
 
 
 def test_runs_are_deterministic():
@@ -217,30 +236,44 @@ def test_error_against_the_identified_model_is_the_oracle_error_on_exact_data():
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), n=st.integers(2, 9), m=st.integers(1, 3), extra=st.integers(0, 4),
-       seed=st.integers(0, 2**32 - 1))
-def test_known_and_unknown_input_routes_agree(data, n, m, extra, seed):
+@given(n=st.integers(2, 9), m=st.integers(1, 3), extra=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1), r=st.integers(1, 8))
+@example(n=5, m=1, extra=0, seed=105617019, r=1)  # a third step decided by rounding
+def test_known_and_unknown_input_routes_agree(n, m, extra, seed, r):
     # N >= n + m noiseless snapshots: both reconstructions apply and recover
     # the same dual data, so the descents see the same objective and gradient
+    assume(r < n)
     rng = np.random.default_rng(seed)
     sys = random_system(rng, n, m)
     ens = generate_ensemble(sys, n + m + extra, NoiseSpec(seed=seed))
-    rom = random_rom(rng, data.draw(st.integers(1, n - 1)), m, n)
+    rom = random_rom(rng, r, m, n)
     duals = (reconstruct_dual(ens), reconstruct_dual_known_input(ens, sys.B))
-    unknown, known = (data_gradients(dual, rom, Evaluation(dual, rom).gramians())
-                      for dual in duals)
+    starts = [Evaluation(dual, rom) for dual in duals]
+    unknown, known = (data_gradients(dual, rom, ev.gramians())
+                      for dual, ev in zip(duals, starts))
     for block in ("gA", "gB", "gC"):
         assert rel_max_err(getattr(known, block), getattr(unknown, block)) < 1e-7
     params = OptimParams(max_iters=3, tol=1e-15)
     unknown, known = (run(ens, rom, params, dual=dual) for dual in duals)
     assert known.initial_f == pytest.approx(unknown.initial_f, rel=1e-7)
     assert known.history[0].D == pytest.approx(unknown.history[0].D, rel=1e-7)
-    assert ([r.backtracks for r in known.history]
-            == [r.backtracks for r in unknown.history])
-    for column in ("step", "f"):
-        np.testing.assert_allclose([getattr(r, column) for r in known.history],
-                                   [getattr(r, column) for r in unknown.history],
-                                   rtol=1e-7)
+    np.testing.assert_allclose([rec.f for rec in known.history],
+                               [rec.f for rec in unknown.history], rtol=1e-7)
+
+    # at tol 1e-15 a step's decrease can sit at f's rounding, where the
+    # Armijo test decides on rounding, and two reconstructions that agree to
+    # 1e-14 may backtrack differently; a row's backtracks set its step, so
+    # both are compared only on rows whose decrease stands above rounding
+    def decided(res, start):
+        fs = [start.phi] + [rec.f for rec in res.history]
+        return [a - b > 1e3 * np.finfo(float).eps * abs(b) for a, b in zip(fs, fs[1:])]
+
+    rows = [i for i, (u, k) in enumerate(zip(decided(unknown, starts[0]),
+                                             decided(known, starts[1]))) if u and k]
+    assert ([known.history[i].backtracks for i in rows]
+            == [unknown.history[i].backtracks for i in rows])
+    np.testing.assert_allclose([known.history[i].step for i in rows],
+                               [unknown.history[i].step for i in rows], rtol=1e-7)
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,8 +12,9 @@ workload reads the files the command line writes without the package, so
 one small round of it runs here.  Each public name is listed in the
 ``__all__`` of one module, and is used outside the tests.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
-the annulus bounds are compared only in the checks that own them, and only
-``matequ`` and ``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
+and no rank cut reaches the reduced gramian's inverse; the annulus bounds
+are compared only in the checks that own them, and only ``matequ`` and
+``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
 drawn and stepped in one ``dataio`` function, whichever route collects them.
 Snapshot matrices are reduced by one streamed triangle, which the DMDc
 start, the dual reconstruction and the rank check share, and fitted by one
@@ -205,6 +206,12 @@ def called_in(name):
     or method named ``name``."""
     return found_in(lambda node: isinstance(node, ast.Call) and getattr(
         node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_the_reduced_gramian_is_inverted_without_a_rank_cut():
+    # chat_star is one least-squares solve with P; a cut of P's eigenvalues
+    # would move under a similarity of the rom, and phi with it
+    assert [where for where in called_in("significant") if where[0] == "sysmodel.py"] == []
 
 
 def test_snapshot_triangles_and_fits_have_one_home_each():
