@@ -11,7 +11,10 @@ the diagonal per column, so a column costs one matrix-vector product and
 one triangular solve.  Once the coefficients are factored, a solve with M
 of size k and N of size r costs O(k^2 r + k r^2); a full-order Stein
 equation of size n costs O(n^3).  Factoring is O(k^3) and is done once per
-matrix (``SchurFactor``).
+matrix (``SchurFactor``), by one call of LAPACK ``dgees`` with the workspace
+queried once per order: the routine, workspace and result of
+``scipy.linalg.schur(output="real")``, without that wrapper's per-call cost,
+which exceeds the factorization's own at the reduced order.
 
 ``solve_schur`` and ``stein_schur`` solve in Schur coordinates
 ``Y = Zm^H X Zn`` and leave the back-transform to the caller, which may
@@ -63,6 +66,9 @@ UNIQUE_TOL = 1e-12
 # posed in floating point; a Stein coefficient needs the ceiling alone
 EIG_FLOOR = 1e-12
 EIG_CEIL_MARGIN = 1e-12
+# LAPACK real Schur factorization, unsorted, with the workspace of
+# _schur_lwork: the driver and the call of scipy.linalg.schur(output="real")
+_DGEES = scipy.linalg.get_lapack_funcs("gees", dtype=float)
 # BLAS triangular solve for one complex right-hand side
 _ZTRSV = scipy.linalg.get_blas_funcs("trsv", dtype=complex)
 # LAPACK plane rotation with a real cosine and a complex sine, in place
@@ -248,6 +254,10 @@ def pencil_diagnostics(A, B, other_spectrum=()) -> PencilReport:
                         float(np.abs(finite[:, None] - other).min(initial=np.inf)))
 
 
+def _no_sort(re, im):
+    """``dgees``'s eigenvalue selector, never called: nothing is sorted."""
+
+
 @functools.lru_cache(maxsize=None)
 def _schur_lwork(k: int) -> int:
     """LAPACK's optimal real Schur workspace for order k.
@@ -255,9 +265,8 @@ def _schur_lwork(k: int) -> int:
     The size depends on k alone, so it is queried once per order (the cache
     holds one integer per order seen) instead of once per factorization.
     """
-    gees = scipy.linalg.get_lapack_funcs("gees", dtype=float)
-    # LAPACK rejects a query of order 0; scipy needs no workspace there
-    work = gees(lambda re, im: None, np.zeros((max(k, 1),) * 2), lwork=-1)[-2]
+    # LAPACK rejects a query of order 0, which factors nothing
+    work = _DGEES(_no_sort, np.zeros((max(k, 1),) * 2), lwork=-1)[-2]
     return int(work[0].real)
 
 
@@ -275,13 +284,20 @@ def _complex_schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conjugates.  T and Z are C-contiguous.
     """
     k = M.shape[0]
-    T, Z = scipy.linalg.schur(M, output="real", lwork=_schur_lwork(k))
+    if not np.isfinite(M).all():
+        raise ValueError("the matrix to factor contains non-finite entries")
+    # an order-0 matrix is its own empty factor; LAPACK refuses order 0
+    T = Z = M
+    if k:
+        T, _, _, _, Z, _, info = _DGEES(_no_sort, M, lwork=_schur_lwork(k))
+        if info:
+            raise np.linalg.LinAlgError("the real Schur form did not converge")
     TZ = np.empty((2 * k, k), dtype=complex)
     TZ[:k], TZ[k:] = T, Z
     # zrot sets x <- c x + s y, y <- c y - conj(s) x; x and y are two
     # disjoint columns (stride k) or rows of one flat view of TZ
     flat = TZ.reshape(-1)
-    for j in np.flatnonzero(np.diagonal(T, -1)).tolist():
+    for j in np.flatnonzero(T.diagonal(-1)).tolist():
         i = j + 1
         b = float(T[j, i])
         w = math.sqrt(-b * float(T[i, j]))
@@ -319,7 +335,7 @@ class SchurFactor:
         object.__setattr__(self, "T", np.ascontiguousarray(self.T))
         object.__setattr__(self, "Z", np.ascontiguousarray(self.Z))
         object.__setattr__(self, "ZH", np.ascontiguousarray(self.Z.conj().T))
-        object.__setattr__(self, "eigvals", np.diagonal(self.T).copy())
+        object.__setattr__(self, "eigvals", self.T.diagonal().copy())
 
     @classmethod
     def of(cls, M) -> "SchurFactor":
@@ -368,8 +384,8 @@ def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
     k = TM.shape[0]
     shifted = TM * -1.0  # np.negative is several times slower on complex
     diag = shifted.reshape(-1)[:: k + 1]
-    lam = np.diagonal(TM)
-    mus = np.diagonal(TN).tolist()
+    lam = TM.diagonal()
+    mus = TN.diagonal().tolist()
     # shifts below the floor (mu = 0 included) are the identity solve y = b
     inv = [1.0 / mu if abs(mu) >= _SHIFT_FLOOR else None for mu in mus]
     scale = np.array([1.0 if s is None else s for s in inv])
@@ -380,8 +396,9 @@ def solve_schur(fm: SchurFactor, fn: SchurFactor, Ct: np.ndarray) -> np.ndarray:
             Yt[j] += TM @ (TN[:j, j] @ Yt[:j])
         if s is not None:
             np.subtract(s, lam, out=diag)
-            # shifted.T is the Fortran-ordered view BLAS reads without a copy
-            Yt[j] = _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
+            # shifted.T is the Fortran-ordered view BLAS reads without a copy,
+            # and the contiguous row Yt[j] is solved in place
+            _ZTRSV(shifted.T, Yt[j], lower=1, trans=1, overwrite_x=1)
     return Yt
 
 

@@ -15,7 +15,7 @@ implementation against which the data-driven path is verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -333,6 +333,20 @@ def _objective(Chat: np.ndarray, P: np.ndarray, CR: np.ndarray) -> float:
     return float(((Chat @ P) * Chat).sum() - 2.0 * (CR * Chat).sum())
 
 
+# LAPACK's SVD least-squares driver, np.linalg.lstsq's, with its cutoff:
+# singular values below eps times the order count as zero
+_DGELSD = scipy.linalg.get_lapack_funcs("gelsd", dtype=float)
+_EPS = float(np.finfo(float).eps)
+
+
+@lru_cache(maxsize=None)
+def _gelsd_work(r: int, p: int) -> tuple[int, int]:
+    """``dgelsd``'s optimal workspace sizes for an r x r matrix and p
+    right-hand sides, queried once per shape."""
+    work, iwork, _ = scipy.linalg.get_lapack_funcs("gelsd_lwork", dtype=float)(r, r, p)
+    return int(work), int(iwork)
+
+
 class Evaluation:
     """The h2 objective of one rom against a model (A, B, C), and at its projection.
 
@@ -345,16 +359,19 @@ class Evaluation:
     ``phi``, is the objective the descent minimizes over (Ahat, Bhat)
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973)
     413-432).  ``chat_star`` is the min-norm least-squares solution of
-    ``Chat P = C R`` (``np.linalg.lstsq``): exact for positive definite P,
-    so it does not depend on the rom's basis, and it drops only singular
-    values of P at rounding level, so ``Bhat = 0`` gives ``chat_star = 0``.
+    ``Chat P = C R``: exact for positive definite P, so it does not depend
+    on the rom's basis, and it drops only singular values of P at rounding
+    level, so ``Bhat = 0`` gives ``chat_star = 0``.  It is one call of LAPACK
+    ``dgelsd`` with the cutoff of ``np.linalg.lstsq(rcond=None)``, whose
+    solution it is to the bit.
 
     The descent evaluates against the identified model ``DualData`` and
     ``H2ErrorEvaluator`` against a known system.  P is ``rom.P``, so the
     oracle's evaluation of an iterate reuses the descent's.  Each
-    evaluation sweeps and back-transforms R (O(n^2 r)) and sets ``f``;
+    evaluation sweeps and back-transforms R (O(n^2 r)); ``f``,
     ``chat_star``, ``phi`` and ``projected`` (which reuses the factor of
-    Ahat and P) follow on first use.  ``phi`` is ``objective_f`` at
+    Ahat and P) follow on first use, so a line-search trial, which reads
+    ``phi`` alone, computes no ``f``.  ``phi`` is ``objective_f`` at
     ``projected``, so a rom whose Chat already is its ``chat_star`` has
     ``f == phi`` to the bit.  The guards are stability (``NotStable``),
     the separation of A from the reciprocal rom poles
@@ -374,13 +391,24 @@ class Evaluation:
             raise NumericalOverflow("the gramian P or the cross term R of the rom "
                                     "overflowed the floating-point range")
         self.CR = model.C @ self.R
-        self.f = objective_f(rom, self.P, self.CR)
         self.rom = rom
         self.model = model
 
     @cached_property
+    # under the error state of __init__, where the products it reads are formed
+    @np.errstate(over="ignore", invalid="ignore")
+    def f(self) -> float:
+        return objective_f(self.rom, self.P, self.CR)
+
+    @cached_property
     def chat_star(self) -> np.ndarray:
-        return np.linalg.lstsq(self.P, self.CR.T, rcond=None)[0].T
+        p, r = self.CR.shape
+        lwork, liwork = _gelsd_work(r, p)
+        X, _, _, info = _DGELSD(self.P, self.CR.T, lwork, liwork, _EPS * r)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        # in the layout of np.linalg.lstsq's solution, transposed
+        return np.ascontiguousarray(X).T
 
     @cached_property
     def projected(self) -> LtiSystem:
@@ -416,6 +444,9 @@ class H2ErrorEvaluator:
         self._sys = sys
         self._trace_full = float(np.trace(sys.C @ sys.P @ sys.C.T))
         self._h2 = float(np.sqrt(max(self._trace_full, 0.0)))
+        if not self._h2 > 0.0:
+            raise ValueError("the system has zero h2 norm, so an error relative "
+                             "to it is undefined")
 
     @property
     def h2_norm(self) -> float:

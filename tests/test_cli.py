@@ -620,6 +620,24 @@ def test_evaluate_bad_system_manifest_exits_1(workspace, tmp_path, capsys, edit,
     assert_one_line_error(capsys, message)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "reduce"])
+def test_a_system_of_zero_norm_is_one_error_line(workspace, tmp_path, capsys, command):
+    # errors relative to a system of zero h2 norm are undefined, so the
+    # system is refused, whether evaluate reads it or reduce's oracle
+    sysdir = tmp_path / "zero"
+    shutil.copytree(workspace["system"], sysdir)
+    (sysdir / "B.csv").write_text("0,0\n" * 12)
+    romdir = tmp_path / "rom"
+    save_rom(Rom(np.diag([0.5, 0.4]), np.ones((2, 2)), np.ones((12, 2))), romdir)
+    argv = (["evaluate", "--system", str(sysdir), "--rom", str(romdir)]
+            if command == "evaluate" else
+            ["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+             "--oracle", str(sysdir), "--out", str(tmp_path / "red")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "zero h2 norm")
+
+
 def test_reduce_ensemble_manifest_list_exits_1(workspace, tmp_path, capsys):
     for i, (edit, init, message) in enumerate([
         (lambda m: [m], "databt", "expected a JSON object"),

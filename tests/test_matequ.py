@@ -9,6 +9,7 @@ from ddh2mor import (
     NoUniqueSolution,
     NotStable,
     SchurFactor,
+    matequ,
     pencil_diagnostics,
     solve_discrete_sylvester,
     solve_stein,
@@ -274,6 +275,48 @@ def test_schur_factor_eigvals_match_numpy(seed, k):
         # exactly closed under conjugation: real eigenvalues carry no
         # imaginary roundoff and pairs are exact conjugates
         assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+
+
+def schur_test_matrices():
+    rng = np.random.default_rng(0)
+    # a draw whose real Schur form has two 2x2 blocks
+    random = rng.standard_normal((7, 7))
+    # two complex pairs: rotation blocks moved off the diagonal by a similarity
+    pairs = scipy.linalg.block_diag([[0.3, -0.8], [0.8, 0.3]], [[-0.5, 0.2], [-0.2, -0.5]], 0.7)
+    T = rng.standard_normal((5, 5))
+    return {"random": random,
+            "jordan": 0.6 * np.eye(5) + np.eye(5, k=1),
+            "complex-pairs": T @ pairs @ np.linalg.inv(T),
+            "1x1": np.array([[-0.25]])}
+
+
+@pytest.mark.parametrize("name", list(schur_test_matrices()))
+def test_schur_factor_is_the_scipy_schur_route_to_the_bit(monkeypatch, name):
+    # the direct dgees call is the driver, the workspace and the call of
+    # scipy.linalg.schur(output="real"): the complex factor built on it is
+    # the one built on scipy's, bit for bit
+    M = schur_test_matrices()[name]
+    got = matequ._complex_schur(M)
+
+    def scipy_route(select, a, lwork):
+        T, Z = scipy.linalg.schur(a, output="real")
+        return T, 0, None, None, Z, None, 0
+
+    monkeypatch.setattr(matequ, "_DGEES", scipy_route)
+    ref = matequ._complex_schur(M)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.flags.c_contiguous
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_schur_factor_refuses_non_finite_entries(bad):
+    M = np.eye(3)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SchurFactor.of(M)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_stein(M, np.eye(3))
 
 
 def test_spectral_radius_values():

@@ -662,6 +662,18 @@ def test_p_is_swept_once_per_iterate_with_an_oracle(monkeypatch):
     assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_oracle=True)
 
 
+def test_the_descent_reads_f_for_its_start_only(monkeypatch):
+    # trials and iterates are judged by phi; f of the rom as given is read
+    # once, for initial_f
+    sys, ens, init = make_problem(seed=17)
+    calls = []
+    objective = ddh2mor.sysmodel.objective_f
+    monkeypatch.setattr(ddh2mor.sysmodel, "objective_f",
+                        lambda *args: calls.append(1) or objective(*args))
+    res = run(ens, init, OptimParams(max_iters=8, tol=1e-15))
+    assert len(res.history) == 8 and len(calls) == 1
+
+
 def test_descent_ends_at_the_irka_minimum_from_each_acceptance_start():
     # the acceptance configuration (n=100, m=2, r=6, N=102, noiseless): IRKA
     # on the identified model reaches one h2 error from all three starts,

@@ -368,6 +368,36 @@ def test_identity_output_products_are_exact(seed, n, m, r):
     assert np.array_equal(-sys.C.T @ rom.C, -rom.C)
 
 
+@pytest.mark.parametrize("case", ["positive-definite", "singular", "zero"])
+def test_chat_star_is_the_lstsq_solution_to_the_bit(case):
+    # chat_star calls dgelsd, the driver of np.linalg.lstsq, with its cutoff
+    # eps r: the solution is lstsq's, and so is its layout, which the
+    # products and sums that read it follow
+    rng = np.random.default_rng(31)
+    sys = random_system(rng, 8, 1)
+    Ahat, C = np.diag([0.5, 0.3]), rng.standard_normal((8, 2))
+    rom = {"positive-definite": random_rom(rng, 3, 1, 8),
+           # an uncontrollable second mode: P's second row and column are 0
+           "singular": Rom(Ahat, np.array([[1.0], [0.0]]), C),
+           "zero": Rom(Ahat, np.zeros((2, 1)), C)}[case]
+    ev = Evaluation(sys, rom)
+    rank = np.linalg.matrix_rank(ev.P)
+    assert rank == {"positive-definite": 3, "singular": 1, "zero": 0}[case]
+    ref = np.linalg.lstsq(ev.P, ev.CR.T, rcond=None)[0].T
+    assert np.array_equal(ev.chat_star, ref)
+    assert ev.chat_star.flags.f_contiguous == ref.flags.f_contiguous
+    assert ev.chat_star.flags.c_contiguous == ref.flags.c_contiguous
+
+
+def test_error_evaluator_refuses_a_system_of_zero_norm():
+    # a relative error against a system of zero h2 norm is undefined
+    sys = random_system(np.random.default_rng(33), 5, 2)
+    for zero in (LtiSystem(sys.A, np.zeros_like(sys.B), sys.C),
+                 LtiSystem(sys.A, sys.B, np.zeros_like(sys.C))):
+        with pytest.raises(ValueError, match="zero h2 norm"):
+            H2ErrorEvaluator(zero)
+
+
 # ---------------------------------------------------------------- synthetic
 
 

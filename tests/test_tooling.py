@@ -14,8 +14,10 @@ one small round of it runs here.  Each public name is listed in the
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
 and no rank cut reaches the reduced gramian's inverse; the annulus bounds
 are compared only in the checks that own them, and only ``matequ`` and
-``sysmodel`` call the Schur-coordinate sweeps.  Trajectories are
-drawn and stepped in one ``dataio`` function, whichever route collects them.
+``sysmodel`` call the Schur-coordinate sweeps.  Each Schur factorization
+is one LAPACK ``dgees`` call and Chat* one ``dgelsd`` call, with no library
+wrapper beside them.  Trajectories are drawn and stepped in one ``dataio``
+function, whichever route collects them.
 Snapshot matrices are reduced by one streamed triangle, which the DMDc
 start, the dual reconstruction and the rank check share, and fitted by one
 triangle fit.  The reduction pipelines hand the descent the identified
@@ -212,6 +214,17 @@ def test_the_reduced_gramian_is_inverted_without_a_rank_cut():
     # chat_star is one least-squares solve with P; a cut of P's eigenvalues
     # would move under a similarity of the rom, and phi with it
     assert [where for where in called_in("significant") if where[0] == "sysmodel.py"] == []
+
+
+def test_schur_factors_and_reduced_least_squares_have_one_route_each():
+    # every Schur factorization is matequ's dgees call, and Chat* its one
+    # dgelsd call; a library wrapper beside either is a second route, with
+    # checks and a workspace of its own
+    assert called_in("schur") == [] and called_in("lstsq") == []
+    assert called_in("_DGEES") == [("matequ.py", "_schur_lwork"),
+                                   ("matequ.py", "_complex_schur")]
+    assert called_in("_complex_schur") == [("matequ.py", "SchurFactor.of")]
+    assert called_in("_DGELSD") == [("sysmodel.py", "Evaluation.chat_star")]
 
 
 def test_snapshot_triangles_and_fits_have_one_home_each():
