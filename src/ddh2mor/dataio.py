@@ -68,7 +68,9 @@ _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
 HISTORY_HEADER = "iter,f,D,step,backtracks,rel_h2_error,stable"
 
 # standard normals trajectory_blocks draws for one block (512 KiB), in
-# whole trajectories
+# whole trajectories; a block's trajectories are also stepped by one matrix
+# product per time step, so the block size fixes the states' rounding, not
+# the draws
 _DRAW_CHUNK = 1 << 16
 
 # the Python types a JSON value may load as, by the type it stands for: a
@@ -235,20 +237,26 @@ def _simulate(sys: LtiSystem, rng: np.random.Generator, count: int, L: int,
 
     Row i of one draw holds trajectory i's initial state, inputs and
     observation noise in turn, so consecutive calls continue one stream.
+    All ``count`` trajectories step together: each time step is one matrix
+    product of their rows [x_k u_k] with [A B]^T, and the observed states
+    are then latent + alpha * noise.  A step rounds as an inner product of
+    length n + m in an order BLAS chooses, which can depend on ``count``,
+    so the states agree with a one-trajectory-at-a-time recursion to
+    rounding, not bit for bit; everything drawn is the same in either.
     """
     n, m = sys.n, sys.m
-    states, inputs = np.empty((count, L, n)), np.empty((count, L - 1, m))
     draw = rng.standard_normal((count, n + (L - 1) * m + L * n))
-    states[:, 0] = draw[:, :n]
-    inputs[...] = draw[:, n:n + (L - 1) * m].reshape(inputs.shape)
+    inputs = draw[:, n:n + (L - 1) * m].reshape(count, L - 1, m)
+    # rows[:, k] is [x_k u_k]; the input slot of the last state stays unused
+    rows = np.empty((count, L, n + m))
+    rows[:, 0, :n] = draw[:, :n]
+    rows[:, :-1, n:] = inputs
+    step = np.hstack([sys.A, sys.B]).T
     for k in range(L - 1):
-        # stacked matrix-vector products repeat A @ x + B @ u bit for bit;
-        # one matrix-matrix product over all trajectories would not
-        states[:, k + 1] = ((sys.A @ states[:, k, :, None])[..., 0]
-                            + (sys.B @ inputs[:, k, :, None])[..., 0])
-    noise_part = draw[:, n + (L - 1) * m:].reshape(states.shape)
-    noise_part *= alpha
-    states += noise_part
+        rows[:, k + 1, :n] = rows[:, k] @ step
+    states = draw[:, n + (L - 1) * m:].reshape(count, L, n) * alpha
+    states += rows[:, :, :n]
+    # inputs is a view into the draw, which _adopt copies out contiguously
     return _adopt(TrajectorySet, states=states, inputs=inputs)
 
 
@@ -259,8 +267,10 @@ def trajectory_blocks(sys: LtiSystem, N: int, L: int,
     iterator reaches them.
 
     Each block takes about ``_DRAW_CHUNK`` normals, so a consumer that
-    folds the blocks in holds one block at a time, whatever N is.  The
-    sizes are checked when this is called, before anything is drawn.
+    folds the blocks in holds one block at a time, whatever N is.  Each
+    block is drawn and stepped by ``_simulate``, whose products round by
+    the block they step.  The sizes are checked when this is called,
+    before anything is drawn.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -278,8 +288,9 @@ def generate_trajectories(sys: LtiSystem, N: int, L: int,
 
     Trajectory i draws its initial state, inputs and observation noise in
     turn.  The set is ``trajectory_blocks`` collected into the returned
-    arrays, one block at a time; the draws continue one stream, so the
-    result does not depend on the block size.
+    arrays, one block at a time, so it is the stream's blocks bit for bit.
+    The draws continue one stream and do not depend on the block size; the
+    states, stepped a block at a time, depend on it only by rounding.
     """
     blocks = trajectory_blocks(sys, N, L, noise)
     states, inputs = np.empty((N, L, sys.n)), np.empty((N, L - 1, sys.m))

@@ -23,6 +23,7 @@ from ddh2mor.cli import (GEN_DATA_DEFAULTS, GEN_SYSTEM_DEFAULTS, REDUCE_DEFAULTS
 from ddh2mor import impulse_from_system, save_impulse_data
 from ddh2mor.dataio import (HISTORY_HEADER, load_system, read_history, save_rom,
                             write_history)
+from ddh2mor_entry import BLAS_THREAD_VARIABLES
 from helpers import (out_of_place_ensemble, random_system, svd_route_report,
                      traced_peak, unseparated_start)
 
@@ -865,6 +866,70 @@ def test_history_read_rejects_short_rows(tmp_path):
         path.write_text(f"{HISTORY_HEADER}\n{row}\n")
         with pytest.raises(FormatError, match="malformed row"):
             read_history(path)
+
+
+# ------------------------------------------------------------- console entry
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(code, cwd, *args, **threads):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package, with the BLAS thread variables unset but for ``threads``."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, capture_output=True,
+                          text=True, env={**env, **threads})
+
+
+def console_entry() -> tuple[str, str]:
+    """The module and function the package installs as its ``ddh2mor`` command."""
+    entry = re.search(r'^ddh2mor = "(\w+):(\w+)"$', (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    assert entry, "pyproject.toml names no ddh2mor console script"
+    return entry[1], entry[2]
+
+
+def test_console_output_is_the_same_unpinned_and_at_one_blas_thread(tmp_path):
+    # at n = 100 the system, x2.npy and every reduce output round
+    # differently at one and at two BLAS threads, so the bytes show the pin
+    module, function = console_entry()
+    command = f"import sys; from {module} import {function}; sys.exit({function}())"
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}):
+        work = tmp_path / f"run{len(outputs)}"
+        work.mkdir()
+        for args in (["gen-system", "--n", "100", "--m", "2", "--seed", "0", "--out", "system"],
+                     ["gen-data", "--system", "system", "--N", "204", "--alpha", "1e-3",
+                      "--seed", "400", "--out", "ens"],
+                     ["reduce", "--ensemble", "ens", "--r", "4", "--init", "dmdc",
+                      "--oracle", "system", "--init-seed", "401", "--out", "red"]):
+            proc = run_python(command, work, *args, **threads)
+            assert proc.returncode == 0, proc.stderr
+        summary = json.loads((work / "red" / "summary.json").read_text())
+        del summary["wall_time_s"]  # the one entry that is a timing
+        files = {path.relative_to(work): path.read_bytes() for path in sorted(work.rglob("*"))
+                 if path.is_file() and path.name != "summary.json"}
+        outputs.append((files, summary))
+    assert len(outputs[0][0]) == 11
+    assert outputs[0] == outputs[1]
+
+
+def test_console_keeps_a_thread_count_the_user_set_and_the_library_sets_none(tmp_path):
+    module, function = console_entry()
+    report = ("print(*map(os.environ.get, ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')), "
+              "'numpy' in sys.modules)")
+    # the entry module loads no numpy, so the console pins before numpy loads
+    entry = run_python(f"import os, sys, {module}; {report}", tmp_path,
+                       OPENBLAS_NUM_THREADS="2")
+    assert entry.stdout.split() == ["2", "None", "False"], entry.stderr
+    console = run_python(f"import os, sys; from {module} import {function}; "
+                         f"{function}(['--help']); {report}", tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert console.stdout.split()[-3:] == ["2", "1", "True"], console.stderr
+    library = run_python(f"import os, sys, ddh2mor; {report}", tmp_path)
+    assert library.stdout.split() == ["None", "None", "True"], library.stderr
 
 
 def test_experiment_script_produces_artifact_tree(tmp_path):

@@ -22,7 +22,7 @@ from ddh2mor import (
 from ddh2mor import dataio, matequ
 from ddh2mor.dataio import load_rom, load_system, save_rom, save_system
 from helpers import (first_transitions, numerical_rank, out_of_place_ensemble, random_system,
-                     record_svd_shapes, simulate, svd_route_report, traced_peak)
+                     record_svd_shapes, svd_route_report, traced_peak)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -224,28 +224,51 @@ def test_numerical_rank_monotone_in_rows(seed, rows):
 # -------------------------------------------------------------- trajectories
 
 
+def loop_draws(sys, N, L, noise):
+    """One trajectory at a time, each drawing its initial state, inputs and
+    noise in turn: the draws the batched generator must reproduce."""
+    rng = np.random.default_rng(noise.seed)
+    x0, inputs, e = [], [], []
+    for _ in range(N):
+        x0.append(rng.standard_normal(sys.n))
+        inputs.append(rng.standard_normal((L - 1, sys.m)))
+        e.append(rng.standard_normal((L, sys.n)))
+    return np.stack(x0), np.stack(inputs), np.stack(e)
+
+
+def assert_follows_the_loop(sys, got, noise):
+    """``got`` holds the draws of ``loop_draws`` bit for bit, and its latent
+    states step by the recursion to within the rounding of one step.
+
+    The latent states are those of the noiseless set of the same seed, which
+    draws the same numbers.  A step computed as [A B] [x; u] and the same
+    step computed as A x + B u are each within gamma_{n+m} (|A||x| + |B||u|)
+    of the exact product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5, for any order of summation), so they
+    differ by at most twice that.
+    """
+    N, L, n = got.states.shape
+    x0, inputs, e = loop_draws(sys, N, L, noise)
+    latent = generate_trajectories(sys, N, L, NoiseSpec(alpha=0.0, seed=noise.seed)).states
+    np.testing.assert_array_equal(got.inputs, inputs)
+    np.testing.assert_array_equal(latent[:, 0], x0)
+    np.testing.assert_array_equal(got.states, latent + noise.alpha * e)
+    u = np.finfo(float).eps / 2
+    gamma = (n + sys.m) * u / (1 - (n + sys.m) * u)
+    for x, w in zip(latent, inputs):
+        for k in range(L - 1):
+            recursion = sys.A @ x[k] + sys.B @ w[k]
+            bound = 2 * gamma * (np.abs(sys.A) @ np.abs(x[k]) + np.abs(sys.B) @ np.abs(w[k]))
+            assert np.all(np.abs(x[k + 1] - recursion) <= bound)
+
+
 def test_trajectories_shapes_and_recursion():
     sys = random_system(np.random.default_rng(8), 4, 2)
-    trajs = generate_trajectories(sys, 5, 7, NoiseSpec(alpha=0.0, seed=9))
+    noise = NoiseSpec(alpha=0.0, seed=9)
+    trajs = generate_trajectories(sys, 5, 7, noise)
     assert trajs.states.shape == (5, 7, 4) and trajs.inputs.shape == (5, 6, 2)
     assert not (trajs.states.flags.writeable or trajs.inputs.flags.writeable)
-    for x, u in zip(trajs.states, trajs.inputs):
-        for k in range(6):
-            np.testing.assert_array_equal(x[k + 1], sys.A @ x[k] + sys.B @ u[k])
-
-
-def loop_trajectories(sys, N, L, noise):
-    """One trajectory at a time, each drawing its initial state, inputs and
-    noise in turn: the reference the batched generator must reproduce."""
-    rng = np.random.default_rng(noise.seed)
-    states, inputs = [], []
-    for _ in range(N):
-        x0 = rng.standard_normal(sys.n)
-        u = rng.standard_normal((L - 1, sys.m))
-        latent = simulate(sys, x0, u)
-        states.append(latent + noise.alpha * rng.standard_normal(latent.shape))
-        inputs.append(u)
-    return np.stack(states), np.stack(inputs)
+    assert_follows_the_loop(sys, trajs, noise)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3])
@@ -254,30 +277,29 @@ def test_trajectories_match_per_trajectory_loop(n, m, N, L, alpha):
     sys = random_system(np.random.default_rng(n), n, m)
     noise = NoiseSpec(alpha=alpha, seed=17)
     got = generate_trajectories(sys, N, L, noise)
-    states, inputs = loop_trajectories(sys, N, L, noise)
     assert got.states.shape == (N, L, n) and got.inputs.shape == (N, L - 1, m)
-    np.testing.assert_array_equal(got.states, states)
-    np.testing.assert_array_equal(got.inputs, inputs)
+    assert_follows_the_loop(sys, got, noise)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3])
 def test_trajectories_match_per_trajectory_loop_across_draw_chunks(alpha):
     n, m, L = 20, 3, 6
-    # trajectories per chunk of draws; three whole chunks and a partial one
+    # trajectories per chunk of draws; three whole chunks and a partial one,
+    # once of a single trajectory, whose steps BLAS takes by another kernel
+    # (a matrix-vector product) than it takes the same rows in a larger block
     chunk = dataio._DRAW_CHUNK // (n + (L - 1) * m + L * n)
-    N = 3 * chunk + chunk // 3
     sys = random_system(np.random.default_rng(21), n, m)
     noise = NoiseSpec(alpha=alpha, seed=22)
-    got = generate_trajectories(sys, N, L, noise)
-    states, inputs = loop_trajectories(sys, N, L, noise)
-    np.testing.assert_array_equal(got.states, states)
-    np.testing.assert_array_equal(got.inputs, inputs)
-    # the stream yields the same trajectories, one chunk per block
-    blocks = list(trajectory_blocks(sys, N, L, noise))
-    assert [len(b.states) for b in blocks] == [chunk] * 3 + [chunk // 3]
-    assert not any(b.states.flags.writeable or b.inputs.flags.writeable for b in blocks)
-    np.testing.assert_array_equal(np.concatenate([b.states for b in blocks]), states)
-    np.testing.assert_array_equal(np.concatenate([b.inputs for b in blocks]), inputs)
+    for last in (chunk // 3, 1):
+        N = 3 * chunk + last
+        got = generate_trajectories(sys, N, L, noise)
+        assert_follows_the_loop(sys, got, noise)
+        # the stream yields the same trajectories bit for bit, one chunk per block
+        blocks = list(trajectory_blocks(sys, N, L, noise))
+        assert [len(b.states) for b in blocks] == [chunk] * 3 + [last]
+        assert not any(b.states.flags.writeable or b.inputs.flags.writeable for b in blocks)
+        np.testing.assert_array_equal(np.concatenate([b.states for b in blocks]), got.states)
+        np.testing.assert_array_equal(np.concatenate([b.inputs for b in blocks]), got.inputs)
 
 
 def test_trajectory_blocks_check_their_sizes_before_drawing():
