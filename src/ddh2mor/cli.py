@@ -25,10 +25,8 @@ from .errors import (FormatError, InsufficientData, RankDeficientData,
 
 __all__ = ["GEN_DATA_DEFAULTS", "GEN_SYSTEM_DEFAULTS", "OPTIM_DEFAULTS",
            "ORACLE_START_DEFAULTS", "REDUCE_DEFAULTS", "add_options", "exit_code",
-           "main", "optim_params", "oracle_start", "reduce_into", "report_error",
-           "resolve_options"]
-
-logger = logging.getLogger(__name__)
+           "main", "optim_params", "oracle_start", "reduce_into", "resolve_options",
+           "stop_exit_code"]
 
 
 def reduce_into(out: Path, init: sysmodel.Rom, params: optim.OptimParams, *,
@@ -67,6 +65,13 @@ def reduce_into(out: Path, init: sysmodel.Rom, params: optim.OptimParams, *,
     }
     dataio.write_json(out / "summary.json", summary)
     return summary
+
+
+def stop_exit_code(*stop_reasons: str) -> int:
+    """0 when each descent converged or reached max_iters, with a rom that run
+    keeps inside the stability annulus, and 3 otherwise."""
+    usable = {optim.StopReason.CONVERGED.value, optim.StopReason.MAX_ITERS.value}
+    return 0 if usable.issuperset(stop_reasons) else 3
 
 
 def _print_json(payload: dict) -> None:
@@ -257,19 +262,15 @@ def _build_initializer(args, oracle: sysmodel.LtiSystem | None, *, N: int,
         if kind == "databt":
             return initmor.init_data_bt(initmor.load_impulse_data(args.init_data), r)
     elif oracle is not None:
-        return oracle_start(kind, args, oracle, _init_seed(args, seed), N=N, alpha=alpha)
+        # by default the start's data are fresh: the ensemble's seed plus one
+        init_seed = (int(args.init_seed) if args.init_seed is not None
+                     else 0 if seed is None else seed + 1)
+        return oracle_start(kind, args, oracle, init_seed, N=N, alpha=alpha)
     elif kind == "dmdc":
         raise ValueError("--init dmdc needs --oracle to generate trajectories")
     elif kind in ("loewner", "databt"):
         raise ValueError(f"--init {kind} needs --oracle or --init-data")
     raise ValueError(f"unknown initializer {kind!r}")
-
-
-def _init_seed(args, data_seed: int | None) -> int:
-    # default: offset the ensemble seed so initializer data is fresh
-    if args.init_seed is not None:
-        return int(args.init_seed)
-    return (data_seed + 1) if data_seed is not None else 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -279,33 +280,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if int(args.r) < 1:
         raise ValueError("r must be at least 1")
     ens = dataio.load_ensemble(args.ensemble)
-    # the reconstruction runs the one rank check of the reduction; the gate
-    # below is its own condition b1 (rank [X1 U1] = n + m gives the ranks of
-    # X1 and U1), applied here so that it prints the report and honours
-    # --force, hence force=True
-    dual = ddgrad.reconstruct_dual(ens, force=True)
+    dual = ddgrad.reconstruct_dual(ens, force=args.force)
     # the descent reads the data only through the model they identify, and
     # the start only their size, noise level and seed: the snapshots go
     # before the start and the descent allocate theirs
     N, alpha, seed = ens.N, ens.alpha, ens.seed
     del ens
-    if not dual.report.b1_holds:
-        _print_json({"assumptions": dataclasses.asdict(dual.report)})
-        if not args.force:
-            print("rank checks failed; re-run with --force to proceed",
-                  file=sys.stderr)
-            return 2
-        logger.warning("rank checks failed, continuing because --force is set")
 
     oracle = dataio.load_system(args.oracle) if args.oracle is not None else None
     init = _build_initializer(args, oracle, N=N, alpha=alpha, seed=seed)
     summary = reduce_into(Path(args.out), init, optim_params(args), init_label=args.init,
                           oracle=oracle, dual=dual)
     _print_json(summary)
-    # run accepts only iterates inside the stability annulus, so the stop
-    # reason alone tells a usable result
-    ok = (optim.StopReason.CONVERGED.value, optim.StopReason.MAX_ITERS.value)
-    return 0 if summary["stop_reason"] in ok else 3
+    return stop_exit_code(summary["stop_reason"])
 
 
 _EVALUATE_DEFAULTS = {"system": None, "rom": None}
@@ -363,32 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def report_error(exc: Exception, code: int) -> int:
-    """Print ``exc`` as one ``error:`` line on stderr and return ``code``.
-
-    Characters that are not printable, such as a line break inside a file
-    name taken from a manifest, are escaped, so the message stays one line.
-    """
-    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
-    print(f"error: {text}", file=sys.stderr)
-    return code
-
-
 def exit_code(command, *args) -> int:
     """``command(*args)``'s exit code, with the errors it raises reported.
 
-    Each ends as one ``error:`` line (``report_error``) and the module's
-    exit code: 2 for failed rank checks and insufficient data, 1 for
-    format, value, OS and memory errors, 3 for any other numerical failure.
+    Each ends as one ``error:`` line on stderr and the module's exit code:
+    2 for failed rank checks and insufficient data, 1 for format, value, OS
+    and memory errors, 3 for any other numerical failure.  Characters that
+    are not printable, such as a line break inside a file name taken from a
+    manifest, are escaped, so the message stays one line.
     """
     try:
         return command(*args)
     except (RankDeficientData, InsufficientData) as exc:
-        return report_error(exc, 2)
+        error, code = exc, 2
     except (FormatError, ValueError, OSError, MemoryError) as exc:
-        return report_error(exc, 1)
+        error, code = exc, 1
     except ReductionError as exc:
-        return report_error(exc, 3)
+        error, code = exc, 3
+    text = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
+    print(f"error: {text}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -400,7 +381,3 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     return exit_code(args.func, args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -503,8 +503,11 @@ def save_system(sys: LtiSystem, out, *, h: float, seed: int) -> None:
 
 
 def load_system(path) -> LtiSystem:
-    """Load a system (identity output) from a manifest path or its directory."""
+    """Load a system, of identity output only, from a manifest path or its directory."""
     manifest, manifest_path = read_manifest(path, "system.json", ("n", "m"))
+    if manifest.get("c", "identity") != "identity":
+        raise FormatError(f"{manifest_path}: 'c' must be \"identity\", "
+                          f"got {json.dumps(manifest['c'])}")
     root = manifest_path.parent
     A = read_matrix(root / manifest.get("a", "A.csv"))
     B = read_matrix(root / manifest.get("b", "B.csv"))

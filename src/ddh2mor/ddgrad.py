@@ -16,6 +16,7 @@ takes the same triangle of its snapshots and the same fit.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ __all__ = [
     "solve_S",
     "solve_SB",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,17 @@ def _least_squares(ens: DataEnsemble, successor: Callable[[slice], np.ndarray],
             resid / scale if scale else (math.inf if resid else 0.0))
 
 
+def _gate(report: AssumptionReport, holds: bool, need: str, force: bool) -> None:
+    """Unless ``holds``, raise RankDeficientData naming the rank ``need`` and
+    the report's three ranks, or with ``force`` log that text as a warning."""
+    if not holds:
+        text = (f"need {need}; the data have rank [X1 U1] = {report.rank_X1U1}, "
+                f"rank X1 = {report.rank_X1}, rank U1 = {report.rank_U1}")
+        if not force:
+            raise RankDeficientData(text)
+        logger.warning("%s", text)
+
+
 @_OVERFLOW_CHECKED
 def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
     """The model the paper's dual coefficients form, from data with unknown
@@ -138,15 +152,13 @@ def reconstruct_dual(ens: DataEnsemble, *, force: bool = False) -> DualData:
 
     Requires rank [X1 U1] = n + m, which gives rank X1 = n and rank U1 = m
     at the same relative tolerance (a column block's singular values
-    interlace the whole's); forced, rank-deficient data give the min-norm
-    model.  Snapshots whose range overflows the triangle, the fit or the
-    Schur factor of A_ls raise ``NumericalOverflow``.
+    interlace the whole's); other data raise ``RankDeficientData`` or, forced,
+    warn and give the min-norm model.  Snapshots whose range overflows the
+    triangle, the fit or the Schur factor of A_ls raise ``NumericalOverflow``.
     """
     n = ens.n
     theta, report, residual = _least_squares(ens, lambda rows: ens.X2[rows], n + ens.m)
-    if not report.b1_holds and not force:
-        raise RankDeficientData(
-            f"need rank [X1 U1] = {n + ens.m}, got {report.rank_X1U1}")
+    _gate(report, report.b1_holds, f"rank [X1 U1] = {n + ens.m}", force)
     return DualData(theta[:n].T, theta[n:].T, report, residual)
 
 
@@ -162,9 +174,7 @@ def reconstruct_dual_known_input(ens: DataEnsemble, B, *, force: bool = False) -
         raise ValueError(f"B must have shape {(ens.n, ens.m)}, got {B.shape}")
     theta, report, residual = _least_squares(
         ens, lambda rows: ens.X2[rows] - ens.U1[rows] @ B.T, ens.n)
-    if not report.b2_holds and not force:
-        raise RankDeficientData(
-            f"need rank X1 = {ens.n}, got {report.rank_X1}")
+    _gate(report, report.b2_holds, f"rank X1 = {ens.n}", force)
     return DualData(theta.T, B.copy(), report, residual)
 
 

@@ -167,25 +167,35 @@ def test_reduce_checks_ranks_once(workspace, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# the reconstruction's gate on the thin ensemble: n = 12, m = 2, N = 10
+THIN_RANKS = "need rank [X1 U1] = 14; the data have rank [X1 U1] = 10, rank X1 = 10, rank U1 = 2"
+
+
 def test_reduce_rank_failure_exits_2(workspace, tmp_path, capsys):
+    # refused by the reconstruction, reduce ends as every exit-2 path ends:
+    # one error line, here naming the ranks, and nothing on stdout
     out = tmp_path / "red"
+    capsys.readouterr()
     rc = main(["reduce", "--ensemble", str(workspace["thin"]), "--r", "3",
                "--init", "databt", "--oracle", str(workspace["system"]),
                "--out", str(out)])
     assert rc == 2
     assert not (out / "summary.json").exists()
-    report = json.loads(capsys.readouterr().out)["assumptions"]
-    assert report["rank_X1U1"] == 10 and not report["b1_holds"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {THIN_RANKS}\n"
 
 
-def test_reduce_force_proceeds_past_rank_failure(workspace, tmp_path):
+def test_reduce_force_proceeds_past_rank_failure(workspace, tmp_path, capsys):
     out = tmp_path / "red"
+    capsys.readouterr()
     rc = main(["reduce", "--ensemble", str(workspace["thin"]), "--r", "3",
                "--init", "databt", "--oracle", str(workspace["system"]),
                "--max-iters", "5", "--force", "--out", str(out)])
     # the run happens; whether it survives numerically is data-dependent
     assert rc in (0, 3)
-    assert (out / "summary.json").exists()
+    # stdout is the summary alone, one JSON document
+    assert json.loads(capsys.readouterr().out) == json.loads((out / "summary.json").read_text())
 
 
 def test_reduce_without_ensemble_exits_1(capsys):
@@ -612,7 +622,9 @@ def test_line_breaks_in_a_manifest_file_name_stay_on_one_error_line(workspace, t
     (lambda m: [m], "expected a JSON object"),
     (lambda m: {**m, "a": 5}, "'a' must be a string, got 5"),
     (lambda m: {**m, "n": True}, "'n' must be an integer, got true"),
-], ids=["without-n", "list", "a-int", "n-bool"])
+    # the output matrix is the identity; a system that names another is refused
+    (lambda m: {**m, "c": "C.csv"}, "'c' must be \"identity\", got \"C.csv\""),
+], ids=["without-n", "list", "a-int", "n-bool", "c-file"])
 def test_evaluate_bad_system_manifest_exits_1(workspace, tmp_path, capsys, edit, message):
     sysdir = copy_with_manifest(workspace["system"], tmp_path / "sys", "system.json", edit)
     romdir = tmp_path / "rom"
@@ -873,15 +885,32 @@ def test_history_read_rejects_short_rows(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(code, cwd, *args, **threads):
-    """Run ``code`` in a fresh interpreter that imports this checkout's
-    package, with the BLAS thread variables unset but for ``threads``."""
+def run_python(argv, cwd, **threads):
+    """Run a fresh interpreter with arguments ``argv`` that imports this
+    checkout's package, with the BLAS thread variables unset but for
+    ``threads``."""
     env = {key: value for key, value in os.environ.items()
            if key not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, capture_output=True,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, capture_output=True,
                           text=True, env={**env, **threads})
+
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def output_bytes(work):
+    """The bytes of every file under ``work``, but each ``summary.json`` read
+    as JSON without its one timing, ``wall_time_s``."""
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if path.name == "summary.json":
+            files[path.relative_to(work)] = json.loads(path.read_text())
+            del files[path.relative_to(work)]["wall_time_s"]
+        elif path.is_file():
+            files[path.relative_to(work)] = path.read_bytes()
+    return files
 
 
 def console_entry() -> tuple[str, str]:
@@ -898,7 +927,7 @@ def test_console_output_is_the_same_unpinned_and_at_one_blas_thread(tmp_path):
     module, function = console_entry()
     command = f"import sys; from {module} import {function}; sys.exit({function}())"
     outputs = []
-    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}):
+    for threads in ({}, ONE_THREAD):
         work = tmp_path / f"run{len(outputs)}"
         work.mkdir()
         for args in (["gen-system", "--n", "100", "--m", "2", "--seed", "0", "--out", "system"],
@@ -906,14 +935,10 @@ def test_console_output_is_the_same_unpinned_and_at_one_blas_thread(tmp_path):
                       "--seed", "400", "--out", "ens"],
                      ["reduce", "--ensemble", "ens", "--r", "4", "--init", "dmdc",
                       "--oracle", "system", "--init-seed", "401", "--out", "red"]):
-            proc = run_python(command, work, *args, **threads)
+            proc = run_python(["-c", command, *args], work, **threads)
             assert proc.returncode == 0, proc.stderr
-        summary = json.loads((work / "red" / "summary.json").read_text())
-        del summary["wall_time_s"]  # the one entry that is a timing
-        files = {path.relative_to(work): path.read_bytes() for path in sorted(work.rglob("*"))
-                 if path.is_file() and path.name != "summary.json"}
-        outputs.append((files, summary))
-    assert len(outputs[0][0]) == 11
+        outputs.append(output_bytes(work))
+    assert len(outputs[0]) == 12
     assert outputs[0] == outputs[1]
 
 
@@ -922,14 +947,42 @@ def test_console_keeps_a_thread_count_the_user_set_and_the_library_sets_none(tmp
     report = ("print(*map(os.environ.get, ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')), "
               "'numpy' in sys.modules)")
     # the entry module loads no numpy, so the console pins before numpy loads
-    entry = run_python(f"import os, sys, {module}; {report}", tmp_path,
+    entry = run_python(["-c", f"import os, sys, {module}; {report}"], tmp_path,
                        OPENBLAS_NUM_THREADS="2")
     assert entry.stdout.split() == ["2", "None", "False"], entry.stderr
-    console = run_python(f"import os, sys; from {module} import {function}; "
-                         f"{function}(['--help']); {report}", tmp_path, OPENBLAS_NUM_THREADS="2")
+    console = run_python(["-c", f"import os, sys; from {module} import {function}; "
+                          f"{function}(['--help']); {report}"], tmp_path,
+                         OPENBLAS_NUM_THREADS="2")
     assert console.stdout.split()[-3:] == ["2", "1", "True"], console.stderr
-    library = run_python(f"import os, sys, ddh2mor; {report}", tmp_path)
+    library = run_python(["-c", f"import os, sys, ddh2mor; {report}"], tmp_path)
     assert library.stdout.split() == ["None", "None", "True"], library.stderr
+
+
+def test_forced_reduce_prints_the_summary_alone_and_warns_with_the_ranks(workspace, tmp_path):
+    # through the module form of the command, so that its log reaches stderr
+    out = tmp_path / "red"
+    proc = run_python(["-m", "ddh2mor_entry", "reduce", "--ensemble", str(workspace["thin"]),
+                       "--r", "3", "--init", "databt", "--oracle", str(workspace["system"]),
+                       "--max-iters", "5", "--force", "--out", str(out)], tmp_path)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert json.loads(proc.stdout) == json.loads((out / "summary.json").read_text())
+    assert proc.stderr.count(THIN_RANKS) == 1 and "error:" not in proc.stderr
+
+
+def test_experiment_script_output_is_the_same_unpinned_and_at_one_blas_thread(tmp_path):
+    # the script pins as the command does; at n = 100 the system and the
+    # descents round differently at one and at two BLAS threads
+    outputs = []
+    for threads in ({}, ONE_THREAD):
+        # config.json records the output directory, so both runs name it alike
+        work = tmp_path / f"run{len(outputs)}"
+        work.mkdir()
+        proc = run_python([str(EXPERIMENT_SCRIPT), "--n", "100", "--out", "exp"], work,
+                          **threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(output_bytes(work))
+    assert len(outputs[0]) == 23
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_script_produces_artifact_tree(tmp_path):
@@ -991,6 +1044,29 @@ def test_experiment_script_checks_ranks_once(tmp_path, monkeypatch, capsys):
     for kind in ("dmdc", "loewner", "databt"):
         assert (tmp_path / "exp" / kind / "summary.json").exists()
     assert len(calls) == 1
+
+
+def test_experiment_script_rank_failure_is_one_error_line_and_exit_2(tmp_path, capsys):
+    rc = load_experiment_script().main(["--n", "8", "--r", "2", "--N", "5", "--seed", "1",
+                                        "--out", str(tmp_path / "exp")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: need rank [X1 U1] = 10; the data have "
+                                       "rank [X1 U1] = 5, rank X1 = 5, rank U1 = 2\n")
+
+
+def test_experiment_script_exits_3_on_a_descent_that_reduce_exits_3_on(
+        workspace, tmp_path, capsys):
+    # the first trial step is far too long, and one backtrack cannot save it
+    flags = ["--initializer", "databt", "--alpha0", "1000", "--max-backtracks", "1"]
+    rc = load_experiment_script().main(["--n", "8", "--r", "2", "--N", "10", "--seed", "1",
+                                        *flags, "--out", str(tmp_path / "exp")])
+    cli_rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--r", "3",
+                   "--init", "databt", "--oracle", str(workspace["system"]), *flags[2:],
+                   "--out", str(tmp_path / "red")])
+    assert rc == cli_rc == 3
+    for summary in (tmp_path / "exp" / "databt" / "summary.json",
+                    tmp_path / "red" / "summary.json"):
+        assert json.loads(summary.read_text())["stop_reason"] == "backtrack_exhausted"
 
 
 def test_experiment_script_reruns_from_its_own_config(tmp_path, capsys):

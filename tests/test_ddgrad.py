@@ -406,6 +406,28 @@ def test_known_input_reconstruction_needs_only_state_rank():
     assert rel_max_err(dual.A, sys.A) < 1e-8
 
 
+@pytest.mark.parametrize("route", ["unknown-input", "known-input"])
+def test_the_rank_gate_names_the_three_ranks_and_a_forced_call_warns_once(route, caplog):
+    # n = 6, m = 2 and N = 5 rows: rank [X1 U1] = rank X1 = 5, rank U1 = 2
+    sys, _, _ = make_instance(seed=8, n=6, m=2)
+    ens = generate_ensemble(sys, 5, NoiseSpec(seed=9))
+    need = "rank [X1 U1] = 8" if route == "unknown-input" else "rank X1 = 6"
+    text = f"need {need}; the data have rank [X1 U1] = 5, rank X1 = 5, rank U1 = 2"
+
+    def reconstruct(force):
+        return (reconstruct_dual(ens, force=force) if route == "unknown-input"
+                else reconstruct_dual_known_input(ens, sys.B, force=force))
+
+    with pytest.raises(RankDeficientData) as refused:
+        reconstruct(False)
+    assert str(refused.value) == text
+    with caplog.at_level("WARNING", logger="ddh2mor.ddgrad"):
+        dual = reconstruct(True)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("ddh2mor.ddgrad", "WARNING", text)]
+    assert dual.A.shape == (6, 6)
+
+
 def test_known_input_shape_check():
     sys, ens, _ = make_instance(seed=7)
     with pytest.raises(ValueError):

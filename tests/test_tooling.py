@@ -21,7 +21,9 @@ function, whichever route collects them.
 Snapshot matrices are reduced by one streamed triangle, which the DMDc
 start, the dual reconstruction and the rank check share, and fitted by one
 triangle fit.  The reduction pipelines hand the descent the identified
-model, not the snapshots.
+model, not the snapshots.  Only the reconstructions read the rank
+conditions, and one function of the command line names the stop reasons
+that give a usable rom.
 """
 
 import ast
@@ -150,10 +152,15 @@ def test_harness_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
     assert outcomes and all(not o.failures for o in outcomes), [o.failures for o in outcomes]
 
 
-def found_in(match):
-    """(file, qualified function) of each node in the package that ``match``
-    accepts."""
-    src = Path(ddh2mor.__file__).resolve().parent
+PACKAGE = Path(ddh2mor.__file__).resolve().parent
+# the program's files: the package, its console entry and the scripts
+PROGRAM = [*sorted(PACKAGE.rglob("*.py")), PACKAGE.parent / "ddh2mor_entry.py",
+           *sorted((BENCHMARKS.parent / "scripts").glob("*.py"))]
+
+
+def found_in(match, paths=None):
+    """(file, qualified function) of each node in ``paths``, by default the
+    package's files, that ``match`` accepts."""
     found = []
 
     def visit(node, path, where):
@@ -164,7 +171,7 @@ def found_in(match):
         for child in ast.iter_child_nodes(node):
             visit(child, path, where)
 
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")) if paths is None else paths:
         visit(ast.parse(path.read_text()), path, None)
     return found
 
@@ -203,11 +210,11 @@ def test_schur_coordinate_sweeps_are_called_only_in_matequ_and_sysmodel():
     assert not found, f"Schur-coordinate sweeps called outside matequ and sysmodel: {found}"
 
 
-def called_in(name):
-    """(file, qualified function) of each call in the package of a function
-    or method named ``name``."""
+def called_in(name, paths=None):
+    """(file, qualified function) of each call in ``paths``, by default the
+    package's files, of a function or method named ``name``."""
     return found_in(lambda node: isinstance(node, ast.Call) and getattr(
-        node.func, "id", getattr(node.func, "attr", None)) == name)
+        node.func, "id", getattr(node.func, "attr", None)) == name, paths)
 
 
 def test_the_reduced_gramian_is_inverted_without_a_rank_cut():
@@ -271,6 +278,33 @@ def test_the_descent_gets_the_identified_model_not_the_snapshots():
     for _, call in runs:
         assert isinstance(call.args[0], ast.Constant) and call.args[0].value is None
         assert "dual" in keywords(call)
+
+
+def test_the_rank_conditions_are_read_only_by_the_reconstructions():
+    # each reconstruction decides its rank condition and gates on it; a
+    # driver that reads b1 or b2 itself is a second gate, which drifts
+    def reads(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("b1_holds", "b2_holds")
+                and isinstance(node.ctx, ast.Load))
+
+    assert sorted(found_in(reads, PROGRAM)) == [
+        ("ddgrad.py", "reconstruct_dual"), ("ddgrad.py", "reconstruct_dual_known_input")]
+
+
+def test_the_usable_stop_reasons_are_named_in_one_place():
+    # the descent sets its stop reason; reduce and the experiment script
+    # map it to their exit code through cli.stop_exit_code alone
+    reasons = ddh2mor.StopReason
+
+    def names(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in reasons.__members__)
+                or (isinstance(node, ast.Constant)
+                    and node.value in {r.value for r in reasons}))
+
+    assert sorted({where for where in found_in(names, PROGRAM)
+                   if where[0] != "optim.py"}) == [("cli.py", "stop_exit_code")]
+    assert sorted(path for path, _ in called_in("stop_exit_code", PROGRAM)) == [
+        "cli.py", "run_experiment.py"]
 
 
 def test_trajectories_are_drawn_and_stepped_in_one_dataio_function():
