@@ -72,17 +72,17 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError("need N >= 1 and 0 < r < n")
     if args.initializer not in (*KINDS, "all"):
         raise ValueError(f"unknown initializer {args.initializer!r}")
+    sys_ = dd.generate_synthetic(spec)
+    ens = dd.generate_ensemble(sys_, args.N, noise)
+    # one reconstruction and rank gate for every start, before anything is
+    # written, so that a refused run writes nothing; the starts read only
+    # the ensemble's size and noise level, the descents only the model
+    dual = dd.reconstruct_dual(ens)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", {key: getattr(args, key) for key in DEFAULTS})
-
-    sys_ = dd.generate_synthetic(spec)
     save_system(sys_, out / "system", h=spec.h, seed=spec.seed)
-    ens = dd.generate_ensemble(sys_, args.N, noise)
     dd.save_ensemble(ens, out / "ensemble")
-    # one reconstruction and rank gate for every start; the starts read only
-    # the ensemble's size and noise level, the descents only the model
-    dual = dd.reconstruct_dual(ens)
     del ens
     ranks = (dual.report.rank_X1U1, dual.report.rank_X1, dual.report.rank_U1)
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")

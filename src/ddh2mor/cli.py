@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -72,10 +71,6 @@ def stop_exit_code(*stop_reasons: str) -> int:
     keeps inside the stability annulus, and 3 otherwise."""
     usable = {optim.StopReason.CONVERGED.value, optim.StopReason.MAX_ITERS.value}
     return 0 if usable.issuperset(stop_reasons) else 3
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 # --- options, shared with scripts/run_experiment.py --------------------------
@@ -210,8 +205,8 @@ def cmd_gen_system(args: argparse.Namespace) -> int:
     sys_ = sysmodel.generate_synthetic(spec)
     out = Path(args.out)
     dataio.save_system(sys_, out, h=spec.h, seed=spec.seed)
-    _print_json({"out": str(out), "n": sys_.n, "m": sys_.m,
-                 "spectral_radius": sys_.spectral_radius()})
+    sys.stdout.write(dataio.json_text({"out": str(out), "n": sys_.n, "m": sys_.m,
+                                       "spectral_radius": sys_.spectral_radius()}))
     return 0
 
 
@@ -228,8 +223,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     ens = dataio.generate_ensemble(sys_, int(args.N), noise)
     dataio.save_ensemble(ens, Path(args.out))
     report = dataio.check_assumptions(ens)
-    _print_json({"out": str(args.out), "N": ens.N, "alpha": ens.alpha,
-                 "assumptions": dataclasses.asdict(report)})
+    sys.stdout.write(dataio.json_text({"out": str(args.out), "N": ens.N, "alpha": ens.alpha,
+                                       "assumptions": dataclasses.asdict(report)}))
     return 0
 
 
@@ -291,7 +286,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     init = _build_initializer(args, oracle, N=N, alpha=alpha, seed=seed)
     summary = reduce_into(Path(args.out), init, optim_params(args), init_label=args.init,
                           oracle=oracle, dual=dual)
-    _print_json(summary)
+    sys.stdout.write(dataio.json_text(summary))
     return stop_exit_code(summary["stop_reason"])
 
 
@@ -312,7 +307,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # outside the stability annulus the report says so, with no error
     stable = rom.satisfies_spectral_bounds()
     err = evaluator.error(rom) if stable else None
-    _print_json({
+    sys.stdout.write(dataio.json_text({
         "h2_norm_system": evaluator.h2_norm,
         "h2_error_abs": err,
         "h2_error_rel": err / evaluator.h2_norm if stable else None,
@@ -321,7 +316,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "rom_spectral_radius": float(mods.max()),
         "rom_min_eig_modulus": float(mods.min()),
         "stable": stable,
-    })
+    }))
     return 0 if stable else 3
 
 
@@ -381,3 +376,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     return exit_code(args.func, args)
+
+
+if __name__ == "__main__":
+    # numpy is loaded by now, too late to pin the BLAS threads as the
+    # command's entry does, so the module form runs nothing
+    print("error: run the command as ddh2mor or python -m ddh2mor_entry, "
+          "not python -m ddh2mor.cli", file=sys.stderr)
+    sys.exit(1)

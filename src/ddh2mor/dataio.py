@@ -41,6 +41,7 @@ __all__ = [
     "check_json_type",
     "generate_ensemble",
     "generate_trajectories",
+    "json_text",
     "load_ensemble",
     "load_rom",
     "load_system",
@@ -449,11 +450,16 @@ def read_manifest(path, default_name: str, required) -> tuple[dict, Path]:
     return manifest, manifest_path
 
 
+def json_text(payload: dict) -> str:
+    """A JSON object as the package writes and prints it: sorted keys,
+    two-space indents and a closing line break; a non-finite float, which
+    JSON cannot hold, raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path, payload: dict) -> None:
-    """Write a JSON object with sorted keys and two-space indents; a
-    non-finite float, which JSON cannot hold, raises ValueError."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-                          + "\n")
+    """Write ``json_text(payload)`` to ``path``."""
+    Path(path).write_text(json_text(payload))
 
 
 def save_ensemble(ens: DataEnsemble, path) -> Path:

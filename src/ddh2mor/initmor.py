@@ -47,19 +47,16 @@ _STABILIZE_ROUNDS = 5
 
 @dataclass(frozen=True)
 class FreqSample:
-    """One transfer-function evaluation: value = H(z), tagged left or right."""
+    """One transfer-function evaluation: value = H(z)."""
 
     z: complex
     value: np.ndarray
-    side: str
 
     def __post_init__(self):
         value = np.atleast_2d(np.asarray(self.value, dtype=complex))
         value.flags.writeable = False
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "value", value)
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
 
 
 @dataclass(frozen=True)
@@ -166,16 +163,27 @@ def init_dmdc(trajs: TrajectorySet | Iterable[TrajectorySet], r: int) -> Rom:
                            basis))
 
 
+# relative tolerance of conjugate closure on sample values
+_CONJUGATE_TOL = 1e-8
+
+
 def _conjugate_groups(samples: list[FreqSample]) -> list[tuple[int, ...]]:
-    """Group sample indices into real singletons and conjugate pairs."""
+    """Group sample indices into real singletons, first, and conjugate pairs.
+
+    The one check of conjugate closure: ValueError unless each point off
+    the real axis has its conjugate among the samples, with the conjugate
+    value, and the value at a real point is real (``_CONJUGATE_TOL``)."""
     groups: list[tuple[int, ...]] = []
     used = [False] * len(samples)
     for i, s in enumerate(samples):
         if used[i]:
             continue
         scale = max(1.0, abs(s.z))
+        size = max(1.0, np.abs(s.value).max())
+        used[i] = True
         if abs(s.z.imag) <= 1e-14 * scale:
-            used[i] = True
+            if np.abs(s.value.imag).max() > _CONJUGATE_TOL * size:
+                raise ValueError(f"value at the real point z={s.z.real} is not real")
             groups.append((i,))
             continue
         partner = None
@@ -185,42 +193,25 @@ def _conjugate_groups(samples: list[FreqSample]) -> list[tuple[int, ...]]:
                 break
         if partner is None:
             raise ValueError(f"sample at z={s.z} lacks a conjugate partner")
-        vdiff = np.abs(samples[partner].value - s.value.conjugate()).max()
-        if vdiff > 1e-8 * max(1.0, np.abs(s.value).max()):
+        if np.abs(samples[partner].value - s.value.conjugate()).max() > _CONJUGATE_TOL * size:
             raise ValueError(f"values at z={s.z} are not conjugate-consistent")
-        used[i] = used[partner] = True
+        used[partner] = True
         groups.append((i, partner))
-    return groups
+    return sorted(groups, key=len)
 
 
 _SQRT2 = math.sqrt(2.0)
 _PAIR_UNITARY = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / _SQRT2
 
 
-def _real_transform(groups) -> np.ndarray:
-    """Block-diagonal unitary turning conjugate-paired data real."""
-    size = sum(len(g) for g in groups)
-    J = np.zeros((size, size), dtype=complex)
-    pos = 0
-    for g in groups:
-        w = len(g)
-        J[pos:pos + w, pos:pos + w] = _PAIR_UNITARY if w == 2 else 1.0
-        pos += w
-    return J
-
-
-def _require_real(imag: float, scale: float, label: str) -> None:
-    """Refuse an imaginary part of largest modulus ``imag`` beyond rounding
-    of data of largest modulus ``scale``."""
-    if imag > 1e-8 * max(1.0, scale):
-        raise ValueError(f"{label} kept a significant imaginary part; "
-                         "check conjugate closure of the samples")
-
-
-def _take_real(M: np.ndarray, label: str) -> np.ndarray:
-    """The real part of M, as a view, once its imaginary part is negligible."""
-    _require_real(np.abs(M.imag).max(initial=0.0), np.abs(M).max(initial=0.0), label)
-    return M.real
+def _real_rows(out: np.ndarray, W: np.ndarray, ns: int, sign: float = 1.0) -> None:
+    """Fill ``out`` (..., samples, c) from W (..., groups, c), one row per
+    group of ``_conjugate_groups``: the real part of the ns real samples'
+    rows, then for each pair sqrt(2) times the real and ``sign`` sqrt(2)
+    times the imaginary part of its first sample's row."""
+    out[..., :ns, :] = W[..., :ns, :].real
+    np.multiply(W[..., ns:, :].real, _SQRT2, out=out[..., ns::2, :])
+    np.multiply(W[..., ns:, :].imag, sign * _SQRT2, out=out[..., ns + 1::2, :])
 
 
 def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom:
@@ -231,21 +222,25 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     the dominant rank-r subspaces of the Loewner pencil, and converts the
     resulting descriptor realization to standard form.
 
-    The shifted Loewner matrix is never formed: its blocks are
+    ``_conjugate_groups`` checks each side's conjugate closure, once; the
+    real transforms below take real parts and check nothing more.  The
+    shifted Loewner matrix is never formed: its blocks are
     ``Ls_ij = v_i + zr_j L_ij`` (Mayo & Antoulas, Linear Algebra Appl. 425
-    (2007)), so ``Lsr = Lr kron(Lam, I_m) + Vr kron(1r, I_m)`` with the real
-    k x k ``Lam = JR^H diag(zr) JR`` and 1 x k ``1r = 1^T JR``.  L is formed
-    one right group (a real point or a conjugate pair) at a time, with the
-    group's samples on the last axis, so the right real transform is the
-    product with the group's own 1 x 1 or 2 x 2 block of JR, and no complex
-    array wider than one group exists.  The left samples need no product: the
-    second sample of a pair is the conjugate of the first
-    (``_conjugate_groups`` checks it), so the pair's rows, once transformed
-    on the right, are ``sqrt(2)`` times the real and the imaginary part of
-    the first's, and the complex rows are formed for one sample per group
-    alone.  The real ``[Lr Vr]`` (q p rows) is written straight into one
-    Fortran-ordered buffer and reduced in place by ``_triangle``:
-    ``[Lr Vr] = Q [Ra QtVr]``, and then ``Lsr = Q Rs`` with
+    (2007)), so ``Lsr = Lr kron(Lam, I_m) + Vr kron(1r, I_m)``.  The right
+    real transform is built per group in closed form: a pair at z with
+    value w gives the real k x k ``Lam`` the block
+    ``[[Re z, -Im z], [Im z, Re z]]``, the 1 x k ``1r`` the entries
+    ``(sqrt(2), 0)`` and ``Wr`` the columns ``(sqrt(2) Re w, -sqrt(2) Im w)``;
+    a real point gives them z, 1 and w.  L is formed one right group at a
+    time, with the group's samples on the last axis, so a pair's columns
+    take its own 2 x 2 ``_PAIR_UNITARY`` block, and no complex array wider
+    than one group exists.  The left samples need no product: the second
+    sample of a pair is the conjugate of the first, so the pair's rows,
+    once transformed on the right, are ``sqrt(2)`` times the real and the
+    imaginary part of the first's, and the complex rows are formed for
+    one sample per group alone.  The real ``[Lr Vr]`` (q p rows) is written
+    straight into one Fortran-ordered buffer and reduced in place by
+    ``_triangle``: ``[Lr Vr] = Q [Ra QtVr]``, and then ``Lsr = Q Rs`` with
     ``Rs = Ra kron(Lam, I_m) + QtVr kron(1r, I_m)``.  The left singular
     vectors of ``[Lr Lsr]`` are ``Y = Q U`` with U those of the
     (k m + m) x (2 k m) ``[Ra Rs]``; so ``Y^T Lr = U^T Ra``,
@@ -260,10 +255,9 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     if any(s.value.shape != (p, m) for s in left + right):
         raise ValueError("all sample values must share one shape")
 
-    # real left samples first, then the pairs, each pair's first sample at
-    # ns, ns + 2, ...
-    lg = sorted(_conjugate_groups(left), key=len)
-    rg = _conjugate_groups(right)
+    # each side's real samples first, then the pairs, each pair's first
+    # sample at ns, ns + 2, ... (nr, nr + 2, ... on the right)
+    lg, rg = _conjugate_groups(left), _conjugate_groups(right)
     lo = [left[i] for g in lg for i in g]
     ro = [right[i] for g in rg for i in g]
 
@@ -274,49 +268,37 @@ def init_loewner(left: list[FreqSample], right: list[FreqSample], r: int) -> Rom
     if (np.abs(denom) < 1e-12 * np.maximum(1.0, np.abs(zl))[:, None]).any():
         raise ValueError("left and right sample points must be disjoint")
     VL = np.stack([s.value for s in lo])
-    VR = np.stack([s.value for s in ro], axis=-1)
-
-    JR = _real_transform(rg)
-    Lam = _take_real(JR.conj().T @ (zr[:, None] * JR), "right sample points")
-    ones = _take_real(JR.sum(axis=0), "right sample weights")
+    VR = np.stack([s.value for s in ro])
     km = k * m
-    ns = sum(len(g) == 1 for g in lg)
-    first = np.r_[:ns, ns:q:2]
+    ns, nr = (sum(len(g) == 1 for g in groups) for groups in (lg, rg))
+    first, rfirst = np.r_[:ns, ns:q:2], np.r_[:nr, nr:k:2]
+    pairs = rfirst[nr:]
+    Lam = np.diag(zr.real)
+    Lam[pairs, pairs + 1] = -zr[pairs].imag
+    Lam[pairs + 1, pairs] = zr[pairs].imag
+    ones = np.zeros(k)
+    ones[:nr], ones[pairs] = 1.0, _SQRT2
+    Wr = np.empty((k, p * m))
+    _real_rows(Wr, VR[rfirst].reshape(-1, p * m), nr, -1.0)
+    Wr = Wr.reshape(k, p, m).transpose(1, 0, 2).reshape(p, km)
+
     # the rows of the C-ordered buf are the columns of [Lr Vr], so buf.T is
     # the Fortran-ordered matrix _triangle reduces, and each column block is
     # filled through a (k, m, q, p) or (m, q, p) view of its rows
     buf = np.empty((km + m, q * p))
-
-    def real_rows(out, W):
-        # out (..., q, p) from W (..., groups, p): the left real transform;
-        # returns the rows of the real left samples, whose imaginary part
-        # the caller checks
-        out[..., :ns, :] = W[..., :ns, :].real
-        np.multiply(W[..., ns:, :].real, _SQRT2, out=out[..., ns::2, :])
-        np.multiply(W[..., ns:, :].imag, _SQRT2, out=out[..., ns + 1::2, :])
-        return W[..., :ns, :]
-
     # one right group (a real point or a conjugate pair) at a time: entry
-    # (g, a, b, j) of M is (VL[i, a, b] - VR[a, b, j]) / (zl[i] - zr[j]) for
-    # the first sample i of left group g and the group's samples j, and the
-    # right real transform is the group's own block of JR
-    Lr, VRf = buf[:km].reshape(k, m, q, p), VR.reshape(-1, k)
+    # (g, a, b, j) of M is (VL[i, a, b] - VR[j, a, b]) / (zl[i] - zr[j]) for
+    # the first sample i of left group g and the group's samples j
+    Lr, VRf = buf[:km].reshape(k, m, q, p), VR.reshape(k, -1).T
     VLf = VL[first].reshape(len(lg), -1, 1)
-    imag = scale = 0.0
-    pos = 0
-    for g in rg:
-        cols = slice(pos, pos + len(g))
+    for j in rfirst:
+        cols = slice(j, j + 1 if j < nr else j + 2)
         M = VLf - VRf[:, cols]
         M *= (1.0 / denom[first, cols])[:, None, :]
-        W = (M.reshape(-1, len(g)) @ JR[cols, cols]).reshape(-1, p, m, len(g))
-        reals = real_rows(Lr[cols], W.transpose(3, 2, 0, 1))
-        imag = max(imag, np.abs(reals.imag).max(initial=0.0))
-        scale = max(scale, np.abs(reals).max(initial=0.0))
-        pos += len(g)
-    # checked against the whole matrix's scale, as _take_real does
-    _require_real(imag, scale, "Loewner matrix")
-    _take_real(real_rows(buf[km:].reshape(m, q, p), VL[first].transpose(2, 0, 1)), "left data")
-    Wr = _take_real(VRf @ JR, "right data").reshape(p, m, k).transpose(0, 2, 1).reshape(p, km)
+        if j >= nr:
+            M = M @ _PAIR_UNITARY
+        _real_rows(Lr[cols], M.reshape(len(lg), p, m, -1).transpose(3, 2, 0, 1), ns)
+    _real_rows(buf[km:].reshape(m, q, p), VL[first].transpose(2, 0, 1), ns)
 
     R = _triangle(buf.T)
     t = len(R)
@@ -386,14 +368,13 @@ def sample_frequency_data(sys: LtiSystem, n_left: int, n_right: int,
     else:
         raise ValueError("could not draw distinct sample angles")
 
-    def pair(angle: float, side: str) -> list[FreqSample]:
+    def pair(angle: float) -> list[FreqSample]:
         z = complex(math.cos(angle), math.sin(angle))
         value = transfer_eval(sys, z)
-        return [FreqSample(z, value, side),
-                FreqSample(z.conjugate(), value.conjugate(), side)]
+        return [FreqSample(z, value), FreqSample(z.conjugate(), value.conjugate())]
 
-    left = [s for a in theta[:n_left // 2] for s in pair(float(a), "left")]
-    right = [s for a in theta[n_left // 2:] for s in pair(float(a), "right")]
+    left = [s for a in theta[:n_left // 2] for s in pair(float(a))]
+    right = [s for a in theta[n_left // 2:] for s in pair(float(a))]
     return left, right
 
 
@@ -461,7 +442,7 @@ def load_frequency_samples(path) -> tuple[list[FreqSample], list[FreqSample]]:
             if not isinstance(entry, dict) or "z" not in entry or "value" not in entry:
                 raise FormatError(f"{where}: expected an object with z and value")
             out.append(FreqSample(_parse_scalar(entry["z"], where),
-                                  _parse_matrix(entry["value"], where), side))
+                                  _parse_matrix(entry["value"], where)))
         return out
 
     left, right = decode("left"), decode("right")

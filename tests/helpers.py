@@ -327,6 +327,27 @@ def count_schur_calls(monkeypatch):
     return shapes
 
 
+def real_transform(groups):
+    """Block-diagonal unitary turning conjugate-paired data real, 1 at a real
+    point and ``initmor._PAIR_UNITARY`` at a pair: the dense reference for
+    the blockwise and closed-form transforms of the Loewner initializer."""
+    size = sum(len(g) for g in groups)
+    J = np.zeros((size, size), dtype=complex)
+    pos = 0
+    for g in groups:
+        w = len(g)
+        J[pos:pos + w, pos:pos + w] = initmor._PAIR_UNITARY if w == 2 else 1.0
+        pos += w
+    return J
+
+
+def take_real(M, label):
+    """The real part of M, once its imaginary part is negligible beside M."""
+    if np.abs(M.imag).max(initial=0.0) > 1e-8 * max(1.0, np.abs(M).max(initial=0.0)):
+        raise ValueError(f"{label} kept a significant imaginary part")
+    return M.real
+
+
 def real_loewner_matrices(left, right):
     """The real ``Lr, Lsr, Vr, Wr`` of the Loewner initializer by their earlier
     formulas: the left real transform as one product, the right one as a
@@ -343,20 +364,20 @@ def real_loewner_matrices(left, right):
     denom = zl[:, None] - zr
     VL = np.stack([s.value for s in lo])
     VR = np.stack([s.value for s in ro], axis=1)
-    JLh = initmor._real_transform(lg).conj().T
-    JRt = initmor._real_transform(rg).T
+    JLh = real_transform(lg).conj().T
+    JRt = real_transform(rg).T
 
     def real_loewner(vl, vr, label):
         M = vl[:, :, None, :] - vr
         M /= denom[:, None, :, None]
         M = JLh @ M.reshape(q, -1)
         M = JRt @ M.reshape(q * p, k, m)
-        return initmor._take_real(M.reshape(q * p, k * m), label)
+        return take_real(M.reshape(q * p, k * m), label)
 
     Lr = real_loewner(VL, VR, "Loewner matrix")
     Lsr = real_loewner(zl[:, None, None] * VL, zr[:, None] * VR, "shifted Loewner matrix")
-    Vr = initmor._take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
-    Wr = initmor._take_real((JRt @ VR).reshape(p, k * m), "right data")
+    Vr = take_real((JLh @ VL.reshape(q, -1)).reshape(q * p, m), "left data")
+    Wr = take_real((JRt @ VR).reshape(p, k * m), "right data")
     return Lr, Lsr, Vr, Wr
 
 

@@ -969,6 +969,16 @@ def test_forced_reduce_prints_the_summary_alone_and_warns_with_the_ranks(workspa
     assert proc.stderr.count(THIN_RANKS) == 1 and "error:" not in proc.stderr
 
 
+def test_the_module_form_of_the_cli_is_one_error_line_naming_the_entry(tmp_path):
+    # numpy is loaded before ddh2mor.cli runs, too late to pin BLAS, so the
+    # module form refuses to run rather than run unpinned or do nothing
+    proc = run_python(["-m", "ddh2mor.cli", "reduce", "--ensemble", "ens"], tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "python -m ddh2mor_entry" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_script_output_is_the_same_unpinned_and_at_one_blas_thread(tmp_path):
     # the script pins as the command does; at n = 100 the system and the
     # descents round differently at one and at two BLAS threads
@@ -1052,6 +1062,8 @@ def test_experiment_script_rank_failure_is_one_error_line_and_exit_2(tmp_path, c
     assert rc == 2
     assert capsys.readouterr().err == ("error: need rank [X1 U1] = 10; the data have "
                                        "rank [X1 U1] = 5, rank X1 = 5, rank U1 = 2\n")
+    # the rank gate comes before any write, as in reduce
+    assert not (tmp_path / "exp").exists()
 
 
 def test_experiment_script_exits_3_on_a_descent_that_reduce_exits_3_on(

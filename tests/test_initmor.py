@@ -38,8 +38,8 @@ from ddh2mor import (
 from ddh2mor import dataio, initmor, matequ
 from ddh2mor.matequ import significant
 from helpers import (blockwise_loewner, numerical_rank, random_rom, random_system,
-                     real_loewner_matrices, record_svd_shapes, rel_max_err, simulate,
-                     traced_peak)
+                     real_loewner_matrices, real_transform, record_svd_shapes, rel_max_err,
+                     simulate, take_real, traced_peak)
 
 UNIT_CIRCLE_PROBES = np.exp(1j * np.linspace(0.1, 2 * np.pi - 0.1, 16))
 
@@ -395,10 +395,8 @@ def test_loewner_interpolates_sampled_transfer():
 
 def test_loewner_real_sample_points():
     true = Rom(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
-    def sample(z, side):
-        return FreqSample(z, transfer_eval(true, z), side)
-    left = [sample(1.2, "left"), sample(1.4, "left")]
-    right = [sample(1.6, "right"), sample(1.8, "right")]
+    left = mixed_samples(true, [1.2, 1.4])
+    right = mixed_samples(true, [1.6, 1.8])
     rom = init_loewner(left, right, 1)
     for s in left + right:
         assert np.abs(transfer_eval(rom, s.z) - s.value).max() < 1e-8
@@ -415,17 +413,28 @@ def test_loewner_conjugate_value_mismatch():
     true = random_rom(np.random.default_rng(8), 2, 1, 1)
     left, right = sample_frequency_data(true, 4, 4, seed=9)
     broken = list(left)
-    broken[1] = FreqSample(left[1].z, left[1].value + 0.5, "left")
+    broken[1] = FreqSample(left[1].z, left[1].value + 0.5)
     with pytest.raises(ValueError):
         init_loewner(broken, right, 2)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_loewner_non_real_value_at_a_real_point(side):
+    # conjugate closure asks a real point for a real value; the one check
+    # names the point
+    true = Rom(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
+    sides = [mixed_samples(true, [1.2, 1.4]), mixed_samples(true, [1.6, 1.8])]
+    bad = sides[side][1]
+    sides[side][1] = FreqSample(bad.z, bad.value + 1e-3j)
+    with pytest.raises(ValueError, match=rf"real point z={bad.z.real}\b"):
+        init_loewner(*sides, 1)
 
 
 def test_loewner_coincident_points_rejected():
     true = random_rom(np.random.default_rng(10), 2, 1, 1)
     left, _ = sample_frequency_data(true, 4, 4, seed=11)
-    clash = [FreqSample(s.z, s.value, "right") for s in left]
     with pytest.raises(ValueError):
-        init_loewner(left, clash, 2)
+        init_loewner(left, left, 2)
 
 
 def test_loewner_order_beyond_data_rank():
@@ -451,12 +460,12 @@ def kron_route_loewner(left, right, r):
     L = np.block([[(si.value - sj.value) / (si.z - sj.z) for sj in ro] for si in lo])
     Ls = np.block([[(si.z * si.value - sj.z * sj.value) / (si.z - sj.z) for sj in ro]
                    for si in lo])
-    JL = np.kron(initmor._real_transform(lg), np.eye(p))
-    JR = np.kron(initmor._real_transform(rg), np.eye(m))
-    Lr = initmor._take_real(JL.conj().T @ L @ JR, "Loewner matrix")
-    Lsr = initmor._take_real(JL.conj().T @ Ls @ JR, "shifted Loewner matrix")
-    Vr = initmor._take_real(JL.conj().T @ np.vstack([s.value for s in lo]), "left data")
-    Wr = initmor._take_real(np.hstack([s.value for s in ro]) @ JR, "right data")
+    JL = np.kron(real_transform(lg), np.eye(p))
+    JR = np.kron(real_transform(rg), np.eye(m))
+    Lr = take_real(JL.conj().T @ L @ JR, "Loewner matrix")
+    Lsr = take_real(JL.conj().T @ Ls @ JR, "shifted Loewner matrix")
+    Vr = take_real(JL.conj().T @ np.vstack([s.value for s in lo]), "left data")
+    Wr = take_real(np.hstack([s.value for s in ro]) @ JR, "right data")
     Y = np.linalg.svd(np.hstack([Lr, Lsr]), full_matrices=False)[0][:, :r]
     X = np.linalg.svd(np.vstack([Lr, Lsr]), full_matrices=False)[2][:r].T
     E = -Y.T @ Lr @ X
@@ -464,8 +473,8 @@ def kron_route_loewner(left, right, r):
                            np.linalg.solve(E, Y.T @ Vr), Wr @ X))
 
 
-def mixed_samples(rom, points, side):
-    return [FreqSample(z, transfer_eval(rom, z), side) for z in points]
+def mixed_samples(rom, points):
+    return [FreqSample(z, transfer_eval(rom, z)) for z in points]
 
 
 def conjugate_closed_samples(rom, rng, counts):
@@ -478,14 +487,14 @@ def conjugate_closed_samples(rom, rng, counts):
     angles = rng.permutation(np.linspace(0.15, np.pi - 0.15, lp + rp))
     reals = rng.permutation(np.linspace(1.2, 2.0, lr + rr)) * rng.choice([-1.0, 1.0], lr + rr)
 
-    def side(angles, reals, name):
-        samples = mixed_samples(rom, reals, name)
+    def side(angles, reals):
+        samples = mixed_samples(rom, reals)
         for z in np.exp(1j * angles):
             value = transfer_eval(rom, z)
-            samples += [FreqSample(z, value, name), FreqSample(z.conjugate(), value.conjugate(), name)]
+            samples += [FreqSample(z, value), FreqSample(z.conjugate(), value.conjugate())]
         return [samples[i] for i in rng.permutation(len(samples))]
 
-    return side(angles[:lp], reals[:lr], "left"), side(angles[lp:], reals[lr:], "right")
+    return side(angles[:lp], reals[:lr]), side(angles[lp:], reals[lr:])
 
 
 @pytest.mark.parametrize("r, m, p, n_left, n_right", [(3, 2, 2, 8, 8), (4, 2, 3, 6, 10),
@@ -499,8 +508,8 @@ def test_loewner_matches_kron_route(r, m, p, n_left, n_right):
 def test_loewner_matches_kron_route_with_real_and_paired_points():
     true = random_rom(np.random.default_rng(42), 3, 2, 2)
     w = np.exp(0.7j)
-    left = mixed_samples(true, [1.2, w, w.conjugate(), -1.3], "left")
-    right = mixed_samples(true, [np.exp(2.1j), 1.5, np.exp(-2.1j)], "right")
+    left = mixed_samples(true, [1.2, w, w.conjugate(), -1.3])
+    right = mixed_samples(true, [np.exp(2.1j), 1.5, np.exp(-2.1j)])
     assert_same_rom(init_loewner(left, right, 3), kron_route_loewner(left, right, 3))
 
 
@@ -556,9 +565,9 @@ def test_shifted_loewner_is_a_column_combination_of_lr_and_vr(seed, m, p, counts
     Lr, Lsr, Vr, _ = real_loewner_matrices(left, right)
     rg = initmor._conjugate_groups(right)
     zr = np.array([right[i].z for g in rg for i in g])
-    JR = initmor._real_transform(rg)
-    Lam = initmor._take_real(JR.conj().T @ np.diag(zr) @ JR, "Lam")
-    ones = initmor._take_real(JR.sum(axis=0, keepdims=True), "1r")
+    JR = real_transform(rg)
+    Lam = take_real(JR.conj().T @ np.diag(zr) @ JR, "Lam")
+    ones = take_real(JR.sum(axis=0, keepdims=True), "1r")
     combined = Lr @ np.kron(Lam, np.eye(m)) + Vr @ np.kron(ones, np.eye(m))
     scale = (np.linalg.norm(Lsr) + np.linalg.norm(Lr) * np.linalg.norm(Lam, 2)
              + np.linalg.norm(Vr) * np.linalg.norm(ones))
@@ -643,8 +652,6 @@ def test_sample_frequency_data_layout():
     sys = random_system(np.random.default_rng(17), 5, 2)
     left, right = sample_frequency_data(sys, 6, 4, seed=18)
     assert len(left) == 6 and len(right) == 4
-    assert all(s.side == "left" for s in left)
-    assert all(s.side == "right" for s in right)
     for group in (left, right):
         zs = [s.z for s in group]
         for s in group:
@@ -680,7 +687,7 @@ def test_frequency_samples_roundtrip(tmp_path):
     left2, right2 = load_frequency_samples(path)
     assert len(left2) == 4 and len(right2) == 6
     for a, b in zip(left + right, left2 + right2):
-        assert a.z == b.z and a.side == b.side
+        assert a.z == b.z
         np.testing.assert_array_equal(a.value, b.value)
     rom = init_loewner(left2, right2, 3)
     assert rom.satisfies_spectral_bounds()
@@ -812,8 +819,3 @@ def test_mutated_init_data_loads_or_raises_format_error(loader_payloads, tmp_pat
         load(target)
     except FormatError:
         pass
-
-
-def test_freq_sample_validation():
-    with pytest.raises(ValueError):
-        FreqSample(1.0 + 0.5j, np.ones((1, 1)), "middle")

@@ -13,7 +13,8 @@ one small round of it runs here.  Each public name is listed in the
 ``__all__`` of one module, and is used outside the tests.  The package's one rank rule,
 ``matequ.significant``, is the only code that compares against ``RANK_TOL``,
 and no rank cut reaches the reduced gramian's inverse; the annulus bounds
-are compared only in the checks that own them, and only ``matequ`` and
+are compared only in the checks that own them, the Loewner start's
+conjugate tolerance only in its one closure check, and only ``matequ`` and
 ``sysmodel`` call the Schur-coordinate sweeps.  Each Schur factorization
 is one LAPACK ``dgees`` call and Chat* one ``dgelsd`` call, with no library
 wrapper beside them.  Trajectories are drawn and stepped in one ``dataio``
@@ -187,6 +188,13 @@ def test_rank_tol_is_compared_only_in_the_one_rank_rule():
     # every rank decision takes matequ.significant; a comparison against
     # RANK_TOL anywhere else is a second copy of the rule
     assert compared_in("RANK_TOL") == [("matequ.py", "significant")]
+
+
+def test_conjugate_tol_is_compared_only_in_the_one_closure_check():
+    # the Loewner start's samples are checked for conjugate closure once,
+    # when they are grouped; a comparison against _CONJUGATE_TOL anywhere
+    # else is a second copy of the check
+    assert set(compared_in("_CONJUGATE_TOL")) == {("initmor.py", "_conjugate_groups")}
 
 
 def test_annulus_bounds_are_compared_only_in_the_annulus_checks():
