@@ -84,9 +84,8 @@ def run(args: argparse.Namespace) -> int:
     save_system(sys_, out / "system", h=spec.h, seed=spec.seed)
     dd.save_ensemble(ens, out / "ensemble")
     del ens
-    ranks = (dual.report.rank_X1U1, dual.report.rank_X1, dual.report.rank_U1)
     print(f"system: n={args.n} m={args.m} rho={sys_.spectral_radius():.4f}")
-    print(f"data: N={args.N} alpha={args.noise_alpha} ranks={ranks}")
+    print(f"data: N={args.N} alpha={args.noise_alpha}")
 
     kinds = KINDS if args.initializer == "all" else (args.initializer,)
     summaries = [reduce_into(out / kind,

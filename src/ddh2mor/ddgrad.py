@@ -69,7 +69,7 @@ class DualData(LtiSystem):
     def __post_init__(self):
         # A and B are the float arrays of the fit, checked once here; C is I
         _require_finite("the dual reconstruction", self.A, self.B)
-        self._set(self.A, self.B, np.eye(self.A.shape[0]))
+        self._set(self.A, self.B, np.eye(self.A.shape[0]), identity_output=True)
         _require_finite("the Schur factor of A_ls", self.schur.T, self.schur.Z)
 
 

@@ -12,16 +12,23 @@ iterate is the projected rom (Ahat, Bhat, Chat*) and the descent direction
 
 Each iteration assembles the data-driven gradients there and backtracks the
 step along ``-[gA gB]`` until phi decreases by the Armijo margin while the
-candidate stays inside the stability annulus.  The first trial step of the
-first iteration is ``alpha0``; every later iteration opens at the short
-Barzilai-Borwein step ``<s, y> / <y, y>`` (Barzilai & Borwein, IMA J.
-Numer. Anal. 8 (1988) 141-148), where ``s`` is the last accepted move and
-``y`` the change of the direction over it.  The step fits the curvature
-along the last move, so most iterations accept their first trial; it is
-not capped at ``alpha0``.  Where
-``<s, y> <= 0`` there is no curvature to fit, and the search opens at
-``min(alpha0, alpha_prev / rho)``, one expansion of the step accepted
-last.  Backtracking stays monotone, so phi never rises.
+candidate stays inside the stability annulus.  Every iteration after the
+first opens at the short Barzilai-Borwein step ``<s, y> / <y, y>``
+(Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141-148), where ``s`` is
+the last accepted move and ``y`` the change of the direction over it.  The
+step fits the curvature along the last move, so most iterations accept
+their first trial; it is not capped at ``alpha0``.  The first iteration has
+no move to fit, and where ``<s, y> <= 0`` there is no curvature to fit; those
+searches are blind, at ``alpha0`` and at ``min(alpha0, alpha_prev / rho)``,
+one expansion of the step accepted last.  A blind search opens at that step
+times ``rho^k``, for the least k that puts it at or below the Armijo bound
+of the variable-projection Gauss-Newton model (Kaufman, BIT 15 (1975)
+49-57), ``(1 - c) D / d^T M d`` (``Evaluation.curvature``); the steps above
+it are those the model says fail.  If that first trial passes, the search
+probes back up by ``1/rho``, never past the blind step, while trials pass,
+and keeps the last that passed, which is the step backtracking from the
+blind step accepts whenever the passing steps form one interval.  A first
+trial that fails backtracks as any other.  Phi never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates phi with ``Evaluation`` against
@@ -35,7 +42,8 @@ the gradient at it do not scale rounding in R by cond(P), which reaches
 1e7 for random single-input roms.  The accepted
 trial's ``Evaluation`` becomes the next iterate: its gradient reuses P and
 R and solves only Q and S at the projected rom, so every iterate has one
-value of phi and one solve of each equation.
+value of phi and one solve of each equation; a blind search adds one r x r
+Stein sweep, for its curvature.
 """
 
 from __future__ import annotations
@@ -78,11 +86,14 @@ class StopReason(enum.Enum):
 class OptimParams:
     """Line-search and termination parameters.
 
-    alpha0 : first trial step of the first iteration; caps the fallback
-             first trial ``min(alpha0, alpha_prev / rho)`` of a later
-             iteration whose last move showed no positive curvature
+    alpha0 : blind opening of the first iteration's search; caps the
+             blind opening ``min(alpha0, alpha_prev / rho)`` of a later
+             iteration whose last move showed no positive curvature.  A
+             blind opening is tried at itself times the least power of rho
+             that puts it at or below the Gauss-Newton model's Armijo bound
     c      : Armijo decrease coefficient
-    rho    : backtracking shrink factor
+    rho    : backtracking shrink factor; a search that opened below its
+             blind opening probes back up by 1/rho
     tol    : stop once D, the squared norm of the gradient ``(gA, gB)`` of
              the projected objective, falls below this
     """
@@ -129,6 +140,46 @@ def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
         return rom
     return Rom(solve_triangular(L, rom.Ahat @ L, lower=True),
                solve_triangular(L, rom.Bhat, lower=True), rom.Chat @ L)
+
+
+def _model_opening(top: float, params: OptimParams, D: float,
+                   curvature: float) -> tuple[float, int]:
+    """``(top rho^k, k)`` for the least k >= 0 that puts the step at or
+    below the Gauss-Newton model's Armijo bound ``(1 - c) D / curvature``.
+
+    Along ``d = -[gA gB]`` with ``D = |d|^2`` and curvature ``d^T M d``
+    (``Evaluation.curvature``), the model ``phi - alpha D + alpha^2 d^T M d``
+    meets the Armijo line ``phi - c alpha D`` at that bound, so the blind
+    steps above it are the trials the model says fail.  k is solved in
+    closed form, so a rho near 1 costs no loop.  Without a positive, finite
+    curvature and bound there is no bound, and k = 0.
+    """
+    bound = (1.0 - params.c) * D / curvature if 0.0 < curvature < math.inf else math.inf
+    if not 0.0 < bound < top:
+        return top, 0
+    rho = params.rho
+    k = max(1, math.ceil(math.log(bound / top) / math.log(rho)))
+    # the logarithms round; the powers settle k
+    if top * rho ** k > bound:
+        k += 1
+    elif k > 1 and top * rho ** (k - 1) <= bound:
+        k -= 1
+    return top * rho ** k, k
+
+
+def _armijo_trial(dual: DualData, iterate: Rom, g, alpha: float,
+                  ceiling: float) -> Evaluation | None:
+    """The evaluation of the step ``alpha`` from ``iterate`` along ``-g``
+    when it stays inside the stability annulus and its phi is finite and at
+    most ``ceiling``; None otherwise."""
+    cand = iterate.stepped(g, alpha)
+    if not cand.satisfies_spectral_bounds():
+        return None
+    try:
+        trial = Evaluation(dual, cand)
+        return trial if np.isfinite(trial.phi) and trial.phi <= ceiling else None
+    except _CANDIDATE_ERRORS:
+        return None
 
 
 # a trial that overflows is rejected by its non-finite phi, an iterate by
@@ -227,38 +278,47 @@ def run(ens: DataEnsemble | None, init: Rom, params: OptimParams = OptimParams()
             stop = StopReason.CONVERGED
             break
 
-        accepted = None
+        bb = False
         if d_prev is None:
-            alpha = params.alpha0
+            top = params.alpha0
         else:
             # alpha and d_prev still hold the last accepted step and its
             # direction: s = alpha d_prev moved the model, y = d_prev - d is
             # the change of the gradient over that move
             y = d_prev - d
             sy = alpha * float(np.sum(d_prev * y))
-            alpha = sy / float(np.sum(y * y)) if sy > 0 else min(
-                params.alpha0, alpha / params.rho)
+            bb = sy > 0
+            top = (sy / float(np.sum(y * y)) if bb
+                   else min(params.alpha0, alpha / params.rho))
         d_prev = d
-        for bt in range(params.max_backtracks):
-            cand = iterate.stepped(g, alpha)
-            if cand.satisfies_spectral_bounds():
-                try:
-                    trial = Evaluation(dual, cand)
-                    if (np.isfinite(trial.phi)
-                            and trial.phi <= phi - params.c * alpha * D):
-                        accepted = (trial, alpha, bt)
-                        break
-                except _CANDIDATE_ERRORS:
-                    pass
-            alpha *= params.rho
+        # a blind search opens at or below the Gauss-Newton model's bound,
+        # ``shrinks`` factors of rho below ``top``
+        alpha, shrinks = (top, 0) if bb else _model_opening(
+            top, params, D, current.curvature(-g.gA, -g.gB))
+        accepted = None
+        for trials in range(1, params.max_backtracks + 1):
+            trial = _armijo_trial(dual, iterate, g, alpha, phi - params.c * alpha * D)
+            if trial is None:
+                if accepted is not None:
+                    break  # a probe failed: keep the step below it
+                shrinks = 0
+                alpha *= params.rho
+                continue
+            accepted = (trial, alpha)
+            if shrinks == 0:
+                break
+            # the shortened opening passed: probe back up by 1/rho while
+            # trials pass, never past ``top``
+            shrinks -= 1
+            alpha = top if shrinks == 0 else alpha / params.rho
         if accepted is None:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
 
-        current, alpha, bt = accepted
+        current, alpha = accepted
         phi = current.phi
         rom = current.projected
-        history.append(IterRecord(it, phi, D, alpha, bt, rel_error(rom), True))
+        history.append(IterRecord(it, phi, D, alpha, trials - 1, rel_error(rom), True))
 
     return OptimResult(rom=rom, history=tuple(history), stop_reason=stop,
                        initial_f=float(initial_f),

@@ -62,6 +62,9 @@ class LtiSystem:
     ``schur`` factors A on first use; every evaluation and spectral check
     against this system reuses that one factor, and so do its gramians
     ``P`` and ``Q``, one Stein sweep each, solved on first use and kept.
+    ``identity_output`` marks a C built as the identity (by
+    ``with_identity_output``, and by the identified model), so that an
+    evaluation skips the products with it; it is False for a C passed in.
     """
 
     A: np.ndarray
@@ -71,7 +74,8 @@ class LtiSystem:
     def __post_init__(self):
         self._set(_matrix(self.A, "A"), _matrix(self.B, "B"), _matrix(self.C, "C"))
 
-    def _set(self, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    def _set(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, *,
+             identity_output: bool = False) -> None:
         """Store arrays that ``_matrix`` has checked, once their shapes agree."""
         n = A.shape[0]
         if A.shape != (n, n):
@@ -83,13 +87,14 @@ class LtiSystem:
         for name, M in (("A", A), ("B", B), ("C", C)):
             M.flags.writeable = False
             object.__setattr__(self, name, M)
+        object.__setattr__(self, "identity_output", identity_output)
 
     @staticmethod
     def with_identity_output(A, B) -> "LtiSystem":
         """The system ``(A, B, I)``; A and B are checked once, I not at all."""
         A = _matrix(A, "A")
         out = object.__new__(LtiSystem)
-        out._set(A, _matrix(B, "B"), np.eye(A.shape[0]))
+        out._set(A, _matrix(B, "B"), np.eye(A.shape[0]), identity_output=True)
         return out
 
     def with_output(self, C) -> "LtiSystem":
@@ -390,7 +395,7 @@ class Evaluation:
         if not (np.isfinite(self.P).all() and np.isfinite(self.R).all()):
             raise NumericalOverflow("the gramian P or the cross term R of the rom "
                                     "overflowed the floating-point range")
-        self.CR = model.C @ self.R
+        self.CR = self.R if model.identity_output else model.C @ self.R
         self.rom = rom
         self.model = model
 
@@ -427,9 +432,38 @@ class Evaluation:
         """
         rom = self.projected if projected else self.rom
         fa, fs = rom.schur, self.model.schur.transposed()
-        W = -self.model.C.T @ rom.C
+        W = -rom.C if self.model.identity_output else -self.model.C.T @ rom.C
         S = from_schur(fs, fa, solve_schur(fs, fa, to_schur(fs, fa, W)))
         return GramianSet(self.P, rom.Q, self.R, S)
+
+    def curvature(self, dA: np.ndarray, dB: np.ndarray) -> float:
+        """``d^T M d`` along ``d = (dA, dB)`` at ``projected``, for M the
+        Gauss-Newton matrix of phi (Kaufman, BIT 15 (1975) 49-57).
+
+        To first order d moves the rom's transfer function by ``D_d``, the
+        system ``([[Ahat, 0], [dA, Ahat]], [Bhat; dB], [0, Chat])`` with Chat
+        ``chat_star``, and M measures the part of ``D_d`` that no change of
+        Chat reaches: ``<D_d, (I - Pi) D_d>`` in h2, Pi the projection on
+        the transfer functions ``C' (zI - Ahat)^{-1} Bhat``.  With X, the
+        off-diagonal block of that system's gramian,
+        ``Ahat X Ahat^T + dA P Ahat^T + dB Bhat^T = X`` (one sweep on the
+        rom's factor), and W the right-hand side of its lower block,
+        ``Ahat X dA^T + dA X^T Ahat^T + dA P dA^T + dB dB^T``, it is
+        ``<W, Q> - <Chat^T Chat X P^{-1}, X>``, P and Q the projected rom's
+        gramians.  A singular P gives nan.
+        """
+        rom = self.projected
+        fa, fn = rom.schur, rom.schur.transposed()
+        V = dA @ (self.P @ rom.A.T) + dB @ rom.B.T
+        X = from_schur(fa, fn, stein_schur(fa, fn, to_schur(fa, fn, V)))
+        AXd = rom.A @ X @ dA.T
+        W = AXd + AXd.T + dA @ self.P @ dA.T + dB @ dB.T
+        try:
+            XP = np.linalg.solve(self.P, X.T).T
+        except np.linalg.LinAlgError:
+            return float("nan")
+        CC = rom.C.T @ rom.C
+        return float((W * rom.Q).sum() - ((CC @ XP) * X).sum())
 
 
 class H2ErrorEvaluator:

@@ -1006,6 +1006,8 @@ def test_experiment_script_produces_artifact_tree(tmp_path):
          "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+    # ranks would print only past the rank gate, where they are always full
+    assert "data: N=10 alpha=0.0\n" in proc.stdout and "ranks" not in proc.stdout
     assert (out / "config.json").exists()
     assert (out / "system" / "system.json").exists()
     assert (out / "ensemble" / "ensemble.json").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -425,15 +426,27 @@ def test_descent_invariant_under_joint_scaling_and_row_order(log_scale, row_seed
         assert rel_max_err(got, want) < 1e-9
 
 
-def test_backtrack_exhaustion_reported():
+def test_backtrack_exhaustion_reported(monkeypatch):
     sys, ens, init = make_problem(seed=11)
-    # one enormous non-shrinking step cannot satisfy the Armijo test
+    # one enormous non-shrinking blind step: the model's bound opens the
+    # search below it in closed form, but cannot foresee that every trial
+    # here is moved outside the stability annulus
     params = OptimParams(alpha0=1e12, rho=0.999999, c=0.5, max_backtracks=1,
                          tol=1e-15)
+    stepped, alphas = Rom.stepped, []
+
+    def unstable(rom, g, alpha):
+        alphas.append(alpha)
+        cand = stepped(rom, g, alpha)
+        return Rom(cand.Ahat + 2.0 * np.eye(cand.r), cand.Bhat, cand.Chat)
+
+    monkeypatch.setattr(Rom, "stepped", unstable)
     res = run(ens, init, params)
     assert res.stop_reason is StopReason.BACKTRACK_EXHAUSTED
     assert len(res.history) == 0
     np.testing.assert_array_equal(res.rom.Ahat, init.Ahat)
+    (alpha,) = alphas
+    assert 0.0 < alpha < params.alpha0
 
 
 def test_accepted_step_satisfies_armijo_inequality():
@@ -489,34 +502,75 @@ def split_by_iteration(trials, rows):
     return out
 
 
+def record_curvatures(monkeypatch, withheld=False):
+    """Record every value ``Evaluation.curvature`` returns; ``withheld``
+    hands the descent nan instead, so that it opens blind."""
+    values = []
+    original = Evaluation.curvature
+
+    def curvature(self, dA, dB):
+        values.append(original(self, dA, dB))
+        return float("nan") if withheld else values[-1]
+
+    monkeypatch.setattr(Evaluation, "curvature", curvature)
+    return values
+
+
+def assert_model_opened(alphas, top, bound, params, step):
+    """The trials of a blind opening ``top``: first ``top rho^k`` for the
+    least k that puts it at or below ``bound``; then up by 1/rho, never past
+    ``top``, after a passing shortened opening, or down by rho."""
+    rho = params.rho
+    k = next(k for k in range(10_000) if top * rho ** k <= bound)
+    assert alphas[0] == top * rho ** k
+    if step > alphas[0]:
+        assert k > 0
+        for a, b in zip(alphas, alphas[1:]):
+            assert b in (a / rho, top) and b <= top
+        # the last probe failed, or reached top or the trial budget
+        assert step == alphas[-1] or (step == alphas[-2] and alphas[-1] > step)
+    else:
+        for a, b in zip(alphas, alphas[1:]):
+            assert b == a * rho
+        assert step == alphas[-1]
+
+
 def test_first_trial_is_the_short_barzilai_borwein_step(monkeypatch):
     sys, ens, init = make_problem(seed=0)
     params = OptimParams(tol=1e-6, max_iters=60)
     trials = record_stepped(monkeypatch)
+    curvatures = iter(record_curvatures(monkeypatch))
     res = run(ens, init, params)
     rows = [rec for rec in res.history if rec.step > 0]
     assert len(rows) > 10
     iterations = split_by_iteration(trials, rows)
-    assert iterations[0][1][0] == params.alpha0
+    # the first opening is blind: alpha0, capped by the model's bound
+    first = rows[0]
+    assert_model_opened(iterations[0][1], params.alpha0,
+                        (1 - params.c) * first.D / next(curvatures), params, first.step)
     bb = 0
     for (d_prev, _), prev, (d, alphas), rec in zip(iterations, rows, iterations[1:],
                                                     rows[1:]):
         s, y = prev.step * d_prev, d_prev - d
         if np.sum(s * y) > 0:
             assert alphas[0] == pytest.approx(np.sum(s * y) / np.sum(y * y), rel=1e-12)
+            for a, b in zip(alphas, alphas[1:]):
+                assert b == a * params.rho
+            assert alphas[-1] == rec.step
             bb += 1
         else:
-            assert alphas[0] == min(params.alpha0, prev.step / params.rho)
-        for a, b in zip(alphas, alphas[1:]):
-            assert b == a * params.rho
-        assert alphas[-1] == rec.step
+            assert_model_opened(alphas, min(params.alpha0, prev.step / params.rho),
+                                (1 - params.c) * rec.D / next(curvatures), params, rec.step)
+    # the curvature is taken for the blind openings alone
+    assert next(curvatures, None) is None
     assert bb > len(rows) // 2
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["s.y=0", "s.y<0"])
 def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
     # the second gradient is the first one times ``scale``, so y = (1 - scale)
-    # d_prev and <s, y> <= 0: the search opens at min(alpha0, alpha_prev / rho)
+    # d_prev and <s, y> <= 0: the blind opening min(alpha0, alpha_prev / rho)
+    # is capped by the Gauss-Newton model's bound, as the first one is
     sys, ens, init = make_problem(seed=0)
     params = OptimParams(max_iters=2, tol=1e-15)
     seen = []
@@ -529,11 +583,14 @@ def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
 
     monkeypatch.setattr(ddh2mor.optim, "data_gradients", stale)
     trials = record_stepped(monkeypatch)
+    curvatures = record_curvatures(monkeypatch)
     res = run(ens, init, params)
     assert len(res.history) == 2 and all(rec.step > 0 for rec in res.history)
+    assert len(curvatures) == 2
     (_, first), (_, second) = split_by_iteration(trials, res.history)
-    assert first[0] == params.alpha0
-    assert second[0] == min(params.alpha0, res.history[0].step / params.rho)
+    tops = (params.alpha0, min(params.alpha0, res.history[0].step / params.rho))
+    for alphas, top, rec, curvature in zip((first, second), tops, res.history, curvatures):
+        assert_model_opened(alphas, top, (1 - params.c) * rec.D / curvature, params, rec.step)
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +637,68 @@ def test_projection_keeps_the_acceptance_descent_short_and_its_errors_low(
     assert steps <= 10
 
 
+def test_model_bound_lies_between_the_blind_searches_last_pass_and_first_failure(
+        monkeypatch, acceptance_problem):
+    # with the curvature withheld the first search opens blind at alpha0 and
+    # halves: dmdc rejects 1, 0.5 and 0.25, databt 1 down to 0.125.  The
+    # model's Armijo bound sits between the step each accepts and the last
+    # one it rejects, so opening below it skips exactly the rejections
+    _, ens, starts = acceptance_problem
+    params = OptimParams()
+    curvatures = record_curvatures(monkeypatch, withheld=True)
+    for name, bound in (("dmdc", 0.171), ("databt", 0.117)):
+        curvatures.clear()
+        first = run(ens, starts[name], params).history[0]
+        assert first.backtracks >= 1, name
+        got = (1 - params.c) * first.D / curvatures[0]
+        assert got == pytest.approx(bound, rel=5e-3), name
+        assert first.step <= got < first.step / params.rho, name
+
+
+# each start's (f, D, step) rows as float.hex, and the sha256 of its final
+# rom's (A, B, C) bytes, recorded from the blind line search, which opened
+# every search that is not a Barzilai-Borwein step at alpha0 or at
+# min(alpha0, alpha_prev / rho) and halved from there
+BLIND_PATHS = {
+    "dmdc": ([("-0x1.0fedb6a887337p+0", "0x1.cee42e30c9137p-8", "0x1.0000000000000p-3"),
+              ("-0x1.0ffd52a16454ap+0", "0x1.cddfb71b1b1fbp-8", "0x1.0030a974a56aep-4"),
+              ("-0x1.0ffd52a16454ap+0", "0x1.ff3a3400f2872p-11", "0x0.0p+0")],
+             "43f5063a973bf4c4747d5614de406e2df1be8879956435893184fe5e7a163553"),
+    "loewner": ([("-0x1.10ad19ee0d24cp+0", "0x1.3a56f37f40676p-12", "0x0.0p+0")],
+                "9218423a3117541027afa5751d7b2f70f64cc08138e6ad210bfcbeb2df917099"),
+    "databt": ([("-0x1.10aac52d74924p+0", "0x1.5b46e826700ffp-10", "0x1.0000000000000p-4"),
+                ("-0x1.10aac52d74924p+0", "0x1.7e0e7ca4461fcp-15", "0x0.0p+0")],
+               "cc34a1a8a70be428772000fc6d835b98e3fc2e91f3542cc2efbfba39acf5c942"),
+}
+
+
+def acceptance_paths(ens, starts):
+    """Each start's rows as in ``BLIND_PATHS``, and its trial count."""
+    paths, trials = {}, {}
+    for name in BLIND_PATHS:
+        res = run(ens, starts[name])
+        rom = res.rom
+        paths[name] = ([(h.f.hex(), h.D.hex(), h.step.hex()) for h in res.history],
+                       hashlib.sha256(b"".join(np.ascontiguousarray(M).tobytes()
+                                               for M in (rom.A, rom.B, rom.C))).hexdigest())
+        trials[name] = sum(h.backtracks + 1 for h in res.history if h.step > 0)
+    return paths, trials
+
+
+def test_model_opening_keeps_the_acceptance_path_with_fewer_trials(
+        monkeypatch, acceptance_problem):
+    # the searches open at the model's bound and probe up one step, which
+    # fails: the same steps and roms to the bit, in 3, 0 and 2 trials where
+    # the blind searches take 5, 0 and 5
+    _, ens, starts = acceptance_problem
+    assert acceptance_paths(ens, starts) == (BLIND_PATHS, {"dmdc": 3, "loewner": 0,
+                                                           "databt": 2})
+    with monkeypatch.context() as blind:
+        record_curvatures(blind, withheld=True)
+        assert acceptance_paths(ens, starts) == (BLIND_PATHS, {"dmdc": 5, "loewner": 0,
+                                                               "databt": 5})
+
+
 @pytest.mark.parametrize("route", ["unknown-input", "known-input"])
 def test_each_iterate_gradient_matches_a_fresh_gradient(monkeypatch, route):
     # later iterates take P and R from their accepted trial; the gradient is
@@ -615,7 +734,8 @@ def assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_
     dual = reconstruct_dual(ens)
     oracle = sys if with_oracle else None
     calls = {"stein": 0, "sylvester": 0, "solve_S": 0, "solve_stein": 0, "evaluations": 0,
-             "oracle_stein": 0, "oracle_sylvester": 0, "oracle_evaluations": 0}
+             "curvatures": 0, "oracle_stein": 0, "oracle_sylvester": 0,
+             "oracle_evaluations": 0}
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -638,13 +758,17 @@ def assert_p_and_r_are_swept_for_the_start_and_in_trials_only(monkeypatch, with_
     counted(ddh2mor.sysmodel, "solve_stein", "solve_stein")
     counted(ddh2mor.ddgrad, "rom_gramians", "solve_stein")
     counted(ddh2mor.sysmodel.Evaluation, "__init__", "evaluations")
+    counted(ddh2mor.sysmodel.Evaluation, "curvature", "curvatures")
     k = 8
     res = run(ens, init, OptimParams(max_iters=k, tol=1e-15), dual=dual, oracle=oracle)
     assert res.stop_reason is StopReason.MAX_ITERS and len(res.history) == k
     # the start and every trial, P and R once each; Q and S once per gradient,
-    # with no second separation check through solve_S
+    # with no second separation check through solve_S; and the cross block X
+    # of the curvature once per blind opening, the first iteration's at least
     assert calls["evaluations"] >= 1 + k
-    assert calls["stein"] == calls["sylvester"] == calls["evaluations"] + k
+    assert calls["sylvester"] == calls["evaluations"] + k
+    assert 1 <= calls["curvatures"] <= k
+    assert calls["stein"] == calls["sylvester"] + calls["curvatures"]
     assert calls["solve_S"] == 0
     assert calls["solve_stein"] == 0
     # the oracle sweeps its own gramian once, and one R per evaluation of the

@@ -20,9 +20,11 @@ from ddh2mor import (
     objective_f,
     transfer_eval,
 )
+import ddh2mor
 from ddh2mor import sysmodel
 from ddh2mor.sysmodel import Evaluation, _expm_integral, assemble_gradients
-from helpers import fd_gradients, quad_h2_norm, random_rom, random_system, rel_max_err
+from helpers import (fd_gradients, input_normal, quad_h2_norm, random_rom, random_system,
+                     rel_max_err)
 
 st_seed = st.integers(0, 2**32 - 1)
 
@@ -357,15 +359,72 @@ def test_evaluation_gradients_match_model_based_for_any_output_map(p):
 def test_identity_output_products_are_exact(seed, n, m, r):
     # with C = I every term of an entry of C R but one is an exact zero, so
     # C R is R to the bit, and f and phi are those of R; so is -C^T Chat of
-    # the S equation -Chat
+    # the S equation -Chat.  A system built with identity output skips both
+    # products, and evaluates to the bit as the same system with C = I given
     rng = np.random.default_rng(seed)
     sys = random_system(rng, n, m)
     rom = random_rom(rng, r, m, n)
     ev = Evaluation(sys, rom)
-    assert np.array_equal(ev.CR, ev.R)
+    assert sys.identity_output and ev.CR is ev.R
     assert ev.f == objective_f(rom, ev.P, ev.R)
     assert ev.phi == objective_f(ev.projected, ev.P, ev.R)
     assert np.array_equal(-sys.C.T @ rom.C, -rom.C)
+    given_c = LtiSystem(sys.A, sys.B, np.eye(n))
+    assert not given_c.identity_output
+    ref = Evaluation(given_c, rom)
+    assert np.array_equal(ref.CR, ev.CR) and (ref.f, ref.phi) == (ev.f, ev.phi)
+    for projected in (False, True):
+        assert np.array_equal(ref.gramians(projected=projected).S,
+                              ev.gramians(projected=projected).S)
+
+
+def test_identity_output_is_marked_where_it_is_built():
+    # the identified model and with_identity_output build C = I; a copy with
+    # another output map, or a C passed in, is not marked
+    rng = np.random.default_rng(5)
+    sys = random_system(rng, 4, 2)
+    dual = ddh2mor.reconstruct_dual(ddh2mor.generate_ensemble(sys, 8, ddh2mor.NoiseSpec(seed=6)))
+    assert sys.identity_output and dual.identity_output
+    assert not sys.with_output(np.eye(4)).identity_output
+    assert not LtiSystem(sys.A, sys.B, sys.C).identity_output
+    assert not random_rom(rng, 2, 2, 4).identity_output
+
+
+def reference_curvature(rom, dA, dB):
+    """``<D_d, (I - Pi) D_d>`` from the 2r-state realization of ``D_d``,
+    scipy's Lyapunov solver and an explicit pseudo-inverse projection."""
+    r = rom.r
+    A2 = np.block([[rom.A, np.zeros((r, r))], [dA, rom.A]])
+    B2 = np.vstack([rom.B, dB])
+    G = scipy.linalg.solve_discrete_lyapunov(A2, B2 @ B2.T)
+    C2 = np.hstack([np.zeros_like(rom.C), rom.C])
+    P, CX = G[:r, :r], rom.C @ G[r:, :r]
+    return np.trace(C2 @ G @ C2.T) - np.trace(CX @ np.linalg.pinv(P) @ CX.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st_seed, n=st.integers(1, 8), m=st.integers(1, 3), r=st.integers(1, 5))
+def test_curvature_is_the_projected_h2_norm_of_the_direction(seed, n, m, r):
+    # d^T M d is the squared h2 norm of the part of D_d, the first-order
+    # change of the projected rom's transfer function along d, that no change
+    # of Chat reaches.  The roms are input-normal, as the descent starts,
+    # so that cond(P) scales the rounding of neither side
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n, m)
+    ev = Evaluation(sys, input_normal(random_rom(rng, r, m, n)))
+    dA, dB = rng.standard_normal((r, r)), rng.standard_normal((r, m))
+    got = ev.curvature(dA, dB)
+    want = reference_curvature(ev.projected, dA, dB)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_curvature_without_an_inverse_gramian_is_nan():
+    # Bhat = 0 leaves P = 0, so there is no projection to take
+    rng = np.random.default_rng(7)
+    sys = random_system(rng, 5, 1)
+    ev = Evaluation(sys, Rom(np.diag([0.5, 0.3]), np.zeros((2, 1)), np.ones((5, 2))))
+    assert np.isnan(ev.curvature(np.eye(2), np.ones((2, 1))))
 
 
 @pytest.mark.parametrize("case", ["positive-definite", "singular", "zero"])
