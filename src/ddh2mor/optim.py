@@ -11,31 +11,25 @@ iterate is the projected rom (Ahat, Bhat, Chat*) and the descent direction
 ``-[gA gB]`` moves only Ahat and Bhat.
 
 Each iteration assembles the data-driven gradients there and backtracks the
-step along ``-[gA gB]`` until phi decreases by the Armijo margin while the
-candidate stays inside the stability annulus.  Every iteration after the
-first opens at the short Barzilai-Borwein step ``<s, y> / <y, y>``
-(Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988) 141-148), where ``s`` is
-the last accepted move and ``y`` the change of the direction over it.  The
-step fits the curvature along the last move, so most iterations accept
-their first trial; it is not capped at ``alpha0``.  The first iteration has
-no move to fit, and where ``<s, y> <= 0`` there is no curvature to fit; those
-searches are blind, at ``alpha0`` and at ``min(alpha0, alpha_prev / rho)``,
-one expansion of the step accepted last.  A blind search opens at that step
-times ``rho^k``, for the least k that puts it at or below the Armijo bound
-of the variable-projection Gauss-Newton model (Kaufman, BIT 15 (1975)
+step along ``-[gA gB]`` by ``rho`` until phi decreases by the Armijo margin
+while the candidate stays inside the stability annulus.  A search opens at
+the short Barzilai-Borwein step ``<s, y> / <y, y>`` (Barzilai & Borwein, IMA
+J. Numer. Anal. 8 (1988) 141-148), where ``s`` is the last accepted move and
+``y`` the change of the direction over it.  The step fits the curvature
+along the last move, so most iterations accept their first trial; it is not
+capped at ``alpha0``.  The first iteration has no move to fit, and where
+``<s, y> <= 0`` there is no curvature to fit; those searches open blind, at
+``alpha0 rho^k`` for the least k that puts the step at or below the Armijo
+bound of the variable-projection Gauss-Newton model (Kaufman, BIT 15 (1975)
 49-57), ``(1 - c) D / d^T M d`` (``Evaluation.curvature``); the steps above
-it are those the model says fail.  If that first trial passes, the search
-probes back up by ``1/rho``, never past the blind step, while trials pass,
-and keeps the last that passed, which is the step backtracking from the
-blind step accepts whenever the passing steps form one interval.  A first
-trial that fails backtracks as any other.  Phi never rises.
+it are those the model says fail.  Phi never rises.
 
 A trial step factors its Ahat once (the spectral bounds read the
 eigenvalues off that factor) and evaluates phi with ``Evaluation`` against
 ``dual``, the identified model, which the reconstruction factored once:
 the P and R equations are solved in Schur coordinates and back-transformed,
-and phi is f at ``Chat* = R P^+``; a trial whose P or R overflows is
-rejected.  The start is evaluated as a trial is; its ``f`` as given is
+and phi is f at ``Chat* = R P^+``; a trial whose step, P or R overflows
+is rejected.  The start is evaluated as a trial is; its ``f`` as given is
 ``initial_f``.  The descent then starts from the same transfer function in
 input-normal coordinates, where P is the identity, so that ``Chat*`` and
 the gradient at it do not scale rounding in R by cond(P), which reaches
@@ -59,7 +53,7 @@ from scipy.linalg import solve_triangular
 from .dataio import DataEnsemble, IterRecord
 from .ddgrad import DualData, data_gradients, reconstruct_dual
 from .errors import AssumptionViolated, NotStable, NumericalOverflow
-from .sysmodel import Evaluation, H2ErrorEvaluator, LtiSystem, Rom
+from .sysmodel import Evaluation, H2ErrorEvaluator, LtiSystem, Rom, require_shared_io
 
 __all__ = [
     "OptimParams",
@@ -86,16 +80,20 @@ class StopReason(enum.Enum):
 class OptimParams:
     """Line-search and termination parameters.
 
-    alpha0 : blind opening of the first iteration's search; caps the
-             blind opening ``min(alpha0, alpha_prev / rho)`` of a later
-             iteration whose last move showed no positive curvature.  A
-             blind opening is tried at itself times the least power of rho
-             that puts it at or below the Gauss-Newton model's Armijo bound
-    c      : Armijo decrease coefficient
-    rho    : backtracking shrink factor; a search that opened below its
-             blind opening probes back up by 1/rho
-    tol    : stop once D, the squared norm of the gradient ``(gA, gB)`` of
-             the projected objective, falls below this
+    alpha0         : blind opening, of the first iteration's search and of
+                     any whose last move showed no positive curvature; it
+                     is tried at itself times the least power of rho that
+                     puts it at or below the Gauss-Newton model's Armijo
+                     bound
+    c              : Armijo decrease coefficient
+    rho            : backtracking shrink factor; every failed trial is
+                     followed by the step times rho
+    tol            : stop once D, the squared norm of the gradient ``(gA,
+                     gB)`` of the projected objective, falls below this
+    max_iters      : iterations, each one line search, before the descent
+                     stops with ``MAX_ITERS``
+    max_backtracks : trials of one iteration's search before the descent
+                     stops with ``BACKTRACK_EXHAUSTED``
     """
 
     alpha0: float = 1.0
@@ -142,10 +140,9 @@ def _input_normal(rom: Rom, P: np.ndarray) -> Rom:
                solve_triangular(L, rom.Bhat, lower=True), rom.Chat @ L)
 
 
-def _model_opening(top: float, params: OptimParams, D: float,
-                   curvature: float) -> tuple[float, int]:
-    """``(top rho^k, k)`` for the least k >= 0 that puts the step at or
-    below the Gauss-Newton model's Armijo bound ``(1 - c) D / curvature``.
+def _model_opening(params: OptimParams, D: float, curvature: float) -> float:
+    """``alpha0 rho^k`` for the least k >= 0 that puts the step at or below
+    the Gauss-Newton model's Armijo bound ``(1 - c) D / curvature``.
 
     Along ``d = -[gA gB]`` with ``D = |d|^2`` and curvature ``d^T M d``
     (``Evaluation.curvature``), the model ``phi - alpha D + alpha^2 d^T M d``
@@ -154,9 +151,10 @@ def _model_opening(top: float, params: OptimParams, D: float,
     closed form, so a rho near 1 costs no loop.  Without a positive, finite
     curvature and bound there is no bound, and k = 0.
     """
+    top = params.alpha0
     bound = (1.0 - params.c) * D / curvature if 0.0 < curvature < math.inf else math.inf
     if not 0.0 < bound < top:
-        return top, 0
+        return top
     rho = params.rho
     k = max(1, math.ceil(math.log(bound / top) / math.log(rho)))
     # the logarithms round; the powers settle k
@@ -164,7 +162,7 @@ def _model_opening(top: float, params: OptimParams, D: float,
         k += 1
     elif k > 1 and top * rho ** (k - 1) <= bound:
         k -= 1
-    return top * rho ** k, k
+    return top * rho ** k
 
 
 def _armijo_trial(dual: DualData, iterate: Rom, g, alpha: float,
@@ -172,10 +170,10 @@ def _armijo_trial(dual: DualData, iterate: Rom, g, alpha: float,
     """The evaluation of the step ``alpha`` from ``iterate`` along ``-g``
     when it stays inside the stability annulus and its phi is finite and at
     most ``ceiling``; None otherwise."""
-    cand = iterate.stepped(g, alpha)
-    if not cand.satisfies_spectral_bounds():
-        return None
     try:
+        cand = iterate.stepped(g, alpha)
+        if not cand.satisfies_spectral_bounds():
+            return None
         trial = Evaluation(dual, cand)
         return trial if np.isfinite(trial.phi) and trial.phi <= ceiling else None
     except _CANDIDATE_ERRORS:
@@ -218,10 +216,12 @@ def run(ens: DataEnsemble | None, init: Rom, params: OptimParams = OptimParams()
     Chat is projected.  Recorded iterates always satisfy
     the stability annulus.  A start whose P or R overflows and a descent
     direction whose squared norm overflows raise ``NumericalOverflow``
-    (a trial that overflows is rejected), and data whose identified model
-    ``dual`` (A_ls) is not stable raise ``NotStable`` before the
-    start is evaluated.  A start outside the annulus or without that
-    separation raises ``AssumptionViolated`` before the first iteration.
+    (a trial that overflows is rejected).  Before the start is evaluated,
+    data whose identified model ``dual`` (A_ls) is not stable raise
+    ``NotStable``, and a start whose inputs or outputs are not those of
+    ``dual`` raises ``ValueError``.  A start outside the annulus or
+    without that separation raises ``AssumptionViolated`` before the first
+    iteration.
     """
     if not init.satisfies_spectral_bounds():
         raise AssumptionViolated(
@@ -230,6 +230,7 @@ def run(ens: DataEnsemble | None, init: Rom, params: OptimParams = OptimParams()
         if ens is None:
             raise ValueError("run needs the snapshot ensemble or its identified model dual")
         dual = reconstruct_dual(ens)
+    require_shared_io(dual, init)
     # f is the h2 error against (A_ls, B_ls, I), which an unstable A_ls lacks
     if not dual.is_stable():
         raise NotStable(f"the identified model A_ls has spectral radius "
@@ -278,45 +279,28 @@ def run(ens: DataEnsemble | None, init: Rom, params: OptimParams = OptimParams()
             stop = StopReason.CONVERGED
             break
 
-        bb = False
-        if d_prev is None:
-            top = params.alpha0
-        else:
+        sy = -math.inf
+        if d_prev is not None:
             # alpha and d_prev still hold the last accepted step and its
             # direction: s = alpha d_prev moved the model, y = d_prev - d is
             # the change of the gradient over that move
             y = d_prev - d
             sy = alpha * float(np.sum(d_prev * y))
-            bb = sy > 0
-            top = (sy / float(np.sum(y * y)) if bb
-                   else min(params.alpha0, alpha / params.rho))
         d_prev = d
-        # a blind search opens at or below the Gauss-Newton model's bound,
-        # ``shrinks`` factors of rho below ``top``
-        alpha, shrinks = (top, 0) if bb else _model_opening(
-            top, params, D, current.curvature(-g.gA, -g.gB))
-        accepted = None
+        # without a positive curvature along the last move the search opens
+        # blind, at alpha0 shortened to the Gauss-Newton model's bound
+        alpha = (sy / float(np.sum(y * y)) if sy > 0
+                 else _model_opening(params, D, current.curvature(-g.gA, -g.gB)))
         for trials in range(1, params.max_backtracks + 1):
             trial = _armijo_trial(dual, iterate, g, alpha, phi - params.c * alpha * D)
-            if trial is None:
-                if accepted is not None:
-                    break  # a probe failed: keep the step below it
-                shrinks = 0
-                alpha *= params.rho
-                continue
-            accepted = (trial, alpha)
-            if shrinks == 0:
+            if trial is not None:
                 break
-            # the shortened opening passed: probe back up by 1/rho while
-            # trials pass, never past ``top``
-            shrinks -= 1
-            alpha = top if shrinks == 0 else alpha / params.rho
-        if accepted is None:
+            alpha *= params.rho
+        else:
             stop = StopReason.BACKTRACK_EXHAUSTED
             break
 
-        current, alpha = accepted
-        phi = current.phi
+        current, phi = trial, trial.phi
         rom = current.projected
         history.append(IterRecord(it, phi, D, alpha, trials - 1, rel_error(rom), True))
 

@@ -184,10 +184,14 @@ class Rom(LtiSystem):
         return bool(np.all(mods > EIG_FLOOR) and np.all(mods < 1.0 - EIG_CEIL_MARGIN))
 
     def stepped(self, gradients: "GradientTriple", step: float) -> "Rom":
-        """Gradient-descent update with the given step size."""
-        return Rom(self.A - step * gradients.gA,
-                   self.B - step * gradients.gB,
+        """Gradient-descent update with the given step size; raises
+        ``NumericalOverflow`` where its entries overflow."""
+        A, B, C = (self.A - step * gradients.gA, self.B - step * gradients.gB,
                    self.C - step * gradients.gC)
+        try:
+            return Rom(A, B, C)
+        except ValueError as exc:
+            raise NumericalOverflow(f"step {step:.3e}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,20 @@ def test_reduce_from_rom_file_keeps_its_order(workspace, tmp_path, capsys):
     assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("m, p", [(1, 12), (2, 5)], ids=["inputs", "outputs"])
+def test_reduce_from_a_rom_file_of_other_sizes_exits_1(workspace, tmp_path, capsys, m, p):
+    # the data have m = 2 inputs and identify a model with n = 12 outputs;
+    # the start's sizes are checked against it before the start is evaluated
+    initdir, out = tmp_path / "init", tmp_path / "red"
+    save_rom(Rom(np.diag([0.5, 0.4, 0.3]), np.ones((3, m)), np.ones((p, 3))), initdir)
+    capsys.readouterr()
+    rc = main(["reduce", "--ensemble", str(workspace["ensemble"]), "--init", "file",
+               "--init-data", str(initdir), "--out", str(out)])
+    assert rc == 1
+    assert_one_line_error(capsys, "must share input/output dimensions")
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("block", ["Ahat", "Bhat"])
 def test_reduce_from_an_overflowing_rom_file_exits_3(workspace, tmp_path, capsys, block):
     # Ahat[0, 1] = 1e200 keeps the poles 0.5, 0.5 and 0.3 inside the annulus,

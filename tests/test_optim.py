@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from ddh2mor import (
     AssumptionViolated,
@@ -204,6 +204,24 @@ def test_overflowing_trial_is_rejected_without_warnings(monkeypatch):
     assert first.step == alphas[-1] < alphas[0]
 
 
+def test_a_trial_step_that_overflows_is_rejected(monkeypatch):
+    # without the curvature the search opens at alpha0 = 1.7e308, where the
+    # stepped rom's entries overflow: that trial is rejected, as one outside
+    # the annulus is, and the search backtracks past it to a step that passes
+    sys, ens, init = make_problem(seed=0)
+    record_curvatures(monkeypatch, withheld=True)
+    trials = record_stepped(monkeypatch)
+    params = OptimParams(alpha0=1.7e308, max_iters=1, max_backtracks=1100, tol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(ens, init, params)
+    (rec,) = res.history
+    assert rec.step > 0 and rec.backtracks == len(trials) - 1
+    g, alpha = trials[0]
+    with np.errstate(over="ignore"), pytest.raises(NumericalOverflow, match="non-finite"):
+        init.stepped(g, alpha)
+
+
 def test_reconstruction_and_descent_factor_each_full_order_model_once(monkeypatch):
     # A_ls in the reconstruction, A in the oracle; the descent's stability
     # check, trials and gradients reuse the first, every oracle error the
@@ -333,6 +351,8 @@ def test_descent_needs_the_model_not_the_snapshots():
 def test_each_line_search_trial_factors_one_rom(monkeypatch):
     sys, ens, init = make_problem(seed=13)
     dual = reconstruct_dual(ens)
+    # without the curvature the search opens at alpha0 = 1e3, which fails
+    record_curvatures(monkeypatch, withheld=True)
     shapes = count_schur_calls(monkeypatch)
     res = run(ens, init, OptimParams(alpha0=1e3, max_iters=1, tol=1e-15), dual=dual)
     (rec,) = res.history
@@ -516,23 +536,42 @@ def record_curvatures(monkeypatch, withheld=False):
     return values
 
 
-def assert_model_opened(alphas, top, bound, params, step):
-    """The trials of a blind opening ``top``: first ``top rho^k`` for the
-    least k that puts it at or below ``bound``; then up by 1/rho, never past
-    ``top``, after a passing shortened opening, or down by rho."""
-    rho = params.rho
-    k = next(k for k in range(10_000) if top * rho ** k <= bound)
-    assert alphas[0] == top * rho ** k
-    if step > alphas[0]:
-        assert k > 0
-        for a, b in zip(alphas, alphas[1:]):
-            assert b in (a / rho, top) and b <= top
-        # the last probe failed, or reached top or the trial budget
-        assert step == alphas[-1] or (step == alphas[-2] and alphas[-1] > step)
-    else:
-        for a, b in zip(alphas, alphas[1:]):
-            assert b == a * rho
-        assert step == alphas[-1]
+def assert_backtracked(alphas, step, rho):
+    """Each trial is the one before it times rho, and the last the step."""
+    for a, b in zip(alphas, alphas[1:]):
+        assert b == a * rho
+    assert alphas[-1] == step
+
+
+def assert_model_opened(alphas, bound, params, step):
+    """The trials of a blind search: first ``alpha0 rho^k`` for the least k
+    that puts it at or below ``bound``, then backtracked to ``step``."""
+    k = next(k for k in range(10_000) if params.alpha0 * params.rho ** k <= bound)
+    assert alphas[0] == params.alpha0 * params.rho ** k
+    assert_backtracked(alphas, step, params.rho)
+
+
+def assert_one_rule(rows, iterations, curvatures, params):
+    """Each search opens at the Barzilai-Borwein step where ``<s, y> > 0``,
+    and blind, under the bound of the next recorded curvature, where not,
+    then backtracks by rho to its accepted step.  The number of BB
+    openings."""
+    bb = 0
+    for i, ((d, alphas), rec) in enumerate(zip(iterations, rows)):
+        if i > 0:
+            d_prev, prev = iterations[i - 1][0], rows[i - 1]
+            s, y = prev.step * d_prev, d_prev - d
+            if np.sum(s * y) > 0:
+                assert alphas[0] == pytest.approx(np.sum(s * y) / np.sum(y * y), rel=1e-12)
+                assert_backtracked(alphas, rec.step, params.rho)
+                bb += 1
+                continue
+        curvature = next(curvatures)
+        bound = (1 - params.c) * rec.D / curvature if 0 < curvature < np.inf else np.inf
+        assert_model_opened(alphas, bound, params, rec.step)
+    # the curvature is taken for the blind openings alone
+    assert next(curvatures, None) is None
+    return bb
 
 
 def test_first_trial_is_the_short_barzilai_borwein_step(monkeypatch):
@@ -543,34 +582,30 @@ def test_first_trial_is_the_short_barzilai_borwein_step(monkeypatch):
     res = run(ens, init, params)
     rows = [rec for rec in res.history if rec.step > 0]
     assert len(rows) > 10
-    iterations = split_by_iteration(trials, rows)
-    # the first opening is blind: alpha0, capped by the model's bound
-    first = rows[0]
-    assert_model_opened(iterations[0][1], params.alpha0,
-                        (1 - params.c) * first.D / next(curvatures), params, first.step)
-    bb = 0
-    for (d_prev, _), prev, (d, alphas), rec in zip(iterations, rows, iterations[1:],
-                                                    rows[1:]):
-        s, y = prev.step * d_prev, d_prev - d
-        if np.sum(s * y) > 0:
-            assert alphas[0] == pytest.approx(np.sum(s * y) / np.sum(y * y), rel=1e-12)
-            for a, b in zip(alphas, alphas[1:]):
-                assert b == a * params.rho
-            assert alphas[-1] == rec.step
-            bb += 1
-        else:
-            assert_model_opened(alphas, min(params.alpha0, prev.step / params.rho),
-                                (1 - params.c) * rec.D / next(curvatures), params, rec.step)
-    # the curvature is taken for the blind openings alone
-    assert next(curvatures, None) is None
+    # the first opening is blind: alpha0, shortened to the model's bound
+    bb = assert_one_rule(rows, split_by_iteration(trials, rows), curvatures, params)
     assert bb > len(rows) // 2
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 39), tol=st.sampled_from([1e-3, 1e-6]))
+def test_every_search_backtracks_from_one_opening(monkeypatch, seed, tol):
+    sys, ens, init = make_problem(seed=seed)
+    params = OptimParams(tol=tol, max_iters=60)
+    with monkeypatch.context() as patch:
+        trials = record_stepped(patch)
+        curvatures = record_curvatures(patch)
+        res = run(ens, init, params)
+    rows = [rec for rec in res.history if rec.step > 0]
+    assert_one_rule(rows, split_by_iteration(trials, rows), iter(curvatures), params)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["s.y=0", "s.y<0"])
 def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
     # the second gradient is the first one times ``scale``, so y = (1 - scale)
-    # d_prev and <s, y> <= 0: the blind opening min(alpha0, alpha_prev / rho)
-    # is capped by the Gauss-Newton model's bound, as the first one is
+    # d_prev and <s, y> <= 0: the search opens blind, at alpha0 shortened to
+    # the Gauss-Newton model's bound, as the first one does
     sys, ens, init = make_problem(seed=0)
     params = OptimParams(max_iters=2, tol=1e-15)
     seen = []
@@ -588,9 +623,8 @@ def test_first_trial_falls_back_without_positive_curvature(monkeypatch, scale):
     assert len(res.history) == 2 and all(rec.step > 0 for rec in res.history)
     assert len(curvatures) == 2
     (_, first), (_, second) = split_by_iteration(trials, res.history)
-    tops = (params.alpha0, min(params.alpha0, res.history[0].step / params.rho))
-    for alphas, top, rec, curvature in zip((first, second), tops, res.history, curvatures):
-        assert_model_opened(alphas, top, (1 - params.c) * rec.D / curvature, params, rec.step)
+    for alphas, rec, curvature in zip((first, second), res.history, curvatures):
+        assert_model_opened(alphas, (1 - params.c) * rec.D / curvature, params, rec.step)
 
 
 @pytest.fixture(scope="module")
@@ -687,12 +721,12 @@ def acceptance_paths(ens, starts):
 
 def test_model_opening_keeps_the_acceptance_path_with_fewer_trials(
         monkeypatch, acceptance_problem):
-    # the searches open at the model's bound and probe up one step, which
-    # fails: the same steps and roms to the bit, in 3, 0 and 2 trials where
-    # the blind searches take 5, 0 and 5
+    # the blind searches open at the model's bound, the step they accept:
+    # the same steps and roms to the bit, in 2, 0 and 1 trials where the
+    # searches opened at alpha0 take 5, 0 and 5
     _, ens, starts = acceptance_problem
-    assert acceptance_paths(ens, starts) == (BLIND_PATHS, {"dmdc": 3, "loewner": 0,
-                                                           "databt": 2})
+    assert acceptance_paths(ens, starts) == (BLIND_PATHS, {"dmdc": 2, "loewner": 0,
+                                                           "databt": 1})
     with monkeypatch.context() as blind:
         record_curvatures(blind, withheld=True)
         assert acceptance_paths(ens, starts) == (BLIND_PATHS, {"dmdc": 5, "loewner": 0,

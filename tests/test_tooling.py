@@ -113,25 +113,29 @@ def test_every_error_class_is_raised():
     assert not classes - raised, f"never raised: {sorted(classes - raised)}"
 
 
-@pytest.mark.parametrize("params, stop, first", [
-    # the model's bound opens the first search at 1/16; the probe up to 1/8
-    # passes and the one to 1/4 fails, and both are trials
-    (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED,
-     [1 / 16, 1 / 8, 1 / 4]),
+@pytest.mark.parametrize("params, stop, withheld, first", [
+    # the model's bound opens the first search at 1/16, which passes
+    (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED, False,
+     [1 / 16]),
     # the Armijo margin c = 0.5 defeats two backtracks in the fifteenth
     # iteration, before D falls below tol; alpha0 lies below the bound
     (ddh2mor.OptimParams(alpha0=0.016, c=0.5, max_backtracks=2, tol=1e-8),
-     ddh2mor.StopReason.BACKTRACK_EXHAUSTED, [0.016]),
-    # a blind opening eight halvings above the bound, two probes up
-    (ddh2mor.OptimParams(alpha0=10.0, tol=1e-6, max_iters=300),
-     ddh2mor.StopReason.CONVERGED, [10 / 2**8, 10 / 2**7, 10 / 2**6]),
-], ids=["converged", "backtrack-exhausted", "probe-fails"])
-def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, stop, first):
+     ddh2mor.StopReason.BACKTRACK_EXHAUSTED, False, [0.016]),
+    # without the curvature the search opens at alpha0, which fails, and
+    # halves until a step passes
+    (ddh2mor.OptimParams(tol=1e-6, max_iters=300), ddh2mor.StopReason.CONVERGED, True,
+     [1, 1 / 2, 1 / 4, 1 / 8]),
+], ids=["converged", "backtrack-exhausted", "opening-fails"])
+def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, stop,
+                                                           withheld, first):
     workloads = load_benchmark_module(monkeypatch, "workloads")
     rng = np.random.default_rng(1)
     sys_ = random_system(rng, 12, 2)
     ens = ddh2mor.generate_ensemble(sys_, 16, ddh2mor.NoiseSpec(seed=2))
     init = ddh2mor.init_data_bt(ddh2mor.impulse_from_system(sys_, 10), 3)
+    if withheld:
+        monkeypatch.setattr(ddh2mor.sysmodel.Evaluation, "curvature",
+                            lambda self, dA, dB: float("nan"))
     built = []
     stepped = ddh2mor.Rom.stepped
     monkeypatch.setattr(ddh2mor.Rom, "stepped",
@@ -143,7 +147,8 @@ def test_harness_trial_count_is_the_number_of_trial_models(monkeypatch, params, 
         params.max_backtracks)
     assert accepted == sum(h.step > 0 for h in res.history)
     assert trials == len(built)
-    # the first search's trials, probes included, are its backtracks + 1
+    # the first search's trials, the failed ones and the one accepted, are
+    # its backtracks + 1
     assert built[:res.history[0].backtracks + 1] == first
 
 
